@@ -72,8 +72,7 @@ int main() {
   std::map<std::string, JitRuntimeStats> SyncStats;
   for (GpuArch Arch : {GpuArch::AmdGcnSim, GpuArch::NvPtxSim}) {
     for (JitConfig::AsyncMode Mode :
-         {JitConfig::AsyncMode::Sync, JitConfig::AsyncMode::Block,
-          JitConfig::AsyncMode::Fallback}) {
+         {JitConfig::AsyncMode::Sync, JitConfig::AsyncMode::Fallback}) {
       std::vector<std::string> Row = {std::string(gpuArchName(Arch)) + " " +
                                       asyncModeName(Mode)};
       std::vector<std::string> FbRow = {"  fallback launches"};

@@ -6,95 +6,47 @@
 
 #include "gpu/DeviceManager.h"
 
-#include "support/Metrics.h"
+#include "support/Env.h"
+#include "support/StringUtils.h"
 
 #include <algorithm>
-#include <cstdio>
 #include <cstdlib>
 
 using namespace proteus;
 using namespace proteus::gpu;
 
-namespace {
-
-void emitConfigWarning(std::vector<std::string> *Warnings, std::string Msg) {
-  metrics::processRegistry().counter("config.errors").add();
-  if (Warnings)
-    Warnings->push_back(std::move(Msg));
-  else
-    std::fprintf(stderr, "proteus: warning: %s\n", Msg.c_str());
-}
-
-/// Strict unsigned parse in [Lo, Hi]; returns false on any malformation.
-bool parseBounded(const std::string &S, unsigned long Lo, unsigned long Hi,
-                  unsigned *Out) {
-  if (S.empty() || S.find_first_not_of("0123456789") != std::string::npos)
-    return false;
-  unsigned long N = std::strtoul(S.c_str(), nullptr, 10);
-  if (N < Lo || N > Hi)
-    return false;
-  *Out = static_cast<unsigned>(N);
-  return true;
-}
-
-} // namespace
-
 DeviceManager::Config
 DeviceManager::configFromEnvironment(std::vector<std::string> *Warnings) {
   Config C;
-  if (const char *N = std::getenv("PROTEUS_NUM_DEVICES")) {
-    if (!parseBounded(N, 1, 64, &C.NumDevices))
-      emitConfigWarning(Warnings,
-                        "ignoring invalid PROTEUS_NUM_DEVICES value '" +
-                            std::string(N) +
-                            "' (expected an integer in [1, 64])");
-  }
-  if (const char *S = std::getenv("PROTEUS_DEFAULT_STREAMS")) {
-    if (!parseBounded(S, 1, 256, &C.StreamsPerDevice))
-      emitConfigWarning(Warnings,
-                        "ignoring invalid PROTEUS_DEFAULT_STREAMS value '" +
-                            std::string(S) +
-                            "' (expected an integer in [1, 256])");
-  }
+  parseBounded("PROTEUS_NUM_DEVICES", 1, 64, C.NumDevices, Warnings);
+  parseBounded("PROTEUS_DEFAULT_STREAMS", 1, 256, C.StreamsPerDevice, Warnings);
   if (const char *A = std::getenv("PROTEUS_DEVICE_ARCHS")) {
     // Strict grammar: <arch> ("," <arch>)* with no empty segments — a
     // trailing, leading, or doubled comma rejects the whole value, as does
-    // an unknown architecture name. Splitting on every comma (rather than
-    // iterating while the remainder is non-empty) is what makes a trailing
-    // comma's empty final segment visible.
+    // an unknown architecture name. split() keeps empty fields, which is
+    // what makes a trailing comma's empty final segment visible.
     std::vector<GpuArch> Archs;
-    std::string BadSegment;
-    bool Ok = true;
-    const std::string Str = A;
-    size_t Pos = 0;
-    while (true) {
-      size_t Comma = Str.find(',', Pos);
-      std::string Tok = Str.substr(
-          Pos, Comma == std::string::npos ? std::string::npos : Comma - Pos);
-      if (Tok == gpuArchName(GpuArch::AmdGcnSim))
+    for (std::string_view Tok : split(A, ',')) {
+      if (Tok == gpuArchName(GpuArch::AmdGcnSim)) {
         Archs.push_back(GpuArch::AmdGcnSim);
-      else if (Tok == gpuArchName(GpuArch::NvPtxSim))
+      } else if (Tok == gpuArchName(GpuArch::NvPtxSim)) {
         Archs.push_back(GpuArch::NvPtxSim);
-      else {
-        Ok = false;
-        BadSegment = Tok;
+      } else {
+        emitConfigWarning(
+            Warnings,
+            "ignoring invalid PROTEUS_DEVICE_ARCHS value '" + std::string(A) +
+                "': " +
+                (Tok.empty() ? std::string("empty segment")
+                             : "unknown architecture '" + std::string(Tok) +
+                                   "'") +
+                " (expected amdgcn-sim|nvptx-sim, comma-separated, no empty "
+                "segments)");
+        Archs.clear();
         break;
       }
-      if (Comma == std::string::npos)
-        break;
-      Pos = Comma + 1;
     }
-    if (Ok)
+    if (!Archs.empty())
       C.Archs = std::move(Archs);
-    else
-      emitConfigWarning(
-          Warnings,
-          "ignoring invalid PROTEUS_DEVICE_ARCHS value '" + Str + "': " +
-              (BadSegment.empty()
-                   ? std::string("empty segment")
-                   : "unknown architecture '" + BadSegment + "'") +
-              " (expected amdgcn-sim|nvptx-sim, comma-separated, no empty "
-              "segments)");
   }
   return C;
 }

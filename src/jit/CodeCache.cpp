@@ -6,6 +6,7 @@
 
 #include "jit/CodeCache.h"
 
+#include "support/Env.h"
 #include "support/FileSystem.h"
 #include "support/Hashing.h"
 #include "support/Metrics.h"
@@ -14,36 +15,10 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <thread>
 
 using namespace proteus;
-
-namespace {
-
-/// The warn-don't-coerce reporting shared with JitConfig::fromEnvironment:
-/// rejected values keep the default, are counted process-wide, and surface
-/// as a warning instead of being silently remapped.
-void emitCacheConfigWarning(std::vector<std::string> *Warnings,
-                            std::string Msg) {
-  metrics::processRegistry().counter("config.errors").add();
-  if (Warnings)
-    Warnings->push_back(std::move(Msg));
-  else
-    std::fprintf(stderr, "proteus: warning: %s\n", Msg.c_str());
-}
-
-bool parseByteLimit(const char *Raw, uint64_t &Out) {
-  std::string S = Raw;
-  if (S.empty() || S.find_first_not_of("0123456789") != std::string::npos)
-    return false;
-  Out = std::strtoull(S.c_str(), nullptr, 10);
-  return true;
-}
-
-} // namespace
 
 uint64_t proteus::computeSpecializationHash(const SpecializationKey &Key) {
   FNV1aHash H;
@@ -76,57 +51,20 @@ uint64_t proteus::computeTuningKeyHash(uint64_t ModuleId,
 
 CacheLimits CacheLimits::fromEnvironment(std::vector<std::string> *Warnings) {
   CacheLimits L;
-  if (const char *Mem = std::getenv("PROTEUS_CACHE_MEM_LIMIT")) {
-    uint64_t V;
-    if (parseByteLimit(Mem, V))
-      L.MaxMemoryBytes = V;
-    else
-      emitCacheConfigWarning(
-          Warnings, "ignoring invalid PROTEUS_CACHE_MEM_LIMIT value '" +
-                        std::string(Mem) + "' (expected a byte count)");
-  }
-  if (const char *Disk = std::getenv("PROTEUS_CACHE_DISK_LIMIT")) {
-    uint64_t V;
-    if (parseByteLimit(Disk, V))
-      L.MaxPersistentBytes = V;
-    else
-      emitCacheConfigWarning(
-          Warnings, "ignoring invalid PROTEUS_CACHE_DISK_LIMIT value '" +
-                        std::string(Disk) + "' (expected a byte count)");
-  }
-  if (const char *Budget = std::getenv("PROTEUS_CACHE_BUDGET")) {
-    uint64_t V;
-    if (parseByteLimit(Budget, V))
-      L.BudgetBytes = V;
-    else
-      emitCacheConfigWarning(
-          Warnings, "ignoring invalid PROTEUS_CACHE_BUDGET value '" +
-                        std::string(Budget) + "' (expected a byte count)");
-  }
-  if (const char *Shards = std::getenv("PROTEUS_CACHE_SHARDS")) {
-    uint64_t V;
-    if (parseByteLimit(Shards, V) && V >= 1 && V <= 64)
-      L.Shards = static_cast<uint32_t>(V);
-    else
-      emitCacheConfigWarning(
-          Warnings, "ignoring invalid PROTEUS_CACHE_SHARDS value '" +
-                        std::string(Shards) + "' (expected 1..64)");
-  }
-  if (const char *Policy = std::getenv("PROTEUS_CACHE_POLICY")) {
-    // Accept every documented spelling: "runtime" is the README's name for
-    // the runtime-informed (execution-frequency) policy, i.e. LFU. Anything
-    // else used to be silently coerced to LRU — including "runtime" itself,
-    // which quietly selected the opposite of what the docs promised.
-    std::string S = Policy;
-    if (S == "lru")
-      L.Policy = EvictionPolicy::LRU;
-    else if (S == "lfu" || S == "runtime")
-      L.Policy = EvictionPolicy::LFU;
-    else
-      emitCacheConfigWarning(Warnings,
-                             "ignoring invalid PROTEUS_CACHE_POLICY value '" +
-                                 S + "' (expected lru|lfu|runtime)");
-  }
+  parseBounded("PROTEUS_CACHE_MEM_LIMIT", 0, UINT64_MAX, L.MaxMemoryBytes,
+               Warnings, "a byte count");
+  parseBounded("PROTEUS_CACHE_DISK_LIMIT", 0, UINT64_MAX, L.MaxPersistentBytes,
+               Warnings, "a byte count");
+  parseBounded("PROTEUS_CACHE_BUDGET", 0, UINT64_MAX, L.BudgetBytes, Warnings,
+               "a byte count");
+  parseBounded("PROTEUS_CACHE_SHARDS", 1, 64, L.Shards, Warnings, "1..64");
+  // "runtime" is the README's name for the runtime-informed
+  // (execution-frequency) policy, i.e. LFU.
+  parseChoice("PROTEUS_CACHE_POLICY",
+              {{"lru", EvictionPolicy::LRU},
+               {"lfu", EvictionPolicy::LFU},
+               {"runtime", EvictionPolicy::LFU}},
+              L.Policy, Warnings);
   return L;
 }
 

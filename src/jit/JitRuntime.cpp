@@ -14,50 +14,17 @@
 #include "ir/Context.h"
 #include "ir/Module.h"
 #include "ir/Verifier.h"
+#include "support/Env.h"
 #include "support/Hashing.h"
 #include "support/Timer.h"
 #include "support/Trace.h"
+#include "transforms/SpecializeArgs.h"
 
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <future>
-#include "transforms/SpecializeArgs.h"
 
 using namespace proteus;
 using namespace proteus::gpu;
-
-namespace {
-
-void emitConfigWarning(std::vector<std::string> *Warnings, std::string Msg) {
-  // Every rejected-but-defaulted value is also counted process-wide, so
-  // tests and CI can assert that no configuration mistake slipped through
-  // silently (the warn-don't-coerce contract).
-  metrics::processRegistry().counter("config.errors").add();
-  if (Warnings)
-    Warnings->push_back(std::move(Msg));
-  else
-    std::fprintf(stderr, "proteus: warning: %s\n", Msg.c_str());
-}
-
-/// Identifies the exact pipeline composition that produced a cached object.
-/// Bump PipelineVersion whenever the Tier-0 or Tier-1 pipeline changes
-/// shape, so persisted artifacts built by an older pipeline are recompiled
-/// instead of served as current.
-constexpr uint64_t PipelineVersion = 1;
-
-} // namespace
-
-uint64_t proteus::jitPipelineFingerprint(CodeTier Tier,
-                                         bool SymbolicGlobals) {
-  FNV1aHash H;
-  H.update(PipelineVersion);
-  H.update(static_cast<uint8_t>(Tier));
-  // Linkage mode is part of the pipeline identity: an object with baked
-  // global addresses is only valid on the device it was linked against.
-  H.update(static_cast<uint8_t>(SymbolicGlobals));
-  return H.digest();
-}
 
 JitConfig JitConfig::fromEnvironment(std::vector<std::string> *Warnings) {
   JitConfig C;
@@ -67,17 +34,9 @@ JitConfig JitConfig::fromEnvironment(std::vector<std::string> *Warnings) {
     C.EnableLaunchBounds = false;
   if (const char *Dir = std::getenv("PROTEUS_CACHE_DIR"))
     C.CacheDir = Dir;
-  if (const char *Remote = std::getenv("PROTEUS_CACHE_REMOTE")) {
-    std::string S = Remote;
-    if (S == "off")
-      C.CacheRemote = false;
-    else if (S == "on")
-      C.CacheRemote = true;
-    else
-      emitConfigWarning(Warnings,
-                        "ignoring invalid PROTEUS_CACHE_REMOTE value '" + S +
-                            "' (expected off|on)");
-  }
+  const std::initializer_list<std::pair<std::string_view, bool>> OffOn = {
+      {"off", false}, {"on", true}};
+  parseChoice("PROTEUS_CACHE_REMOTE", OffOn, C.CacheRemote, Warnings);
   if (const char *Sock = std::getenv("PROTEUS_CACHE_SOCKET")) {
     std::string S = Sock;
     if (!S.empty())
@@ -86,75 +45,22 @@ JitConfig JitConfig::fromEnvironment(std::vector<std::string> *Warnings) {
       emitConfigWarning(Warnings, "ignoring empty PROTEUS_CACHE_SOCKET "
                                   "(expected a unix socket path)");
   }
-  if (const char *Async = std::getenv("PROTEUS_ASYNC")) {
-    std::string S = Async;
-    if (S == "sync")
-      C.Async = AsyncMode::Sync;
-    else if (S == "block")
-      C.Async = AsyncMode::Block;
-    else if (S == "fallback")
-      C.Async = AsyncMode::Fallback;
-    else
-      // Keep the default rather than silently running a mode the user did
-      // not ask for (a typo like "blocking" used to select Sync).
-      emitConfigWarning(Warnings, "ignoring invalid PROTEUS_ASYNC value '" +
-                                      S + "' (expected sync|block|fallback)");
-  }
-  if (const char *W = std::getenv("PROTEUS_ASYNC_WORKERS")) {
-    std::string S = W;
-    bool AllDigits =
-        !S.empty() && S.find_first_not_of("0123456789") == std::string::npos;
-    unsigned long N = AllDigits ? std::strtoul(S.c_str(), nullptr, 10) : 0;
-    if (AllDigits && N >= 1 && N <= 1024)
-      C.AsyncWorkers = static_cast<unsigned>(N);
-    else
-      emitConfigWarning(Warnings,
-                        "ignoring invalid PROTEUS_ASYNC_WORKERS value '" + S +
-                            "' (expected an integer in [1, 1024])");
-  }
-  if (const char *Tier = std::getenv("PROTEUS_TIER")) {
-    std::string S = Tier;
-    if (S == "off")
-      C.Tier = false;
-    else if (S == "on")
-      C.Tier = true;
-    else
-      emitConfigWarning(Warnings, "ignoring invalid PROTEUS_TIER value '" + S +
-                                      "' (expected off|on)");
-  }
-  if (const char *Analyze = std::getenv("PROTEUS_ANALYZE")) {
-    std::string S = Analyze;
-    if (S == "off")
-      C.Analyze = AnalyzeMode::Off;
-    else if (S == "warn")
-      C.Analyze = AnalyzeMode::Warn;
-    else if (S == "error")
-      C.Analyze = AnalyzeMode::Error;
-    else
-      emitConfigWarning(Warnings, "ignoring invalid PROTEUS_ANALYZE value '" +
-                                      S + "' (expected off|warn|error)");
-  }
-  if (const char *V = std::getenv("PROTEUS_VERIFY_EACH")) {
-    std::string S = V;
-    if (S == "1")
-      C.VerifyEachPass = true;
-    else if (S == "0")
-      C.VerifyEachPass = false;
-    else
-      emitConfigWarning(Warnings,
-                        "ignoring invalid PROTEUS_VERIFY_EACH value '" + S +
-                            "' (expected 0 or 1)");
-  }
-  if (const char *Cap = std::getenv("PROTEUS_CAPTURE")) {
-    std::string S = Cap;
-    if (S == "off")
-      C.Capture = false;
-    else if (S == "on")
-      C.Capture = true;
-    else
-      emitConfigWarning(Warnings, "ignoring invalid PROTEUS_CAPTURE value '" +
-                                      S + "' (expected off|on)");
-  }
+  // A value outside the set keeps the default rather than silently running
+  // a mode the user did not ask for (a typo like "blocking" used to select
+  // Sync).
+  parseChoice("PROTEUS_ASYNC",
+              {{"sync", AsyncMode::Sync}, {"fallback", AsyncMode::Fallback}},
+              C.Async, Warnings);
+  parseBounded("PROTEUS_ASYNC_WORKERS", 1, 1024, C.AsyncWorkers, Warnings);
+  parseChoice("PROTEUS_TIER", OffOn, C.Tier, Warnings);
+  parseChoice("PROTEUS_ANALYZE",
+              {{"off", AnalyzeMode::Off},
+               {"warn", AnalyzeMode::Warn},
+               {"error", AnalyzeMode::Error}},
+              C.Analyze, Warnings);
+  parseChoice("PROTEUS_VERIFY_EACH", {{"1", true}, {"0", false}},
+              C.VerifyEachPass, Warnings, "0 or 1");
+  parseChoice("PROTEUS_CAPTURE", OffOn, C.Capture, Warnings);
   if (const char *Dir = std::getenv("PROTEUS_CAPTURE_DIR")) {
     std::string S = Dir;
     if (!S.empty())
@@ -164,61 +70,11 @@ JitConfig JitConfig::fromEnvironment(std::vector<std::string> *Warnings) {
                         "ignoring empty PROTEUS_CAPTURE_DIR (expected a "
                         "directory path)");
   }
-  if (const char *Dedup = std::getenv("PROTEUS_CAPTURE_DEDUP")) {
-    std::string S = Dedup;
-    if (S == "off")
-      C.CaptureDedup = false;
-    else if (S == "on")
-      C.CaptureDedup = true;
-    else
-      emitConfigWarning(Warnings,
-                        "ignoring invalid PROTEUS_CAPTURE_DEDUP value '" + S +
-                            "' (expected off|on)");
-  }
-  if (const char *Ring = std::getenv("PROTEUS_CAPTURE_RING")) {
-    std::string S = Ring;
-    bool AllDigits =
-        !S.empty() && S.find_first_not_of("0123456789") == std::string::npos;
-    unsigned long N = AllDigits ? std::strtoul(S.c_str(), nullptr, 10) : 0;
-    if (AllDigits && N >= 1 && N <= 65536)
-      C.CaptureRing = static_cast<unsigned>(N);
-    else
-      emitConfigWarning(Warnings,
-                        "ignoring invalid PROTEUS_CAPTURE_RING value '" + S +
-                            "' (expected an integer in [1, 65536])");
-  }
-  if (const char *Tune = std::getenv("PROTEUS_TUNE")) {
-    std::string S = Tune;
-    if (S == "off")
-      C.Tune = false;
-    else if (S == "on")
-      C.Tune = true;
-    else
-      emitConfigWarning(Warnings, "ignoring invalid PROTEUS_TUNE value '" + S +
-                                      "' (expected off|on)");
-  }
-  if (const char *Policy = std::getenv("PROTEUS_POLICY")) {
-    std::string S = Policy;
-    if (S == "off")
-      C.Policy = false;
-    else if (S == "on")
-      C.Policy = true;
-    else
-      emitConfigWarning(Warnings, "ignoring invalid PROTEUS_POLICY value '" +
-                                      S + "' (expected off|on)");
-  }
-  if (const char *Budget = std::getenv("PROTEUS_TUNE_BUDGET")) {
-    std::string S = Budget;
-    bool AllDigits =
-        !S.empty() && S.find_first_not_of("0123456789") == std::string::npos;
-    unsigned long N = AllDigits ? std::strtoul(S.c_str(), nullptr, 10) : 0;
-    if (AllDigits && N >= 1 && N <= 256)
-      C.TuneBudget = static_cast<unsigned>(N);
-    else
-      emitConfigWarning(Warnings,
-                        "ignoring invalid PROTEUS_TUNE_BUDGET value '" + S +
-                            "' (expected an integer in [1, 256])");
-  }
+  parseChoice("PROTEUS_CAPTURE_DEDUP", OffOn, C.CaptureDedup, Warnings);
+  parseBounded("PROTEUS_CAPTURE_RING", 1, 65536, C.CaptureRing, Warnings);
+  parseChoice("PROTEUS_TUNE", OffOn, C.Tune, Warnings);
+  parseChoice("PROTEUS_POLICY", OffOn, C.Policy, Warnings);
+  parseBounded("PROTEUS_TUNE_BUDGET", 1, 256, C.TuneBudget, Warnings);
   C.Limits = CacheLimits::fromEnvironment(Warnings);
   return C;
 }
@@ -227,8 +83,6 @@ const char *proteus::asyncModeName(JitConfig::AsyncMode M) {
   switch (M) {
   case JitConfig::AsyncMode::Sync:
     return "sync";
-  case JitConfig::AsyncMode::Block:
-    return "block";
   case JitConfig::AsyncMode::Fallback:
     return "fallback";
   }
@@ -250,22 +104,6 @@ const char *proteus::analyzeModeName(JitConfig::AnalyzeMode M) {
 const char *proteus::tierModeName(bool TierEnabled) {
   return TierEnabled ? "on" : "off";
 }
-
-/// Result of one specialization compile, delivered to every waiter through
-/// the in-flight table's shared future.
-struct JitRuntime::CompileOutcome {
-  GpuError Err = GpuError::Success;
-  std::string Message;
-  std::vector<uint8_t> Object;
-};
-
-/// One in-flight compilation: the owner fulfils the promise (inline in Sync
-/// mode, on a worker otherwise); any number of launches hold the shared
-/// future.
-struct JitRuntime::InFlightCompile {
-  std::promise<CompileOutcome> Promise;
-  std::shared_future<CompileOutcome> Future{Promise.get_future().share()};
-};
 
 /// Builds the persistent-level backend for \p Config: the fleet service
 /// client when PROTEUS_CACHE_REMOTE=on (socket from PROTEUS_CACHE_SOCKET,
@@ -289,7 +127,12 @@ makeCacheBackend(const JitConfig &Config) {
 JitRuntime::JitRuntime(Device &Dev, uint64_t ModuleId, JitConfig Config)
     : Dev(Dev), ModuleId(ModuleId), Config(Config),
       Cache(Config.UseMemoryCache, Config.UsePersistentCache,
-            Config.CacheDir, Config.Limits, makeCacheBackend(Config)) {
+            Config.CacheDir, Config.Limits, makeCacheBackend(Config)),
+      // The pool serves Fallback launch-path compiles and, when tiering is
+      // on, the low-priority Tier-1 promotions — so Sync mode with tiering
+      // still owns a pool (its Tier-0 compiles stay inline).
+      Service(Cache, Config.Async == JitConfig::AsyncMode::Fallback,
+              Config.Tier, Config.AsyncWorkers, Stat) {
   Devices.emplace_back(new DeviceState);
   Devices.back()->Dev = &Dev;
 #define PROTEUS_JIT_STAT_REGISTER(Field, Name)                                 \
@@ -300,12 +143,6 @@ JitRuntime::JitRuntime(Device &Dev, uint64_t ModuleId, JitConfig Config)
   Stat.Field = &Metrics.timer(Name);
   PROTEUS_JIT_TIMERS(PROTEUS_JIT_STAT_REGISTER)
 #undef PROTEUS_JIT_STAT_REGISTER
-  // The pool serves Block/Fallback launch-path compiles and, when tiering
-  // is on, the low-priority Tier-1 promotion compiles — so Sync mode with
-  // tiering still owns a pool (its Tier-0 compiles stay inline).
-  if (this->Config.Async != JitConfig::AsyncMode::Sync || this->Config.Tier)
-    Pool = std::make_unique<ThreadPool>(
-        this->Config.AsyncWorkers ? this->Config.AsyncWorkers : 1u);
   if (this->Config.Capture)
     CaptureSess = std::make_unique<capture::CaptureSession>(
         this->Config.CaptureDir, this->Config.CaptureRing, Metrics);
@@ -313,10 +150,7 @@ JitRuntime::JitRuntime(Device &Dev, uint64_t ModuleId, JitConfig Config)
     PolicyState = std::make_unique<CompilationPolicy>();
 }
 
-JitRuntime::~JitRuntime() {
-  if (Pool)
-    Pool->shutdown(); // drain compiles that still reference this runtime
-}
+JitRuntime::~JitRuntime() = default;
 
 unsigned JitRuntime::attachDevice(Device &D) {
   for (unsigned I = 0; I != Devices.size(); ++I)
@@ -325,6 +159,7 @@ unsigned JitRuntime::attachDevice(Device &D) {
   Devices.emplace_back(new DeviceState);
   Devices.back()->Dev = &D;
   Devices.back()->Index = static_cast<unsigned>(Devices.size() - 1);
+  Service.setSymbolicGlobals(symbolicGlobals());
   return Devices.back()->Index;
 }
 
@@ -343,19 +178,12 @@ void JitRuntime::registerKernel(JitKernelInfo Info) {
   // device, at registration time, so the tier-0 path of a cold launch is a
   // plain kernel launch with no module load on it. Other devices load it
   // lazily in launchGeneric (matching arch only — a mixed pool's foreign
-  // devices block on the compile instead).
-  if (Config.Async == JitConfig::AsyncMode::Fallback &&
-      !Info.GenericObject.empty() &&
-      Info.GenericArch == Devices.front()->Dev->target().Arch) {
+  // devices block on the compile instead). A failed load here is retried
+  // there.
+  if (Config.Async == JitConfig::AsyncMode::Fallback) {
     DeviceState &DS = *Devices.front();
     std::lock_guard<std::mutex> Lock(DS.Lock);
-    if (!DS.GenericLoaded.count(Info.Symbol)) {
-      LoadedKernel *K = nullptr;
-      if (gpuModuleLoad(*DS.Dev, &K, Info.GenericObject, nullptr) ==
-          GpuError::Success)
-        DS.GenericLoaded[Info.Symbol] = K;
-      // On failure fall back to the lazy load in launchGeneric.
-    }
+    loadGeneric(DS, Info, nullptr);
   }
   std::lock_guard<std::mutex> Lock(RegistryMutex);
   Kernels.emplace(Info.Symbol, std::move(Info));
@@ -381,8 +209,7 @@ JitRuntimeStats JitRuntime::stats() const {
 }
 
 void JitRuntime::drain() {
-  if (Pool)
-    Pool->waitIdle();
+  Service.drain();
   if (CaptureSess)
     CaptureSess->flush(); // every submitted capture persisted (or failed)
 }
@@ -481,21 +308,30 @@ std::shared_ptr<const KernelModuleIndex>
 JitRuntime::getOrBuildIndex(const std::string &Symbol,
                             const std::vector<uint8_t> &Bitcode,
                             std::string *Error) {
-  {
+  auto Lookup = [&]() -> std::shared_ptr<const KernelModuleIndex> {
     std::lock_guard<std::mutex> Lock(IndexMutex);
     auto It = ModuleIndexes.find(Symbol);
-    if (It != ModuleIndexes.end())
-      return It->second;
-  }
+    return It != ModuleIndexes.end() ? It->second : nullptr;
+  };
+  if (std::shared_ptr<const KernelModuleIndex> Index = Lookup())
+    return Index;
   if (Bitcode.empty()) {
     if (Error)
       *Error = "no parsed module index for @" + Symbol +
                " and no bitcode to build one";
     return nullptr;
   }
-  // Parse outside the lock: first compiles of different kernels must not
-  // serialize on parsing. Racing builders of the same kernel both parse;
-  // the first insert wins and the loser's copy is dropped.
+  // Parse outside IndexMutex: first compiles of different kernels must not
+  // serialize on parsing. Racing builders of the same kernel wait for the
+  // first one's parse instead of repeating it.
+  std::mutex *BuildLock;
+  {
+    std::lock_guard<std::mutex> Lock(IndexMutex);
+    BuildLock = &IndexBuildLocks[Symbol];
+  }
+  std::lock_guard<std::mutex> Build(*BuildLock);
+  if (std::shared_ptr<const KernelModuleIndex> Index = Lookup())
+    return Index;
   std::string ParseError;
   Stat.BitcodeParses->add();
   std::shared_ptr<const KernelModuleIndex> Index = [&] {
@@ -521,81 +357,15 @@ JitRuntime::getOrBuildIndex(const std::string &Symbol,
     }
   }
   std::lock_guard<std::mutex> Lock(IndexMutex);
-  auto [It, Inserted] = ModuleIndexes.emplace(Symbol, std::move(Index));
-  (void)Inserted;
-  return It->second;
+  ModuleIndexes.emplace(Symbol, Index);
+  return Index;
 }
 
-JitRuntime::CompileOutcome
-JitRuntime::compileSpecialization(const std::string &Symbol,
-                                  std::vector<uint8_t> Bitcode,
-                                  const SpecializationKey &Key,
-                                  uint64_t Hash, CodeTier Tier,
-                                  const O3Options *O3Override) {
+CompileOutcome JitRuntime::compileSpecialization(
+    const std::string &Symbol, std::vector<uint8_t> Bitcode,
+    const SpecializationKey &Key, CodeTier Tier, const O3Options *O3Override) {
   CompileOutcome Out;
   const bool Tier0 = Tier == CodeTier::Tier0;
-
-  // Fleet-wide compile dedup: claim the specialization hash across every
-  // process sharing the cache (lock file locally, Acquire RPC against the
-  // shared cache service). Exactly one claimant compiles; the rest wait for
-  // its publish and load that object instead of burning a redundant
-  // compile. Variant-tuning trials (O3Override) are exempt — the tuner
-  // needs the actual trial object, not whatever someone else published.
-  struct ClaimGuard {
-    CodeCache *C = nullptr;
-    uint64_t Hash = 0;
-    ~ClaimGuard() {
-      if (C)
-        C->endCompile(Hash);
-    }
-  } Claim;
-  if (!O3Override) {
-    if (Cache.beginCompile(Hash) == fleet::CompileClaim::Owner) {
-      Claim.C = &Cache;
-      Claim.Hash = Hash;
-      // Double-checked claim: another process may have published between
-      // this caller's cache miss and the claim acquisition. Serve that
-      // entry (under the same tier/pipeline rules as a waited-for publish)
-      // instead of recompiling it.
-      if (std::optional<CachedCode> CC = Cache.lookupEntry(Hash)) {
-        bool TierOk = Tier == CodeTier::Tier0 || CC->Tier == CodeTier::Final;
-        if (TierOk && CC->PipelineFingerprint ==
-                          jitPipelineFingerprint(CC->Tier, symbolicGlobals())) {
-          Stat.FleetServedCompiles->add();
-          trace::instant("jit.fleet_served", "jit");
-          Out.Object = std::move(CC->Object);
-          return Out;
-        }
-      }
-    } else {
-      Stat.FleetDedupWaits->add();
-      trace::instant("jit.fleet_wait", "jit");
-      if (std::optional<CachedCode> CC = Cache.waitRemoteCompile(Hash)) {
-        // Another process published while we waited. Serve it only if it
-        // came from the current pipeline and its tier satisfies the
-        // request (a Tier-0 baseline never substitutes for a Final
-        // compile).
-        bool TierOk = Tier == CodeTier::Tier0 || CC->Tier == CodeTier::Final;
-        if (TierOk && CC->PipelineFingerprint ==
-                          jitPipelineFingerprint(CC->Tier, symbolicGlobals())) {
-          Stat.FleetServedCompiles->add();
-          trace::instant("jit.fleet_served", "jit");
-          Out.Object = std::move(CC->Object);
-          return Out;
-        }
-        // Unusable publish (stale pipeline / insufficient tier): fall
-        // through and compile locally, unclaimed — the atomic publish
-        // tolerates the duplicate.
-      } else {
-        // waitRemoteCompile re-acquired the claim (the previous owner
-        // died) or timed out; either way this caller compiles and must
-        // release.
-        Claim.C = &Cache;
-        Claim.Hash = Hash;
-      }
-    }
-  }
-
   if (Tier0)
     Stat.Tier0Compiles->add();
   else
@@ -603,9 +373,7 @@ JitRuntime::compileSpecialization(const std::string &Symbol,
   trace::Span CompileSp(Tier0 ? "jit.compile.tier0" : "jit.compile", "jit");
 
   // Stage timers are RAII-scoped (metrics::ScopedTimer) so every exit path
-  // — including the error returns below — records the time spent. The old
-  // accumulate-locals-then-publish-at-the-end scheme dropped the parse and
-  // link timings whenever a compile failed.
+  // — including the error returns below — records the time spent.
 
   // (1) Materialize the kernel module from the parse-once index: the
   // bitcode is parsed at most once per kernel and runtime lifetime; each
@@ -792,13 +560,6 @@ JitRuntime::compileSpecialization(const std::string &Symbol,
     Stat.PolicyClassified->add();
   }
 
-  // (6) Publish: insert into both cache levels before the in-flight entry
-  // is retired, so no launch can miss both. The tier tag and pipeline
-  // fingerprint travel with the entry (including its persisted form), so
-  // a Tier-0 baseline is never mistaken for a final artifact later — and
-  // a baked-address object is never served in symbolic-globals mode.
-  Cache.insert(Hash, Out.Object, Tier,
-               jitPipelineFingerprint(Tier, symbolicGlobals()));
   return Out;
 }
 
@@ -832,101 +593,70 @@ uint64_t JitRuntime::lookupSpecHash(const std::string &Symbol,
   return Hash;
 }
 
-void JitRuntime::scheduleTier1Promotion(const JitKernelInfo &Info,
-                                        const SpecializationKey &Key,
-                                        uint64_t Hash) {
-  if (!Pool)
-    return;
-  // Critical-path gate: a kernel with timeline slack cannot shorten the
-  // run, so its Tier-0 binary is already good enough — skip the background
-  // promotion compile entirely.
-  if (PolicyState && !PolicyState->shouldPromote(Info.Symbol)) {
-    Stat.PolicyTierDemotions->add();
-    trace::instant("jit.policy_tier_demotion");
-    return;
-  }
-  {
-    std::lock_guard<std::mutex> Lock(InFlightMutex);
-    if (!PromotionsInFlight.insert(Hash).second)
-      return; // a promotion for this specialization is already in flight
-  }
-  auto Unschedule = [this, Hash] {
-    std::lock_guard<std::mutex> Lock(InFlightMutex);
-    PromotionsInFlight.erase(Hash);
-  };
-  // The promotion compile materializes from the module index; when this
-  // runtime has not parsed the kernel yet (a persisted Tier-0 entry served
-  // on a fresh process), fetch the bitcode here — the NVIDIA readback is a
-  // device operation that must not run on a worker.
-  std::vector<uint8_t> Bitcode;
-  bool HaveIndex;
+GpuError JitRuntime::fetchIfUnparsed(const JitKernelInfo &Info,
+                                     std::vector<uint8_t> &Out,
+                                     std::string *Error) {
   {
     std::lock_guard<std::mutex> Lock(IndexMutex);
-    HaveIndex = ModuleIndexes.count(Info.Symbol) != 0;
+    if (ModuleIndexes.count(Info.Symbol))
+      return GpuError::Success;
   }
-  if (!HaveIndex &&
-      fetchBitcode(Info, Bitcode, nullptr) != GpuError::Success) {
-    Unschedule();
-    return; // keep serving Tier-0; a later cold lookup may retry
-  }
-  trace::instant("jit.tier1_schedule");
-  bool Enqueued = Pool->enqueue(
-      [this, Symbol = Info.Symbol, Key, Hash, Unschedule,
-       BC = std::move(Bitcode)]() mutable {
-        CompileOutcome O = compileSpecialization(Symbol, std::move(BC), Key,
-                                                 Hash, CodeTier::Final);
-        if (O.Err == GpuError::Success) {
-          // Hot-swap: load the promoted binary and atomically replace the
-          // Tier-0 mapping on every device currently holding this
-          // specialization, so the next launch on any of them runs Tier-1
-          // code. Devices are visited in ascending ordinal, one lock at a
-          // time (lock order); a racing launch either still maps Tier-0
-          // (correct, just unpromoted) or already sees the new kernel.
-          bool Promoted = false;
-          unsigned Origin = recordLoadOrigin(Hash, 0);
-          for (unsigned I = 0; I != Devices.size(); ++I) {
-            DeviceState &DS = *Devices[I];
-            std::lock_guard<std::mutex> Lock(DS.Lock);
-            // The origin device is always promoted — the racing launch
-            // that triggered this promotion may not have finished its own
-            // Tier-0 load yet. Other devices only when they hold the
-            // specialization.
-            if (I != Origin && !DS.Loaded.count(Hash))
-              continue;
-            LoadedKernel *K = nullptr;
-            if (gpuModuleLoad(*DS.Dev, &K, O.Object, nullptr) ==
-                GpuError::Success) {
-              DS.Loaded[Hash] = K;
-              Promoted = true;
-              if (I != Origin)
-                Stat.CrossDeviceLoads->add();
-            }
-          }
-          if (Promoted) {
-            // One promotion per specialization, however many devices the
-            // hot-swap reached.
-            Stat.Tier1Promotions->add();
-            trace::instant("jit.tier1_promotion");
-          }
-        }
-        // A failed promotion keeps the Tier-0 entry: correct code, just
-        // not final.
-        Unschedule();
-      },
-      ThreadPool::Priority::Low);
-  if (!Enqueued)
-    Unschedule(); // pool is shutting down
+  return fetchBitcode(Info, Out, Error);
 }
 
-void JitRuntime::completeJob(uint64_t Hash,
-                             const std::shared_ptr<InFlightCompile> &Job,
-                             CompileOutcome Outcome) {
-  // Publish the result to waiters first; the cache entry (on success) was
-  // already inserted, so a launch that finds neither the in-flight job nor
-  // the table entry still finds the object in the cache.
-  Job->Promise.set_value(std::move(Outcome));
-  std::lock_guard<std::mutex> Lock(InFlightMutex);
-  InFlight.erase(Hash);
+CompileBody JitRuntime::bindCompile(const JitKernelInfo &Info,
+                                    const SpecializationKey &Key,
+                                    CodeTier Tier, const O3Options *O3Override,
+                                    CompileOutcome &Failed) {
+  std::vector<uint8_t> Bitcode;
+  Failed.Err = fetchIfUnparsed(Info, Bitcode, &Failed.Message);
+  if (Failed.Err != GpuError::Success)
+    return nullptr;
+  return [this, Symbol = Info.Symbol, Key, Tier, O3Override,
+          BC = std::move(Bitcode)]() mutable {
+    return compileSpecialization(Symbol, std::move(BC), Key, Tier,
+                                 O3Override);
+  };
+}
+
+CompileRequest JitRuntime::compileRequest(const JitKernelInfo &Info,
+                                          const SpecializationKey &Key,
+                                          uint64_t Hash, unsigned DeviceIndex) {
+  CompileRequest R;
+  R.Hash = Hash;
+  R.Bind = [this, &Info, Key](CodeTier Tier, CompileOutcome &Failed) {
+    // With tiering on the launch path compiles Tier-0, so a Final bind is
+    // the promotion. Critical-path gate: a kernel with timeline slack cannot
+    // shorten the run, so its Tier-0 binary is already good enough.
+    if (Tier == CodeTier::Final && Config.Tier && PolicyState &&
+        !PolicyState->shouldPromote(Info.Symbol)) {
+      Stat.PolicyTierDemotions->add();
+      trace::instant("jit.policy_tier_demotion");
+      return CompileBody();
+    }
+    return bindCompile(Info, Key, Tier, nullptr, Failed);
+  };
+  R.Promoted = [this, Hash, DeviceIndex](const std::vector<uint8_t> &Object) {
+    // Hot-swap the promoted binary into every device holding this
+    // specialization, so the next launch on any of them runs Tier-1 code.
+    // The requesting device is always promoted: its own Tier-0 load may not
+    // have happened yet. Devices are visited in ascending ordinal, one lock
+    // at a time (lock order); a racing launch either still maps Tier-0
+    // (correct, just unpromoted) or already sees the new kernel.
+    bool Promoted = false;
+    for (auto &DS : Devices) {
+      std::lock_guard<std::mutex> Lock(DS->Lock);
+      if (DS->Index == DeviceIndex || DS->Loaded.count(Hash))
+        Promoted |= loadSpecialized(*DS, Hash, Object, /*Replace=*/true, {},
+                                    nullptr) != nullptr;
+    }
+    if (Promoted) {
+      // One promotion per specialization, however many devices it reached.
+      Stat.Tier1Promotions->add();
+      trace::instant("jit.tier1_promotion");
+    }
+  };
+  return R;
 }
 
 std::optional<GpuError>
@@ -934,38 +664,74 @@ JitRuntime::launchGeneric(DeviceState &DS, const JitKernelInfo &Info,
                           Dim3 Grid, Dim3 Block,
                           const std::vector<KernelArg> &Args, Stream *S,
                           std::string *Error) {
+  // No tier-0 binary — or one compiled for a different architecture than
+  // this device runs — means the caller must wait on the compile instead.
+  if (!Info.hasGenericFor(DS.Dev->target().Arch))
+    return std::nullopt;
   std::lock_guard<std::mutex> Lock(DS.Lock);
-  LoadedKernel *K = nullptr;
-  if (auto It = DS.GenericLoaded.find(Info.Symbol);
-      It != DS.GenericLoaded.end()) {
-    K = It->second;
-  } else {
-    // No tier-0 binary — or one compiled for a different architecture than
-    // this device runs — means the caller must wait on the compile instead.
-    if (Info.GenericObject.empty() ||
-        Info.GenericArch != DS.Dev->target().Arch)
-      return std::nullopt;
-    std::string LoadErr;
-    if (gpuModuleLoad(*DS.Dev, &K, Info.GenericObject, &LoadErr) !=
-        GpuError::Success) {
-      if (Error)
-        *Error = "failed to load generic binary for @" + Info.Symbol + ": " +
-                 LoadErr;
-      return GpuError::LaunchFailure;
-    }
-    DS.GenericLoaded[Info.Symbol] = K;
-  }
+  LoadedKernel *K = loadGeneric(DS, Info, Error);
+  if (!K)
+    return GpuError::LaunchFailure;
   Stat.FallbackLaunches->add();
   trace::instant("jit.fallback_launch");
   trace::Span Sp("jit.kernel_launch", "jit");
   return gpuLaunchKernelAsync(*DS.Dev, *K, Grid, Block, Args, S, Error);
 }
 
-unsigned JitRuntime::recordLoadOrigin(uint64_t Hash, unsigned Ordinal) {
-  std::lock_guard<std::mutex> Lock(OriginMutex);
-  auto [It, Inserted] = FirstLoadedOn.emplace(Hash, Ordinal);
-  (void)Inserted;
+LoadedKernel *JitRuntime::loadGeneric(DeviceState &DS,
+                                      const JitKernelInfo &Info,
+                                      std::string *Error) {
+  if (!Info.hasGenericFor(DS.Dev->target().Arch))
+    return nullptr;
+  auto [It, Inserted] = DS.GenericLoaded.try_emplace(Info.Symbol, nullptr);
+  if (!Inserted)
+    return It->second;
+  std::string LoadError;
+  if (gpuModuleLoad(*DS.Dev, &It->second, Info.GenericObject, &LoadError) !=
+      GpuError::Success) {
+    DS.GenericLoaded.erase(It);
+    if (Error)
+      *Error = "failed to load generic binary for @" + Info.Symbol + ": " +
+               LoadError;
+    return nullptr;
+  }
   return It->second;
+}
+
+LoadedKernel *JitRuntime::loadSpecialized(DeviceState &DS, uint64_t Hash,
+                                          const std::vector<uint8_t> &Object,
+                                          bool Replace,
+                                          const std::string &Symbol,
+                                          std::string *Error) {
+  auto It = DS.Loaded.find(Hash);
+  const bool Fresh = It == DS.Loaded.end();
+  if (!Fresh && !Replace)
+    return It->second;
+  trace::Span Sp("jit.module_load", "jit");
+  LoadedKernel *K = nullptr;
+  std::string LoadError;
+  if (gpuModuleLoad(*DS.Dev, &K, Object, &LoadError) != GpuError::Success) {
+    if (Error)
+      *Error = "failed to load JIT object for @" + Symbol + ": " + LoadError;
+    return nullptr;
+  }
+  DS.Loaded[Hash] = K;
+  // Cross-device accounting: the first device to load a specialization is
+  // its origin. A load on any other device reused the per-arch compile
+  // instead of triggering its own; PerArchCompileReuse counts that once
+  // per (specialization, device), not again for a hot-swap.
+  unsigned Origin;
+  {
+    std::lock_guard<std::mutex> Lock(OriginMutex);
+    Origin = FirstLoadedOn.emplace(Hash, DS.Index).first->second;
+  }
+  if (Origin != DS.Index) {
+    Stat.CrossDeviceLoads->add();
+    if (Fresh)
+      Stat.PerArchCompileReuse->add();
+    trace::instant("jit.cross_device_load");
+  }
+  return K;
 }
 
 GpuError JitRuntime::loadAndLaunch(
@@ -975,29 +741,10 @@ GpuError JitRuntime::loadAndLaunch(
     Dim3 Block, const std::vector<KernelArg> &Args, Stream *S,
     std::string *Error) {
   std::lock_guard<std::mutex> Lock(DS.Lock);
-  LoadedKernel *K = nullptr;
-  if (auto It = DS.Loaded.find(Hash); It != DS.Loaded.end()) {
-    K = It->second;
-  } else {
-    trace::Span Sp("jit.module_load", "jit");
-    std::string LoadError;
-    if (gpuModuleLoad(*DS.Dev, &K, Object, &LoadError) != GpuError::Success) {
-      if (Error)
-        *Error = "failed to load JIT object for @" + Info.Symbol + ": " +
-                 LoadError;
-      return GpuError::LaunchFailure;
-    }
-    DS.Loaded[Hash] = K;
-    // Cross-device accounting: the first device to load a specialization
-    // is its origin; any other device loading the same object reused the
-    // per-arch compile instead of triggering its own.
-    unsigned Origin = recordLoadOrigin(Hash, DS.Index);
-    if (Origin != DS.Index) {
-      Stat.CrossDeviceLoads->add();
-      Stat.PerArchCompileReuse->add();
-      trace::instant("jit.cross_device_load");
-    }
-  }
+  LoadedKernel *K = loadSpecialized(DS, Hash, Object, /*Replace=*/false,
+                                    Info.Symbol, Error);
+  if (!K)
+    return GpuError::LaunchFailure;
   return launchLoaded(DS, *K, Info, Hash, CaptureIndex, Grid, Block, Args, S,
                       Error);
 }
@@ -1092,13 +839,8 @@ GpuError JitRuntime::launchKernelOn(unsigned DeviceIndex,
                                     Dim3 Block,
                                     const std::vector<KernelArg> &Args,
                                     Stream *S, std::string *Error) {
-  if (DeviceIndex >= Devices.size()) {
-    if (Error)
-      *Error = "device index " + std::to_string(DeviceIndex) +
-               " out of range (" + std::to_string(Devices.size()) +
-               " device(s) attached)";
+  if (!validDevice(DeviceIndex, Error))
     return GpuError::InvalidValue;
-  }
   DeviceState &DS = *Devices[DeviceIndex];
   if (S && &S->device() != DS.Dev) {
     if (Error)
@@ -1154,168 +896,35 @@ GpuError JitRuntime::launchKernelOn(unsigned DeviceIndex,
                           Block, Args, S, Error);
   }
 
-  // --- Cache lookup + in-flight dedup, atomically ----------------------------
-  // Checking the in-flight table and the cache under one lock closes the
-  // window where a finished compile has been retired from the table but a
-  // racing launch misses the cache: compiles insert into the cache before
-  // erasing their table entry.
-  std::shared_ptr<InFlightCompile> Job;
-  bool Owner = false;
-  std::optional<std::vector<uint8_t>> Object;
-  bool PromoteServed = false; // serving a Tier-0 entry: promote it
-  {
-    std::lock_guard<std::mutex> Lock(InFlightMutex);
-    auto JIt = InFlight.find(Hash);
-    if (JIt != InFlight.end()) {
-      Job = JIt->second;
-    } else {
-      {
-        trace::Span Sp("jit.cache_lookup", "jit");
-        metrics::ScopedTimer T(*Stat.CacheLookupSeconds);
-        if (std::optional<CachedCode> CC = Cache.lookupEntry(Hash)) {
-          if (CC->PipelineFingerprint !=
-              jitPipelineFingerprint(CC->Tier, symbolicGlobals())) {
-            // Produced by a different pipeline composition: recompile
-            // instead of serving a stale artifact (the insert replaces
-            // the entry in place).
-            trace::instant("jit.stale_pipeline_entry");
-          } else if (CC->Tier == CodeTier::Tier0) {
-            if (Config.Tier) {
-              // A Tier-0 baseline (typically persisted by a previous run
-              // that exited before promoting): serve it now, promote it
-              // in the background.
-              Object = std::move(CC->Object);
-              PromoteServed = !PromotionsInFlight.count(Hash);
-            }
-            // Tiering off: treat the baseline as a miss and compile the
-            // final artifact on the spot, overwriting the entry.
-          } else {
-            Object = std::move(CC->Object);
-          }
-        }
-      }
-      if (!Object) {
-        Job = std::make_shared<InFlightCompile>();
-        InFlight.emplace(Hash, Job);
-        Owner = true;
-      }
-    }
+  // --- Cold: serve from the cache, join an in-flight compile or own one ---
+  // With tiering on a miss is served by the fast Tier-0 pipeline and the
+  // full compile is promoted in the background afterwards.
+  const CodeTier Wanted = Config.Tier ? CodeTier::Tier0 : CodeTier::Final;
+  std::shared_future<CompileOutcome> F =
+      Service.obtain(compileRequest(*Info, Key, Hash, DeviceIndex), Wanted);
+  // Fallback: run the generic binary now; a later launch finds the
+  // specialized one once the background compile lands in the cache. With no
+  // usable generic binary the launch waits like Sync.
+  if (Config.Async == JitConfig::AsyncMode::Fallback &&
+      !CompileService::ready(F))
+    if (std::optional<GpuError> GE =
+            launchGeneric(DS, *Info, Grid, Block, Args, S, Error))
+      return *GE;
+  const CompileOutcome &O = Service.wait(F, Wanted);
+  if (O.Err != GpuError::Success) {
+    if (Error)
+      *Error = O.Message;
+    return O.Err;
   }
-  if (PromoteServed)
-    scheduleTier1Promotion(*Info, Key, Hash);
-
-  if (!Object) {
-    // With tiering on a miss is served by the fast Tier-0 pipeline and the
-    // full compile is promoted in the background afterwards.
-    const CodeTier MissTier =
-        Config.Tier ? CodeTier::Tier0 : CodeTier::Final;
-    if (Owner) {
-      // The bitcode fetch stays on the launching thread: the NVIDIA path
-      // reads __jit_bc_<sym> back from device memory, a device operation.
-      // When the kernel's module index is already built the bitcode is
-      // not needed at all.
-      std::vector<uint8_t> Bitcode;
-      bool HaveIndex;
-      {
-        std::lock_guard<std::mutex> Lock(IndexMutex);
-        HaveIndex = ModuleIndexes.count(Symbol) != 0;
-      }
-      if (!HaveIndex) {
-        std::string FetchError;
-        GpuError FE = fetchBitcode(*Info, Bitcode, &FetchError);
-        if (FE != GpuError::Success) {
-          completeJob(Hash, Job, CompileOutcome{FE, FetchError, {}});
-          if (Error)
-            *Error = FetchError;
-          return FE;
-        }
-      }
-      if (Config.Async == JitConfig::AsyncMode::Sync) {
-        // Sync: compile inline; the full cost is launch-visible (with
-        // tiering on, only the Tier-0 cost).
-        CompileOutcome O;
-        {
-          Timer VisT;
-          metrics::ScopedTimer T(*Stat.LaunchBlockedSeconds);
-          O = compileSpecialization(Symbol, std::move(Bitcode), Key, Hash,
-                                    MissTier);
-          if (Config.Tier)
-            Stat.Tier0VisibleSeconds->addSeconds(VisT.seconds());
-        }
-        GpuError CE = O.Err;
-        if (CE != GpuError::Success) {
-          if (Error)
-            *Error = O.Message;
-          completeJob(Hash, Job, std::move(O));
-          return CE;
-        }
-        Object = O.Object;
-        completeJob(Hash, Job, std::move(O));
-        if (Config.Tier)
-          scheduleTier1Promotion(*Info, Key, Hash);
-      } else {
-        Stat.AsyncCompiles->add();
-        Timer QueueT;
-        Pool->enqueue([this, Info, Symbol, Key, Hash, Job, QueueT, MissTier,
-                       BC = std::move(Bitcode)]() mutable {
-          Stat.QueueWaitSeconds->addSeconds(QueueT.seconds());
-          CompileOutcome O = compileSpecialization(Symbol, std::move(BC),
-                                                   Key, Hash, MissTier);
-          bool Ok = O.Err == GpuError::Success;
-          completeJob(Hash, Job, std::move(O));
-          if (Ok && MissTier == CodeTier::Tier0)
-            scheduleTier1Promotion(*Info, Key, Hash);
-        });
-      }
-    } else {
-      Stat.DedupedWaits->add();
-      trace::instant("jit.deduped_wait");
-    }
-
-    if (!Object && Config.Async == JitConfig::AsyncMode::Fallback) {
-      bool Ready = Job->Future.wait_for(std::chrono::seconds(0)) ==
-                   std::future_status::ready;
-      if (Ready) {
-        const CompileOutcome &O = Job->Future.get();
-        if (O.Err != GpuError::Success) {
-          if (Error)
-            *Error = O.Message;
-          return O.Err;
-        }
-        Object = O.Object;
-      } else if (std::optional<GpuError> GE =
-                     launchGeneric(DS, *Info, Grid, Block, Args, S, Error)) {
-        // Tier-0 launch; the specialized binary is hot-swapped in by a
-        // later launch once the background compile lands in the cache.
-        return *GE;
-      }
-      // No generic binary available: degrade to blocking on the future.
-    }
-
-    if (!Object) {
-      const CompileOutcome *O;
-      {
-        trace::Span Sp("jit.inflight_wait", "jit");
-        Timer VisT;
-        metrics::ScopedTimer T(*Stat.LaunchBlockedSeconds);
-        O = &Job->Future.get();
-        // With tiering on, every in-flight launch-path compile is Tier-0,
-        // so the wait is Tier-0-visible time.
-        if (Config.Tier)
-          Stat.Tier0VisibleSeconds->addSeconds(VisT.seconds());
-      }
-      if (O->Err != GpuError::Success) {
-        if (Error)
-          *Error = O->Message;
-        return O->Err;
-      }
-      Object = O->Object;
-    }
-  }
-
-  // --- Load and launch ---------------------------------------------------------
-  return loadAndLaunch(DS, Hash, *Object, *Info, CaptureIndex, Grid, Block,
+  return loadAndLaunch(DS, Hash, O.Object, *Info, CaptureIndex, Grid, Block,
                        Args, S, Error);
+}
+
+bool JitRuntime::deviceOutOfRange(int64_t Index, std::string *Error) const {
+  if (Error)
+    *Error = "device index " + std::to_string(Index) + " out of range (" +
+             std::to_string(Devices.size()) + " device(s) attached)";
+  return false;
 }
 
 int JitRuntime::deviceIndexOf(const Device &D) const {
@@ -1341,8 +950,7 @@ void JitRuntime::storeTuningDecision(uint64_t Key, const TuningDecision &D) {
 GpuError JitRuntime::installOnTargets(const std::string &Symbol, Dim3 Block,
                                       const std::vector<KernelArg> &Args,
                                       const O3Options *O3Override,
-                                      const std::vector<unsigned> &Targets,
-                                      bool ReuseCached,
+                                      int DeviceIndex, bool ReuseCached,
                                       unsigned *CompiledArches,
                                       unsigned *ReusedArches, bool *AnyLoaded,
                                       std::string *Error) {
@@ -1366,84 +974,51 @@ GpuError JitRuntime::installOnTargets(const std::string &Symbol, Dim3 Block,
   // specialization — the Tier-1 hot-swap semantic, so a Tier-0 binary a
   // racing launch installed can never outlive this install.
   std::map<GpuArch, std::pair<uint64_t, std::vector<uint8_t>>> PerArch;
-  for (unsigned T : Targets) {
+  for (unsigned T = 0; T != Devices.size(); ++T) {
+    if (DeviceIndex != -1 && T != static_cast<unsigned>(DeviceIndex))
+      continue;
     DeviceState &DS = *Devices[T];
     GpuArch Arch = DS.Dev->target().Arch;
     auto AIt = PerArch.find(Arch);
     if (AIt == PerArch.end()) {
       SpecializationKey Key;
-      std::string KeyError;
-      if (!buildKey(*Info, Block, Args, Arch, Key, &KeyError)) {
-        if (Error)
-          *Error = KeyError;
+      if (!buildKey(*Info, Block, Args, Arch, Key, Error))
         return GpuError::InvalidValue;
-      }
       uint64_t Hash = lookupSpecHash(Symbol, Key);
-      std::optional<std::vector<uint8_t>> Object;
-      if (ReuseCached) {
-        // Only a final-tier entry from the current pipeline qualifies: the
-        // warm path must not pin a Tier-0 baseline or a stale artifact —
-        // in particular, a retarget racing an in-flight Tier-1 promotion
-        // recompiles rather than loading the Tier-0 placeholder.
-        if (std::optional<CachedCode> CC = Cache.lookupEntry(Hash))
-          if (CC->Tier == CodeTier::Final &&
-              CC->PipelineFingerprint ==
-                  jitPipelineFingerprint(CodeTier::Final, symbolicGlobals())) {
-            Object = std::move(CC->Object);
-            if (ReusedArches)
-              ++*ReusedArches;
-          }
-      }
-      if (!Object) {
-        std::vector<uint8_t> Bitcode;
-        bool HaveIndex;
-        {
-          std::lock_guard<std::mutex> Lock(IndexMutex);
-          HaveIndex = ModuleIndexes.count(Symbol) != 0;
-        }
-        if (!HaveIndex) {
-          std::string FetchError;
-          GpuError FE = fetchBitcode(*Info, Bitcode, &FetchError);
-          if (FE != GpuError::Success) {
-            if (Error)
-              *Error = FetchError;
-            return FE;
-          }
-        }
-        CompileOutcome O = compileSpecialization(
-            Symbol, std::move(Bitcode), Key, Hash, CodeTier::Final, O3Override);
+      // Only a final-tier entry from the current pipeline qualifies: the
+      // warm path must not pin a Tier-0 baseline or a stale artifact — in
+      // particular, a retarget racing an in-flight Tier-1 promotion
+      // recompiles rather than loading the Tier-0 placeholder.
+      std::optional<CachedCode> CC;
+      if (ReuseCached && (CC = Service.servable(Hash, CodeTier::Final))) {
+        if (ReusedArches)
+          ++*ReusedArches;
+      } else {
+        // Tuning trials (O3Override) skip the fleet claim: the tuner needs
+        // the trial object itself, not whatever someone else published.
+        CompileOutcome O;
+        if (CompileBody Body =
+                bindCompile(*Info, Key, CodeTier::Final, O3Override, O))
+          O = Service.compile(Hash, CodeTier::Final, Body,
+                              /*Claim=*/!O3Override);
         if (O.Err != GpuError::Success) {
           if (Error)
             *Error = O.Message;
           return O.Err;
         }
-        Object = std::move(O.Object);
+        CC = CachedCode{std::move(O.Object)};
         if (CompiledArches)
           ++*CompiledArches;
       }
-      AIt = PerArch.emplace(Arch, std::make_pair(Hash, std::move(*Object)))
+      AIt = PerArch.emplace(Arch, std::make_pair(Hash, std::move(CC->Object)))
                 .first;
     }
-    const uint64_t Hash = AIt->second.first;
-    const std::vector<uint8_t> &Object = AIt->second.second;
-    unsigned Origin = recordLoadOrigin(Hash, T);
     std::lock_guard<std::mutex> Lock(DS.Lock);
-    LoadedKernel *K = nullptr;
-    std::string LoadError;
-    trace::Span Sp("jit.module_load", "jit");
-    if (gpuModuleLoad(*DS.Dev, &K, Object, &LoadError) != GpuError::Success) {
-      if (Error)
-        *Error = "failed to load JIT object for @" + Info->Symbol + ": " +
-                 LoadError;
+    if (!loadSpecialized(DS, AIt->second.first, AIt->second.second,
+                         /*Replace=*/true, Symbol, Error))
       return GpuError::LaunchFailure;
-    }
-    DS.Loaded[Hash] = K;
     if (AnyLoaded)
       *AnyLoaded = true;
-    if (T != Origin) {
-      Stat.CrossDeviceLoads->add();
-      Stat.PerArchCompileReuse->add();
-    }
   }
   return GpuError::Success;
 }
@@ -1453,23 +1028,12 @@ GpuError JitRuntime::installFinalTier(const std::string &Symbol, Dim3 Block,
                                       const O3Options *O3Override,
                                       int DeviceIndex, bool ReuseCached,
                                       std::string *Error) {
-  if (DeviceIndex >= static_cast<int>(Devices.size())) {
+  if (DeviceIndex != -1 && !validDevice(DeviceIndex, Error)) {
     Stat.TunerErrors->add();
-    if (Error)
-      *Error = "device index " + std::to_string(DeviceIndex) +
-               " out of range (" + std::to_string(Devices.size()) +
-               " device(s) attached)";
     return GpuError::InvalidValue;
   }
-  std::vector<unsigned> Targets;
-  if (DeviceIndex >= 0)
-    Targets.push_back(static_cast<unsigned>(DeviceIndex));
-  else
-    for (unsigned I = 0; I != Devices.size(); ++I)
-      Targets.push_back(I);
-
   bool AnyLoaded = false;
-  GpuError E = installOnTargets(Symbol, Block, Args, O3Override, Targets,
+  GpuError E = installOnTargets(Symbol, Block, Args, O3Override, DeviceIndex,
                                 ReuseCached, nullptr, nullptr, &AnyLoaded,
                                 Error);
   if (E != GpuError::Success) {
@@ -1489,16 +1053,12 @@ GpuError JitRuntime::retargetKernel(const std::string &Symbol, Dim3 Block,
                                     const std::vector<KernelArg> &Args,
                                     unsigned DeviceIndex, bool *ReusedCache,
                                     std::string *Error) {
-  if (DeviceIndex >= Devices.size()) {
-    if (Error)
-      *Error = "device index " + std::to_string(DeviceIndex) +
-               " out of range (" + std::to_string(Devices.size()) +
-               " device(s) attached)";
+  if (!validDevice(DeviceIndex, Error))
     return GpuError::InvalidValue;
-  }
   unsigned Compiled = 0, Reused = 0;
   GpuError E = installOnTargets(Symbol, Block, Args, /*O3Override=*/nullptr,
-                                {DeviceIndex}, /*ReuseCached=*/true, &Compiled,
+                                static_cast<int>(DeviceIndex),
+                                /*ReuseCached=*/true, &Compiled,
                                 &Reused, /*AnyLoaded=*/nullptr, Error);
   if (E != GpuError::Success)
     return E;

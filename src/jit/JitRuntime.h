@@ -23,13 +23,13 @@
 /// the paper's None/LB/RCF/LB+RCF analysis modes (section 4.5) and the
 /// overhead experiment (Figure 6) are produced.
 ///
-/// The runtime is thread-safe and optionally asynchronous. Concurrent
-/// launches of the same not-yet-compiled specialization are deduplicated
-/// through an in-flight compilation table (one compile, many waiters), and
-/// JitConfig::AsyncMode selects how a miss is served:
+/// The runtime is thread-safe and optionally asynchronous. A miss goes to
+/// the CompileService (jit/CompileService.h), which deduplicates concurrent
+/// launches of the same not-yet-compiled specialization through an
+/// in-flight table (one compile, many waiters). JitConfig::AsyncMode
+/// selects how a miss is served:
 ///
 ///   * Sync     — compile on the launching thread (the paper's behaviour);
-///   * Block    — compile on a worker pool; the launch waits on a future;
 ///   * Fallback — the launch immediately runs the kernel's generic
 ///                (unspecialized AOT) binary while the specialized one
 ///                compiles in the background and is hot-swapped in on a
@@ -59,7 +59,8 @@
 /// mode are never served in the other.
 ///
 /// Lock order (deadlock discipline): the runtime's table mutexes
-/// (RegistryMutex, InFlightMutex, IndexMutex, MemoMutex, OriginMutex) are
+/// (RegistryMutex, the compile service's table mutex, IndexMutex,
+/// MemoMutex, OriginMutex) are
 /// leaves taken before any per-device lock, never while one is held — and
 /// no two device locks are ever held at once. Work that visits several
 /// devices (Tier-1 promotion hot-swap, resetInMemoryState) iterates them in
@@ -73,8 +74,8 @@
 #include "gpu/Runtime.h"
 #include "jit/CodeCache.h"
 #include "jit/CompilationPolicy.h"
+#include "jit/CompileService.h"
 #include "support/Metrics.h"
-#include "support/ThreadPool.h"
 #include "transforms/O3Pipeline.h"
 
 #include <functional>
@@ -82,7 +83,6 @@
 #include <memory>
 #include <mutex>
 #include <unordered_map>
-#include <unordered_set>
 
 namespace proteus {
 
@@ -97,7 +97,6 @@ struct JitConfig {
   /// How a launch that misses the code cache obtains its binary.
   enum class AsyncMode {
     Sync,     ///< compile inline on the launching thread (default)
-    Block,    ///< compile on the worker pool; the launch waits on a future
     Fallback, ///< launch the generic AOT binary now, hot-swap the
               ///< specialized binary once the background compile finishes
   };
@@ -120,9 +119,10 @@ struct JitConfig {
   /// Verify the deserialized kernel IR before specializing (defensive mode
   /// for untrusted persistent caches / debugging; off by default).
   bool VerifyIR = false;
-  /// Asynchronous compilation pipeline (PROTEUS_ASYNC=sync|block|fallback).
+  /// Asynchronous compilation pipeline (PROTEUS_ASYNC=sync|fallback).
   AsyncMode Async = AsyncMode::Sync;
-  /// Worker threads for the async pipeline (PROTEUS_ASYNC_WORKERS).
+  /// Worker threads for Fallback compiles and Tier-1 promotions
+  /// (PROTEUS_ASYNC_WORKERS, in [1, 1024]).
   unsigned AsyncWorkers = 4;
   O3Options O3;
 
@@ -130,7 +130,7 @@ struct JitConfig {
   /// served by a fast Tier-0 compile (O3Preset::Fast + fast register
   /// allocation) and the full Tier-1 pipeline runs on the worker pool at
   /// low priority, hot-swapping the loaded kernel and promoting the cache
-  /// entry in place once ready. Composes with every AsyncMode: in Sync the
+  /// entry in place once ready. Composes with both AsyncModes: in Sync the
   /// Tier-0 compile runs inline (but far cheaper than the full pipeline);
   /// in Fallback the generic binary covers the launch while even Tier-0
   /// compiles in the background.
@@ -212,15 +212,6 @@ struct JitConfig {
 const char *asyncModeName(JitConfig::AsyncMode M);
 const char *analyzeModeName(JitConfig::AnalyzeMode M);
 const char *tierModeName(bool TierEnabled);
-
-/// Fingerprint of the pipeline composition that produces \p Tier objects.
-/// Stored in every cache entry the runtime writes; an entry whose recorded
-/// fingerprint does not match the current value for its tier is treated as
-/// a miss (stale pipeline) instead of being served. \p SymbolicGlobals
-/// distinguishes multi-device objects (global references left as load-time
-/// relocations) from single-device objects (addresses baked into the IR):
-/// an object of one linkage mode must never be served in the other.
-uint64_t jitPipelineFingerprint(CodeTier Tier, bool SymbolicGlobals = false);
 
 /// Every JitRuntime statistic, defined exactly once: (field name, registry
 /// metric name). The lists expand into the JitRuntimeStats snapshot fields,
@@ -311,8 +302,9 @@ uint64_t jitPipelineFingerprint(CodeTier Tier, bool SymbolicGlobals = false);
 /// (NVIDIA); QueueWaitSeconds is enqueue -> worker pickup latency;
 /// LaunchBlockedSeconds is compile time visible on the launch path (inline
 /// compiles in Sync mode plus time launches spent blocked on a compile
-/// future in Block / dedup waits). Stage timers accumulate on every exit
-/// path, including compile errors (metrics::ScopedTimer).
+/// future: dedup waits, and Fallback launches with no usable generic
+/// binary). Stage timers accumulate on every exit path, including compile
+/// errors (metrics::ScopedTimer).
 /// Tier0VisibleSeconds is the slice of LaunchBlockedSeconds incurred while
 /// tiering is on — i.e. the launch-visible cost of the Tier-0 pipeline,
 /// the number the tiered cold-start benchmark compares against a
@@ -330,6 +322,18 @@ uint64_t jitPipelineFingerprint(CodeTier Tier, bool SymbolicGlobals = false);
   X(CacheLookupSeconds, "jit.cache_lookup_seconds")                            \
   X(QueueWaitSeconds, "jit.queue_wait_seconds")                                \
   X(LaunchBlockedSeconds, "jit.launch_blocked_seconds")
+
+/// Handles to the runtime's named instruments, shared by JitRuntime and its
+/// CompileService.
+struct JitStatHandles {
+#define PROTEUS_JIT_STAT_HANDLE(Field, Name) metrics::Counter *Field = nullptr;
+  PROTEUS_JIT_COUNTERS(PROTEUS_JIT_STAT_HANDLE)
+#undef PROTEUS_JIT_STAT_HANDLE
+#define PROTEUS_JIT_STAT_HANDLE(Field, Name)                                   \
+  metrics::TimerMetric *Field = nullptr;
+  PROTEUS_JIT_TIMERS(PROTEUS_JIT_STAT_HANDLE)
+#undef PROTEUS_JIT_STAT_HANDLE
+};
 
 /// Cumulative runtime accounting: a point-in-time snapshot of the metrics
 /// registry, safe to read while launches and background compiles proceed.
@@ -379,6 +383,10 @@ struct JitKernelInfo {
   /// the generic on matching devices; launches on other arches block on
   /// the compile future instead of loading a foreign-arch object.
   GpuArch GenericArch = GpuArch::AmdGcnSim;
+
+  bool hasGenericFor(GpuArch Arch) const {
+    return !GenericObject.empty() && GenericArch == Arch;
+  }
 };
 
 /// The runtime library instance bound to one *primary* device, optionally
@@ -443,7 +451,8 @@ public:
   /// loads it onto the target devices — the variant manager's promotion
   /// and trial-pinning primitive. \p DeviceIndex >= 0 scopes the install
   /// to that one device (trial pinning); -1 installs on every attached
-  /// device (winner promotion), compiling once per distinct GpuArch.
+  /// device (winner promotion), compiling once per distinct GpuArch. Any
+  /// other index fails with InvalidValue (counted in TunerErrors).
   ///
   /// With \p ReuseCached, a valid final-tier cache entry short-circuits
   /// the compile (the warm-decision path compiles nothing); otherwise the
@@ -531,9 +540,6 @@ public:
   void resetInMemoryState();
 
 private:
-  struct CompileOutcome;
-  struct InFlightCompile;
-
   /// Everything the runtime holds per attached device: the device itself,
   /// the lock serializing operations against it (module loads, launches,
   /// symbol resolution, bitcode readback), and the per-device loaded-kernel
@@ -554,6 +560,15 @@ private:
   /// instead of baking the primary device's addresses into the IR.
   bool symbolicGlobals() const { return Devices.size() > 1; }
 
+  /// False, with \p Error set, when \p Index names no attached device.
+  /// Inline: the launch path checks every launch.
+  bool validDevice(int64_t Index, std::string *Error) const {
+    return (Index >= 0 && Index < static_cast<int64_t>(Devices.size())) ||
+           deviceOutOfRange(Index, Error);
+  }
+  /// Sets \p Error to the out-of-range message for \p Index; false.
+  bool deviceOutOfRange(int64_t Index, std::string *Error) const;
+
   /// Builds the specialization key for a launch targeting \p Arch. Returns
   /// false (with \p Error set and AnnotationRangeErrors counted) when an
   /// annotated 1-based argument index is out of range for \p Args instead
@@ -563,21 +578,38 @@ private:
                 SpecializationKey &Out, std::string *Error) const;
   gpu::GpuError fetchBitcode(const JitKernelInfo &Info,
                              std::vector<uint8_t> &Out, std::string *Error);
-  /// Compiles one specialization at \p Tier. Tier0 selects the fast O3
-  /// preset and fast register allocation and counts Tier0Compiles; Final
-  /// runs the full pipeline and counts Compilations. Both tag their cache
-  /// insert with the tier and its pipeline fingerprint. \p Bitcode may be
-  /// empty when the kernel's module index was already built. A non-null
-  /// \p O3Override replaces Config.O3 (the variant manager compiling a
-  /// winner under its tuned pipeline knobs); the cache entry still carries
-  /// the standard final-tier fingerprint — for a tuned specialization the
-  /// decision record, not the fingerprint, is the pipeline's provenance.
+  /// Fetches the kernel's bitcode into \p Out unless its module index is
+  /// already built (then \p Out stays empty: compiles materialize from the
+  /// index). Runs on the calling thread: the NVIDIA readback is a device
+  /// operation and must not run on a compile worker.
+  gpu::GpuError fetchIfUnparsed(const JitKernelInfo &Info,
+                                std::vector<uint8_t> &Out, std::string *Error);
+  /// The compile body: compiles one specialization at \p Tier (the
+  /// CompileService publishes the object). Tier0 selects the fast O3 preset
+  /// and fast register allocation and counts Tier0Compiles; Final runs the
+  /// full pipeline and counts Compilations. \p Bitcode may be empty when
+  /// the kernel's module index was already built. A non-null \p O3Override
+  /// replaces Config.O3 (the variant manager compiling a winner under its
+  /// tuned pipeline knobs); the cache entry still carries the standard
+  /// final-tier fingerprint — for a tuned specialization the decision
+  /// record, not the fingerprint, is the pipeline's provenance.
   CompileOutcome compileSpecialization(const std::string &Symbol,
                                        std::vector<uint8_t> Bitcode,
                                        const SpecializationKey &Key,
-                                       uint64_t Hash,
-                                       CodeTier Tier = CodeTier::Final,
-                                       const O3Options *O3Override = nullptr);
+                                       CodeTier Tier,
+                                       const O3Options *O3Override);
+  /// compileSpecialization bound to its inputs, fetching the bitcode first
+  /// (fetchIfUnparsed); null with \p Failed set when the fetch fails.
+  CompileBody bindCompile(const JitKernelInfo &Info,
+                          const SpecializationKey &Key, CodeTier Tier,
+                          const O3Options *O3Override, CompileOutcome &Failed);
+  /// The launch path's request for (\p Info, \p Key) launched on device
+  /// \p DeviceIndex: binds compiles (gating Tier-1 promotions on the
+  /// policy's critical path) and hot-swaps a finished promotion onto the
+  /// requesting device and every device holding the specialization.
+  CompileRequest compileRequest(const JitKernelInfo &Info,
+                                const SpecializationKey &Key, uint64_t Hash,
+                                unsigned DeviceIndex);
   /// Returns the kernel's parse-once module index, building (and caching)
   /// it from \p Bitcode on first use. Null with \p Error set on parse
   /// failure or when no index exists and \p Bitcode is empty.
@@ -589,17 +621,6 @@ private:
   /// from a map afterwards (HashMemoHits counts the served launches).
   uint64_t lookupSpecHash(const std::string &Symbol,
                           const SpecializationKey &Key);
-  /// Enqueues the Tier-1 promotion compile for \p Hash at low pool
-  /// priority (deduplicated; at most one promotion per hash in flight).
-  /// On success the promoted binary replaces the cache entry in place and
-  /// hot-swaps the loaded kernel on every device currently holding it,
-  /// visiting devices in ascending ordinal, one lock at a time. Fetches
-  /// bitcode on the calling thread first when the kernel's module index is
-  /// not built yet.
-  void scheduleTier1Promotion(const JitKernelInfo &Info,
-                              const SpecializationKey &Key, uint64_t Hash);
-  void completeJob(uint64_t Hash, const std::shared_ptr<InFlightCompile> &Job,
-                   CompileOutcome Outcome);
   /// Loads the generic AOT binary (once per device) and launches it on
   /// \p DS; returns std::nullopt when the kernel carries no generic binary.
   std::optional<gpu::GpuError>
@@ -626,20 +647,32 @@ private:
                              gpu::Dim3 Grid, gpu::Dim3 Block,
                              const std::vector<gpu::KernelArg> &Args,
                              gpu::Stream *S, std::string *Error);
-  /// Records that \p Hash was first loaded via device \p Ordinal; returns
-  /// the origin ordinal (the existing one on a repeat call).
-  unsigned recordLoadOrigin(uint64_t Hash, unsigned Ordinal);
+  /// The generic binary loaded on \p DS (DS.Lock held), loading it on
+  /// first use. Null when the kernel has none for DS's arch, or with
+  /// \p Error set when the load fails.
+  gpu::LoadedKernel *loadGeneric(DeviceState &DS, const JitKernelInfo &Info,
+                                 std::string *Error);
+  /// Loads the specialized \p Object for \p Hash onto \p DS (DS.Lock
+  /// held), keeping an existing mapping unless \p Replace (the hot-swap).
+  /// Records the first loading device as the specialization's origin and
+  /// counts loads on other devices (CrossDeviceLoads, plus
+  /// PerArchCompileReuse for a device's first mapping). Null with \p Error
+  /// set when the load fails.
+  gpu::LoadedKernel *loadSpecialized(DeviceState &DS, uint64_t Hash,
+                                     const std::vector<uint8_t> &Object,
+                                     bool Replace, const std::string &Symbol,
+                                     std::string *Error);
   /// Shared body of installFinalTier and retargetKernel: resolves the
   /// specialization for (\p Symbol, \p Block, \p Args), obtains one
-  /// final-tier object per distinct GpuArch among \p Targets (serving a
-  /// valid cached entry when \p ReuseCached, else compiling), and loads it
+  /// final-tier object per distinct GpuArch among the target devices
+  /// (device \p DeviceIndex, or every device for -1), serving a valid
+  /// cached entry when \p ReuseCached and compiling otherwise, and loads it
   /// onto every target device, hot-swapping any previous mapping.
   /// \p CompiledArches / \p ReusedArches report how many arches were
   /// compiled vs served warm; callers do their own error accounting.
   gpu::GpuError installOnTargets(const std::string &Symbol, gpu::Dim3 Block,
                                  const std::vector<gpu::KernelArg> &Args,
-                                 const O3Options *O3Override,
-                                 const std::vector<unsigned> &Targets,
+                                 const O3Options *O3Override, int DeviceIndex,
                                  bool ReuseCached, unsigned *CompiledArches,
                                  unsigned *ReusedArches, bool *AnyLoaded,
                                  std::string *Error);
@@ -650,19 +683,10 @@ private:
   CodeCache Cache;
 
   /// Named instruments behind stats(). Handles are resolved once in the
-  /// constructor (the Stat struct below); updates are relaxed atomics, so
-  /// launches and workers never serialize on accounting.
+  /// constructor; updates are relaxed atomics, so launches and workers
+  /// never serialize on accounting.
   metrics::Registry Metrics;
-  struct StatHandles {
-#define PROTEUS_JIT_STAT_HANDLE(Field, Name) metrics::Counter *Field = nullptr;
-    PROTEUS_JIT_COUNTERS(PROTEUS_JIT_STAT_HANDLE)
-#undef PROTEUS_JIT_STAT_HANDLE
-#define PROTEUS_JIT_STAT_HANDLE(Field, Name)                                   \
-  metrics::TimerMetric *Field = nullptr;
-    PROTEUS_JIT_TIMERS(PROTEUS_JIT_STAT_HANDLE)
-#undef PROTEUS_JIT_STAT_HANDLE
-  };
-  StatHandles Stat;
+  JitStatHandles Stat;
 
   std::mutex RegistryMutex; // guards Kernels + GlobalAddresses
   std::map<std::string, JitKernelInfo> Kernels;
@@ -679,21 +703,16 @@ private:
   std::mutex OriginMutex;
   std::unordered_map<uint64_t, unsigned> FirstLoadedOn;
 
-  /// In-flight compilation table: one compile per specialization hash, any
-  /// number of waiters (the dedup structure of the async pipeline).
-  std::mutex InFlightMutex;
-  std::unordered_map<uint64_t, std::shared_ptr<InFlightCompile>> InFlight;
-  /// Hashes with a Tier-1 promotion scheduled or running (also guarded by
-  /// InFlightMutex); keeps a launch storm over a Tier-0 entry from
-  /// enqueueing redundant promotions.
-  std::unordered_set<uint64_t> PromotionsInFlight;
-
   /// Parse-once module indexes, one per kernel symbol: the pruned
   /// parsed-module cache. Tier-0, Tier-1 and plain compiles all
   /// materialize their module from here instead of re-parsing bitcode.
   std::mutex IndexMutex;
   std::map<std::string, std::shared_ptr<const KernelModuleIndex>>
       ModuleIndexes;
+  /// Per-kernel lock held while building its index (entries are never
+  /// erased, so the mutexes outlive resetInMemoryState); taken before
+  /// IndexMutex, never while a device lock is held.
+  std::map<std::string, std::mutex> IndexBuildLocks;
 
   /// Specialization-hash memo: kernel symbol -> (folded argument bits,
   /// launch-bounds threads) -> hash. Valid because ModuleId, Arch and each
@@ -704,20 +723,21 @@ private:
       HashMemo;
 
   /// Bottleneck-aware policy store (JitConfig::Policy); null when the
-  /// policy is off. Own mutex; consulted from the launch path
-  /// (scheduleTier1Promotion) and the variant manager alike.
+  /// policy is off. Own mutex; consulted from the promotion gate
+  /// (compileRequest) and the variant manager alike.
   std::unique_ptr<CompilationPolicy> PolicyState;
 
   /// Live capture session (JitConfig::Capture); null when capture is off.
-  /// Declared before the pool: background compiles never touch it, but the
-  /// session's writer thread must outlive nothing of the runtime it reads
-  /// (the module indexes it serializes are shared_ptr-held per record).
+  /// Declared before the compile service: background compiles never touch
+  /// it, but the session's writer thread must outlive nothing of the
+  /// runtime it reads (the module indexes it serializes are shared_ptr-held
+  /// per record).
   std::unique_ptr<capture::CaptureSession> CaptureSess;
 
-  /// Worker pool for Block/Fallback modes and for Tier-1 promotions when
-  /// tiering is on; null otherwise. Declared last so it is destroyed
-  /// (drained and joined) before any state the compile tasks reference.
-  std::unique_ptr<ThreadPool> Pool;
+  /// The in-flight table, fleet claim, worker pool and promotion protocol.
+  /// Declared last so its pool is drained and joined before any state the
+  /// compile tasks reference is destroyed.
+  CompileService Service;
 };
 
 } // namespace proteus

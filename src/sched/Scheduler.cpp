@@ -6,8 +6,8 @@
 
 #include "sched/Scheduler.h"
 
-#include <cstdio>
-#include <cstdlib>
+#include "support/Env.h"
+
 #include <limits>
 
 using namespace proteus;
@@ -27,34 +27,14 @@ const char *proteus::sched::schedModeName(SchedMode M) {
   return "off";
 }
 
-namespace {
-
-void emitConfigWarning(std::vector<std::string> *Warnings, std::string Msg) {
-  metrics::processRegistry().counter("config.errors").add();
-  if (Warnings)
-    Warnings->push_back(std::move(Msg));
-  else
-    std::fprintf(stderr, "proteus: warning: %s\n", Msg.c_str());
-}
-
-} // namespace
-
 SchedConfig SchedConfig::fromEnvironment(std::vector<std::string> *Warnings) {
   SchedConfig C;
-  if (const char *S = std::getenv("PROTEUS_SCHED")) {
-    std::string V = S;
-    if (V == "off")
-      C.Mode = SchedMode::Off;
-    else if (V == "static")
-      C.Mode = SchedMode::Static;
-    else if (V == "perf")
-      C.Mode = SchedMode::Perf;
-    else if (V == "load")
-      C.Mode = SchedMode::Load;
-    else
-      emitConfigWarning(Warnings, "ignoring invalid PROTEUS_SCHED value '" +
-                                      V + "' (expected off|static|perf|load)");
-  }
+  parseChoice("PROTEUS_SCHED",
+              {{"off", SchedMode::Off},
+               {"static", SchedMode::Static},
+               {"perf", SchedMode::Perf},
+               {"load", SchedMode::Load}},
+              C.Mode, Warnings);
   return C;
 }
 

@@ -6,13 +6,13 @@
 
 #include "support/Trace.h"
 
+#include "support/Env.h"
 #include "support/FileSystem.h"
 #include "support/JsonLite.h"
 #include "support/StringUtils.h"
 
 #include <algorithm>
 #include <chrono>
-#include <cstdio>
 #include <cstdlib>
 #include <map>
 #include <mutex>
@@ -140,18 +140,8 @@ struct EnvActivation {
     if (!Path || !*Path)
       return;
     size_t Capacity = trace::DefaultCapacity;
-    if (const char *Buf = std::getenv("PROTEUS_TRACE_BUFFER")) {
-      char *End = nullptr;
-      unsigned long long N = std::strtoull(Buf, &End, 10);
-      if (End && *End == '\0' && N > 0)
-        Capacity = static_cast<size_t>(N);
-      else
-        std::fprintf(stderr,
-                     "proteus: warning: ignoring invalid "
-                     "PROTEUS_TRACE_BUFFER value '%s' (expected a positive "
-                     "event count)\n",
-                     Buf);
-    }
+    parseBounded("PROTEUS_TRACE_BUFFER", 1, trace::MaxCapacity, Capacity,
+                 nullptr);
     trace::start(Path, Capacity);
   }
 } TheEnvActivation;

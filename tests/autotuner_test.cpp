@@ -221,6 +221,29 @@ TEST(AutoTunerTest, UnattachedDeviceTuningIsACountedError) {
   EXPECT_TRUE(R.Trials.empty());
 }
 
+TEST(AutoTunerTest, InstallRejectsNegativeDeviceIndexOtherThanAll) {
+  // Only -1 means "every device"; any other negative index is a counted
+  // error, not a silent install everywhere.
+  Harness H(/*NumDevices=*/2);
+  for (int Bad : {-2, -1000}) {
+    SCOPED_TRACE("DeviceIndex=" + std::to_string(Bad));
+    const JitRuntimeStats Before = H.Jit->stats();
+    std::string Err;
+    EXPECT_EQ(H.Jit->installFinalTier("daxpy", Dim3{128, 1, 1}, H.args(),
+                                      nullptr, Bad, false, &Err),
+              GpuError::InvalidValue);
+    EXPECT_NE(Err.find("device index"), std::string::npos) << Err;
+    const JitRuntimeStats After = H.Jit->stats();
+    EXPECT_EQ(After.TunerErrors, Before.TunerErrors + 1);
+    EXPECT_EQ(After.Compilations, Before.Compilations) << "nothing compiled";
+  }
+  std::string Err;
+  EXPECT_EQ(H.Jit->installFinalTier("daxpy", Dim3{128, 1, 1}, H.args(),
+                                    nullptr, -1, false, &Err),
+            GpuError::Success)
+      << Err;
+}
+
 TEST(AutoTunerTest, TierOnTrialsRaceFinalTierAndRestoreStreamTails) {
   Harness H(1, false, [](JitConfig &JC) { JC.Tier = true; });
   // Park work on a non-default stream: the legacy restoreClock collapsed

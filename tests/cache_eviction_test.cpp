@@ -344,8 +344,18 @@ TEST(CacheEvictionTest, EnvironmentConfiguration) {
   EXPECT_EQ(C.CacheDir, "/tmp/proteus-env-cache");
   EXPECT_EQ(C.Async, JitConfig::AsyncMode::Fallback);
   EXPECT_EQ(C.AsyncWorkers, 6u);
+  // The removed "block" mode is rejected like any other unknown value.
   setenv("PROTEUS_ASYNC", "block", 1);
-  EXPECT_EQ(JitConfig::fromEnvironment().Async, JitConfig::AsyncMode::Block);
+  const uint64_t ErrorsBefore =
+      metrics::processRegistry().counter("config.errors").value();
+  std::vector<std::string> Warnings;
+  EXPECT_EQ(JitConfig::fromEnvironment(&Warnings).Async,
+            JitConfig::AsyncMode::Sync);
+  ASSERT_EQ(Warnings.size(), 1u);
+  EXPECT_NE(Warnings[0].find("PROTEUS_ASYNC value 'block'"), std::string::npos)
+      << Warnings[0];
+  EXPECT_EQ(metrics::processRegistry().counter("config.errors").value(),
+            ErrorsBefore + 1);
   setenv("PROTEUS_ASYNC", "sync", 1);
   EXPECT_EQ(JitConfig::fromEnvironment().Async, JitConfig::AsyncMode::Sync);
   unsetenv("PROTEUS_CACHE_MEM_LIMIT");

@@ -234,14 +234,14 @@ TEST(JitConcurrencyTest, AllModesMatchSyncBaseline) {
   ASSERT_EQ(Expected.size(), size_t(NumKernels * NumSpecs));
 
   for (JitConfig::AsyncMode Mode :
-       {JitConfig::AsyncMode::Sync, JitConfig::AsyncMode::Block,
-        JitConfig::AsyncMode::Fallback})
+       {JitConfig::AsyncMode::Sync, JitConfig::AsyncMode::Fallback})
     runConcurrent(Prog, GpuArch::AmdGcnSim, Mode, Expected);
 }
 
-TEST(JitConcurrencyTest, BlockModeOnNvPtxSim) {
+TEST(JitConcurrencyTest, FallbackModeOnNvPtxSim) {
   // The NVIDIA path reads bitcode back from device memory on the launch
-  // thread — exercise that flow concurrently too.
+  // thread while worker threads compile — exercise that flow concurrently
+  // too.
   Context Ctx;
   std::unique_ptr<Module> M = buildProgram(Ctx);
   AotOptions AO;
@@ -251,7 +251,7 @@ TEST(JitConcurrencyTest, BlockModeOnNvPtxSim) {
 
   std::vector<std::vector<uint8_t>> Expected =
       baselineResults(Prog, GpuArch::NvPtxSim);
-  runConcurrent(Prog, GpuArch::NvPtxSim, JitConfig::AsyncMode::Block,
+  runConcurrent(Prog, GpuArch::NvPtxSim, JitConfig::AsyncMode::Fallback,
                 Expected);
 }
 
@@ -290,9 +290,10 @@ TEST(JitConcurrencyTest, FallbackHotSwapsToSpecializedBinary) {
 }
 
 TEST(JitConcurrencyTest, PersistentCacheWritesAreConcurrencySafe) {
-  // All three modes writing cache-jit-<hash>.o concurrently into one
-  // directory must produce only valid entries (atomic rename, no torn
-  // files) that a fresh runtime can reuse without recompiling.
+  // Launch threads and pool workers writing cache-jit-<hash>.o
+  // concurrently into one directory must produce only valid entries
+  // (atomic rename, no torn files) that a fresh runtime can reuse without
+  // recompiling.
   Context Ctx;
   std::unique_ptr<Module> M = buildProgram(Ctx);
   AotOptions AO;
@@ -303,7 +304,7 @@ TEST(JitConcurrencyTest, PersistentCacheWritesAreConcurrencySafe) {
   TempDir Tmp;
   JitConfig JC = JitConfig::fromEnvironment();
   JC.CacheDir = Tmp.Path;
-  JC.Async = JitConfig::AsyncMode::Block;
+  JC.Async = JitConfig::AsyncMode::Fallback;
   JC.AsyncWorkers = 4;
   {
     Harness H(Prog, GpuArch::AmdGcnSim, JC);

@@ -54,13 +54,27 @@ struct ScopedEnv {
 };
 
 TEST(JitConfigEnvTest, ValidValuesParseWithoutWarnings) {
-  ScopedEnv A("PROTEUS_ASYNC", "block");
+  ScopedEnv A("PROTEUS_ASYNC", "fallback");
   ScopedEnv W("PROTEUS_ASYNC_WORKERS", "8");
   std::vector<std::string> Warnings;
   JitConfig C = JitConfig::fromEnvironment(&Warnings);
   EXPECT_TRUE(Warnings.empty()) << Warnings.front();
-  EXPECT_EQ(C.Async, JitConfig::AsyncMode::Block);
+  EXPECT_EQ(C.Async, JitConfig::AsyncMode::Fallback);
   EXPECT_EQ(C.AsyncWorkers, 8u);
+}
+
+TEST(JitConfigEnvTest, RemovedBlockModeWarnsCountsAndKeepsDefault) {
+  ScopedEnv A("PROTEUS_ASYNC", "block");
+  const uint64_t ErrorsBefore =
+      metrics::processRegistry().counter("config.errors").value();
+  std::vector<std::string> Warnings;
+  JitConfig C = JitConfig::fromEnvironment(&Warnings);
+  ASSERT_EQ(Warnings.size(), 1u);
+  EXPECT_EQ(Warnings[0], "ignoring invalid PROTEUS_ASYNC value 'block' "
+                         "(expected sync|fallback)");
+  EXPECT_EQ(C.Async, JitConfig::AsyncMode::Sync) << "default preserved";
+  EXPECT_EQ(metrics::processRegistry().counter("config.errors").value(),
+            ErrorsBefore + 1);
 }
 
 TEST(JitConfigEnvTest, ExplicitSyncIsAccepted) {

@@ -13,8 +13,10 @@
 
 #include "jit/CodeCache.h"
 #include "support/BinaryStream.h"
+#include "support/Env.h"
 #include "support/FileSystem.h"
 #include "support/Hashing.h"
+#include "support/Metrics.h"
 #include "support/StringUtils.h"
 #include "support/ThreadPool.h"
 
@@ -27,6 +29,113 @@
 using namespace proteus;
 
 namespace {
+
+// --- Environment parsing ---------------------------------------------------
+
+constexpr const char *EnvVar = "PROTEUS_ENV_PARSE_TEST";
+
+uint64_t configErrors() {
+  return metrics::processRegistry().counter("config.errors").value();
+}
+
+TEST(EnvTest, UnsetVariableLeavesTheDefaultSilently) {
+  unsetenv(EnvVar);
+  unsigned Out = 7;
+  std::vector<std::string> Warnings;
+  const uint64_t Before = configErrors();
+  EXPECT_FALSE(parseBounded(EnvVar, 1, 10, Out, &Warnings));
+  bool Flag = true;
+  EXPECT_FALSE(parseChoice(EnvVar, {{"off", false}, {"on", true}}, Flag,
+                           &Warnings));
+  EXPECT_EQ(Out, 7u);
+  EXPECT_TRUE(Flag);
+  EXPECT_TRUE(Warnings.empty());
+  EXPECT_EQ(configErrors(), Before);
+}
+
+TEST(EnvTest, ParseBoundedAcceptsExactlyTheDecimalRange) {
+  for (auto [Text, Value] : {std::pair<const char *, uint64_t>{"1", 1},
+                             {"1024", 1024},
+                             {"0001", 1}}) {
+    setenv(EnvVar, Text, 1);
+    uint64_t Out = 0;
+    std::vector<std::string> Warnings;
+    EXPECT_TRUE(parseBounded(EnvVar, 1, 1024, Out, &Warnings)) << Text;
+    EXPECT_EQ(Out, Value);
+    EXPECT_TRUE(Warnings.empty());
+  }
+  setenv(EnvVar, "18446744073709551615", 1);
+  uint64_t Max = 0;
+  EXPECT_TRUE(parseBounded(EnvVar, 0, UINT64_MAX, Max, nullptr));
+  EXPECT_EQ(Max, UINT64_MAX);
+  unsetenv(EnvVar);
+}
+
+TEST(EnvTest, ParseBoundedRejectsWrapOverflowAndRangeWithACountedWarning) {
+  for (const std::string Bad :
+       {"-1", "18446744073709551616", "99999999999999999999", "0", "1025",
+        "", " 5", "5 ", "+5", "0x10", "12abc"}) {
+    SCOPED_TRACE("value '" + Bad + "'");
+    setenv(EnvVar, Bad.c_str(), 1);
+    unsigned Out = 7;
+    std::vector<std::string> Warnings;
+    const uint64_t Before = configErrors();
+    EXPECT_FALSE(parseBounded(EnvVar, 1, 1024, Out, &Warnings));
+    EXPECT_EQ(Out, 7u) << "default preserved";
+    ASSERT_EQ(Warnings.size(), 1u);
+    EXPECT_EQ(Warnings[0], "ignoring invalid PROTEUS_ENV_PARSE_TEST value '" +
+                               Bad + "' (expected an integer in [1, 1024])");
+    EXPECT_EQ(configErrors(), Before + 1);
+  }
+  setenv(EnvVar, "-1", 1);
+  std::vector<std::string> Warnings;
+  uint64_t Out = 0;
+  EXPECT_FALSE(parseBounded(EnvVar, 0, UINT64_MAX, Out, &Warnings,
+                            "a byte count"));
+  ASSERT_EQ(Warnings.size(), 1u);
+  EXPECT_EQ(Warnings[0], "ignoring invalid PROTEUS_ENV_PARSE_TEST value '-1' "
+                         "(expected a byte count)");
+  unsetenv(EnvVar);
+}
+
+TEST(EnvTest, ParseChoiceMatchesSpellingsExactly) {
+  enum class Mode { A, B, C };
+  setenv(EnvVar, "beta", 1);
+  Mode M = Mode::A;
+  std::vector<std::string> Warnings;
+  EXPECT_TRUE(parseChoice(EnvVar,
+                          {{"alpha", Mode::A}, {"beta", Mode::B},
+                           {"gamma", Mode::C}},
+                          M, &Warnings));
+  EXPECT_EQ(M, Mode::B);
+  EXPECT_TRUE(Warnings.empty());
+
+  for (const std::string Bad : {"Beta", "bet", "", "beta "}) {
+    SCOPED_TRACE("value '" + Bad + "'");
+    setenv(EnvVar, Bad.c_str(), 1);
+    Mode Kept = Mode::C;
+    Warnings.clear();
+    const uint64_t Before = configErrors();
+    EXPECT_FALSE(parseChoice(EnvVar,
+                             {{"alpha", Mode::A}, {"beta", Mode::B}}, Kept,
+                             &Warnings));
+    EXPECT_EQ(Kept, Mode::C);
+    ASSERT_EQ(Warnings.size(), 1u);
+    EXPECT_EQ(Warnings[0], "ignoring invalid PROTEUS_ENV_PARSE_TEST value '" +
+                               Bad + "' (expected alpha|beta)");
+    EXPECT_EQ(configErrors(), Before + 1);
+  }
+
+  setenv(EnvVar, "2", 1);
+  Warnings.clear();
+  bool Flag = false;
+  EXPECT_FALSE(parseChoice(EnvVar, {{"1", true}, {"0", false}}, Flag,
+                           &Warnings, "0 or 1"));
+  ASSERT_EQ(Warnings.size(), 1u);
+  EXPECT_EQ(Warnings[0], "ignoring invalid PROTEUS_ENV_PARSE_TEST value '2' "
+                         "(expected 0 or 1)");
+  unsetenv(EnvVar);
+}
 
 TEST(HashingTest, KnownFnv1aVectors) {
   // Standard FNV-1a 64 test vectors.

@@ -595,4 +595,48 @@ TEST(TieredJitTest, TierEnvVarParsesAndRejectsGarbage) {
   unsetenv("PROTEUS_TIER");
 }
 
+TEST(CompileServiceTest, ServableFollowsOneRule) {
+  // The single cache-serve rule, over requested tier x entry tier x entry
+  // fingerprint x linkage mode: an entry serves iff its fingerprint is the
+  // current pipeline's for its own tier and linkage, and it is not a Tier-0
+  // entry asked to serve a Final request.
+  CodeCache Cache(/*UseMemory=*/true, /*UsePersistent=*/false, "");
+  const JitStatHandles NoStats; // servable() updates no statistic
+  CompileService Service(Cache, /*Background=*/false, /*Promotions=*/false,
+                         1, NoStats);
+  enum Fingerprint { Current, OtherLinkage, OtherTier };
+  const CodeTier Tiers[] = {CodeTier::Tier0, CodeTier::Final};
+  uint64_t Hash = 1;
+  unsigned Served = 0;
+  for (bool Symbolic : {false, true})
+    for (CodeTier Entry : Tiers)
+      for (Fingerprint Fp : {Current, OtherLinkage, OtherTier})
+        for (CodeTier Wanted : Tiers) {
+          SCOPED_TRACE("symbolic=" + std::to_string(Symbolic) +
+                       " entry=" + std::to_string(int(Entry)) +
+                       " fingerprint=" + std::to_string(int(Fp)) +
+                       " wanted=" + std::to_string(int(Wanted)));
+          Service.setSymbolicGlobals(Symbolic);
+          const CodeTier FpTier =
+              Fp == OtherTier ? (Entry == CodeTier::Final ? CodeTier::Tier0
+                                                          : CodeTier::Final)
+                              : Entry;
+          const bool FpSymbolic = Fp == OtherLinkage ? !Symbolic : Symbolic;
+          // Fresh hash per case: a Tier-0 insert never downgrades a Final.
+          Cache.insert(++Hash, {1, 2, 3}, Entry,
+                       jitPipelineFingerprint(FpTier, FpSymbolic));
+          const bool Expect = Fp == Current && (Wanted == CodeTier::Tier0 ||
+                                                Entry == CodeTier::Final);
+          std::optional<CachedCode> CC = Service.servable(Hash, Wanted);
+          ASSERT_EQ(CC.has_value(), Expect);
+          if (CC) {
+            EXPECT_EQ(CC->Tier, Entry);
+            EXPECT_EQ(CC->Object, (std::vector<uint8_t>{1, 2, 3}));
+            ++Served;
+          }
+        }
+  EXPECT_EQ(Served, 6u) << "2 linkages x (Tier-0 for Tier-0, Final for both)";
+  EXPECT_FALSE(Service.servable(9999, CodeTier::Tier0)) << "absent entry";
+}
+
 } // namespace

@@ -17,8 +17,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <set>
 #include <thread>
+
+#include <sys/wait.h>
+#include <unistd.h>
 
 using namespace proteus;
 
@@ -134,6 +138,37 @@ TEST(TraceTest, InternNameIsStable) {
   EXPECT_EQ(A, B);
   EXPECT_STREQ(A, "some.span");
   EXPECT_NE(A, trace::internName("other.span"));
+}
+
+TEST(TraceTest, OutOfRangeBufferSizeWarnsInsteadOfAborting) {
+  // PROTEUS_TRACE_BUFFER is read during static initialization of any
+  // traced process. A wrapped ("-1"), saturated or merely huge value used
+  // to reach the ring allocation and abort the process from there; it must
+  // now keep the default capacity and warn. Re-run this binary, traced.
+  char Self[4096];
+  ssize_t Len = readlink("/proc/self/exe", Self, sizeof(Self) - 1);
+  ASSERT_GT(Len, 0);
+  Self[Len] = '\0';
+  TempDir Tmp;
+  for (const std::string Bad : {"-1", "99999999999999999999", "16777217"}) {
+    SCOPED_TRACE("PROTEUS_TRACE_BUFFER=" + Bad);
+    std::string Cmd = "PROTEUS_TRACE='" + Tmp.file("child.json") +
+                      "' PROTEUS_TRACE_BUFFER='" + Bad + "' '" + Self +
+                      "' --gtest_filter=TraceTest.InternNameIsStable 2>&1";
+    FILE *Child = popen(Cmd.c_str(), "r");
+    ASSERT_NE(Child, nullptr);
+    std::string Output;
+    char Buf[512];
+    while (size_t N = std::fread(Buf, 1, sizeof(Buf), Child))
+      Output.append(Buf, N);
+    int Status = pclose(Child);
+    EXPECT_TRUE(WIFEXITED(Status) && WEXITSTATUS(Status) == 0) << Output;
+    EXPECT_NE(Output.find("proteus: warning: ignoring invalid "
+                          "PROTEUS_TRACE_BUFFER value '" +
+                          Bad + "' (expected an integer in [1, 16777216])"),
+              std::string::npos)
+        << Output;
+  }
 }
 
 TEST(TraceTest, SpansNestAndExportValidates) {
