@@ -167,7 +167,7 @@ proteus::capture::snapshotRegions(const gpu::Device &Dev,
     if (Dev.findAllocation(P, &Base, &Size))
       Found[Base] = Size;
   }
-  const std::vector<uint8_t> &Mem = Dev.memory();
+  const gpu::DeviceMemory &Mem = Dev.memory();
   std::vector<MemoryRegion> Regions;
   Regions.reserve(Found.size());
   for (const auto &BaseSize : Found) {
@@ -183,7 +183,7 @@ proteus::capture::snapshotRegions(const gpu::Device &Dev,
 
 void proteus::capture::fillPostBytes(const gpu::Device &Dev,
                                      std::vector<MemoryRegion> &Regions) {
-  const std::vector<uint8_t> &Mem = Dev.memory();
+  const gpu::DeviceMemory &Mem = Dev.memory();
   for (MemoryRegion &R : Regions) {
     R.PostBytes.resize(R.PreBytes.size());
     std::memcpy(R.PostBytes.data(), Mem.data() + R.Address,

@@ -104,6 +104,13 @@ private:
     if (CIt != BlockConstRegs.end())
       return CIt->second;
 
+    // An instruction defined in a block laid out later (the inliner appends
+    // callee blocks, and the Tier-0 preset has no SimplifyCFG to reorder
+    // them): its def dominates this use, so reserve its register now and
+    // let lowerInstruction write it.
+    if (isa<Instruction>(V))
+      return VRegs[V] = newReg();
+
     MachineInstr MI;
     MI.Op = MOp::MovImm;
     MI.Dst = newReg();
@@ -365,7 +372,8 @@ private:
     }
     }
     if (!I.getType()->isVoid()) {
-      MI.Dst = newReg();
+      auto It = VRegs.find(&I); // reserved by a forward use
+      MI.Dst = It != VRegs.end() ? It->second : newReg();
       VRegs[&I] = MI.Dst;
     }
     emit(MB, MI);

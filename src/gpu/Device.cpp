@@ -7,9 +7,13 @@
 #include "gpu/Device.h"
 
 #include "codegen/ObjectFile.h"
+#include "gpu/Executor.h"
+#include "support/Error.h"
 
 #include <algorithm>
 #include <cstring>
+
+#include <sys/mman.h>
 
 using namespace proteus;
 using namespace proteus::gpu;
@@ -76,8 +80,36 @@ void L2Cache::reset() {
   Clock = 0;
 }
 
+DeviceMemory::DeviceMemory(uint64_t Bytes) : Bytes(Bytes) {
+  if (Bytes == 0)
+    return;
+  void *P = mmap(nullptr, Bytes, PROT_READ | PROT_WRITE,
+                 MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE, -1, 0);
+  if (P == MAP_FAILED)
+    reportFatalError("device memory: cannot map " + std::to_string(Bytes) +
+                     " bytes");
+  Base = static_cast<uint8_t *>(P);
+}
+
+DeviceMemory::~DeviceMemory() {
+  if (Base)
+    munmap(Base, Bytes);
+}
+
+DeviceMemory &DeviceMemory::operator=(const std::vector<uint8_t> &Image) {
+  if (Image.size() != Bytes)
+    reportFatalError("device memory: restoring a snapshot of the wrong size");
+  constexpr uint64_t Page = 4096;
+  for (uint64_t Off = 0; Off < Bytes; Off += Page) {
+    uint64_t N = std::min(Page, Bytes - Off);
+    if (std::memcmp(Base + Off, Image.data() + Off, N) != 0)
+      std::memcpy(Base + Off, Image.data() + Off, N);
+  }
+  return *this;
+}
+
 Device::Device(const TargetInfo &Target, uint64_t MemoryBytes)
-    : Target(Target), Memory(MemoryBytes, 0), L2(Target.L2Bytes, 128, 16) {
+    : Target(Target), Memory(MemoryBytes), L2(Target.L2Bytes, 128, 16) {
   // Stream 0 is the legacy default stream; it always exists.
   Streams.emplace_back(new Stream(*this, 0));
 }
@@ -91,6 +123,9 @@ Stream *Device::createStream() {
 DevicePtr Device::allocate(uint64_t Bytes) {
   if (Bytes == 0)
     Bytes = 1;
+  // Reject before rounding: rounding a request near 2^64 wraps to 0.
+  if (Bytes > Memory.size())
+    return 0;
   // Round to 256-byte alignment like real allocators.
   Bytes = (Bytes + 255) & ~255ull;
   // First-fit from the free list.
@@ -210,7 +245,8 @@ LoadedKernel *Device::loadKernel(const std::vector<uint8_t> &Object,
         static_cast<int64_t>(Addr);
   }
   auto LK = std::make_unique<LoadedKernel>();
-  LK->MF = std::move(R.MF);
+  if (!decodeKernel(R.MF, *LK, Error))
+    return nullptr;
   LK->Arch = R.Arch;
   Kernels.push_back(std::move(LK));
   return Kernels.back().get();

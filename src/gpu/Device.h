@@ -23,6 +23,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstring>
 #include <map>
 #include <memory>
 #include <unordered_map>
@@ -52,10 +53,102 @@ private:
   uint32_t Clock = 0;
 };
 
-/// A kernel loaded onto the device, ready to launch.
+/// LaunchStats counter an executed instruction counts toward. Each decoded
+/// instruction names up to three; Discard absorbs the unused ones.
+enum class StatSlot : uint8_t {
+  Discard,
+  TotalInstrs,
+  VALUInsts,
+  SALUInsts,
+  MemLoads,
+  MemStores,
+  SpillLoads,
+  SpillStores,
+  Atomics,
+  Branches,
+  Barriers,
+  TranscendentalInsts,
+  DivInsts,
+  NumSlots,
+};
+
+/// One machine instruction in the executor's decoded form: branch targets
+/// are instruction indices, operand types are resolved, and access widths
+/// and the counters the instruction counts toward are precomputed.
+/// Semantics still come from ir/OpSemantics.h.
+struct DecodedInstr {
+  mcode::MOp Op = mcode::MOp::Nop;
+  /// Access width in bytes (Ld/St/AtomicAdd).
+  uint8_t Size = 0;
+  /// ValueKind/predicate/SpecialReg as in MachineInstr; for AtomicAdd the
+  /// ValueKind of the update (Add or FAdd).
+  uint16_t Aux = 0;
+  StatSlot Stats[3] = {StatSlot::Discard, StatSlot::Discard,
+                       StatSlot::Discard};
+  mcode::Reg Dst = 0, Src1 = 0, Src2 = 0, Src3 = 0;
+  /// Immediate; Br/CondBr: taken-target index; Alloca: the local address.
+  int64_t Imm = 0;
+  /// CondBr: not-taken target index.
+  uint32_t Imm2 = 0;
+  /// Operand type (source type for Cast).
+  pir::Type *Ty = nullptr;
+  /// Cast: destination type.
+  pir::Type *CastTy = nullptr;
+};
+
+/// A kernel loaded onto the device, ready to launch: the machine function's
+/// header and its code decoded once at load (see decodeKernel in
+/// Executor.h).
 struct LoadedKernel {
-  mcode::MachineFunction MF;
+  std::string Name;
+  std::vector<mcode::MachineParam> Params;
+  uint32_t NumRegs = 0;
+  uint32_t NumSpillSlots = 0;
+  uint32_t LocalBytes = 0;
+  uint32_t LaunchBoundsThreads = 0;
+  /// Every block's instructions back to back, entry block first.
+  std::vector<DecodedInstr> Code;
   GpuArch Arch;
+};
+
+/// Device global memory: one private anonymous mapping reserved without
+/// swap. Pages are committed on first touch, so untouched memory reads as
+/// zero and costs nothing to create or release. Indexing and data()
+/// arithmetic are those of a byte array of size() bytes.
+class DeviceMemory {
+public:
+  explicit DeviceMemory(uint64_t Bytes);
+  ~DeviceMemory();
+  DeviceMemory(const DeviceMemory &) = delete;
+  DeviceMemory &operator=(const DeviceMemory &) = delete;
+
+  uint8_t *data() { return Base; }
+  const uint8_t *data() const { return Base; }
+  uint64_t size() const { return Bytes; }
+  uint8_t *begin() { return Base; }
+  uint8_t *end() { return Base + Bytes; }
+  const uint8_t *begin() const { return Base; }
+  const uint8_t *end() const { return Base + Bytes; }
+  uint8_t &operator[](uint64_t I) { return Base[I]; }
+  uint8_t operator[](uint64_t I) const { return Base[I]; }
+
+  /// A full copy of the image (snapshots). Touches every page of the copy,
+  /// so prefer data() for partial reads.
+  operator std::vector<uint8_t>() const { return {begin(), end()}; }
+
+  /// Restores a snapshot of size() bytes. Only pages that differ are
+  /// written, so restoring leaves untouched pages uncommitted.
+  DeviceMemory &operator=(const std::vector<uint8_t> &Image);
+
+  friend bool operator==(const DeviceMemory &M,
+                         const std::vector<uint8_t> &V) {
+    return M.Bytes == V.size() &&
+           (M.Bytes == 0 || std::memcmp(M.Base, V.data(), M.Bytes) == 0);
+  }
+
+private:
+  uint8_t *Base = nullptr;
+  uint64_t Bytes = 0;
 };
 
 /// Outcome of Device::free — unknown and double frees are counted and
@@ -81,7 +174,8 @@ public:
 
   // -- Memory --------------------------------------------------------------
 
-  /// Allocates \p Bytes of device memory; returns 0 on exhaustion.
+  /// Allocates \p Bytes of device memory; returns 0 on exhaustion,
+  /// including requests larger than the device.
   DevicePtr allocate(uint64_t Bytes);
 
   /// Frees a prior allocation. Unknown pointers and double frees are
@@ -92,8 +186,8 @@ public:
   uint64_t unknownFrees() const { return UnknownFreeCount; }
   uint64_t doubleFrees() const { return DoubleFreeCount; }
 
-  std::vector<uint8_t> &memory() { return Memory; }
-  const std::vector<uint8_t> &memory() const { return Memory; }
+  DeviceMemory &memory() { return Memory; }
+  const DeviceMemory &memory() const { return Memory; }
 
   bool validRange(DevicePtr P, uint64_t Bytes) const {
     return P + Bytes <= Memory.size() && P + Bytes >= P;
@@ -288,7 +382,7 @@ public:
 
 private:
   const TargetInfo &Target;
-  std::vector<uint8_t> Memory;
+  DeviceMemory Memory;
   uint64_t Brk = 64; // address 0 reserved as null
   std::unordered_map<uint64_t, uint64_t> Allocations; // ptr -> size
   std::vector<std::pair<uint64_t, uint64_t>> FreeList; // (ptr, size)

@@ -4,11 +4,12 @@
 //
 //===----------------------------------------------------------------------===//
 //
-// Per-thread interpretation of allocated machine code. The instruction
-// stream is flattened for dispatch speed; semantics come from
-// ir/OpSemantics.h so the executor agrees bit-for-bit with the reference IR
-// interpreter and the constant folder. Threads run sequentially (the
-// simulation is deterministic); atomics therefore serialize naturally.
+// Per-thread interpretation of allocated machine code. Each kernel is
+// decoded once, at load, into a flat instruction stream (decodeKernel);
+// semantics come from ir/OpSemantics.h so the executor agrees bit-for-bit
+// with the reference IR interpreter and the constant folder. Threads run
+// sequentially (the simulation is deterministic); atomics therefore
+// serialize naturally.
 //
 // Address map: [0, MemSize) is device global memory; addresses at or above
 // LocalBase are thread-private scratch from allocas, resolved per thread.
@@ -28,45 +29,205 @@ using namespace proteus;
 using namespace proteus::gpu;
 using namespace proteus::mcode;
 using pir::Type;
+using pir::ValueKind;
 
 namespace {
 
 constexpr uint64_t LocalBase = 1ull << 40;
 
-/// Flattened instruction stream: block -> first instruction index.
-struct FlatCode {
-  std::vector<MachineInstr> Instrs;
-  std::vector<uint32_t> BlockStart;
+/// Owner of the Type singletons decoded instructions point at. Types are
+/// stateless, so one context serves every kernel.
+pir::Context KernelTypes;
 
-  explicit FlatCode(const MachineFunction &MF) {
-    for (const MachineBlock &MB : MF.Blocks) {
-      BlockStart.push_back(static_cast<uint32_t>(Instrs.size()));
-      Instrs.insert(Instrs.end(), MB.Instrs.begin(), MB.Instrs.end());
-    }
-  }
-};
-
-/// Maps a serialized type tag back to a Type singleton for the shared
-/// OpSemantics evaluators (lazily constructed; types are stateless).
-pir::Type *typeForTag(Type::Kind K) {
-  static pir::Context TypeContext;
-  return TypeContext.getType(K);
+bool inKinds(uint16_t Aux, ValueKind First, ValueKind Last) {
+  return Aux >= static_cast<uint16_t>(First) &&
+         Aux <= static_cast<uint16_t>(Last);
 }
 
-/// Width-aware memory access helpers.
-inline unsigned typeSize(Type::Kind K) {
-  switch (K) {
-  case Type::Kind::I1:
-    return 1;
-  case Type::Kind::I32:
-  case Type::Kind::F32:
-    return 4;
-  default:
-    return 8;
+/// Decodes one instruction; returns false when an operand is out of range
+/// for the kernel's register file, spill area or sub-opcode space.
+bool decodeInstr(const MachineFunction &MF, const MachineInstr &MI,
+                 const std::vector<uint32_t> &BlockStart, DecodedInstr &D) {
+  D.Op = MI.Op;
+  D.Aux = MI.Aux;
+  D.Dst = MI.Dst;
+  D.Src1 = MI.Src1;
+  D.Src2 = MI.Src2;
+  D.Src3 = MI.Src3;
+  D.Imm = MI.Imm;
+  D.Ty = KernelTypes.getType(MI.TypeTag);
+  D.Size = MI.TypeTag == Type::Kind::I1 ? 1
+           : MI.TypeTag == Type::Kind::I32 || MI.TypeTag == Type::Kind::F32
+               ? 4
+               : 8;
+  const StatSlot Alu = MI.Uniform ? StatSlot::SALUInsts : StatSlot::VALUInsts;
+  D.Stats[0] = StatSlot::TotalInstrs;
+
+  // Which register operands the op reads and writes.
+  bool Dst = true, S1 = false, S2 = false, S3 = false;
+  bool AuxOk = true;
+  switch (MI.Op) {
+  case MOp::Nop:
+  case MOp::Ret:
+    Dst = false;
+    break;
+  case MOp::MovRR:
+    S1 = true;
+    D.Stats[1] = Alu;
+    break;
+  case MOp::MovImm:
+    // Immediate materialization is folded into instruction encodings
+    // (inline literals / constant banks) on both real ISAs: free.
+    D.Stats[0] = StatSlot::Discard;
+    break;
+  case MOp::Binary: {
+    S1 = S2 = true;
+    D.Stats[1] = Alu;
+    AuxOk = inKinds(MI.Aux, ValueKind::Add, ValueKind::SMax);
+    auto K = static_cast<ValueKind>(MI.Aux);
+    if (K == ValueKind::Pow)
+      D.Stats[2] = StatSlot::TranscendentalInsts;
+    else if (K == ValueKind::SDiv || K == ValueKind::UDiv ||
+             K == ValueKind::SRem || K == ValueKind::URem ||
+             K == ValueKind::FDiv)
+      D.Stats[2] = StatSlot::DivInsts;
+    break;
   }
+  case MOp::Unary: {
+    S1 = true;
+    D.Stats[1] = Alu;
+    AuxOk = inKinds(MI.Aux, ValueKind::FNeg, ValueKind::Floor);
+    auto K = static_cast<ValueKind>(MI.Aux);
+    if (K != ValueKind::FNeg && K != ValueKind::Fabs)
+      D.Stats[2] = StatSlot::TranscendentalInsts;
+    break;
+  }
+  case MOp::Cast:
+    S1 = true;
+    D.Stats[1] = Alu;
+    AuxOk = inKinds(MI.Aux, ValueKind::Trunc, ValueKind::PtrToInt) &&
+            MI.Imm2 >= 0 && MI.Imm2 <= static_cast<int32_t>(Type::Kind::Ptr);
+    if (AuxOk)
+      D.CastTy = KernelTypes.getType(static_cast<Type::Kind>(MI.Imm2));
+    break;
+  case MOp::ICmp:
+    S1 = S2 = true;
+    D.Stats[1] = Alu;
+    AuxOk = MI.Aux <= static_cast<uint16_t>(pir::ICmpPred::UGE);
+    break;
+  case MOp::FCmp:
+    S1 = S2 = true;
+    D.Stats[1] = Alu;
+    AuxOk = MI.Aux <= static_cast<uint16_t>(pir::FCmpPred::OGE);
+    break;
+  case MOp::Sel:
+    S1 = S2 = S3 = true;
+    D.Stats[1] = Alu;
+    break;
+  case MOp::Ld:
+    S1 = true;
+    D.Stats[1] = StatSlot::MemLoads;
+    break;
+  case MOp::St:
+    Dst = false;
+    S1 = S2 = true;
+    D.Stats[1] = StatSlot::MemStores;
+    break;
+  case MOp::PtrAdd:
+    S1 = S2 = true;
+    D.Stats[1] = Alu;
+    break;
+  case MOp::AtomicAdd:
+    S1 = S2 = true;
+    D.Stats[1] = StatSlot::Atomics;
+    D.Aux = static_cast<uint16_t>(D.Ty->isFloatingPoint() ? ValueKind::FAdd
+                                                          : ValueKind::Add);
+    break;
+  case MOp::LdSpill:
+    D.Stats[1] = StatSlot::SpillLoads;
+    AuxOk = MI.Imm >= 0 && static_cast<uint64_t>(MI.Imm) < MF.NumSpillSlots;
+    break;
+  case MOp::StSpill:
+    Dst = false;
+    S1 = true;
+    D.Stats[1] = StatSlot::SpillStores;
+    AuxOk = MI.Imm >= 0 && static_cast<uint64_t>(MI.Imm) < MF.NumSpillSlots;
+    break;
+  case MOp::ReadSpecial:
+    D.Stats[1] = Alu;
+    AuxOk = MI.Aux <= static_cast<uint16_t>(SpecialReg::NctaidZ);
+    break;
+  case MOp::Bar:
+    Dst = false;
+    D.Stats[1] = StatSlot::Barriers;
+    break;
+  case MOp::Br:
+  case MOp::CondBr:
+    Dst = false;
+    S1 = MI.Op == MOp::CondBr;
+    D.Stats[1] = StatSlot::Branches;
+    AuxOk = MI.Imm >= 0 && static_cast<uint64_t>(MI.Imm) < BlockStart.size() &&
+            (!S1 || static_cast<uint32_t>(MI.Imm2) < BlockStart.size());
+    if (AuxOk) {
+      D.Imm = BlockStart[static_cast<size_t>(MI.Imm)];
+      D.Imm2 = S1 ? BlockStart[static_cast<uint32_t>(MI.Imm2)] : 0;
+    }
+    break;
+  case MOp::Alloca:
+    D.Stats[1] = Alu;
+    D.Imm = static_cast<int64_t>(LocalBase + static_cast<uint64_t>(MI.Imm));
+    break;
+  }
+  const uint32_t N = MF.NumRegs;
+  return AuxOk && (!Dst || MI.Dst < N) && (!S1 || MI.Src1 < N) &&
+         (!S2 || MI.Src2 < N) && (!S3 || MI.Src3 < N);
 }
 
 } // namespace
+
+bool proteus::gpu::decodeKernel(const MachineFunction &MF, LoadedKernel &Out,
+                                std::string *Error) {
+  auto fail = [&](std::string Msg) {
+    if (Error)
+      *Error = std::move(Msg);
+    return false;
+  };
+  if (!MF.Allocated)
+    return fail("kernel " + MF.Name + " is not register-allocated");
+  for (const MachineParam &P : MF.Params) {
+    bool InRange =
+        P.ArgReg != NoReg
+            ? P.ArgReg < MF.NumRegs
+            : P.SpillSlot < 0 ||
+                  static_cast<uint32_t>(P.SpillSlot) < MF.NumSpillSlots;
+    if (!InRange)
+      return fail("kernel " + MF.Name + ": parameter register out of range");
+  }
+
+  std::vector<uint32_t> BlockStart;
+  uint32_t Total = 0;
+  for (const MachineBlock &MB : MF.Blocks) {
+    BlockStart.push_back(Total);
+    Total += static_cast<uint32_t>(MB.Instrs.size());
+  }
+  Out.Code.clear();
+  Out.Code.reserve(Total);
+  for (const MachineBlock &MB : MF.Blocks)
+    for (const MachineInstr &MI : MB.Instrs) {
+      Out.Code.emplace_back();
+      if (!decodeInstr(MF, MI, BlockStart, Out.Code.back()))
+        return fail(formatString("kernel %s: malformed %s at instruction %zu",
+                                 MF.Name.c_str(), mopName(MI.Op),
+                                 Out.Code.size() - 1));
+    }
+  Out.Name = MF.Name;
+  Out.Params = MF.Params;
+  Out.NumRegs = MF.NumRegs;
+  Out.NumSpillSlots = MF.NumSpillSlots;
+  Out.LocalBytes = MF.LocalBytes;
+  Out.LaunchBoundsThreads = MF.LaunchBoundsThreads;
+  return true;
+}
 
 LaunchResult proteus::gpu::launchKernel(Device &Dev,
                                         const LoadedKernel &Kernel,
@@ -74,15 +235,11 @@ LaunchResult proteus::gpu::launchKernel(Device &Dev,
                                         const std::vector<KernelArg> &Args,
                                         uint64_t MaxStepsPerThread) {
   LaunchResult Out;
-  const MachineFunction &MF = Kernel.MF;
-  if (!MF.Allocated) {
-    Out.Error = "kernel is not register-allocated";
-    return Out;
-  }
-  if (Args.size() != MF.Params.size()) {
+  if (Args.size() != Kernel.Params.size()) {
     Out.Error = formatString("argument count mismatch: got %zu, kernel %s "
                              "takes %zu",
-                             Args.size(), MF.Name.c_str(), MF.Params.size());
+                             Args.size(), Kernel.Name.c_str(),
+                             Kernel.Params.size());
     return Out;
   }
   if (Grid.count() == 0 || Block.count() == 0) {
@@ -90,31 +247,40 @@ LaunchResult proteus::gpu::launchKernel(Device &Dev,
     return Out;
   }
 
-  FlatCode Code(MF);
   LaunchStats &S = Out.Stats;
-  S.Kernel = MF.Name;
+  S.Kernel = Kernel.Name;
   S.Blocks = Grid.count();
   S.ThreadsPerBlock = Block.count();
-  S.RegsUsed = MF.NumRegs;
-  S.SpillSlots = MF.NumSpillSlots;
-  S.LaunchBoundsThreads = MF.LaunchBoundsThreads;
+  S.RegsUsed = Kernel.NumRegs;
+  S.SpillSlots = Kernel.NumSpillSlots;
+  S.LaunchBoundsThreads = Kernel.LaunchBoundsThreads;
 
-  std::vector<uint8_t> &Mem = Dev.memory();
+  uint8_t *const Mem = Dev.memory().data();
   L2Cache &L2 = Dev.l2();
+  const DecodedInstr *const Code = Kernel.Code.data();
+  const uint32_t CodeSize = static_cast<uint32_t>(Kernel.Code.size());
 
-  std::vector<uint64_t> Regs(MF.NumRegs, 0);
-  std::vector<uint64_t> Spill(MF.NumSpillSlots, 0);
-  std::vector<uint8_t> Local(MF.LocalBytes, 0);
+  std::vector<uint64_t> RegFile(Kernel.NumRegs, 0);
+  std::vector<uint64_t> SpillArea(Kernel.NumSpillSlots, 0);
+  std::vector<uint8_t> Local(Kernel.LocalBytes, 0);
+  uint64_t *const Regs = RegFile.data();
+  uint64_t *const Spill = SpillArea.data();
+  // Instruction counts are derived after the launch from how often each
+  // instruction index was entered (thread start or branch target): every
+  // straight-line run from an entry to the next terminator executes whole.
+  // One extra slot: an empty last block starts at Code.size().
+  std::vector<uint64_t> Entries(Kernel.Code.size() + 1, 0);
+  uint64_t L2Hits = 0, L2Misses = 0;
 
   // Scratch (spill + alloca) L2 pollution: give each thread distinct
   // synthetic addresses above the global range so heavy spilling evicts
   // useful lines, as it does on real hardware.
-  const uint64_t ScratchL2Base = Mem.size();
+  const uint64_t ScratchL2Base = Dev.memory().size();
   const uint64_t PerThreadScratch =
-      static_cast<uint64_t>(MF.NumSpillSlots) * 8 + MF.LocalBytes + 64;
+      static_cast<uint64_t>(Kernel.NumSpillSlots) * 8 + Kernel.LocalBytes +
+      64;
 
-  auto resolve = [&](uint64_t Addr, unsigned Size,
-                     uint8_t *&P) -> bool {
+  auto resolve = [&](uint64_t Addr, unsigned Size, uint8_t *&P) -> bool {
     if (Addr >= LocalBase) {
       uint64_t Off = Addr - LocalBase;
       if (Off + Size > Local.size())
@@ -124,35 +290,35 @@ LaunchResult proteus::gpu::launchKernel(Device &Dev,
     }
     if (!Dev.validRange(Addr, Size))
       return false;
-    P = Mem.data() + Addr;
+    P = Mem + Addr;
     return true;
   };
 
   const uint64_t BlocksTotal = Grid.count();
   const uint64_t ThreadsPerBlk = Block.count();
   uint64_t ThreadLinear = 0;
+  // Geometry registers in SpecialReg order: tid, ctaid, ntid, nctaid.
+  uint32_t Geo[12] = {0, 0, 0, 0, 0, 0, Block.X, Block.Y, Block.Z,
+                      Grid.X, Grid.Y, Grid.Z};
 
   for (uint64_t Blk = 0; Blk != BlocksTotal && Out.Error.empty(); ++Blk) {
-    uint32_t Ctaid[3] = {
-        static_cast<uint32_t>(Blk % Grid.X),
-        static_cast<uint32_t>(Blk / Grid.X % Grid.Y),
-        static_cast<uint32_t>(Blk / (static_cast<uint64_t>(Grid.X) * Grid.Y))};
+    Geo[3] = static_cast<uint32_t>(Blk % Grid.X);
+    Geo[4] = static_cast<uint32_t>(Blk / Grid.X % Grid.Y);
+    Geo[5] = static_cast<uint32_t>(
+        Blk / (static_cast<uint64_t>(Grid.X) * Grid.Y));
     for (uint64_t T = 0; T != ThreadsPerBlk && Out.Error.empty();
          ++T, ++ThreadLinear) {
-      uint32_t Tid[3] = {
-          static_cast<uint32_t>(T % Block.X),
-          static_cast<uint32_t>(T / Block.X % Block.Y),
-          static_cast<uint32_t>(T /
-                                (static_cast<uint64_t>(Block.X) * Block.Y))};
+      Geo[0] = static_cast<uint32_t>(T % Block.X);
+      Geo[1] = static_cast<uint32_t>(T / Block.X % Block.Y);
+      Geo[2] = static_cast<uint32_t>(
+          T / (static_cast<uint64_t>(Block.X) * Block.Y));
 
       // Initialize registers/spill slots for this thread.
-      std::fill(Regs.begin(), Regs.end(), 0);
-      if (!Spill.empty())
-        std::fill(Spill.begin(), Spill.end(), 0);
-      if (!Local.empty())
-        std::fill(Local.begin(), Local.end(), 0);
+      std::fill(RegFile.begin(), RegFile.end(), 0);
+      std::fill(SpillArea.begin(), SpillArea.end(), 0);
+      std::fill(Local.begin(), Local.end(), 0);
       for (size_t A = 0; A != Args.size(); ++A) {
-        const MachineParam &P = MF.Params[A];
+        const MachineParam &P = Kernel.Params[A];
         if (P.ArgReg != NoReg)
           Regs[P.ArgReg] = Args[A].Bits;
         else if (P.SpillSlot >= 0)
@@ -161,231 +327,140 @@ LaunchResult proteus::gpu::launchKernel(Device &Dev,
 
       const uint64_t ThreadScratchBase =
           ScratchL2Base + ThreadLinear * PerThreadScratch;
+      auto touchL2 = [&](uint64_t Addr) {
+        bool Hit = L2.access(Addr >= LocalBase
+                                 ? ThreadScratchBase + (Addr - LocalBase)
+                                 : Addr);
+        Hit ? ++L2Hits : ++L2Misses;
+      };
 
       uint64_t Steps = 0;
-      uint32_t PC = Code.BlockStart.empty() ? 0 : Code.BlockStart[0];
+      uint32_t PC = 0;
+      ++Entries[0];
       bool Running = true;
       while (Running) {
-        if (PC >= Code.Instrs.size()) {
+        if (PC >= CodeSize) {
           Out.Error = "PC ran off the end of the kernel";
           break;
         }
         if (++Steps > MaxStepsPerThread) {
-          Out.Error = "per-thread step limit exceeded in " + MF.Name;
+          Out.Error = "per-thread step limit exceeded in " + Kernel.Name;
           break;
         }
-        const MachineInstr &MI = Code.Instrs[PC++];
-        if (MI.Op != MOp::MovImm)
-          ++S.TotalInstrs;
-        switch (MI.Op) {
+        const DecodedInstr &I = Code[PC++];
+        switch (I.Op) {
         case MOp::Nop:
           break;
         case MOp::MovRR:
-          Regs[MI.Dst] = Regs[MI.Src1];
-          MI.Uniform ? ++S.SALUInsts : ++S.VALUInsts;
+          Regs[I.Dst] = Regs[I.Src1];
           break;
         case MOp::MovImm:
-          // Immediate materialization is folded into instruction encodings
-          // (inline literals / constant banks) on both real ISAs: free.
-          Regs[MI.Dst] = static_cast<uint64_t>(MI.Imm);
+          Regs[I.Dst] = static_cast<uint64_t>(I.Imm);
           break;
-        case MOp::Binary: {
-          pir::ValueKind K = static_cast<pir::ValueKind>(MI.Aux);
-          Regs[MI.Dst] = pir::sem::evalBinary(
-              K, typeForTag(MI.TypeTag), Regs[MI.Src1], Regs[MI.Src2]);
-          MI.Uniform ? ++S.SALUInsts : ++S.VALUInsts;
-          if (K == pir::ValueKind::Pow)
-            ++S.TranscendentalInsts;
-          else if (K == pir::ValueKind::SDiv || K == pir::ValueKind::UDiv ||
-                   K == pir::ValueKind::SRem || K == pir::ValueKind::URem ||
-                   K == pir::ValueKind::FDiv)
-            ++S.DivInsts;
+        case MOp::Binary:
+          Regs[I.Dst] = pir::sem::evalBinary(static_cast<ValueKind>(I.Aux),
+                                             I.Ty, Regs[I.Src1], Regs[I.Src2]);
           break;
-        }
-        case MOp::Unary: {
-          pir::ValueKind K = static_cast<pir::ValueKind>(MI.Aux);
-          Regs[MI.Dst] = pir::sem::evalUnary(K, typeForTag(MI.TypeTag),
-                                             Regs[MI.Src1]);
-          MI.Uniform ? ++S.SALUInsts : ++S.VALUInsts;
-          if (K != pir::ValueKind::FNeg && K != pir::ValueKind::Fabs)
-            ++S.TranscendentalInsts;
+        case MOp::Unary:
+          Regs[I.Dst] = pir::sem::evalUnary(static_cast<ValueKind>(I.Aux),
+                                            I.Ty, Regs[I.Src1]);
           break;
-        }
         case MOp::Cast:
-          Regs[MI.Dst] = pir::sem::evalCast(
-              static_cast<pir::ValueKind>(MI.Aux), typeForTag(MI.TypeTag),
-              typeForTag(static_cast<Type::Kind>(MI.Imm2)), Regs[MI.Src1]);
-          MI.Uniform ? ++S.SALUInsts : ++S.VALUInsts;
+          Regs[I.Dst] = pir::sem::evalCast(static_cast<ValueKind>(I.Aux), I.Ty,
+                                           I.CastTy, Regs[I.Src1]);
           break;
         case MOp::ICmp:
-          Regs[MI.Dst] = pir::sem::evalICmp(
-                             static_cast<pir::ICmpPred>(MI.Aux),
-                             typeForTag(MI.TypeTag), Regs[MI.Src1],
-                             Regs[MI.Src2])
-                             ? 1
-                             : 0;
-          MI.Uniform ? ++S.SALUInsts : ++S.VALUInsts;
+          Regs[I.Dst] =
+              pir::sem::evalICmp(static_cast<pir::ICmpPred>(I.Aux), I.Ty,
+                                 Regs[I.Src1], Regs[I.Src2]);
           break;
         case MOp::FCmp:
-          Regs[MI.Dst] = pir::sem::evalFCmp(
-                             static_cast<pir::FCmpPred>(MI.Aux),
-                             typeForTag(MI.TypeTag), Regs[MI.Src1],
-                             Regs[MI.Src2])
-                             ? 1
-                             : 0;
-          MI.Uniform ? ++S.SALUInsts : ++S.VALUInsts;
+          Regs[I.Dst] =
+              pir::sem::evalFCmp(static_cast<pir::FCmpPred>(I.Aux), I.Ty,
+                                 Regs[I.Src1], Regs[I.Src2]);
           break;
         case MOp::Sel:
-          Regs[MI.Dst] =
-              (Regs[MI.Src1] & 1) ? Regs[MI.Src2] : Regs[MI.Src3];
-          MI.Uniform ? ++S.SALUInsts : ++S.VALUInsts;
+          Regs[I.Dst] = (Regs[I.Src1] & 1) ? Regs[I.Src2] : Regs[I.Src3];
           break;
         case MOp::Ld: {
-          unsigned Size = typeSize(MI.TypeTag);
           uint8_t *P = nullptr;
-          uint64_t Addr = Regs[MI.Src1];
-          if (!resolve(Addr, Size, P)) {
+          uint64_t Addr = Regs[I.Src1];
+          if (!resolve(Addr, I.Size, P)) {
             Out.Error = formatString("load out of bounds at 0x%llx in %s",
                                      static_cast<unsigned long long>(Addr),
-                                     MF.Name.c_str());
+                                     Kernel.Name.c_str());
             Running = false;
             break;
           }
           uint64_t Bits = 0;
-          std::memcpy(&Bits, P, Size);
-          Regs[MI.Dst] = Bits;
-          ++S.MemLoads;
-          bool Hit = L2.access(Addr >= LocalBase
-                                   ? ThreadScratchBase + (Addr - LocalBase)
-                                   : Addr);
-          Hit ? ++S.L2Hits : ++S.L2Misses;
+          std::memcpy(&Bits, P, I.Size);
+          Regs[I.Dst] = Bits;
+          touchL2(Addr);
           break;
         }
         case MOp::St: {
-          unsigned Size = typeSize(MI.TypeTag);
           uint8_t *P = nullptr;
-          uint64_t Addr = Regs[MI.Src2];
-          if (!resolve(Addr, Size, P)) {
+          uint64_t Addr = Regs[I.Src2];
+          if (!resolve(Addr, I.Size, P)) {
             Out.Error = formatString("store out of bounds at 0x%llx in %s",
                                      static_cast<unsigned long long>(Addr),
-                                     MF.Name.c_str());
+                                     Kernel.Name.c_str());
             Running = false;
             break;
           }
-          std::memcpy(P, &Regs[MI.Src1], Size);
-          ++S.MemStores;
-          bool Hit = L2.access(Addr >= LocalBase
-                                   ? ThreadScratchBase + (Addr - LocalBase)
-                                   : Addr);
-          Hit ? ++S.L2Hits : ++S.L2Misses;
+          std::memcpy(P, &Regs[I.Src1], I.Size);
+          touchL2(Addr);
           break;
         }
         case MOp::PtrAdd: {
-          int64_t Idx = pir::sem::signExtend(typeForTag(MI.TypeTag),
-                                             Regs[MI.Src2]);
-          Regs[MI.Dst] =
-              Regs[MI.Src1] + static_cast<uint64_t>(Idx * MI.Imm);
-          MI.Uniform ? ++S.SALUInsts : ++S.VALUInsts;
+          int64_t Idx = pir::sem::signExtend(I.Ty, Regs[I.Src2]);
+          Regs[I.Dst] = Regs[I.Src1] + static_cast<uint64_t>(Idx * I.Imm);
           break;
         }
         case MOp::AtomicAdd: {
-          unsigned Size = typeSize(MI.TypeTag);
           uint8_t *P = nullptr;
-          uint64_t Addr = Regs[MI.Src1];
-          if (!resolve(Addr, Size, P)) {
-            Out.Error = "atomic out of bounds in " + MF.Name;
+          uint64_t Addr = Regs[I.Src1];
+          if (!resolve(Addr, I.Size, P)) {
+            Out.Error = "atomic out of bounds in " + Kernel.Name;
             Running = false;
             break;
           }
           uint64_t Old = 0;
-          std::memcpy(&Old, P, Size);
-          pir::Type *Ty = typeForTag(MI.TypeTag);
-          uint64_t Sum = Ty->isFloatingPoint()
-                             ? pir::sem::evalBinary(pir::ValueKind::FAdd, Ty,
-                                                    Old, Regs[MI.Src2])
-                             : pir::sem::evalBinary(pir::ValueKind::Add, Ty,
-                                                    Old, Regs[MI.Src2]);
-          std::memcpy(P, &Sum, Size);
-          Regs[MI.Dst] = Old;
-          ++S.Atomics;
-          bool Hit = L2.access(Addr);
-          Hit ? ++S.L2Hits : ++S.L2Misses;
+          std::memcpy(&Old, P, I.Size);
+          uint64_t Sum = pir::sem::evalBinary(static_cast<ValueKind>(I.Aux),
+                                              I.Ty, Old, Regs[I.Src2]);
+          std::memcpy(P, &Sum, I.Size);
+          Regs[I.Dst] = Old;
+          L2.access(Addr) ? ++L2Hits : ++L2Misses;
           break;
         }
         case MOp::LdSpill:
-          Regs[MI.Dst] = Spill[static_cast<size_t>(MI.Imm)];
-          ++S.SpillLoads;
+          Regs[I.Dst] = Spill[static_cast<size_t>(I.Imm)];
           break;
         case MOp::StSpill:
-          Spill[static_cast<size_t>(MI.Imm)] = Regs[MI.Src1];
-          ++S.SpillStores;
+          Spill[static_cast<size_t>(I.Imm)] = Regs[I.Src1];
           break;
-        case MOp::ReadSpecial: {
-          uint32_t V = 0;
-          switch (static_cast<SpecialReg>(MI.Aux)) {
-          case SpecialReg::TidX:
-            V = Tid[0];
-            break;
-          case SpecialReg::TidY:
-            V = Tid[1];
-            break;
-          case SpecialReg::TidZ:
-            V = Tid[2];
-            break;
-          case SpecialReg::CtaidX:
-            V = Ctaid[0];
-            break;
-          case SpecialReg::CtaidY:
-            V = Ctaid[1];
-            break;
-          case SpecialReg::CtaidZ:
-            V = Ctaid[2];
-            break;
-          case SpecialReg::NtidX:
-            V = Block.X;
-            break;
-          case SpecialReg::NtidY:
-            V = Block.Y;
-            break;
-          case SpecialReg::NtidZ:
-            V = Block.Z;
-            break;
-          case SpecialReg::NctaidX:
-            V = Grid.X;
-            break;
-          case SpecialReg::NctaidY:
-            V = Grid.Y;
-            break;
-          case SpecialReg::NctaidZ:
-            V = Grid.Z;
-            break;
-          }
-          Regs[MI.Dst] = V;
-          MI.Uniform ? ++S.SALUInsts : ++S.VALUInsts;
+        case MOp::ReadSpecial:
+          Regs[I.Dst] = Geo[I.Aux];
           break;
-        }
         case MOp::Bar:
           // Thread-sequential functional simulation: a barrier only costs
           // time (allocas are thread-private, so no cross-thread data flows
           // through it).
-          ++S.Barriers;
           break;
         case MOp::Br:
-          PC = Code.BlockStart[static_cast<size_t>(MI.Imm)];
-          ++S.Branches;
+          PC = static_cast<uint32_t>(I.Imm);
+          ++Entries[PC];
           break;
         case MOp::CondBr:
-          PC = (Regs[MI.Src1] & 1)
-                   ? Code.BlockStart[static_cast<size_t>(MI.Imm)]
-                   : Code.BlockStart[static_cast<uint32_t>(MI.Imm2)];
-          ++S.Branches;
+          PC = (Regs[I.Src1] & 1) ? static_cast<uint32_t>(I.Imm) : I.Imm2;
+          ++Entries[PC];
           break;
         case MOp::Ret:
           Running = false;
           break;
         case MOp::Alloca:
-          Regs[MI.Dst] = LocalBase + static_cast<uint64_t>(MI.Imm);
-          MI.Uniform ? ++S.SALUInsts : ++S.VALUInsts;
+          Regs[I.Dst] = static_cast<uint64_t>(I.Imm);
           break;
         }
       }
@@ -394,6 +469,32 @@ LaunchResult proteus::gpu::launchKernel(Device &Dev,
 
   if (!Out.Error.empty())
     return Out;
+
+  uint64_t Count[static_cast<size_t>(StatSlot::NumSlots)] = {};
+  uint64_t Executed = 0;
+  for (uint32_t Idx = 0; Idx != CodeSize; ++Idx) {
+    const DecodedInstr &I = Code[Idx];
+    Executed += Entries[Idx];
+    for (StatSlot Slot : I.Stats)
+      Count[static_cast<size_t>(Slot)] += Executed;
+    if (I.Op == MOp::Br || I.Op == MOp::CondBr || I.Op == MOp::Ret)
+      Executed = 0;
+  }
+  auto count = [&](StatSlot Slot) { return Count[static_cast<size_t>(Slot)]; };
+  S.TotalInstrs = count(StatSlot::TotalInstrs);
+  S.VALUInsts = count(StatSlot::VALUInsts);
+  S.SALUInsts = count(StatSlot::SALUInsts);
+  S.MemLoads = count(StatSlot::MemLoads);
+  S.MemStores = count(StatSlot::MemStores);
+  S.SpillLoads = count(StatSlot::SpillLoads);
+  S.SpillStores = count(StatSlot::SpillStores);
+  S.Atomics = count(StatSlot::Atomics);
+  S.Branches = count(StatSlot::Branches);
+  S.Barriers = count(StatSlot::Barriers);
+  S.TranscendentalInsts = count(StatSlot::TranscendentalInsts);
+  S.DivInsts = count(StatSlot::DivInsts);
+  S.L2Hits = L2Hits;
+  S.L2Misses = L2Misses;
 
   // The executor computes the launch's cost but does not charge any stream
   // timeline: the Runtime.h wrappers decide which timeline pays (serial

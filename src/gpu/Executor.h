@@ -45,6 +45,13 @@ struct LaunchResult {
   LaunchStats Stats;
 };
 
+/// Decodes an allocated machine function into \p Out's header and flat code
+/// stream. Fails (setting \p Error) on an unallocated function or on an
+/// operand out of range for its register file, spill area, block list or
+/// sub-opcode space, so launches can trust every index.
+bool decodeKernel(const mcode::MachineFunction &MF, LoadedKernel &Out,
+                  std::string *Error = nullptr);
+
 /// Runs \p Kernel over the grid. Fails cleanly on out-of-bounds accesses,
 /// bad argument counts, or runaway execution (per-thread step limit).
 LaunchResult launchKernel(Device &Dev, const LoadedKernel &Kernel,

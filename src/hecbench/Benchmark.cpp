@@ -272,6 +272,8 @@ RunResult proteus::hecbench::runBenchmark(const Benchmark &B,
 
   // --- Verify --------------------------------------------------------------------------
   BufferReader Reader(Dev, BufferPtrs, BufferSizes);
+  for (const auto &[Name, Ptr] : BufferPtrs)
+    Out.Outputs[Name] = Reader.bytes(Name);
   Out.Verified = B.verifyOutput(Reader);
   if (!Out.Verified) {
     Out.Error = "output verification failed";

@@ -162,6 +162,8 @@ struct RunResult {
   JitRuntimeStats Jit;
   /// Per-kernel aggregated counters (Figures 7-11).
   std::map<std::string, gpu::LaunchStats> Profile;
+  /// Final contents of every buffer, by name.
+  std::map<std::string, std::vector<uint8_t>> Outputs;
 };
 
 /// Executes \p B once under \p Config.

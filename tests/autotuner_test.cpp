@@ -149,6 +149,22 @@ TEST(AutoTunerTest, PicksAValidCandidateAndLeavesStateClean) {
   EXPECT_DOUBLE_EQ(H.Dev->simulatedSeconds(), SimBefore);
 }
 
+TEST(AutoTunerTest, RestoreLeavesDeviceMemoryByteIdentical) {
+  // Trials mutate Y in place; bytes outside every allocation (including the
+  // last page) and the untouched pages between must come back as they were.
+  Harness H;
+  DeviceMemory &Mem = H.Dev->memory();
+  Mem[Mem.size() - 1] = 0xA5;
+  Mem[Mem.size() / 2] = 0x5A;
+  std::vector<uint8_t> Before = Mem;
+  TuningResult R = autotuneBlockSize(*H.Dev, *H.Jit, "daxpy", Harness::N,
+                                     H.args(), {64, 256});
+  ASSERT_TRUE(R.Ok) << R.Error;
+  EXPECT_TRUE(Mem == Before);
+  EXPECT_EQ(Mem[Mem.size() - 1], 0xA5);
+  EXPECT_EQ(Mem[Mem.size() / 2], 0x5A);
+}
+
 TEST(AutoTunerTest, TrialSpecializationsWarmTheCache) {
   Harness H;
   TuningResult R = autotuneBlockSize(*H.Dev, *H.Jit, "daxpy", Harness::N,

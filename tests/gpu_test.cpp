@@ -23,6 +23,8 @@
 
 #include <gtest/gtest.h>
 
+#include <sys/resource.h>
+
 using namespace pir;
 using namespace proteus;
 using namespace proteus::gpu;
@@ -42,6 +44,137 @@ TEST(DeviceTest, AllocateFreeReuse) {
   EXPECT_EQ(C, A) << "free list should be reused first-fit";
   // Exhaustion returns null, not UB.
   EXPECT_EQ(Dev.allocate(2u << 20), 0u);
+}
+
+TEST(DeviceTest, OversizedMallocFailsInsteadOfWrapping) {
+  // Rounding a request near 2^64 up to the 256-byte granule used to wrap to
+  // 0 bytes, so the request "succeeded" and aliased the next allocation.
+  Device Dev(getAmdGcnSimTarget(), 1 << 20);
+  DevicePtr P = 0;
+  EXPECT_EQ(gpuMalloc(Dev, &P, ~0ull - 10), GpuError::OutOfMemory);
+  EXPECT_EQ(P, 0u);
+  EXPECT_EQ(gpuMalloc(Dev, &P, (1u << 20) + 1), GpuError::OutOfMemory);
+  DevicePtr Q = 0, R = 0;
+  ASSERT_EQ(gpuMalloc(Dev, &Q, 64), GpuError::Success);
+  ASSERT_EQ(gpuMalloc(Dev, &R, 64), GpuError::Success);
+  EXPECT_NE(Q, R);
+  // The same holds when the request is served from the free list.
+  ASSERT_EQ(gpuFree(Dev, Q), GpuError::Success);
+  EXPECT_EQ(gpuMalloc(Dev, &P, ~0ull - 10), GpuError::OutOfMemory);
+  EXPECT_EQ(Dev.allocate(~0ull), 0u);
+}
+
+TEST(DeviceMemoryTest, FreshDeviceReadsZeroAtBothEnds) {
+  Device Dev(getAmdGcnSimTarget());
+  const DeviceMemory &Mem = Dev.memory();
+  ASSERT_EQ(Mem.size(), 1ull << 28);
+  EXPECT_EQ(Mem[0], 0);
+  EXPECT_EQ(Mem[Mem.size() - 1], 0);
+  EXPECT_EQ(Mem.data()[Mem.size() / 2], 0);
+}
+
+TEST(DeviceMemoryTest, UntouchedPagesCostNoFaults) {
+  auto minorFaults = [] {
+    struct rusage U;
+    getrusage(RUSAGE_SELF, &U);
+    return U.ru_minflt;
+  };
+  long Before = minorFaults();
+  {
+    Device Dev(getAmdGcnSimTarget());
+    Dev.memory()[Dev.memory().size() / 2] = 7;
+    EXPECT_EQ(Dev.memory()[Dev.memory().size() / 2], 7);
+  }
+  // An eagerly zero-filled 256 MiB device faults in all 65,536 pages.
+  EXPECT_LT(minorFaults() - Before, 1000);
+}
+
+TEST(DeviceMemoryTest, ValidRangeEdgeCases) {
+  const uint64_t Size = 1 << 20;
+  Device Dev(getAmdGcnSimTarget(), Size);
+  EXPECT_TRUE(Dev.validRange(0, 0));
+  EXPECT_TRUE(Dev.validRange(0, Size));
+  EXPECT_TRUE(Dev.validRange(Size, 0));
+  EXPECT_TRUE(Dev.validRange(Size - 1, 1));
+  EXPECT_TRUE(Dev.validRange(Size - 8, 8));
+  EXPECT_FALSE(Dev.validRange(Size, 1));
+  EXPECT_FALSE(Dev.validRange(Size - 7, 8));
+  EXPECT_FALSE(Dev.validRange(0, Size + 1));
+  EXPECT_FALSE(Dev.validRange(Size + 1, 0));
+  // Wrapping ranges are rejected.
+  EXPECT_FALSE(Dev.validRange(~0ull, 2));
+  EXPECT_FALSE(Dev.validRange(8, ~0ull));
+  EXPECT_FALSE(Dev.validRange(~0ull - 3, 8));
+}
+
+TEST(DeviceMemoryTest, SnapshotRestoreIsByteIdentical) {
+  Device Dev(getAmdGcnSimTarget(), 1 << 20);
+  DeviceMemory &Mem = Dev.memory();
+  Mem[100] = 1;
+  Mem[Mem.size() - 1] = 2;
+  std::vector<uint8_t> Snapshot = Mem;
+  ASSERT_EQ(Snapshot.size(), Mem.size());
+  EXPECT_TRUE(Mem == Snapshot);
+  Mem[100] = 9;
+  Mem[5000] = 3;
+  Mem[Mem.size() - 1] = 0;
+  EXPECT_TRUE(Mem != Snapshot);
+  Mem = Snapshot;
+  EXPECT_TRUE(Mem == Snapshot);
+  EXPECT_EQ(Mem[100], 1);
+  EXPECT_EQ(Mem[5000], 0);
+  EXPECT_EQ(Mem[Mem.size() - 1], 2);
+}
+
+TEST(ExecutorTest, DecodeResolvesTargetsAndRejectsBadOperands) {
+  using namespace proteus::mcode;
+  auto makeMF = [] {
+    MachineFunction MF;
+    MF.Name = "k";
+    MF.NumRegs = 2;
+    MF.Allocated = true;
+    MF.Blocks.resize(2);
+    MachineInstr Mov;
+    Mov.Op = MOp::MovImm;
+    Mov.Dst = 1;
+    Mov.Imm = 5;
+    MachineInstr Br;
+    Br.Op = MOp::Br;
+    Br.Imm = 1;
+    MachineInstr Ret;
+    Ret.Op = MOp::Ret;
+    MF.Blocks[0].Instrs = {Mov, Br};
+    MF.Blocks[1].Instrs = {Ret};
+    return MF;
+  };
+  LoadedKernel K;
+  std::string Err;
+  ASSERT_TRUE(decodeKernel(makeMF(), K, &Err)) << Err;
+  ASSERT_EQ(K.Code.size(), 3u);
+  EXPECT_EQ(K.Code[1].Imm, 2) << "branch targets become instruction indices";
+  EXPECT_EQ(K.Code[0].Stats[0], StatSlot::Discard) << "immediates are free";
+  EXPECT_EQ(K.Code[1].Stats[1], StatSlot::Branches);
+
+  MachineFunction MF = makeMF();
+  MF.Allocated = false;
+  EXPECT_FALSE(decodeKernel(MF, K, &Err));
+  MF = makeMF();
+  MF.Blocks[0].Instrs[0].Dst = 2; // register file has 2 registers
+  EXPECT_FALSE(decodeKernel(MF, K, &Err));
+  MF = makeMF();
+  MF.Blocks[0].Instrs[1].Imm = 2; // only 2 blocks
+  EXPECT_FALSE(decodeKernel(MF, K, &Err));
+  MF = makeMF();
+  MF.Blocks[0].Instrs[0].Op = MOp::Binary;
+  MF.Blocks[0].Instrs[0].Src1 = MF.Blocks[0].Instrs[0].Src2 = 0;
+  MF.Blocks[0].Instrs[0].Aux = static_cast<uint16_t>(ValueKind::FNeg);
+  EXPECT_FALSE(decodeKernel(MF, K, &Err)) << "unary kind on a binary op";
+  MF = makeMF();
+  MF.Blocks[0].Instrs[0].Op = MOp::LdSpill; // no spill slots
+  EXPECT_FALSE(decodeKernel(MF, K, &Err));
+  MF = makeMF();
+  MF.Params.push_back(MachineParam{Type::Kind::I64, 7});
+  EXPECT_FALSE(decodeKernel(MF, K, &Err));
 }
 
 TEST(DeviceTest, GlobalsRegisterOnceAndResolve) {

@@ -32,6 +32,7 @@
 #include "codegen/Compiler.h"
 #include "codegen/ISel.h"
 #include "gpu/Runtime.h"
+#include "hecbench/Benchmark.h"
 #include "ir/Context.h"
 #include "ir/OpSemantics.h"
 #include "jit/Program.h"
@@ -286,6 +287,29 @@ TEST(TieredJitTest, SyncColdLaunchServesTier0ThenPromotes) {
   JitRuntimeStats Steady = H.Jit.stats();
   EXPECT_EQ(Steady.Tier0Compiles, Promoted.Tier0Compiles);
   EXPECT_EQ(Steady.Compilations, Promoted.Compilations);
+}
+
+TEST(TieredJitTest, FeykacTierOnMatchesTierOffOnBothArches) {
+  // FEY-KAC inlines a callee whose blocks land after their users in
+  // layout. The Tier-0 preset has no SimplifyCFG to reorder them, so ISel
+  // meets a use before its def and must still lower it.
+  std::unique_ptr<hecbench::Benchmark> B = hecbench::makeFeykacBenchmark();
+  for (GpuArch Arch : {GpuArch::AmdGcnSim, GpuArch::NvPtxSim}) {
+    hecbench::RunConfig C;
+    C.Arch = Arch;
+    C.Mode = hecbench::ExecMode::Proteus;
+    C.Jit.UsePersistentCache = false;
+    hecbench::RunResult Off = hecbench::runBenchmark(*B, C);
+    ASSERT_TRUE(Off.Ok) << gpuArchName(Arch) << ": " << Off.Error;
+    C.Jit.Tier = true;
+    hecbench::RunResult On = hecbench::runBenchmark(*B, C);
+    ASSERT_TRUE(On.Ok) << gpuArchName(Arch) << ": " << On.Error;
+    EXPECT_GT(On.Jit.Tier0Compiles, 0u);
+    EXPECT_EQ(Off.Jit.Tier0Compiles, 0u);
+    EXPECT_FALSE(On.Outputs.empty());
+    EXPECT_TRUE(On.Outputs == Off.Outputs)
+        << gpuArchName(Arch) << ": tier-on output differs from tier-off";
+  }
 }
 
 TEST(TieredJitTest, PersistedTier0IsServedAndPromotedInPlace) {

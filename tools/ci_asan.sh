@@ -1,0 +1,47 @@
+#!/usr/bin/env bash
+#===- tools/ci_asan.sh - AddressSanitizer + UBSan CI battery -------------===#
+#
+# Part of the Proteus reproduction project.
+#
+# Configures a dedicated build tree with
+# -DPROTEUS_SANITIZE=address,undefined (undefined behaviour is made fatal
+# with -fno-sanitize-recover=undefined, and _GLIBCXX_ASSERTIONS bounds-checks
+# standard containers), builds everything, and runs the full ctest suite
+# under both sanitizers. Any heap/stack/global overflow, use-after-free,
+# leak, container-bounds or undefined-behaviour report fails the script.
+#
+# Usage: tools/ci_asan.sh [build-dir] [extra ctest args...]
+#        (default build dir: build-asan)
+#
+#===----------------------------------------------------------------------===#
+set -euo pipefail
+
+REPO_ROOT="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
+BUILD_DIR="${1:-${REPO_ROOT}/build-asan}"
+shift $(( $# > 0 ? 1 : 0 ))
+
+# abort_on_error gives a core-style exit the test runner reports as a
+# failure; print_stacktrace makes UBSan reports name the faulting frame.
+export ASAN_OPTIONS="${ASAN_OPTIONS:-abort_on_error=1 detect_stack_use_after_return=1}"
+export UBSAN_OPTIONS="${UBSAN_OPTIONS:-print_stacktrace=1 halt_on_error=1}"
+
+echo "== Configuring ASan+UBSan build in ${BUILD_DIR} =="
+cmake -B "${BUILD_DIR}" -S "${REPO_ROOT}" \
+  -DCMAKE_BUILD_TYPE=RelWithDebInfo \
+  -DPROTEUS_SANITIZE=address,undefined \
+  "-DCMAKE_CXX_FLAGS=-fno-sanitize-recover=undefined -D_GLIBCXX_ASSERTIONS"
+
+echo "== Building =="
+cmake --build "${BUILD_DIR}" -j "$(nproc)"
+
+echo "== Running the full test suite under ASan+UBSan =="
+STATUS=0
+(cd "${BUILD_DIR}" && ctest --output-on-failure -j "$(nproc)" "$@") ||
+  STATUS=1
+
+if [ "${STATUS}" -eq 0 ]; then
+  echo "== ASan+UBSan battery passed =="
+else
+  echo "== ASan+UBSan battery FAILED =="
+fi
+exit "${STATUS}"
