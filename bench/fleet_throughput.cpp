@@ -16,7 +16,8 @@
 //      compiles — every lookup is a hit.
 //   3. Remote-hit latency: the median daemon-served lookup costs at most
 //      5x the median local disk-served lookup (batched round-trips keep
-//      the socket hop from dominating).
+//      the socket hop from dominating). The two are sampled interleaved,
+//      so host load skews neither side alone.
 //
 // Emits the self-validated BENCH_fleet.json and exits nonzero when any
 // gate fails; --smoke runs the same gates on a reduced configuration.
@@ -38,6 +39,7 @@
 #include <cstring>
 #include <mutex>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <sys/wait.h>
@@ -312,6 +314,36 @@ LookupMeasurement measureLookups(fleet::CacheBackend &Backend,
   return Out;
 }
 
+/// Sequential per-call latency of \p C.LatencyIters lookups on each of
+/// \p A and \p B, interleaved call by call with the order alternating, so a
+/// host load spike during the measurement lands on both sides alike.
+std::pair<LookupMeasurement, LookupMeasurement>
+interleavedLookups(fleet::CacheBackend &A, fleet::CacheBackend &B,
+                   const Config &C) {
+  fleet::CacheBackend *Backends[2] = {&A, &B};
+  std::vector<double> Samples[2];
+  uint64_t Misses[2] = {0, 0};
+  for (unsigned I = 0; I != C.LatencyIters; ++I) {
+    uint64_t Key = keyFor(I % C.Keys);
+    for (unsigned Turn = 0; Turn != 2; ++Turn) {
+      unsigned Side = (I + Turn) % 2;
+      auto T0 = Clock::now();
+      auto Blob = Backends[Side]->lookup(fleet::BlobKind::Code, Key);
+      auto T1 = Clock::now();
+      if (!Blob)
+        ++Misses[Side];
+      Samples[Side].push_back(
+          std::chrono::duration<double, std::micro>(T1 - T0).count());
+    }
+  }
+  std::pair<LookupMeasurement, LookupMeasurement> Out;
+  Out.first.MedianUs = medianUs(Samples[0]);
+  Out.first.Misses = Misses[0];
+  Out.second.MedianUs = medianUs(Samples[1]);
+  Out.second.Misses = Misses[1];
+  return Out;
+}
+
 uint64_t sumOf(const std::vector<ClientReport> &Rs,
                uint64_t ClientReport::*Field) {
   uint64_t Total = 0;
@@ -377,7 +409,6 @@ int main(int Argc, char **Argv) {
     Local.publish(fleet::BlobKind::Code, keyFor(I),
                   payloadFor(keyFor(I), C.PayloadBytes));
   measureLookups(Local, C, 1); // warm the page cache
-  LookupMeasurement LocalSeq = measureLookups(Local, C, 1);
 
   CacheLimits RemoteLimits;
   RemoteLimits.Shards = C.Shards;
@@ -387,7 +418,7 @@ int main(int Argc, char **Argv) {
   RO.Fallback = CodeCache::backendOptions(RemoteLimits);
   fleet::RemoteCacheBackend Remote(std::move(RO));
   measureLookups(Remote, C, 1); // warm-up (and connection establishment)
-  LookupMeasurement RemoteSeq = measureLookups(Remote, C, 1);
+  auto [LocalSeq, RemoteSeq] = interleavedLookups(Local, Remote, C);
   // A concurrent storm through the group-commit combiner: per-call medians
   // include queueing, so the number batching improves is the amortized
   // wall-clock cost per lookup.

@@ -35,8 +35,7 @@ KernelModuleIndex::create(const std::vector<uint8_t> &Bitcode,
   Index->Proto = std::move(R.M);
 
   Module &M = *Index->Proto;
-  for (const auto &F : M.functions())
-    ++Index->TotalFunctions;
+  Index->TotalFunctions = M.functions().size();
 
   // Precompute each kernel's transitive callee + referenced-global closure,
   // mirroring extractKernelModule's AOT-time walk. Done once here so the

@@ -72,28 +72,28 @@ enum class StatSlot : uint8_t {
   NumSlots,
 };
 
-/// One machine instruction in the executor's decoded form: branch targets
-/// are instruction indices, operand types are resolved, and access widths
-/// and the counters the instruction counts toward are precomputed.
-/// Semantics still come from ir/OpSemantics.h.
+/// One machine instruction in the executor's decoded form: the handler for
+/// its (op, sub-op, operand type), branch targets as instruction indices,
+/// and the counters it counts toward. Semantics still come from
+/// ir/OpSemantics.h.
 struct DecodedInstr {
+  /// Index into the executor's handler table (Executor.cpp).
+  uint16_t Handler = 0;
   mcode::MOp Op = mcode::MOp::Nop;
-  /// Access width in bytes (Ld/St/AtomicAdd).
-  uint8_t Size = 0;
-  /// ValueKind/predicate/SpecialReg as in MachineInstr; for AtomicAdd the
-  /// ValueKind of the update (Add or FAdd).
-  uint16_t Aux = 0;
   StatSlot Stats[3] = {StatSlot::Discard, StatSlot::Discard,
                        StatSlot::Discard};
+  /// Cast: source and destination type kinds.
+  pir::Type::Kind CastFrom = pir::Type::Kind::Void;
+  pir::Type::Kind CastTo = pir::Type::Kind::Void;
   mcode::Reg Dst = 0, Src1 = 0, Src2 = 0, Src3 = 0;
-  /// Immediate; Br/CondBr: taken-target index; Alloca: the local address.
+  /// Immediate; Br/CondBr: taken-target index; Alloca: the local address;
+  /// ReadSpecial: the geometry register.
   int64_t Imm = 0;
   /// CondBr: not-taken target index.
   uint32_t Imm2 = 0;
-  /// Operand type (source type for Cast).
-  pir::Type *Ty = nullptr;
-  /// Cast: destination type.
-  pir::Type *CastTy = nullptr;
+  /// Instructions from this one through the terminator that ends its
+  /// straight-line run: the steps a thread spends once it enters here.
+  uint32_t RunLength = 0;
 };
 
 /// A kernel loaded onto the device, ready to launch: the machine function's

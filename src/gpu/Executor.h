@@ -46,9 +46,12 @@ struct LaunchResult {
 };
 
 /// Decodes an allocated machine function into \p Out's header and flat code
-/// stream. Fails (setting \p Error) on an unallocated function or on an
-/// operand out of range for its register file, spill area, block list or
-/// sub-opcode space, so launches can trust every index.
+/// stream, giving each instruction its handler. Fails (setting \p Error) on
+/// an unallocated function, on an operand out of range for its register
+/// file, spill area, block list or sub-opcode space, and on code that could
+/// run past its last instruction (empty code, a last instruction that is not
+/// a terminator, or a branch to a trailing empty block), so launches can
+/// trust every index and never check the PC.
 bool decodeKernel(const mcode::MachineFunction &MF, LoadedKernel &Out,
                   std::string *Error = nullptr);
 

@@ -244,9 +244,17 @@ RunResult proteus::hecbench::runBenchmark(const Benchmark &B,
     // iterations' device time without re-executing them.
     uint64_t Scale = B.timeScale();
     if (Scale > 1) {
-      double D = Dev.LastLaunch.DurationSec * static_cast<double>(Scale - 1);
-      Dev.addSimulatedSeconds(D);
-      Dev.addKernelSeconds(D);
+      auto Extrapolate = [Scale](Device &D) {
+        double S = D.LastLaunch.DurationSec * static_cast<double>(Scale - 1);
+        D.addSimulatedSeconds(S);
+        D.addKernelSeconds(S);
+      };
+      // Background Tier-1 promotions charge module loads to this device's
+      // timeline under the runtime's device lock.
+      if (Jit)
+        Jit->withDeviceLocked(0, Extrapolate);
+      else
+        Extrapolate(Dev);
     }
   }
 

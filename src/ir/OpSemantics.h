@@ -15,6 +15,10 @@
 /// Integer division/remainder by zero is *defined* to produce 0 — the
 /// simulator must not trap, and the folder must match the simulator.
 ///
+/// Each operation has one definition, keyed by Type::Kind and forced
+/// inline, so the executor's per-(operation, type) handlers fold to the
+/// single operation they name. The Type* overloads forward to it.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef PROTEUS_IR_OPSEMANTICS_H
@@ -54,8 +58,19 @@ inline double unboxF64(uint64_t Bits) {
   return D;
 }
 
-inline uint64_t maskToType(Type *Ty, uint64_t Bits) {
-  switch (Ty->getKind()) {
+/// Forces inlining of the Type::Kind-keyed cores below: the executor calls
+/// them with constant kinds, one call site per handler, and relies on each
+/// folding to the one operation it names.
+#define PIR_SEM_INLINE [[gnu::always_inline]] inline
+
+/// Width in bits an integer operation works at: the integer width for
+/// i1/i32/i64, the full container for every other kind.
+PIR_SEM_INLINE unsigned operatingWidth(Type::Kind T) {
+  return T == Type::Kind::I1 ? 1 : T == Type::Kind::I32 ? 32 : 64;
+}
+
+PIR_SEM_INLINE uint64_t maskToType(Type::Kind T, uint64_t Bits) {
+  switch (T) {
   case Type::Kind::I1:
     return Bits & 1;
   case Type::Kind::I32:
@@ -66,8 +81,8 @@ inline uint64_t maskToType(Type *Ty, uint64_t Bits) {
   }
 }
 
-inline int64_t signExtend(Type *Ty, uint64_t Bits) {
-  switch (Ty->getKind()) {
+PIR_SEM_INLINE int64_t signExtend(Type::Kind T, uint64_t Bits) {
+  switch (T) {
   case Type::Kind::I1:
     return (Bits & 1) ? -1 : 0;
   case Type::Kind::I32:
@@ -77,39 +92,39 @@ inline int64_t signExtend(Type *Ty, uint64_t Bits) {
   }
 }
 
-/// Evaluates a binary operation of kind \p K on operand type \p Ty.
-inline uint64_t evalBinary(ValueKind K, Type *Ty, uint64_t A, uint64_t B) {
-  const bool IsF32 = Ty->isF32();
+/// Evaluates a binary operation of kind \p K on operand type kind \p T.
+PIR_SEM_INLINE uint64_t evalBinary(ValueKind K, Type::Kind T, uint64_t A,
+                                   uint64_t B) {
+  const bool IsF32 = T == Type::Kind::F32;
   auto FoldFP = [&](auto Fn) -> uint64_t {
     if (IsF32)
       return boxF32(static_cast<float>(Fn(unboxF32(A), unboxF32(B))));
     return boxF64(Fn(unboxF64(A), unboxF64(B)));
   };
-  const uint64_t UA = maskToType(Ty, A), UB = maskToType(Ty, B);
-  const int64_t SA = signExtend(Ty, UA), SB = signExtend(Ty, UB);
-  const unsigned Width = Ty->isInteger() ? Ty->integerBitWidth() : 64;
-  const uint64_t ShAmt = Width ? (UB % Width) : 0;
+  const uint64_t UA = maskToType(T, A), UB = maskToType(T, B);
+  const int64_t SA = signExtend(T, UA), SB = signExtend(T, UB);
+  const uint64_t ShAmt = UB % operatingWidth(T);
   switch (K) {
   case ValueKind::Add:
-    return maskToType(Ty, UA + UB);
+    return maskToType(T, UA + UB);
   case ValueKind::Sub:
-    return maskToType(Ty, UA - UB);
+    return maskToType(T, UA - UB);
   case ValueKind::Mul:
-    return maskToType(Ty, UA * UB);
+    return maskToType(T, UA * UB);
   case ValueKind::SDiv:
     if (SB == 0)
       return 0;
     if (SA == INT64_MIN && SB == -1) // would trap natively; wraps instead
-      return maskToType(Ty, static_cast<uint64_t>(SA));
-    return maskToType(Ty, static_cast<uint64_t>(SA / SB));
+      return maskToType(T, static_cast<uint64_t>(SA));
+    return maskToType(T, static_cast<uint64_t>(SA / SB));
   case ValueKind::UDiv:
-    return UB == 0 ? 0 : maskToType(Ty, UA / UB);
+    return UB == 0 ? 0 : maskToType(T, UA / UB);
   case ValueKind::SRem:
     if (SB == 0 || (SA == INT64_MIN && SB == -1))
       return 0;
-    return maskToType(Ty, static_cast<uint64_t>(SA % SB));
+    return maskToType(T, static_cast<uint64_t>(SA % SB));
   case ValueKind::URem:
-    return UB == 0 ? 0 : maskToType(Ty, UA % UB);
+    return UB == 0 ? 0 : maskToType(T, UA % UB);
   case ValueKind::And:
     return UA & UB;
   case ValueKind::Or:
@@ -117,11 +132,11 @@ inline uint64_t evalBinary(ValueKind K, Type *Ty, uint64_t A, uint64_t B) {
   case ValueKind::Xor:
     return UA ^ UB;
   case ValueKind::Shl:
-    return maskToType(Ty, UA << ShAmt);
+    return maskToType(T, UA << ShAmt);
   case ValueKind::LShr:
-    return maskToType(Ty, UA >> ShAmt);
+    return maskToType(T, UA >> ShAmt);
   case ValueKind::AShr:
-    return maskToType(Ty, static_cast<uint64_t>(SA >> ShAmt));
+    return maskToType(T, static_cast<uint64_t>(SA >> ShAmt));
   case ValueKind::FAdd:
     return FoldFP([](auto X, auto Y) { return X + Y; });
   case ValueKind::FSub:
@@ -139,17 +154,17 @@ inline uint64_t evalBinary(ValueKind K, Type *Ty, uint64_t A, uint64_t B) {
   case ValueKind::FMax:
     return FoldFP([](auto X, auto Y) { return X > Y ? X : Y; });
   case ValueKind::SMin:
-    return maskToType(Ty, static_cast<uint64_t>(SA < SB ? SA : SB));
+    return maskToType(T, static_cast<uint64_t>(SA < SB ? SA : SB));
   case ValueKind::SMax:
-    return maskToType(Ty, static_cast<uint64_t>(SA > SB ? SA : SB));
+    return maskToType(T, static_cast<uint64_t>(SA > SB ? SA : SB));
   default:
     proteus_unreachable("not a binary opcode");
   }
 }
 
-/// Evaluates a unary operation of kind \p K on operand type \p Ty.
-inline uint64_t evalUnary(ValueKind K, Type *Ty, uint64_t A) {
-  const bool IsF32 = Ty->isF32();
+/// Evaluates a unary operation of kind \p K on operand type kind \p T.
+PIR_SEM_INLINE uint64_t evalUnary(ValueKind K, Type::Kind T, uint64_t A) {
+  const bool IsF32 = T == Type::Kind::F32;
   auto FoldFP = [&](auto Fn) -> uint64_t {
     if (IsF32)
       return boxF32(static_cast<float>(Fn(unboxF32(A))));
@@ -189,32 +204,33 @@ inline uint64_t evalUnary(ValueKind K, Type *Ty, uint64_t A) {
   }
 }
 
-/// Evaluates a cast from \p SrcTy to \p DstTy.
-inline uint64_t evalCast(ValueKind K, Type *SrcTy, Type *DstTy, uint64_t A) {
+/// Evaluates a cast of kind \p K from type kind \p Src to type kind \p Dst.
+PIR_SEM_INLINE uint64_t evalCast(ValueKind K, Type::Kind Src, Type::Kind Dst,
+                                 uint64_t A) {
   switch (K) {
   case ValueKind::Trunc:
-    return maskToType(DstTy, A);
+    return maskToType(Dst, A);
   case ValueKind::ZExt:
-    return maskToType(SrcTy, A);
+    return maskToType(Src, A);
   case ValueKind::SExt:
-    return maskToType(DstTy,
-                      static_cast<uint64_t>(signExtend(SrcTy, A)));
+    return maskToType(Dst, static_cast<uint64_t>(signExtend(Src, A)));
   case ValueKind::FPExt:
     return boxF64(static_cast<double>(unboxF32(A)));
   case ValueKind::FPTrunc:
     return boxF32(static_cast<float>(unboxF64(A)));
   case ValueKind::SIToFP: {
-    int64_t S = signExtend(SrcTy, A);
-    return DstTy->isF32() ? boxF32(static_cast<float>(S))
-                          : boxF64(static_cast<double>(S));
+    int64_t S = signExtend(Src, A);
+    return Dst == Type::Kind::F32 ? boxF32(static_cast<float>(S))
+                                  : boxF64(static_cast<double>(S));
   }
   case ValueKind::UIToFP: {
-    uint64_t U = maskToType(SrcTy, A);
-    return DstTy->isF32() ? boxF32(static_cast<float>(U))
-                          : boxF64(static_cast<double>(U));
+    uint64_t U = maskToType(Src, A);
+    return Dst == Type::Kind::F32 ? boxF32(static_cast<float>(U))
+                                  : boxF64(static_cast<double>(U));
   }
   case ValueKind::FPToSI: {
-    double D = SrcTy->isF32() ? static_cast<double>(unboxF32(A)) : unboxF64(A);
+    double D = Src == Type::Kind::F32 ? static_cast<double>(unboxF32(A))
+                                      : unboxF64(A);
     // Saturating-ish conversion: NaN -> 0, out-of-range clamps, matching
     // what the simulator executes.
     if (std::isnan(D))
@@ -226,7 +242,7 @@ inline uint64_t evalCast(ValueKind K, Type *SrcTy, Type *DstTy, uint64_t A) {
       S = INT64_MIN;
     else
       S = static_cast<int64_t>(D);
-    return maskToType(DstTy, static_cast<uint64_t>(S));
+    return maskToType(Dst, static_cast<uint64_t>(S));
   }
   case ValueKind::IntToPtr:
   case ValueKind::PtrToInt:
@@ -236,9 +252,10 @@ inline uint64_t evalCast(ValueKind K, Type *SrcTy, Type *DstTy, uint64_t A) {
   }
 }
 
-inline bool evalICmp(ICmpPred P, Type *Ty, uint64_t A, uint64_t B) {
-  const uint64_t UA = maskToType(Ty, A), UB = maskToType(Ty, B);
-  const int64_t SA = signExtend(Ty, UA), SB = signExtend(Ty, UB);
+PIR_SEM_INLINE bool evalICmp(ICmpPred P, Type::Kind T, uint64_t A,
+                             uint64_t B) {
+  const uint64_t UA = maskToType(T, A), UB = maskToType(T, B);
+  const int64_t SA = signExtend(T, UA), SB = signExtend(T, UB);
   switch (P) {
   case ICmpPred::EQ:
     return UA == UB;
@@ -264,9 +281,11 @@ inline bool evalICmp(ICmpPred P, Type *Ty, uint64_t A, uint64_t B) {
   proteus_unreachable("unknown icmp predicate");
 }
 
-inline bool evalFCmp(FCmpPred P, Type *Ty, uint64_t A, uint64_t B) {
-  double X = Ty->isF32() ? static_cast<double>(unboxF32(A)) : unboxF64(A);
-  double Y = Ty->isF32() ? static_cast<double>(unboxF32(B)) : unboxF64(B);
+PIR_SEM_INLINE bool evalFCmp(FCmpPred P, Type::Kind T, uint64_t A,
+                             uint64_t B) {
+  const bool IsF32 = T == Type::Kind::F32;
+  double X = IsF32 ? static_cast<double>(unboxF32(A)) : unboxF64(A);
+  double Y = IsF32 ? static_cast<double>(unboxF32(B)) : unboxF64(B);
   switch (P) {
   case FCmpPred::OEQ:
     return X == Y;
@@ -283,6 +302,38 @@ inline bool evalFCmp(FCmpPred P, Type *Ty, uint64_t A, uint64_t B) {
   }
   proteus_unreachable("unknown fcmp predicate");
 }
+
+// Type* entry points for the interpreter and the constant folder.
+
+inline uint64_t maskToType(Type *Ty, uint64_t Bits) {
+  return maskToType(Ty->getKind(), Bits);
+}
+
+inline int64_t signExtend(Type *Ty, uint64_t Bits) {
+  return signExtend(Ty->getKind(), Bits);
+}
+
+inline uint64_t evalBinary(ValueKind K, Type *Ty, uint64_t A, uint64_t B) {
+  return evalBinary(K, Ty->getKind(), A, B);
+}
+
+inline uint64_t evalUnary(ValueKind K, Type *Ty, uint64_t A) {
+  return evalUnary(K, Ty->getKind(), A);
+}
+
+inline uint64_t evalCast(ValueKind K, Type *SrcTy, Type *DstTy, uint64_t A) {
+  return evalCast(K, SrcTy->getKind(), DstTy->getKind(), A);
+}
+
+inline bool evalICmp(ICmpPred P, Type *Ty, uint64_t A, uint64_t B) {
+  return evalICmp(P, Ty->getKind(), A, B);
+}
+
+inline bool evalFCmp(FCmpPred P, Type *Ty, uint64_t A, uint64_t B) {
+  return evalFCmp(P, Ty->getKind(), A, B);
+}
+
+#undef PIR_SEM_INLINE
 
 } // namespace sem
 } // namespace pir

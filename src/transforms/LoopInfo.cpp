@@ -84,7 +84,7 @@ std::vector<std::pair<BasicBlock *, BasicBlock *>> Loop::exitEdges() const {
   return Out;
 }
 
-LoopInfo::LoopInfo(Function &F, const DominatorTree &DT) {
+LoopInfo::LoopInfo(Function &, const DominatorTree &DT) {
   // Find back edges T -> H where H dominates T; group by header.
   std::unordered_map<BasicBlock *, std::vector<BasicBlock *>> BackEdges;
   for (BasicBlock *BB : DT.getRPO())

@@ -15,6 +15,7 @@
 
 #include "codegen/Compiler.h"
 #include "codegen/ISel.h"
+#include "codegen/ObjectFile.h"
 #include "gpu/PerfModel.h"
 #include "gpu/Runtime.h"
 #include "ir/Context.h"
@@ -22,6 +23,10 @@
 #include "transforms/SpecializeArgs.h"
 
 #include <gtest/gtest.h>
+
+#include <cmath>
+#include <cstring>
+#include <limits>
 
 #include <sys/resource.h>
 
@@ -175,6 +180,333 @@ TEST(ExecutorTest, DecodeResolvesTargetsAndRejectsBadOperands) {
   MF = makeMF();
   MF.Params.push_back(MachineParam{Type::Kind::I64, 7});
   EXPECT_FALSE(decodeKernel(MF, K, &Err));
+}
+
+// --- Handler table: every typed handler against OpSemantics ---------------
+
+mcode::MachineInstr machineInstr(mcode::MOp Op, Type::Kind T = Type::Kind::I64,
+                                 uint16_t Aux = 0) {
+  mcode::MachineInstr MI;
+  MI.Op = Op;
+  MI.TypeTag = T;
+  MI.Aux = Aux;
+  return MI;
+}
+
+mcode::MachineInstr movImm(mcode::Reg Dst, uint64_t Bits) {
+  mcode::MachineInstr MI = machineInstr(mcode::MOp::MovImm);
+  MI.Dst = Dst;
+  MI.Imm = static_cast<int64_t>(Bits);
+  return MI;
+}
+
+/// An allocated machine function over registers r0-r4 whose r3 and r4 are
+/// the two launch arguments.
+mcode::MachineFunction machineFunction(
+    const char *Name, std::vector<std::vector<mcode::MachineInstr>> Blocks) {
+  mcode::MachineFunction MF;
+  MF.Name = Name;
+  MF.NumRegs = 5;
+  MF.Allocated = true;
+  MF.Params = {{Type::Kind::Ptr, 3}, {Type::Kind::Ptr, 4}};
+  for (auto &Instrs : Blocks) {
+    MF.Blocks.emplace_back();
+    MF.Blocks.back().Instrs = std::move(Instrs);
+  }
+  return MF;
+}
+
+/// Runs `MovImm r0, A; MovImm r1, B; Op r2, r0, r1; St.i64 r2 -> [r3]; Ret`
+/// on one thread and returns the stored bits. r4 points at an 8-byte cell
+/// holding \p Cell, for atomics.
+uint64_t runTypedOp(Device &Dev, mcode::MachineInstr Op, uint64_t A,
+                    uint64_t B, uint64_t Cell = 0) {
+  using namespace proteus::mcode;
+  constexpr DevicePtr Out = 64, CellAddr = 128;
+  Op.Dst = 2;
+  Op.Src1 = Op.Op == MOp::AtomicAdd ? 4 : 0; // an atomic updates [r4]
+  Op.Src2 = 1;
+  MachineInstr St = machineInstr(MOp::St);
+  St.Src1 = 2;
+  St.Src2 = 3;
+  LoadedKernel K;
+  std::string Err;
+  EXPECT_TRUE(decodeKernel(
+      machineFunction("op", {{movImm(0, A), movImm(1, B), Op, St,
+                              machineInstr(MOp::Ret)}}),
+      K, &Err))
+      << Err;
+  std::memcpy(Dev.memory().data() + CellAddr, &Cell, 8);
+  LaunchResult R =
+      launchKernel(Dev, K, Dim3{}, Dim3{}, {{Out}, {CellAddr}});
+  EXPECT_TRUE(R.Ok) << R.Error;
+  uint64_t Bits = 0;
+  std::memcpy(&Bits, Dev.memory().data() + Out, 8);
+  return Bits;
+}
+
+constexpr Type::Kind AllTypeKinds[] = {Type::Kind::Void, Type::Kind::I1,
+                                       Type::Kind::I32,  Type::Kind::I64,
+                                       Type::Kind::F32,  Type::Kind::F64,
+                                       Type::Kind::Ptr};
+
+/// Integer and floating-point edge operands: INT64_MIN / -1, zero divisors,
+/// shift amounts at and past each width, i1/i32 wrap, NaN and signed zeros
+/// in both float widths, infinities.
+std::vector<uint64_t> edgeOperands() {
+  const double Nan = std::nan("");
+  const double Inf = std::numeric_limits<double>::infinity();
+  return {0,
+          1,
+          ~0ull,
+          2,
+          0x8000000000000000ull,
+          0x7FFFFFFFFFFFFFFFull,
+          0x80000000ull,
+          0x7FFFFFFFull,
+          0xFFFFFFFFull,
+          0x1FFFFFFFFull,
+          31,
+          32,
+          33,
+          63,
+          64,
+          65,
+          0x123456789ABCDEF0ull,
+          sem::boxF32(std::nanf("")),
+          sem::boxF32(-0.0f),
+          sem::boxF32(1.5f),
+          sem::boxF32(-2.25f),
+          sem::boxF32(static_cast<float>(Inf)),
+          sem::boxF64(Nan),
+          sem::boxF64(-0.0),
+          sem::boxF64(3.75),
+          sem::boxF64(-Inf),
+          sem::boxF64(1e300)};
+}
+
+/// Got equals Want bit for bit, or, for floating-point arithmetic, both are
+/// NaN at the operation's float width: C++ fixes no NaN payload, and a
+/// compiler may commute an add whose operands are two different NaNs.
+bool sameResult(uint64_t Got, uint64_t Want, bool FloatArith, Type::Kind T) {
+  if (Got == Want)
+    return true;
+  if (!FloatArith)
+    return false;
+  if (T == Type::Kind::F32)
+    return Got >> 32 == 0 && Want >> 32 == 0 &&
+           std::isnan(sem::unboxF32(Got)) && std::isnan(sem::unboxF32(Want));
+  return std::isnan(sem::unboxF64(Got)) && std::isnan(sem::unboxF64(Want));
+}
+
+TEST(ExecutorTest, EveryTypedHandlerMatchesOpSemantics) {
+  using namespace proteus::mcode;
+  Context Ctx;
+  Device Dev(getAmdGcnSimTarget(), 1 << 16);
+  const std::vector<uint64_t> Ops = edgeOperands();
+  auto sweep = [&](MOp Op, unsigned FirstSub, unsigned LastSub,
+                   auto &&Expected, auto &&FloatArith) {
+    for (Type::Kind T : AllTypeKinds)
+      for (unsigned Sub = FirstSub; Sub <= LastSub; ++Sub) {
+        MachineInstr MI = machineInstr(Op, T, static_cast<uint16_t>(Sub));
+        for (uint64_t A : Ops)
+          for (uint64_t B : Ops) {
+            uint64_t Got = runTypedOp(Dev, MI, A, B);
+            uint64_t Want = Expected(Sub, Ctx.getType(T), A, B);
+            ASSERT_TRUE(sameResult(Got, Want, FloatArith(Sub), T))
+                << mopName(Op) << " sub-op " << Sub << " on type kind "
+                << static_cast<int>(T) << ", operands 0x" << std::hex << A
+                << ", 0x" << B << ": got 0x" << Got << ", want 0x" << Want;
+          }
+      }
+  };
+  auto exact = [](unsigned) { return false; };
+  sweep(MOp::Binary, static_cast<unsigned>(ValueKind::Add),
+        static_cast<unsigned>(ValueKind::SMax),
+        [](unsigned K, Type *Ty, uint64_t A, uint64_t B) {
+          return sem::evalBinary(static_cast<ValueKind>(K), Ty, A, B);
+        },
+        [](unsigned K) {
+          return K >= static_cast<unsigned>(ValueKind::FAdd) &&
+                 K <= static_cast<unsigned>(ValueKind::Pow);
+        });
+  sweep(MOp::ICmp, 0, static_cast<unsigned>(ICmpPred::UGE),
+        [](unsigned P, Type *Ty, uint64_t A, uint64_t B) -> uint64_t {
+          return sem::evalICmp(static_cast<ICmpPred>(P), Ty, A, B);
+        },
+        exact);
+  sweep(MOp::FCmp, 0, static_cast<unsigned>(FCmpPred::OGE),
+        [](unsigned P, Type *Ty, uint64_t A, uint64_t B) -> uint64_t {
+          return sem::evalFCmp(static_cast<FCmpPred>(P), Ty, A, B);
+        },
+        exact);
+  sweep(MOp::Unary, static_cast<unsigned>(ValueKind::FNeg),
+        static_cast<unsigned>(ValueKind::Floor),
+        [](unsigned K, Type *Ty, uint64_t A, uint64_t) {
+          return sem::evalUnary(static_cast<ValueKind>(K), Ty, A);
+        },
+        [](unsigned) { return true; });
+  // Casts: the destination kind rides in Imm2.
+  for (Type::Kind To : AllTypeKinds)
+    for (Type::Kind From : AllTypeKinds)
+      for (unsigned K = static_cast<unsigned>(ValueKind::Trunc);
+           K <= static_cast<unsigned>(ValueKind::PtrToInt); ++K) {
+        MachineInstr MI =
+            machineInstr(MOp::Cast, From, static_cast<uint16_t>(K));
+        MI.Imm2 = static_cast<int32_t>(To);
+        for (uint64_t A : Ops)
+          ASSERT_EQ(runTypedOp(Dev, MI, A, 0),
+                    sem::evalCast(static_cast<ValueKind>(K),
+                                  Ctx.getType(From), Ctx.getType(To), A))
+              << "cast " << K << " from kind " << static_cast<int>(From)
+              << " to " << static_cast<int>(To) << ", operand 0x" << std::hex
+              << A;
+      }
+  // PtrAdd sign-extends its index from the operand type; AtomicAdd applies
+  // Add or FAdd at the type's width and returns the old cell.
+  for (Type::Kind T : AllTypeKinds) {
+    Type *Ty = Ctx.getType(T);
+    MachineInstr PtrAdd = machineInstr(MOp::PtrAdd, T);
+    PtrAdd.Imm = -24;
+    MachineInstr Atomic = machineInstr(MOp::AtomicAdd, T);
+    const unsigned Bytes = Ty->isVoid() ? 8 : Ty->sizeInBytes();
+    const uint64_t Mask = Bytes == 8 ? ~0ull : (1ull << (8 * Bytes)) - 1;
+    const ValueKind Update =
+        Ty->isFloatingPoint() ? ValueKind::FAdd : ValueKind::Add;
+    for (uint64_t A : Ops)
+      for (uint64_t B : Ops) {
+        ASSERT_EQ(runTypedOp(Dev, PtrAdd, A, B),
+                  A + static_cast<uint64_t>(sem::signExtend(Ty, B)) *
+                          static_cast<uint64_t>(PtrAdd.Imm))
+            << "ptradd on type kind " << static_cast<int>(T);
+        ASSERT_EQ(runTypedOp(Dev, Atomic, 0, B, A), A & Mask)
+            << "atomic add on type kind " << static_cast<int>(T);
+        uint64_t Cell = 0;
+        std::memcpy(&Cell, Dev.memory().data() + 128, 8);
+        uint64_t Sum = sem::evalBinary(Update, Ty, A & Mask, B);
+        ASSERT_TRUE(sameResult(Cell & Mask, Sum & Mask,
+                               Update == ValueKind::FAdd, T) &&
+                    (Cell & ~Mask) == (A & ~Mask))
+            << "atomic add on type kind " << static_cast<int>(T);
+      }
+  }
+}
+
+// --- Error paths: same message, same stores as a per-instruction check ----
+
+/// Stores a loop counter on every trip of an endless loop:
+///   b0: r0 = 0; r1 = 1; br b1
+///   b1: r0 = r0 + r1; st r0 -> [r3]; br b1
+mcode::MachineFunction runawayCounter() {
+  using namespace proteus::mcode;
+  MachineInstr Add = machineInstr(MOp::Binary, Type::Kind::I64,
+                                  static_cast<uint16_t>(ValueKind::Add));
+  Add.Dst = Add.Src1 = 0;
+  Add.Src2 = 1;
+  MachineInstr St = machineInstr(MOp::St);
+  St.Src1 = 0;
+  St.Src2 = 3;
+  MachineInstr Br = machineInstr(MOp::Br);
+  Br.Imm = 1;
+  return machineFunction("spin",
+                         {{movImm(0, 0), movImm(1, 1), Br}, {Add, St, Br}});
+}
+
+TEST(ExecutorTest, StepLimitStopsAtTheSameInstruction) {
+  // The counter each limit leaves behind, recorded with the per-instruction
+  // step check: limit 0 runs nothing, limits 1-4 stop before the first
+  // store, and each later store lands on step 3k+2.
+  const std::pair<uint64_t, uint64_t> Expected[] = {
+      {0, 0},     {1, 0},     {3, 0},     {4, 0},     {5, 1},
+      {6, 1},     {7, 1},     {8, 2},     {1000, 332}, {1001, 333},
+      {1002, 333}, {1003, 333}};
+  LoadedKernel K;
+  std::string Err;
+  ASSERT_TRUE(decodeKernel(runawayCounter(), K, &Err)) << Err;
+  for (auto [Limit, Counter] : Expected) {
+    Device Dev(getAmdGcnSimTarget(), 1 << 16);
+    LaunchResult R = launchKernel(Dev, K, Dim3{2, 1, 1}, Dim3{2, 1, 1},
+                                  {{64}, {0}}, Limit);
+    EXPECT_FALSE(R.Ok);
+    EXPECT_EQ(R.Error, "per-thread step limit exceeded in spin")
+        << "limit " << Limit;
+    uint64_t Stored = 0;
+    std::memcpy(&Stored, Dev.memory().data() + 64, 8);
+    EXPECT_EQ(Stored, Counter) << "limit " << Limit;
+  }
+}
+
+TEST(ExecutorTest, OutOfBoundsStoreKeepsEarlierBlocksStores) {
+  // Thread (b, t) stores b + 1 at r3 + b * 0x8000 + t * 8; block 2's
+  // address is past the end of a 64 KiB device.
+  using namespace proteus::mcode;
+  MachineInstr Ctaid = machineInstr(MOp::ReadSpecial, Type::Kind::I32,
+                                    static_cast<uint16_t>(SpecialReg::CtaidX));
+  Ctaid.Dst = 0;
+  MachineInstr Tid = machineInstr(MOp::ReadSpecial, Type::Kind::I32,
+                                  static_cast<uint16_t>(SpecialReg::TidX));
+  Tid.Dst = 1;
+  MachineInstr BlockAddr = machineInstr(MOp::PtrAdd, Type::Kind::I32);
+  BlockAddr.Dst = 2;
+  BlockAddr.Src1 = 3;
+  BlockAddr.Src2 = 0;
+  BlockAddr.Imm = 0x8000;
+  MachineInstr Addr = BlockAddr;
+  Addr.Src1 = 2;
+  Addr.Src2 = 1;
+  Addr.Imm = 8;
+  MachineInstr One = movImm(1, 1);
+  MachineInstr Value = machineInstr(MOp::Binary, Type::Kind::I64,
+                                    static_cast<uint16_t>(ValueKind::Add));
+  Value.Dst = 0;
+  Value.Src1 = 0;
+  Value.Src2 = 1;
+  MachineInstr St = machineInstr(MOp::St);
+  St.Src1 = 0;
+  St.Src2 = 2;
+  LoadedKernel K;
+  std::string Err;
+  ASSERT_TRUE(decodeKernel(
+      machineFunction("oob", {{Ctaid, Tid, BlockAddr, Addr, One, Value, St,
+                               machineInstr(MOp::Ret)}}),
+      K, &Err))
+      << Err;
+  Device Dev(getAmdGcnSimTarget(), 1 << 16);
+  LaunchResult R =
+      launchKernel(Dev, K, Dim3{4, 1, 1}, Dim3{4, 1, 1}, {{64}, {0}});
+  EXPECT_FALSE(R.Ok);
+  EXPECT_EQ(R.Error, "store out of bounds at 0x10040 in oob");
+  for (uint64_t B = 0; B != 2; ++B)
+    for (uint64_t T = 0; T != 4; ++T) {
+      uint64_t Stored = 0;
+      std::memcpy(&Stored, Dev.memory().data() + 64 + B * 0x8000 + T * 8, 8);
+      EXPECT_EQ(Stored, B + 1) << "block " << B << " thread " << T;
+    }
+}
+
+TEST(ExecutorTest, CodeThatFallsOffItsEndIsRejectedAtLoad) {
+  using namespace proteus::mcode;
+  Device Dev(getAmdGcnSimTarget(), 1 << 16);
+  std::string Err;
+  auto load = [&](const MachineFunction &MF) {
+    return Dev.loadKernel(writeObject(MF, GpuArch::AmdGcnSim), &Err);
+  };
+  // The last block ends without a terminator.
+  EXPECT_EQ(load(machineFunction("k", {{machineInstr(MOp::Ret)},
+                                       {movImm(0, 1)}})),
+            nullptr);
+  EXPECT_NE(Err.find("falls off its end"), std::string::npos) << Err;
+  // A branch to a trailing empty block.
+  MachineInstr Br = machineInstr(MOp::Br);
+  Br.Imm = 1;
+  EXPECT_EQ(load(machineFunction("k", {{Br}, {}})), nullptr);
+  EXPECT_NE(Err.find("malformed br"), std::string::npos) << Err;
+  // No code at all.
+  EXPECT_EQ(load(machineFunction("k", {})), nullptr);
+  // Well-formed: an empty trailing block nothing branches to is harmless.
+  EXPECT_NE(load(machineFunction("k", {{machineInstr(MOp::Ret)}, {}})),
+            nullptr)
+      << Err;
 }
 
 TEST(DeviceTest, GlobalsRegisterOnceAndResolve) {

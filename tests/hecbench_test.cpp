@@ -97,8 +97,9 @@ TEST_P(HecbenchPrograms, AllModesProduceIdenticalOutputs) {
     ASSERT_TRUE(R.Ok) << execModeName(C.Mode) << " on "
                       << gpuArchName(C.Arch) << ": " << R.Error;
     EXPECT_TRUE(R.Verified);
-    if (C.Mode == ExecMode::Proteus)
+    if (C.Mode == ExecMode::Proteus) {
       EXPECT_GT(R.JitCompilations, 0u);
+    }
   }
 }
 

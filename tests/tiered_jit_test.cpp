@@ -569,8 +569,12 @@ TEST(TieredJitTest, ModuleIndexPrunesUnreachableFunctions) {
   JitConfig JC;
   JC.UsePersistentCache = false;
   JitRuntime Jit(Dev, /*ModuleId=*/0x7157, JC);
-  Jit.registerKernel(JitKernelInfo{"ka", {}, BC, 0, 0, {}});
-  Jit.registerKernel(JitKernelInfo{"kb", {}, BC, 0, 0, {}});
+  JitKernelInfo Info;
+  Info.HostBitcode = BC;
+  for (const char *Symbol : {"ka", "kb"}) {
+    Info.Symbol = Symbol;
+    Jit.registerKernel(Info);
+  }
 
   DevicePtr Out = 0;
   ASSERT_EQ(gpuMalloc(Dev, &Out, 8), GpuError::Success);

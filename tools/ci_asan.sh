@@ -6,9 +6,10 @@
 # Configures a dedicated build tree with
 # -DPROTEUS_SANITIZE=address,undefined (undefined behaviour is made fatal
 # with -fno-sanitize-recover=undefined, and _GLIBCXX_ASSERTIONS bounds-checks
-# standard containers), builds everything, and runs the full ctest suite
-# under both sanitizers. Any heap/stack/global overflow, use-after-free,
-# leak, container-bounds or undefined-behaviour report fails the script.
+# standard containers), builds everything with -Werror, and runs the full
+# ctest suite under both sanitizers. Any -Wall -Wextra warning, heap/stack/
+# global overflow, use-after-free, leak, container-bounds or
+# undefined-behaviour report fails the script.
 #
 # Usage: tools/ci_asan.sh [build-dir] [extra ctest args...]
 #        (default build dir: build-asan)
@@ -29,7 +30,7 @@ echo "== Configuring ASan+UBSan build in ${BUILD_DIR} =="
 cmake -B "${BUILD_DIR}" -S "${REPO_ROOT}" \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DPROTEUS_SANITIZE=address,undefined \
-  "-DCMAKE_CXX_FLAGS=-fno-sanitize-recover=undefined -D_GLIBCXX_ASSERTIONS"
+  "-DCMAKE_CXX_FLAGS=-fno-sanitize-recover=undefined -D_GLIBCXX_ASSERTIONS -Werror"
 
 echo "== Building =="
 cmake --build "${BUILD_DIR}" -j "$(nproc)"

@@ -20,8 +20,8 @@
 // (file, arch), which is what the corpus goldens pin. One line per
 // (kernel, target):
 //
-//   <file>: @kernel [<arch>] class=<Class> ai=<v> ridge=<v> \
-//       peak_gflops=<v> peak_bw=<v>
+//   <file>: @kernel [<arch>] class=<Class> ai=<v> ridge=<v>
+//       peak_gflops=<v> peak_bw=<v>        (one line, wrapped here)
 //
 // With --trace, a chrome-trace export's device lanes are additionally run
 // through the cross-stream critical-path analysis, reporting the makespan,
