@@ -4,15 +4,22 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "RandomKernel.h"
 #include "TestUtil.h"
 
 #include "codegen/Compiler.h"
 #include "codegen/ISel.h"
 #include "codegen/Ptx.h"
+#include "hecbench/Benchmark.h"
 #include "ir/Context.h"
+#include "support/Hashing.h"
+#include "support/StringUtils.h"
 #include "transforms/O3Pipeline.h"
 
 #include <gtest/gtest.h>
+
+#include <cstdlib>
+#include <fstream>
 
 using namespace pir;
 using namespace proteus;
@@ -20,6 +27,29 @@ using namespace proteus::mcode;
 using namespace proteus_test;
 
 namespace {
+
+/// A named pre-allocation machine function: the input the PTX printer sees.
+struct NamedMF {
+  std::string Name;
+  MachineFunction MF;
+};
+
+/// Every kernel of the six HeCBench-sim programs after O3 and ISel, named
+/// "<program>.<kernel>".
+const std::vector<NamedMF> &hecbenchMachineFunctions() {
+  static const std::vector<NamedMF> All = [] {
+    std::vector<NamedMF> Out;
+    for (const auto &B : hecbench::allBenchmarks()) {
+      Context Ctx;
+      std::unique_ptr<Module> M = B->buildModule(Ctx);
+      runO3(*M);
+      for (Function *K : M->kernels())
+        Out.push_back({B->name() + "." + K->getName(), selectInstructions(*K)});
+    }
+    return Out;
+  }();
+  return All;
+}
 
 TEST(ISelTest, LowersDaxpyWithoutCallsOrPhis) {
   Context Ctx;
@@ -129,6 +159,150 @@ TEST(PtxTest, RoundTripThroughTextPreservesStructure) {
   EXPECT_EQ(Asm.MF.totalInstructions(), MF.totalInstructions());
   // Identical re-print.
   EXPECT_EQ(printPtx(Asm.MF), Ptx);
+
+  ASSERT_FALSE(hecbenchMachineFunctions().empty());
+  for (const NamedMF &K : hecbenchMachineFunctions()) {
+    std::string Text = printPtx(K.MF);
+    PtxAssembleResult R = assemblePtx(Text);
+    ASSERT_TRUE(R.Ok) << K.Name << ": " << R.Error;
+    EXPECT_EQ(printPtx(R.MF), Text) << K.Name;
+  }
+}
+
+/// Mutants pinned by tests/golden/ptx_mutants.txt; PROTEUS_FUZZ_ITERS
+/// widens the sweep past them.
+constexpr unsigned GoldenMutants = 1200;
+
+const char *const MutationKinds[] = {"flip",     "digit",    "drop-token",
+                                     "dup-token", "truncate", "dup-line",
+                                     "drop-line"};
+
+/// Applies mutation \p Kind to \p Text at positions drawn from \p R.
+void mutatePtx(std::string &Text, unsigned Kind, Rng &R) {
+  if (Text.empty())
+    return;
+  size_t Pos = R.below(static_cast<uint32_t>(Text.size()));
+  auto tokenAt = [&](size_t P) {
+    size_t B = P, E = P;
+    while (B > 0 && Text[B - 1] != ' ' && Text[B - 1] != '\n')
+      --B;
+    while (E < Text.size() && Text[E] != ' ' && Text[E] != '\n')
+      ++E;
+    return std::make_pair(B, E);
+  };
+  auto lineAt = [&](size_t P) {
+    size_t B = Text.rfind('\n', P == 0 ? 0 : P - 1);
+    B = B == std::string::npos || P == 0 ? 0 : B + 1;
+    size_t E = Text.find('\n', P);
+    return std::make_pair(B, E == std::string::npos ? Text.size() : E + 1);
+  };
+  switch (Kind) {
+  case 0: // flip one bit
+    Text[Pos] = static_cast<char>(Text[Pos] ^ (1 << R.below(8)));
+    break;
+  case 1: { // replace, delete or insert a digit
+    size_t D = Text.find_first_of("0123456789", Pos);
+    if (D == std::string::npos)
+      D = Pos;
+    char Digit = static_cast<char>('0' + R.below(10));
+    switch (R.below(3)) {
+    case 0:
+      Text[D] = Digit;
+      break;
+    case 1:
+      Text.erase(D, 1);
+      break;
+    default:
+      Text.insert(Text.begin() + static_cast<long>(D), Digit);
+      break;
+    }
+    break;
+  }
+  case 2: { // drop a token
+    auto [B, E] = tokenAt(Pos);
+    Text.erase(B, E - B);
+    break;
+  }
+  case 3: { // duplicate a token
+    auto [B, E] = tokenAt(Pos);
+    Text.insert(E, " " + Text.substr(B, E - B));
+    break;
+  }
+  case 4: // truncate
+    Text.resize(Pos);
+    break;
+  case 5: { // duplicate a line
+    auto [B, E] = lineAt(Pos);
+    Text.insert(E, Text.substr(B, E - B));
+    break;
+  }
+  default: { // drop a line
+    auto [B, E] = lineAt(Pos);
+    Text.erase(B, E - B);
+    break;
+  }
+  }
+}
+
+/// The assembler's verdict on mutant \p I: "rejected", or the digest of
+/// the accepted function's re-print.
+std::string mutantVerdict(unsigned I, std::string *Reprint) {
+  const std::vector<NamedMF> &All = hecbenchMachineFunctions();
+  const NamedMF &K = All[I % All.size()];
+  Rng R(0x9e3779b9ull * (I + 1));
+  unsigned Kind = R.below(std::size(MutationKinds));
+  std::string Text = printPtx(K.MF);
+  mutatePtx(Text, Kind, R);
+  PtxAssembleResult Asm = assemblePtx(Text);
+  std::string Verdict = "rejected";
+  if (Asm.Ok) {
+    *Reprint = printPtx(Asm.MF);
+    FNV1aHash H;
+    H.update(*Reprint);
+    Verdict = "ok " + hashToHex(H.digest());
+  }
+  return formatString("%u %s %s %s", I, K.Name.c_str(), MutationKinds[Kind],
+                      Verdict.c_str());
+}
+
+TEST(PtxTest, MutantVerdictsMatchGolden) {
+  std::vector<std::string> Golden;
+  {
+    std::ifstream In(PROTEUS_PTX_MUTANTS);
+    std::string Line;
+    while (std::getline(In, Line))
+      if (!Line.empty() && Line[0] != '#')
+        Golden.push_back(Line);
+  }
+  EXPECT_EQ(Golden.size(), GoldenMutants)
+      << "bad golden file " << PROTEUS_PTX_MUTANTS;
+  Golden.resize(GoldenMutants);
+  unsigned Iters = GoldenMutants;
+  if (const char *E = std::getenv("PROTEUS_FUZZ_ITERS"))
+    Iters = std::max(Iters, static_cast<unsigned>(std::strtoul(E, nullptr, 10)));
+  unsigned Accepted = 0, Mismatches = 0;
+  std::string Actual;
+  for (unsigned I = 0; I != Iters; ++I) {
+    std::string Reprint;
+    std::string Line = mutantVerdict(I, &Reprint);
+    if (I < GoldenMutants) {
+      Actual += Line + "\n";
+      if (Line != Golden[I] && ++Mismatches <= 10 && !Golden[I].empty())
+        ADD_FAILURE() << "mutant " << I << ": got '" << Line
+                      << "', golden '" << Golden[I] << "'";
+    }
+    if (Reprint.empty())
+      continue;
+    // Whatever the assembler accepts, it must re-print to a fixpoint.
+    ++Accepted;
+    PtxAssembleResult Again = assemblePtx(Reprint);
+    ASSERT_TRUE(Again.Ok) << "mutant " << I << ": " << Again.Error;
+    ASSERT_EQ(printPtx(Again.MF), Reprint) << "mutant " << I;
+  }
+  EXPECT_EQ(Mismatches, 0u) << "actual lines:\n" << Actual;
+  // The sweep must exercise both verdicts.
+  EXPECT_GT(Accepted, 0u);
+  EXPECT_LT(Accepted, Iters);
 }
 
 TEST(PtxTest, AssemblerRejectsGarbage) {
