@@ -8,30 +8,13 @@
 
 #include "ir/Dominators.h"
 #include "ir/Function.h"
-#include "support/Hashing.h"
 
-#include <unordered_map>
+#include <bit>
 
 using namespace proteus;
 using namespace pir;
 
 namespace {
-
-/// Structural key of a pure instruction: kind + extras + operand identities.
-struct ExprKey {
-  uint64_t Hash;
-  ValueKind Kind;
-  std::vector<const Value *> Ops;
-  uint64_t Extra;
-
-  bool operator==(const ExprKey &O) const {
-    return Kind == O.Kind && Extra == O.Extra && Ops == O.Ops;
-  }
-};
-
-struct ExprKeyHash {
-  size_t operator()(const ExprKey &K) const { return K.Hash; }
-};
 
 /// True for instructions CSE may deduplicate: pure, deterministic, not
 /// control- or memory-dependent.
@@ -47,41 +30,54 @@ bool isCSECandidate(Instruction &I) {
   }
 }
 
-std::optional<ExprKey> makeKey(Instruction &I) {
-  if (!isCSECandidate(I))
-    return std::nullopt;
-  ExprKey K;
-  K.Kind = I.getKind();
-  K.Extra = 0;
+/// The non-operand part of an expression's identity: predicate, element
+/// size, dimension or cast destination type.
+uint64_t extraOf(Instruction &I) {
   if (auto *C = dyn_cast<ICmpInst>(&I))
-    K.Extra = static_cast<uint64_t>(C->getPredicate());
-  else if (auto *C = dyn_cast<FCmpInst>(&I))
-    K.Extra = static_cast<uint64_t>(C->getPredicate()) | 0x100;
-  else if (auto *P = dyn_cast<PtrAddInst>(&I))
-    K.Extra = P->getElemSize();
-  else if (auto *G = dyn_cast<GpuIndexInst>(&I))
-    K.Extra = G->getDim();
-  else if (isa<CastInst>(&I))
-    K.Extra = static_cast<uint64_t>(I.getType()->getKind()) | 0x200;
-  for (Value *Op : I.operands())
-    K.Ops.push_back(Op);
-  // Commutative normalization: order operand pair by pointer identity.
-  if (auto *B = dyn_cast<BinaryInst>(&I))
-    if (B->isCommutative() && K.Ops.size() == 2 && K.Ops[0] > K.Ops[1])
-      std::swap(K.Ops[0], K.Ops[1]);
-  FNV1aHash H;
-  H.update(static_cast<uint64_t>(K.Kind));
-  H.update(K.Extra);
-  for (const Value *Op : K.Ops)
-    H.update(reinterpret_cast<uint64_t>(Op));
-  K.Hash = H.digest();
-  return K;
+    return static_cast<uint64_t>(C->getPredicate());
+  if (auto *C = dyn_cast<FCmpInst>(&I))
+    return static_cast<uint64_t>(C->getPredicate()) | 0x100;
+  if (auto *P = dyn_cast<PtrAddInst>(&I))
+    return P->getElemSize();
+  if (auto *G = dyn_cast<GpuIndexInst>(&I))
+    return G->getDim();
+  if (isa<CastInst>(&I))
+    return static_cast<uint64_t>(I.getType()->getKind()) | 0x200;
+  return 0;
 }
 
-/// Scoped hash table walk over the dominator tree.
+/// Operand \p Idx of \p I, with a commutative pair ordered by address.
+Value *keyOperand(Instruction &I, size_t Idx) {
+  if (I.getNumOperands() == 2)
+    if (auto *B = dyn_cast<BinaryInst>(&I); B && B->isCommutative()) {
+      Value *L = I.getOperand(0), *R = I.getOperand(1);
+      if (L > R)
+        std::swap(L, R);
+      return Idx == 0 ? L : R;
+    }
+  return I.getOperand(Idx);
+}
+
+uint64_t mix(uint64_t H, uint64_t V) {
+  return (std::rotl(H, 29) ^ V) * 0x9e3779b97f4a7c15ull;
+}
+
+/// Scoped open-addressing table walk over the dominator tree. The table
+/// holds leader instructions; a candidate is compared against a leader's
+/// live operands, which are final by the time the leader is inserted (they
+/// dominate it, so the walk already visited and canonicalized them).
+/// Leaving a dominator-tree scope pops that scope's insertions in LIFO
+/// order, which restores exactly the table the scope started from and so
+/// keeps every linear-probe chain intact.
 class DomTreeCSE {
 public:
-  explicit DomTreeCSE(Function &F) : DT(F) {}
+  explicit DomTreeCSE(Function &F) : DT(F) {
+    size_t Insts = 0;
+    for (BasicBlock &BB : F)
+      Insts += BB.size();
+    Table.assign(std::bit_ceil(std::max<size_t>(2 * Insts, 16)), nullptr);
+    Mask = Table.size() - 1;
+  }
 
   bool run(Function &F) {
     if (F.isDeclaration())
@@ -90,34 +86,59 @@ public:
   }
 
 private:
+  /// The slot holding \p I's leader, or the empty slot where \p I belongs.
+  size_t probe(Instruction &I, uint64_t Extra) const {
+    size_t NumOps = I.getNumOperands();
+    uint64_t H = mix(static_cast<uint64_t>(I.getKind()), Extra);
+    for (size_t Op = 0; Op != NumOps; ++Op)
+      H = mix(H, reinterpret_cast<uint64_t>(keyOperand(I, Op)));
+    for (size_t Slot = (H ^ (H >> 32)) & Mask;; Slot = (Slot + 1) & Mask) {
+      Instruction *L = Table[Slot];
+      if (!L)
+        return Slot;
+      if (L->getKind() != I.getKind() || L->getNumOperands() != NumOps ||
+          extraOf(*L) != Extra)
+        continue;
+      size_t Op = 0;
+      while (Op != NumOps && keyOperand(*L, Op) == keyOperand(I, Op))
+        ++Op;
+      if (Op == NumOps)
+        return Slot;
+    }
+  }
+
   bool visit(BasicBlock *BB) {
     bool Changed = false;
-    std::vector<ExprKey> Inserted;
+    size_t ScopeStart = Undo.size();
     for (auto It = BB->begin(); It != BB->end();) {
       Instruction &I = *It;
       ++It;
-      auto Key = makeKey(I);
-      if (!Key)
+      if (!isCSECandidate(I))
         continue;
-      auto Found = Table.find(*Key);
-      if (Found != Table.end()) {
-        I.replaceAllUsesWith(Found->second);
+      size_t Slot = probe(I, extraOf(I));
+      if (Instruction *Leader = Table[Slot]) {
+        I.replaceAllUsesWith(Leader);
         I.eraseFromParent();
         Changed = true;
         continue;
       }
-      Table.emplace(*Key, &I);
-      Inserted.push_back(std::move(*Key));
+      Table[Slot] = &I;
+      Undo.push_back(Slot);
     }
     for (BasicBlock *Child : DT.getChildren(BB))
       Changed |= visit(Child);
-    for (const ExprKey &K : Inserted)
-      Table.erase(K);
+    while (Undo.size() != ScopeStart) {
+      Table[Undo.back()] = nullptr;
+      Undo.pop_back();
+    }
     return Changed;
   }
 
   DominatorTree DT;
-  std::unordered_map<ExprKey, Instruction *, ExprKeyHash> Table;
+  std::vector<Instruction *> Table;
+  size_t Mask = 0;
+  /// Slots filled so far, innermost scope last.
+  std::vector<size_t> Undo;
 };
 
 } // namespace
