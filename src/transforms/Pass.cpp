@@ -6,6 +6,7 @@
 
 #include "transforms/Pass.h"
 
+#include "ir/IRPrinter.h"
 #include "ir/Module.h"
 #include "ir/Verifier.h"
 #include "support/Error.h"
@@ -15,50 +16,58 @@
 using namespace proteus;
 using namespace pir;
 
-bool PassManager::runOnce(Function &F) {
-  bool Changed = false;
+bool PassManager::runPass(size_t I, Function &F) {
+  // Test mode also checks the fixpoint rule's precondition: a pass that
+  // reports no change left the function byte-identical.
+  std::string Before = VerifyEach ? printFunction(F) : std::string();
+  bool PassChanged;
+  double Seconds;
+  {
+    trace::Span Sp(SpanNames[I], "o3");
+    Timer T;
+    PassChanged = Passes[I]->run(F);
+    Seconds = T.seconds();
+  }
+  Stats[I].Seconds += Seconds;
+  if (TimingHookFn)
+    TimingHookFn(Stats[I].Name, Seconds);
+  if (PostPassHookFn)
+    PostPassHookFn(Stats[I].Name, F);
+  ++Stats[I].Invocations;
+  if (PassChanged)
+    ++Stats[I].ChangedInvocations;
+  if (VerifyEach) {
+    VerifyResult R = verifyFunction(F);
+    if (!R.ok())
+      reportFatalError("pass '" + Passes[I]->name() + "' broke function @" +
+                       F.getName() + ":\n" + R.message());
+    if (!PassChanged && printFunction(F) != Before)
+      reportFatalError("pass '" + Passes[I]->name() +
+                       "' changed function @" + F.getName() +
+                       " but reported no change");
+  }
+  return PassChanged;
+}
+
+bool PassManager::run(Function &F) {
   if (Stats.empty()) {
     for (const auto &P : Passes) {
       Stats.push_back(PassStatistics{P->name(), 0, 0, 0.0});
       SpanNames.push_back(trace::internName("o3." + P->name()));
     }
   }
-  for (size_t I = 0; I != Passes.size(); ++I) {
-    bool PassChanged;
-    double Seconds;
-    {
-      trace::Span Sp(SpanNames[I], "o3");
-      Timer T;
-      PassChanged = Passes[I]->run(F);
-      Seconds = T.seconds();
-    }
-    Stats[I].Seconds += Seconds;
-    if (TimingHookFn)
-      TimingHookFn(Stats[I].Name, Seconds);
-    if (PostPassHookFn)
-      PostPassHookFn(Stats[I].Name, F);
-    ++Stats[I].Invocations;
-    if (PassChanged)
-      ++Stats[I].ChangedInvocations;
-    Changed |= PassChanged;
-    if (VerifyEach) {
-      VerifyResult R = verifyFunction(F);
-      if (!R.ok())
-        reportFatalError("pass '" + Passes[I]->name() +
-                         "' broke function @" + F.getName() + ":\n" +
-                         R.message());
-    }
-  }
-  return Changed;
-}
-
-bool PassManager::run(Function &F) {
+  // Position K runs pass K mod N. Once every pass, the last one that
+  // changed the IR included, has run again without a change, each pass has
+  // seen the final IR, so a further sweep could change nothing.
+  const size_t N = Passes.size();
+  const size_t Limit = N * MaxIterations;
+  size_t StopAt = N;
   bool Changed = false;
-  for (unsigned Iter = 0; Iter != MaxIterations; ++Iter) {
-    if (!runOnce(F))
-      break;
-    Changed = true;
-  }
+  for (size_t K = 0; K < StopAt && K < Limit; ++K)
+    if (runPass(K % N, F)) {
+      Changed = true;
+      StopAt = K + N + 1;
+    }
   return Changed;
 }
 

@@ -49,12 +49,15 @@ struct PassStatistics {
 };
 
 /// Runs a sequence of function passes over every function with a body,
-/// optionally iterating the whole sequence to a fixpoint, and optionally
-/// verifying the IR after each pass (used in tests).
+/// optionally iterating the sequence to a fixpoint, and optionally
+/// verifying the IR after each pass (used in tests). Iteration stops as soon
+/// as every pass has run once more after the last change without changing
+/// anything; this is exact as long as passes are deterministic and report
+/// their changes truthfully, which VerifyEach checks.
 class PassManager {
 public:
-  /// \p MaxIterations bounds fixpoint iteration of the full sequence; 1
-  /// means run each pass exactly once.
+  /// \p MaxIterations bounds fixpoint iteration to that many sweeps of
+  /// the full sequence; 1 means run each pass exactly once.
   explicit PassManager(unsigned MaxIterations = 1)
       : MaxIterations(MaxIterations) {}
 
@@ -62,7 +65,8 @@ public:
     Passes.push_back(std::move(P));
   }
 
-  /// Aborts with the verifier message if a pass breaks the IR (test mode).
+  /// Aborts with the verifier message if a pass breaks the IR, or if a pass
+  /// that reported no change altered the printed function (test mode).
   void setVerifyEach(bool V) { VerifyEach = V; }
 
   /// Observer invoked after every pass invocation with its name and wall
@@ -91,7 +95,9 @@ public:
   const std::vector<PassStatistics> &statistics() const { return Stats; }
 
 private:
-  bool runOnce(pir::Function &F);
+  /// Runs pass \p I once on \p F with its bookkeeping; returns whether
+  /// the pass changed the IR.
+  bool runPass(size_t I, pir::Function &F);
 
   std::vector<std::unique_ptr<FunctionPass>> Passes;
   std::vector<PassStatistics> Stats;
