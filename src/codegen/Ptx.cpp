@@ -8,10 +8,11 @@
 
 #include "support/StringUtils.h"
 
+#include <charconv>
 #include <cstdlib>
-#include <sstream>
+#include <cstring>
+#include <string_view>
 #include <unordered_map>
-#include <vector>
 
 using namespace proteus;
 using namespace proteus::mcode;
@@ -38,7 +39,7 @@ const char *typeTagName(pir::Type::Kind K) {
   return "u64";
 }
 
-int typeTagFromName(const std::string &S) {
+int typeTagFromName(std::string_view S) {
   if (S == "void")
     return static_cast<int>(pir::Type::Kind::Void);
   if (S == "pred")
@@ -56,47 +57,126 @@ int typeTagFromName(const std::string &S) {
   return -1;
 }
 
-void printReg(std::ostringstream &OS, Reg R) {
-  if (R == NoReg)
-    OS << " _";
-  else
-    OS << " %r" << R;
+template <typename Int> void appendInt(std::string &S, Int V) {
+  char Buf[24];
+  S.append(Buf, std::to_chars(Buf, Buf + sizeof(Buf), V).ptr);
 }
+
+void appendReg(std::string &S, Reg R) {
+  if (R == NoReg) {
+    S += " _";
+  } else {
+    S += " %r";
+    appendInt(S, R);
+  }
+}
+
+/// Runs a C conversion (strtoul and friends) on a NUL-terminated copy of
+/// \p Tok, on the stack unless the token is unusually long.
+template <typename Conv> auto convert(std::string_view Tok, Conv C) {
+  char Buf[64];
+  if (Tok.size() >= sizeof(Buf))
+    return C(std::string(Tok).c_str());
+  std::memcpy(Buf, Tok.data(), Tok.size());
+  Buf[Tok.size()] = '\0';
+  return C(Buf);
+}
+
+unsigned long toULong(std::string_view Tok) {
+  return convert(Tok, [](const char *S) { return std::strtoul(S, nullptr, 10); });
+}
+
+/// Iterates the fields of a string split at \p Sep, empty ones included,
+/// as split() would return them.
+class Fields {
+public:
+  Fields(std::string_view S, char Sep) : Rest(S), Sep(Sep) {}
+
+  bool next(std::string_view &Field) {
+    if (Done)
+      return false;
+    size_t Pos = Rest.find(Sep);
+    Field = Rest.substr(0, Pos);
+    if (Pos == std::string_view::npos)
+      Done = true;
+    else
+      Rest.remove_prefix(Pos + 1);
+    return true;
+  }
+
+private:
+  std::string_view Rest;
+  char Sep;
+  bool Done = false;
+};
 
 } // namespace
 
 std::string proteus::printPtx(const MachineFunction &MF) {
-  std::ostringstream OS;
-  OS << "//\n// ptx-sim module (generated)\n//\n";
-  OS << ".version 8.0\n.target sm_70\n.address_size 64\n\n";
-  OS << ".visible .entry " << MF.Name << "\n";
-  if (MF.LaunchBoundsThreads)
-    OS << ".maxntid " << MF.LaunchBoundsThreads << ", 1, 1\n"
-       << ".minnctapersm " << MF.LaunchBoundsMinBlocks << "\n";
-  OS << ".reg " << MF.NumRegs << "\n";
-  OS << ".localbytes " << MF.LocalBytes << "\n";
-  OS << ".params";
-  for (const MachineParam &P : MF.Params)
-    OS << " " << typeTagName(P.TypeKind) << ":%r" << P.ArgReg;
-  OS << "\n";
-  for (const Relocation &R : MF.Relocs)
-    OS << ".reloc " << R.Block << " " << R.InstrIndex << " " << R.Symbol
-       << "\n";
-  OS << "{\n";
+  std::string S;
+  S.reserve(256 + MF.Name.size() + 16 * MF.Params.size() +
+            32 * MF.Blocks.size() + 64 * MF.totalInstructions());
+  S += "//\n// ptx-sim module (generated)\n//\n";
+  S += ".version 8.0\n.target sm_70\n.address_size 64\n\n";
+  S += ".visible .entry ";
+  S += MF.Name;
+  S += '\n';
+  if (MF.LaunchBoundsThreads) {
+    S += ".maxntid ";
+    appendInt(S, MF.LaunchBoundsThreads);
+    S += ", 1, 1\n.minnctapersm ";
+    appendInt(S, MF.LaunchBoundsMinBlocks);
+    S += '\n';
+  }
+  S += ".reg ";
+  appendInt(S, MF.NumRegs);
+  S += "\n.localbytes ";
+  appendInt(S, MF.LocalBytes);
+  S += "\n.params";
+  for (const MachineParam &P : MF.Params) {
+    S += ' ';
+    S += typeTagName(P.TypeKind);
+    S += ":%r";
+    appendInt(S, P.ArgReg);
+  }
+  S += '\n';
+  for (const Relocation &R : MF.Relocs) {
+    S += ".reloc ";
+    appendInt(S, R.Block);
+    S += ' ';
+    appendInt(S, R.InstrIndex);
+    S += ' ';
+    S += R.Symbol;
+    S += '\n';
+  }
+  S += "{\n";
   for (size_t B = 0; B != MF.Blocks.size(); ++B) {
-    OS << "$L" << B << ": // " << MF.Blocks[B].Name << "\n";
+    S += "$L";
+    appendInt(S, B);
+    S += ": // ";
+    S += MF.Blocks[B].Name;
+    S += '\n';
     for (const MachineInstr &MI : MF.Blocks[B].Instrs) {
-      OS << "  " << mopName(MI.Op) << "." << typeTagName(MI.TypeTag) << "."
-         << MI.Aux << "." << (MI.Uniform ? "u" : "d");
-      printReg(OS, MI.Dst);
-      printReg(OS, MI.Src1);
-      printReg(OS, MI.Src2);
-      printReg(OS, MI.Src3);
-      OS << " " << MI.Imm << " " << MI.Imm2 << ";\n";
+      S += "  ";
+      S += mopName(MI.Op);
+      S += '.';
+      S += typeTagName(MI.TypeTag);
+      S += '.';
+      appendInt(S, MI.Aux);
+      S += MI.Uniform ? ".u" : ".d";
+      appendReg(S, MI.Dst);
+      appendReg(S, MI.Src1);
+      appendReg(S, MI.Src2);
+      appendReg(S, MI.Src3);
+      S += ' ';
+      appendInt(S, MI.Imm);
+      S += ' ';
+      appendInt(S, MI.Imm2);
+      S += ";\n";
     }
   }
-  OS << "}\n";
-  return OS.str();
+  S += "}\n";
+  return S;
 }
 
 PtxAssembleResult proteus::assemblePtx(const std::string &Text) {
@@ -110,16 +190,16 @@ PtxAssembleResult proteus::assemblePtx(const std::string &Text) {
 
   // Build the mnemonic lookup once.
   static const auto &OpByName = *[] {
-    auto *M = new std::unordered_map<std::string, MOp>();
+    auto *M = new std::unordered_map<std::string_view, MOp>();
     for (int O = 0; O <= static_cast<int>(MOp::Alloca); ++O)
       (*M)[mopName(static_cast<MOp>(O))] = static_cast<MOp>(O);
     return M;
   }();
 
-  std::istringstream In(Text);
-  std::string Line;
   int CurBlock = -1;
-  while (std::getline(In, Line)) {
+  Fields Lines(Text, '\n');
+  std::string_view Line;
+  while (Lines.next(Line)) {
     std::string_view L = trim(Line);
     if (L.empty() || startsWith(L, "//") || L == "{" || L == "}")
       continue;
@@ -128,27 +208,25 @@ PtxAssembleResult proteus::assemblePtx(const std::string &Text) {
       continue;
     }
     if (startsWith(L, ".maxntid ")) {
-      MF.LaunchBoundsThreads =
-          static_cast<uint32_t>(std::strtoul(L.data() + 9, nullptr, 10));
+      MF.LaunchBoundsThreads = static_cast<uint32_t>(toULong(L.substr(9)));
       continue;
     }
     if (startsWith(L, ".minnctapersm ")) {
-      MF.LaunchBoundsMinBlocks =
-          static_cast<uint32_t>(std::strtoul(L.data() + 14, nullptr, 10));
+      MF.LaunchBoundsMinBlocks = static_cast<uint32_t>(toULong(L.substr(14)));
       continue;
     }
     if (startsWith(L, ".reg ")) {
-      MF.NumRegs =
-          static_cast<uint32_t>(std::strtoul(L.data() + 5, nullptr, 10));
+      MF.NumRegs = static_cast<uint32_t>(toULong(L.substr(5)));
       continue;
     }
     if (startsWith(L, ".localbytes ")) {
-      MF.LocalBytes =
-          static_cast<uint32_t>(std::strtoul(L.data() + 12, nullptr, 10));
+      MF.LocalBytes = static_cast<uint32_t>(toULong(L.substr(12)));
       continue;
     }
     if (startsWith(L, ".params")) {
-      for (std::string_view Tok : split(L.substr(7), ' ')) {
+      Fields Params(L.substr(7), ' ');
+      std::string_view Tok;
+      while (Params.next(Tok)) {
         Tok = trim(Tok);
         if (Tok.empty())
           continue;
@@ -156,28 +234,26 @@ PtxAssembleResult proteus::assemblePtx(const std::string &Text) {
         if (Colon == std::string_view::npos || Tok.size() < Colon + 4 ||
             Tok[Colon + 1] != '%' || Tok[Colon + 2] != 'r')
           return fail("bad .params entry");
-        int TT = typeTagFromName(std::string(Tok.substr(0, Colon)));
+        int TT = typeTagFromName(Tok.substr(0, Colon));
         if (TT < 0)
           return fail("bad parameter type");
         MachineParam P;
         P.TypeKind = static_cast<pir::Type::Kind>(TT);
-        P.ArgReg = static_cast<Reg>(
-            std::strtoul(std::string(Tok.substr(Colon + 3)).c_str(), nullptr,
-                         10));
+        P.ArgReg = static_cast<Reg>(toULong(Tok.substr(Colon + 3)));
         MF.Params.push_back(P);
       }
       continue;
     }
     if (startsWith(L, ".reloc ")) {
-      std::vector<std::string_view> Parts = split(trim(L.substr(7)), ' ');
-      if (Parts.size() != 3)
+      Fields Parts(trim(L.substr(7)), ' ');
+      std::string_view Part[3], Extra;
+      if (!Parts.next(Part[0]) || !Parts.next(Part[1]) ||
+          !Parts.next(Part[2]) || Parts.next(Extra))
         return fail("bad .reloc");
       Relocation R;
-      R.Block = static_cast<uint32_t>(
-          std::strtoul(std::string(Parts[0]).c_str(), nullptr, 10));
-      R.InstrIndex = static_cast<uint32_t>(
-          std::strtoul(std::string(Parts[1]).c_str(), nullptr, 10));
-      R.Symbol = std::string(Parts[2]);
+      R.Block = static_cast<uint32_t>(toULong(Part[0]));
+      R.InstrIndex = static_cast<uint32_t>(toULong(Part[1]));
+      R.Symbol = std::string(Part[2]);
       MF.Relocs.push_back(std::move(R));
       continue;
     }
@@ -189,9 +265,7 @@ PtxAssembleResult proteus::assemblePtx(const std::string &Text) {
       size_t Colon = L.find(':');
       if (Colon == std::string_view::npos)
         return fail("bad label");
-      CurBlock = static_cast<int>(
-          std::strtoul(std::string(L.substr(2, Colon - 2)).c_str(), nullptr,
-                       10));
+      CurBlock = static_cast<int>(toULong(L.substr(2, Colon - 2)));
       if (CurBlock != static_cast<int>(MF.Blocks.size()))
         return fail("labels out of order");
       MachineBlock MB;
@@ -207,42 +281,47 @@ PtxAssembleResult proteus::assemblePtx(const std::string &Text) {
     std::string_view Body = L;
     if (!Body.empty() && Body.back() == ';')
       Body.remove_suffix(1);
-    std::vector<std::string_view> Tokens;
-    for (std::string_view T : split(Body, ' ')) {
+    std::string_view Tokens[7];
+    size_t NumTokens = 0;
+    Fields Words(Body, ' ');
+    std::string_view T;
+    while (Words.next(T)) {
       T = trim(T);
-      if (!T.empty())
-        Tokens.push_back(T);
+      if (T.empty())
+        continue;
+      if (NumTokens == 7) {
+        NumTokens = 8;
+        break;
+      }
+      Tokens[NumTokens++] = T;
     }
-    if (Tokens.size() != 7)
+    if (NumTokens != 7)
       return fail("bad instruction arity: " + std::string(L));
-    std::vector<std::string_view> OpParts = split(Tokens[0], '.');
     // The mnemonic itself may contain dots (e.g. ld.global): the trailing
     // three components are type, aux, uniformity.
-    if (OpParts.size() < 4)
+    std::string_view Op = Tokens[0];
+    size_t UniDot = Op.rfind('.');
+    size_t AuxDot = UniDot == std::string_view::npos || UniDot == 0
+                        ? std::string_view::npos
+                        : Op.rfind('.', UniDot - 1);
+    size_t TypeDot = AuxDot == std::string_view::npos || AuxDot == 0
+                         ? std::string_view::npos
+                         : Op.rfind('.', AuxDot - 1);
+    if (TypeDot == std::string_view::npos)
       return fail("bad opcode format");
-    std::string UniStr(OpParts.back());
-    OpParts.pop_back();
-    std::string AuxStr(OpParts.back());
-    OpParts.pop_back();
-    std::string TypeStr(OpParts.back());
-    OpParts.pop_back();
-    std::string Mnemonic;
-    for (size_t I = 0; I != OpParts.size(); ++I) {
-      if (I)
-        Mnemonic += '.';
-      Mnemonic += std::string(OpParts[I]);
-    }
+    std::string_view Mnemonic = Op.substr(0, TypeDot);
     auto OpIt = OpByName.find(Mnemonic);
     if (OpIt == OpByName.end())
-      return fail("unknown mnemonic '" + Mnemonic + "'");
-    int TT = typeTagFromName(TypeStr);
+      return fail("unknown mnemonic '" + std::string(Mnemonic) + "'");
+    int TT = typeTagFromName(Op.substr(TypeDot + 1, AuxDot - TypeDot - 1));
     if (TT < 0)
       return fail("bad type suffix");
     MachineInstr MI;
     MI.Op = OpIt->second;
     MI.TypeTag = static_cast<pir::Type::Kind>(TT);
-    MI.Aux = static_cast<uint16_t>(std::strtoul(AuxStr.c_str(), nullptr, 10));
-    MI.Uniform = UniStr == "u";
+    MI.Aux = static_cast<uint16_t>(
+        toULong(Op.substr(AuxDot + 1, UniDot - AuxDot - 1)));
+    MI.Uniform = Op.substr(UniDot + 1) == "u";
     auto parseReg = [&](std::string_view T, Reg &R) {
       if (T == "_") {
         R = NoReg;
@@ -250,16 +329,17 @@ PtxAssembleResult proteus::assemblePtx(const std::string &Text) {
       }
       if (T.size() < 3 || T[0] != '%' || T[1] != 'r')
         return false;
-      R = static_cast<Reg>(
-          std::strtoul(std::string(T.substr(2)).c_str(), nullptr, 10));
+      R = static_cast<Reg>(toULong(T.substr(2)));
       return true;
     };
     if (!parseReg(Tokens[1], MI.Dst) || !parseReg(Tokens[2], MI.Src1) ||
         !parseReg(Tokens[3], MI.Src2) || !parseReg(Tokens[4], MI.Src3))
       return fail("bad register token");
-    MI.Imm = std::strtoll(std::string(Tokens[5]).c_str(), nullptr, 10);
-    MI.Imm2 = static_cast<int32_t>(
-        std::strtol(std::string(Tokens[6]).c_str(), nullptr, 10));
+    MI.Imm = convert(Tokens[5], [](const char *S) {
+      return std::strtoll(S, nullptr, 10);
+    });
+    MI.Imm2 = static_cast<int32_t>(convert(
+        Tokens[6], [](const char *S) { return std::strtol(S, nullptr, 10); }));
     MF.Blocks[static_cast<size_t>(CurBlock)].Instrs.push_back(MI);
   }
   if (MF.Name.empty() || MF.Blocks.empty())
