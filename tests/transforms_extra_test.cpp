@@ -27,6 +27,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 using namespace pir;
 using namespace proteus;
 using namespace proteus_test;
@@ -356,6 +358,107 @@ TEST(PassManagerTest, CollectsStatisticsAndReachesFixpoint) {
   }
   // The unroller fired exactly once (the loop exists only once).
   EXPECT_EQ(Stats[2].ChangedInvocations, 1u);
+}
+
+/// A pass that changes nothing and reports a change on the scripted
+/// invocations of its own (0-based), logging every invocation.
+class ScriptedPass : public FunctionPass {
+public:
+  ScriptedPass(std::string Name, std::vector<unsigned> ChangesOn,
+               std::vector<std::string> &Log)
+      : Name(std::move(Name)), ChangesOn(std::move(ChangesOn)), Log(Log) {}
+  std::string name() const override { return Name; }
+  bool run(Function &) override {
+    Log.push_back(Name);
+    unsigned Call = Calls++;
+    return std::find(ChangesOn.begin(), ChangesOn.end(), Call) !=
+           ChangesOn.end();
+  }
+
+private:
+  std::string Name;
+  std::vector<unsigned> ChangesOn;
+  std::vector<std::string> &Log;
+  unsigned Calls = 0;
+};
+
+/// Runs passes a, b, c, d, where the pass at each index reports a change
+/// on the listed invocations of its own, and returns the invocation order.
+std::vector<std::string>
+scriptedSchedule(unsigned MaxIterations,
+                 std::vector<std::vector<unsigned>> ChangesOn,
+                 bool *Changed = nullptr) {
+  std::vector<std::string> Log;
+  PassManager PM(MaxIterations);
+  ChangesOn.resize(4);
+  for (unsigned I = 0; I != 4; ++I)
+    PM.addPass(std::make_unique<ScriptedPass>(std::string(1, char('a' + I)),
+                                              ChangesOn[I], Log));
+  Context Ctx;
+  Module M(Ctx, "m");
+  bool C = PM.run(*buildLoopSumKernel(M));
+  if (Changed)
+    *Changed = C;
+  return Log;
+}
+
+using Schedule = std::vector<std::string>;
+
+TEST(PassManagerTest, StopsOnceEveryPassRerunsAfterTheLastChange) {
+  bool Changed = true;
+  // No change at all: one sweep.
+  EXPECT_EQ(scriptedSchedule(3, {}, &Changed), (Schedule{"a", "b", "c", "d"}));
+  EXPECT_FALSE(Changed);
+  // b changes in sweep 1 only: c and d already saw the final IR, so the
+  // second sweep stops after b.
+  EXPECT_EQ(scriptedSchedule(3, {{}, {0}}, &Changed),
+            (Schedule{"a", "b", "c", "d", "a", "b"}));
+  EXPECT_TRUE(Changed);
+  // The last pass changes: a full second sweep.
+  EXPECT_EQ(scriptedSchedule(3, {{}, {}, {}, {0}}),
+            (Schedule{"a", "b", "c", "d", "a", "b", "c", "d"}));
+  // a changes in sweeps 1 and 2: the third sweep stops after a.
+  EXPECT_EQ(scriptedSchedule(3, {{0, 1}}),
+            (Schedule{"a", "b", "c", "d", "a", "b", "c", "d", "a"}));
+}
+
+TEST(PassManagerTest, MaxIterationsCapsTheSchedule) {
+  // d changes every time: three sweeps, then the cap.
+  Schedule Three = {"a", "b", "c", "d", "a", "b", "c", "d",
+                    "a", "b", "c", "d"};
+  EXPECT_EQ(scriptedSchedule(3, {{}, {}, {}, {0, 1, 2, 3, 4}}), Three);
+  // One iteration runs each pass exactly once, changed or not.
+  EXPECT_EQ(scriptedSchedule(1, {{0}, {0}, {0}, {0}}),
+            (Schedule{"a", "b", "c", "d"}));
+}
+
+/// Deletes a dead instruction but reports no change.
+class UntruthfulPass : public FunctionPass {
+public:
+  std::string name() const override { return "untruthful"; }
+  bool run(Function &F) override {
+    DCEPass().run(F);
+    return false;
+  }
+};
+
+TEST(PassManagerDeathTest, VerifyEachCatchesAnUnreportedChange) {
+  auto RunLiar = [] {
+    Context Ctx;
+    Module M(Ctx, "m");
+    IRBuilder B(Ctx);
+    Function *F = M.createFunction("k", Ctx.getVoidTy(), {Ctx.getI32Ty()},
+                                   {"a"}, FunctionKind::Kernel);
+    B.setInsertPoint(F->createBlock("entry", Ctx.getVoidTy()));
+    B.createAdd(F->getArg(0), F->getArg(0)); // dead
+    B.createRet();
+    PassManager PM;
+    PM.setVerifyEach(true);
+    PM.addPass(std::make_unique<UntruthfulPass>());
+    PM.run(*F);
+  };
+  EXPECT_DEATH(RunLiar(), "pass 'untruthful' changed function @k but "
+                          "reported no change");
 }
 
 TEST(SpecializeExtraTest, PointerArgumentFoldsToConstantAddress) {

@@ -225,6 +225,72 @@ TEST(CSETest, NormalizesCommutativeOperands) {
   EXPECT_EQ(countKind(*F, ValueKind::Add), 1u);
 }
 
+/// Counts instructions of kind \p K in \p BB.
+size_t countKindIn(BasicBlock &BB, ValueKind K) {
+  size_t N = 0;
+  for (Instruction &I : BB)
+    N += I.getKind() == K;
+  return N;
+}
+
+TEST(CSETest, ScopesFollowALongDominatorChain) {
+  // entry branches to a 1,200-block dominator chain c0 -> c1 -> ... and to
+  // a sibling block s; both reach exit. Every chain block recomputes
+  // a+b, b+a (commuted) and select(cnd, a, b), plus the previous block's
+  // running sum v(i-1) = v(i-2) + (i-1), and defines its own v(i). All of
+  // them must fold to the leaders in c0 and c(i-1), so up to one live
+  // leader per block stays in the table. The sibling s is not dominated by
+  // c0 and keeps its own a+b and select.
+  constexpr unsigned Chain = 1200;
+  Context Ctx;
+  Module M(Ctx, "m");
+  IRBuilder B(Ctx);
+  Function *F = M.createFunction("k", Ctx.getVoidTy(),
+                                 {Ctx.getI32Ty(), Ctx.getI32Ty(),
+                                  Ctx.getI1Ty()},
+                                 {"a", "b", "cnd"}, FunctionKind::Kernel);
+  Value *A = F->getArg(0), *Bv = F->getArg(1), *Cnd = F->getArg(2);
+  BasicBlock *Entry = F->createBlock("entry", Ctx.getVoidTy());
+  std::vector<BasicBlock *> C;
+  for (unsigned I = 0; I != Chain; ++I)
+    C.push_back(F->createBlock("c" + std::to_string(I), Ctx.getVoidTy()));
+  BasicBlock *S = F->createBlock("s", Ctx.getVoidTy());
+  BasicBlock *Exit = F->createBlock("exit", Ctx.getVoidTy());
+  B.setInsertPoint(Entry);
+  B.createCondBr(Cnd, C[0], S);
+  std::vector<Value *> V;
+  for (unsigned I = 0; I != Chain; ++I) {
+    B.setInsertPoint(C[I]);
+    B.createAdd(A, Bv);
+    B.createAdd(Bv, A);
+    B.createSelect(Cnd, A, Bv);
+    if (I >= 1)
+      B.createAdd(I >= 2 ? V[I - 2] : A, B.getInt32(I - 1));
+    V.push_back(B.createAdd(I >= 1 ? V[I - 1] : A, B.getInt32(I)));
+    B.createBr(I + 1 == Chain ? Exit : C[I + 1]);
+  }
+  B.setInsertPoint(S);
+  B.createAdd(A, Bv);
+  B.createAdd(Bv, A);
+  B.createSelect(Cnd, A, Bv);
+  B.createBr(Exit);
+  B.setInsertPoint(Exit);
+  B.createRet();
+
+  EXPECT_TRUE(CSEPass().run(*F));
+  expectValid(*F);
+  // c0 keeps a+b, the select and v0; every later block only its own v(i).
+  EXPECT_EQ(countKindIn(*C[0], ValueKind::Add), 2u);
+  EXPECT_EQ(countKindIn(*C[0], ValueKind::Select), 1u);
+  for (unsigned I = 1; I != Chain; ++I) {
+    ASSERT_EQ(C[I]->size(), 2u) << "block c" << I;
+    EXPECT_EQ(&C[I]->front(), V[I]) << "block c" << I;
+  }
+  EXPECT_EQ(countKindIn(*S, ValueKind::Add), 1u);
+  EXPECT_EQ(countKindIn(*S, ValueKind::Select), 1u);
+  EXPECT_FALSE(CSEPass().run(*F));
+}
+
 TEST(Mem2RegTest, PromotesLocalsAndInsertsPhis) {
   Context Ctx;
   Module M(Ctx, "m");
