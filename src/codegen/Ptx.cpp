@@ -9,6 +9,7 @@
 #include "support/StringUtils.h"
 
 #include <charconv>
+#include <concepts>
 #include <cstdlib>
 #include <cstring>
 #include <string_view>
@@ -57,18 +58,24 @@ int typeTagFromName(std::string_view S) {
   return -1;
 }
 
-template <typename Int> void appendInt(std::string &S, Int V) {
+void appendPiece(std::string &S, std::string_view Text) { S += Text; }
+
+template <std::integral Int> void appendPiece(std::string &S, Int V) {
   char Buf[24];
   S.append(Buf, std::to_chars(Buf, Buf + sizeof(Buf), V).ptr);
 }
 
+/// Appends text pieces as-is and integers in decimal.
+template <typename... Pieces>
+void append(std::string &S, const Pieces &...P) {
+  (appendPiece(S, P), ...);
+}
+
 void appendReg(std::string &S, Reg R) {
-  if (R == NoReg) {
+  if (R == NoReg)
     S += " _";
-  } else {
-    S += " %r";
-    appendInt(S, R);
-  }
+  else
+    append(S, " %r", R);
 }
 
 /// Runs a C conversion (strtoul and friends) on a NUL-terminated copy of
@@ -83,7 +90,8 @@ template <typename Conv> auto convert(std::string_view Tok, Conv C) {
 }
 
 unsigned long toULong(std::string_view Tok) {
-  return convert(Tok, [](const char *S) { return std::strtoul(S, nullptr, 10); });
+  return convert(Tok,
+                 [](const char *S) { return std::strtoul(S, nullptr, 10); });
 }
 
 /// Iterates the fields of a string split at \p Sep, empty ones included,
@@ -116,63 +124,30 @@ std::string proteus::printPtx(const MachineFunction &MF) {
   std::string S;
   S.reserve(256 + MF.Name.size() + 16 * MF.Params.size() +
             32 * MF.Blocks.size() + 64 * MF.totalInstructions());
-  S += "//\n// ptx-sim module (generated)\n//\n";
-  S += ".version 8.0\n.target sm_70\n.address_size 64\n\n";
-  S += ".visible .entry ";
-  S += MF.Name;
-  S += '\n';
-  if (MF.LaunchBoundsThreads) {
-    S += ".maxntid ";
-    appendInt(S, MF.LaunchBoundsThreads);
-    S += ", 1, 1\n.minnctapersm ";
-    appendInt(S, MF.LaunchBoundsMinBlocks);
-    S += '\n';
-  }
-  S += ".reg ";
-  appendInt(S, MF.NumRegs);
-  S += "\n.localbytes ";
-  appendInt(S, MF.LocalBytes);
-  S += "\n.params";
-  for (const MachineParam &P : MF.Params) {
-    S += ' ';
-    S += typeTagName(P.TypeKind);
-    S += ":%r";
-    appendInt(S, P.ArgReg);
-  }
-  S += '\n';
-  for (const Relocation &R : MF.Relocs) {
-    S += ".reloc ";
-    appendInt(S, R.Block);
-    S += ' ';
-    appendInt(S, R.InstrIndex);
-    S += ' ';
-    S += R.Symbol;
-    S += '\n';
-  }
+  append(S, "//\n// ptx-sim module (generated)\n//\n",
+         ".version 8.0\n.target sm_70\n.address_size 64\n\n",
+         ".visible .entry ", MF.Name, "\n");
+  if (MF.LaunchBoundsThreads)
+    append(S, ".maxntid ", MF.LaunchBoundsThreads, ", 1, 1\n",
+           ".minnctapersm ", MF.LaunchBoundsMinBlocks, "\n");
+  append(S, ".reg ", MF.NumRegs, "\n.localbytes ", MF.LocalBytes,
+         "\n.params");
+  for (const MachineParam &P : MF.Params)
+    append(S, " ", typeTagName(P.TypeKind), ":%r", P.ArgReg);
+  S += "\n";
+  for (const Relocation &R : MF.Relocs)
+    append(S, ".reloc ", R.Block, " ", R.InstrIndex, " ", R.Symbol, "\n");
   S += "{\n";
   for (size_t B = 0; B != MF.Blocks.size(); ++B) {
-    S += "$L";
-    appendInt(S, B);
-    S += ": // ";
-    S += MF.Blocks[B].Name;
-    S += '\n';
+    append(S, "$L", B, ": // ", MF.Blocks[B].Name, "\n");
     for (const MachineInstr &MI : MF.Blocks[B].Instrs) {
-      S += "  ";
-      S += mopName(MI.Op);
-      S += '.';
-      S += typeTagName(MI.TypeTag);
-      S += '.';
-      appendInt(S, MI.Aux);
-      S += MI.Uniform ? ".u" : ".d";
+      append(S, "  ", mopName(MI.Op), ".", typeTagName(MI.TypeTag), ".",
+             MI.Aux, MI.Uniform ? ".u" : ".d");
       appendReg(S, MI.Dst);
       appendReg(S, MI.Src1);
       appendReg(S, MI.Src2);
       appendReg(S, MI.Src3);
-      S += ' ';
-      appendInt(S, MI.Imm);
-      S += ' ';
-      appendInt(S, MI.Imm2);
-      S += ";\n";
+      append(S, " ", MI.Imm, " ", MI.Imm2, ";\n");
     }
   }
   S += "}\n";

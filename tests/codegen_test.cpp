@@ -279,7 +279,8 @@ TEST(PtxTest, MutantVerdictsMatchGolden) {
   Golden.resize(GoldenMutants);
   unsigned Iters = GoldenMutants;
   if (const char *E = std::getenv("PROTEUS_FUZZ_ITERS"))
-    Iters = std::max(Iters, static_cast<unsigned>(std::strtoul(E, nullptr, 10)));
+    Iters = std::max(Iters,
+                     static_cast<unsigned>(std::strtoul(E, nullptr, 10)));
   unsigned Accepted = 0, Mismatches = 0;
   std::string Actual;
   for (unsigned I = 0; I != Iters; ++I) {
