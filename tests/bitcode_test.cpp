@@ -4,11 +4,15 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "Mutation.h"
 #include "TestUtil.h"
 
 #include "bitcode/Bitcode.h"
+#include "hecbench/Benchmark.h"
 #include "ir/Context.h"
 #include "ir/IRPrinter.h"
+#include "support/Hashing.h"
+#include "support/StringUtils.h"
 
 #include <gtest/gtest.h>
 
@@ -128,6 +132,65 @@ TEST(BitcodeTest, RejectsCorruptOperandSlots) {
     }
   }
   SUCCEED();
+}
+
+/// Mutants pinned by tests/golden/bitcode_mutants.txt; PROTEUS_FUZZ_ITERS
+/// widens the sweep past them.
+constexpr unsigned GoldenBitcodeMutants = 1200;
+
+/// The bitcode of every HeCBench-sim program's module, keyed by program.
+const std::vector<std::pair<std::string, std::vector<uint8_t>>> &
+hecbenchBitcode() {
+  static const auto All = [] {
+    std::vector<std::pair<std::string, std::vector<uint8_t>>> Out;
+    for (const auto &B : hecbench::allBenchmarks()) {
+      Context Ctx;
+      Out.emplace_back(B->name(), writeBitcode(*B->buildModule(Ctx)));
+    }
+    return Out;
+  }();
+  return All;
+}
+
+std::string printDigest(const std::string &Text) {
+  FNV1aHash H;
+  H.update(Text);
+  return hashToHex(H.digest());
+}
+
+/// The reader's verdict on mutant \p I: its reject message, or the digest
+/// of the accepted module's print. An accepted module must write and read
+/// back to the same print.
+MutantVerdict bitcodeMutantVerdict(unsigned I) {
+  const auto &All = hecbenchBitcode();
+  const auto &[Name, Pristine] = All[I % All.size()];
+  Rng R(0x51ed270bull * (I + 1));
+  unsigned Kind = R.below(std::size(ByteMutationKinds));
+  std::vector<uint8_t> Bytes = Pristine;
+  mutateBytes(Bytes, Kind, R);
+  Context Ctx;
+  BitcodeReadResult Read = readBitcode(Ctx, Bytes);
+  std::string Verdict;
+  if (Read) {
+    std::string Text = printModule(*Read.M);
+    Verdict = "ok " + printDigest(Text);
+    Context Ctx2;
+    BitcodeReadResult Again = readBitcode(Ctx2, writeBitcode(*Read.M));
+    EXPECT_TRUE(Again) << "mutant " << I << ": " << Again.Error;
+    if (Again) {
+      EXPECT_EQ(printModule(*Again.M), Text) << "mutant " << I;
+    }
+  } else {
+    Verdict = "rejected: " + Read.Error;
+  }
+  return {formatString("%u %s %s %s", I, Name.c_str(), ByteMutationKinds[Kind],
+                       Verdict.c_str()),
+          static_cast<bool>(Read)};
+}
+
+TEST(BitcodeTest, MutantVerdictsMatchGolden) {
+  expectMutantVerdictsMatchGolden(PROTEUS_BITCODE_MUTANTS,
+                                  GoldenBitcodeMutants, bitcodeMutantVerdict);
 }
 
 TEST(BitcodeTest, SizeIsCompact) {

@@ -4,6 +4,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "Mutation.h"
 #include "RandomKernel.h"
 #include "TestUtil.h"
 
@@ -18,8 +19,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
-#include <fstream>
 
 using namespace pir;
 using namespace proteus;
@@ -173,137 +172,34 @@ TEST(PtxTest, RoundTripThroughTextPreservesStructure) {
 /// widens the sweep past them.
 constexpr unsigned GoldenMutants = 1200;
 
-const char *const MutationKinds[] = {"flip",     "digit",    "drop-token",
-                                     "dup-token", "truncate", "dup-line",
-                                     "drop-line"};
-
-/// Applies mutation \p Kind to \p Text at positions drawn from \p R.
-void mutatePtx(std::string &Text, unsigned Kind, Rng &R) {
-  if (Text.empty())
-    return;
-  size_t Pos = R.below(static_cast<uint32_t>(Text.size()));
-  auto tokenAt = [&](size_t P) {
-    size_t B = P, E = P;
-    while (B > 0 && Text[B - 1] != ' ' && Text[B - 1] != '\n')
-      --B;
-    while (E < Text.size() && Text[E] != ' ' && Text[E] != '\n')
-      ++E;
-    return std::make_pair(B, E);
-  };
-  auto lineAt = [&](size_t P) {
-    size_t B = Text.rfind('\n', P == 0 ? 0 : P - 1);
-    B = B == std::string::npos || P == 0 ? 0 : B + 1;
-    size_t E = Text.find('\n', P);
-    return std::make_pair(B, E == std::string::npos ? Text.size() : E + 1);
-  };
-  switch (Kind) {
-  case 0: // flip one bit
-    Text[Pos] = static_cast<char>(Text[Pos] ^ (1 << R.below(8)));
-    break;
-  case 1: { // replace, delete or insert a digit
-    size_t D = Text.find_first_of("0123456789", Pos);
-    if (D == std::string::npos)
-      D = Pos;
-    char Digit = static_cast<char>('0' + R.below(10));
-    switch (R.below(3)) {
-    case 0:
-      Text[D] = Digit;
-      break;
-    case 1:
-      Text.erase(D, 1);
-      break;
-    default:
-      Text.insert(Text.begin() + static_cast<long>(D), Digit);
-      break;
-    }
-    break;
-  }
-  case 2: { // drop a token
-    auto [B, E] = tokenAt(Pos);
-    Text.erase(B, E - B);
-    break;
-  }
-  case 3: { // duplicate a token
-    auto [B, E] = tokenAt(Pos);
-    Text.insert(E, " " + Text.substr(B, E - B));
-    break;
-  }
-  case 4: // truncate
-    Text.resize(Pos);
-    break;
-  case 5: { // duplicate a line
-    auto [B, E] = lineAt(Pos);
-    Text.insert(E, Text.substr(B, E - B));
-    break;
-  }
-  default: { // drop a line
-    auto [B, E] = lineAt(Pos);
-    Text.erase(B, E - B);
-    break;
-  }
-  }
-}
-
 /// The assembler's verdict on mutant \p I: "rejected", or the digest of
-/// the accepted function's re-print.
-std::string mutantVerdict(unsigned I, std::string *Reprint) {
+/// the accepted function's re-print, which must re-assemble to a fixpoint.
+MutantVerdict ptxMutantVerdict(unsigned I) {
   const std::vector<NamedMF> &All = hecbenchMachineFunctions();
   const NamedMF &K = All[I % All.size()];
   Rng R(0x9e3779b9ull * (I + 1));
-  unsigned Kind = R.below(std::size(MutationKinds));
+  unsigned Kind = R.below(std::size(TextMutationKinds));
   std::string Text = printPtx(K.MF);
-  mutatePtx(Text, Kind, R);
+  mutateText(Text, Kind, R);
   PtxAssembleResult Asm = assemblePtx(Text);
   std::string Verdict = "rejected";
   if (Asm.Ok) {
-    *Reprint = printPtx(Asm.MF);
+    std::string Reprint = printPtx(Asm.MF);
     FNV1aHash H;
-    H.update(*Reprint);
+    H.update(Reprint);
     Verdict = "ok " + hashToHex(H.digest());
+    PtxAssembleResult Again = assemblePtx(Reprint);
+    EXPECT_TRUE(Again.Ok) << "mutant " << I << ": " << Again.Error;
+    EXPECT_EQ(printPtx(Again.MF), Reprint) << "mutant " << I;
   }
-  return formatString("%u %s %s %s", I, K.Name.c_str(), MutationKinds[Kind],
-                      Verdict.c_str());
+  return {formatString("%u %s %s %s", I, K.Name.c_str(), TextMutationKinds[Kind],
+                       Verdict.c_str()),
+          Asm.Ok};
 }
 
 TEST(PtxTest, MutantVerdictsMatchGolden) {
-  std::vector<std::string> Golden;
-  {
-    std::ifstream In(PROTEUS_PTX_MUTANTS);
-    std::string Line;
-    while (std::getline(In, Line))
-      if (!Line.empty() && Line[0] != '#')
-        Golden.push_back(Line);
-  }
-  EXPECT_EQ(Golden.size(), GoldenMutants)
-      << "bad golden file " << PROTEUS_PTX_MUTANTS;
-  Golden.resize(GoldenMutants);
-  unsigned Iters = GoldenMutants;
-  if (const char *E = std::getenv("PROTEUS_FUZZ_ITERS"))
-    Iters = std::max(Iters,
-                     static_cast<unsigned>(std::strtoul(E, nullptr, 10)));
-  unsigned Accepted = 0, Mismatches = 0;
-  std::string Actual;
-  for (unsigned I = 0; I != Iters; ++I) {
-    std::string Reprint;
-    std::string Line = mutantVerdict(I, &Reprint);
-    if (I < GoldenMutants) {
-      Actual += Line + "\n";
-      if (Line != Golden[I] && ++Mismatches <= 10 && !Golden[I].empty())
-        ADD_FAILURE() << "mutant " << I << ": got '" << Line
-                      << "', golden '" << Golden[I] << "'";
-    }
-    if (Reprint.empty())
-      continue;
-    // Whatever the assembler accepts, it must re-print to a fixpoint.
-    ++Accepted;
-    PtxAssembleResult Again = assemblePtx(Reprint);
-    ASSERT_TRUE(Again.Ok) << "mutant " << I << ": " << Again.Error;
-    ASSERT_EQ(printPtx(Again.MF), Reprint) << "mutant " << I;
-  }
-  EXPECT_EQ(Mismatches, 0u) << "actual lines:\n" << Actual;
-  // The sweep must exercise both verdicts.
-  EXPECT_GT(Accepted, 0u);
-  EXPECT_LT(Accepted, Iters);
+  expectMutantVerdictsMatchGolden(PROTEUS_PTX_MUTANTS, GoldenMutants,
+                                  ptxMutantVerdict);
 }
 
 TEST(PtxTest, AssemblerRejectsGarbage) {

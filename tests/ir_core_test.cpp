@@ -174,6 +174,294 @@ TEST(CFGTest, SuccessorsAndPredecessors) {
   EXPECT_TRUE(Entry->predecessors().empty());
 }
 
+/// Names of \p F's blocks in layout order, space-separated.
+std::string blockNames(Function &F) {
+  std::string Out;
+  for (BasicBlock &BB : F)
+    Out += (Out.empty() ? "" : " ") + BB.getName();
+  return Out;
+}
+
+/// Names of \p BB's instructions in order, space-separated.
+std::string instNames(BasicBlock &BB) {
+  std::string Out;
+  for (Instruction &I : BB)
+    Out += (Out.empty() ? "" : " ") +
+           (I.hasName() ? I.getName() : valueKindName(I.getKind()));
+  return Out;
+}
+
+TEST(ListTest, MoveBeforeAcrossBlocksSpliceAndBlockLayout) {
+  Context Ctx;
+  Module M(Ctx, "m");
+  Function *F = M.createFunction("k", Ctx.getVoidTy(), {}, {},
+                                 FunctionKind::Kernel);
+  BasicBlock *A = F->createBlock("a", Ctx.getVoidTy());
+  BasicBlock *B = F->createBlock("b", Ctx.getVoidTy());
+  IRBuilder Bld(Ctx);
+  Bld.setInsertPoint(A);
+  Value *T = Bld.createThreadIdx(0, "t");
+  auto *X = cast<Instruction>(Bld.createAdd(T, Bld.getInt32(1), "x"));
+  Bld.createBr(B);
+  Bld.setInsertPoint(B);
+  auto *Y = cast<Instruction>(Bld.createMul(X, Bld.getInt32(2), "y"));
+  Bld.createRet();
+
+  X->moveBefore(Y);
+  EXPECT_EQ(X->getParent(), B);
+  EXPECT_EQ(instNames(*A), "t br");
+  EXPECT_EQ(instNames(*B), "x y ret");
+  EXPECT_EQ(A->size(), 2u);
+  EXPECT_EQ(B->size(), 3u);
+  EXPECT_EQ(&*--B->end(), B->getTerminator());
+  EXPECT_EQ(&*--(--B->end()), Y);
+  EXPECT_EQ(&*--A->end(), &A->back());
+
+  BasicBlock *D = F->createBlock("d", Ctx.getVoidTy());
+  D->spliceAllFrom(B);
+  EXPECT_TRUE(B->empty());
+  EXPECT_EQ(B->size(), 0u);
+  EXPECT_EQ(instNames(*D), "x y ret");
+  EXPECT_EQ(D->size(), 3u);
+  for (Instruction &I : *D)
+    EXPECT_EQ(I.getParent(), D);
+  EXPECT_EQ(X->getFunction(), F);
+
+  cast<BranchInst>(A->getTerminator())->setSuccessor(0, D);
+  F->eraseBlock(B);
+  EXPECT_EQ(blockNames(*F), "a d");
+  BasicBlock *E = F->createBlock("e", Ctx.getVoidTy());
+  EXPECT_EQ(blockNames(*F), "a d e");
+  F->moveBlockAfter(E, A);
+  EXPECT_EQ(blockNames(*F), "a e d");
+  F->moveBlockAfter(A, D);
+  EXPECT_EQ(blockNames(*F), "e d a");
+  EXPECT_EQ(&F->getEntryBlock(), E);
+  F->moveBlockAfter(E, A);
+  EXPECT_EQ(blockNames(*F), "d a e");
+  F->moveBlockAfter(D, A);
+  EXPECT_EQ(blockNames(*F), "a d e");
+  F->eraseBlock(E);
+  EXPECT_EQ(blockNames(*F), "a d");
+  EXPECT_EQ(F->size(), 2u);
+  std::vector<BasicBlock *> Expected{A, D};
+  EXPECT_EQ(F->blockList(), Expected);
+  expectValid(M);
+}
+
+TEST(ListTest, EraseUnderEarlyIncrementIteration) {
+  Context Ctx;
+  Module M(Ctx, "m");
+  Function *F = M.createFunction("k", Ctx.getVoidTy(), {}, {},
+                                 FunctionKind::Kernel);
+  BasicBlock *BB = F->createBlock("entry", Ctx.getVoidTy());
+  IRBuilder Bld(Ctx);
+  Bld.setInsertPoint(BB);
+  for (int I = 0; I != 10; ++I)
+    Bld.createThreadIdx(0, "t" + std::to_string(I));
+  Bld.createRet();
+  ASSERT_EQ(BB->size(), 11u);
+
+  unsigned Index = 0;
+  for (auto It = BB->begin(), End = BB->end(); It != End;) {
+    Instruction &I = *It++;
+    if (!I.isTerminator() && Index++ % 2 == 0)
+      I.eraseFromParent();
+  }
+  EXPECT_EQ(instNames(*BB), "t1 t3 t5 t7 t9 ret");
+  EXPECT_EQ(BB->size(), 6u);
+
+  // Erase everything but the terminator, back to front.
+  while (BB->size() > 1)
+    (--(--BB->end()))->eraseFromParent();
+  EXPECT_EQ(instNames(*BB), "ret");
+  EXPECT_EQ(&BB->front(), &BB->back());
+  BB->erase(&BB->front());
+  EXPECT_TRUE(BB->empty());
+  EXPECT_TRUE(BB->begin() == BB->end());
+  EXPECT_EQ(BB->getTerminator(), nullptr);
+}
+
+TEST(OperandTest, PhiWithManyIncomingAndRemoveIncoming) {
+  Context Ctx;
+  Module M(Ctx, "m");
+  Function *F = M.createFunction("k", Ctx.getVoidTy(), {}, {},
+                                 FunctionKind::Kernel);
+  constexpr unsigned N = 70;
+  std::vector<BasicBlock *> Preds;
+  for (unsigned K = 0; K != N; ++K)
+    Preds.push_back(F->createBlock("p" + std::to_string(K), Ctx.getVoidTy()));
+  BasicBlock *Join = F->createBlock("join", Ctx.getVoidTy());
+  IRBuilder Bld(Ctx);
+  Bld.setInsertPoint(Join);
+  PhiInst *Phi = Bld.createPhi(Ctx.getI32Ty(), "p");
+  for (unsigned K = 0; K != N; ++K)
+    Phi->addIncoming(Bld.getInt32(static_cast<int32_t>(K)), Preds[K]);
+  ASSERT_EQ(Phi->getNumIncoming(), N);
+  ASSERT_EQ(Phi->getNumOperands(), 2 * N);
+  ASSERT_EQ(Phi->operands().size(), 2 * N);
+  for (unsigned K = 0; K != N; ++K) {
+    EXPECT_EQ(Phi->getIncomingBlock(K), Preds[K]);
+    EXPECT_EQ(Phi->getIncomingValue(K),
+              Bld.getInt32(static_cast<int32_t>(K)));
+    ASSERT_EQ(Preds[K]->getNumUses(), 1u);
+    EXPECT_EQ(Preds[K]->uses()[0].TheUser, Phi);
+    EXPECT_EQ(Preds[K]->uses()[0].OperandIndex, 2 * K + 1);
+  }
+
+  // removeIncoming moves the last pair into the hole.
+  Phi->removeIncoming(0);
+  EXPECT_EQ(Phi->getNumIncoming(), N - 1);
+  EXPECT_EQ(Phi->getIncomingBlock(0), Preds[N - 1]);
+  EXPECT_EQ(Phi->getIncomingValue(0), Bld.getInt32(N - 1));
+  EXPECT_EQ(Preds[0]->getNumUses(), 0u);
+  EXPECT_EQ(Preds[N - 1]->uses()[0].OperandIndex, 1u);
+  Phi->removeIncoming(Phi->getNumIncoming() - 1);
+  EXPECT_EQ(Preds[N - 2]->getNumUses(), 0u);
+  while (Phi->getNumIncoming() > 2)
+    Phi->removeIncoming(1);
+  EXPECT_EQ(Phi->getNumIncoming(), 2u);
+  EXPECT_EQ(Phi->getIncomingBlock(0), Preds[N - 1]);
+  // Every use record still points back at its operand.
+  for (Value *Op : Phi->operands())
+    for (const Use &U : Op->uses())
+      EXPECT_EQ(U.TheUser->getOperand(U.OperandIndex), Op);
+
+  // Grow past the inline capacity again, then drop every edge.
+  for (unsigned K = 0; K != N - 2; ++K)
+    Phi->addIncoming(Bld.getInt32(7), Preds[K]);
+  EXPECT_EQ(Phi->getNumIncoming(), N);
+  Phi->dropAllReferences();
+  EXPECT_EQ(Phi->getNumOperands(), 0u);
+  for (BasicBlock *P : Preds)
+    EXPECT_FALSE(P->hasUses());
+  EXPECT_FALSE(Bld.getInt32(7)->hasUses());
+  Phi->eraseFromParent();
+}
+
+TEST(OperandTest, CallWithEightArguments) {
+  Context Ctx;
+  Module M(Ctx, "m");
+  std::vector<Type *> Params(8, Ctx.getI32Ty());
+  Function *Callee = M.createFunction("callee", Ctx.getI32Ty(), Params, {},
+                                      FunctionKind::Device);
+  Function *F = M.createFunction("k", Ctx.getVoidTy(), Params, {},
+                                 FunctionKind::Kernel);
+  BasicBlock *BB = F->createBlock("entry", Ctx.getVoidTy());
+  IRBuilder Bld(Ctx);
+  Bld.setInsertPoint(BB);
+  std::vector<Value *> Args;
+  for (size_t K = 0; K != 8; ++K)
+    Args.push_back(F->getArg(K));
+  auto *Call = cast<CallInst>(Bld.createCall(Callee, Args, "c"));
+  Bld.createRet();
+  ASSERT_EQ(Call->getNumArgs(), 8u);
+  ASSERT_EQ(Call->getNumOperands(), 9u);
+  EXPECT_EQ(Call->getCallee(), Callee);
+  size_t K = 0;
+  for (Value *Op : Call->operands()) {
+    if (K != 0) {
+      EXPECT_EQ(Op, F->getArg(K - 1));
+    }
+    ++K;
+  }
+  for (size_t A = 0; A != 8; ++A) {
+    EXPECT_EQ(Call->getArg(A), F->getArg(A));
+    ASSERT_EQ(F->getArg(A)->getNumUses(), 1u);
+    EXPECT_EQ(F->getArg(A)->uses()[0].OperandIndex, A + 1);
+  }
+  Call->setOperand(8, F->getArg(0));
+  EXPECT_EQ(F->getArg(0)->getNumUses(), 2u);
+  EXPECT_FALSE(F->getArg(7)->hasUses());
+  Call->dropAllReferences();
+  EXPECT_FALSE(Callee->hasUses());
+  for (size_t A = 0; A != 8; ++A)
+    EXPECT_FALSE(F->getArg(A)->hasUses());
+  Call->eraseFromParent();
+}
+
+/// "user:operand" for each use of \p V, in use-list order.
+std::string useOrder(const Value &V) {
+  std::string Out;
+  for (const Use &U : V.uses())
+    Out += (Out.empty() ? "" : " ") + U.TheUser->getName() + ":" +
+           std::to_string(U.OperandIndex);
+  return Out;
+}
+
+std::string predOrder(const BasicBlock &BB) {
+  std::string Out;
+  for (BasicBlock *P : BB.predecessors())
+    Out += (Out.empty() ? "" : " ") + P->getName();
+  return Out;
+}
+
+TEST(UseListTest, UseAndPredecessorOrderAfterEdits) {
+  Context Ctx;
+  Module M(Ctx, "m");
+  Function *F = M.createFunction("k", Ctx.getVoidTy(),
+                                 {Ctx.getI32Ty(), Ctx.getI32Ty()},
+                                 {"a", "b"}, FunctionKind::Kernel);
+  Argument *A = F->getArg(0);
+  Argument *B = F->getArg(1);
+  BasicBlock *Entry = F->createBlock("entry", Ctx.getVoidTy());
+  BasicBlock *L = F->createBlock("l", Ctx.getVoidTy());
+  BasicBlock *R = F->createBlock("r", Ctx.getVoidTy());
+  BasicBlock *Join = F->createBlock("join", Ctx.getVoidTy());
+  IRBuilder Bld(Ctx);
+  Bld.setInsertPoint(Entry);
+  Value *C = Bld.createICmp(ICmpPred::SLT, A, B, "c");
+  Bld.createCondBr(C, L, R);
+  Entry->getTerminator()->setName("br.entry");
+  Bld.setInsertPoint(L);
+  auto *X = cast<Instruction>(Bld.createAdd(A, B, "x"));
+  auto *Y = cast<Instruction>(Bld.createMul(X, A, "y"));
+  Bld.createBr(Join);
+  L->getTerminator()->setName("br.l");
+  Bld.setInsertPoint(R);
+  auto *Z = cast<Instruction>(Bld.createSub(B, A, "z"));
+  Bld.createBr(Join);
+  R->getTerminator()->setName("br.r");
+  Bld.setInsertPoint(Join);
+  PhiInst *P = Bld.createPhi(Ctx.getI32Ty(), "p");
+  P->addIncoming(X, L);
+  P->addIncoming(Z, R);
+  auto *Q = cast<Instruction>(Bld.createAdd(P, A, "q"));
+  Bld.createRet();
+
+  // A scripted edit sequence; each step moves use-list slots around. The
+  // expected orders are what the swap-remove use lists produce, which the
+  // printers, predecessors() and RAUW observe.
+  Y->setOperand(1, B);
+  P->removeIncoming(0);
+  P->addIncoming(Y, L);
+  Q->setOperand(1, B);
+  Y->moveBefore(X);
+  Y->setOperand(0, A);
+  X->replaceAllUsesWith(Z);
+  X->eraseFromParent();
+  Z->moveBefore(L->getTerminator());
+  cast<BranchInst>(R->getTerminator())->setSuccessor(0, L);
+  cast<BranchInst>(Entry->getTerminator())->setSuccessor(0, Join);
+  Bld.setInsertPoint(Q);
+  Bld.createAdd(Y, B, "w");
+  P->setIncomingBlock(0, Entry);
+
+  EXPECT_EQ(useOrder(*A), "c:0 y:0 z:1");
+  EXPECT_EQ(useOrder(*B), "c:1 q:1 z:0 y:1 w:1");
+  EXPECT_EQ(useOrder(*Y), "p:2 w:0");
+  EXPECT_EQ(useOrder(*Z), "p:0");
+  EXPECT_EQ(useOrder(*L), "br.r:0 p:3");
+  EXPECT_EQ(useOrder(*R), "br.entry:2");
+  EXPECT_EQ(useOrder(*Join), "br.l:0 br.entry:1");
+  EXPECT_EQ(useOrder(*Entry), "p:1");
+  EXPECT_EQ(predOrder(*L), "r");
+  EXPECT_EQ(predOrder(*R), "entry");
+  EXPECT_EQ(predOrder(*Join), "l entry");
+  EXPECT_EQ(instNames(*L), "y z br.l");
+  EXPECT_EQ(instNames(*Join), "p w q ret");
+}
+
 TEST(VerifierTest, AcceptsWellFormedKernels) {
   Context Ctx;
   Module M(Ctx, "m");
