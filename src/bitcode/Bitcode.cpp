@@ -263,6 +263,8 @@ public:
       std::vector<uint8_t> Init = R.readBytes();
       if (!R.ok() || !ElemTy || ElemTy->isVoid())
         return fail("bad global record");
+      if (Count > MaxBitcodeGlobalBytes / ElemTy->sizeInBytes())
+        return fail("global too large");
       if (!Init.empty() && Init.size() != Count * ElemTy->sizeInBytes())
         return fail("global initializer size mismatch");
       if (M->getGlobal(GName))

@@ -28,6 +28,11 @@ class Module;
 
 namespace proteus {
 
+/// Largest global variable the reader accepts, in bytes (4 GiB, sixteen
+/// times the simulated device memory). A count whose byte size overflows
+/// or exceeds it is rejected.
+constexpr uint64_t MaxBitcodeGlobalBytes = uint64_t(1) << 32;
+
 /// Serializes \p M into a self-contained byte buffer.
 std::vector<uint8_t> writeBitcode(pir::Module &M);
 

@@ -113,6 +113,38 @@ TEST(BitcodeTest, RejectsTruncation) {
   }
 }
 
+/// Bitcode of a module holding one i64 global "g" with \p Init, its
+/// element count patched to \p Count.
+std::vector<uint8_t> globalWithCount(std::vector<uint8_t> Init,
+                                     uint64_t Count) {
+  Context Ctx;
+  Module M(Ctx, "m");
+  M.createGlobal("g", Ctx.getI64Ty(), Init.empty() ? 1 : Init.size() / 8,
+                 std::move(Init));
+  std::vector<uint8_t> Bytes = writeBitcode(M);
+  // magic, version, "m", global count, "g", element kind, then the count.
+  size_t CountAt = 4 + 4 + (4 + 1) + 4 + (4 + 1) + 1;
+  for (size_t K = 0; K != 8; ++K)
+    Bytes[CountAt + K] = static_cast<uint8_t>(Count >> (8 * K));
+  return Bytes;
+}
+
+TEST(BitcodeTest, RejectsGlobalCountWhoseByteSizeOverflows) {
+  std::vector<uint8_t> Init(8, 0x5A);
+  Context Ctx;
+  ASSERT_TRUE(readBitcode(Ctx, globalWithCount(Init, 1)));
+  // 8 * (2^61 + 1) wraps to 8, the initializer's size.
+  BitcodeReadResult R =
+      readBitcode(Ctx, globalWithCount(Init, (uint64_t(1) << 61) + 1));
+  EXPECT_FALSE(R);
+  EXPECT_EQ(R.Error, "global too large");
+  // Zero-initialized globals are capped without wrapping too.
+  uint64_t MaxCount = MaxBitcodeGlobalBytes / 8;
+  EXPECT_TRUE(readBitcode(Ctx, globalWithCount({}, MaxCount)));
+  EXPECT_FALSE(readBitcode(Ctx, globalWithCount({}, MaxCount + 1)));
+  EXPECT_FALSE(readBitcode(Ctx, globalWithCount({}, ~uint64_t(0))));
+}
+
 TEST(BitcodeTest, RejectsCorruptOperandSlots) {
   Context Ctx;
   Module M(Ctx, "m");
