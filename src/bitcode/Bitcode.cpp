@@ -25,6 +25,7 @@
 #include "ir/Module.h"
 #include "support/BinaryStream.h"
 
+#include <algorithm>
 #include <unordered_map>
 
 using namespace proteus;
@@ -485,6 +486,8 @@ private:
   std::vector<Function *> Functions;
   std::vector<Value *> Slots;
   std::vector<BasicBlock *> Blocks;
+  /// Operands of the record being read, reused across records.
+  std::vector<Value *> OperandScratch;
 };
 
 bool Reader::readInstructionInto(BasicBlock *BB, std::vector<Fixup> &Fixups) {
@@ -567,6 +570,7 @@ bool Reader::readInstructionInto(BasicBlock *BB, std::vector<Fixup> &Fixups) {
     if (!Ty || Ty->isVoid() || (N % 2) != 0 || N > 1u << 16)
       return err("bad phi record");
     auto Phi = std::make_unique<PhiInst>(Ty);
+    Phi->reserveIncoming(std::min<size_t>(N / 2, R.remaining()));
     for (uint32_t Op = 0; Op != N && R.ok(); Op += 2) {
       Value *V = readOperand(&Fixups, Phi.get(), Op, Ty);
       Value *B = readOperand();
@@ -591,7 +595,8 @@ bool Reader::readInstructionInto(BasicBlock *BB, std::vector<Fixup> &Fixups) {
     uint32_t N = R.readU32();
     if (N > 1u << 16)
       return err("operand count too large");
-    std::vector<Value *> Ops;
+    std::vector<Value *> &Ops = OperandScratch;
+    Ops.clear();
     for (uint32_t Op = 0; Op != N && R.ok(); ++Op) {
       Value *V = readOperand();
       if (!V)
@@ -673,7 +678,7 @@ bool Reader::readInstructionInto(BasicBlock *BB, std::vector<Fixup> &Fixups) {
 
   if (!R.ok() || !I)
     return err("truncated instruction record");
-  I->setName(Name);
+  I->setName(std::move(Name));
   Instruction *Raw = BB->append(std::move(I));
   if (!Raw->getType()->isVoid())
     Slots.push_back(Raw);

@@ -14,38 +14,32 @@ using namespace pir;
 
 BasicBlock::~BasicBlock() {
   // Break operand cycles (e.g. self loops) before destruction.
-  for (auto &I : Insts)
-    I->dropAllReferences();
-  Insts.clear();
+  for (Instruction &I : *this)
+    I.dropAllReferences();
 }
 
 Instruction *BasicBlock::append(std::unique_ptr<Instruction> I) {
   assert(I && "appending null instruction");
   assert(!I->Parent && "instruction already linked");
-  Instruction *Raw = I.get();
-  Insts.push_back(std::move(I));
-  Raw->Parent = this;
-  Raw->SelfIt = std::prev(Insts.end());
-  return Raw;
+  I->Parent = this;
+  Insts.pushBack(I.get());
+  return I.release();
 }
 
 Instruction *BasicBlock::insertBefore(Instruction *Pos,
                                       std::unique_ptr<Instruction> I) {
   assert(Pos->Parent == this && "position not in this block");
   assert(I && !I->Parent && "instruction already linked");
-  Instruction *Raw = I.get();
-  auto It = Insts.insert(Pos->SelfIt, std::move(I));
-  Raw->Parent = this;
-  Raw->SelfIt = It;
-  return Raw;
+  I->Parent = this;
+  Insts.insertBefore(Pos, I.get());
+  return I.release();
 }
 
 std::unique_ptr<Instruction> BasicBlock::remove(Instruction *I) {
   assert(I->Parent == this && "instruction not in this block");
-  std::unique_ptr<Instruction> Owned = std::move(*I->SelfIt);
-  Insts.erase(I->SelfIt);
+  Insts.unlink(I);
   I->Parent = nullptr;
-  return Owned;
+  return std::unique_ptr<Instruction>(I);
 }
 
 void BasicBlock::erase(Instruction *I) {
@@ -89,10 +83,6 @@ std::vector<PhiInst *> BasicBlock::phis() {
 }
 
 void BasicBlock::spliceAllFrom(BasicBlock *Donor) {
-  while (!Donor->Insts.empty()) {
-    std::unique_ptr<Instruction> I = std::move(Donor->Insts.front());
-    Donor->Insts.pop_front();
-    I->Parent = nullptr;
-    append(std::move(I));
-  }
+  while (Instruction *I = Donor->Insts.front())
+    append(Donor->remove(I));
 }

@@ -16,7 +16,6 @@
 
 #include "ir/Instructions.h"
 
-#include <list>
 #include <memory>
 #include <vector>
 
@@ -25,28 +24,9 @@ namespace pir {
 class Function;
 
 /// A straight-line sequence of instructions with a single terminator.
-class BasicBlock : public Value {
+class BasicBlock : public Value, public IListNode<BasicBlock> {
 public:
-  using InstListType = std::list<std::unique_ptr<Instruction>>;
-
-  /// Iterator that presents Instruction& directly.
-  class iterator {
-  public:
-    using inner = InstListType::iterator;
-    iterator() = default;
-    explicit iterator(inner It) : It(It) {}
-    Instruction &operator*() const { return **It; }
-    Instruction *operator->() const { return It->get(); }
-    iterator &operator++() { ++It; return *this; }
-    iterator operator++(int) { iterator Tmp = *this; ++It; return Tmp; }
-    iterator &operator--() { --It; return *this; }
-    bool operator==(const iterator &O) const { return It == O.It; }
-    bool operator!=(const iterator &O) const { return It != O.It; }
-    inner getInner() const { return It; }
-
-  private:
-    inner It;
-  };
+  using iterator = IList<Instruction>::iterator;
 
   explicit BasicBlock(Type *VoidTy, std::string Name = "")
       : Value(ValueKind::BasicBlock, VoidTy) {
@@ -60,17 +40,16 @@ public:
   bool empty() const { return Insts.empty(); }
   size_t size() const { return Insts.size(); }
 
-  iterator begin() { return iterator(Insts.begin()); }
-  iterator end() { return iterator(Insts.end()); }
+  iterator begin() { return Insts.begin(); }
+  iterator end() { return Insts.end(); }
 
   Instruction &front() { return *Insts.front(); }
   Instruction &back() { return *Insts.back(); }
 
   /// The block terminator, or null if the block is not yet terminated.
   Instruction *getTerminator() {
-    if (Insts.empty() || !Insts.back()->isTerminator())
-      return nullptr;
-    return Insts.back().get();
+    Instruction *Last = Insts.back();
+    return Last && Last->isTerminator() ? Last : nullptr;
   }
   const Instruction *getTerminator() const {
     return const_cast<BasicBlock *>(this)->getTerminator();
@@ -97,8 +76,8 @@ public:
   /// Phi nodes at the head of the block.
   std::vector<PhiInst *> phis();
 
-  /// Moves all non-phi instructions of \p Donor to the end of this block
-  /// (used when merging straight-line blocks).
+  /// Moves all instructions of \p Donor to the end of this block (used
+  /// when merging straight-line blocks).
   void spliceAllFrom(BasicBlock *Donor);
 
   static bool classof(const Value *V) {
@@ -110,7 +89,7 @@ private:
   friend class Instruction;
 
   Function *Parent = nullptr;
-  InstListType Insts;
+  IList<Instruction> Insts;
 };
 
 } // namespace pir

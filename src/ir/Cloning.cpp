@@ -35,19 +35,22 @@ Constant *translateConstant(Constant *C, Context &Ctx) {
 }
 
 Value *mapOperand(Value *Op, ValueMap &VM, Context &Ctx) {
-  auto It = VM.find(Op);
-  if (It != VM.end())
-    return It->second;
-  // Unmapped constants are translated into the destination context (identity
-  // for same-context clones) and memoized. Other unmapped values are used
-  // as-is, which is correct only for values the caller guarantees are shared
-  // (e.g. caller-context values during inlining).
   if (auto *C = dyn_cast<Constant>(Op)) {
+    // Constants are uniqued per context: a same-context clone keeps them.
+    // Cross-context clones translate each once and memoize it.
+    if (C->getType() == mapType(C->getType(), Ctx))
+      return C;
+    if (Value *T = VM.lookup(C))
+      return T;
     Value *T = translateConstant(C, Ctx);
-    VM[Op] = T;
+    VM.insert(C, T);
     return T;
   }
-  return Op;
+  // Other unmapped values are used as-is, which is correct only for values
+  // the caller guarantees are shared (e.g. caller-context values during
+  // inlining).
+  Value *Mapped = VM.lookup(Op);
+  return Mapped ? Mapped : Op;
 }
 
 /// A typed throw-away incoming value for phi forward references. Using a
@@ -115,6 +118,7 @@ std::unique_ptr<Instruction> pir::cloneInstruction(Instruction &I,
   case ValueKind::Call: {
     auto &C = cast<CallInst>(I);
     std::vector<Value *> Args;
+    Args.reserve(C.getNumArgs());
     for (size_t K = 0; K != C.getNumArgs(); ++K)
       Args.push_back(Op(K + 1));
     return std::make_unique<CallInst>(mapType(I.getType(), Ctx), Op(0), Args);
@@ -123,6 +127,7 @@ std::unique_ptr<Instruction> pir::cloneInstruction(Instruction &I,
     auto &P = cast<PhiInst>(I);
     Type *Ty = mapType(P.getType(), Ctx);
     auto Clone = std::make_unique<PhiInst>(Ty);
+    Clone->reserveIncoming(P.getNumIncoming());
     for (size_t K = 0; K != P.getNumIncoming(); ++K) {
       // Incoming values may be forward references to instructions not yet
       // cloned. Install a typed placeholder rather than the original value:
@@ -130,13 +135,9 @@ std::unique_ptr<Instruction> pir::cloneInstruction(Instruction &I,
       // source function (a data race when cloning from a shared prototype).
       // The caller's second phi-patch pass resolves the real value.
       Value *OrigV = P.getIncomingValue(K);
-      auto It = VM.find(OrigV);
-      Value *InV;
-      if (It != VM.end())
-        InV = It->second;
-      else if (isa<Constant>(OrigV))
-        InV = mapOperand(OrigV, VM, Ctx);
-      else
+      Value *InV = isa<Constant>(OrigV) ? mapOperand(OrigV, VM, Ctx)
+                                        : VM.lookup(OrigV);
+      if (!InV)
         InV = phiPlaceholder(Ty, Ctx);
       auto *InB = cast<BasicBlock>(mapOperand(P.getIncomingBlock(K), VM, Ctx));
       Clone->addIncoming(InV, InB);
@@ -175,6 +176,45 @@ std::unique_ptr<Instruction> pir::cloneInstruction(Instruction &I,
   proteus_unreachable("unhandled instruction kind in cloneInstruction");
 }
 
+size_t pir::countClonedValues(Function &F) {
+  size_t N = F.getNumArgs() + F.size();
+  for (BasicBlock &BB : F)
+    N += BB.size();
+  return N;
+}
+
+namespace {
+
+/// Clones \p Src's body into the empty \p Dst: one block per source block,
+/// then the instructions, then the phi incoming values that were forward
+/// references. \p VM already maps arguments, globals and functions.
+void cloneBody(Function &Src, Function &Dst, ValueMap &VM, Context &Ctx) {
+  for (BasicBlock &BB : Src)
+    VM.insert(&BB, Dst.createBlock(BB.getName(), Ctx.getVoidTy()));
+  struct PhiPatch {
+    PhiInst *Clone;
+    PhiInst *Orig;
+  };
+  std::vector<PhiPatch> Phis;
+  for (BasicBlock &BB : Src) {
+    auto *DstBB = cast<BasicBlock>(VM.lookup(&BB));
+    for (Instruction &I : BB) {
+      std::unique_ptr<Instruction> C = cloneInstruction(I, VM, Ctx);
+      C->setName(I.getName());
+      Instruction *Raw = DstBB->append(std::move(C));
+      VM.insert(&I, Raw);
+      if (auto *P = dyn_cast<PhiInst>(Raw))
+        Phis.push_back(PhiPatch{P, cast<PhiInst>(&I)});
+    }
+  }
+  for (const PhiPatch &P : Phis)
+    for (size_t K = 0; K != P.Clone->getNumIncoming(); ++K)
+      P.Clone->setIncomingValue(
+          K, mapOperand(P.Orig->getIncomingValue(K), VM, Ctx));
+}
+
+} // namespace
+
 Function *pir::cloneFunctionInto(Module &DestModule, Function &Src,
                                  const std::string &NewName) {
   Context &Ctx = DestModule.getContext();
@@ -195,48 +235,21 @@ Function *pir::cloneFunctionInto(Module &DestModule, Function &Src,
   if (Src.isDeclaration())
     return Dst;
 
-  ValueMap VM;
+  Module &SrcModule = *Src.getParent();
+  ValueMap VM(countClonedValues(Src) + SrcModule.globals().size() +
+              SrcModule.functions().size());
   for (size_t I = 0; I != Src.getNumArgs(); ++I)
-    VM[Src.getArg(I)] = Dst->getArg(I);
+    VM.insert(Src.getArg(I), Dst->getArg(I));
   // Remap globals and callees by name.
-  for (const auto &G : Src.getParent()->globals()) {
-    GlobalVariable *DG = DestModule.getGlobal(G->getName());
-    if (DG)
-      VM[G.get()] = DG;
-  }
-  for (const auto &F : Src.getParent()->functions()) {
+  for (const auto &G : SrcModule.globals())
+    if (GlobalVariable *DG = DestModule.getGlobal(G->getName()))
+      VM.insert(G.get(), DG);
+  for (const auto &F : SrcModule.functions()) {
     Function *DF = DestModule.getFunction(F->getName());
     if (DF && DF != Dst)
-      VM[F.get()] = DF;
+      VM.insert(F.get(), DF);
   }
-
-  // Create all blocks first so branches/phis can be remapped.
-  for (BasicBlock &BB : Src)
-    VM[&BB] = Dst->createBlock(BB.getName(), Ctx.getVoidTy());
-
-  // Clone instructions; phi incoming values may be forward references, which
-  // cloneInstruction fills with destination-context placeholders — patch them
-  // in a second pass.
-  struct PhiPatch {
-    PhiInst *Clone;
-    PhiInst *Orig;
-  };
-  std::vector<PhiPatch> Phis;
-  for (BasicBlock &BB : Src) {
-    auto *DstBB = cast<BasicBlock>(VM[&BB]);
-    for (Instruction &I : BB) {
-      std::unique_ptr<Instruction> C = cloneInstruction(I, VM, Ctx);
-      C->setName(I.getName());
-      Instruction *Raw = DstBB->append(std::move(C));
-      VM[&I] = Raw;
-      if (auto *P = dyn_cast<PhiInst>(Raw))
-        Phis.push_back(PhiPatch{P, cast<PhiInst>(&I)});
-    }
-  }
-  for (const PhiPatch &P : Phis)
-    for (size_t K = 0; K != P.Clone->getNumIncoming(); ++K)
-      P.Clone->setIncomingValue(
-          K, mapOperand(P.Orig->getIncomingValue(K), VM, Ctx));
+  cloneBody(Src, *Dst, VM, Ctx);
   return Dst;
 }
 
@@ -269,35 +282,15 @@ std::unique_ptr<Module> pir::cloneModule(Module &Src, Context &Ctx,
       continue;
     Function *DF = Dst->getFunction(F->getName());
     // Clone the body into the existing declaration.
-    ValueMap VM;
+    ValueMap VM(countClonedValues(*F) + Src.globals().size() +
+                Src.functions().size());
     for (size_t I = 0; I != F->getNumArgs(); ++I)
-      VM[F->getArg(I)] = DF->getArg(I);
+      VM.insert(F->getArg(I), DF->getArg(I));
     for (const auto &G : Src.globals())
-      VM[G.get()] = Dst->getGlobal(G->getName());
+      VM.insert(G.get(), Dst->getGlobal(G->getName()));
     for (const auto &OF : Src.functions())
-      VM[OF.get()] = Dst->getFunction(OF->getName());
-    for (BasicBlock &BB : *F)
-      VM[&BB] = DF->createBlock(BB.getName(), Ctx.getVoidTy());
-    struct PhiPatch {
-      PhiInst *Clone;
-      PhiInst *Orig;
-    };
-    std::vector<PhiPatch> Phis;
-    for (BasicBlock &BB : *F) {
-      auto *DstBB = cast<BasicBlock>(VM[&BB]);
-      for (Instruction &I : BB) {
-        std::unique_ptr<Instruction> C = cloneInstruction(I, VM, Ctx);
-        C->setName(I.getName());
-        Instruction *Raw = DstBB->append(std::move(C));
-        VM[&I] = Raw;
-        if (auto *P = dyn_cast<PhiInst>(Raw))
-          Phis.push_back(PhiPatch{P, cast<PhiInst>(&I)});
-      }
-    }
-    for (const PhiPatch &P : Phis)
-      for (size_t K = 0; K != P.Clone->getNumIncoming(); ++K)
-        P.Clone->setIncomingValue(
-            K, mapOperand(P.Orig->getIncomingValue(K), VM, Ctx));
+      VM.insert(OF.get(), Dst->getFunction(OF->getName()));
+    cloneBody(*F, *DF, VM, Ctx);
   }
   return Dst;
 }

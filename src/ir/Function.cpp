@@ -30,18 +30,17 @@ Function::Function(Type *PtrTy, std::string Name, Type *RetTy,
 Function::~Function() {
   // Instructions may reference values across blocks (and blocks reference
   // each other); sever all edges before any block is destroyed.
-  for (auto &BB : Blocks)
-    for (Instruction &I : *BB)
+  for (BasicBlock &BB : *this)
+    for (Instruction &I : BB)
       I.dropAllReferences();
   Blocks.clear();
 }
 
 BasicBlock *Function::createBlock(std::string Name, Type *VoidTy) {
-  auto BB = std::make_unique<BasicBlock>(VoidTy, std::move(Name));
-  BasicBlock *Raw = BB.get();
-  Raw->Parent = this;
-  Blocks.push_back(std::move(BB));
-  return Raw;
+  auto *BB = new BasicBlock(VoidTy, std::move(Name));
+  BB->Parent = this;
+  Blocks.pushBack(BB);
+  return BB;
 }
 
 void Function::eraseBlock(BasicBlock *BB) {
@@ -53,44 +52,23 @@ void Function::eraseBlock(BasicBlock *BB) {
   while (!BB->empty())
     BB->erase(&BB->front());
   assert(!BB->hasUses() && "erasing a block that is still referenced");
-  for (auto It = Blocks.begin(), E = Blocks.end(); It != E; ++It) {
-    if (It->get() == BB) {
-      Blocks.erase(It);
-      return;
-    }
-  }
-  assert(false && "block not found in list");
+  Blocks.unlink(BB);
+  delete BB;
 }
 
 void Function::moveBlockAfter(BasicBlock *BB, BasicBlock *After) {
   assert(BB->getParent() == this && After->getParent() == this &&
          "blocks not in this function");
-  auto BBIt = Blocks.end();
-  auto AfterIt = Blocks.end();
-  for (auto It = Blocks.begin(), E = Blocks.end(); It != E; ++It) {
-    if (It->get() == BB)
-      BBIt = It;
-    if (It->get() == After)
-      AfterIt = It;
-  }
-  assert(BBIt != Blocks.end() && AfterIt != Blocks.end());
-  std::unique_ptr<BasicBlock> Owned = std::move(*BBIt);
-  Blocks.erase(BBIt);
-  // Re-find After (iterators after erase of a different node remain valid
-  // for std::list, but AfterIt could equal BBIt only if BB==After).
-  for (auto It = Blocks.begin(), E = Blocks.end(); It != E; ++It) {
-    if (It->get() == After) {
-      Blocks.insert(std::next(It), std::move(Owned));
-      return;
-    }
-  }
-  assert(false && "anchor block disappeared");
+  if (BB == After)
+    return;
+  Blocks.unlink(BB);
+  Blocks.insertBefore(After->getNextNode(), BB);
 }
 
 std::vector<BasicBlock *> Function::blockList() {
   std::vector<BasicBlock *> Out;
   Out.reserve(Blocks.size());
-  for (auto &BB : Blocks)
-    Out.push_back(BB.get());
+  for (BasicBlock &BB : *this)
+    Out.push_back(&BB);
   return Out;
 }

@@ -71,24 +71,7 @@ enum class FunctionKind : uint8_t { Kernel, Device };
 /// A PIR function: signature, attributes and CFG.
 class Function : public Value {
 public:
-  using BlockListType = std::list<std::unique_ptr<BasicBlock>>;
-
-  /// Block iterator presenting BasicBlock&.
-  class iterator {
-  public:
-    using inner = BlockListType::iterator;
-    iterator() = default;
-    explicit iterator(inner It) : It(It) {}
-    BasicBlock &operator*() const { return **It; }
-    BasicBlock *operator->() const { return It->get(); }
-    iterator &operator++() { ++It; return *this; }
-    bool operator==(const iterator &O) const { return It == O.It; }
-    bool operator!=(const iterator &O) const { return It != O.It; }
-    inner getInner() const { return It; }
-
-  private:
-    inner It;
-  };
+  using iterator = IList<BasicBlock>::iterator;
 
   Function(Type *PtrTy, std::string Name, Type *RetTy,
            const std::vector<Type *> &ParamTypes,
@@ -130,8 +113,8 @@ public:
   }
 
   size_t size() const { return Blocks.size(); }
-  iterator begin() { return iterator(Blocks.begin()); }
-  iterator end() { return iterator(Blocks.end()); }
+  iterator begin() { return Blocks.begin(); }
+  iterator end() { return Blocks.end(); }
 
   /// Creates and appends a new block.
   BasicBlock *createBlock(std::string Name, Type *VoidTy);
@@ -160,7 +143,7 @@ private:
   std::optional<LaunchBounds> LB;
   std::optional<JitAnnotation> Annotation;
   std::vector<std::unique_ptr<Argument>> Args;
-  BlockListType Blocks;
+  IList<BasicBlock> Blocks;
 };
 
 } // namespace pir

@@ -16,10 +16,11 @@
 #define PROTEUS_IR_INSTRUCTIONS_H
 
 #include "ir/Constants.h"
+#include "ir/IList.h"
 #include "ir/Value.h"
 
-#include <list>
 #include <memory>
+#include <vector>
 
 namespace pir {
 
@@ -27,7 +28,7 @@ class BasicBlock;
 class Function;
 
 /// Base class of everything that lives inside a BasicBlock.
-class Instruction : public User {
+class Instruction : public User, public IListNode<Instruction> {
 public:
   BasicBlock *getParent() const { return Parent; }
 
@@ -62,7 +63,6 @@ protected:
 private:
   friend class BasicBlock;
   BasicBlock *Parent = nullptr;
-  std::list<std::unique_ptr<Instruction>>::iterator SelfIt;
 };
 
 /// Two-operand arithmetic/bitwise/binary-math instruction.
@@ -359,6 +359,7 @@ class CallInst : public Instruction {
 public:
   CallInst(Type *RetTy, Value *Callee, const std::vector<Value *> &Args)
       : Instruction(ValueKind::Call, RetTy) {
+    reserveOperands(Args.size() + 1);
     addOperand(Callee);
     for (Value *A : Args)
       addOperand(A);
@@ -390,6 +391,9 @@ public:
 
   void addIncoming(Value *V, BasicBlock *BB);
   void removeIncoming(size_t I);
+
+  /// Makes room for \p N incoming pairs without further reallocation.
+  void reserveIncoming(size_t N) { reserveOperands(2 * N); }
 
   /// Returns the incoming value for \p BB, or null if \p BB is not a
   /// predecessor entry of this phi.

@@ -8,6 +8,9 @@
 
 #include "support/Error.h"
 
+#include <algorithm>
+#include <new>
+
 using namespace pir;
 
 const char *pir::valueKindName(ValueKind K) {
@@ -186,36 +189,54 @@ User::~User() {
   // Subclasses are expected to have called dropAllReferences() via
   // eraseFromParent paths; handle direct deletion too.
   dropAllReferences();
+  if (Ops != InlineOps)
+    ::operator delete(Ops);
+}
+
+void User::reserveOperands(size_t N) {
+  if (N <= Capacity)
+    return;
+  assert(N <= UINT32_MAX && "too many operands");
+  // One block: the operand pointers, then their use slots.
+  auto *NewOps = static_cast<Value **>(
+      ::operator new(N * (sizeof(Value *) + sizeof(uint32_t))));
+  auto *NewSlots = reinterpret_cast<uint32_t *>(NewOps + N);
+  std::copy_n(Ops, NumOperands, NewOps);
+  std::copy_n(UseSlots, NumOperands, NewSlots);
+  if (Ops != InlineOps)
+    ::operator delete(Ops);
+  Ops = NewOps;
+  UseSlots = NewSlots;
+  Capacity = static_cast<uint32_t>(N);
 }
 
 void User::addOperand(Value *V) {
   assert(V && "null operand");
-  uint32_t Index = static_cast<uint32_t>(Operands.size());
-  Operands.push_back(V);
-  UseSlots.push_back(V->addUse(this, Index));
+  if (NumOperands == Capacity)
+    reserveOperands(2 * size_t(Capacity) + 2);
+  uint32_t Index = NumOperands++;
+  Ops[Index] = V;
+  UseSlots[Index] = V->addUse(this, Index);
 }
 
 void User::removeLastOperand() {
-  assert(!Operands.empty() && "no operand to remove");
-  uint32_t Index = static_cast<uint32_t>(Operands.size() - 1);
-  Operands[Index]->removeUse(UseSlots[Index]);
-  Operands.pop_back();
-  UseSlots.pop_back();
+  assert(NumOperands && "no operand to remove");
+  uint32_t Index = --NumOperands;
+  Ops[Index]->removeUse(UseSlots[Index]);
 }
 
 void User::setOperand(size_t I, Value *V) {
-  assert(I < Operands.size() && "operand index out of range");
+  assert(I < NumOperands && "operand index out of range");
   assert(V && "null operand");
-  if (Operands[I] == V)
+  if (Ops[I] == V)
     return;
-  Operands[I]->removeUse(UseSlots[I]);
-  Operands[I] = V;
+  Ops[I]->removeUse(UseSlots[I]);
+  Ops[I] = V;
   UseSlots[I] = V->addUse(this, static_cast<uint32_t>(I));
 }
 
 void User::dropAllReferences() {
-  for (size_t I = 0, E = Operands.size(); I != E; ++I)
-    Operands[I]->removeUse(UseSlots[I]);
-  Operands.clear();
-  UseSlots.clear();
+  for (uint32_t I = 0; I != NumOperands; ++I)
+    Ops[I]->removeUse(UseSlots[I]);
+  NumOperands = 0;
 }

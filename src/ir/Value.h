@@ -20,6 +20,7 @@
 
 #include <cassert>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -186,20 +187,22 @@ private:
   std::vector<Use> UseList;
 };
 
-/// A Value that references other Values through operands.
+/// A Value that references other Values through operands. Up to
+/// InlineOperands operands (every opcode but phi and call) live inside the
+/// object; more move to one heap block holding both arrays.
 class User : public Value {
 public:
-  size_t getNumOperands() const { return Operands.size(); }
+  size_t getNumOperands() const { return NumOperands; }
 
   Value *getOperand(size_t I) const {
-    assert(I < Operands.size() && "operand index out of range");
-    return Operands[I];
+    assert(I < NumOperands && "operand index out of range");
+    return Ops[I];
   }
 
   /// Replaces operand \p I, updating both values' use lists.
   void setOperand(size_t I, Value *V);
 
-  const std::vector<Value *> &operands() const { return Operands; }
+  std::span<Value *const> operands() const { return {Ops, NumOperands}; }
 
   /// Drops all operand edges (used when bulk-deleting IR that may contain
   /// reference cycles, e.g. loops of blocks).
@@ -217,13 +220,23 @@ protected:
   /// Removes the last operand.
   void removeLastOperand();
 
+  /// Makes room for \p N operands without further reallocation.
+  void reserveOperands(size_t N);
+
 private:
   friend class Value;
 
-  std::vector<Value *> Operands;
-  /// For each operand, the slot of its Use record inside the operand
-  /// value's use list. Kept in sync by add/set/remove.
-  std::vector<uint32_t> UseSlots;
+  static constexpr uint32_t InlineOperands = 3;
+
+  /// Operand values and, for each, the slot of its Use record inside the
+  /// operand value's use list; both point into the inline arrays below or
+  /// into one heap block once the operands outgrow them.
+  Value **Ops = InlineOps;
+  uint32_t *UseSlots = InlineUseSlots;
+  uint32_t NumOperands = 0;
+  uint32_t Capacity = InlineOperands;
+  Value *InlineOps[InlineOperands];
+  uint32_t InlineUseSlots[InlineOperands];
 };
 
 } // namespace pir

@@ -47,7 +47,8 @@ bool DCEPass::run(Function &F) {
     if (!isTriviallyDead(*I))
       continue;
     // Operands may become dead once this instruction goes away.
-    std::vector<Value *> Ops(I->operands());
+    std::span<Value *const> Live = I->operands();
+    std::vector<Value *> Ops(Live.begin(), Live.end());
     I->eraseFromParent();
     Changed = true;
     for (Value *Op : Ops) {

@@ -51,14 +51,14 @@ bool inlineCall(CallInst *Call) {
   }
 
   // Map callee arguments to call operands; clone callee blocks.
-  ValueMap VM;
+  ValueMap VM(countClonedValues(*Callee));
   for (size_t I = 0; I != Callee->getNumArgs(); ++I)
-    VM[Callee->getArg(I)] = Call->getArg(I);
+    VM.insert(Callee->getArg(I), Call->getArg(I));
   std::vector<BasicBlock *> CalleeBlocks;
   for (BasicBlock &BB : *Callee) {
     BasicBlock *Clone = Caller->createBlock(
         Callee->getName() + "." + BB.getName(), Ctx.getVoidTy());
-    VM[&BB] = Clone;
+    VM.insert(&BB, Clone);
     CalleeBlocks.push_back(&BB);
   }
 
@@ -74,14 +74,14 @@ bool inlineCall(CallInst *Call) {
   std::vector<PhiPatch> Phis;
 
   for (BasicBlock *BB : CalleeBlocks) {
-    auto *DstBB = cast<BasicBlock>(VM[BB]);
+    auto *DstBB = cast<BasicBlock>(VM.lookup(BB));
     for (Instruction &I : *BB) {
       if (auto *Ret = dyn_cast<RetInst>(&I)) {
         Value *RV = nullptr;
         if (Ret->hasReturnValue()) {
           Value *Orig = Ret->getReturnValue();
-          auto It = VM.find(Orig);
-          RV = It == VM.end() ? Orig : It->second;
+          Value *Mapped = VM.lookup(Orig);
+          RV = Mapped ? Mapped : Orig;
         }
         DstBB->append(std::make_unique<BranchInst>(Cont, Ctx.getVoidTy()));
         Rets.push_back(RetSite{DstBB, RV});
@@ -90,21 +90,18 @@ bool inlineCall(CallInst *Call) {
       std::unique_ptr<Instruction> C = cloneInstruction(I, VM, Ctx);
       C->setName(I.getName());
       Instruction *Raw = DstBB->append(std::move(C));
-      VM[&I] = Raw;
+      VM.insert(&I, Raw);
       if (auto *P = dyn_cast<PhiInst>(Raw))
         Phis.push_back(PhiPatch{P, cast<PhiInst>(&I)});
     }
   }
   for (const PhiPatch &P : Phis)
-    for (size_t K = 0; K != P.Clone->getNumIncoming(); ++K) {
-      Value *Orig = P.Orig->getIncomingValue(K);
-      auto It = VM.find(Orig);
-      if (It != VM.end())
-        P.Clone->setIncomingValue(K, It->second);
-    }
+    for (size_t K = 0; K != P.Clone->getNumIncoming(); ++K)
+      if (Value *V = VM.lookup(P.Orig->getIncomingValue(K)))
+        P.Clone->setIncomingValue(K, V);
 
   // Route the caller into the inlined entry.
-  auto *EntryClone = cast<BasicBlock>(VM[&Callee->getEntryBlock()]);
+  auto *EntryClone = cast<BasicBlock>(VM.lookup(&Callee->getEntryBlock()));
   CallBB->append(std::make_unique<BranchInst>(EntryClone, Ctx.getVoidTy()));
 
   // Materialize the return value.

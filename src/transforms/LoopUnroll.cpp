@@ -21,7 +21,6 @@
 #include "ir/Module.h"
 #include "transforms/LoopInfo.h"
 
-#include <unordered_map>
 #include <unordered_set>
 
 using namespace proteus;
@@ -118,10 +117,10 @@ void unroll(Function &F, const UnrollPlan &Plan) {
                                ? HeaderBr->getSuccessor(0)
                                : HeaderBr->getSuccessor(1);
 
-  // Current mapping of each header phi to its value entering iteration k.
-  std::unordered_map<PhiInst *, Value *> PhiIn;
+  // The value each header phi (by position) has entering iteration k.
+  std::vector<Value *> PhiIn;
   for (PhiInst *Phi : HeaderPhis)
-    PhiIn[Phi] = Phi->getIncomingValueForBlock(Plan.Preheader);
+    PhiIn.push_back(Phi->getIncomingValueForBlock(Plan.Preheader));
 
   // Where the previous piece of straight-line code should branch next.
   // Starts as the preheader's terminator retarget.
@@ -135,23 +134,30 @@ void unroll(Function &F, const UnrollPlan &Plan) {
   BasicBlock *PrevTail = Plan.Preheader; // block whose branch enters next iter
   BasicBlock *PrevTailTarget = Header;   // the successor slot to rewrite
 
+  // One clone map for every iteration, sized for an iteration's blocks,
+  // instructions and header phis and cleared between iterations.
+  size_t IterValues = 0;
+  for (BasicBlock *BB : Plan.LoopBlocks)
+    IterValues += 1 + BB->size();
+  ValueMap VM(IterValues);
+  struct PhiPatch {
+    PhiInst *Clone;
+    PhiInst *Orig;
+  };
+  std::vector<PhiPatch> Phis;
   for (uint64_t Iter = 0; Iter != Plan.TripCount; ++Iter) {
-    ValueMap VM;
+    VM.clear();
+    Phis.clear();
     // Header phis resolve to this iteration's incoming values.
-    for (PhiInst *Phi : HeaderPhis)
-      VM[Phi] = PhiIn[Phi];
+    for (size_t K = 0; K != HeaderPhis.size(); ++K)
+      VM.insert(HeaderPhis[K], PhiIn[K]);
     // Create this iteration's blocks.
     std::string Suffix = ".it" + std::to_string(Iter);
     for (BasicBlock *BB : Plan.LoopBlocks)
-      VM[BB] = F.createBlock(BB->getName() + Suffix, Ctx.getVoidTy());
+      VM.insert(BB, F.createBlock(BB->getName() + Suffix, Ctx.getVoidTy()));
 
-    struct PhiPatch {
-      PhiInst *Clone;
-      PhiInst *Orig;
-    };
-    std::vector<PhiPatch> Phis;
     for (BasicBlock *BB : Plan.LoopBlocks) {
-      auto *DstBB = cast<BasicBlock>(VM[BB]);
+      auto *DstBB = cast<BasicBlock>(VM.lookup(BB));
       for (Instruction &I : *BB) {
         // Header phis are resolved through the iteration mapping.
         if (BB == Header && isa<PhiInst>(&I))
@@ -162,47 +168,39 @@ void unroll(Function &F, const UnrollPlan &Plan) {
         // dominance of final-iteration values used at the exit.
         if (BB == Header && &I == HeaderBr) {
           DstBB->append(std::make_unique<BranchInst>(
-              cast<BasicBlock>(VM.at(InLoopSucc)), Ctx.getVoidTy()));
+              cast<BasicBlock>(VM.lookup(InLoopSucc)), Ctx.getVoidTy()));
           continue;
         }
         std::unique_ptr<Instruction> C = cloneInstruction(I, VM, Ctx);
         C->setName(I.getName());
         Instruction *Raw = DstBB->append(std::move(C));
-        VM[&I] = Raw;
+        VM.insert(&I, Raw);
         if (auto *P = dyn_cast<PhiInst>(Raw))
           Phis.push_back(PhiPatch{P, cast<PhiInst>(&I)});
       }
     }
     for (const PhiPatch &P : Phis)
-      for (size_t K = 0; K != P.Clone->getNumIncoming(); ++K) {
-        Value *Orig = P.Orig->getIncomingValue(K);
-        auto It = VM.find(Orig);
-        if (It != VM.end())
-          P.Clone->setIncomingValue(K, It->second);
-      }
+      for (size_t K = 0; K != P.Clone->getNumIncoming(); ++K)
+        if (Value *V = VM.lookup(P.Orig->getIncomingValue(K)))
+          P.Clone->setIncomingValue(K, V);
 
     // Wire the previous tail into this iteration's header clone.
-    auto *HeaderClone = cast<BasicBlock>(VM[Header]);
+    auto *HeaderClone = cast<BasicBlock>(VM.lookup(Header));
     retarget(PrevTail, PrevTailTarget, HeaderClone);
 
-    // This iteration's latch clone currently branches to the *original*
-    // header (cloneInstruction mapped blocks, but Header maps to nothing in
-    // VM — blocks map only for loop blocks; Header IS a loop block, so the
-    // latch branch maps to HeaderClone... which is wrong: it must go to the
-    // NEXT iteration). Fix up below: the latch clone's branch to HeaderClone
-    // becomes the dangling edge rewired on the next round.
-    auto *LatchClone = cast<BasicBlock>(VM[Plan.Latch]);
-    PrevTail = LatchClone;
+    // This iteration's latch clone branches to HeaderClone (the header is a
+    // loop block, so the clone map sent the back edge there); that edge must
+    // enter the NEXT iteration instead, so it is left dangling here and
+    // rewired on the next round (or to the exit after the last one).
+    PrevTail = cast<BasicBlock>(VM.lookup(Plan.Latch));
     PrevTailTarget = HeaderClone;
 
     // Step the phi mapping for the next iteration.
-    std::unordered_map<PhiInst *, Value *> NextIn;
-    for (PhiInst *Phi : HeaderPhis) {
-      Value *Next = Phi->getIncomingValueForBlock(Plan.Latch);
-      auto It = VM.find(Next);
-      NextIn[Phi] = It == VM.end() ? Next : It->second;
+    for (size_t K = 0; K != HeaderPhis.size(); ++K) {
+      Value *Next = HeaderPhis[K]->getIncomingValueForBlock(Plan.Latch);
+      Value *Mapped = VM.lookup(Next);
+      PhiIn[K] = Mapped ? Mapped : Next;
     }
-    PhiIn = std::move(NextIn);
   }
 
   // After the last iteration (or immediately for trip count 0), control
@@ -211,15 +209,16 @@ void unroll(Function &F, const UnrollPlan &Plan) {
 
   // Rewrite uses of header-defined values outside the loop with their final
   // mapping.
-  for (PhiInst *Phi : HeaderPhis) {
-    std::vector<std::pair<User *, uint32_t>> ExternalUses;
-    for (const Use &U : Phi->uses()) {
+  std::vector<std::pair<User *, uint32_t>> ExternalUses;
+  for (size_t K = 0; K != HeaderPhis.size(); ++K) {
+    ExternalUses.clear();
+    for (const Use &U : HeaderPhis[K]->uses()) {
       auto *UserInst = dyn_cast<Instruction>(static_cast<Value *>(U.TheUser));
       if (UserInst && !InLoop(UserInst->getParent()))
         ExternalUses.push_back({U.TheUser, U.OperandIndex});
     }
     for (auto &[UserV, Idx] : ExternalUses)
-      UserV->setOperand(Idx, PhiIn[Phi]);
+      UserV->setOperand(Idx, PhiIn[K]);
   }
   // Non-phi header instructions used outside the loop: their final iteration
   // clone is the value observed at the exit only if the loop ran; with a

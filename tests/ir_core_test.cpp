@@ -556,6 +556,39 @@ TEST(CloneTest, ModuleCloneIsDeepAndEquivalent) {
   EXPECT_NE(printFunction(*M.getFunction("daxpy")), printFunction(*CF));
 }
 
+TEST(CloneTest, ValueMapWithManyKeys) {
+  Context Ctx;
+  constexpr uint32_t N = 12000;
+  auto key = [&](uint32_t K) { return Ctx.getInt32(K); };
+  auto val = [&](uint32_t K) { return Ctx.getInt64(K); };
+  // Grown from the default size, and sized up front: same contents.
+  ValueMap Grown;
+  ValueMap Sized(N);
+  for (uint32_t K = 0; K != N; ++K) {
+    Grown.insert(key(K), val(K));
+    Sized.insert(key(K), val(K));
+  }
+  EXPECT_EQ(Grown.size(), N);
+  EXPECT_EQ(Sized.size(), N);
+  for (uint32_t K = 0; K != N; ++K) {
+    ASSERT_EQ(Grown.lookup(key(K)), val(K)) << K;
+    ASSERT_EQ(Sized.lookup(key(K)), val(K)) << K;
+  }
+  EXPECT_EQ(Grown.lookup(Ctx.getDouble(1.5)), nullptr);
+  // insert replaces; lookups hand out values, so chained copies are safe.
+  for (uint32_t K = 0; K < N; K += 3)
+    Grown.insert(key(K), Grown.lookup(key(K + 1)));
+  EXPECT_EQ(Grown.size(), N);
+  EXPECT_EQ(Grown.lookup(key(3)), val(4));
+  EXPECT_EQ(Grown.lookup(key(4)), val(4));
+  Grown.clear();
+  EXPECT_EQ(Grown.size(), 0u);
+  EXPECT_EQ(Grown.lookup(key(7)), nullptr);
+  Grown.insert(key(7), val(8));
+  EXPECT_EQ(Grown.lookup(key(7)), val(8));
+  EXPECT_EQ(Grown.size(), 1u);
+}
+
 TEST(ModuleTest, ModuleIdChangesWithContent) {
   Context Ctx;
   Module M1(Ctx, "m");
