@@ -391,6 +391,7 @@ CompileOutcome JitRuntime::compileSpecialization(
   std::unique_ptr<pir::Module> MOwner = [&] {
     trace::Span Sp("compile.materialize", "jit");
     metrics::ScopedTimer T(*Stat.BitcodeParseSeconds);
+    metrics::ScopedTimer TM(*Stat.BitcodeMaterializeSeconds);
     uint64_t Pruned = 0;
     std::unique_ptr<pir::Module> M = Index->materialize(Ctx, Symbol, &Pruned);
     if (M)

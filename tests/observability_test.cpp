@@ -311,6 +311,9 @@ TEST(JitMetricsTest, SuccessfulCompilePopulatesPerPassO3Times) {
   JitRuntimeStats S = H.Rt.stats();
   EXPECT_EQ(S.Compilations, 1u);
   EXPECT_GT(S.BitcodeParseSeconds, 0.0);
+  // Materialize is a sub-timer of parse, outside the stage total.
+  EXPECT_GT(S.BitcodeMaterializeSeconds, 0.0);
+  EXPECT_LE(S.BitcodeMaterializeSeconds, S.BitcodeParseSeconds);
   EXPECT_GT(S.SpecializeSeconds, 0.0);
   EXPECT_GT(S.OptimizeSeconds, 0.0);
   EXPECT_GT(S.BackendSeconds, 0.0);
