@@ -9,8 +9,9 @@
 # standard containers), builds everything with -Werror, and runs the full
 # ctest suite under both sanitizers. Any -Wall -Wextra warning, heap/stack/
 # global overflow, use-after-free, leak, container-bounds or
-# undefined-behaviour report fails the script. The PTX assembler's mutation
-# test then runs again with PROTEUS_FUZZ_ITERS=10000.
+# undefined-behaviour report fails the script. The PTX assembler's and the
+# bitcode reader's mutation tests then run again with
+# PROTEUS_FUZZ_ITERS=10000.
 #
 # Usage: tools/ci_asan.sh [build-dir] [extra ctest args...]
 #        (default build dir: build-asan)
@@ -41,11 +42,15 @@ STATUS=0
 (cd "${BUILD_DIR}" && ctest --output-on-failure -j "$(nproc)" "$@") ||
   STATUS=1
 
-# The PTX assembler decodes text that could come from anywhere: sweep it a
-# second time with 10k seeded mutants (the per-decoder fuzzing floor).
+# The PTX assembler and the bitcode reader decode bytes that could come from
+# anywhere: sweep each a second time with 10k seeded mutants (the
+# per-decoder fuzzing floor).
 echo "== PTX assembler mutation sweep (PROTEUS_FUZZ_ITERS=10000) =="
 PROTEUS_FUZZ_ITERS=10000 "${BUILD_DIR}/tests/codegen_test" \
   --gtest_filter=PtxTest.MutantVerdictsMatchGolden || STATUS=1
+echo "== Bitcode reader mutation sweep (PROTEUS_FUZZ_ITERS=10000) =="
+PROTEUS_FUZZ_ITERS=10000 "${BUILD_DIR}/tests/bitcode_test" \
+  --gtest_filter=BitcodeTest.MutantVerdictsMatchGolden || STATUS=1
 
 if [ "${STATUS}" -eq 0 ]; then
   echo "== ASan+UBSan battery passed =="
