@@ -176,6 +176,12 @@ std::unique_ptr<Instruction> pir::cloneInstruction(Instruction &I,
   proteus_unreachable("unhandled instruction kind in cloneInstruction");
 }
 
+void pir::remapPhiIncoming(PhiInst &Clone, PhiInst &Orig, ValueMap &VM,
+                           Context &Ctx) {
+  for (size_t K = 0; K != Clone.getNumIncoming(); ++K)
+    Clone.setIncomingValue(K, mapOperand(Orig.getIncomingValue(K), VM, Ctx));
+}
+
 size_t pir::countClonedValues(Function &F) {
   size_t N = F.getNumArgs() + F.size();
   for (BasicBlock &BB : F)
@@ -208,9 +214,7 @@ void cloneBody(Function &Src, Function &Dst, ValueMap &VM, Context &Ctx) {
     }
   }
   for (const PhiPatch &P : Phis)
-    for (size_t K = 0; K != P.Clone->getNumIncoming(); ++K)
-      P.Clone->setIncomingValue(
-          K, mapOperand(P.Orig->getIncomingValue(K), VM, Ctx));
+    remapPhiIncoming(*P.Clone, *P.Orig, VM, Ctx);
 }
 
 } // namespace

@@ -125,6 +125,13 @@ class Instruction;
 std::unique_ptr<Instruction> cloneInstruction(Instruction &I, ValueMap &VM,
                                               Context &Ctx);
 
+/// The second pass over a phi cloned by cloneInstruction, once every
+/// instruction of the region is cloned: sets each incoming value of
+/// \p Clone to the mapping of \p Orig's, with the same rules as operands.
+class PhiInst;
+void remapPhiIncoming(PhiInst &Clone, PhiInst &Orig, ValueMap &VM,
+                      Context &Ctx);
+
 /// Clones \p Src into \p DestModule under \p NewName. Global variables and
 /// callee functions referenced by \p Src must already exist in \p DestModule
 /// under identical names (createFunctionDeclarations/linkage handled by the

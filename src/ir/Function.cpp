@@ -58,9 +58,7 @@ void Function::eraseBlock(BasicBlock *BB) {
 
 void Function::moveBlockAfter(BasicBlock *BB, BasicBlock *After) {
   assert(BB->getParent() == this && After->getParent() == this &&
-         "blocks not in this function");
-  if (BB == After)
-    return;
+         BB != After && "blocks not in this function");
   Blocks.unlink(BB);
   Blocks.insertBefore(After->getNextNode(), BB);
 }

@@ -96,9 +96,7 @@ bool inlineCall(CallInst *Call) {
     }
   }
   for (const PhiPatch &P : Phis)
-    for (size_t K = 0; K != P.Clone->getNumIncoming(); ++K)
-      if (Value *V = VM.lookup(P.Orig->getIncomingValue(K)))
-        P.Clone->setIncomingValue(K, V);
+    remapPhiIncoming(*P.Clone, *P.Orig, VM, Ctx);
 
   // Route the caller into the inlined entry.
   auto *EntryClone = cast<BasicBlock>(VM.lookup(&Callee->getEntryBlock()));

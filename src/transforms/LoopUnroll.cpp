@@ -180,9 +180,7 @@ void unroll(Function &F, const UnrollPlan &Plan) {
       }
     }
     for (const PhiPatch &P : Phis)
-      for (size_t K = 0; K != P.Clone->getNumIncoming(); ++K)
-        if (Value *V = VM.lookup(P.Orig->getIncomingValue(K)))
-          P.Clone->setIncomingValue(K, V);
+      remapPhiIncoming(*P.Clone, *P.Orig, VM, Ctx);
 
     // Wire the previous tail into this iteration's header clone.
     auto *HeaderClone = cast<BasicBlock>(VM.lookup(Header));

@@ -28,6 +28,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 using namespace pir;
 using namespace proteus;
 using namespace proteus_test;
@@ -479,6 +481,59 @@ TEST(LoopUnrollTest, TripCountZeroCollapsesLoop) {
   auto *Out = reinterpret_cast<double *>(Mem.data() + 8 * sizeof(double));
   for (int I = 0; I != 8; ++I)
     EXPECT_DOUBLE_EQ(Out[I], 0.0);
+}
+
+TEST(LoopUnrollTest, BodyPhiKeepsIncomingValueFromOutsideTheLoop) {
+  // for (i = 0; i < 4; ++i) out[i] = i == 2 ? a : i; with the select as a
+  // diamond whose join phi takes the argument a straight from outside.
+  Context Ctx;
+  Module M(Ctx, "m");
+  IRBuilder B(Ctx);
+  Function *F = M.createFunction("k", Ctx.getVoidTy(),
+                                 {Ctx.getPtrTy(), Ctx.getI32Ty()},
+                                 {"out", "a"}, FunctionKind::Kernel);
+  BasicBlock *Entry = F->createBlock("entry", Ctx.getVoidTy());
+  BasicBlock *Header = F->createBlock("header", Ctx.getVoidTy());
+  BasicBlock *Body = F->createBlock("body", Ctx.getVoidTy());
+  BasicBlock *Then = F->createBlock("then", Ctx.getVoidTy());
+  BasicBlock *Else = F->createBlock("else", Ctx.getVoidTy());
+  BasicBlock *Latch = F->createBlock("latch", Ctx.getVoidTy());
+  BasicBlock *Exit = F->createBlock("exit", Ctx.getVoidTy());
+  B.setInsertPoint(Entry);
+  B.createBr(Header);
+  B.setInsertPoint(Header);
+  PhiInst *I = B.createPhi(Ctx.getI32Ty(), "i");
+  B.createCondBr(B.createICmp(ICmpPred::SLT, I, B.getInt32(4)), Body, Exit);
+  B.setInsertPoint(Body);
+  B.createCondBr(B.createICmp(ICmpPred::EQ, I, B.getInt32(2)), Then, Else);
+  B.setInsertPoint(Then);
+  B.createBr(Latch);
+  B.setInsertPoint(Else);
+  B.createBr(Latch);
+  B.setInsertPoint(Latch);
+  PhiInst *P = B.createPhi(Ctx.getI32Ty(), "p");
+  P->addIncoming(F->getArg(1), Then);
+  P->addIncoming(I, Else);
+  B.createStore(P, B.createGep(Ctx.getI32Ty(), F->getArg(0), I));
+  Value *Next = B.createAdd(I, B.getInt32(1), "i.next");
+  B.createBr(Header);
+  I->addIncoming(B.getInt32(0), Entry);
+  I->addIncoming(Next, Latch);
+  B.setInsertPoint(Exit);
+  B.createRet();
+  expectValid(*F);
+
+  auto run = [&] {
+    std::vector<uint8_t> Mem(4 * sizeof(int32_t));
+    interpretLaunch(*F, {0, 7}, Mem, 1, 1);
+    std::vector<int32_t> Out(4);
+    std::memcpy(Out.data(), Mem.data(), Mem.size());
+    return Out;
+  };
+  EXPECT_EQ(run(), (std::vector<int32_t>{0, 1, 7, 3}));
+  EXPECT_TRUE(LoopUnrollPass().run(*F));
+  expectValid(*F);
+  EXPECT_EQ(run(), (std::vector<int32_t>{0, 1, 7, 3}));
 }
 
 TEST(LoopUnrollTest, RespectsSizeThreshold) {
