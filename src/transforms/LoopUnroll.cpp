@@ -38,6 +38,9 @@ struct UnrollPlan {
   BasicBlock *Exit;
   uint64_t TripCount;
   std::vector<BasicBlock *> LoopBlocks; // deterministic order, header first
+  // The function has no other loop, so none is left once this one is
+  // unrolled (unrolling removes its back edge and adds none).
+  bool OnlyLoop;
 };
 
 uint64_t countLoopInstructions(const Loop &L) {
@@ -95,6 +98,7 @@ std::optional<UnrollPlan> planOne(Function &F, const UnrollOptions &Opts) {
     Plan.Latch = Latch;
     Plan.Exit = Exit;
     Plan.TripCount = TC->Count;
+    Plan.OnlyLoop = LI.loops().size() == 1;
     Plan.LoopBlocks.push_back(L->Header);
     // Deterministic layout order: function order.
     for (BasicBlock *BB : F.blockList())
@@ -251,6 +255,8 @@ bool LoopUnrollPass::run(Function &F) {
       break;
     unroll(F, *Plan);
     Changed = true;
+    if (Plan->OnlyLoop)
+      break;
   }
   return Changed;
 }
