@@ -112,6 +112,7 @@ int main() {
   const StageRow Stages[] = {
       {"bitcode fetch", &JitRuntimeStats::BitcodeFetchSeconds},
       {"bitcode parse", &JitRuntimeStats::BitcodeParseSeconds},
+      {"  of it materialize", &JitRuntimeStats::BitcodeMaterializeSeconds},
       {"link globals", &JitRuntimeStats::LinkGlobalsSeconds},
       {"specialize", &JitRuntimeStats::SpecializeSeconds},
       {"O3 pipeline", &JitRuntimeStats::OptimizeSeconds},

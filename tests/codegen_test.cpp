@@ -192,8 +192,8 @@ MutantVerdict ptxMutantVerdict(unsigned I) {
     EXPECT_TRUE(Again.Ok) << "mutant " << I << ": " << Again.Error;
     EXPECT_EQ(printPtx(Again.MF), Reprint) << "mutant " << I;
   }
-  return {formatString("%u %s %s %s", I, K.Name.c_str(), TextMutationKinds[Kind],
-                       Verdict.c_str()),
+  return {formatString("%u %s %s %s", I, K.Name.c_str(),
+                       TextMutationKinds[Kind], Verdict.c_str()),
           Asm.Ok};
 }
 
