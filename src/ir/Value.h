@@ -235,8 +235,8 @@ private:
   uint32_t *UseSlots = InlineUseSlots;
   uint32_t NumOperands = 0;
   uint32_t Capacity = InlineOperands;
-  Value *InlineOps[InlineOperands];
-  uint32_t InlineUseSlots[InlineOperands];
+  Value *InlineOps[InlineOperands] = {};
+  uint32_t InlineUseSlots[InlineOperands] = {};
 };
 
 } // namespace pir
