@@ -4,14 +4,16 @@
 //
 //===----------------------------------------------------------------------===//
 //
-// Measures what the asynchronous compilation pipeline buys on the launch
-// path, for all three JitConfig::AsyncMode settings:
+// Measures what the cold-launch ladder buys on the launch path, for the
+// four configurations of JitConfig::AsyncMode x JitConfig::Tier (sync,
+// fallback, sync+tier, fallback+tier):
 //
 //   1. Cold first-launch latency — the time the very first launch of a
-//      not-yet-compiled specialization blocks the application. Fallback
-//      must hide nearly the whole compilation (target: <= 10% of Sync).
+//      not-yet-compiled specialization blocks the application. Both
+//      fallback rows cover it with the generic binary and must hide nearly
+//      the whole compilation (target: <= 10% of Sync).
 //   2. Steady-state single-thread throughput — once everything is compiled
-//      and loaded, all modes must be within noise of each other.
+//      and loaded, all configurations must be within noise of each other.
 //   3. Multi-threaded launch throughput — 8 threads hammering one runtime
 //      across 8 specializations, with the in-flight table deduplicating
 //      concurrent misses.
@@ -101,15 +103,26 @@ std::unique_ptr<Module> buildHeavyKernel(Context &Ctx) {
   return M;
 }
 
+/// One row of the table: a launch-path mode, with or without tiering.
+struct Setup {
+  JitConfig::AsyncMode Mode;
+  bool Tier;
+
+  std::string name() const {
+    return std::string(asyncModeName(Mode)) + (Tier ? "+tier" : "");
+  }
+  bool covered() const { return Mode == JitConfig::AsyncMode::Fallback; }
+};
+
 struct Harness {
   Device Dev;
   JitRuntime Jit;
   LoadedProgram LP;
   DevicePtr In = 0, Out = 0;
 
-  Harness(const CompiledProgram &Prog, JitConfig::AsyncMode Mode)
+  Harness(const CompiledProgram &Prog, const Setup &Cfg)
       : Dev(getAmdGcnSimTarget(), 1ull << 24),
-        Jit(Dev, Prog.ModuleId, makeConfig(Mode)), LP(Dev, Prog, &Jit) {
+        Jit(Dev, Prog.ModuleId, makeConfig(Cfg)), LP(Dev, Prog, &Jit) {
     if (!LP.ok()) {
       std::fprintf(stderr, "FATAL: program load failed: %s\n",
                    LP.error().c_str());
@@ -121,10 +134,11 @@ struct Harness {
     gpuMemcpyHtoD(Dev, In, H.data(), N * 8);
   }
 
-  static JitConfig makeConfig(JitConfig::AsyncMode Mode) {
+  static JitConfig makeConfig(const Setup &Cfg) {
     JitConfig JC;
     JC.UsePersistentCache = false; // cold-start regime, in-memory only
-    JC.Async = Mode;
+    JC.Async = Cfg.Mode;
+    JC.Tier = Cfg.Tier;
     JC.AsyncWorkers = 4;
     return JC;
   }
@@ -156,48 +170,51 @@ int main() {
   AO.EnableProteusExtensions = true;
   CompiledProgram Prog = aotCompile(*M, AO);
 
-  const std::vector<JitConfig::AsyncMode> Modes = {
-      JitConfig::AsyncMode::Sync, JitConfig::AsyncMode::Fallback};
-  const std::vector<int> Widths = {12, 18, 20, 20, 14, 14};
+  const std::vector<Setup> Setups = {
+      {JitConfig::AsyncMode::Sync, false},
+      {JitConfig::AsyncMode::Fallback, false},
+      {JitConfig::AsyncMode::Sync, true},
+      {JitConfig::AsyncMode::Fallback, true}};
+  const std::vector<int> Widths = {16, 18, 20, 20, 14, 14};
 
   // --- 1. Cold first-launch latency ----------------------------------------
   constexpr int Trials = 5;
-  std::map<JitConfig::AsyncMode, double> FirstLaunch;
-  for (JitConfig::AsyncMode Mode : Modes) {
+  std::vector<double> FirstLaunch;
+  for (const Setup &Cfg : Setups) {
     std::vector<double> Samples;
     for (int T = 0; T != Trials; ++T) {
-      Harness H(Prog, Mode); // fresh runtime: everything cold
+      Harness H(Prog, Cfg); // fresh runtime: everything cold
       Timer First;
       H.launch(2.0 + T); // distinct sf per trial is irrelevant: fresh cache
       Samples.push_back(First.seconds());
       H.Jit.drain();
     }
-    FirstLaunch[Mode] = median(Samples);
+    FirstLaunch.push_back(median(Samples));
   }
 
   // --- 2. Steady-state single-thread throughput ----------------------------
   constexpr int SteadyLaunches = 2000;
-  std::map<JitConfig::AsyncMode, double> Steady;
-  for (JitConfig::AsyncMode Mode : Modes) {
-    Harness H(Prog, Mode);
+  std::vector<double> Steady;
+  for (const Setup &Cfg : Setups) {
+    Harness H(Prog, Cfg);
     H.launch(2.0);
     H.Jit.drain();
     H.launch(2.0); // ensure the specialized binary is loaded
     Timer T;
     for (int I = 0; I != SteadyLaunches; ++I)
       H.launch(2.0);
-    Steady[Mode] = SteadyLaunches / T.seconds();
+    Steady.push_back(SteadyLaunches / T.seconds());
   }
 
   // --- 3. Multi-threaded throughput ----------------------------------------
   constexpr unsigned Threads = 8, PerThread = 250, Specs = 8;
   std::printf("=== Async JIT pipeline: launch latency and throughput"
               " (amdgcn-sim, cold in-memory cache) ===\n\n");
-  printRow({"Mode", "1st launch (ms)", "steady (launch/s)",
+  printRow({"Config", "1st launch (ms)", "steady (launch/s)",
             "8-thr (launch/s)", "dedup waits", "fallbacks"},
            Widths);
-  for (JitConfig::AsyncMode Mode : Modes) {
-    Harness H(Prog, Mode);
+  for (size_t C = 0; C != Setups.size(); ++C) {
+    Harness H(Prog, Setups[C]);
     std::atomic<unsigned> Ready{0};
     std::atomic<bool> Go{false};
     std::vector<std::thread> Pool;
@@ -218,23 +235,30 @@ int main() {
     double MtThroughput = double(Threads) * PerThread / Wall.seconds();
     H.Jit.drain();
     JitRuntimeStats S = H.Jit.stats();
-    printRow({asyncModeName(Mode),
-              formatString("%.3f", FirstLaunch[Mode] * 1e3),
-              formatString("%.0f", Steady[Mode]),
+    printRow({Setups[C].name(), formatString("%.3f", FirstLaunch[C] * 1e3),
+              formatString("%.0f", Steady[C]),
               formatString("%.0f", MtThroughput),
               formatString("%llu", (unsigned long long)S.DedupedWaits),
               formatString("%llu", (unsigned long long)S.FallbackLaunches)},
              Widths);
   }
 
-  // --- Acceptance: Fallback hides the compile from the first launch --------
-  double Ratio = FirstLaunch[JitConfig::AsyncMode::Fallback] /
-                 FirstLaunch[JitConfig::AsyncMode::Sync];
-  std::printf("\nFallback first-launch latency = %.1f%% of Sync"
-              " (target <= 10%%): %s\n",
-              Ratio * 100.0, Ratio <= 0.10 ? "OK" : "MISSED");
-  std::printf("Fallback hides compile time from the launch path;"
-              " steady-state modes are equivalent by construction\n"
-              "(both hit the loaded-kernel fast path).\n");
-  return Ratio <= 0.10 ? 0 : 1;
+  // --- Acceptance: both fallback rows hide the compile from the first
+  // launch -------------------------------------------------------------------
+  bool Ok = true;
+  std::printf("\n");
+  for (size_t C = 0; C != Setups.size(); ++C) {
+    if (!Setups[C].covered())
+      continue;
+    double Ratio = FirstLaunch[C] / FirstLaunch[0];
+    std::printf("%s first-launch latency = %.1f%% of sync"
+                " (target <= 10%%): %s\n",
+                Setups[C].name().c_str(), Ratio * 100.0,
+                Ratio <= 0.10 ? "OK" : "MISSED");
+    Ok &= Ratio <= 0.10;
+  }
+  std::printf("The generic cover hides compile time from the launch path;"
+              " steady-state configurations are\nequivalent by construction"
+              " (all hit the loaded-kernel fast path).\n");
+  return Ok ? 0 : 1;
 }

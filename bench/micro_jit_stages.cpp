@@ -196,7 +196,6 @@ bool writeColdstartReport(bool Smoke) {
       Rep.beginRow(B->name())
           .label("mode", Tier ? "tier_on" : "tier_off")
           .metric("visible_compile_seconds", R.Jit.LaunchBlockedSeconds)
-          .metric("tier0_visible_seconds", R.Jit.Tier0VisibleSeconds)
           .metric("total_compile_seconds", R.Jit.totalCompileSeconds())
           .metric("tier0_compiles", static_cast<double>(R.Jit.Tier0Compiles))
           .metric("final_compiles", static_cast<double>(R.Jit.Compilations))

@@ -249,8 +249,8 @@ RunResult proteus::hecbench::runBenchmark(const Benchmark &B,
         D.addSimulatedSeconds(S);
         D.addKernelSeconds(S);
       };
-      // Background Tier-1 promotions charge module loads to this device's
-      // timeline under the runtime's device lock.
+      // Background promotions may query this device (global symbol
+      // lookups) under the runtime's device lock; extrapolate under it too.
       if (Jit)
         Jit->withDeviceLocked(0, Extrapolate);
       else

@@ -35,11 +35,10 @@ uint64_t proteus::jitPipelineFingerprint(CodeTier Tier,
   return H.digest();
 }
 
-CompileService::CompileService(CodeCache &Cache, bool Background,
-                               bool Promotions, unsigned Workers,
-                               const JitStatHandles &Stat)
-    : Cache(Cache), Background(Background), Stat(Stat) {
-  if (Background || Promotions)
+CompileService::CompileService(CodeCache &Cache, bool Promotions,
+                               unsigned Workers, const JitStatHandles &Stat)
+    : Cache(Cache), Stat(Stat) {
+  if (Promotions)
     Pool = std::make_unique<ThreadPool>(Workers ? Workers : 1u);
 }
 
@@ -73,12 +72,18 @@ CompileService::Promise CompileService::claimLocked(uint64_t Hash,
 }
 
 std::shared_future<CompileOutcome>
-CompileService::obtain(const CompileRequest &Req, CodeTier Wanted) {
+CompileService::obtain(const CompileRequest &Req, CodeTier Wanted,
+                       bool Cover) {
   Promise Owned, Promotion;
+  CodeTier PromotionTier = CodeTier::Final;
   std::shared_future<CompileOutcome> F;
   {
     std::lock_guard<std::mutex> Lock(Mutex);
     if (auto It = InFlight.find({Req.Hash, Wanted}); It != InFlight.end()) {
+      // A covered launch never waits: with a cover, every compile of this
+      // specialization is a promotion, which the cover adopts once done.
+      if (Cover)
+        return {};
       Stat.DedupedWaits->add();
       trace::instant("jit.deduped_wait");
       return It->second;
@@ -96,30 +101,29 @@ CompileService::obtain(const CompileRequest &Req, CodeTier Wanted) {
       if (CC->Tier == CodeTier::Tier0)
         Promotion = claimLocked(Req.Hash, CodeTier::Final);
       std::promise<CompileOutcome> Hit;
-      Hit.set_value({GpuError::Success, {}, std::move(CC->Object)});
+      Hit.set_value({GpuError::Success, {}, std::move(CC->Object), CC->Tier});
       F = Hit.get_future().share();
+    } else if (Cover) {
+      Promotion = claimLocked(Req.Hash, Wanted);
+      PromotionTier = Wanted;
     } else {
       Owned = claimLocked(Req.Hash, Wanted);
       F = InFlight.at({Req.Hash, Wanted});
     }
   }
   if (Promotion)
-    start(Req, CodeTier::Final, std::move(Promotion), /*Promotion=*/true);
+    start(Req, PromotionTier, std::move(Promotion), /*Promotion=*/true);
   if (Owned)
     start(Req, Wanted, std::move(Owned), /*Promotion=*/false);
   return F;
 }
 
 const CompileOutcome &
-CompileService::wait(const std::shared_future<CompileOutcome> &F,
-                     CodeTier Wanted) {
-  if (!ready(F)) {
+CompileService::wait(const std::shared_future<CompileOutcome> &F) {
+  if (F.wait_for(std::chrono::seconds(0)) != std::future_status::ready) {
     trace::Span Sp("jit.inflight_wait", "jit");
-    Timer VisT;
     metrics::ScopedTimer T(*Stat.LaunchBlockedSeconds);
     F.wait();
-    if (Wanted == CodeTier::Tier0)
-      Stat.Tier0VisibleSeconds->addSeconds(VisT.seconds());
   }
   return F.get();
 }
@@ -142,36 +146,26 @@ void CompileService::start(const CompileRequest &Req, CodeTier Tier,
     return finish(Req.Hash, Tier, *P, std::move(Failed));
   auto Job = [this, Req, Tier, P, Promotion, Body = std::move(Body)] {
     CompileOutcome O = compile(Req.Hash, Tier, Body, /*Claim=*/true);
-    bool Ok = O.Err == GpuError::Success;
-    // A failed promotion keeps the Tier-0 object: correct, just not final.
+    const bool Ok = O.Err == GpuError::Success;
+    const bool Baseline = Ok && O.Tier == CodeTier::Tier0;
+    // A failed promotion keeps the cover: correct, just not final.
     if (Ok && Promotion)
-      Req.Promoted(O.Object);
+      Req.Promoted(O);
     finish(Req.Hash, Tier, *P, std::move(O));
-    if (Ok && Tier == CodeTier::Tier0)
+    if (Baseline)
       promote(Req);
   };
-  if (!Background && !Promotion) {
-    // Sync: the whole compile is launch-visible (with tiering on, only the
-    // Tier-0 cost).
-    Timer VisT;
+  if (!Promotion) {
+    // The launch-path compile runs on the launching thread: all of it is
+    // launch-visible (with tiering on, only the Tier-0 cost).
     metrics::ScopedTimer T(*Stat.LaunchBlockedSeconds);
-    Job();
-    if (Tier == CodeTier::Tier0)
-      Stat.Tier0VisibleSeconds->addSeconds(VisT.seconds());
-    return;
+    return Job();
   }
-  bool Queued;
-  if (Promotion) {
-    trace::instant("jit.tier1_schedule");
-    Queued = Pool->enqueue(std::move(Job), ThreadPool::Priority::Low);
-  } else {
-    Stat.AsyncCompiles->add();
-    Queued = Pool->enqueue([this, Job = std::move(Job), QueueT = Timer()] {
-      Stat.QueueWaitSeconds->addSeconds(QueueT.seconds());
-      Job();
-    });
-  }
-  if (!Queued)
+  trace::instant("jit.promotion_schedule");
+  if (!Pool->enqueue([this, Job = std::move(Job), QueueT = Timer()] {
+        Stat.QueueWaitSeconds->addSeconds(QueueT.seconds());
+        Job();
+      }))
     finish(Req.Hash, Tier, *P,
            {GpuError::InvalidValue, "compile pool is shutting down", {}});
 }
@@ -222,10 +216,12 @@ CompileOutcome CompileService::compile(uint64_t Hash, CodeTier Tier,
     if (Published && accepts(*Published, Tier)) {
       Stat.FleetServedCompiles->add();
       trace::instant("jit.fleet_served", "jit");
-      return {GpuError::Success, {}, std::move(Published->Object)};
+      return {GpuError::Success, {}, std::move(Published->Object),
+              Published->Tier};
     }
   }
   CompileOutcome O = Body();
+  O.Tier = Tier;
   // The tier tag and fingerprint travel with the entry (including its
   // persisted form), so a Tier-0 baseline is never mistaken for a final
   // artifact, nor a baked-address object served in symbolic-globals mode.

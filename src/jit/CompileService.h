@@ -7,10 +7,10 @@
 /// \file
 /// How a specialization the launch path misses becomes an object: the one
 /// place that decides which cached object may serve a request, joins a
-/// compile already in flight, runs a new compile inline (Sync) or on the
-/// worker pool (Fallback), claims the compile fleet-wide, publishes the
-/// result into the code cache and schedules the single low-priority Tier-1
-/// promotion of a Tier-0 object.
+/// compile already in flight, runs a new compile inline on the launching
+/// thread or promotes a covered launch's rung on the worker pool, claims
+/// the compile fleet-wide, publishes the result into the code cache and
+/// schedules the Final promotion of a Tier-0 object.
 ///
 /// The service does not know how to compile. JitRuntime hands it a
 /// CompileRequest whose Bind callback produces a compile body for a tier;
@@ -54,6 +54,9 @@ struct CompileOutcome {
   gpu::GpuError Err = gpu::GpuError::Success;
   std::string Message;
   std::vector<uint8_t> Object;
+  /// The tier Object was built at: a request may be served a higher tier
+  /// than it asked for (a Final entry serves a Tier-0 request).
+  CodeTier Tier = CodeTier::Final;
 };
 
 /// A compile with its inputs bound; runs at most once.
@@ -62,26 +65,27 @@ using CompileBody = std::function<CompileOutcome()>;
 /// One specialization a launch wants, and how to compile it.
 struct CompileRequest {
   uint64_t Hash = 0;
-  /// Binds the compile at a tier. Runs on the requesting thread, except
-  /// that a pooled Tier-0 compile binds its promotion on the worker. Returns
-  /// null to fail the request with the outcome it stored in its second
-  /// argument, or to decline a promotion.
+  /// Binds the compile at a tier. Runs on the thread that claims the
+  /// compile: the launching thread, or the thread that finished a Tier-0
+  /// compile and schedules its Final promotion. Returns null to fail the
+  /// request with the outcome it stored in its second argument, or to
+  /// decline a promotion.
   std::function<CompileBody(CodeTier, CompileOutcome &)> Bind;
-  /// Installs a finished Tier-1 promotion's object (the hot-swap). Runs on
-  /// a worker before the promotion leaves the in-flight table.
-  std::function<void(const std::vector<uint8_t> &)> Promoted;
+  /// Installs a finished promotion's outcome (the hot-swap). Runs on a
+  /// worker before the promotion leaves the in-flight table.
+  std::function<void(const CompileOutcome &)> Promoted;
 };
 
 struct JitStatHandles; // jit/JitRuntime.h
 
 class CompileService {
 public:
-  /// \p Background runs launch-path compiles on the pool (AsyncMode::
-  /// Fallback) instead of inline; \p Promotions enables Tier-1 promotion.
-  /// The pool (\p Workers threads) exists only when either is set. The
-  /// protocol's counters and timers are updated through \p Stat.
-  CompileService(CodeCache &Cache, bool Background, bool Promotions,
-                 unsigned Workers, const JitStatHandles &Stat);
+  /// \p Promotions creates the pool of \p Workers threads that runs
+  /// background promotions; without it no launch may be covered or served
+  /// a Tier-0 object. The protocol's counters and timers are updated through
+  /// \p Stat.
+  CompileService(CodeCache &Cache, bool Promotions, unsigned Workers,
+                 const JitStatHandles &Stat);
 
   CompileService(const CompileService &) = delete;
   CompileService &operator=(const CompileService &) = delete;
@@ -96,20 +100,15 @@ public:
   std::optional<CachedCode> servable(uint64_t Hash, CodeTier Wanted);
 
   /// The launch path's entry point: the outcome of \p Req at \p Wanted.
-  /// Serves a servable cache entry, joins a compile of \p Wanted already in
-  /// flight, or owns a new one — run inline before returning, or queued on
-  /// the pool in Background mode. Serving or compiling a Tier-0 object
-  /// schedules its promotion.
+  /// Serves a servable cache entry; else, when the caller can \p Cover the
+  /// launch, promotes to \p Wanted unless that is in flight and returns an
+  /// invalid future; else joins a compile of \p Wanted in flight or runs
+  /// one inline. Serving or compiling Tier-0 schedules its promotion.
   std::shared_future<CompileOutcome> obtain(const CompileRequest &Req,
-                                            CodeTier Wanted);
-
-  static bool ready(const std::shared_future<CompileOutcome> &F) {
-    return F.wait_for(std::chrono::seconds(0)) == std::future_status::ready;
-  }
+                                            CodeTier Wanted, bool Cover);
 
   /// Waits for \p F, accounting a blocking wait as launch-visible time.
-  const CompileOutcome &wait(const std::shared_future<CompileOutcome> &F,
-                             CodeTier Wanted);
+  const CompileOutcome &wait(const std::shared_future<CompileOutcome> &F);
 
   /// Runs \p Body on the calling thread and publishes its object at \p Tier.
   /// With \p Claim, first claims \p Hash fleet-wide: a usable object another
@@ -117,7 +116,8 @@ public:
   CompileOutcome compile(uint64_t Hash, CodeTier Tier, const CompileBody &Body,
                          bool Claim);
 
-  /// Waits until every queued compile and promotion has finished.
+  /// Waits until every queued promotion, and each one it schedules, has
+  /// finished.
   void drain();
 
 private:
@@ -126,10 +126,12 @@ private:
   bool accepts(const CachedCode &CC, CodeTier Wanted) const;
   /// Adds (\p Hash, \p Tier) to the table; null if already there. Mutex held.
   Promise claimLocked(uint64_t Hash, CodeTier Tier);
-  /// Claims and starts the Final promotion of \p Req unless one is in flight.
+  /// Claims and queues the Final promotion of \p Req unless one is in
+  /// flight.
   void promote(const CompileRequest &Req);
-  /// Binds and runs the claimed compile (\p Req, \p Tier): a launch-path
-  /// compile inline or at high pool priority, a \p Promotion at low.
+  /// Binds the claimed compile (\p Req, \p Tier) and runs it: inline for a
+  /// launch-path compile, on the pool for a \p Promotion, which the request's
+  /// Promoted callback installs.
   void start(const CompileRequest &Req, CodeTier Tier, Promise P,
              bool Promotion);
   /// Delivers \p O to the waiters, then retires the table entry.
@@ -137,7 +139,6 @@ private:
               CompileOutcome O);
 
   CodeCache &Cache;
-  const bool Background;
   const JitStatHandles &Stat;
   std::atomic<bool> SymbolicGlobals{false};
 
@@ -147,7 +148,7 @@ private:
       InFlight;
 
   /// Declared last so it is drained and joined (running every queued
-  /// compile to completion) before the table goes away.
+  /// promotion to completion) before the table goes away.
   std::unique_ptr<ThreadPool> Pool;
 };
 

@@ -128,11 +128,11 @@ JitRuntime::JitRuntime(Device &Dev, uint64_t ModuleId, JitConfig Config)
     : Dev(Dev), ModuleId(ModuleId), Config(Config),
       Cache(Config.UseMemoryCache, Config.UsePersistentCache,
             Config.CacheDir, Config.Limits, makeCacheBackend(Config)),
-      // The pool serves Fallback launch-path compiles and, when tiering is
-      // on, the low-priority Tier-1 promotions — so Sync mode with tiering
-      // still owns a pool (its Tier-0 compiles stay inline).
-      Service(Cache, Config.Async == JitConfig::AsyncMode::Fallback,
-              Config.Tier, Config.AsyncWorkers, Stat) {
+      // The pool runs the background promotions: of the generic cover
+      // (Fallback) and of the Tier-0 baseline (tiering on).
+      Service(Cache,
+              Config.Async == JitConfig::AsyncMode::Fallback || Config.Tier,
+              Config.AsyncWorkers, Stat) {
   Devices.emplace_back(new DeviceState);
   Devices.back()->Dev = &Dev;
 #define PROTEUS_JIT_STAT_REGISTER(Field, Name)                                 \
@@ -175,11 +175,9 @@ void JitRuntime::registerKernel(JitKernelInfo Info) {
   if (!Info.GenericObject.empty())
     Info.GenericArch = readObject(Info.GenericObject).Arch;
   // In Fallback mode the generic binary is loaded eagerly on the primary
-  // device, at registration time, so the tier-0 path of a cold launch is a
-  // plain kernel launch with no module load on it. Other devices load it
-  // lazily in launchGeneric (matching arch only — a mixed pool's foreign
-  // devices block on the compile instead). A failed load here is retried
-  // there.
+  // device, so covering a cold launch there needs no module load. Other
+  // devices of its arch load it when a launch first covers with it; a
+  // failed load here is retried then.
   if (Config.Async == JitConfig::AsyncMode::Fallback) {
     DeviceState &DS = *Devices.front();
     std::lock_guard<std::mutex> Lock(DS.Lock);
@@ -223,8 +221,8 @@ void JitRuntime::resetInMemoryState() {
     DS->GenericLoaded.clear();
   }
   {
-    std::lock_guard<std::mutex> Lock(OriginMutex);
-    FirstLoadedOn.clear();
+    std::lock_guard<std::mutex> Lock(SpecMutex);
+    Specs.clear();
   }
   {
     std::lock_guard<std::mutex> Lock(IndexMutex);
@@ -622,12 +620,12 @@ CompileBody JitRuntime::bindCompile(const JitKernelInfo &Info,
 
 CompileRequest JitRuntime::compileRequest(const JitKernelInfo &Info,
                                           const SpecializationKey &Key,
-                                          uint64_t Hash, unsigned DeviceIndex) {
+                                          uint64_t Hash) {
   CompileRequest R;
   R.Hash = Hash;
   R.Bind = [this, &Info, Key](CodeTier Tier, CompileOutcome &Failed) {
-    // With tiering on the launch path compiles Tier-0, so a Final bind is
-    // the promotion. Critical-path gate: a kernel with timeline slack cannot
+    // With tiering on the launch path wants Tier-0, so a Final bind is the
+    // promotion. Critical-path gate: a kernel with timeline slack cannot
     // shorten the run, so its Tier-0 binary is already good enough.
     if (Tier == CodeTier::Final && Config.Tier && PolicyState &&
         !PolicyState->shouldPromote(Info.Symbol)) {
@@ -637,46 +635,28 @@ CompileRequest JitRuntime::compileRequest(const JitKernelInfo &Info,
     }
     return bindCompile(Info, Key, Tier, nullptr, Failed);
   };
-  R.Promoted = [this, Hash, DeviceIndex](const std::vector<uint8_t> &Object) {
-    // Hot-swap the promoted binary into every device holding this
-    // specialization, so the next launch on any of them runs Tier-1 code.
-    // The requesting device is always promoted: its own Tier-0 load may not
-    // have happened yet. Devices are visited in ascending ordinal, one lock
-    // at a time (lock order); a racing launch either still maps Tier-0
-    // (correct, just unpromoted) or already sees the new kernel.
-    bool Promoted = false;
-    for (auto &DS : Devices) {
-      std::lock_guard<std::mutex> Lock(DS->Lock);
-      if (DS->Index == DeviceIndex || DS->Loaded.count(Hash))
-        Promoted |= loadSpecialized(*DS, Hash, Object, /*Replace=*/true, {},
-                                    nullptr) != nullptr;
+  // The one hot-swap: records the promoted rung, which every device
+  // mapping a lower one adopts under its own lock at its next launch of
+  // this shape (mapAndLaunch). The worker never waits for a device lock
+  // that a launch storm holds, and a rung is never lowered.
+  R.Promoted = [this, Hash](const CompileOutcome &O) {
+    const Rung Level = rungOf(O.Tier);
+    {
+      std::lock_guard<std::mutex> Lock(SpecMutex);
+      SpecRecord &Spec = Specs[Hash];
+      if (Spec.Promoted >= Level)
+        return;
+      Spec.Promoted = Level;
+      Spec.PromotedObject =
+          std::make_shared<const std::vector<uint8_t>>(O.Object);
     }
-    if (Promoted) {
-      // One promotion per specialization, however many devices it reached.
+    if (Level == Rung::Final) {
+      // One promotion per specialization, however many devices adopt it.
       Stat.Tier1Promotions->add();
       trace::instant("jit.tier1_promotion");
     }
   };
   return R;
-}
-
-std::optional<GpuError>
-JitRuntime::launchGeneric(DeviceState &DS, const JitKernelInfo &Info,
-                          Dim3 Grid, Dim3 Block,
-                          const std::vector<KernelArg> &Args, Stream *S,
-                          std::string *Error) {
-  // No tier-0 binary — or one compiled for a different architecture than
-  // this device runs — means the caller must wait on the compile instead.
-  if (!Info.hasGenericFor(DS.Dev->target().Arch))
-    return std::nullopt;
-  std::lock_guard<std::mutex> Lock(DS.Lock);
-  LoadedKernel *K = loadGeneric(DS, Info, Error);
-  if (!K)
-    return GpuError::LaunchFailure;
-  Stat.FallbackLaunches->add();
-  trace::instant("jit.fallback_launch");
-  trace::Span Sp("jit.kernel_launch", "jit");
-  return gpuLaunchKernelAsync(*DS.Dev, *K, Grid, Block, Args, S, Error);
 }
 
 LoadedKernel *JitRuntime::loadGeneric(DeviceState &DS,
@@ -699,15 +679,10 @@ LoadedKernel *JitRuntime::loadGeneric(DeviceState &DS,
   return It->second;
 }
 
-LoadedKernel *JitRuntime::loadSpecialized(DeviceState &DS, uint64_t Hash,
-                                          const std::vector<uint8_t> &Object,
-                                          bool Replace,
-                                          const std::string &Symbol,
-                                          std::string *Error) {
-  auto It = DS.Loaded.find(Hash);
-  const bool Fresh = It == DS.Loaded.end();
-  if (!Fresh && !Replace)
-    return It->second;
+const JitRuntime::Mapping *
+JitRuntime::loadSpecialized(DeviceState &DS, uint64_t Hash,
+                            const std::vector<uint8_t> &Object, Rung Level,
+                            const std::string &Symbol, std::string *Error) {
   trace::Span Sp("jit.module_load", "jit");
   LoadedKernel *K = nullptr;
   std::string LoadError;
@@ -716,15 +691,21 @@ LoadedKernel *JitRuntime::loadSpecialized(DeviceState &DS, uint64_t Hash,
       *Error = "failed to load JIT object for @" + Symbol + ": " + LoadError;
     return nullptr;
   }
-  DS.Loaded[Hash] = K;
+  Mapping &M = DS.Loaded[Hash];
+  // The device's first JIT object for this hash (at most a cover mapped).
+  const bool Fresh = !M.Kernel || M.Level == Rung::Generic;
+  M = Mapping{K, Level};
   // Cross-device accounting: the first device to load a specialization is
   // its origin. A load on any other device reused the per-arch compile
   // instead of triggering its own; PerArchCompileReuse counts that once
   // per (specialization, device), not again for a hot-swap.
   unsigned Origin;
   {
-    std::lock_guard<std::mutex> Lock(OriginMutex);
-    Origin = FirstLoadedOn.emplace(Hash, DS.Index).first->second;
+    std::lock_guard<std::mutex> Lock(SpecMutex);
+    std::optional<unsigned> &O = Specs[Hash].Origin;
+    if (!O)
+      O = DS.Index;
+    Origin = *O;
   }
   if (Origin != DS.Index) {
     Stat.CrossDeviceLoads->add();
@@ -732,31 +713,54 @@ LoadedKernel *JitRuntime::loadSpecialized(DeviceState &DS, uint64_t Hash,
       Stat.PerArchCompileReuse->add();
     trace::instant("jit.cross_device_load");
   }
-  return K;
+  return &M;
 }
 
-GpuError JitRuntime::loadAndLaunch(
-    DeviceState &DS, uint64_t Hash, const std::vector<uint8_t> &Object,
-    const JitKernelInfo &Info,
+GpuError JitRuntime::mapAndLaunch(
+    DeviceState &DS, uint64_t Hash, Rung Level,
+    const std::vector<uint8_t> *Object, const JitKernelInfo &Info,
     const std::shared_ptr<const KernelModuleIndex> &CaptureIndex, Dim3 Grid,
     Dim3 Block, const std::vector<KernelArg> &Args, Stream *S,
     std::string *Error) {
-  std::lock_guard<std::mutex> Lock(DS.Lock);
-  LoadedKernel *K = loadSpecialized(DS, Hash, Object, /*Replace=*/false,
-                                    Info.Symbol, Error);
-  if (!K)
+  // A finished promotion outranks the rung this launch obtained or found.
+  std::shared_ptr<const std::vector<uint8_t>> Promoted;
+  {
+    std::lock_guard<std::mutex> SpecLock(SpecMutex);
+    auto It = Specs.find(Hash);
+    if (It != Specs.end() && It->second.Promoted > Level) {
+      Level = It->second.Promoted;
+      Promoted = It->second.PromotedObject;
+      Object = Promoted.get();
+    }
+  }
+  const Mapping *M = nullptr;
+  if (auto It = DS.Loaded.find(Hash);
+      It != DS.Loaded.end() && It->second.Level >= Level)
+    M = &It->second; // mapped already, by this launch's caller or a racer
+  else if (Level != Rung::Generic)
+    M = loadSpecialized(DS, Hash, *Object, Level, Info.Symbol, Error);
+  else if (LoadedKernel *K = loadGeneric(DS, Info, Error))
+    M = &(DS.Loaded[Hash] = Mapping{K, Rung::Generic});
+  if (!M)
     return GpuError::LaunchFailure;
-  return launchLoaded(DS, *K, Info, Hash, CaptureIndex, Grid, Block, Args, S,
+  return launchLoaded(DS, *M, Info, Hash, CaptureIndex, Grid, Block, Args, S,
                       Error);
 }
 
 GpuError JitRuntime::launchLoaded(
-    DeviceState &DS, LoadedKernel &K, const JitKernelInfo &Info,
+    DeviceState &DS, const Mapping &M, const JitKernelInfo &Info,
     uint64_t Hash,
     const std::shared_ptr<const KernelModuleIndex> &CaptureIndex, Dim3 Grid,
     Dim3 Block, const std::vector<KernelArg> &Args, Stream *S,
     std::string *Error) {
   trace::Span Sp("jit.kernel_launch", "jit");
+  LoadedKernel &K = *M.Kernel;
+  if (M.Level == Rung::Generic) {
+    // The cover runs the unspecialized AOT binary: counted, never captured.
+    Stat.FallbackLaunches->add();
+    trace::instant("jit.fallback_launch");
+    return gpuLaunchKernelAsync(*DS.Dev, K, Grid, Block, Args, S, Error);
+  }
   // Skip capture when it is off, the kernel's closure is unavailable, this
   // launch shape was already recorded (dedup mode counts capture.dedup), or
   // the ring is full (tryReserve counts the drop) — the launch itself must
@@ -889,36 +893,39 @@ GpuError JitRuntime::launchKernelOn(unsigned DeviceIndex,
     }
   }
 
-  // --- Already loaded on this device? ---------------------------------------
+  // --- Already mapped on this device (a cover included)? -------------------
+  // A mapping below Final first adopts a finished promotion.
   {
     std::lock_guard<std::mutex> Lock(DS.Lock);
     if (auto LIt = DS.Loaded.find(Hash); LIt != DS.Loaded.end())
-      return launchLoaded(DS, *LIt->second, *Info, Hash, CaptureIndex, Grid,
-                          Block, Args, S, Error);
+      return LIt->second.Level == Rung::Final
+                 ? launchLoaded(DS, LIt->second, *Info, Hash, CaptureIndex,
+                                Grid, Block, Args, S, Error)
+                 : mapAndLaunch(DS, Hash, LIt->second.Level, nullptr, *Info,
+                                CaptureIndex, Grid, Block, Args, S, Error);
   }
 
-  // --- Cold: serve from the cache, join an in-flight compile or own one ---
-  // With tiering on a miss is served by the fast Tier-0 pipeline and the
-  // full compile is promoted in the background afterwards.
+  // --- Cold: the cheapest rung ready now (see the file comment) ------------
   const CodeTier Wanted = Config.Tier ? CodeTier::Tier0 : CodeTier::Final;
+  const bool Cover = Config.Async == JitConfig::AsyncMode::Fallback &&
+                     Info->hasGenericFor(DS.Dev->target().Arch);
   std::shared_future<CompileOutcome> F =
-      Service.obtain(compileRequest(*Info, Key, Hash, DeviceIndex), Wanted);
-  // Fallback: run the generic binary now; a later launch finds the
-  // specialized one once the background compile lands in the cache. With no
-  // usable generic binary the launch waits like Sync.
-  if (Config.Async == JitConfig::AsyncMode::Fallback &&
-      !CompileService::ready(F))
-    if (std::optional<GpuError> GE =
-            launchGeneric(DS, *Info, Grid, Block, Args, S, Error))
-      return *GE;
-  const CompileOutcome &O = Service.wait(F, Wanted);
-  if (O.Err != GpuError::Success) {
-    if (Error)
-      *Error = O.Message;
-    return O.Err;
+      Service.obtain(compileRequest(*Info, Key, Hash), Wanted, Cover);
+  Rung Level = Rung::Generic;
+  const std::vector<uint8_t> *Object = nullptr;
+  if (F.valid()) {
+    const CompileOutcome &O = Service.wait(F);
+    if (O.Err != GpuError::Success) {
+      if (Error)
+        *Error = O.Message;
+      return O.Err;
+    }
+    Level = rungOf(O.Tier);
+    Object = &O.Object;
   }
-  return loadAndLaunch(DS, Hash, O.Object, *Info, CaptureIndex, Grid, Block,
-                       Args, S, Error);
+  std::lock_guard<std::mutex> Lock(DS.Lock);
+  return mapAndLaunch(DS, Hash, Level, Object, *Info, CaptureIndex, Grid,
+                      Block, Args, S, Error);
 }
 
 bool JitRuntime::deviceOutOfRange(int64_t Index, std::string *Error) const {
@@ -1016,7 +1023,7 @@ GpuError JitRuntime::installOnTargets(const std::string &Symbol, Dim3 Block,
     }
     std::lock_guard<std::mutex> Lock(DS.Lock);
     if (!loadSpecialized(DS, AIt->second.first, AIt->second.second,
-                         /*Replace=*/true, Symbol, Error))
+                         Rung::Final, Symbol, Error))
       return GpuError::LaunchFailure;
     if (AnyLoaded)
       *AnyLoaded = true;

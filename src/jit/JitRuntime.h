@@ -23,26 +23,17 @@
 /// the paper's None/LB/RCF/LB+RCF analysis modes (section 4.5) and the
 /// overhead experiment (Figure 6) are produced.
 ///
-/// The runtime is thread-safe and optionally asynchronous. A miss goes to
-/// the CompileService (jit/CompileService.h), which deduplicates concurrent
-/// launches of the same not-yet-compiled specialization through an
-/// in-flight table (one compile, many waiters). JitConfig::AsyncMode
-/// selects how a miss is served:
-///
-///   * Sync     — compile on the launching thread (the paper's behaviour);
-///   * Fallback — the launch immediately runs the kernel's generic
-///                (unspecialized AOT) binary while the specialized one
-///                compiles in the background and is hot-swapped in on a
-///                later launch, as in tiered JITs.
-///
-/// Orthogonally, PROTEUS_TIER=on enables tiered compilation of the
-/// specialized binary itself: a miss is served by a fast Tier-0 compile
-/// (argument specialization + a minimal cleanup pipeline + single-pass
-/// register allocation) while the full Tier-1 pipeline runs on the worker
-/// pool at low priority and atomically hot-swaps the loaded kernel once
-/// ready. Cache entries carry a tier tag and a pipeline fingerprint, so a
-/// persisted Tier-0 baseline found on a later run is served immediately
-/// and promoted in place rather than mistaken for a final artifact.
+/// The runtime is thread-safe. A miss goes to the CompileService
+/// (jit/CompileService.h), which deduplicates concurrent launches of the
+/// same not-yet-compiled specialization (one compile, many waiters). A cold
+/// launch runs the cheapest rung of one ladder that is ready now: a cached
+/// entry; with PROTEUS_ASYNC=fallback, the generic AOT binary as a cover;
+/// else the wanted rung (Tier-0 with PROTEUS_TIER=on, else Final) compiled
+/// on the launching thread, the paper's behaviour. Each rung below Final
+/// is promoted in the background and hot-swapped in, never downward
+/// (DESIGN.md §2b). Cache entries carry a tier tag and a pipeline
+/// fingerprint, so a persisted Tier-0 baseline found on a later run is
+/// served immediately and promoted in place.
 /// Kernels are materialized from a parse-once module index that clones
 /// only the launched kernel's reachable call closure per specialization.
 ///
@@ -60,10 +51,10 @@
 ///
 /// Lock order (deadlock discipline): the runtime's table mutexes
 /// (RegistryMutex, the compile service's table mutex, IndexMutex,
-/// MemoMutex, OriginMutex) are
-/// leaves taken before any per-device lock, never while one is held — and
-/// no two device locks are ever held at once. Work that visits several
-/// devices (Tier-1 promotion hot-swap, resetInMemoryState) iterates them in
+/// MemoMutex) are leaves taken before any per-device lock, never while one
+/// is held; SpecMutex is a leaf that may be taken under a device lock. No
+/// two device locks are ever held at once. Work that visits several
+/// devices (installFinalTier, resetInMemoryState) iterates them in
 /// ascending ordinal, locking one at a time.
 ///
 //===----------------------------------------------------------------------===//
@@ -97,8 +88,8 @@ struct JitConfig {
   /// How a launch that misses the code cache obtains its binary.
   enum class AsyncMode {
     Sync,     ///< compile inline on the launching thread (default)
-    Fallback, ///< launch the generic AOT binary now, hot-swap the
-              ///< specialized binary once the background compile finishes
+    Fallback, ///< cover with the generic AOT binary, hot-swap the
+              ///< specialized binary once its background promotion finishes
   };
 
   bool EnableRCF = true;          // runtime constant folding of arguments
@@ -121,19 +112,15 @@ struct JitConfig {
   bool VerifyIR = false;
   /// Asynchronous compilation pipeline (PROTEUS_ASYNC=sync|fallback).
   AsyncMode Async = AsyncMode::Sync;
-  /// Worker threads for Fallback compiles and Tier-1 promotions
-  /// (PROTEUS_ASYNC_WORKERS, in [1, 1024]).
+  /// Worker threads for background promotions (PROTEUS_ASYNC_WORKERS, in
+  /// [1, 1024]).
   unsigned AsyncWorkers = 4;
   O3Options O3;
 
-  /// Tiered compilation (PROTEUS_TIER=off|on). When on, a cold launch is
-  /// served by a fast Tier-0 compile (O3Preset::Fast + fast register
-  /// allocation) and the full Tier-1 pipeline runs on the worker pool at
-  /// low priority, hot-swapping the loaded kernel and promoting the cache
-  /// entry in place once ready. Composes with both AsyncModes: in Sync the
-  /// Tier-0 compile runs inline (but far cheaper than the full pipeline);
-  /// in Fallback the generic binary covers the launch while even Tier-0
-  /// compiles in the background.
+  /// Tiered compilation (PROTEUS_TIER=off|on). When on, a cold launch wants
+  /// a fast Tier-0 compile (O3Preset::Fast + fast register allocation),
+  /// and the full pipeline runs as a background promotion that hot-swaps
+  /// the loaded kernel and promotes the cache entry in place.
   bool Tier = false;
 
   /// What to do with kernel-sanitizer findings (divergent barriers,
@@ -156,7 +143,7 @@ struct JitConfig {
   /// into self-contained replayable artifacts (pruned bitcode, arg values,
   /// memory snapshots, geometry, arch, pipeline fingerprint) via a bounded
   /// ring that sheds load instead of ever blocking the launch path.
-  /// Generic-fallback launches (unspecialized tier-0 covers) are not
+  /// Launches of a generic cover (the unspecialized AOT binary) are not
   /// captured. See src/capture and tools/proteus-replay.
   bool Capture = false;
   /// Directory receiving .pcap artifacts (PROTEUS_CAPTURE_DIR).
@@ -218,9 +205,9 @@ const char *tierModeName(bool TierEnabled);
 /// the runtime's metric-handle struct, handle registration and the stats()
 /// snapshot — adding a stat means adding one line here.
 ///
-/// Counters: Launches; Compilations; AsyncCompiles (compiles dispatched to
-/// the worker pool); FallbackLaunches (launches served by the generic
-/// binary); DedupedWaits (launches that joined an in-flight compile);
+/// Counters: Launches; Compilations; FallbackLaunches (launches that ran
+/// the generic binary as a cover); DedupedWaits (launches that joined an
+/// in-flight compile);
 /// AnnotationRangeErrors (launches rejected because a jit-annotated
 /// argument index was out of range); AnalysisDiagnostics (individual
 /// kernel-sanitizer findings); AnalysisRejects (compiles failed by
@@ -229,11 +216,10 @@ const char *tierModeName(bool TierEnabled);
 ///
 /// Tiering counters: Compilations counts full-pipeline (final-tier)
 /// compiles only; Tier0Compiles counts fast baseline compiles, and
-/// Tier1Promotions counts background promotions that replaced a served
-/// Tier-0 binary — so with PROTEUS_TIER=on a cold specialization
-/// eventually contributes one Tier0Compiles, one Compilations and one
-/// Tier1Promotions. AsyncCompiles keeps counting only launch-path pool
-/// dispatches, never internal promotion jobs. PrunedFunctions counts
+/// Tier1Promotions counts background promotions that installed a Final
+/// binary over a cover (generic or Tier-0) — so with PROTEUS_TIER=on a cold
+/// specialization eventually contributes one Tier0Compiles, one
+/// Compilations and one Tier1Promotions. PrunedFunctions counts
 /// module-index functions skipped by closure-pruned materialization;
 /// HashMemoHits counts launches whose specialization hash was served by
 /// the per-kernel memo instead of being recomputed.
@@ -278,7 +264,6 @@ const char *tierModeName(bool TierEnabled);
   X(PerArchCompileReuse, "jit.per_arch_compile_reuse")                         \
   X(PrunedFunctions, "jit.pruned_functions")                                   \
   X(HashMemoHits, "jit.hash_memo_hits")                                        \
-  X(AsyncCompiles, "jit.async_compiles")                                       \
   X(FallbackLaunches, "jit.fallback_launches")                                 \
   X(DedupedWaits, "jit.deduped_waits")                                         \
   X(FleetDedupWaits, "jit.fleet_dedup_waits")                                  \
@@ -299,22 +284,17 @@ const char *tierModeName(bool TierEnabled);
   X(BitcodeParses, "jit.bitcode_parses")
 
 /// Timers: BitcodeFetchSeconds includes the simulated device readback
-/// (NVIDIA); QueueWaitSeconds is enqueue -> worker pickup latency;
-/// LaunchBlockedSeconds is compile time visible on the launch path (inline
-/// compiles in Sync mode plus time launches spent blocked on a compile
-/// future: dedup waits, and Fallback launches with no usable generic
-/// binary). Stage timers accumulate on every exit path, including compile
+/// (NVIDIA); QueueWaitSeconds is a promotion's enqueue -> worker pickup
+/// latency; LaunchBlockedSeconds is compile time visible on the launch path
+/// (inline compiles plus time launches spent blocked on an in-flight
+/// compile; with tiering on, the launch-visible cost of the Tier-0
+/// pipeline). Stage timers accumulate on every exit path, including compile
 /// errors (metrics::ScopedTimer).
 /// BitcodeMaterializeSeconds is the part of BitcodeParseSeconds spent
 /// cloning a kernel's closure out of the parsed module (the rest is the
 /// once-per-kernel read); as a sub-timer it is not a stage of its own.
-/// Tier0VisibleSeconds is the slice of LaunchBlockedSeconds incurred while
-/// tiering is on — i.e. the launch-visible cost of the Tier-0 pipeline,
-/// the number the tiered cold-start benchmark compares against a
-/// full-pipeline baseline.
 #define PROTEUS_JIT_TIMERS(X)                                                  \
   X(BitcodeFetchSeconds, "jit.bitcode_fetch_seconds")                          \
-  X(Tier0VisibleSeconds, "jit.tier0_visible_seconds")                          \
   X(BitcodeParseSeconds, "jit.bitcode_parse_seconds")                          \
   X(BitcodeMaterializeSeconds, "jit.bitcode_materialize_seconds")              \
   X(LinkGlobalsSeconds, "jit.link_globals_seconds")                            \
@@ -361,7 +341,7 @@ struct JitRuntimeStats {
            VerifyEachSeconds + BackendSeconds;
   }
 
-  /// Compile time hidden from the launch path by the async pipeline
+  /// Compile time hidden from the launch path by background promotions
   /// (Figure 6's launch-visible vs hidden split).
   double hiddenCompileSeconds() const {
     double Hidden = totalCompileSeconds() - LaunchBlockedSeconds;
@@ -381,13 +361,13 @@ struct JitKernelInfo {
   /// Device holding __jit_bc_<symbol> (set by program load); null means
   /// the runtime's primary device.
   gpu::Device *BitcodeDevice = nullptr;
-  /// The kernel's generic (unspecialized) AOT binary, used as the tier-0
-  /// launch target in AsyncMode::Fallback while a specialization compiles.
+  /// The kernel's generic (unspecialized) AOT binary: the cover a cold
+  /// launch runs in AsyncMode::Fallback.
   std::vector<uint8_t> GenericObject;
   /// Architecture GenericObject was compiled for (read from the object
-  /// header at registration). In a mixed-arch pool fallback only serves
-  /// the generic on matching devices; launches on other arches block on
-  /// the compile future instead of loading a foreign-arch object.
+  /// header at registration). In a mixed-arch pool only matching devices
+  /// are covered; launches on other arches compile inline instead of
+  /// loading a foreign-arch object.
   GpuArch GenericArch = GpuArch::AmdGcnSim;
 
   bool hasGenericFor(GpuArch Arch) const {
@@ -537,15 +517,28 @@ public:
   /// (test/flush access; the launch path reaches it internally).
   capture::CaptureSession *captureSession() { return CaptureSess.get(); }
 
-  /// Waits until every background compilation dispatched so far has
-  /// finished (no-op in Sync mode).
+  /// Waits until every background promotion scheduled so far has finished
+  /// (no-op without a worker pool).
   void drain();
 
   /// Drops in-memory state (fresh-process simulation; persistent cache
-  /// stays warm). Drains background compiles first.
+  /// stays warm). Drains background promotions first.
   void resetInMemoryState();
 
 private:
+  /// The cold-launch ladder, cheapest rung first: the generic AOT binary
+  /// (a cover), the Tier-0 baseline, the Final specialization.
+  enum class Rung : uint8_t { Generic, Tier0, Final };
+  static Rung rungOf(CodeTier T) {
+    return T == CodeTier::Tier0 ? Rung::Tier0 : Rung::Final;
+  }
+
+  /// The kernel a device runs for one specialization, and its rung.
+  struct Mapping {
+    gpu::LoadedKernel *Kernel = nullptr;
+    Rung Level = Rung::Final;
+  };
+
   /// Everything the runtime holds per attached device: the device itself,
   /// the lock serializing operations against it (module loads, launches,
   /// symbol resolution, bitcode readback), and the per-device loaded-kernel
@@ -555,10 +548,20 @@ private:
     gpu::Device *Dev = nullptr;
     unsigned Index = 0; ///< position in Devices (attach order)
     std::mutex Lock;
-    /// Specialization hash -> kernel loaded on this device.
-    std::map<uint64_t, gpu::LoadedKernel *> Loaded;
+    /// Specialization hash -> kernel mapped on this device (covers too).
+    std::map<uint64_t, Mapping> Loaded;
     /// Kernel symbol -> loaded generic (unspecialized) binary.
     std::map<std::string, gpu::LoadedKernel *> GenericLoaded;
+  };
+
+  /// Per specialization: the device that first loaded a JIT object for it
+  /// (CrossDeviceLoads / PerArchCompileReuse), and the highest rung a
+  /// promotion has finished, with its object, which every device adopts
+  /// at its next launch of the specialization (mapAndLaunch).
+  struct SpecRecord {
+    std::optional<unsigned> Origin;
+    Rung Promoted = Rung::Generic; ///< Generic: none finished yet
+    std::shared_ptr<const std::vector<uint8_t>> PromotedObject;
   };
 
   /// True once more than one device is attached: compiled objects keep
@@ -609,13 +612,11 @@ private:
   CompileBody bindCompile(const JitKernelInfo &Info,
                           const SpecializationKey &Key, CodeTier Tier,
                           const O3Options *O3Override, CompileOutcome &Failed);
-  /// The launch path's request for (\p Info, \p Key) launched on device
-  /// \p DeviceIndex: binds compiles (gating Tier-1 promotions on the
-  /// policy's critical path) and hot-swaps a finished promotion onto the
-  /// requesting device and every device holding the specialization.
+  /// The launch path's request for (\p Info, \p Key): binds compiles
+  /// (gating Final promotions on the policy's critical path) and records a
+  /// finished promotion for every device mapping a lower rung to adopt.
   CompileRequest compileRequest(const JitKernelInfo &Info,
-                                const SpecializationKey &Key, uint64_t Hash,
-                                unsigned DeviceIndex);
+                                const SpecializationKey &Key, uint64_t Hash);
   /// Returns the kernel's parse-once module index, building (and caching)
   /// it from \p Bitcode on first use. Null with \p Error set on parse
   /// failure or when no index exists and \p Bitcode is empty.
@@ -627,26 +628,26 @@ private:
   /// from a map afterwards (HashMemoHits counts the served launches).
   uint64_t lookupSpecHash(const std::string &Symbol,
                           const SpecializationKey &Key);
-  /// Loads the generic AOT binary (once per device) and launches it on
-  /// \p DS; returns std::nullopt when the kernel carries no generic binary.
-  std::optional<gpu::GpuError>
-  launchGeneric(DeviceState &DS, const JitKernelInfo &Info, gpu::Dim3 Grid,
-                gpu::Dim3 Block, const std::vector<gpu::KernelArg> &Args,
-                gpu::Stream *S, std::string *Error);
-  gpu::GpuError loadAndLaunch(DeviceState &DS, uint64_t Hash,
-                              const std::vector<uint8_t> &Object,
-                              const JitKernelInfo &Info,
-                              const std::shared_ptr<const KernelModuleIndex>
-                                  &CaptureIndex,
-                              gpu::Dim3 Grid, gpu::Dim3 Block,
-                              const std::vector<gpu::KernelArg> &Args,
-                              gpu::Stream *S, std::string *Error);
-  /// Launches an already-loaded specialized kernel, recording a capture
-  /// artifact around it when capture is on: reserve a ring slot (shed and
-  /// launch plain when full), snapshot input regions, launch, snapshot
-  /// outputs, submit. Called with DS.Lock held; \p CaptureIndex supplies
-  /// the pruned-bitcode closure and may be null (capture skipped).
-  gpu::GpuError launchLoaded(DeviceState &DS, gpu::LoadedKernel &K,
+  /// Maps \p Hash on \p DS (DS.Lock held) at rung \p Level — \p Object,
+  /// or the generic binary for Rung::Generic — and launches it. A rung a
+  /// promotion has finished, or a mapping already in place, is used
+  /// instead when it is at least as high; \p Object may be null when
+  /// \p DS already maps \p Level.
+  gpu::GpuError mapAndLaunch(DeviceState &DS, uint64_t Hash, Rung Level,
+                             const std::vector<uint8_t> *Object,
+                             const JitKernelInfo &Info,
+                             const std::shared_ptr<const KernelModuleIndex>
+                                 &CaptureIndex,
+                             gpu::Dim3 Grid, gpu::Dim3 Block,
+                             const std::vector<gpu::KernelArg> &Args,
+                             gpu::Stream *S, std::string *Error);
+  /// Launches a mapped kernel. A cover (Rung::Generic) is counted in
+  /// FallbackLaunches and never captured; a specialized kernel is recorded
+  /// when capture is on: reserve a ring slot (shed and launch plain when
+  /// full), snapshot input regions, launch, snapshot outputs, submit.
+  /// Called with DS.Lock held; \p CaptureIndex supplies the pruned-bitcode
+  /// closure and may be null (capture skipped).
+  gpu::GpuError launchLoaded(DeviceState &DS, const Mapping &M,
                              const JitKernelInfo &Info, uint64_t Hash,
                              const std::shared_ptr<const KernelModuleIndex>
                                  &CaptureIndex,
@@ -659,15 +660,15 @@ private:
   gpu::LoadedKernel *loadGeneric(DeviceState &DS, const JitKernelInfo &Info,
                                  std::string *Error);
   /// Loads the specialized \p Object for \p Hash onto \p DS (DS.Lock
-  /// held), keeping an existing mapping unless \p Replace (the hot-swap).
+  /// held) and maps it at \p Level, replacing any previous mapping.
   /// Records the first loading device as the specialization's origin and
   /// counts loads on other devices (CrossDeviceLoads, plus
-  /// PerArchCompileReuse for a device's first mapping). Null with \p Error
-  /// set when the load fails.
-  gpu::LoadedKernel *loadSpecialized(DeviceState &DS, uint64_t Hash,
-                                     const std::vector<uint8_t> &Object,
-                                     bool Replace, const std::string &Symbol,
-                                     std::string *Error);
+  /// PerArchCompileReuse for a device's first JIT object). Null with
+  /// \p Error set when the load fails.
+  const Mapping *loadSpecialized(DeviceState &DS, uint64_t Hash,
+                                 const std::vector<uint8_t> &Object,
+                                 Rung Level, const std::string &Symbol,
+                                 std::string *Error);
   /// Shared body of installFinalTier and retargetKernel: resolves the
   /// specialization for (\p Symbol, \p Block, \p Args), obtains one
   /// final-tier object per distinct GpuArch among the target devices
@@ -704,10 +705,10 @@ private:
   /// element carries its own device lock (see the lock-order file comment).
   std::vector<std::unique_ptr<DeviceState>> Devices;
 
-  /// Which device first loaded each specialization, for the
-  /// CrossDeviceLoads / PerArchCompileReuse accounting.
-  std::mutex OriginMutex;
-  std::unordered_map<uint64_t, unsigned> FirstLoadedOn;
+  /// Specialization hash -> its SpecRecord. A leaf lock, also taken with a
+  /// device lock held.
+  std::mutex SpecMutex;
+  std::unordered_map<uint64_t, SpecRecord> Specs;
 
   /// Parse-once module indexes, one per kernel symbol: the pruned
   /// parsed-module cache. Tier-0, Tier-1 and plain compiles all

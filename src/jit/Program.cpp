@@ -80,8 +80,8 @@ LoadedProgram::LoadedProgram(Device &Dev, const CompiledProgram &Program,
         LoadError = "no bitcode found for JIT kernel @" + Symbol;
         return;
       }
-      // The generic (unspecialized) AOT object doubles as the tier-0
-      // launch target for AsyncMode::Fallback.
+      // The generic (unspecialized) AOT object is the cover a cold launch
+      // runs in AsyncMode::Fallback.
       if (auto OIt = Program.Image.KernelObjects.find(Symbol);
           OIt != Program.Image.KernelObjects.end())
         Info.GenericObject = OIt->second;

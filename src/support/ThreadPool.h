@@ -5,19 +5,14 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// A small fixed-size worker pool used by the asynchronous JIT compilation
-/// pipeline (JitConfig::AsyncMode). Tasks are plain std::function thunks;
-/// the pool guarantees that every enqueued task runs exactly once, that
-/// shutdown() drains the queue before joining (no compile result is ever
-/// lost), and that waitIdle() returns only when the queue is empty and no
-/// worker is executing a task — the property JitRuntime::drain() relies on
-/// before reading final statistics.
-///
-/// Tasks carry a two-level priority: High (the default — launch-visible
-/// Tier-0 compiles and plain async compiles) always runs before Low
-/// (background Tier-1 re-optimization). Workers drain the high queue first;
-/// a flood of background promotions can therefore never delay a pending
-/// first-launch compile by more than the task currently executing.
+/// A small fixed-size worker pool: the JIT's background promotions
+/// (jit/CompileService.h) and the cache daemon's lookup fan-out. Tasks are
+/// plain std::function thunks run in FIFO order; the pool guarantees that
+/// every enqueued task runs exactly once, that shutdown() drains the queue
+/// before joining (no compile result is ever lost), and that waitIdle()
+/// returns only when the queue is empty and no worker is executing a task —
+/// the property JitRuntime::drain() relies on before reading final
+/// statistics.
 ///
 /// When a trace session is active (support/Trace.h) the pool emits
 /// "pool.queue_depth" and "pool.active_workers" counter series plus one
@@ -43,9 +38,6 @@ namespace proteus {
 
 class ThreadPool {
 public:
-  /// Scheduling class for enqueued tasks. High always dispatches before Low.
-  enum class Priority { High, Low };
-
   /// Spawns \p Workers threads (at least one).
   explicit ThreadPool(unsigned Workers) {
     if (Workers == 0)
@@ -61,33 +53,30 @@ public:
 
   ~ThreadPool() { shutdown(); }
 
-  /// Schedules \p Task at \p Pri. Tasks enqueued after shutdown() began are
-  /// rejected (returns false) — callers must not rely on fire-and-forget
-  /// during teardown.
-  bool enqueue(std::function<void()> Task, Priority Pri = Priority::High) {
+  /// Schedules \p Task. Tasks enqueued after shutdown() began are rejected
+  /// (returns false) — callers must not rely on fire-and-forget during
+  /// teardown.
+  bool enqueue(std::function<void()> Task) {
     {
       std::lock_guard<std::mutex> L(M);
       if (Stopping)
         return false;
-      if (Pri == Priority::High)
-        HighQueue.push_back(std::move(Task));
-      else
-        LowQueue.push_back(std::move(Task));
+      Queue.push_back(std::move(Task));
       ++Enqueued;
-      trace::counterValue("pool.queue_depth", double(queueDepthLocked()));
+      trace::counterValue("pool.queue_depth", double(Queue.size()));
     }
     WorkCv.notify_one();
     return true;
   }
 
-  /// Blocks until both queues are empty and every worker is idle. Tasks that
+  /// Blocks until the queue is empty and every worker is idle. Tasks that
   /// enqueue follow-up tasks are waited for transitively.
   void waitIdle() {
     std::unique_lock<std::mutex> L(M);
-    IdleCv.wait(L, [this] { return queueDepthLocked() == 0 && Active == 0; });
+    IdleCv.wait(L, [this] { return Queue.empty() && Active == 0; });
   }
 
-  /// Drains both queues, then joins all workers. Idempotent.
+  /// Drains the queue, then joins all workers. Idempotent.
   void shutdown() {
     {
       std::lock_guard<std::mutex> L(M);
@@ -114,22 +103,18 @@ public:
   }
 
 private:
-  size_t queueDepthLocked() const { return HighQueue.size() + LowQueue.size(); }
-
   void workerLoop() {
     for (;;) {
       std::function<void()> Task;
       {
         std::unique_lock<std::mutex> L(M);
-        WorkCv.wait(L, [this] { return Stopping || queueDepthLocked() != 0; });
-        if (queueDepthLocked() == 0)
+        WorkCv.wait(L, [this] { return Stopping || !Queue.empty(); });
+        if (Queue.empty())
           return; // stopping and fully drained
-        std::deque<std::function<void()>> &Q =
-            HighQueue.empty() ? LowQueue : HighQueue;
-        Task = std::move(Q.front());
-        Q.pop_front();
+        Task = std::move(Queue.front());
+        Queue.pop_front();
         ++Active;
-        trace::counterValue("pool.queue_depth", double(queueDepthLocked()));
+        trace::counterValue("pool.queue_depth", double(Queue.size()));
         trace::counterValue("pool.active_workers", double(Active));
       }
       {
@@ -141,7 +126,7 @@ private:
         --Active;
         ++Completed;
         trace::counterValue("pool.active_workers", double(Active));
-        if (queueDepthLocked() == 0 && Active == 0)
+        if (Queue.empty() && Active == 0)
           IdleCv.notify_all();
       }
     }
@@ -150,10 +135,7 @@ private:
   mutable std::mutex M;
   std::condition_variable WorkCv;
   std::condition_variable IdleCv;
-  /// High before Low, strictly: a worker only pops LowQueue when HighQueue
-  /// is empty at dispatch time.
-  std::deque<std::function<void()>> HighQueue;
-  std::deque<std::function<void()>> LowQueue;
+  std::deque<std::function<void()>> Queue;
   std::vector<std::thread> Threads;
   unsigned WorkerCount = 0;
   unsigned Active = 0;

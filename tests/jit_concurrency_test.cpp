@@ -192,15 +192,15 @@ void runConcurrent(const CompiledProgram &Prog, GpuArch Arch,
       << "in-flight dedup must yield one compile per distinct key";
   EXPECT_EQ(S.Launches,
             uint64_t(NumThreads) * Repeats * Items.size());
-  if (Mode == JitConfig::AsyncMode::Sync) {
-    EXPECT_EQ(S.AsyncCompiles, 0u);
+  // Every specialized binary a cover (Fallback) or a Tier-0 baseline
+  // (tiering on) served first arrives through one Final promotion.
+  const bool Covered = Mode == JitConfig::AsyncMode::Fallback;
+  EXPECT_EQ(S.Tier1Promotions,
+            Covered || JC.Tier ? uint64_t(NumKernels * NumSpecs) : 0u);
+  if (Covered)
+    EXPECT_GT(S.FallbackLaunches, 0u);
+  else
     EXPECT_EQ(S.FallbackLaunches, 0u);
-  } else {
-    EXPECT_EQ(S.AsyncCompiles, uint64_t(NumKernels * NumSpecs));
-  }
-  if (Mode != JitConfig::AsyncMode::Fallback) {
-    EXPECT_EQ(S.FallbackLaunches, 0u);
-  }
 
   // Bit-identical to the single-threaded synchronous baseline — in
   // Fallback mode this also proves the generic binary computes the same

@@ -17,8 +17,11 @@
 //    with tiering off it is treated as a miss and fully recompiled;
 //  * a stale pipeline fingerprint forces recompilation;
 //  * a launch storm racing a hot-swap promotion (Fallback + tier on) stays
-//    correct and converges to the promoted binary. Designed to also run
-//    under -DPROTEUS_SANITIZE=thread (tools/ci_tsan.sh).
+//    correct and converges to the promoted binary;
+//  * however launches on a multi-device pool race the promotions, every
+//    device ends on the Final binary, in Sync and Fallback, with the memory
+//    cache on and off. Designed to also run under
+//    -DPROTEUS_SANITIZE=thread (tools/ci_tsan.sh).
 //
 // gtest assertions are not thread-safe: storm threads only record results;
 // all checking happens on the main thread after join.
@@ -43,6 +46,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <barrier>
 #include <thread>
 
 using namespace pir;
@@ -214,8 +218,8 @@ struct Harness {
 
   std::vector<uint8_t> readOut(unsigned Index) {
     std::vector<uint8_t> Bytes(BufN * 8);
-    // A background Tier-1 promotion may be charging device time right now;
-    // device timelines are serialized under the runtime's per-device lock.
+    // Device access is serialized under the runtime's per-device lock,
+    // which background promotions may hold for symbol lookups.
     Jit.withDeviceLocked(0, [&](Device &D) {
       gpuMemcpyDtoH(D, Bytes.data(), Outs[Index], BufN * 8);
     });
@@ -268,8 +272,8 @@ TEST(TieredJitTest, SyncColdLaunchServesTier0ThenPromotes) {
   }
   JitRuntimeStats Cold = H.Jit.stats();
   EXPECT_EQ(Cold.Tier0Compiles, uint64_t(Items.size()));
-  EXPECT_EQ(Cold.AsyncCompiles, 0u) << "Sync launches never hit the pool";
-  EXPECT_GT(Cold.Tier0VisibleSeconds, 0.0);
+  EXPECT_EQ(Cold.FallbackLaunches, 0u) << "Sync launches are never covered";
+  EXPECT_GT(Cold.LaunchBlockedSeconds, 0.0);
 
   // Promotion: every specialization gets exactly one background Tier-1
   // compile that hot-swaps the loaded kernel and leaves outputs unchanged.
@@ -472,8 +476,8 @@ TEST(TieredJitTest, HotSwapLaunchStormDuringPromotion) {
   std::vector<std::vector<uint8_t>> Expected =
       referenceResults(Prog, GpuArch::AmdGcnSim);
 
-  // Fallback + tiering: launches race the generic binary, the Tier-0
-  // compile and the Tier-1 hot-swap all at once.
+  // Fallback + tiering: launches race the generic cover, the pooled Tier-0
+  // promotion and the Final hot-swap all at once.
   JitConfig JC;
   JC.UsePersistentCache = false;
   JC.Tier = true;
@@ -534,6 +538,209 @@ TEST(TieredJitTest, HotSwapLaunchStormDuringPromotion) {
   EXPECT_EQ(S2.FallbackLaunches, S.FallbackLaunches);
   EXPECT_EQ(S2.Compilations, S.Compilations);
   EXPECT_EQ(S2.Tier0Compiles, S.Tier0Compiles);
+}
+
+/// dup(out: ptr, n: i32, k: i32), k annotated: a loop whose body computes
+/// one subexpression twice. The Tier-0 preset runs no CSE, so a Tier-0 and
+/// a Final binary execute different instruction counts, which tells the
+/// rung a device runs from its last launch's counters.
+std::unique_ptr<Module> buildDupLoopKernel(Context &Ctx) {
+  auto M = std::make_unique<Module>(Ctx, "dup_app");
+  IRBuilder B(Ctx);
+  Type *I32 = Ctx.getI32Ty();
+  Function *F = M->createFunction("dup", Ctx.getVoidTy(),
+                                  {Ctx.getPtrTy(), I32, I32},
+                                  {"out", "n", "k"}, FunctionKind::Kernel);
+  F->setJitAnnotation(JitAnnotation{{3}});
+  BasicBlock *Entry = F->createBlock("entry", Ctx.getVoidTy());
+  BasicBlock *Loop = F->createBlock("loop", Ctx.getVoidTy());
+  BasicBlock *Exit = F->createBlock("exit", Ctx.getVoidTy());
+  B.setInsertPoint(Entry);
+  Value *Tid = B.createGlobalThreadIdX();
+  B.createBr(Loop);
+  B.setInsertPoint(Loop);
+  PhiInst *I = B.createPhi(I32, "i");
+  PhiInst *Acc = B.createPhi(I32, "acc");
+  Value *A = B.createAdd(B.createMul(I, B.getInt32(3)), Tid);
+  Value *Dup = B.createAdd(B.createMul(I, B.getInt32(3)), Tid);
+  Value *AccNext = B.createAdd(Acc, B.createMul(A, Dup));
+  Value *INext = B.createAdd(I, B.getInt32(1));
+  B.createCondBr(B.createICmp(ICmpPred::SLT, INext, F->getArg(1)), Loop,
+                 Exit);
+  I->addIncoming(B.getInt32(0), Entry);
+  I->addIncoming(INext, Loop);
+  Acc->addIncoming(B.getInt32(0), Entry);
+  Acc->addIncoming(AccNext, Loop);
+  B.setInsertPoint(Exit);
+  B.createStore(B.createAdd(AccNext, F->getArg(2)),
+                B.createGep(I32, F->getArg(0), Tid));
+  B.createRet();
+  return M;
+}
+
+/// One runtime over \p NumDevices amdgcn-sim devices running dup.
+struct DupPool {
+  static constexpr uint32_t Trips = 16;
+  std::vector<std::unique_ptr<Device>> Devs;
+  std::unique_ptr<JitRuntime> Jit;
+  std::unique_ptr<LoadedProgram> LP;
+  std::vector<DevicePtr> Out;
+
+  DupPool(const CompiledProgram &Prog, const JitConfig &JC,
+          unsigned NumDevices) {
+    for (unsigned D = 0; D != NumDevices; ++D)
+      Devs.push_back(std::make_unique<Device>(getAmdGcnSimTarget(), 1 << 20));
+    Jit = std::make_unique<JitRuntime>(*Devs[0], Prog.ModuleId, JC);
+    LP = std::make_unique<LoadedProgram>(*Devs[0], Prog, Jit.get());
+    EXPECT_TRUE(LP->ok()) << LP->error();
+    for (unsigned D = 1; D != NumDevices; ++D)
+      Jit->attachDevice(*Devs[D]);
+    Out.resize(NumDevices);
+    for (unsigned D = 0; D != NumDevices; ++D)
+      EXPECT_EQ(gpuMalloc(*Devs[D], &Out[D], 32 * 4), GpuError::Success);
+  }
+
+  GpuError launch(unsigned D, uint32_t K, std::string *Err) {
+    return Jit->launchKernelOn(D, "dup", Dim3{1, 1, 1}, Dim3{32, 1, 1},
+                               {{Out[D]}, {Trips}, {K}}, nullptr, Err);
+  }
+
+  /// Instructions the last launch on device \p D executed.
+  uint64_t lastInstrs(unsigned D) {
+    uint64_t N = 0;
+    Jit->withDeviceLocked(D, [&](Device &Dev) {
+      N = Dev.LastLaunch.TotalInstrs;
+    });
+    return N;
+  }
+};
+
+TEST(TieredJitTest, EveryDeviceEndsOnTheFinalBinary) {
+  // Each round launches a fresh specialization concurrently on every
+  // device of a tiered pool, drains, then launches it once more per
+  // device. However the launches raced the promotions and their
+  // hot-swaps, every device must end on the Final binary, which the
+  // warm launch's instruction count identifies.
+  Context Ctx;
+  std::unique_ptr<Module> M = buildDupLoopKernel(Ctx);
+  CompiledProgram Prog = compileProgram(*M, GpuArch::AmdGcnSim);
+  constexpr unsigned NumDevices = 4, Launchers = 3, Rounds = 1000;
+
+  // Final reference: a tier-off runtime. The count must not depend on the
+  // folded k, or one reference would not serve every round.
+  uint64_t FinalInstrs = 0;
+  {
+    JitConfig JC;
+    JC.UsePersistentCache = false;
+    DupPool P(Prog, JC, 1);
+    std::string Err;
+    for (uint32_t K : {1u, Rounds + 7}) {
+      ASSERT_EQ(P.launch(0, K, &Err), GpuError::Success) << Err;
+      if (!FinalInstrs)
+        FinalInstrs = P.lastInstrs(0);
+      ASSERT_EQ(P.lastInstrs(0), FinalInstrs);
+    }
+  }
+  // The Tier-0 flavor of the same specialization must be distinguishable.
+  {
+    Context C;
+    std::unique_ptr<Module> TM = buildDupLoopKernel(C);
+    Function *F = TM->getFunction("dup");
+    specializeArguments(*F, {{2, 1}});
+    specializeLaunchBounds(*F, 32);
+    O3Options Opts;
+    Opts.Preset = O3Preset::Fast;
+    runO3(*TM, Opts);
+    BackendOptions BO;
+    BO.RegAlloc.Fast = true;
+    std::vector<uint8_t> Obj =
+        compileKernelToObject(*F, getAmdGcnSimTarget(), nullptr, BO);
+    Device Dev(getAmdGcnSimTarget(), 1 << 20);
+    DevicePtr Out = 0;
+    ASSERT_EQ(gpuMalloc(Dev, &Out, 32 * 4), GpuError::Success);
+    LoadedKernel *K = nullptr;
+    std::string Err;
+    ASSERT_EQ(gpuModuleLoad(Dev, &K, Obj, &Err), GpuError::Success) << Err;
+    ASSERT_EQ(gpuLaunchKernel(Dev, *K, Dim3{1, 1, 1}, Dim3{32, 1, 1},
+                              {{Out}, {DupPool::Trips}, {1}}, &Err),
+              GpuError::Success)
+        << Err;
+    ASSERT_NE(Dev.LastLaunch.TotalInstrs, FinalInstrs)
+        << "Tier-0 and Final binaries must execute different counts";
+  }
+
+  for (JitConfig::AsyncMode Mode :
+       {JitConfig::AsyncMode::Sync, JitConfig::AsyncMode::Fallback})
+    for (bool MemoryCache : {true, false}) {
+      SCOPED_TRACE(std::string("mode=") + asyncModeName(Mode) +
+                   " memory cache=" + (MemoryCache ? "on" : "off"));
+      JitConfig JC;
+      JC.UsePersistentCache = false;
+      JC.UseMemoryCache = MemoryCache;
+      JC.Tier = true;
+      JC.Async = Mode;
+      JC.AsyncWorkers = 1;
+      DupPool P(Prog, JC, NumDevices);
+      // With both cache levels off every late launch recompiles, so fewer
+      // rounds keep the pass short; the invariant is the same.
+      const unsigned NumRounds = MemoryCache ? Rounds : Rounds / 4;
+
+      // Persistent launcher threads, released once per round.
+      constexpr unsigned NumThreads = NumDevices * Launchers;
+      std::barrier Sync(NumThreads + 1);
+      std::atomic<uint32_t> RoundK{0};
+      std::vector<std::string> ThreadErrors(NumThreads);
+      std::vector<std::thread> Threads;
+      for (unsigned T = 0; T != NumThreads; ++T)
+        Threads.emplace_back([&, T] {
+          for (unsigned R = 0; R != NumRounds; ++R) {
+            Sync.arrive_and_wait();
+            std::string Err;
+            if (P.launch(T % NumDevices, RoundK.load(), &Err) !=
+                    GpuError::Success &&
+                ThreadErrors[T].empty())
+              ThreadErrors[T] = Err;
+            Sync.arrive_and_wait();
+          }
+        });
+
+      unsigned Stuck = 0;
+      std::string FirstStuck;
+      for (unsigned R = 0; R != NumRounds; ++R) {
+        RoundK.store(R + 1);
+        Sync.arrive_and_wait(); // launchers go
+        Sync.arrive_and_wait(); // launchers done
+        P.Jit->drain();
+        for (unsigned D = 0; D != NumDevices; ++D) {
+          std::string Err;
+          ASSERT_EQ(P.launch(D, R + 1, &Err), GpuError::Success) << Err;
+          if (P.lastInstrs(D) != FinalInstrs && !Stuck++)
+            FirstStuck = "round " + std::to_string(R) + " device " +
+                         std::to_string(D) + " executed " +
+                         std::to_string(P.lastInstrs(D)) + " instructions";
+        }
+      }
+      for (std::thread &T : Threads)
+        T.join();
+      for (unsigned T = 0; T != NumThreads; ++T)
+        EXPECT_TRUE(ThreadErrors[T].empty())
+            << "thread " << T << " failed: " << ThreadErrors[T];
+      EXPECT_EQ(Stuck, 0u) << "(device, specialization) pairs not on the "
+                              "Final binary after drain(); first: "
+                           << FirstStuck;
+
+      JitRuntimeStats S = P.Jit->stats();
+      if (MemoryCache) {
+        // One compile per specialization per tier, one Final hot-swap.
+        EXPECT_EQ(S.Tier0Compiles, NumRounds);
+        EXPECT_EQ(S.Compilations, NumRounds);
+        EXPECT_EQ(S.Tier1Promotions, NumRounds);
+      }
+      if (Mode == JitConfig::AsyncMode::Fallback)
+        EXPECT_GT(S.FallbackLaunches, 0u);
+      else
+        EXPECT_EQ(S.FallbackLaunches, 0u);
+    }
 }
 
 TEST(TieredJitTest, ModuleIndexPrunesUnreachableFunctions) {
@@ -630,8 +837,7 @@ TEST(CompileServiceTest, ServableFollowsOneRule) {
   // entry asked to serve a Final request.
   CodeCache Cache(/*UseMemory=*/true, /*UsePersistent=*/false, "");
   const JitStatHandles NoStats; // servable() updates no statistic
-  CompileService Service(Cache, /*Background=*/false, /*Promotions=*/false,
-                         1, NoStats);
+  CompileService Service(Cache, /*Promotions=*/false, 1, NoStats);
   enum Fingerprint { Current, OtherLinkage, OtherTier };
   const CodeTier Tiers[] = {CodeTier::Tier0, CodeTier::Final};
   uint64_t Hash = 1;

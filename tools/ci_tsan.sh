@@ -77,10 +77,10 @@ if ! PROTEUS_ANALYZE=error PROTEUS_VERIFY_EACH=1 \
   STATUS=1
 fi
 
-# Tiered compilation under contention: every launch-path miss compiles
-# Tier-0 while the generic binary covers the launch, and the background
-# Tier-1 promotion hot-swaps loaded kernels racing against the launch
-# storm — the richest cross-thread interleaving the runtime has.
+# The whole cold-launch ladder under contention: a cold launch maps the
+# generic binary as a cover, and the pooled promotions generic -> Tier-0
+# -> Final hot-swap loaded kernels while the storm races through the warm
+# and cold paths — the richest cross-thread interleaving the runtime has.
 echo "== TSan: jit_concurrency_test (PROTEUS_TIER=on, PROTEUS_ASYNC=fallback) =="
 if ! PROTEUS_TIER=on PROTEUS_ASYNC=fallback \
      "${BUILD_DIR}/tests/jit_concurrency_test"; then
@@ -89,9 +89,10 @@ if ! PROTEUS_TIER=on PROTEUS_ASYNC=fallback \
 fi
 
 # Multi-stream + multi-device launch storm: threads spray launches across
-# a 4-device pool with 4 streams each while tiering hot-swaps loaded
-# kernels on every device and fallback serves generics — per-device locks,
-# per-stream timelines, and the cross-device promotion path all race here.
+# a 4-device pool with 4 streams each while generic covers and their
+# Tier-0 and Final promotions hot-swap loaded kernels on every device —
+# per-device locks, per-stream timelines, and the cross-device promotion
+# path all race here.
 echo "== TSan: stream_test (PROTEUS_NUM_DEVICES=4, PROTEUS_DEFAULT_STREAMS=4, PROTEUS_TIER=on, PROTEUS_ASYNC=fallback) =="
 if ! PROTEUS_NUM_DEVICES=4 PROTEUS_DEFAULT_STREAMS=4 \
      PROTEUS_TIER=on PROTEUS_ASYNC=fallback \
