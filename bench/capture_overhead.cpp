@@ -9,7 +9,9 @@
 // capture on in its default configuration (launch-shape dedup: each
 // distinct specialization/geometry/argument shape is recorded once, every
 // repeat is a counted skip), repeated several times with the minimum taken
-// so scheduler noise cannot inflate either side. At steady state the loop
+// so scheduler noise cannot inflate either side. The two loops run on two
+// live runtimes and alternate repetitions, so host drift cannot land on one
+// side only. At steady state the loop
 // re-launches shapes that are already on disk, so capture must cost one
 // hash probe per launch — the capture-on loop must shed nothing
 // (drops == 0) and stay within a few percent of the capture-off loop.
@@ -83,76 +85,78 @@ std::unique_ptr<Module> buildScaleKernel(Context &Ctx) {
   return M;
 }
 
-struct LoopResult {
-  double BestSeconds = 0; // minimum over repetitions
-  uint64_t Drops = 0;
-  uint64_t Dedup = 0;
-  uint64_t Artifacts = 0;
-};
-
-uint64_t counterValue(const metrics::Registry &R, const std::string &Name) {
-  for (const auto &[K, V] : R.counterValues())
-    if (K == Name)
-      return V;
-  return 0;
-}
-
-/// Times \p Launches warm-cache launches, \p Reps times, returning the
-/// fastest repetition. With capture on, the runtime drains between
-/// repetitions so the ring starts each timed loop empty — steady state
-/// with a writer that keeps up.
-LoopResult runLoop(const CompiledProgram &Prog, bool Capture, bool Dedup,
-                   const std::string &CaptureDir, unsigned Launches,
-                   unsigned Reps) {
-  JitConfig JC;
-  JC.UsePersistentCache = false;
-  JC.Capture = Capture;
-  JC.CaptureDir = CaptureDir;
-  JC.CaptureRing = 1024;
-  JC.CaptureDedup = Dedup;
-
-  Device Dev(getTarget(GpuArch::AmdGcnSim), 1 << 22);
-  JitRuntime Jit(Dev, Prog.ModuleId, JC);
-  LoadedProgram LP(Dev, Prog, &Jit);
-  if (!LP.ok()) {
-    std::fprintf(stderr, "FATAL: program load failed: %s\n",
-                 LP.error().c_str());
-    std::exit(1);
+/// One live runtime running the warm-cache launch loop, in one capture
+/// configuration. The capture-off and capture-on rigs stay alive side by
+/// side so their timed repetitions can interleave: host drift then lands
+/// on both sides instead of on whichever ran second.
+class LoopRig {
+public:
+  LoopRig(const CompiledProgram &Prog, bool Capture, bool Dedup,
+          const std::string &CaptureDir)
+      : Dev(getTarget(GpuArch::AmdGcnSim), 1 << 22),
+        Jit(Dev, Prog.ModuleId, config(Capture, Dedup, CaptureDir)),
+        LP(Dev, Prog, &Jit) {
+    if (!LP.ok()) {
+      std::fprintf(stderr, "FATAL: program load failed: %s\n",
+                   LP.error().c_str());
+      std::exit(1);
+    }
+    DevicePtr In = 0, Out = 0;
+    gpuMalloc(Dev, &In, N * 8);
+    gpuMalloc(Dev, &Out, N * 8);
+    std::vector<double> H(N, 1.25);
+    gpuMemcpyHtoD(Dev, In, H.data(), N * 8);
+    Args = {{In}, {Out}, {N}, {sem::boxF64(1.0009765625)}, {uint64_t(3)}};
+    launchOnce(); // compile + load once; everything after is the warm path
+    Jit.drain();
   }
-  DevicePtr In = 0, Out = 0;
-  gpuMalloc(Dev, &In, N * 8);
-  gpuMalloc(Dev, &Out, N * 8);
-  std::vector<double> H(N, 1.25);
-  gpuMemcpyHtoD(Dev, In, H.data(), N * 8);
-  std::vector<KernelArg> Args = {
-      {In}, {Out}, {N}, {sem::boxF64(1.0009765625)}, {uint64_t(3)}};
 
-  auto LaunchOnce = [&] {
+  /// Times one repetition of \p Launches launches; keeps the fastest. With
+  /// capture on, the runtime drains afterwards so the ring starts each
+  /// timed loop empty — steady state with a writer that keeps up.
+  void timeRep(unsigned Launches) {
+    Timer T;
+    for (unsigned L = 0; L != Launches; ++L)
+      launchOnce();
+    BestSeconds = std::min(BestSeconds, T.seconds());
+    Jit.drain(); // writer catches up off the clock
+  }
+
+  uint64_t counter(const std::string &Name) const {
+    for (const auto &[K, V] : Jit.metricsRegistry().counterValues())
+      if (K == Name)
+        return V;
+    return 0;
+  }
+
+  double BestSeconds = 1e30; // minimum over repetitions
+
+private:
+  static JitConfig config(bool Capture, bool Dedup,
+                          const std::string &CaptureDir) {
+    JitConfig JC;
+    JC.UsePersistentCache = false;
+    JC.Capture = Capture;
+    JC.CaptureDir = CaptureDir;
+    JC.CaptureRing = 1024;
+    JC.CaptureDedup = Dedup;
+    return JC;
+  }
+
+  void launchOnce() {
     std::string Error;
     if (LP.launch("scale", Dim3{1, 1, 1}, Dim3{N, 1, 1}, Args, &Error) !=
         GpuError::Success) {
       std::fprintf(stderr, "FATAL: launch failed: %s\n", Error.c_str());
       std::exit(1);
     }
-  };
-
-  LaunchOnce(); // compile + load once; everything after is the warm path
-  Jit.drain();
-
-  LoopResult R;
-  R.BestSeconds = 1e30;
-  for (unsigned Rep = 0; Rep != Reps; ++Rep) {
-    Timer T;
-    for (unsigned L = 0; L != Launches; ++L)
-      LaunchOnce();
-    R.BestSeconds = std::min(R.BestSeconds, T.seconds());
-    Jit.drain(); // writer catches up off the clock, ring returns to empty
   }
-  R.Drops = counterValue(Jit.metricsRegistry(), "capture.drops");
-  R.Dedup = counterValue(Jit.metricsRegistry(), "capture.dedup");
-  R.Artifacts = counterValue(Jit.metricsRegistry(), "capture.artifacts");
-  return R;
-}
+
+  Device Dev;
+  JitRuntime Jit;
+  LoadedProgram LP;
+  std::vector<KernelArg> Args;
+};
 
 } // namespace
 
@@ -174,10 +178,35 @@ int main(int Argc, char **Argv) {
 
   std::string CaptureDir = fs::makeTempDirectory("proteus-capture-bench");
 
-  LoopResult Off =
-      runLoop(Prog, false, true, CaptureDir, Launches, Reps);
-  LoopResult On = runLoop(Prog, true, true, CaptureDir, Launches, Reps);
-  LoopResult All = runLoop(Prog, true, false, CaptureDir, Launches, Reps);
+  struct LoopResult {
+    double BestSeconds;
+    uint64_t Drops, Dedup, Artifacts;
+  };
+  auto result = [](const LoopRig &R) {
+    return LoopResult{R.BestSeconds, R.counter("capture.drops"),
+                      R.counter("capture.dedup"),
+                      R.counter("capture.artifacts")};
+  };
+  LoopResult Off, On, All;
+  {
+    // The gated pair alternates repetitions, each rep's order flipped.
+    LoopRig OffRig(Prog, false, true, CaptureDir);
+    LoopRig OnRig(Prog, true, true, CaptureDir);
+    for (unsigned Rep = 0; Rep != Reps; ++Rep) {
+      LoopRig &First = Rep % 2 ? OnRig : OffRig;
+      LoopRig &Second = Rep % 2 ? OffRig : OnRig;
+      First.timeRep(Launches);
+      Second.timeRep(Launches);
+    }
+    Off = result(OffRig);
+    On = result(OnRig);
+  }
+  {
+    LoopRig AllRig(Prog, true, false, CaptureDir);
+    for (unsigned Rep = 0; Rep != Reps; ++Rep)
+      AllRig.timeRep(Launches);
+    All = result(AllRig);
+  }
   fs::removeAllFiles(CaptureDir);
 
   double PerLaunchOffUs = Off.BestSeconds / Launches * 1e6;

@@ -11,6 +11,7 @@
 #include "support/Error.h"
 
 #include <algorithm>
+#include <bit>
 #include <cstring>
 
 #include <sys/mman.h>
@@ -47,31 +48,31 @@ void LaunchStats::accumulate(const LaunchStats &O) {
 }
 
 L2Cache::L2Cache(uint64_t SizeBytes, unsigned LineBytes, unsigned Ways)
-    : LineBytes(LineBytes), Ways(Ways),
+    : LineShift(static_cast<unsigned>(std::countr_zero(LineBytes))),
+      Ways(Ways),
       NumSets(std::max<uint64_t>(1, SizeBytes / LineBytes / Ways)),
-      Tags(NumSets * Ways, 0), LastUsed(NumSets * Ways, 0) {}
+      SetShift(static_cast<unsigned>(std::countr_zero(NumSets))),
+      SetMask((uint64_t(1) << SetShift) - 1), OddSets(NumSets >> SetShift),
+      Tags(NumSets * Ways, 0), LastUsed(NumSets * Ways, 0) {
+  if (!std::has_single_bit(LineBytes))
+    reportFatalError("L2 line size must be a power of two");
+}
 
-bool L2Cache::access(uint64_t Address) {
-  uint64_t Line = Address / LineBytes + 1; // +1 so tag 0 means empty
-  size_t Set = static_cast<size_t>(Line % NumSets);
-  uint64_t *SetTags = &Tags[Set * Ways];
-  uint32_t *SetUsed = &LastUsed[Set * Ways];
-  ++Clock;
-  unsigned VictimWay = 0;
-  uint32_t VictimStamp = ~0u;
-  for (unsigned W = 0; W != Ways; ++W) {
-    if (SetTags[W] == Line) {
-      SetUsed[W] = Clock;
-      return true;
-    }
-    if (SetUsed[W] < VictimStamp) {
-      VictimStamp = SetUsed[W];
-      VictimWay = W;
-    }
+uint32_t L2Cache::renumberStamps() {
+  std::vector<unsigned> Order(Ways);
+  for (size_t Set = 0; Set != NumSets; ++Set) {
+    uint32_t *SetUsed = &LastUsed[Set * Ways];
+    for (unsigned W = 0; W != Ways; ++W)
+      Order[W] = W;
+    std::sort(Order.begin(), Order.end(), [&](unsigned A, unsigned B) {
+      return SetUsed[A] < SetUsed[B];
+    });
+    uint32_t Rank = 0;
+    for (unsigned W : Order)
+      if (SetUsed[W] != 0)
+        SetUsed[W] = ++Rank;
   }
-  SetTags[VictimWay] = Line;
-  SetUsed[VictimWay] = Clock;
-  return false;
+  return Ways + 1;
 }
 
 void L2Cache::reset() {

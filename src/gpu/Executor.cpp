@@ -532,15 +532,29 @@ LaunchResult proteus::gpu::launchKernel(Device &Dev,
   const DecodedInstr *const Code = Kernel.Code.data();
   const uint32_t CodeSize = static_cast<uint32_t>(Kernel.Code.size());
 
-  std::vector<uint64_t> RegFile(Kernel.NumRegs, 0);
-  std::vector<uint64_t> SpillArea(Kernel.NumSpillSlots, 0);
-  std::vector<uint8_t> Local(Kernel.LocalBytes, 0);
-  uint64_t *const Regs = RegFile.data();
-  uint64_t *const Spill = SpillArea.data();
+  // One scratch buffer the device keeps across launches holds the entry
+  // counts, one thread's registers, spill slots and local bytes, and the
+  // image every thread starts from (zeros and the arguments).
   // Instruction counts are derived after the launch from how often each
   // instruction index was entered (thread start or branch target): every
   // straight-line run from an entry to the next terminator executes whole.
-  std::vector<uint64_t> Entries(Kernel.Code.size(), 0);
+  const size_t LocalWords = (Kernel.LocalBytes + 7) / 8;
+  const size_t ThreadWords = Kernel.NumRegs + Kernel.NumSpillSlots + LocalWords;
+  std::vector<uint64_t> &Scratch = Dev.LaunchScratch;
+  Scratch.assign(CodeSize + 2 * ThreadWords, 0);
+  uint64_t *const Entries = Scratch.data();
+  uint64_t *const Regs = Entries + CodeSize;
+  uint64_t *const Spill = Regs + Kernel.NumRegs;
+  uint8_t *const Local =
+      reinterpret_cast<uint8_t *>(Spill + Kernel.NumSpillSlots);
+  uint64_t *const Start = Regs + ThreadWords;
+  for (size_t A = 0; A != Args.size(); ++A) {
+    const MachineParam &P = Kernel.Params[A];
+    if (P.ArgReg != NoReg)
+      Start[P.ArgReg] = Args[A].Bits;
+    else if (P.SpillSlot >= 0)
+      Start[Kernel.NumRegs + static_cast<size_t>(P.SpillSlot)] = Args[A].Bits;
+  }
   uint64_t L2Hits = 0, L2Misses = 0;
   // The covered prefix of a run the step budget cannot finish, followed by
   // a StepLimit instruction.
@@ -561,7 +575,7 @@ LaunchResult proteus::gpu::launchKernel(Device &Dev,
   auto resolve = [&](uint64_t Addr, unsigned Size) -> uint8_t * {
     if (Addr >= LocalBase) {
       uint64_t Off = Addr - LocalBase;
-      return Off + Size > Local.size() ? nullptr : Local.data() + Off;
+      return Off + Size > Kernel.LocalBytes ? nullptr : Local + Off;
     }
     return Dev.validRange(Addr, Size) ? Mem + Addr : nullptr;
   };
@@ -590,24 +604,11 @@ LaunchResult proteus::gpu::launchKernel(Device &Dev,
     Geo[4] = static_cast<uint32_t>(Blk / Grid.X % Grid.Y);
     Geo[5] = static_cast<uint32_t>(
         Blk / (static_cast<uint64_t>(Grid.X) * Grid.Y));
+    // tid steps x-fastest and wraps, so threads pay no division.
+    Geo[0] = Geo[1] = Geo[2] = 0;
     for (uint64_t T = 0; T != ThreadsPerBlk && Out.Error.empty();
          ++T, ++ThreadLinear) {
-      Geo[0] = static_cast<uint32_t>(T % Block.X);
-      Geo[1] = static_cast<uint32_t>(T / Block.X % Block.Y);
-      Geo[2] = static_cast<uint32_t>(
-          T / (static_cast<uint64_t>(Block.X) * Block.Y));
-
-      // Initialize registers/spill slots for this thread.
-      std::fill(RegFile.begin(), RegFile.end(), 0);
-      std::fill(SpillArea.begin(), SpillArea.end(), 0);
-      std::fill(Local.begin(), Local.end(), 0);
-      for (size_t A = 0; A != Args.size(); ++A) {
-        const MachineParam &P = Kernel.Params[A];
-        if (P.ArgReg != NoReg)
-          Regs[P.ArgReg] = Args[A].Bits;
-        else if (P.SpillSlot >= 0)
-          Spill[static_cast<size_t>(P.SpillSlot)] = Args[A].Bits;
-      }
+      std::memcpy(Regs, Start, ThreadWords * 8);
       ThreadScratchBase = ScratchL2Base + ThreadLinear * PerThreadScratch;
 
       uint64_t Budget = MaxStepsPerThread;
@@ -625,7 +626,14 @@ LaunchResult proteus::gpu::launchKernel(Device &Dev,
       I = Tail.data();
       goto *Labels[I->Handler];
 
-    ThreadDone:;
+    ThreadDone:
+      if (++Geo[0] == Block.X) {
+        Geo[0] = 0;
+        if (++Geo[1] == Block.Y) {
+          Geo[1] = 0;
+          ++Geo[2];
+        }
+      }
     }
   }
 
@@ -661,14 +669,19 @@ LaunchResult proteus::gpu::launchKernel(Device &Dev,
   // The executor computes the launch's cost but does not charge any stream
   // timeline: the Runtime.h wrappers decide which timeline pays (serial
   // barrier for gpuLaunchKernel, the target stream for the Async variant).
-  applyPerfModel(Dev.target(), S);
-  Dev.LastLaunch = S;
-  auto It = Dev.Profile.find(S.Kernel);
-  if (It == Dev.Profile.end()) {
-    Dev.Profile[S.Kernel] = S;
+  if (S == Dev.ModelIn) {
+    S = Dev.ModelOut;
   } else {
-    It->second.accumulate(S);
+    Dev.ModelIn = S;
+    applyPerfModel(Dev.target(), S);
+    Dev.ModelOut = S;
   }
+  Dev.LastLaunch = S;
+  auto [It, First] = Dev.Profile.try_emplace(S.Kernel);
+  if (First)
+    It->second = S;
+  else
+    It->second.accumulate(S);
   Out.Ok = true;
   return Out;
 }

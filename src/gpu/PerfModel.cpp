@@ -15,17 +15,19 @@ using namespace proteus::gpu;
 void proteus::gpu::applyPerfModel(const TargetInfo &Target,
                                   LaunchStats &Stats,
                                   const CostModel &Costs) {
+  // --- Occupancy from register pressure -----------------------------------
+  const unsigned Regs = std::max(1u, Stats.RegsUsed);
+  const unsigned ResidentWaves = std::min(
+      {Target.MaxWavesPerCU,
+       std::max(1u, Target.RegFilePerCU / (Regs * Target.WaveSize)),
+       std::max(1u, Target.MaxThreadsPerCU / Target.WaveSize)});
+
   // A degenerate launch that executed no instructions (an empty kernel, or
   // a body guarded off for every thread) pays only the launch latency.
   // Early-out before any of the ratio derivations below so none of them
   // can divide by a zero instruction/cycle count.
   if (Stats.TotalInstrs == 0 && Stats.SpillLoads == 0 &&
       Stats.SpillStores == 0) {
-    const unsigned Regs = std::max(1u, Stats.RegsUsed);
-    const unsigned ResidentWaves = std::min(
-        {Target.MaxWavesPerCU,
-         std::max(1u, Target.RegFilePerCU / (Regs * Target.WaveSize)),
-         std::max(1u, Target.MaxThreadsPerCU / Target.WaveSize)});
     Stats.Occupancy =
         static_cast<double>(ResidentWaves) / Target.MaxWavesPerCU;
     Stats.DurationSec = 4e-6; // launch latency only (matches below)
@@ -42,12 +44,7 @@ void proteus::gpu::applyPerfModel(const TargetInfo &Target,
   // set is (threads in flight) x (spill slots + local bytes); once it
   // approaches L2 capacity, scratch accesses miss and evict data lines.
   const uint64_t SpillOps = Stats.SpillLoads + Stats.SpillStores;
-  const unsigned RegsForOcc = std::max(1u, Stats.RegsUsed);
-  const unsigned WavesResident0 = std::min(
-      {Target.MaxWavesPerCU,
-       std::max(1u, Target.RegFilePerCU / (RegsForOcc * Target.WaveSize)),
-       std::max(1u, Target.MaxThreadsPerCU / Target.WaveSize)});
-  const double ThreadsInFlight = static_cast<double>(WavesResident0) *
+  const double ThreadsInFlight = static_cast<double>(ResidentWaves) *
                                  Target.WaveSize * Target.NumCUs;
   const double ScratchBytes =
       ThreadsInFlight *
@@ -99,14 +96,6 @@ void proteus::gpu::applyPerfModel(const TargetInfo &Target,
   const double ThreadCycles =
       AluCycles + MemCycles + SpillCycles + OtherCycles;
 
-  // --- Occupancy from register pressure -----------------------------------
-  const unsigned Regs = std::max(1u, Stats.RegsUsed);
-  const unsigned WaveRegs = Regs * Target.WaveSize;
-  unsigned WavesByRegs = std::max(1u, Target.RegFilePerCU / WaveRegs);
-  unsigned WavesByThreads =
-      std::max(1u, Target.MaxThreadsPerCU / Target.WaveSize);
-  unsigned ResidentWaves =
-      std::min({Target.MaxWavesPerCU, WavesByRegs, WavesByThreads});
   // A launch smaller than the machine cannot fill it.
   const uint64_t TotalThreads = std::max<uint64_t>(1, Stats.totalThreads());
   const double WavesInFlight = std::ceil(

@@ -26,6 +26,110 @@
 using namespace proteus;
 using namespace proteus::gpu;
 
+namespace {
+
+/// Fixed-capacity open-addressing map from a launch's memo key words to
+/// its specialization hash, one per registered kernel. A slot is filled
+/// once and never changes: an insert writes the key words and the hash,
+/// then publishes the slot's tag with a release store, so a lookup that
+/// acquires a nonzero tag reads finished words. Lookups take no lock and
+/// allocate nothing; inserts serialize on the memo's mutex and stop at
+/// HashMemoCapacity keys, so memory stays bounded.
+class SpecHashMemo {
+public:
+  static constexpr unsigned Slots = JitRuntime::HashMemoCapacity / 3 * 4;
+  static_assert((Slots & (Slots - 1)) == 0, "slots must be a power of two");
+
+  explicit SpecHashMemo(unsigned Width)
+      : Width(Width), Words(new uint64_t[size_t(Slots) * Width]) {}
+
+  /// Digest of a key: picks its first slot and tags it (never 0).
+  static uint64_t digest(const uint64_t *Key, unsigned Width) {
+    uint64_t D = 0;
+    for (unsigned I = 0; I != Width; ++I) {
+      D = (D ^ Key[I]) * 0x9e3779b97f4a7c15ULL;
+      D ^= D >> 32;
+    }
+    return D | 1;
+  }
+
+  bool lookup(const uint64_t *Key, uint64_t Digest, uint64_t &Hash) const {
+    for (unsigned I = 0; I != Slots; ++I) {
+      const unsigned S = ((Digest >> 8) + I) & (Slots - 1);
+      const uint64_t Tag = Tags[S].load(std::memory_order_acquire);
+      if (Tag == 0)
+        return false;
+      if (Tag == Digest && matches(S, Key)) {
+        Hash = Hashes[S];
+        return true;
+      }
+    }
+    return false;
+  }
+
+  void insert(const uint64_t *Key, uint64_t Digest, uint64_t Hash) {
+    std::lock_guard<std::mutex> Lock(InsertMutex);
+    if (Used == JitRuntime::HashMemoCapacity)
+      return;
+    for (unsigned I = 0; I != Slots; ++I) {
+      const unsigned S = ((Digest >> 8) + I) & (Slots - 1);
+      const uint64_t Tag = Tags[S].load(std::memory_order_relaxed);
+      if (Tag == Digest && matches(S, Key))
+        return; // a racing launch inserted it first
+      if (Tag == 0) {
+        std::copy(Key, Key + Width, &Words[size_t(S) * Width]);
+        Hashes[S] = Hash;
+        Tags[S].store(Digest, std::memory_order_release);
+        ++Used;
+        return;
+      }
+    }
+  }
+
+private:
+  bool matches(unsigned S, const uint64_t *Key) const {
+    return std::equal(Key, Key + Width, &Words[size_t(S) * Width]);
+  }
+
+  const unsigned Width;
+  std::unique_ptr<uint64_t[]> Words;
+  uint64_t Hashes[Slots] = {};
+  std::atomic<uint64_t> Tags[Slots] = {};
+  std::mutex InsertMutex;
+  unsigned Used = 0;
+};
+
+/// One launch's memo key words, on the stack unless the kernel folds more
+/// arguments than fit.
+class KeyBuffer {
+public:
+  explicit KeyBuffer(unsigned Width)
+      : Heap(Width > InlineWords ? new uint64_t[Width] : nullptr) {}
+  uint64_t *data() { return Heap ? Heap.get() : Inline; }
+
+private:
+  static constexpr unsigned InlineWords = 16;
+  uint64_t Inline[InlineWords];
+  std::unique_ptr<uint64_t[]> Heap;
+};
+
+} // namespace
+
+/// A registered kernel: what registerKernel was given, and the memo of its
+/// specialization hashes. A KernelHandle points here.
+struct proteus::JitKernel {
+  JitKernel(JitKernelInfo I, unsigned Folded)
+      : Info(std::move(I)), Folded(Folded), Memo(width()) {}
+
+  /// Memo key words: arch, the folded arguments, launch-bounds threads.
+  unsigned width() const { return Folded + 2; }
+
+  const JitKernelInfo Info;
+  /// Arguments folded per launch: the annotated ones with RCF on, else 0.
+  const unsigned Folded;
+  SpecHashMemo Memo;
+};
+
 JitConfig JitConfig::fromEnvironment(std::vector<std::string> *Warnings) {
   JitConfig C;
   if (std::getenv("PROTEUS_NO_RCF"))
@@ -163,14 +267,14 @@ unsigned JitRuntime::attachDevice(Device &D) {
   return Devices.back()->Index;
 }
 
-void JitRuntime::registerKernel(JitKernelInfo Info) {
+KernelHandle JitRuntime::registerKernel(JitKernelInfo Info) {
   {
     // First registration wins: per-device program loads re-register the
     // same kernels, and the first device's bitcode location must stay
     // authoritative (fetchBitcode reads from that device).
     std::lock_guard<std::mutex> Lock(RegistryMutex);
-    if (Kernels.count(Info.Symbol))
-      return;
+    if (auto It = Kernels.find(Info.Symbol); It != Kernels.end())
+      return KernelHandle(It->second.get());
   }
   if (!Info.GenericObject.empty())
     Info.GenericArch = readObject(Info.GenericObject).Arch;
@@ -183,8 +287,20 @@ void JitRuntime::registerKernel(JitKernelInfo Info) {
     std::lock_guard<std::mutex> Lock(DS.Lock);
     loadGeneric(DS, Info, nullptr);
   }
+  const unsigned Folded =
+      Config.EnableRCF ? static_cast<unsigned>(Info.AnnotatedArgs.size()) : 0;
+  std::string Symbol = Info.Symbol;
   std::lock_guard<std::mutex> Lock(RegistryMutex);
-  Kernels.emplace(Info.Symbol, std::move(Info));
+  auto [It, Inserted] = Kernels.try_emplace(std::move(Symbol));
+  if (Inserted)
+    It->second = std::make_unique<JitKernel>(std::move(Info), Folded);
+  return KernelHandle(It->second.get());
+}
+
+KernelHandle JitRuntime::kernelHandle(const std::string &Symbol) const {
+  auto It = Kernels.find(Symbol);
+  return It != Kernels.end() ? KernelHandle(It->second.get())
+                             : KernelHandle();
 }
 
 void JitRuntime::registerVar(const std::string &Symbol, DevicePtr Address) {
@@ -228,44 +344,64 @@ void JitRuntime::resetInMemoryState() {
     std::lock_guard<std::mutex> Lock(IndexMutex);
     ModuleIndexes.clear();
   }
-  {
-    std::lock_guard<std::mutex> Lock(MemoMutex);
-    HashMemo.clear();
-  }
   Cache.clearMemory();
 }
 
-bool JitRuntime::buildKey(const JitKernelInfo &Info, Dim3 Block,
+bool JitRuntime::keyWords(const JitKernel &K, Dim3 Block,
                           const std::vector<KernelArg> &Args, GpuArch Arch,
-                          SpecializationKey &Out, std::string *Error) const {
+                          uint64_t *Words, std::string *Error) const {
+  Words[0] = static_cast<uint64_t>(Arch);
+  for (unsigned I = 0; I != K.Folded; ++I) {
+    const uint32_t OneBased = K.Info.AnnotatedArgs[I];
+    if (OneBased == 0 || OneBased > Args.size()) {
+      // An out-of-range annotation means the launch and the annotation
+      // disagree about the kernel's signature; folding a garbage value
+      // (or silently not specializing) would be worse than failing.
+      Stat.AnnotationRangeErrors->add();
+      trace::instant("jit.annotation_range_error");
+      if (Error)
+        *Error = "jit-annotated argument index " + std::to_string(OneBased) +
+                 " of kernel @" + K.Info.Symbol +
+                 " is out of range: launch provided " +
+                 std::to_string(Args.size()) +
+                 " argument(s) (indices are 1-based)";
+      return false;
+    }
+    Words[1 + I] = Args[OneBased - 1].Bits;
+  }
+  Words[1 + K.Folded] =
+      Config.EnableLaunchBounds ? static_cast<uint32_t>(Block.count()) : 0;
+  return true;
+}
+
+SpecializationKey JitRuntime::specializationKey(const JitKernel &K,
+                                                const uint64_t *Words) const {
   SpecializationKey Key;
   Key.ModuleId = ModuleId;
-  Key.KernelSymbol = Info.Symbol;
-  Key.Arch = Arch;
-  if (Config.EnableRCF) {
-    for (uint32_t OneBased : Info.AnnotatedArgs) {
-      if (OneBased == 0 || OneBased > Args.size()) {
-        // An out-of-range annotation means the launch and the annotation
-        // disagree about the kernel's signature; folding a garbage value
-        // (or silently not specializing) would be worse than failing.
-        Stat.AnnotationRangeErrors->add();
-        trace::instant("jit.annotation_range_error");
-        if (Error)
-          *Error = "jit-annotated argument index " +
-                   std::to_string(OneBased) + " of kernel @" + Info.Symbol +
-                   " is out of range: launch provided " +
-                   std::to_string(Args.size()) +
-                   " argument(s) (indices are 1-based)";
-        return false;
-      }
-      uint32_t Idx = OneBased - 1;
-      Key.FoldedArgs.push_back(RuntimeArgValue{Idx, Args[Idx].Bits});
-    }
+  Key.KernelSymbol = K.Info.Symbol;
+  Key.Arch = static_cast<GpuArch>(Words[0]);
+  Key.FoldedArgs.reserve(K.Folded);
+  for (unsigned I = 0; I != K.Folded; ++I)
+    Key.FoldedArgs.push_back(
+        RuntimeArgValue{K.Info.AnnotatedArgs[I] - 1, Words[1 + I]});
+  Key.LaunchBoundsThreads = static_cast<uint32_t>(Words[1 + K.Folded]);
+  return Key;
+}
+
+uint64_t JitRuntime::specHash(JitKernel &K, const uint64_t *Words) {
+  // ModuleId, the symbol and the annotated-argument indices are fixed for
+  // the runtime's lifetime, so the memo key leaves them out. Arch is not:
+  // a heterogeneous device pool launches one kernel on several arches.
+  const uint64_t Digest = SpecHashMemo::digest(Words, K.width());
+  uint64_t Hash;
+  if (K.Memo.lookup(Words, Digest, Hash)) {
+    Stat.HashMemoHits->add();
+    return Hash;
   }
-  if (Config.EnableLaunchBounds)
-    Key.LaunchBoundsThreads = static_cast<uint32_t>(Block.count());
-  Out = std::move(Key);
-  return true;
+  Stat.HashMemoMisses->add();
+  Hash = computeSpecializationHash(specializationKey(K, Words));
+  K.Memo.insert(Words, Digest, Hash);
+  return Hash;
 }
 
 GpuError JitRuntime::fetchBitcode(const JitKernelInfo &Info,
@@ -562,36 +698,6 @@ CompileOutcome JitRuntime::compileSpecialization(
   return Out;
 }
 
-uint64_t JitRuntime::lookupSpecHash(const std::string &Symbol,
-                                    const SpecializationKey &Key) {
-  // Memo key: only the hash inputs that vary per launch. ModuleId and each
-  // kernel's annotated-argument indices are fixed for the runtime's
-  // lifetime, so they are implied by the symbol — but Arch is not: a
-  // heterogeneous device pool launches the same symbol for several
-  // architectures through one runtime.
-  std::vector<uint64_t> MemoKey;
-  MemoKey.reserve(Key.FoldedArgs.size() + 2);
-  MemoKey.push_back(static_cast<uint64_t>(Key.Arch));
-  for (const RuntimeArgValue &V : Key.FoldedArgs)
-    MemoKey.push_back(V.Bits);
-  MemoKey.push_back(Key.LaunchBoundsThreads);
-  {
-    std::lock_guard<std::mutex> Lock(MemoMutex);
-    auto KIt = HashMemo.find(Symbol);
-    if (KIt != HashMemo.end()) {
-      auto It = KIt->second.find(MemoKey);
-      if (It != KIt->second.end()) {
-        Stat.HashMemoHits->add();
-        return It->second;
-      }
-    }
-  }
-  uint64_t Hash = computeSpecializationHash(Key);
-  std::lock_guard<std::mutex> Lock(MemoMutex);
-  HashMemo[Symbol].emplace(std::move(MemoKey), Hash);
-  return Hash;
-}
-
 GpuError JitRuntime::fetchIfUnparsed(const JitKernelInfo &Info,
                                      std::vector<uint8_t> &Out,
                                      std::string *Error) {
@@ -844,6 +950,19 @@ GpuError JitRuntime::launchKernelOn(unsigned DeviceIndex,
                                     Dim3 Block,
                                     const std::vector<KernelArg> &Args,
                                     Stream *S, std::string *Error) {
+  KernelHandle Kernel = kernelHandle(Symbol);
+  if (!Kernel) {
+    if (Error)
+      *Error = "kernel @" + Symbol + " is not registered for JIT";
+    return GpuError::NotFound;
+  }
+  return launchKernelOn(DeviceIndex, Kernel, Grid, Block, Args, S, Error);
+}
+
+GpuError JitRuntime::launchKernelOn(unsigned DeviceIndex, KernelHandle Kernel,
+                                    Dim3 Grid, Dim3 Block,
+                                    const std::vector<KernelArg> &Args,
+                                    Stream *S, std::string *Error) {
   if (!validDevice(DeviceIndex, Error))
     return GpuError::InvalidValue;
   DeviceState &DS = *Devices[DeviceIndex];
@@ -853,30 +972,25 @@ GpuError JitRuntime::launchKernelOn(unsigned DeviceIndex,
                std::to_string(DeviceIndex);
     return GpuError::InvalidValue;
   }
+  if (!Kernel) {
+    if (Error)
+      *Error = "launch of a null kernel handle";
+    return GpuError::InvalidValue;
+  }
   trace::Span LaunchSp("jit.launch", "jit");
   Stat.Launches->add();
   if (S)
     Stat.StreamLaunches->add();
-  const JitKernelInfo *Info = nullptr;
-  {
-    std::lock_guard<std::mutex> Lock(RegistryMutex);
-    auto KIt = Kernels.find(Symbol);
-    if (KIt != Kernels.end())
-      Info = &KIt->second; // map nodes are stable; registration precedes launches
-  }
-  if (!Info) {
-    if (Error)
-      *Error = "kernel @" + Symbol + " is not registered for JIT";
-    return GpuError::NotFound;
-  }
+  JitKernel &K = *Kernel.Kernel;
+  const JitKernelInfo &Info = K.Info;
 
-  SpecializationKey Key;
+  KeyBuffer Words(K.width());
   {
     trace::Span Sp("jit.build_key", "jit");
-    if (!buildKey(*Info, Block, Args, DS.Dev->target().Arch, Key, Error))
+    if (!keyWords(K, Block, Args, DS.Dev->target().Arch, Words.data(), Error))
       return GpuError::InvalidValue;
   }
-  uint64_t Hash = lookupSpecHash(Symbol, Key);
+  const uint64_t Hash = specHash(K, Words.data());
 
   // Capture needs the kernel's module index (the pruned-bitcode source) in
   // hand before any device lock is taken: building it may fetch bitcode,
@@ -885,11 +999,11 @@ GpuError JitRuntime::launchKernelOn(unsigned DeviceIndex,
   // uncaptured.
   std::shared_ptr<const KernelModuleIndex> CaptureIndex;
   if (CaptureSess) {
-    CaptureIndex = getOrBuildIndex(Symbol, {}, nullptr);
+    CaptureIndex = getOrBuildIndex(Info.Symbol, {}, nullptr);
     if (!CaptureIndex) {
       std::vector<uint8_t> Bitcode;
-      if (fetchBitcode(*Info, Bitcode, nullptr) == GpuError::Success)
-        CaptureIndex = getOrBuildIndex(Symbol, Bitcode, nullptr);
+      if (fetchBitcode(Info, Bitcode, nullptr) == GpuError::Success)
+        CaptureIndex = getOrBuildIndex(Info.Symbol, Bitcode, nullptr);
     }
   }
 
@@ -899,18 +1013,19 @@ GpuError JitRuntime::launchKernelOn(unsigned DeviceIndex,
     std::lock_guard<std::mutex> Lock(DS.Lock);
     if (auto LIt = DS.Loaded.find(Hash); LIt != DS.Loaded.end())
       return LIt->second.Level == Rung::Final
-                 ? launchLoaded(DS, LIt->second, *Info, Hash, CaptureIndex,
+                 ? launchLoaded(DS, LIt->second, Info, Hash, CaptureIndex,
                                 Grid, Block, Args, S, Error)
-                 : mapAndLaunch(DS, Hash, LIt->second.Level, nullptr, *Info,
+                 : mapAndLaunch(DS, Hash, LIt->second.Level, nullptr, Info,
                                 CaptureIndex, Grid, Block, Args, S, Error);
   }
 
   // --- Cold: the cheapest rung ready now (see the file comment) ------------
   const CodeTier Wanted = Config.Tier ? CodeTier::Tier0 : CodeTier::Final;
   const bool Cover = Config.Async == JitConfig::AsyncMode::Fallback &&
-                     Info->hasGenericFor(DS.Dev->target().Arch);
-  std::shared_future<CompileOutcome> F =
-      Service.obtain(compileRequest(*Info, Key, Hash), Wanted, Cover);
+                     Info.hasGenericFor(DS.Dev->target().Arch);
+  std::shared_future<CompileOutcome> F = Service.obtain(
+      compileRequest(Info, specializationKey(K, Words.data()), Hash), Wanted,
+      Cover);
   Rung Level = Rung::Generic;
   const std::vector<uint8_t> *Object = nullptr;
   if (F.valid()) {
@@ -924,7 +1039,7 @@ GpuError JitRuntime::launchKernelOn(unsigned DeviceIndex,
     Object = &O.Object;
   }
   std::lock_guard<std::mutex> Lock(DS.Lock);
-  return mapAndLaunch(DS, Hash, Level, Object, *Info, CaptureIndex, Grid,
+  return mapAndLaunch(DS, Hash, Level, Object, Info, CaptureIndex, Grid,
                       Block, Args, S, Error);
 }
 
@@ -962,18 +1077,13 @@ GpuError JitRuntime::installOnTargets(const std::string &Symbol, Dim3 Block,
                                       unsigned *CompiledArches,
                                       unsigned *ReusedArches, bool *AnyLoaded,
                                       std::string *Error) {
-  const JitKernelInfo *Info = nullptr;
-  {
-    std::lock_guard<std::mutex> Lock(RegistryMutex);
-    auto KIt = Kernels.find(Symbol);
-    if (KIt != Kernels.end())
-      Info = &KIt->second;
-  }
-  if (!Info) {
+  KernelHandle Kernel = kernelHandle(Symbol);
+  if (!Kernel) {
     if (Error)
       *Error = "kernel @" + Symbol + " is not registered for JIT";
     return GpuError::NotFound;
   }
+  JitKernel &K = *Kernel.Kernel;
 
   // One compile (or cache fetch) per distinct architecture in the target
   // set; like the launch path, the same object then serves every device of
@@ -989,10 +1099,10 @@ GpuError JitRuntime::installOnTargets(const std::string &Symbol, Dim3 Block,
     GpuArch Arch = DS.Dev->target().Arch;
     auto AIt = PerArch.find(Arch);
     if (AIt == PerArch.end()) {
-      SpecializationKey Key;
-      if (!buildKey(*Info, Block, Args, Arch, Key, Error))
+      KeyBuffer Words(K.width());
+      if (!keyWords(K, Block, Args, Arch, Words.data(), Error))
         return GpuError::InvalidValue;
-      uint64_t Hash = lookupSpecHash(Symbol, Key);
+      const uint64_t Hash = specHash(K, Words.data());
       // Only a final-tier entry from the current pipeline qualifies: the
       // warm path must not pin a Tier-0 baseline or a stale artifact — in
       // particular, a retarget racing an in-flight Tier-1 promotion
@@ -1006,7 +1116,8 @@ GpuError JitRuntime::installOnTargets(const std::string &Symbol, Dim3 Block,
         // the trial object itself, not whatever someone else published.
         CompileOutcome O;
         if (CompileBody Body =
-                bindCompile(*Info, Key, CodeTier::Final, O3Override, O))
+                bindCompile(K.Info, specializationKey(K, Words.data()),
+                            CodeTier::Final, O3Override, O))
           O = Service.compile(Hash, CodeTier::Final, Body,
                               /*Claim=*/!O3Override);
         if (O.Err != GpuError::Success) {

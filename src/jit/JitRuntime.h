@@ -49,10 +49,17 @@
 /// modes carry different pipeline fingerprints, so cached objects of one
 /// mode are never served in the other.
 ///
+/// A warm launch takes one lock: its device's. The kernel comes from a
+/// KernelHandle (registerKernel; a launch by symbol resolves the handle in
+/// a table that registration, like attachDevice, fills before concurrent
+/// launches begin), and its specialization hash from the handle's
+/// lock-free memo, whose inserts take a per-kernel leaf lock.
+///
 /// Lock order (deadlock discipline): the runtime's table mutexes
-/// (RegistryMutex, the compile service's table mutex, IndexMutex,
-/// MemoMutex) are leaves taken before any per-device lock, never while one
-/// is held; SpecMutex is a leaf that may be taken under a device lock. No
+/// (RegistryMutex, which serializes registration and the global-address
+/// table, the compile service's table mutex, IndexMutex, the memo insert
+/// locks) are leaves taken before any per-device lock, never while one is
+/// held; SpecMutex is a leaf that may be taken under a device lock. No
 /// two device locks are ever held at once. Work that visits several
 /// devices (installFinalTier, resetInMemoryState) iterates them in
 /// ascending ordinal, locking one at a time.
@@ -222,7 +229,8 @@ const char *tierModeName(bool TierEnabled);
 /// Compilations and one Tier1Promotions. PrunedFunctions counts
 /// module-index functions skipped by closure-pruned materialization;
 /// HashMemoHits counts launches whose specialization hash was served by
-/// the per-kernel memo instead of being recomputed.
+/// the per-kernel memo and HashMemoMisses those that computed it, so the
+/// two sum to the launches that got as far as the hash.
 ///
 /// Multi-device counters: StreamLaunches counts launches dispatched to an
 /// explicit (non-default) stream; CrossDeviceLoads counts module loads of a
@@ -264,6 +272,7 @@ const char *tierModeName(bool TierEnabled);
   X(PerArchCompileReuse, "jit.per_arch_compile_reuse")                         \
   X(PrunedFunctions, "jit.pruned_functions")                                   \
   X(HashMemoHits, "jit.hash_memo_hits")                                        \
+  X(HashMemoMisses, "jit.hash_memo_misses")                                    \
   X(FallbackLaunches, "jit.fallback_launches")                                 \
   X(DedupedWaits, "jit.deduped_waits")                                         \
   X(FleetDedupWaits, "jit.fleet_dedup_waits")                                  \
@@ -375,6 +384,23 @@ struct JitKernelInfo {
   }
 };
 
+struct JitKernel;
+
+/// A kernel registered with a JitRuntime, as registerKernel returns it: the
+/// paper's launch key, the kernel stub's address. Stable for the runtime's
+/// lifetime and cheap to copy; launching by handle skips the symbol lookup.
+/// A default-constructed handle names no kernel.
+class KernelHandle {
+public:
+  KernelHandle() = default;
+  explicit operator bool() const { return Kernel != nullptr; }
+
+private:
+  friend class JitRuntime;
+  explicit KernelHandle(JitKernel *K) : Kernel(K) {}
+  JitKernel *Kernel = nullptr;
+};
+
 /// The runtime library instance bound to one *primary* device, optionally
 /// serving a pool of further devices attached with attachDevice().
 class JitRuntime {
@@ -402,10 +428,20 @@ public:
   /// check, not assume device 0 — the bug the old tuner had).
   int deviceIndexOf(const gpu::Device &D) const;
 
-  /// Registers a JIT-annotated kernel (done by program load). Re-registering
-  /// a symbol keeps the first registration (the kernels are identical; the
-  /// first device's bitcode location stays authoritative).
-  void registerKernel(JitKernelInfo Info);
+  /// Registers a JIT-annotated kernel (done by program load) and returns
+  /// its handle. Re-registering a symbol keeps the first registration (the
+  /// kernels are identical; the first device's bitcode location stays
+  /// authoritative) and returns its handle. Like attachDevice, must
+  /// complete before concurrent launches begin.
+  KernelHandle registerKernel(JitKernelInfo Info);
+
+  /// The handle of registered kernel \p Symbol, or a null handle.
+  KernelHandle kernelHandle(const std::string &Symbol) const;
+
+  /// Distinct (arch, folded arguments, launch-bounds threads) keys per
+  /// kernel whose specialization hash the memo keeps; launches with further
+  /// keys recompute their hash (HashMemoMisses).
+  static constexpr unsigned HashMemoCapacity = 48;
 
   /// __jit_register_var: makes a device global's address resolvable when
   /// linking JIT modules.
@@ -425,6 +461,13 @@ public:
   /// stream enqueues FIFO on its private timeline (StreamLaunches counts
   /// these). Compilation is shared: same arch -> same specialization object,
   /// loaded per device.
+  gpu::GpuError launchKernelOn(unsigned DeviceIndex, KernelHandle Kernel,
+                               gpu::Dim3 Grid, gpu::Dim3 Block,
+                               const std::vector<gpu::KernelArg> &Args,
+                               gpu::Stream *S = nullptr,
+                               std::string *Error = nullptr);
+
+  /// launchKernelOn by symbol: resolves the handle, then launches by it.
   gpu::GpuError launchKernelOn(unsigned DeviceIndex,
                                const std::string &Symbol, gpu::Dim3 Grid,
                                gpu::Dim3 Block,
@@ -522,7 +565,8 @@ public:
   void drain();
 
   /// Drops in-memory state (fresh-process simulation; persistent cache
-  /// stays warm). Drains background promotions first.
+  /// stays warm). Drains background promotions first. The kernels' hash
+  /// memos stay: each entry is a pure function of its key.
   void resetInMemoryState();
 
 private:
@@ -578,13 +622,21 @@ private:
   /// Sets \p Error to the out-of-range message for \p Index; false.
   bool deviceOutOfRange(int64_t Index, std::string *Error) const;
 
-  /// Builds the specialization key for a launch targeting \p Arch. Returns
-  /// false (with \p Error set and AnnotationRangeErrors counted) when an
-  /// annotated 1-based argument index is out of range for \p Args instead
-  /// of silently skipping it.
-  bool buildKey(const JitKernelInfo &Info, gpu::Dim3 Block,
+  /// Fills \p Words with what varies per launch among \p K's
+  /// specialization-hash inputs, its memo key: \p Arch, each folded
+  /// argument's bits (RCF on), and the launch-bounds threads (0 with LB
+  /// off). Returns false (with \p Error set and AnnotationRangeErrors
+  /// counted) when an annotated 1-based argument index is out of range for
+  /// \p Args instead of silently skipping it.
+  bool keyWords(const JitKernel &K, gpu::Dim3 Block,
                 const std::vector<gpu::KernelArg> &Args, GpuArch Arch,
-                SpecializationKey &Out, std::string *Error) const;
+                uint64_t *Words, std::string *Error) const;
+  /// The specialization key that keyWords' \p Words describe.
+  SpecializationKey specializationKey(const JitKernel &K,
+                                      const uint64_t *Words) const;
+  /// The specialization hash of \p Words: served by \p K's memo
+  /// (HashMemoHits), else computed and memoized (HashMemoMisses).
+  uint64_t specHash(JitKernel &K, const uint64_t *Words);
   gpu::GpuError fetchBitcode(const JitKernelInfo &Info,
                              std::vector<uint8_t> &Out, std::string *Error);
   /// Fetches the kernel's bitcode into \p Out unless its module index is
@@ -623,11 +675,6 @@ private:
   std::shared_ptr<const KernelModuleIndex>
   getOrBuildIndex(const std::string &Symbol,
                   const std::vector<uint8_t> &Bitcode, std::string *Error);
-  /// Memoized computeSpecializationHash: per (kernel, annotated-arg
-  /// values, launch-bounds threads) the hash is computed once and served
-  /// from a map afterwards (HashMemoHits counts the served launches).
-  uint64_t lookupSpecHash(const std::string &Symbol,
-                          const SpecializationKey &Key);
   /// Maps \p Hash on \p DS (DS.Lock held) at rung \p Level — \p Object,
   /// or the generic binary for Rung::Generic — and launches it. A rung a
   /// promotion has finished, or a mapping already in place, is used
@@ -695,8 +742,10 @@ private:
   metrics::Registry Metrics;
   JitStatHandles Stat;
 
-  std::mutex RegistryMutex; // guards Kernels + GlobalAddresses
-  std::map<std::string, JitKernelInfo> Kernels;
+  /// Serializes registration; guards GlobalAddresses. Kernels is only
+  /// written during setup (registerKernel), so launches read it unlocked.
+  std::mutex RegistryMutex;
+  std::unordered_map<std::string, std::unique_ptr<JitKernel>> Kernels;
   std::map<std::string, gpu::DevicePtr> GlobalAddresses;
 
   /// The device pool, in attachDevice order; [0] is the primary device the
@@ -720,14 +769,6 @@ private:
   /// erased, so the mutexes outlive resetInMemoryState); taken before
   /// IndexMutex, never while a device lock is held.
   std::map<std::string, std::mutex> IndexBuildLocks;
-
-  /// Specialization-hash memo: kernel symbol -> (folded argument bits,
-  /// launch-bounds threads) -> hash. Valid because ModuleId, Arch and each
-  /// kernel's annotated-argument indices are fixed for the runtime's
-  /// lifetime, so those hash inputs are implied by the symbol.
-  std::mutex MemoMutex;
-  std::unordered_map<std::string, std::map<std::vector<uint64_t>, uint64_t>>
-      HashMemo;
 
   /// Bottleneck-aware policy store (JitConfig::Policy); null when the
   /// policy is off. Own mutex; consulted from the promotion gate

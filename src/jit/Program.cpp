@@ -56,12 +56,11 @@ LoadedProgram::LoadedProgram(Device &Dev, const CompiledProgram &Program,
       LoadError = "failed to load AOT kernel @" + Symbol + ": " + Err;
       return;
     }
-    AotKernels[Symbol] = K;
+    Kernels[Symbol].Aot = K;
   }
 
   // 4) Register JIT kernels with the runtime library.
   if (Jit) {
-    JitKernels = Program.JitKernels;
     for (const std::string &Symbol : Program.JitKernels) {
       JitKernelInfo Info;
       Info.Symbol = Symbol;
@@ -85,7 +84,7 @@ LoadedProgram::LoadedProgram(Device &Dev, const CompiledProgram &Program,
       if (auto OIt = Program.Image.KernelObjects.find(Symbol);
           OIt != Program.Image.KernelObjects.end())
         Info.GenericObject = OIt->second;
-      Jit->registerKernel(std::move(Info));
+      Kernels[Symbol].Jit = Jit->registerKernel(std::move(Info));
     }
   }
 }
@@ -94,15 +93,16 @@ GpuError LoadedProgram::launch(const std::string &Symbol, Dim3 Grid,
                                Dim3 Block,
                                const std::vector<KernelArg> &Args,
                                std::string *Error) {
-  if (Jit && JitKernels.count(Symbol))
-    return Jit->launchKernel(Symbol, Grid, Block, Args, Error);
-  auto It = AotKernels.find(Symbol);
-  if (It == AotKernels.end()) {
+  auto It = Kernels.find(Symbol);
+  if (It != Kernels.end() && It->second.Jit)
+    return Jit->launchKernelOn(0, It->second.Jit, Grid, Block, Args, nullptr,
+                               Error);
+  if (It == Kernels.end() || !It->second.Aot) {
     if (Error)
       *Error = "unknown kernel @" + Symbol;
     return GpuError::NotFound;
   }
-  return gpuLaunchKernel(Dev, *It->second, Grid, Block, Args, Error);
+  return gpuLaunchKernel(Dev, *It->second.Aot, Grid, Block, Args, Error);
 }
 
 DevicePtr LoadedProgram::globalAddress(const std::string &Symbol) const {

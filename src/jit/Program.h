@@ -46,10 +46,16 @@ public:
   gpu::DevicePtr globalAddress(const std::string &Symbol) const;
 
 private:
+  /// What a launch of one symbol runs: the JIT kernel when it has a handle,
+  /// else the AOT binary.
+  struct Entry {
+    KernelHandle Jit;
+    gpu::LoadedKernel *Aot = nullptr;
+  };
+
   gpu::Device &Dev;
   JitRuntime *Jit;
-  std::set<std::string> JitKernels;
-  std::map<std::string, gpu::LoadedKernel *> AotKernels;
+  std::unordered_map<std::string, Entry> Kernels;
   std::string LoadError;
 };
 

@@ -20,6 +20,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <random>
 
 using namespace pir;
 using namespace proteus;
@@ -77,6 +78,188 @@ TEST(GeometryTest, ThreeDimensionalBlocksCoverAllThreads) {
   for (uint32_t I = 0; I != Total; ++I)
     EXPECT_EQ(Host[I], static_cast<int32_t>(I * 100 + Gx)) << "thread " << I;
   EXPECT_EQ(Dev.LastLaunch.totalThreads(), Total);
+}
+
+/// Kernel recording every thread's ids: out[6 * linear + k] holds tid.x,
+/// tid.y, tid.z, ctaid.x, ctaid.y, ctaid.z, where linear numbers the
+/// threads x-fastest within a block and blocks x-fastest within the grid.
+Function *buildIdKernel(Module &M) {
+  Context &Ctx = M.getContext();
+  IRBuilder B(Ctx);
+  Function *F = M.createFunction("ids", Ctx.getVoidTy(), {Ctx.getPtrTy()},
+                                 {"out"}, FunctionKind::Kernel);
+  B.setInsertPoint(F->createBlock("entry", Ctx.getVoidTy()));
+  Value *Tid[3], *Ctaid[3], *Ntid[3], *Nctaid[3];
+  for (uint8_t D = 0; D != 3; ++D) {
+    Tid[D] = B.createThreadIdx(D);
+    Ctaid[D] = B.createBlockIdx(D);
+    Ntid[D] = B.createBlockDim(D);
+    Nctaid[D] = B.createGridDim(D);
+  }
+  auto linear = [&](Value *const *Id, Value *const *Extent) {
+    return B.createAdd(
+        B.createMul(B.createAdd(B.createMul(Id[2], Extent[1]), Id[1]),
+                    Extent[0]),
+        Id[0]);
+  };
+  Value *BlockThreads = B.createMul(B.createMul(Ntid[0], Ntid[1]), Ntid[2]);
+  Value *Linear = B.createAdd(B.createMul(linear(Ctaid, Nctaid), BlockThreads),
+                              linear(Tid, Ntid));
+  Value *Base = B.createMul(Linear, B.getInt32(6));
+  Value *Ids[6] = {Tid[0], Tid[1], Tid[2], Ctaid[0], Ctaid[1], Ctaid[2]};
+  for (uint32_t K = 0; K != 6; ++K)
+    B.createStore(Ids[K], B.createGep(Ctx.getI32Ty(), F->getArg(0),
+                                      B.createAdd(Base, B.getInt32(K))));
+  B.createRet();
+  return F;
+}
+
+TEST(GeometryTest, EveryThreadOfA3DGridSeesItsIds) {
+  // Non-power-of-two extents in every dimension, so the executor's stepped
+  // tid counters must wrap at each block extent exactly.
+  Context Ctx;
+  Module M(Ctx, "m");
+  Function *F = buildIdKernel(M);
+  const Dim3 Grid{2, 3, 2};
+  for (GpuArch Arch : {GpuArch::AmdGcnSim, GpuArch::NvPtxSim})
+    for (Dim3 Block : {Dim3{3, 5, 2}, Dim3{1, 1, 5}}) {
+      SCOPED_TRACE(std::string(gpuArchName(Arch)) + " block " +
+                   std::to_string(Block.X) + "x" + std::to_string(Block.Y) +
+                   "x" + std::to_string(Block.Z));
+      Device Dev(getTarget(Arch), 1 << 20);
+      LoadedKernel *K = nullptr;
+      std::string Err;
+      ASSERT_EQ(gpuModuleLoad(Dev, &K, compileKernelToObject(*F, getTarget(Arch)),
+                              &Err),
+                GpuError::Success)
+          << Err;
+      const uint64_t Threads = Grid.count() * Block.count();
+      DevicePtr Out = 0;
+      ASSERT_EQ(gpuMalloc(Dev, &Out, Threads * 24), GpuError::Success);
+      ASSERT_EQ(gpuLaunchKernel(Dev, *K, Grid, Block, {{Out}}, &Err),
+                GpuError::Success)
+          << Err;
+      std::vector<uint32_t> Host(Threads * 6);
+      gpuMemcpyDtoH(Dev, Host.data(), Out, Threads * 24);
+      uint64_t Linear = 0;
+      for (uint32_t Bz = 0; Bz != Grid.Z; ++Bz)
+        for (uint32_t By = 0; By != Grid.Y; ++By)
+          for (uint32_t Bx = 0; Bx != Grid.X; ++Bx)
+            for (uint32_t Tz = 0; Tz != Block.Z; ++Tz)
+              for (uint32_t Ty = 0; Ty != Block.Y; ++Ty)
+                for (uint32_t Tx = 0; Tx != Block.X; ++Tx, ++Linear) {
+                  const uint32_t Want[6] = {Tx, Ty, Tz, Bx, By, Bz};
+                  for (unsigned I = 0; I != 6; ++I)
+                    ASSERT_EQ(Host[Linear * 6 + I], Want[I])
+                        << "thread " << Linear << " id " << I;
+                }
+      EXPECT_EQ(Dev.LastLaunch.totalThreads(), Threads);
+    }
+}
+
+/// The L2 model with run-time divisions and 64-bit LRU stamps: the
+/// reference the shipped model (shifts, masks, 32-bit stamps renumbered on
+/// wrap) must match access for access.
+class DivisionL2 {
+public:
+  DivisionL2(uint64_t SizeBytes, unsigned LineBytes, unsigned Ways)
+      : LineBytes(LineBytes), Ways(Ways),
+        NumSets(std::max<uint64_t>(1, SizeBytes / LineBytes / Ways)),
+        Tags(NumSets * Ways, 0), LastUsed(NumSets * Ways, 0) {}
+
+  bool access(uint64_t Address) {
+    uint64_t Line = Address / LineBytes + 1;
+    size_t Set = static_cast<size_t>(Line % NumSets);
+    uint64_t *SetTags = &Tags[Set * Ways];
+    uint64_t *SetUsed = &LastUsed[Set * Ways];
+    ++Clock;
+    unsigned VictimWay = 0;
+    uint64_t VictimStamp = ~uint64_t(0);
+    for (unsigned W = 0; W != Ways; ++W) {
+      if (SetTags[W] == Line) {
+        SetUsed[W] = Clock;
+        return true;
+      }
+      if (SetUsed[W] < VictimStamp) {
+        VictimStamp = SetUsed[W];
+        VictimWay = W;
+      }
+    }
+    SetTags[VictimWay] = Line;
+    SetUsed[VictimWay] = Clock;
+    return false;
+  }
+
+  uint64_t Clock = 0;
+
+private:
+  uint64_t LineBytes;
+  unsigned Ways;
+  uint64_t NumSets;
+  std::vector<uint64_t> Tags, LastUsed;
+};
+
+/// Seeded addresses: mostly a working set a few times the cache, some
+/// repeats of recent addresses, some far above device memory (the
+/// executor's per-thread scratch lines).
+std::vector<uint64_t> l2Addresses(uint64_t Seed, size_t N, uint64_t Span) {
+  std::mt19937_64 R(Seed);
+  std::vector<uint64_t> Out;
+  Out.reserve(N);
+  for (size_t I = 0; I != N; ++I) {
+    const uint64_t Pick = R() % 10;
+    if (Pick < 2 && I >= 16)
+      Out.push_back(Out[I - 1 - R() % 16]);
+    else if (Pick < 3)
+      Out.push_back(R() >> (R() % 24));
+    else
+      Out.push_back(R() % Span);
+  }
+  return Out;
+}
+
+TEST(L2CacheTest, MatchesTheDivisionModelOnBothTargets) {
+  for (GpuArch Arch : {GpuArch::AmdGcnSim, GpuArch::NvPtxSim}) {
+    SCOPED_TRACE(gpuArchName(Arch));
+    const uint64_t Bytes = getTarget(Arch).L2Bytes;
+    L2Cache Shipped(Bytes, 128, 16);
+    DivisionL2 Reference(Bytes, 128, 16);
+    EXPECT_EQ(Shipped.numSets(),
+              Arch == GpuArch::AmdGcnSim ? 4096u : 3072u);
+    for (uint64_t Line : {uint64_t(0), uint64_t(1), uint64_t(4095),
+                          uint64_t(3071), uint64_t(1) << 57, ~uint64_t(0)})
+      EXPECT_EQ(Shipped.setOf(Line), Line % Shipped.numSets()) << Line;
+    const std::vector<uint64_t> Addrs = l2Addresses(17, 1000000, 3 * Bytes);
+    uint64_t Hits = 0;
+    for (size_t I = 0; I != Addrs.size(); ++I) {
+      const uint64_t Line = (Addrs[I] >> 7) + 1;
+      ASSERT_EQ(Shipped.setOf(Line), Line % Shipped.numSets()) << Line;
+      const bool Hit = Shipped.access(Addrs[I]);
+      ASSERT_EQ(Hit, Reference.access(Addrs[I]))
+          << "access " << I << " at 0x" << std::hex << Addrs[I];
+      Hits += Hit;
+    }
+    // Both outcomes must occur, or the comparison proves little.
+    EXPECT_GT(Hits, Addrs.size() / 10);
+    EXPECT_LT(Hits, Addrs.size() * 9 / 10);
+  }
+}
+
+TEST(L2CacheTest, LruOrderSurvivesTheClockWrap) {
+  // A small cache (12 sets: an odd factor too) started just below the
+  // 32-bit wrap: past it, the renumbered stamps must keep every set's LRU
+  // order, so the hit/miss sequence matches 64-bit stamps that never wrap.
+  constexpr uint64_t Bytes = 12 * 4 * 128;
+  L2Cache Shipped(Bytes, 128, 4);
+  DivisionL2 Reference(Bytes, 128, 4);
+  const uint32_t Start = 0xffffffffu - 20000;
+  Shipped.setClockForTesting(Start);
+  Reference.Clock = Start;
+  const std::vector<uint64_t> Addrs = l2Addresses(29, 100000, 3 * Bytes);
+  for (size_t I = 0; I != Addrs.size(); ++I)
+    ASSERT_EQ(Shipped.access(Addrs[I]), Reference.access(Addrs[I]))
+        << "access " << I << " (clock wrapped after 20001)";
+  EXPECT_GT(Reference.Clock, uint64_t(1) << 32);
 }
 
 TEST(L2CacheTest, HitsMissesAndEviction) {

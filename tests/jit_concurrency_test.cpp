@@ -31,6 +31,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstring>
 #include <thread>
 
 using namespace pir;
@@ -351,6 +352,117 @@ TEST(JitConcurrencyTest, PersistentCacheWritesAreConcurrencySafe) {
   }
   EXPECT_EQ(H2.Jit.stats().Compilations, 0u);
   EXPECT_EQ(H2.Jit.cache().stats().CorruptPersistentEntries, 0u);
+}
+
+/// fill(out, c) stores its jit-annotated c to out[threadIdx.x], so every
+/// distinct c is a specialization of its own.
+std::unique_ptr<Module> buildFillProgram(Context &Ctx) {
+  auto M = std::make_unique<Module>(Ctx, "memo_app");
+  IRBuilder B(Ctx);
+  Function *F = M->createFunction("fill", Ctx.getVoidTy(),
+                                  {Ctx.getPtrTy(), Ctx.getI32Ty()},
+                                  {"out", "c"}, FunctionKind::Kernel);
+  F->setJitAnnotation(JitAnnotation{{2}});
+  B.setInsertPoint(F->createBlock("entry", Ctx.getVoidTy()));
+  B.createStore(F->getArg(1), B.createGep(Ctx.getI32Ty(), F->getArg(0),
+                                          B.createThreadIdx(0)));
+  B.createRet();
+  return M;
+}
+
+TEST(JitConcurrencyTest, LockFreeHashMemoUnderAFourDevicePool) {
+  // 4 threads x 4 devices launch a few hot specializations mixed with a
+  // stream of fresh ones, more distinct keys in all than one kernel's memo
+  // holds: the memo fills up, later keys recompute their hash, and racing
+  // threads insert the same fresh key. Every output is checked, and every
+  // launch is exactly one memo hit or one memo miss.
+  constexpr unsigned Devices = 4, Threads = 4, Hot = 6;
+  constexpr unsigned Fresh = JitRuntime::HashMemoCapacity + 16;
+  constexpr unsigned PerThread = 3 * Fresh;
+  constexpr uint32_t Lanes = 32;
+
+  Context Ctx;
+  std::unique_ptr<Module> M = buildFillProgram(Ctx);
+  AotOptions AO;
+  AO.Arch = GpuArch::AmdGcnSim;
+  AO.EnableProteusExtensions = true;
+  CompiledProgram Prog = aotCompile(*M, AO);
+
+  JitConfig JC = JitConfig::fromEnvironment();
+  JC.UsePersistentCache = false;
+  std::vector<std::unique_ptr<Device>> Devs;
+  for (unsigned D = 0; D != Devices; ++D)
+    Devs.push_back(std::make_unique<Device>(getAmdGcnSimTarget(), 1 << 20));
+  JitRuntime Jit(*Devs[0], Prog.ModuleId, JC);
+  for (unsigned D = 1; D != Devices; ++D)
+    Jit.attachDevice(*Devs[D]);
+  LoadedProgram LP(*Devs[0], Prog, &Jit);
+  ASSERT_TRUE(LP.ok()) << LP.error();
+  const KernelHandle Fill = Jit.kernelHandle("fill");
+  ASSERT_TRUE(Fill);
+
+  DevicePtr Out[Threads][Devices];
+  for (unsigned T = 0; T != Threads; ++T)
+    for (unsigned D = 0; D != Devices; ++D)
+      ASSERT_EQ(gpuMalloc(*Devs[D], &Out[T][D], Lanes * 4), GpuError::Success);
+
+  std::vector<std::string> ThreadErrors(Threads);
+  std::atomic<bool> Go{false};
+  std::vector<std::thread> Workers;
+  for (unsigned T = 0; T != Threads; ++T)
+    Workers.emplace_back([&, T] {
+      while (!Go.load(std::memory_order_acquire))
+        std::this_thread::yield();
+      for (unsigned I = 0; I != PerThread; ++I) {
+        // Every third launch is a fresh key; over its run each thread
+        // launches every fresh key once, in its own order.
+        const uint32_t C = I % 3 == 0 ? 1000 + (I / 3 + T * 17) % Fresh
+                                      : 7 + (I + T) % Hot;
+        const unsigned D = (I + T) % Devices;
+        const std::vector<KernelArg> Args = {{Out[T][D]}, {C}};
+        std::string Err;
+        // The handle and the symbol paths alternate.
+        GpuError E =
+            I % 2 ? Jit.launchKernelOn(D, Fill, Dim3{1, 1, 1},
+                                       Dim3{Lanes, 1, 1}, Args, nullptr, &Err)
+                  : Jit.launchKernelOn(D, "fill", Dim3{1, 1, 1},
+                                       Dim3{Lanes, 1, 1}, Args, nullptr, &Err);
+        if (E != GpuError::Success) {
+          ThreadErrors[T] = "launch " + std::to_string(I) + ": " + Err;
+          return;
+        }
+        bool Ok = true;
+        Jit.withDeviceLocked(D, [&](Device &Dev) {
+          const uint8_t *P = Dev.memory().data() + Out[T][D];
+          for (uint32_t L = 0; L != Lanes; ++L) {
+            uint32_t V;
+            std::memcpy(&V, P + 4 * L, 4);
+            Ok = Ok && V == C;
+          }
+        });
+        if (!Ok) {
+          ThreadErrors[T] = "launch " + std::to_string(I) + " of c=" +
+                            std::to_string(C) + " wrote wrong output";
+          return;
+        }
+      }
+    });
+  Go.store(true, std::memory_order_release);
+  for (std::thread &W : Workers)
+    W.join();
+  for (unsigned T = 0; T != Threads; ++T)
+    EXPECT_TRUE(ThreadErrors[T].empty())
+        << "thread " << T << ": " << ThreadErrors[T];
+  Jit.drain();
+
+  JitRuntimeStats S = Jit.stats();
+  EXPECT_EQ(S.Launches, uint64_t(Threads) * PerThread);
+  EXPECT_EQ(S.HashMemoHits + S.HashMemoMisses, S.Launches);
+  // Every key misses once; the memo is full, so some keys miss again.
+  EXPECT_GT(S.HashMemoMisses, uint64_t(Hot + Fresh));
+  EXPECT_GT(S.HashMemoHits, 0u);
+  EXPECT_EQ(S.Compilations, uint64_t(Hot + Fresh))
+      << "one compile per distinct specialization";
 }
 
 } // namespace

@@ -88,6 +88,19 @@ if ! PROTEUS_TIER=on PROTEUS_ASYNC=fallback \
   STATUS=1
 fi
 
+# The lock-free specialization-hash memo: 4 threads x 4 devices race
+# fresh keys into one kernel's memo past its capacity while hits read it
+# without a lock, under the full cold-launch ladder so covers and
+# promotions interleave with the warm path. Repeated: one pass can miss a
+# publication race.
+echo "== TSan: jit_concurrency_test memo storm x5 (PROTEUS_TIER=on, PROTEUS_ASYNC=fallback) =="
+if ! PROTEUS_TIER=on PROTEUS_ASYNC=fallback \
+     "${BUILD_DIR}/tests/jit_concurrency_test" \
+     --gtest_filter='*LockFreeHashMemo*' --gtest_repeat=5; then
+  echo "!! jit_concurrency_test memo storm FAILED under ThreadSanitizer"
+  STATUS=1
+fi
+
 # Multi-stream + multi-device launch storm: threads spray launches across
 # a 4-device pool with 4 streams each while generic covers and their
 # Tier-0 and Final promotions hot-swap loaded kernels on every device —
