@@ -53,7 +53,9 @@ L2Cache::L2Cache(uint64_t SizeBytes, unsigned LineBytes, unsigned Ways)
       NumSets(std::max<uint64_t>(1, SizeBytes / LineBytes / Ways)),
       SetShift(static_cast<unsigned>(std::countr_zero(NumSets))),
       SetMask((uint64_t(1) << SetShift) - 1), OddSets(NumSets >> SetShift),
-      Tags(NumSets * Ways, 0), LastUsed(NumSets * Ways, 0) {
+      State(NumSets * Ways * (sizeof(uint64_t) + sizeof(uint32_t))),
+      Tags(reinterpret_cast<uint64_t *>(State.data())),
+      LastUsed(reinterpret_cast<uint32_t *>(Tags + NumSets * Ways)) {
   if (!std::has_single_bit(LineBytes))
     reportFatalError("L2 line size must be a power of two");
 }
@@ -76,8 +78,7 @@ uint32_t L2Cache::renumberStamps() {
 }
 
 void L2Cache::reset() {
-  std::fill(Tags.begin(), Tags.end(), 0);
-  std::fill(LastUsed.begin(), LastUsed.end(), 0);
+  std::memset(State.data(), 0, State.size());
   Clock = 0;
 }
 

@@ -34,74 +34,6 @@ namespace gpu {
 
 using DevicePtr = uint64_t;
 
-/// Set-associative LRU L2 cache model shared by all accesses of a launch.
-/// access() is on the path of every load, store and atomic, so it divides
-/// by nothing at run time: the line size is a power of two (a shift), and
-/// the set count splits into a power of two (a mask) times an odd factor,
-/// which is 1 on amdgcn-sim (4096 sets) and 3 on nvptx-sim (3072), a
-/// modulo by a constant.
-class L2Cache {
-public:
-  /// \p LineBytes must be a power of two.
-  L2Cache(uint64_t SizeBytes, unsigned LineBytes, unsigned Ways);
-
-  /// Simulates one access; returns true on hit.
-  bool access(uint64_t Address) {
-    const uint64_t Line = (Address >> LineShift) + 1; // +1: tag 0 is empty
-    const size_t Base = setOf(Line) * Ways;
-    uint64_t *SetTags = &Tags[Base];
-    uint32_t *SetUsed = &LastUsed[Base];
-    if (++Clock == 0)
-      Clock = renumberStamps();
-    // On a miss, the least recently used way is replaced: the first one
-    // with the smallest stamp, so an empty way (stamp 0) first.
-    unsigned VictimWay = 0;
-    for (unsigned W = 0; W != Ways; ++W) {
-      if (SetTags[W] == Line) {
-        SetUsed[W] = Clock;
-        return true;
-      }
-      if (SetUsed[W] < SetUsed[VictimWay])
-        VictimWay = W;
-    }
-    SetTags[VictimWay] = Line;
-    SetUsed[VictimWay] = Clock;
-    return false;
-  }
-
-  /// Set of \p Line: exactly Line % NumSets, for every Line.
-  size_t setOf(uint64_t Line) const {
-    const uint64_t High = Line >> SetShift;
-    const uint64_t OddPart = OddSets == 1   ? 0
-                             : OddSets == 3 ? High % 3
-                                            : High % OddSets;
-    return static_cast<size_t>(OddPart << SetShift | (Line & SetMask));
-  }
-
-  size_t numSets() const { return NumSets; }
-
-  void reset();
-
-  /// Test hook: the LRU clock's next access stamps \p Next + 1.
-  void setClockForTesting(uint32_t Next) { Clock = Next; }
-
-private:
-  /// The LRU clock wrapped: renumbers every set's stamps to their rank
-  /// order (1 = least recent; 0 stays "never used"), which keeps each
-  /// set's order exact. Returns the stamp for the access in progress.
-  uint32_t renumberStamps();
-
-  unsigned LineShift;
-  unsigned Ways;
-  size_t NumSets;
-  unsigned SetShift;  ///< NumSets = OddSets << SetShift
-  uint64_t SetMask;   ///< (1 << SetShift) - 1
-  uint64_t OddSets;
-  std::vector<uint64_t> Tags;     // NumSets x Ways, 0 = empty
-  std::vector<uint32_t> LastUsed; // LRU stamps, 0 = never used
-  uint32_t Clock = 0;
-};
-
 /// LaunchStats counter an executed instruction counts toward. Each decoded
 /// instruction names up to three; Discard absorbs the unused ones.
 enum class StatSlot : uint8_t {
@@ -198,6 +130,77 @@ public:
 private:
   uint8_t *Base = nullptr;
   uint64_t Bytes = 0;
+};
+
+/// Set-associative LRU L2 cache model shared by all accesses of a launch.
+/// access() is on the path of every load, store and atomic, so it divides
+/// by nothing at run time: the line size is a power of two (a shift), and
+/// the set count splits into a power of two (a mask) times an odd factor,
+/// which is 1 on amdgcn-sim (4096 sets) and 3 on nvptx-sim (3072), a
+/// modulo by a constant.
+class L2Cache {
+public:
+  /// \p LineBytes must be a power of two.
+  L2Cache(uint64_t SizeBytes, unsigned LineBytes, unsigned Ways);
+
+  /// Simulates one access; returns true on hit.
+  bool access(uint64_t Address) {
+    const uint64_t Line = (Address >> LineShift) + 1; // +1: tag 0 is empty
+    const size_t Base = setOf(Line) * Ways;
+    uint64_t *SetTags = &Tags[Base];
+    uint32_t *SetUsed = &LastUsed[Base];
+    if (++Clock == 0)
+      Clock = renumberStamps();
+    // On a miss, the least recently used way is replaced: the first one
+    // with the smallest stamp, so an empty way (stamp 0) first.
+    unsigned VictimWay = 0;
+    for (unsigned W = 0; W != Ways; ++W) {
+      if (SetTags[W] == Line) {
+        SetUsed[W] = Clock;
+        return true;
+      }
+      if (SetUsed[W] < SetUsed[VictimWay])
+        VictimWay = W;
+    }
+    SetTags[VictimWay] = Line;
+    SetUsed[VictimWay] = Clock;
+    return false;
+  }
+
+  /// Set of \p Line: exactly Line % NumSets, for every Line.
+  size_t setOf(uint64_t Line) const {
+    const uint64_t High = Line >> SetShift;
+    const uint64_t OddPart = OddSets == 1   ? 0
+                             : OddSets == 3 ? High % 3
+                                            : High % OddSets;
+    return static_cast<size_t>(OddPart << SetShift | (Line & SetMask));
+  }
+
+  size_t numSets() const { return NumSets; }
+
+  void reset();
+
+  /// Test hook: the LRU clock's next access stamps \p Next + 1.
+  void setClockForTesting(uint32_t Next) { Clock = Next; }
+
+private:
+  /// The LRU clock wrapped: renumbers every set's stamps to their rank
+  /// order (1 = least recent; 0 stays "never used"), which keeps each
+  /// set's order exact. Returns the stamp for the access in progress.
+  uint32_t renumberStamps();
+
+  unsigned LineShift;
+  unsigned Ways;
+  size_t NumSets;
+  unsigned SetShift;  ///< NumSets = OddSets << SetShift
+  uint64_t SetMask;   ///< (1 << SetShift) - 1
+  uint64_t OddSets;
+  /// The tags, then the stamps. Demand-paged: sets no launch touched cost
+  /// no memory (a device's L2 state is 768 KiB).
+  DeviceMemory State;
+  uint64_t *Tags;     // NumSets x Ways, 0 = empty
+  uint32_t *LastUsed; // LRU stamps, 0 = never used
+  uint32_t Clock = 0;
 };
 
 /// Outcome of Device::free — unknown and double frees are counted and
