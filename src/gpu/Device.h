@@ -435,11 +435,6 @@ public:
   /// The executor's scratch, reused across launches (see launchKernel).
   std::vector<uint64_t> LaunchScratch;
 
-  /// The perf model's last input and result. The model is a pure function
-  /// of the target and the counters, so a launch whose counters equal the
-  /// input reuses the result (warm loops repeat their counters).
-  LaunchStats ModelIn, ModelOut;
-
 private:
   const TargetInfo &Target;
   DeviceMemory Memory;

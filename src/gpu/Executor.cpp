@@ -669,13 +669,7 @@ LaunchResult proteus::gpu::launchKernel(Device &Dev,
   // The executor computes the launch's cost but does not charge any stream
   // timeline: the Runtime.h wrappers decide which timeline pays (serial
   // barrier for gpuLaunchKernel, the target stream for the Async variant).
-  if (S == Dev.ModelIn) {
-    S = Dev.ModelOut;
-  } else {
-    Dev.ModelIn = S;
-    applyPerfModel(Dev.target(), S);
-    Dev.ModelOut = S;
-  }
+  applyPerfModel(Dev.target(), S);
   Dev.LastLaunch = S;
   auto [It, First] = Dev.Profile.try_emplace(S.Kernel);
   if (First)

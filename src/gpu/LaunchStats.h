@@ -74,8 +74,6 @@ struct LaunchStats {
   /// Accumulates counters of another launch (same kernel) for aggregated
   /// profiling reports.
   void accumulate(const LaunchStats &O);
-
-  bool operator==(const LaunchStats &) const = default;
 };
 
 } // namespace gpu

@@ -15,6 +15,7 @@
 #include "ir/Module.h"
 #include "ir/Verifier.h"
 #include "support/Env.h"
+#include "support/Error.h"
 #include "support/Hashing.h"
 #include "support/Timer.h"
 #include "support/Trace.h"
@@ -34,7 +35,8 @@ namespace {
 /// then publishes the slot's tag with a release store, so a lookup that
 /// acquires a nonzero tag reads finished words. Lookups take no lock and
 /// allocate nothing; inserts serialize on the memo's mutex and stop at
-/// HashMemoCapacity keys, so memory stays bounded.
+/// HashMemoCapacity keys, so memory stays bounded. Once full, an insert
+/// returns before taking the mutex.
 class SpecHashMemo {
 public:
   static constexpr unsigned Slots = JitRuntime::HashMemoCapacity / 3 * 4;
@@ -68,8 +70,10 @@ public:
   }
 
   void insert(const uint64_t *Key, uint64_t Digest, uint64_t Hash) {
+    if (Used.load(std::memory_order_relaxed) == JitRuntime::HashMemoCapacity)
+      return;
     std::lock_guard<std::mutex> Lock(InsertMutex);
-    if (Used == JitRuntime::HashMemoCapacity)
+    if (Used.load(std::memory_order_relaxed) == JitRuntime::HashMemoCapacity)
       return;
     for (unsigned I = 0; I != Slots; ++I) {
       const unsigned S = ((Digest >> 8) + I) & (Slots - 1);
@@ -80,10 +84,18 @@ public:
         std::copy(Key, Key + Width, &Words[size_t(S) * Width]);
         Hashes[S] = Hash;
         Tags[S].store(Digest, std::memory_order_release);
-        ++Used;
+        Used.fetch_add(1, std::memory_order_relaxed);
         return;
       }
     }
+  }
+
+  /// Empties the memo. No lookup may run concurrently.
+  void clear() {
+    std::lock_guard<std::mutex> Lock(InsertMutex);
+    for (std::atomic<uint64_t> &Tag : Tags)
+      Tag.store(0, std::memory_order_relaxed);
+    Used.store(0, std::memory_order_relaxed);
   }
 
 private:
@@ -96,7 +108,7 @@ private:
   uint64_t Hashes[Slots] = {};
   std::atomic<uint64_t> Tags[Slots] = {};
   std::mutex InsertMutex;
-  unsigned Used = 0;
+  std::atomic<unsigned> Used = 0;
 };
 
 /// One launch's memo key words, on the stack unless the kernel folds more
@@ -275,6 +287,13 @@ KernelHandle JitRuntime::registerKernel(JitKernelInfo Info) {
     std::lock_guard<std::mutex> Lock(RegistryMutex);
     if (auto It = Kernels.find(Info.Symbol); It != Kernels.end())
       return KernelHandle(It->second.get());
+    // Launches read Kernels without a lock, so a new symbol may only be
+    // inserted before the first launch: an insert could rehash the table
+    // under a launch resolving its symbol.
+    if (Stat.Launches->value() != 0)
+      reportFatalError("JitRuntime::registerKernel: kernel @" + Info.Symbol +
+                       " registered after the first launch; register "
+                       "every kernel before launching");
   }
   if (!Info.GenericObject.empty())
     Info.GenericArch = readObject(Info.GenericObject).Arch;
@@ -344,6 +363,8 @@ void JitRuntime::resetInMemoryState() {
     std::lock_guard<std::mutex> Lock(IndexMutex);
     ModuleIndexes.clear();
   }
+  for (auto &[Symbol, K] : Kernels)
+    K->Memo.clear();
   Cache.clearMemory();
 }
 

@@ -51,9 +51,10 @@
 ///
 /// A warm launch takes one lock: its device's. The kernel comes from a
 /// KernelHandle (registerKernel; a launch by symbol resolves the handle in
-/// a table that registration, like attachDevice, fills before concurrent
-/// launches begin), and its specialization hash from the handle's
-/// lock-free memo, whose inserts take a per-kernel leaf lock.
+/// a table that registration fills before the first launch, a rule
+/// registerKernel enforces), and its specialization hash from the
+/// handle's lock-free memo, whose inserts take a per-kernel leaf lock
+/// until the memo is full.
 ///
 /// Lock order (deadlock discipline): the runtime's table mutexes
 /// (RegistryMutex, which serializes registration and the global-address
@@ -431,8 +432,9 @@ public:
   /// Registers a JIT-annotated kernel (done by program load) and returns
   /// its handle. Re-registering a symbol keeps the first registration (the
   /// kernels are identical; the first device's bitcode location stays
-  /// authoritative) and returns its handle. Like attachDevice, must
-  /// complete before concurrent launches begin.
+  /// authoritative) and returns its handle. Launches resolve symbols
+  /// without a lock, so registering a new symbol after the first launch
+  /// is a fatal error; re-registering a known one is not.
   KernelHandle registerKernel(JitKernelInfo Info);
 
   /// The handle of registered kernel \p Symbol, or a null handle.
@@ -565,8 +567,8 @@ public:
   void drain();
 
   /// Drops in-memory state (fresh-process simulation; persistent cache
-  /// stays warm). Drains background promotions first. The kernels' hash
-  /// memos stay: each entry is a pure function of its key.
+  /// stays warm), the kernels' hash memos included. Drains background
+  /// promotions first; no launch may be in flight.
   void resetInMemoryState();
 
 private:
@@ -742,8 +744,9 @@ private:
   metrics::Registry Metrics;
   JitStatHandles Stat;
 
-  /// Serializes registration; guards GlobalAddresses. Kernels is only
-  /// written during setup (registerKernel), so launches read it unlocked.
+  /// Serializes registration; guards GlobalAddresses. Kernels gains no
+  /// symbol after the first launch (registerKernel aborts), so launches
+  /// read it unlocked.
   std::mutex RegistryMutex;
   std::unordered_map<std::string, std::unique_ptr<JitKernel>> Kernels;
   std::map<std::string, gpu::DevicePtr> GlobalAddresses;

@@ -465,4 +465,72 @@ TEST(JitConcurrencyTest, LockFreeHashMemoUnderAFourDevicePool) {
       << "one compile per distinct specialization";
 }
 
+TEST(JitConcurrencyTest, ResetInMemoryStateEmptiesTheHashMemo) {
+  // A fresh-process simulation pays for the specialization hash again.
+  Context Ctx;
+  std::unique_ptr<Module> M = buildFillProgram(Ctx);
+  AotOptions AO;
+  AO.Arch = GpuArch::AmdGcnSim;
+  AO.EnableProteusExtensions = true;
+  CompiledProgram Prog = aotCompile(*M, AO);
+  JitConfig JC;
+  JC.UsePersistentCache = false;
+  Device Dev(getAmdGcnSimTarget(), 1 << 20);
+  JitRuntime Jit(Dev, Prog.ModuleId, JC);
+  LoadedProgram LP(Dev, Prog, &Jit);
+  ASSERT_TRUE(LP.ok()) << LP.error();
+  DevicePtr Out = 0;
+  ASSERT_EQ(gpuMalloc(Dev, &Out, 32 * 4), GpuError::Success);
+  const std::vector<KernelArg> Args = {{Out}, {uint32_t(5)}};
+  for (unsigned I = 0; I != 4; ++I) {
+    if (I == 2)
+      Jit.resetInMemoryState();
+    std::string Err;
+    ASSERT_EQ(LP.launch("fill", Dim3{1, 1, 1}, Dim3{32, 1, 1}, Args, &Err),
+              GpuError::Success)
+        << Err;
+  }
+  JitRuntimeStats S = Jit.stats();
+  EXPECT_EQ(S.HashMemoMisses, 2u);
+  EXPECT_EQ(S.HashMemoHits, 2u);
+  EXPECT_EQ(S.Compilations, 2u);
+}
+
+TEST(JitConcurrencyDeathTest, RegisteringANewKernelAfterALaunchIsFatal) {
+  // Launches resolve symbols without a lock, so the registry must not grow
+  // once they have begun. Re-registering a known kernel (a program loaded
+  // on a further device) stays allowed.
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  auto RegisterLate = [] {
+    Context Ctx;
+    std::unique_ptr<Module> M = buildFillProgram(Ctx);
+    AotOptions AO;
+    AO.Arch = GpuArch::AmdGcnSim;
+    AO.EnableProteusExtensions = true;
+    CompiledProgram Prog = aotCompile(*M, AO);
+    JitConfig JC;
+    JC.UsePersistentCache = false;
+    Device Dev(getAmdGcnSimTarget(), 1 << 20), Dev2(getAmdGcnSimTarget(),
+                                                    1 << 20);
+    JitRuntime Jit(Dev, Prog.ModuleId, JC);
+    Jit.attachDevice(Dev2);
+    LoadedProgram LP(Dev, Prog, &Jit);
+    if (!LP.ok())
+      return;
+    DevicePtr Out = 0;
+    gpuMalloc(Dev, &Out, 32 * 4);
+    if (LP.launch("fill", Dim3{1, 1, 1}, Dim3{32, 1, 1},
+                  {{Out}, {uint32_t(5)}}) != GpuError::Success)
+      return;
+    LoadedProgram LP2(Dev2, Prog, &Jit);
+    if (!LP2.ok())
+      return;
+    JitKernelInfo Info;
+    Info.Symbol = "late";
+    Jit.registerKernel(std::move(Info));
+  };
+  EXPECT_DEATH(RegisterLate(),
+               "kernel @late registered after the first launch");
+}
+
 } // namespace
