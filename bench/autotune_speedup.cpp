@@ -166,7 +166,6 @@ int main(int Argc, char **Argv) {
     JC.CacheDir = CacheDir;
     JC.Capture = true;
     JC.CaptureDir = CaptureDir;
-    JC.Tune = true;
 
     Device Dev(getTarget(GpuArch::AmdGcnSim), 1 << 22);
     JitRuntime Jit(Dev, Prog.ModuleId, JC);
@@ -219,7 +218,7 @@ int main(int Argc, char **Argv) {
         1e6;
 
     // Race the variants on the replay substrate, promote the winner here.
-    VariantManager VM(Jit, VariantManager::Options::fromConfig(JC));
+    VariantManager VM(Jit);
     Cold = VM.tuneArtifact(A);
     if (!Cold.Ok) {
       std::fprintf(stderr, "FATAL: tuning failed: %s\n", Cold.Error.c_str());
@@ -243,7 +242,6 @@ int main(int Argc, char **Argv) {
   {
     JitConfig JC;
     JC.CacheDir = CacheDir;
-    JC.Tune = true;
 
     Device Dev(getTarget(GpuArch::AmdGcnSim), 1 << 22);
     JitRuntime Jit(Dev, Prog.ModuleId, JC);
@@ -254,7 +252,7 @@ int main(int Argc, char **Argv) {
       return 1;
     }
     Timer T;
-    VariantManager VM(Jit, VariantManager::Options::fromConfig(JC));
+    VariantManager VM(Jit);
     Warm = VM.tuneArtifact(A);
     WarmWallSeconds = T.seconds();
     Jit.drain();

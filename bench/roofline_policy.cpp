@@ -172,7 +172,6 @@ int main(int Argc, char **Argv) {
     JC.CacheDir = CacheOff;
     JC.Capture = true;
     JC.CaptureDir = CaptureDir;
-    JC.Tune = true;
 
     Device Dev(getTarget(GpuArch::AmdGcnSim), 1 << 22);
     JitRuntime Jit(Dev, Prog.ModuleId, JC);
@@ -213,7 +212,7 @@ int main(int Argc, char **Argv) {
     }
     A = *Read;
 
-    VariantManager VM(Jit, VariantManager::Options::fromConfig(JC));
+    VariantManager VM(Jit);
     Off = VM.tuneArtifact(A);
     if (!Off.Ok) {
       std::fprintf(stderr, "FATAL: unpruned race failed: %s\n",
@@ -228,7 +227,6 @@ int main(int Argc, char **Argv) {
   {
     JitConfig JC;
     JC.CacheDir = CacheOn;
-    JC.Tune = true;
     JC.Policy = true;
 
     Device Dev(getTarget(GpuArch::AmdGcnSim), 1 << 22);
@@ -239,7 +237,7 @@ int main(int Argc, char **Argv) {
                    LP.error().c_str());
       return 1;
     }
-    VariantManager VM(Jit, VariantManager::Options::fromConfig(JC));
+    VariantManager VM(Jit);
     On = VM.tuneArtifact(A);
     if (!On.Ok) {
       std::fprintf(stderr, "FATAL: pruned race failed: %s\n",

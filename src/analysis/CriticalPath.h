@@ -18,10 +18,9 @@
 ///    (the host-side synchronization the trace cannot record directly).
 ///
 /// A forward/backward longest-path pass yields the critical-path length,
-/// per-span slack, and a per-kernel-name criticality fraction. The JIT's
-/// CompilationPolicy uses the kernel names on the critical path to decide
-/// which symbols deserve Tier-1 promotion: a kernel with large slack cannot
-/// shorten the run no matter how well it is compiled.
+/// per-span slack, and a per-kernel-name criticality fraction. The
+/// heterogeneous scheduler (sched/Scheduler.h) biases placement by it, and
+/// `pir-roofline --trace` reports it.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -98,18 +98,6 @@ DeviceMemory::~DeviceMemory() {
     munmap(Base, Bytes);
 }
 
-DeviceMemory &DeviceMemory::operator=(const std::vector<uint8_t> &Image) {
-  if (Image.size() != Bytes)
-    reportFatalError("device memory: restoring a snapshot of the wrong size");
-  constexpr uint64_t Page = 4096;
-  for (uint64_t Off = 0; Off < Bytes; Off += Page) {
-    uint64_t N = std::min(Page, Bytes - Off);
-    if (std::memcmp(Base + Off, Image.data() + Off, N) != 0)
-      std::memcpy(Base + Off, Image.data() + Off, N);
-  }
-  return *this;
-}
-
 Device::Device(const TargetInfo &Target, uint64_t MemoryBytes)
     : Target(Target), Memory(MemoryBytes), L2(Target.L2Bytes, 128, 16) {
   // Stream 0 is the legacy default stream; it always exists.

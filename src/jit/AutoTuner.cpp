@@ -9,88 +9,12 @@
 #include "bitcode/ModuleIndex.h"
 #include "ir/Context.h"
 #include "ir/Module.h"
-#include "support/FileSystem.h"
 #include "support/Timer.h"
+
+#include <algorithm>
 
 using namespace proteus;
 using namespace proteus::gpu;
-
-TuningResult proteus::autotuneBlockSize(
-    Device &Dev, JitRuntime &Jit, const std::string &Symbol,
-    uint64_t TotalThreads, const std::vector<KernelArg> &Args,
-    const std::vector<uint32_t> &Candidates) {
-  TuningResult Out;
-  if (TotalThreads == 0 || Candidates.empty()) {
-    Out.Error = "autotune requires work and candidates";
-    return Out;
-  }
-  // Trials must run on the device the caller handed us. The runtime's
-  // plain launchKernel always targets device 0, so resolve Dev's attach
-  // index and route every trial through launchKernelOn — tuning a
-  // non-primary device used to time (and mutate!) device 0 while
-  // snapshotting Dev.
-  const int Index = Jit.deviceIndexOf(Dev);
-  if (Index < 0) {
-    Jit.noteTunerError();
-    Out.Error = "device is not attached to this JIT runtime";
-    return Out;
-  }
-
-  // Snapshot device state: trial launches must not leak side effects.
-  // Per-stream timelines are captured individually so multi-stream
-  // programs get their exact tails back (restoreClock collapsed
-  // everything onto the default stream).
-  std::vector<uint8_t> Snapshot = Dev.memory();
-  const std::vector<double> Tails = Dev.streamTails();
-  const double KernelBefore = Dev.kernelSeconds();
-
-  for (uint32_t Block : Candidates) {
-    if (Block == 0 || Block > 1024)
-      continue;
-    uint64_t Blocks = (TotalThreads + Block - 1) / Block;
-    if (Blocks == 0 || Blocks > (1ull << 31))
-      continue;
-    TuningTrial Trial;
-    Trial.ThreadsPerBlock = Block;
-    // Pin the trial to the final compilation tier before timing it: under
-    // PROTEUS_TIER=on a cold launch would otherwise run the Tier-0
-    // baseline, so early candidates would race handicapped code while
-    // later ones might catch their background promotions.
-    std::string Err;
-    GpuError E = Jit.installFinalTier(Symbol, Dim3{Block, 1, 1}, Args,
-                                      /*O3Override=*/nullptr, Index,
-                                      /*ReuseCached=*/true, &Err);
-    if (E == GpuError::Success)
-      E = Jit.launchKernelOn(static_cast<unsigned>(Index), Symbol,
-                             Dim3{static_cast<uint32_t>(Blocks), 1, 1},
-                             Dim3{Block, 1, 1}, Args, nullptr, &Err);
-    if (E == GpuError::Success) {
-      Trial.Ok = true;
-      Trial.KernelSeconds = Dev.LastLaunch.DurationSec;
-    }
-    Jit.noteTunerTrials(1);
-    Out.Trials.push_back(Trial);
-    // Roll back side effects of the trial.
-    Dev.memory() = Snapshot;
-  }
-
-  // Restore the simulated clocks: tuning happens once at startup; its
-  // trial time is the caller's to report, not program device time.
-  Dev.restoreTimelines(Tails, KernelBefore);
-
-  for (const TuningTrial &T : Out.Trials) {
-    if (!T.Ok)
-      continue;
-    if (!Out.Ok || T.KernelSeconds < Out.BestSeconds) {
-      Out.Ok = true;
-      Out.BestThreadsPerBlock = T.ThreadsPerBlock;
-      Out.BestSeconds = T.KernelSeconds;
-    }
-  }
-  if (!Out.Ok)
-    Out.Error = "no candidate produced a successful launch";
-  return Out;
-}
 
 std::vector<VariantSpec>
 VariantManager::generateVariants(const capture::CaptureArtifact &A) const {
@@ -128,9 +52,7 @@ VariantManager::generateVariants(const capture::CaptureArtifact &A) const {
   // of each candidate block size (each implies its own launch-bounds
   // specialization, hence its own register budget in the backend).
   const uint64_t Total = A.Grid.count() * A.Block.count();
-  for (uint32_t Block : Opts.BlockCandidates) {
-    if (Block == 0 || Block > 1024)
-      continue;
+  for (uint32_t Block : BlockCandidates) {
     uint64_t Blocks = (Total + Block - 1) / Block;
     if (Blocks == 0 || Blocks > (1ull << 31))
       continue;
@@ -177,7 +99,7 @@ VariantManager::generateVariants(const capture::CaptureArtifact &A) const {
     Jit.notePolicyPrunedTrials(Pruned);
 
   // Budget cap (PROTEUS_TUNE_BUDGET); the default variant always stays.
-  const size_t Budget = Opts.Budget > 0 ? Opts.Budget : 1;
+  const size_t Budget = std::max(Jit.config().TuneBudget, 1u);
   if (Specs.size() > Budget)
     Specs.resize(Budget);
   return Specs;
@@ -224,10 +146,6 @@ VariantManager::ensureVerdict(const capture::CaptureArtifact &A) {
 VariantTuningResult
 VariantManager::tuneArtifact(const capture::CaptureArtifact &A) {
   VariantTuningResult R;
-  if (!Opts.Enabled) {
-    R.Error = "tuning is disabled (PROTEUS_TUNE=off)";
-    return R;
-  }
   if (A.KernelSymbol.empty() || A.Bitcode.empty()) {
     Jit.noteTunerError();
     R.Error = "artifact carries no kernel bitcode";
@@ -260,18 +178,16 @@ VariantManager::tuneArtifact(const capture::CaptureArtifact &A) {
     R.Winner.O3.Unroll.MaxExpandedInstructions =
         D->UnrollMaxExpandedInstructions;
     R.WinnerSeconds = D->ExpectedSeconds;
-    if (Opts.Promote) {
-      std::string Err;
-      if (Jit.installFinalTier(A.KernelSymbol, R.Winner.Block, Args,
-                               &R.Winner.O3, /*DeviceIndex=*/-1,
-                               /*ReuseCached=*/true,
-                               &Err) != GpuError::Success) {
-        R.Error = "cached winner install failed: " + Err;
-        R.TuningWallSeconds = Wall.seconds();
-        return R;
-      }
-      R.Promoted = true;
+    std::string Err;
+    if (Jit.installFinalTier(A.KernelSymbol, R.Winner.Block, Args,
+                             &R.Winner.O3, /*DeviceIndex=*/-1,
+                             /*ReuseCached=*/true,
+                             &Err) != GpuError::Success) {
+      R.Error = "cached winner install failed: " + Err;
+      R.TuningWallSeconds = Wall.seconds();
+      return R;
     }
+    R.Promoted = true;
     R.Ok = true;
     R.TuningWallSeconds = Wall.seconds();
     return R;
@@ -290,7 +206,6 @@ VariantManager::tuneArtifact(const capture::CaptureArtifact &A) {
   Base.Jit.Tier = false;
   Base.Jit.Async = JitConfig::AsyncMode::Sync;
   Base.Jit.Capture = false;
-  Base.Jit.Tune = false;
   Base.Jit.UseMemoryCache = true;
   Base.Jit.UsePersistentCache = false;
   Base.Jit.CacheDir.clear();
@@ -347,57 +262,39 @@ VariantManager::tuneArtifact(const capture::CaptureArtifact &A) {
   // Promote the winner through the Tier-1 hot-swap path on every attached
   // device, compiled fresh under the winning pipeline knobs (this is also
   // what lands it in the persistent code cache for the warm path).
-  if (Opts.Promote) {
-    std::string Err;
-    if (Jit.installFinalTier(A.KernelSymbol, R.Winner.Block, Args,
-                             &R.Winner.O3, /*DeviceIndex=*/-1,
-                             /*ReuseCached=*/false,
-                             &Err) != GpuError::Success) {
-      R.Error = "winner promotion failed: " + Err;
-      R.TuningWallSeconds = Wall.seconds();
-      return R;
-    }
-    R.Promoted = true;
+  std::string Err;
+  if (Jit.installFinalTier(A.KernelSymbol, R.Winner.Block, Args,
+                           &R.Winner.O3, /*DeviceIndex=*/-1,
+                           /*ReuseCached=*/false,
+                           &Err) != GpuError::Success) {
+    R.Error = "winner promotion failed: " + Err;
+    R.TuningWallSeconds = Wall.seconds();
+    return R;
   }
+  R.Promoted = true;
 
-  if (Opts.PersistDecision) {
-    TuningDecision D;
-    D.GridX = R.Winner.Grid.X;
-    D.GridY = R.Winner.Grid.Y;
-    D.GridZ = R.Winner.Grid.Z;
-    D.BlockX = R.Winner.Block.X;
-    D.BlockY = R.Winner.Block.Y;
-    D.BlockZ = R.Winner.Block.Z;
-    D.Preset = R.Winner.O3.Preset == O3Preset::Fast ? 1 : 0;
-    D.EnableLICM = R.Winner.O3.EnableLICM ? 1 : 0;
-    D.UnrollMaxTripCount = R.Winner.O3.Unroll.MaxTripCount;
-    D.UnrollMaxExpandedInstructions =
-        R.Winner.O3.Unroll.MaxExpandedInstructions;
-    D.ExpectedSeconds = R.WinnerSeconds;
-    D.TrialsRun = static_cast<uint32_t>(R.Trials.size());
-    // Persist the roofline verdict with the decision (class + 1; 0 stays
-    // "unclassified"), so a warm fleet can see *why* a shape raced few
-    // variants without re-running the classifier.
-    if (Verdict)
-      D.Bottleneck = static_cast<uint8_t>(Verdict->Class) + 1;
-    Jit.storeTuningDecision(R.DecisionKey, D);
-  }
+  TuningDecision D;
+  D.GridX = R.Winner.Grid.X;
+  D.GridY = R.Winner.Grid.Y;
+  D.GridZ = R.Winner.Grid.Z;
+  D.BlockX = R.Winner.Block.X;
+  D.BlockY = R.Winner.Block.Y;
+  D.BlockZ = R.Winner.Block.Z;
+  D.Preset = R.Winner.O3.Preset == O3Preset::Fast ? 1 : 0;
+  D.EnableLICM = R.Winner.O3.EnableLICM ? 1 : 0;
+  D.UnrollMaxTripCount = R.Winner.O3.Unroll.MaxTripCount;
+  D.UnrollMaxExpandedInstructions =
+      R.Winner.O3.Unroll.MaxExpandedInstructions;
+  D.ExpectedSeconds = R.WinnerSeconds;
+  D.TrialsRun = static_cast<uint32_t>(R.Trials.size());
+  // Persist the roofline verdict with the decision (class + 1; 0 stays
+  // "unclassified"), so a warm fleet can see *why* a shape raced few
+  // variants without re-running the classifier.
+  if (Verdict)
+    D.Bottleneck = static_cast<uint8_t>(Verdict->Class) + 1;
+  Jit.storeTuningDecision(R.DecisionKey, D);
 
   R.Ok = true;
   R.TuningWallSeconds = Wall.seconds();
   return R;
-}
-
-std::vector<VariantTuningResult>
-VariantManager::tuneDirectory(const std::string &Dir) {
-  std::vector<VariantTuningResult> Results;
-  for (const std::string &Name : fs::listFiles(Dir)) {
-    std::string Error;
-    std::optional<capture::CaptureArtifact> A =
-        capture::readArtifactFile(Dir + "/" + Name, &Error);
-    if (!A)
-      continue; // not an artifact (or corrupt): nothing to tune
-    Results.push_back(tuneArtifact(*A));
-  }
-  return Results;
 }

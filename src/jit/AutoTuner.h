@@ -28,11 +28,6 @@
 /// the decision, installs the winner from the persistent code cache with
 /// zero compiles, and records a TunerCacheHits.
 ///
-/// The legacy entry point autotuneBlockSize() remains for callers holding a
-/// live device: it times candidate block sizes on the device itself (memory
-/// snapshot/restore around trials, per-stream timelines restored after),
-/// now correctly targeting whichever attached device it is handed.
-///
 //===----------------------------------------------------------------------===//
 
 #ifndef PROTEUS_JIT_AUTOTUNER_H
@@ -43,39 +38,6 @@
 #include "jit/Replay.h"
 
 namespace proteus {
-
-/// Result of one legacy on-device tuning trial.
-struct TuningTrial {
-  uint32_t ThreadsPerBlock = 0;
-  double KernelSeconds = 0;
-  bool Ok = false;
-};
-
-/// Outcome of a legacy on-device tuning session.
-struct TuningResult {
-  bool Ok = false;
-  std::string Error;
-  uint32_t BestThreadsPerBlock = 0;
-  double BestSeconds = 0;
-  std::vector<TuningTrial> Trials;
-};
-
-/// Tries each candidate block size for \p Symbol over \p TotalThreads
-/// work items (grid = ceil(total / block)) on \p Dev — which may be any
-/// device attached to \p Jit, not just the primary — restoring device
-/// memory and per-stream timelines after the trials, and returns the
-/// fastest configuration. Each trial is pinned to the final compilation
-/// tier (JitRuntime::installFinalTier) before it is timed, so under
-/// PROTEUS_TIER=on every candidate races the same Tier-1 code instead of
-/// early candidates being timed on Tier-0 baselines. Candidates that do
-/// not form a valid launch are skipped. Handing a device that is not
-/// attached to \p Jit is a counted error (TunerErrors).
-TuningResult autotuneBlockSize(gpu::Device &Dev, JitRuntime &Jit,
-                               const std::string &Symbol,
-                               uint64_t TotalThreads,
-                               const std::vector<gpu::KernelArg> &Args,
-                               const std::vector<uint32_t> &Candidates = {
-                                   64, 128, 256, 512, 1024});
 
 /// One competing configuration of a kernel specialization.
 struct VariantSpec {
@@ -128,33 +90,12 @@ struct VariantTuningResult {
 /// JitRuntime; tuning sessions are independent per artifact.
 class VariantManager {
 public:
-  struct Options {
-    /// Master switch (PROTEUS_TUNE). Disabled sessions return immediately.
-    bool Enabled = true;
-    /// Maximum trials per specialization (PROTEUS_TUNE_BUDGET). The
-    /// recorded default configuration always races, so the budget is
-    /// effectively clamped to at least 1.
-    unsigned Budget = 8;
-    /// Block sizes to race (each with grid = ceil(total work / block)).
-    std::vector<uint32_t> BlockCandidates{64, 128, 256, 512};
-    /// Persist the winning decision in the code cache.
-    bool PersistDecision = true;
-    /// Hot-swap the winner onto every attached device after the race.
-    bool Promote = true;
+  /// Block sizes the geometry axis races (each with grid = ceil(total
+  /// work / block)).
+  static constexpr uint32_t BlockCandidates[] = {64, 128, 256, 512};
 
-    /// Derives the tuning knobs from a runtime configuration
-    /// (PROTEUS_TUNE / PROTEUS_TUNE_BUDGET land here).
-    static Options fromConfig(const JitConfig &C) {
-      Options O;
-      O.Enabled = C.Tune;
-      O.Budget = C.TuneBudget;
-      return O;
-    }
-  };
-
+  /// The race is capped at the runtime's TuneBudget (PROTEUS_TUNE_BUDGET).
   explicit VariantManager(JitRuntime &Jit) : Jit(Jit) {}
-  VariantManager(JitRuntime &Jit, Options Opts)
-      : Jit(Jit), Opts(std::move(Opts)) {}
 
   /// The competing variants for \p A, budget-capped. Variant 0 is always
   /// the recorded default (the artifact's geometry under the runtime's own
@@ -180,14 +121,8 @@ public:
   /// winner on every attached device, and persists the decision.
   VariantTuningResult tuneArtifact(const capture::CaptureArtifact &A);
 
-  /// Reads every capture artifact in \p Dir and tunes each in turn
-  /// (unreadable files are skipped). Returns one result per artifact
-  /// tuned.
-  std::vector<VariantTuningResult> tuneDirectory(const std::string &Dir);
-
 private:
   JitRuntime &Jit;
-  Options Opts;
 };
 
 } // namespace proteus

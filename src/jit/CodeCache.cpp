@@ -342,6 +342,38 @@ std::optional<std::vector<uint8_t>> CodeCache::lookup(uint64_t Hash) {
   return std::move(Entry->Object);
 }
 
+std::optional<CachedCode> CodeCache::adoptPersistent(uint64_t Hash,
+                                                     const fleet::Blob &B) {
+  std::optional<DecodedEntry> Decoded = decodeEntry(B.Bytes);
+  if (!Decoded) {
+    // Truncated/corrupted entry (e.g. a crash mid-write): delete it and
+    // report a miss so the JIT recompiles instead of loading garbage.
+    ++Stats.CorruptPersistentEntries;
+    trace::instant("cache.corrupt", "cache");
+    Backend->remove(fleet::BlobKind::Code, Hash);
+    return std::nullopt;
+  }
+  // Tier attribution: a daemon round-trip costs very differently from a
+  // local disk read, so the fleet service's hits get their own counter.
+  if (B.Remote) {
+    ++Stats.RemoteHits;
+    trace::instant("cache.hit.remote", "cache");
+  } else {
+    ++Stats.PersistentHits;
+    trace::instant("cache.hit.persistent", "cache");
+  }
+  if (UseMemory && !Memory.count(Hash)) {
+    // Preserve the execution count across the promotion so the LFU policy
+    // is not biased against entries that round-tripped through the
+    // persistent level; this access counts too.
+    trace::instant("cache.promote", "cache");
+    insertMemoryEntry(Hash, Decoded->Payload, Decoded->HitCount + 1,
+                      Decoded->Tier, Decoded->Fingerprint);
+  }
+  return CachedCode{std::move(Decoded->Payload), Decoded->Tier,
+                    Decoded->Fingerprint};
+}
+
 std::optional<CachedCode> CodeCache::lookupEntry(uint64_t Hash) {
   std::lock_guard<std::mutex> Lock(Mutex);
   if (UseMemory) {
@@ -354,39 +386,10 @@ std::optional<CachedCode> CodeCache::lookupEntry(uint64_t Hash) {
                         It->second.Fingerprint};
     }
   }
-  if (UsePersistent) {
-    if (auto B = Backend->lookup(fleet::BlobKind::Code, Hash)) {
-      auto Decoded = decodeEntry(B->Bytes);
-      if (!Decoded) {
-        // Truncated/corrupted entry (e.g. a crash mid-write): delete it and
-        // report a miss so the JIT recompiles instead of loading garbage.
-        ++Stats.CorruptPersistentEntries;
-        trace::instant("cache.corrupt", "cache");
-        Backend->remove(fleet::BlobKind::Code, Hash);
-      } else {
-        // Tier attribution: a daemon round-trip costs very differently from
-        // a local disk read, so the fleet service's hits get their own
-        // counter.
-        if (B->Remote) {
-          ++Stats.RemoteHits;
-          trace::instant("cache.hit.remote", "cache");
-        } else {
-          ++Stats.PersistentHits;
-          trace::instant("cache.hit.persistent", "cache");
-        }
-        if (UseMemory) {
-          // Preserve the execution count across the promotion so the LFU
-          // policy is not biased against entries that round-tripped through
-          // the persistent level; this access counts too.
-          trace::instant("cache.promote", "cache");
-          insertMemoryEntry(Hash, Decoded->Payload, Decoded->HitCount + 1,
-                            Decoded->Tier, Decoded->Fingerprint);
-        }
-        return CachedCode{std::move(Decoded->Payload), Decoded->Tier,
-                          Decoded->Fingerprint};
-      }
-    }
-  }
+  if (UsePersistent)
+    if (auto B = Backend->lookup(fleet::BlobKind::Code, Hash))
+      if (std::optional<CachedCode> CC = adoptPersistent(Hash, *B))
+        return CC;
   ++Stats.Misses;
   trace::instant("cache.miss", "cache");
   return std::nullopt;
@@ -540,31 +543,14 @@ std::optional<CachedCode> CodeCache::waitRemoteCompile(uint64_t Hash,
   auto Backoff = std::chrono::microseconds(200);
   // Poll the backend directly (not lookupEntry) so the wait loop's
   // intermediate misses don't inflate this cache's miss statistics.
+  // A corrupt publish is deleted; the re-acquired claim below then makes
+  // this caller the recovering compiler.
   auto TryAdopt = [&]() -> std::optional<CachedCode> {
     auto B = Backend->lookup(fleet::BlobKind::Code, Hash);
     if (!B)
       return std::nullopt;
-    if (auto Decoded = decodeEntry(B->Bytes)) {
-      std::lock_guard<std::mutex> Lock(Mutex);
-      if (B->Remote) {
-        ++Stats.RemoteHits;
-        trace::instant("cache.hit.remote", "cache");
-      } else {
-        ++Stats.PersistentHits;
-        trace::instant("cache.hit.persistent", "cache");
-      }
-      if (UseMemory && !Memory.count(Hash))
-        insertMemoryEntry(Hash, Decoded->Payload, Decoded->HitCount + 1,
-                          Decoded->Tier, Decoded->Fingerprint);
-      return CachedCode{std::move(Decoded->Payload), Decoded->Tier,
-                        Decoded->Fingerprint};
-    }
-    // A corrupt publish: delete it; the re-acquired claim below makes
-    // this caller the recovering compiler.
     std::lock_guard<std::mutex> Lock(Mutex);
-    ++Stats.CorruptPersistentEntries;
-    Backend->remove(fleet::BlobKind::Code, Hash);
-    return std::nullopt;
+    return adoptPersistent(Hash, *B);
   };
   for (;;) {
     if (std::optional<CachedCode> CC = TryAdopt())

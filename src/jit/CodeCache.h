@@ -277,6 +277,11 @@ private:
   };
 
   void touchEntry(uint64_t Hash, Entry &E);
+  /// Serves \p B, what the persistent level holds for \p Hash (Mutex
+  /// held): counts a remote or persistent hit and promotes the entry into
+  /// memory, or deletes a corrupt entry and returns std::nullopt.
+  std::optional<CachedCode> adoptPersistent(uint64_t Hash,
+                                            const fleet::Blob &B);
   void insertMemoryEntry(uint64_t Hash, std::vector<uint8_t> Object,
                          uint64_t HitCount, CodeTier Tier,
                          uint64_t Fingerprint);

@@ -58,17 +58,3 @@ bool CompilationPolicy::axisWorthRacing(BottleneckClass C, VariantAxis A) {
   }
   return true;
 }
-
-void CompilationPolicy::setCriticalKernels(std::vector<std::string> Names) {
-  std::lock_guard<std::mutex> Lock(Mutex);
-  HaveCriticalSet = true;
-  CriticalKernels.clear();
-  CriticalKernels.insert(Names.begin(), Names.end());
-}
-
-bool CompilationPolicy::shouldPromote(const std::string &Symbol) const {
-  std::lock_guard<std::mutex> Lock(Mutex);
-  if (!HaveCriticalSet)
-    return true;
-  return CriticalKernels.count(Symbol) != 0;
-}

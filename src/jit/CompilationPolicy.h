@@ -7,10 +7,9 @@
 /// \file
 /// The policy layer between the static analyses and the JIT: it holds the
 /// per-(kernel, arch) roofline verdicts produced during compilation (or on
-/// demand from artifact bitcode), the critical-kernel set recovered from
-/// timeline traces, and the pruning rules the variant manager consults
-/// before racing a tuning axis. The rules encode where each axis can
-/// possibly pay off:
+/// demand from artifact bitcode) and the pruning rules the variant manager
+/// consults before racing a tuning axis. The rules encode where each axis
+/// can possibly pay off:
 ///
 ///   * MemoryBound — the bandwidth ceiling binds. None of the compile-side
 ///     axes reduce bytes moved (and in the simulator's occupancy model the
@@ -24,9 +23,7 @@
 ///   * LatencyBound — no ceiling clearly binds; race everything.
 ///
 /// Enabled by PROTEUS_POLICY=on; with the policy off the tuner races every
-/// axis exactly as before. The verdict also gates Tier-1 promotion: when a
-/// critical-kernel set is installed, kernels off the critical path stay at
-/// Tier-0 (policy.tier_demotions counts the skips).
+/// axis.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -39,9 +36,7 @@
 #include <map>
 #include <mutex>
 #include <optional>
-#include <set>
 #include <string>
-#include <vector>
 
 namespace proteus {
 
@@ -63,9 +58,9 @@ struct PolicyVerdict {
   double RidgeFlopsPerByte = 0;
 };
 
-/// Thread-safe store of verdicts + pruning and promotion rules. One
-/// instance lives on the JitRuntime (when PROTEUS_POLICY=on) and is shared
-/// with the variant manager.
+/// Thread-safe store of verdicts + the pruning rules. One instance lives on
+/// the JitRuntime (when PROTEUS_POLICY=on) and is shared with the variant
+/// manager.
 class CompilationPolicy {
 public:
   /// Records (or replaces) the verdict for \p Symbol on \p Arch.
@@ -79,21 +74,9 @@ public:
   static bool axisWorthRacing(pir::analysis::BottleneckClass C,
                               VariantAxis A);
 
-  /// Installs the set of kernel names found on the timeline critical path
-  /// (analysis/CriticalPath.h). Until this is called every kernel is
-  /// promotable; afterwards only members of the set are.
-  void setCriticalKernels(std::vector<std::string> Names);
-
-  /// Whether \p Symbol deserves the background Tier-1 promotion compile. A
-  /// kernel with timeline slack cannot shorten the run, so it stays at
-  /// Tier-0.
-  bool shouldPromote(const std::string &Symbol) const;
-
 private:
   mutable std::mutex Mutex;
   std::map<std::pair<std::string, GpuArch>, PolicyVerdict> Verdicts;
-  bool HaveCriticalSet = false;
-  std::set<std::string> CriticalKernels;
 };
 
 } // namespace proteus

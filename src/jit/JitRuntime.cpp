@@ -188,7 +188,6 @@ JitConfig JitConfig::fromEnvironment(std::vector<std::string> *Warnings) {
   }
   parseChoice("PROTEUS_CAPTURE_DEDUP", OffOn, C.CaptureDedup, Warnings);
   parseBounded("PROTEUS_CAPTURE_RING", 1, 65536, C.CaptureRing, Warnings);
-  parseChoice("PROTEUS_TUNE", OffOn, C.Tune, Warnings);
   parseChoice("PROTEUS_POLICY", OffOn, C.Policy, Warnings);
   parseBounded("PROTEUS_TUNE_BUDGET", 1, 256, C.TuneBudget, Warnings);
   C.Limits = CacheLimits::fromEnvironment(Warnings);
@@ -751,15 +750,6 @@ CompileRequest JitRuntime::compileRequest(const JitKernelInfo &Info,
   CompileRequest R;
   R.Hash = Hash;
   R.Bind = [this, &Info, Key](CodeTier Tier, CompileOutcome &Failed) {
-    // With tiering on the launch path wants Tier-0, so a Final bind is the
-    // promotion. Critical-path gate: a kernel with timeline slack cannot
-    // shorten the run, so its Tier-0 binary is already good enough.
-    if (Tier == CodeTier::Final && Config.Tier && PolicyState &&
-        !PolicyState->shouldPromote(Info.Symbol)) {
-      Stat.PolicyTierDemotions->add();
-      trace::instant("jit.policy_tier_demotion");
-      return CompileBody();
-    }
     return bindCompile(Info, Key, Tier, nullptr, Failed);
   };
   // The one hot-swap: records the promoted rung, which every device
@@ -1071,13 +1061,6 @@ bool JitRuntime::deviceOutOfRange(int64_t Index, std::string *Error) const {
   return false;
 }
 
-int JitRuntime::deviceIndexOf(const Device &D) const {
-  for (unsigned I = 0; I != Devices.size(); ++I)
-    if (Devices[I]->Dev == &D)
-      return static_cast<int>(I);
-  return -1;
-}
-
 std::optional<TuningDecision> JitRuntime::lookupTuningDecision(uint64_t Key) {
   std::optional<TuningDecision> D = Cache.lookupTuningDecision(Key);
   if (D) {
@@ -1133,8 +1116,9 @@ GpuError JitRuntime::installOnTargets(const std::string &Symbol, Dim3 Block,
         if (ReusedArches)
           ++*ReusedArches;
       } else {
-        // Tuning trials (O3Override) skip the fleet claim: the tuner needs
-        // the trial object itself, not whatever someone else published.
+        // A tuner install (O3Override) skips the fleet claim: it needs the
+        // object built with the winner's knobs, not whatever someone else
+        // published.
         CompileOutcome O;
         if (CompileBody Body =
                 bindCompile(K.Info, specializationKey(K, Words.data()),

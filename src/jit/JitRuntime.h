@@ -167,14 +167,8 @@ struct JitConfig {
   /// the pressure tests use to exercise ring shedding.
   bool CaptureDedup = true;
 
-  /// Kernel variant tuning (PROTEUS_TUNE=off|on): whether the variant
-  /// manager (jit/AutoTuner.h) races competing specializations — block
-  /// sizes, pipeline presets, unroll/LICM aggressiveness — on replayed
-  /// capture artifacts and promotes the empirical winner. Off by default;
-  /// the VariantManager honors this through Options::fromConfig.
-  bool Tune = false;
-  /// Upper bound on variants raced per specialization
-  /// (PROTEUS_TUNE_BUDGET, in [1, 256]). The default/recorded
+  /// Upper bound on variants the variant manager (jit/AutoTuner.h) races
+  /// per specialization (PROTEUS_TUNE_BUDGET, in [1, 256]). The recorded
   /// configuration always races, so the budget caps the extra trials.
   unsigned TuneBudget = 8;
 
@@ -182,20 +176,18 @@ struct JitConfig {
   /// every compiled kernel is classified on the static roofline
   /// (analysis/Roofline.h) with register-allocation feedback, the verdict
   /// is recorded on the runtime's CompilationPolicy and persisted alongside
-  /// tuning decisions, the variant manager prunes tuning axes the class
-  /// says cannot pay off (policy.pruned_trials), and kernels off an
-  /// installed timeline critical path are kept at Tier-0
-  /// (policy.tier_demotions). Off by default: the tuner races every axis
-  /// blindly, exactly as before.
+  /// tuning decisions, and the variant manager prunes tuning axes the class
+  /// says cannot pay off (policy.pruned_trials). Off by default: the tuner
+  /// races every axis.
   bool Policy = false;
 
   /// Applies the PROTEUS_* environment variables on top of the defaults
   /// (PROTEUS_NO_RCF, PROTEUS_NO_LAUNCH_BOUNDS, PROTEUS_CACHE_DIR,
-  /// PROTEUS_CACHE_REMOTE, PROTEUS_CACHE_SOCKET,
-  /// PROTEUS_ASYNC, PROTEUS_ASYNC_WORKERS, PROTEUS_CAPTURE,
-  /// PROTEUS_CAPTURE_DIR, PROTEUS_CAPTURE_RING, PROTEUS_CAPTURE_DEDUP,
-  /// PROTEUS_TUNE, PROTEUS_TUNE_BUDGET, PROTEUS_POLICY and the CacheLimits
-  /// variables).
+  /// PROTEUS_CACHE_REMOTE, PROTEUS_CACHE_SOCKET, PROTEUS_ASYNC,
+  /// PROTEUS_ASYNC_WORKERS, PROTEUS_TIER, PROTEUS_ANALYZE,
+  /// PROTEUS_VERIFY_EACH, PROTEUS_CAPTURE, PROTEUS_CAPTURE_DIR,
+  /// PROTEUS_CAPTURE_RING, PROTEUS_CAPTURE_DEDUP, PROTEUS_TUNE_BUDGET,
+  /// PROTEUS_POLICY and the CacheLimits variables).
   /// Unrecognized or out-of-range values are rejected: the default is kept
   /// and a diagnostic is appended to \p Warnings (or printed to stderr as
   /// "proteus: warning: ..." when \p Warnings is null) instead of being
@@ -241,19 +233,18 @@ const char *tierModeName(bool TierEnabled);
 /// launch-path load that reused the per-arch compiled object instead of
 /// recompiling — the compile-once/load-everywhere proof.
 ///
-/// Tuner counters: TunerTrials counts variant trials raced (replayed or
-/// live); TunerCacheHits counts tuning sessions served by a persisted
+/// Tuner counters: TunerTrials counts variant trials raced on replayed
+/// artifacts; TunerCacheHits counts tuning sessions served by a persisted
 /// decision (zero trials ran); TunerPromotions counts tuned winners
 /// installed through installFinalTier with pipeline overrides;
-/// TunerErrors counts tuning requests that failed outright (unattached
-/// device, unknown kernel, compile failure during promotion).
+/// TunerErrors counts tuning requests that failed outright (artifact
+/// without bitcode, no correct variant, bad device index, compile failure
+/// during promotion).
 ///
 /// Policy counters (PROTEUS_POLICY=on): PolicyClassified counts roofline
 /// classifications performed (one per compile, plus on-demand artifact
 /// classifications by the variant manager); PolicyPrunedTrials counts
-/// tuning variants the classification pruned before racing;
-/// PolicyTierDemotions counts Tier-1 promotions skipped because the kernel
-/// was off the installed timeline critical path.
+/// tuning variants the classification pruned before racing.
 ///
 /// Retarget counters (the cross-arch migration path, src/sched):
 /// RetargetCompiles counts retargetKernel calls that had to run the
@@ -288,7 +279,6 @@ const char *tierModeName(bool TierEnabled);
   X(TunerErrors, "jit.tuner_errors")                                           \
   X(PolicyClassified, "policy.classified")                                     \
   X(PolicyPrunedTrials, "policy.pruned_trials")                                \
-  X(PolicyTierDemotions, "policy.tier_demotions")                              \
   X(RetargetCompiles, "sched.retarget_compiles")                               \
   X(RetargetCacheReuse, "sched.retarget_reuse")                                \
   X(BitcodeParses, "jit.bitcode_parses")
@@ -424,11 +414,6 @@ public:
   }
   gpu::Device &device(unsigned Index) { return *Devices[Index]->Dev; }
 
-  /// Index of \p D in the attached-device pool, or -1 when \p D is not
-  /// attached to this runtime (callers targeting a specific device must
-  /// check, not assume device 0 — the bug the old tuner had).
-  int deviceIndexOf(const gpu::Device &D) const;
-
   /// Registers a JIT-annotated kernel (done by program load) and returns
   /// its handle. Re-registering a symbol keeps the first registration (the
   /// kernels are identical; the first device's bitcode location stays
@@ -480,10 +465,10 @@ public:
   /// Compiles (or serves from the cache) the *final-tier* object for the
   /// specialization that (\p Symbol, \p Block, \p Args) resolve to, and
   /// loads it onto the target devices — the variant manager's promotion
-  /// and trial-pinning primitive. \p DeviceIndex >= 0 scopes the install
-  /// to that one device (trial pinning); -1 installs on every attached
-  /// device (winner promotion), compiling once per distinct GpuArch. Any
-  /// other index fails with InvalidValue (counted in TunerErrors).
+  /// primitive. \p DeviceIndex >= 0 scopes the install to that one device;
+  /// -1 installs on every attached device (winner promotion), compiling
+  /// once per distinct GpuArch. Any other index fails with InvalidValue
+  /// (counted in TunerErrors).
   ///
   /// With \p ReuseCached, a valid final-tier cache entry short-circuits
   /// the compile (the warm-decision path compiles nothing); otherwise the
@@ -666,9 +651,9 @@ private:
   CompileBody bindCompile(const JitKernelInfo &Info,
                           const SpecializationKey &Key, CodeTier Tier,
                           const O3Options *O3Override, CompileOutcome &Failed);
-  /// The launch path's request for (\p Info, \p Key): binds compiles
-  /// (gating Final promotions on the policy's critical path) and records a
-  /// finished promotion for every device mapping a lower rung to adopt.
+  /// The launch path's request for (\p Info, \p Key): binds compiles and
+  /// records a finished promotion for every device mapping a lower rung to
+  /// adopt.
   CompileRequest compileRequest(const JitKernelInfo &Info,
                                 const SpecializationKey &Key, uint64_t Hash);
   /// Returns the kernel's parse-once module index, building (and caching)

@@ -25,6 +25,7 @@
 #include "jit/JitRuntime.h"
 #include "jit/Program.h"
 #include "support/FileSystem.h"
+#include "support/Trace.h"
 
 #include <gtest/gtest.h>
 
@@ -524,6 +525,47 @@ TEST(FleetCodeCacheTest, WaitRemoteCompileServesTheOwnersPublish) {
   EXPECT_EQ(Served->Object, blob(96, 0x31));
   EXPECT_EQ(Served->PipelineFingerprint, 0xF1u);
   EXPECT_GT(B.stats().RemoteHits + B.stats().PersistentHits, 0u);
+}
+
+TEST(FleetCodeCacheTest, WaitRemoteCompileDeletesACorruptPublish) {
+  // The owner publishes a torn entry and releases its claim. The waiter
+  // must count and trace the corrupt entry like a lookup does, delete it,
+  // and inherit the compile.
+  ServerFixture F;
+  ASSERT_TRUE(F.Server);
+  RemoteBackendOptions ROA, ROB;
+  ROA.SocketPath = ROB.SocketPath = F.Socket;
+  ROA.FallbackDir = ROB.FallbackDir = F.Tmp.Path + "/fallback";
+  CacheLimits L;
+  CodeCache A(false, true, F.Tmp.Path + "/store", L,
+              std::make_unique<RemoteCacheBackend>(std::move(ROA)));
+  CodeCache B(true, true, F.Tmp.Path + "/store", L,
+              std::make_unique<RemoteCacheBackend>(std::move(ROB)));
+
+  ASSERT_EQ(A.beginCompile(41), CompileClaim::Owner);
+  ASSERT_EQ(B.beginCompile(41), CompileClaim::InFlightElsewhere);
+  const std::string TracePath = F.Tmp.Path + "/trace.json";
+  trace::start("");
+  std::thread Owner([&] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    A.backend()->publish(BlobKind::Code, 41, blob(17, 0x41));
+    A.endCompile(41);
+  });
+  std::optional<CachedCode> Served = B.waitRemoteCompile(41, 5000);
+  Owner.join();
+  trace::stop();
+  EXPECT_FALSE(Served.has_value()) << "the waiter inherits the compile";
+  B.endCompile(41);
+  const CodeCacheStats S = B.stats();
+  EXPECT_EQ(S.CorruptPersistentEntries, 1u);
+  EXPECT_EQ(S.RemoteHits + S.PersistentHits, 0u);
+  EXPECT_EQ(B.memoryEntries(), 0u) << "nothing corrupt reaches memory";
+  EXPECT_FALSE(A.backend()->lookup(BlobKind::Code, 41).has_value())
+      << "the corrupt entry is deleted";
+  ASSERT_TRUE(trace::writeJson(TracePath));
+  std::string Err;
+  EXPECT_TRUE(trace::validateTraceFile(TracePath, {"cache.corrupt"}, &Err))
+      << Err;
 }
 
 TEST(FleetCodeCacheTest, ClaimsAreNoOpsWithoutAPersistentLevel) {

@@ -128,14 +128,13 @@ if ! PROTEUS_NUM_DEVICES=4 PROTEUS_DEFAULT_STREAMS=4 \
   STATUS=1
 fi
 
-# Tuning enabled during a tiered multi-device storm: concurrent variant
+# Variant tuning during a tiered multi-device storm: concurrent variant
 # races replay artifacts on throwaway devices while the decision store,
 # the tuner counters, and the installFinalTier hot-swap path contend with
 # live launches and background promotions (ConcurrentTuningStorm drives
 # the threads; the env turns every knob the tuner interacts with).
-echo "== TSan: autotuner_test (PROTEUS_NUM_DEVICES=4, PROTEUS_TIER=on, PROTEUS_ASYNC=fallback, PROTEUS_TUNE=on) =="
+echo "== TSan: autotuner_test (PROTEUS_NUM_DEVICES=4, PROTEUS_TIER=on, PROTEUS_ASYNC=fallback) =="
 if ! PROTEUS_NUM_DEVICES=4 PROTEUS_TIER=on PROTEUS_ASYNC=fallback \
-     PROTEUS_TUNE=on \
      "${BUILD_DIR}/tests/autotuner_test"; then
   echo "!! autotuner_test FAILED under ThreadSanitizer with tuning enabled"
   STATUS=1
@@ -144,11 +143,10 @@ fi
 # The bottleneck-aware policy during the same tiered multi-device tuning
 # storm: roofline classification runs on the compile workers, verdict
 # reads/writes hit the policy store from every tuning session, and the
-# axis-pruning counters race concurrent generateVariants calls — all while
-# tier demotion consults the policy on the promotion path.
-echo "== TSan: autotuner_test (PROTEUS_NUM_DEVICES=4, PROTEUS_TIER=on, PROTEUS_ASYNC=fallback, PROTEUS_TUNE=on, PROTEUS_POLICY=on) =="
+# axis-pruning counters race concurrent generateVariants calls.
+echo "== TSan: autotuner_test (PROTEUS_NUM_DEVICES=4, PROTEUS_TIER=on, PROTEUS_ASYNC=fallback, PROTEUS_POLICY=on) =="
 if ! PROTEUS_NUM_DEVICES=4 PROTEUS_TIER=on PROTEUS_ASYNC=fallback \
-     PROTEUS_TUNE=on PROTEUS_POLICY=on \
+     PROTEUS_POLICY=on \
      "${BUILD_DIR}/tests/autotuner_test"; then
   echo "!! autotuner_test FAILED under ThreadSanitizer with the policy enabled"
   STATUS=1
