@@ -141,22 +141,27 @@ public:
     return S;
   }
 
-  /// Self-validates and writes the report. Returns false (with \p Error
-  /// set) on a render the JSON parser rejects or an IO failure.
+  /// Writes the report, then re-reads the file and requires it to parse
+  /// with a non-empty "rows" array — the end-to-end check every bench
+  /// gate relies on. Returns false (with \p Error set) otherwise.
   bool write(const std::string &Path, std::string *Error = nullptr) const {
     std::string Doc = render();
-    json::ParseResult PR = json::parse(Doc);
-    if (!PR) {
-      if (Error)
-        *Error = "JSON self-validation failed: " + PR.Error;
-      return false;
-    }
+    std::string Problem;
     if (!fs::writeFile(Path, std::vector<uint8_t>(Doc.begin(), Doc.end()))) {
-      if (Error)
-        *Error = "cannot write " + Path;
-      return false;
+      Problem = "cannot write " + Path;
+    } else if (auto Bytes = fs::readFile(Path); !Bytes) {
+      Problem = Path + " missing";
+    } else if (json::ParseResult PR = json::parse(
+                   std::string(Bytes->begin(), Bytes->end()));
+               !PR) {
+      Problem = Path + " invalid: " + PR.Error;
+    } else if (const json::Value *Rows = PR.V.find("rows");
+               !Rows || !Rows->isArray() || Rows->Arr.empty()) {
+      Problem = Path + " has no rows";
     }
-    return true;
+    if (Error)
+      *Error = Problem;
+    return Problem.empty();
   }
 
 private:

@@ -34,7 +34,7 @@ struct PolicyOutcome {
 /// Simulates a launch stream over specializations with a skewed reuse
 /// pattern: 4 hot specializations dominate; 64 cold ones appear once each,
 /// interleaved.
-PolicyOutcome runPolicy(EvictionPolicy Policy) {
+PolicyOutcome runPolicy(fleet::EvictPolicy Policy) {
   CacheLimits L;
   L.MaxMemoryBytes = 8 * 4096; // room for 8 of the ~68 specializations
   L.Policy = Policy;
@@ -74,10 +74,11 @@ int main() {
               " limit = 8 entries\n\n");
   std::printf("%-8s %10s %10s %12s %10s\n", "policy", "hits", "misses",
               "evictions", "hit rate");
-  for (EvictionPolicy P : {EvictionPolicy::LRU, EvictionPolicy::LFU}) {
+  for (fleet::EvictPolicy P :
+       {fleet::EvictPolicy::LRU, fleet::EvictPolicy::LFU}) {
     PolicyOutcome O = runPolicy(P);
     std::printf("%-8s %10llu %10llu %12llu %9.1f%%\n",
-                P == EvictionPolicy::LRU ? "LRU" : "LFU",
+                P == fleet::EvictPolicy::LRU ? "LRU" : "LFU",
                 static_cast<unsigned long long>(O.Hits),
                 static_cast<unsigned long long>(O.Misses),
                 static_cast<unsigned long long>(O.Evictions),

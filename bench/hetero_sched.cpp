@@ -35,8 +35,6 @@
 #include "ir/OpSemantics.h"
 #include "jit/Program.h"
 #include "sched/Scheduler.h"
-#include "support/FileSystem.h"
-#include "support/JsonLite.h"
 
 #include <cstring>
 #include <memory>
@@ -238,27 +236,6 @@ std::vector<uint8_t> runDirect(unsigned Launches) {
   return P.readOut(0);
 }
 
-bool validateReport(const std::string &Path) {
-  auto Bytes = fs::readFile(Path);
-  if (!Bytes.has_value()) {
-    std::fprintf(stderr, "FATAL: %s missing\n", Path.c_str());
-    return false;
-  }
-  std::string Text(Bytes->begin(), Bytes->end());
-  json::ParseResult PR = json::parse(Text);
-  if (!PR) {
-    std::fprintf(stderr, "FATAL: %s invalid: %s\n", Path.c_str(),
-                 PR.Error.c_str());
-    return false;
-  }
-  const json::Value *Rows = PR.V.find("rows");
-  if (!Rows || !Rows->isArray() || Rows->Arr.empty()) {
-    std::fprintf(stderr, "FATAL: %s has no rows\n", Path.c_str());
-    return false;
-  }
-  return true;
-}
-
 } // namespace
 
 int main(int argc, char **argv) {
@@ -345,8 +322,6 @@ int main(int argc, char **argv) {
     std::fprintf(stderr, "FATAL: %s\n", Err.c_str());
     return 1;
   }
-  if (!validateReport("BENCH_hetero.json"))
-    return 1;
 
   std::printf("\nload %.2fx, perf %.2fx vs static (floor %.2fx), off %s"
               " -> BENCH_hetero.json\n",

@@ -223,29 +223,6 @@ bool writeColdstartReport(bool Smoke) {
   return true;
 }
 
-/// Re-reads the emitted report and checks it parses and carries the rows
-/// the smoke test expects — the end-to-end JSON pipeline check.
-bool validateColdstartReport() {
-  auto Bytes = proteus::fs::readFile("BENCH_coldstart.json");
-  if (!Bytes.has_value()) {
-    std::fprintf(stderr, "FATAL: BENCH_coldstart.json missing\n");
-    return false;
-  }
-  std::string Text(Bytes->begin(), Bytes->end());
-  proteus::json::ParseResult PR = proteus::json::parse(Text);
-  if (!PR) {
-    std::fprintf(stderr, "FATAL: BENCH_coldstart.json invalid: %s\n",
-                 PR.Error.c_str());
-    return false;
-  }
-  const proteus::json::Value *Rows = PR.V.find("rows");
-  if (!Rows || !Rows->isArray() || Rows->Arr.empty()) {
-    std::fprintf(stderr, "FATAL: BENCH_coldstart.json has no rows\n");
-    return false;
-  }
-  return true;
-}
-
 } // namespace
 
 int main(int argc, char **argv) {
@@ -262,7 +239,7 @@ int main(int argc, char **argv) {
     benchmark::Shutdown();
   }
 
-  if (!writeColdstartReport(Smoke) || !validateColdstartReport())
+  if (!writeColdstartReport(Smoke))
     return 1;
   return 0;
 }

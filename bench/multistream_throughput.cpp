@@ -27,8 +27,6 @@
 #include "ir/IRBuilder.h"
 #include "ir/OpSemantics.h"
 #include "jit/Program.h"
-#include "support/FileSystem.h"
-#include "support/JsonLite.h"
 
 #include <memory>
 #include <vector>
@@ -164,27 +162,6 @@ SweepResult runConfig(const CompiledProgram &Prog, unsigned Devs,
   return R;
 }
 
-bool validateReport(const std::string &Path) {
-  auto Bytes = fs::readFile(Path);
-  if (!Bytes.has_value()) {
-    std::fprintf(stderr, "FATAL: %s missing\n", Path.c_str());
-    return false;
-  }
-  std::string Text(Bytes->begin(), Bytes->end());
-  json::ParseResult PR = json::parse(Text);
-  if (!PR) {
-    std::fprintf(stderr, "FATAL: %s invalid: %s\n", Path.c_str(),
-                 PR.Error.c_str());
-    return false;
-  }
-  const json::Value *Rows = PR.V.find("rows");
-  if (!Rows || !Rows->isArray() || Rows->Arr.empty()) {
-    std::fprintf(stderr, "FATAL: %s has no rows\n", Path.c_str());
-    return false;
-  }
-  return true;
-}
-
 } // namespace
 
 int main(int argc, char **argv) {
@@ -258,8 +235,6 @@ int main(int argc, char **argv) {
     std::fprintf(stderr, "FATAL: %s\n", Err.c_str());
     return 1;
   }
-  if (!validateReport("BENCH_multistream.json"))
-    return 1;
 
   std::printf("\n1 -> 4 streams: %.2fx, 1 -> 4 devices: %.2fx"
               " (floor 3.00x): %s -> BENCH_multistream.json\n",

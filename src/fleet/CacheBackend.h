@@ -132,8 +132,8 @@ public:
   virtual BackendStats stats() const = 0;
 };
 
-/// Eviction order under a size budget (mirrors the jit-level
-/// EvictionPolicy without depending on jit headers).
+/// Eviction order under a size budget; also the jit code cache's memory
+/// level policy (CacheLimits::Policy, PROTEUS_CACHE_POLICY).
 enum class EvictPolicy : uint8_t {
   LRU, ///< oldest write/touch time first
   LFU, ///< least-frequently-executed first (frequency via FreqOf), ties by

@@ -41,7 +41,7 @@ struct LocalBackendOptions {
   /// Shard directories under the root (PROTEUS_CACHE_SHARDS). 1 = flat.
   uint32_t Shards = 1;
   /// Total on-disk byte budget across shards, code + tune files
-  /// (PROTEUS_CACHE_BUDGET); 0 = unlimited.
+  /// (PROTEUS_CACHE_DISK_LIMIT); 0 = unlimited.
   uint64_t BudgetBytes = 0;
   EvictPolicy Policy = EvictPolicy::LRU;
   /// Frame-frequency decoder for LFU victim selection (null → LRU order).

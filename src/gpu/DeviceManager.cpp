@@ -7,10 +7,8 @@
 #include "gpu/DeviceManager.h"
 
 #include "support/Env.h"
-#include "support/StringUtils.h"
 
 #include <algorithm>
-#include <cstdlib>
 
 using namespace proteus;
 using namespace proteus::gpu;
@@ -18,36 +16,12 @@ using namespace proteus::gpu;
 DeviceManager::Config
 DeviceManager::configFromEnvironment(std::vector<std::string> *Warnings) {
   Config C;
-  parseBounded("PROTEUS_NUM_DEVICES", 1, 64, C.NumDevices, Warnings);
-  parseBounded("PROTEUS_DEFAULT_STREAMS", 1, 256, C.StreamsPerDevice, Warnings);
-  if (const char *A = std::getenv("PROTEUS_DEVICE_ARCHS")) {
-    // Strict grammar: <arch> ("," <arch>)* with no empty segments — a
-    // trailing, leading, or doubled comma rejects the whole value, as does
-    // an unknown architecture name. split() keeps empty fields, which is
-    // what makes a trailing comma's empty final segment visible.
-    std::vector<GpuArch> Archs;
-    for (std::string_view Tok : split(A, ',')) {
-      if (Tok == gpuArchName(GpuArch::AmdGcnSim)) {
-        Archs.push_back(GpuArch::AmdGcnSim);
-      } else if (Tok == gpuArchName(GpuArch::NvPtxSim)) {
-        Archs.push_back(GpuArch::NvPtxSim);
-      } else {
-        emitConfigWarning(
-            Warnings,
-            "ignoring invalid PROTEUS_DEVICE_ARCHS value '" + std::string(A) +
-                "': " +
-                (Tok.empty() ? std::string("empty segment")
-                             : "unknown architecture '" + std::string(Tok) +
-                                   "'") +
-                " (expected amdgcn-sim|nvptx-sim, comma-separated, no empty "
-                "segments)");
-        Archs.clear();
-        break;
-      }
-    }
-    if (!Archs.empty())
-      C.Archs = std::move(Archs);
-  }
+  env::read(env::Knob::NumDevices, C.NumDevices, Warnings);
+  env::read(env::Knob::DefaultStreams, C.StreamsPerDevice, Warnings);
+  std::vector<unsigned> Archs;
+  if (env::read(env::Knob::DeviceArchs, Archs, Warnings))
+    for (unsigned A : Archs)
+      C.Archs.push_back(static_cast<GpuArch>(A));
   return C;
 }
 

@@ -11,17 +11,10 @@
 /// timelines, and the pool assigns ordinals used for trace lanes and for
 /// the JIT runtime's ascending-index lock order.
 ///
-/// Configuration comes from the environment (validated, warning on invalid
-/// values — never silently substituting a different configuration):
-///
-///   * PROTEUS_NUM_DEVICES=<1..64>     — devices in the pool (default 1)
-///   * PROTEUS_DEFAULT_STREAMS=<1..256> — streams pre-created per device,
-///     counting the default stream (default 1)
-///   * PROTEUS_DEVICE_ARCHS=<arch>("," <arch>)* — strict comma-separated
-///     list of amdgcn-sim / nvptx-sim names cycled across devices
-///     (default: all amdgcn-sim). Empty segments (leading, trailing, or
-///     doubled commas) and unknown names reject the whole value with a
-///     counted "config.errors" warning.
+/// Configuration comes from the environment: the device count, the
+/// streams pre-created per device, and the architectures cycled across the
+/// pool (default: all amdgcn-sim) — rows of the knob table in
+/// support/Env.h.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -48,12 +41,12 @@ public:
     /// Archs[i % Archs.size()]); empty means all amdgcn-sim.
     std::vector<GpuArch> Archs;
     uint64_t MemoryBytesPerDevice = 1ull << 28;
+
+    bool operator==(const Config &) const = default;
   };
 
   /// Reads PROTEUS_NUM_DEVICES / PROTEUS_DEFAULT_STREAMS /
-  /// PROTEUS_DEVICE_ARCHS. Invalid values keep the default and emit a
-  /// warning (into \p Warnings when given, else stderr) — the same
-  /// fail-loud policy as JitConfig::fromEnvironment.
+  /// PROTEUS_DEVICE_ARCHS through the knob table (support/Env.h).
   static Config configFromEnvironment(std::vector<std::string> *Warnings =
                                           nullptr);
 

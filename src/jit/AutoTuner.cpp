@@ -206,7 +206,6 @@ VariantManager::tuneArtifact(const capture::CaptureArtifact &A) {
   Base.Jit.Tier = false;
   Base.Jit.Async = JitConfig::AsyncMode::Sync;
   Base.Jit.Capture = false;
-  Base.Jit.UseMemoryCache = true;
   Base.Jit.UsePersistentCache = false;
   Base.Jit.CacheDir.clear();
   Base.CacheDir.clear();

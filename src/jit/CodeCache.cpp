@@ -6,7 +6,6 @@
 
 #include "jit/CodeCache.h"
 
-#include "support/Env.h"
 #include "support/FileSystem.h"
 #include "support/Hashing.h"
 #include "support/Metrics.h"
@@ -47,25 +46,6 @@ uint64_t proteus::computeTuningKeyHash(uint64_t ModuleId,
   for (uint64_t Bits : ArgBits)
     H.update(Bits);
   return H.digest();
-}
-
-CacheLimits CacheLimits::fromEnvironment(std::vector<std::string> *Warnings) {
-  CacheLimits L;
-  parseBounded("PROTEUS_CACHE_MEM_LIMIT", 0, UINT64_MAX, L.MaxMemoryBytes,
-               Warnings, "a byte count");
-  parseBounded("PROTEUS_CACHE_DISK_LIMIT", 0, UINT64_MAX, L.MaxPersistentBytes,
-               Warnings, "a byte count");
-  parseBounded("PROTEUS_CACHE_BUDGET", 0, UINT64_MAX, L.BudgetBytes, Warnings,
-               "a byte count");
-  parseBounded("PROTEUS_CACHE_SHARDS", 1, 64, L.Shards, Warnings, "1..64");
-  // "runtime" is the README's name for the runtime-informed
-  // (execution-frequency) policy, i.e. LFU.
-  parseChoice("PROTEUS_CACHE_POLICY",
-              {{"lru", EvictionPolicy::LRU},
-               {"lfu", EvictionPolicy::LFU},
-               {"runtime", EvictionPolicy::LFU}},
-              L.Policy, Warnings);
-  return L;
 }
 
 // --- Persistent entry framing ------------------------------------------------
@@ -244,12 +224,8 @@ std::optional<DecodedEntry> decodeEntry(const std::vector<uint8_t> &Bytes) {
 fleet::LocalBackendOptions CodeCache::backendOptions(const CacheLimits &Limits) {
   fleet::LocalBackendOptions BO;
   BO.Shards = Limits.Shards;
-  // BudgetBytes is the fleet-level budget (code + tune files); when unset,
-  // the historical code-object limit acts as the budget.
-  BO.BudgetBytes =
-      Limits.BudgetBytes ? Limits.BudgetBytes : Limits.MaxPersistentBytes;
-  BO.Policy = Limits.Policy == EvictionPolicy::LFU ? fleet::EvictPolicy::LFU
-                                                   : fleet::EvictPolicy::LRU;
+  BO.BudgetBytes = Limits.MaxPersistentBytes;
+  BO.Policy = Limits.Policy;
   // LFU victim selection needs each entry's execution count; only CodeCache
   // knows the frame layout, so it hands the backend a decoder instead of
   // the backend parsing frames itself.
@@ -263,10 +239,6 @@ fleet::LocalBackendOptions CodeCache::backendOptions(const CacheLimits &Limits) 
   };
   return BO;
 }
-
-CodeCache::CodeCache(bool UseMemory, bool UsePersistent,
-                     std::string PersistentDir, CacheLimits Limits)
-    : CodeCache(UseMemory, UsePersistent, PersistentDir, Limits, nullptr) {}
 
 CodeCache::CodeCache(bool UseMemory, bool UsePersistent,
                      std::string PersistentDir, CacheLimits Limits,
@@ -454,7 +426,7 @@ void CodeCache::enforceMemoryLimit() {
     return;
   while (MemoryBytesTotal > Limits.MaxMemoryBytes && Memory.size() > 1) {
     uint64_t Victim;
-    if (Limits.Policy == EvictionPolicy::LFU) {
+    if (Limits.Policy == fleet::EvictPolicy::LFU) {
       // Runtime-informed: evict the least-executed specialization,
       // breaking ties toward the least recently used (list back).
       Victim = LruOrder.back();

@@ -17,7 +17,7 @@
 /// limits for both levels with LRU eviction, a runtime-informed (LFU)
 /// eviction policy that prefers evicting less-frequently-executed
 /// specializations, and environment-variable configuration
-/// (PROTEUS_CACHE_*).
+/// (the PROTEUS_CACHE_* rows of support/Env.h).
 ///
 /// The cache is thread-safe: every public operation is serialized by an
 /// internal mutex, so concurrent launch threads and asynchronous compile
@@ -100,36 +100,20 @@ struct CodeCacheStats {
   uint64_t CorruptPersistentEntries = 0;
 };
 
-/// Eviction policy when a size limit is hit (paper section 3.4).
-enum class EvictionPolicy {
-  LRU, ///< evict the least recently used specialization
-  LFU, ///< runtime-informed: evict the least frequently executed one
-};
-
 /// Size limits; 0 means unlimited (the paper's default behaviour).
 struct CacheLimits {
   uint64_t MaxMemoryBytes = 0;
+  /// Persistent-level byte budget, covering code objects and tuning
+  /// decisions alike.
   uint64_t MaxPersistentBytes = 0;
-  EvictionPolicy Policy = EvictionPolicy::LRU;
+  /// Eviction order under either limit (paper section 3.4; LFU is the
+  /// runtime-informed policy).
+  fleet::EvictPolicy Policy = fleet::EvictPolicy::LRU;
   /// Shard directories for the persistent level (consistent-hash sharded;
   /// 1 keeps the historical flat layout).
   uint32_t Shards = 1;
-  /// Fleet-level on-disk byte budget covering code objects AND tuning
-  /// decisions; 0 defers to MaxPersistentBytes (which historically only
-  /// accounted code objects — BudgetBytes is the strict superset).
-  uint64_t BudgetBytes = 0;
 
-  /// Reads PROTEUS_CACHE_MEM_LIMIT / PROTEUS_CACHE_DISK_LIMIT /
-  /// PROTEUS_CACHE_BUDGET (bytes), PROTEUS_CACHE_SHARDS (1..64) and
-  /// PROTEUS_CACHE_POLICY from the environment. The policy accepts the
-  /// documented spellings "lru", "lfu" and "runtime" (the runtime-informed
-  /// policy, an alias for LFU); anything else keeps the default and is
-  /// reported per the warn-don't-coerce contract — appended to \p Warnings
-  /// (or printed to stderr when null) and counted in the process-wide
-  /// "config.errors" counter. Non-numeric limit values are rejected the
-  /// same way instead of being read as 0 (= unlimited).
-  static CacheLimits fromEnvironment(std::vector<std::string> *Warnings =
-                                         nullptr);
+  bool operator==(const CacheLimits &) const = default;
 };
 
 /// The variant manager's persisted verdict for one (kernel, args, arch,
@@ -172,24 +156,21 @@ uint64_t computeTuningKeyHash(uint64_t ModuleId,
 /// outside the backend implementations touches the cache directory.
 class CodeCache {
 public:
-  /// \p PersistentDir empty disables the persistent level entirely. Builds
-  /// the default sharded local-directory backend from \p Limits.
+  /// \p PersistentDir empty disables the persistent level entirely. The
+  /// persistent level goes through \p Backend (the remote fleet client, or
+  /// a test double); a null \p Backend builds the default sharded
+  /// local-directory backend from \p Limits. \p PersistentDir is recorded
+  /// as persistentDir() either way.
   CodeCache(bool UseMemory, bool UsePersistent, std::string PersistentDir,
-            CacheLimits Limits = CacheLimits());
-
-  /// Same, but persists through the caller-supplied \p Backend (the remote
-  /// fleet client, or a test double); a null \p Backend falls back to the
-  /// default local backend. \p PersistentDir is still recorded as
-  /// persistentDir() for diagnostics.
-  CodeCache(bool UseMemory, bool UsePersistent, std::string PersistentDir,
-            CacheLimits Limits, std::unique_ptr<fleet::CacheBackend> Backend);
+            CacheLimits Limits = CacheLimits(),
+            std::unique_ptr<fleet::CacheBackend> Backend = nullptr);
 
   ~CodeCache();
 
-  /// LocalBackendOptions derived from \p Limits: shards, the effective
-  /// byte budget (BudgetBytes, else MaxPersistentBytes), the eviction
-  /// policy, and a frequency extractor that decodes the execution count
-  /// from framed code entries (for LFU victim selection).
+  /// LocalBackendOptions derived from \p Limits: shards, the byte budget
+  /// (MaxPersistentBytes), the eviction policy, and a frequency extractor
+  /// that decodes the execution count from framed code entries (for LFU
+  /// victim selection).
   static fleet::LocalBackendOptions backendOptions(const CacheLimits &Limits);
 
   /// Looks up \p Hash: memory first, then persistent storage (promoting the

@@ -22,7 +22,6 @@
 #include "transforms/SpecializeArgs.h"
 
 #include <cstdio>
-#include <cstdlib>
 
 using namespace proteus;
 using namespace proteus::gpu;
@@ -143,81 +142,43 @@ struct proteus::JitKernel {
 };
 
 JitConfig JitConfig::fromEnvironment(std::vector<std::string> *Warnings) {
+  using env::Knob;
   JitConfig C;
-  if (std::getenv("PROTEUS_NO_RCF"))
-    C.EnableRCF = false;
-  if (std::getenv("PROTEUS_NO_LAUNCH_BOUNDS"))
-    C.EnableLaunchBounds = false;
-  if (const char *Dir = std::getenv("PROTEUS_CACHE_DIR"))
-    C.CacheDir = Dir;
-  const std::initializer_list<std::pair<std::string_view, bool>> OffOn = {
-      {"off", false}, {"on", true}};
-  parseChoice("PROTEUS_CACHE_REMOTE", OffOn, C.CacheRemote, Warnings);
-  if (const char *Sock = std::getenv("PROTEUS_CACHE_SOCKET")) {
-    std::string S = Sock;
-    if (!S.empty())
-      C.CacheSocket = S;
-    else
-      emitConfigWarning(Warnings, "ignoring empty PROTEUS_CACHE_SOCKET "
-                                  "(expected a unix socket path)");
-  }
-  // A value outside the set keeps the default rather than silently running
-  // a mode the user did not ask for (a typo like "blocking" used to select
-  // Sync).
-  parseChoice("PROTEUS_ASYNC",
-              {{"sync", AsyncMode::Sync}, {"fallback", AsyncMode::Fallback}},
-              C.Async, Warnings);
-  parseBounded("PROTEUS_ASYNC_WORKERS", 1, 1024, C.AsyncWorkers, Warnings);
-  parseChoice("PROTEUS_TIER", OffOn, C.Tier, Warnings);
-  parseChoice("PROTEUS_ANALYZE",
-              {{"off", AnalyzeMode::Off},
-               {"warn", AnalyzeMode::Warn},
-               {"error", AnalyzeMode::Error}},
-              C.Analyze, Warnings);
-  parseChoice("PROTEUS_VERIFY_EACH", {{"1", true}, {"0", false}},
-              C.VerifyEachPass, Warnings, "0 or 1");
-  parseChoice("PROTEUS_CAPTURE", OffOn, C.Capture, Warnings);
-  if (const char *Dir = std::getenv("PROTEUS_CAPTURE_DIR")) {
-    std::string S = Dir;
-    if (!S.empty())
-      C.CaptureDir = S;
-    else
-      emitConfigWarning(Warnings,
-                        "ignoring empty PROTEUS_CAPTURE_DIR (expected a "
-                        "directory path)");
-  }
-  parseChoice("PROTEUS_CAPTURE_DEDUP", OffOn, C.CaptureDedup, Warnings);
-  parseBounded("PROTEUS_CAPTURE_RING", 1, 65536, C.CaptureRing, Warnings);
-  parseChoice("PROTEUS_POLICY", OffOn, C.Policy, Warnings);
-  parseBounded("PROTEUS_TUNE_BUDGET", 1, 256, C.TuneBudget, Warnings);
-  C.Limits = CacheLimits::fromEnvironment(Warnings);
+  if (bool Off; env::read(Knob::NoRcf, Off, Warnings))
+    C.EnableRCF = !Off;
+  if (bool Off; env::read(Knob::NoLaunchBounds, Off, Warnings))
+    C.EnableLaunchBounds = !Off;
+  env::read(Knob::Async, C.Async, Warnings);
+  env::read(Knob::AsyncWorkers, C.AsyncWorkers, Warnings);
+  env::read(Knob::Tier, C.Tier, Warnings);
+  env::read(Knob::CacheDir, C.CacheDir, Warnings);
+  env::read(Knob::CacheMemLimit, C.Limits.MaxMemoryBytes, Warnings);
+  env::read(Knob::CacheDiskLimit, C.Limits.MaxPersistentBytes, Warnings);
+  env::read(Knob::CachePolicy, C.Limits.Policy, Warnings);
+  env::read(Knob::CacheRemote, C.CacheRemote, Warnings);
+  env::read(Knob::CacheSocket, C.CacheSocket, Warnings);
+  env::read(Knob::CacheShards, C.Limits.Shards, Warnings);
+  env::read(Knob::Analyze, C.Analyze, Warnings);
+  env::read(Knob::VerifyEach, C.VerifyEachPass, Warnings);
+  env::read(Knob::Capture, C.Capture, Warnings);
+  env::read(Knob::CaptureDir, C.CaptureDir, Warnings);
+  env::read(Knob::CaptureRing, C.CaptureRing, Warnings);
+  env::read(Knob::CaptureDedup, C.CaptureDedup, Warnings);
+  env::read(Knob::TuneBudget, C.TuneBudget, Warnings);
+  env::read(Knob::Policy, C.Policy, Warnings);
   return C;
 }
 
 const char *proteus::asyncModeName(JitConfig::AsyncMode M) {
-  switch (M) {
-  case JitConfig::AsyncMode::Sync:
-    return "sync";
-  case JitConfig::AsyncMode::Fallback:
-    return "fallback";
-  }
-  return "unknown";
+  return env::spellings(env::Knob::Async)[static_cast<size_t>(M)].c_str();
 }
 
 const char *proteus::analyzeModeName(JitConfig::AnalyzeMode M) {
-  switch (M) {
-  case JitConfig::AnalyzeMode::Off:
-    return "off";
-  case JitConfig::AnalyzeMode::Warn:
-    return "warn";
-  case JitConfig::AnalyzeMode::Error:
-    return "error";
-  }
-  return "unknown";
+  return env::spellings(env::Knob::Analyze)[static_cast<size_t>(M)].c_str();
 }
 
 const char *proteus::tierModeName(bool TierEnabled) {
-  return TierEnabled ? "on" : "off";
+  return env::spellings(env::Knob::Tier)[TierEnabled].c_str();
 }
 
 /// Builds the persistent-level backend for \p Config: the fleet service

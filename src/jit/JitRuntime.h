@@ -91,7 +91,9 @@ namespace capture {
 class CaptureSession;
 }
 
-/// Runtime configuration (environment-variable equivalents).
+/// Runtime configuration. Each environment variable named below is one row
+/// of the knob table in support/Env.h, which holds its spellings, range
+/// and default.
 struct JitConfig {
   /// How a launch that misses the code cache obtains its binary.
   enum class AsyncMode {
@@ -100,14 +102,14 @@ struct JitConfig {
               ///< specialized binary once its background promotion finishes
   };
 
-  bool EnableRCF = true;          // runtime constant folding of arguments
-  bool EnableLaunchBounds = true; // launch-bounds specialization
+  bool EnableRCF = true;          // PROTEUS_NO_RCF
+  bool EnableLaunchBounds = true; // PROTEUS_NO_LAUNCH_BOUNDS
   bool UseMemoryCache = true;
   bool UsePersistentCache = true;
-  std::string CacheDir = "proteus-jit-cache";
+  std::string CacheDir = "proteus-jit-cache"; // PROTEUS_CACHE_DIR
   /// Size limits + eviction policy (paper section 3.4); defaults unlimited.
   CacheLimits Limits;
-  /// Fleet mode (PROTEUS_CACHE_REMOTE=off|on): when on, the persistent
+  /// Fleet mode (PROTEUS_CACHE_REMOTE): when on, the persistent
   /// level speaks to the node's shared cache service (tools/proteus-cached)
   /// over a unix socket, with batched lookups, fleet-wide compile dedup and
   /// a local-directory fallback when the daemon is unreachable.
@@ -118,14 +120,13 @@ struct JitConfig {
   /// Verify the deserialized kernel IR before specializing (defensive mode
   /// for untrusted persistent caches / debugging; off by default).
   bool VerifyIR = false;
-  /// Asynchronous compilation pipeline (PROTEUS_ASYNC=sync|fallback).
+  /// Asynchronous compilation pipeline (PROTEUS_ASYNC).
   AsyncMode Async = AsyncMode::Sync;
-  /// Worker threads for background promotions (PROTEUS_ASYNC_WORKERS, in
-  /// [1, 1024]).
+  /// Worker threads for background promotions (PROTEUS_ASYNC_WORKERS).
   unsigned AsyncWorkers = 4;
   O3Options O3;
 
-  /// Tiered compilation (PROTEUS_TIER=off|on). When on, a cold launch wants
+  /// Tiered compilation (PROTEUS_TIER). When on, a cold launch wants
   /// a fast Tier-0 compile (O3Preset::Fast + fast register allocation),
   /// and the full pipeline runs as a background promotion that hot-swaps
   /// the loaded kernel and promotes the cache entry in place.
@@ -134,7 +135,7 @@ struct JitConfig {
   /// What to do with kernel-sanitizer findings (divergent barriers,
   /// shared-scratch races/OOB/uninitialized reads — see
   /// analysis/KernelAnalyzer.h) on the specialized, optimized kernel
-  /// (PROTEUS_ANALYZE=off|warn|error).
+  /// (PROTEUS_ANALYZE).
   enum class AnalyzeMode {
     Off,   ///< skip the analysis stage entirely
     Warn,  ///< report findings to stderr, launch anyway (default)
@@ -144,10 +145,10 @@ struct JitConfig {
 
   /// Run verifyFunction after every O3 pass and attribute any breakage to
   /// the offending pass by name; a failure fails the compile instead of
-  /// emitting a miscompiled kernel (PROTEUS_VERIFY_EACH=1).
+  /// emitting a miscompiled kernel (PROTEUS_VERIFY_EACH).
   bool VerifyEachPass = false;
 
-  /// Launch capture (PROTEUS_CAPTURE=off|on): record specialized launches
+  /// Launch capture (PROTEUS_CAPTURE): record specialized launches
   /// into self-contained replayable artifacts (pruned bitcode, arg values,
   /// memory snapshots, geometry, arch, pipeline fingerprint) via a bounded
   /// ring that sheds load instead of ever blocking the launch path.
@@ -157,22 +158,22 @@ struct JitConfig {
   /// Directory receiving .pcap artifacts (PROTEUS_CAPTURE_DIR).
   std::string CaptureDir = "proteus-captures";
   /// Capture-ring capacity: captures that may be queued or in flight before
-  /// new ones are shed (PROTEUS_CAPTURE_RING, in [1, 65536]).
+  /// new ones are shed (PROTEUS_CAPTURE_RING).
   unsigned CaptureRing = 64;
   /// Capture each distinct launch shape (specialization hash + geometry +
   /// argument bits) only once per runtime; repeats are counted as
   /// capture.dedup and skip all snapshot work, so a steady-state launch
-  /// loop pays nothing after its first iteration. Set to false
-  /// (PROTEUS_CAPTURE_DEDUP=off) to record every launch — the stress mode
-  /// the pressure tests use to exercise ring shedding.
+  /// loop pays nothing after its first iteration. False
+  /// (PROTEUS_CAPTURE_DEDUP) records every launch — the stress mode the
+  /// pressure tests use to exercise ring shedding.
   bool CaptureDedup = true;
 
   /// Upper bound on variants the variant manager (jit/AutoTuner.h) races
-  /// per specialization (PROTEUS_TUNE_BUDGET, in [1, 256]). The recorded
+  /// per specialization (PROTEUS_TUNE_BUDGET). The recorded
   /// configuration always races, so the budget caps the extra trials.
   unsigned TuneBudget = 8;
 
-  /// Bottleneck-aware compilation policy (PROTEUS_POLICY=off|on). When on,
+  /// Bottleneck-aware compilation policy (PROTEUS_POLICY). When on,
   /// every compiled kernel is classified on the static roofline
   /// (analysis/Roofline.h) with register-allocation feedback, the verdict
   /// is recorded on the runtime's CompilationPolicy and persisted alongside
@@ -181,19 +182,13 @@ struct JitConfig {
   /// races every axis.
   bool Policy = false;
 
-  /// Applies the PROTEUS_* environment variables on top of the defaults
-  /// (PROTEUS_NO_RCF, PROTEUS_NO_LAUNCH_BOUNDS, PROTEUS_CACHE_DIR,
-  /// PROTEUS_CACHE_REMOTE, PROTEUS_CACHE_SOCKET, PROTEUS_ASYNC,
-  /// PROTEUS_ASYNC_WORKERS, PROTEUS_TIER, PROTEUS_ANALYZE,
-  /// PROTEUS_VERIFY_EACH, PROTEUS_CAPTURE, PROTEUS_CAPTURE_DIR,
-  /// PROTEUS_CAPTURE_RING, PROTEUS_CAPTURE_DEDUP, PROTEUS_TUNE_BUDGET,
-  /// PROTEUS_POLICY and the CacheLimits variables).
-  /// Unrecognized or out-of-range values are rejected: the default is kept
-  /// and a diagnostic is appended to \p Warnings (or printed to stderr as
-  /// "proteus: warning: ..." when \p Warnings is null) instead of being
-  /// silently coerced.
+  /// Applies the variables above on top of the defaults. An invalid value
+  /// keeps the default, is reported into \p Warnings (or on stderr when
+  /// null) and counts in "config.errors".
   static JitConfig fromEnvironment(std::vector<std::string> *Warnings =
                                        nullptr);
+
+  bool operator==(const JitConfig &) const = default;
 };
 
 const char *asyncModeName(JitConfig::AsyncMode M);
@@ -759,8 +754,8 @@ private:
   std::map<std::string, std::mutex> IndexBuildLocks;
 
   /// Bottleneck-aware policy store (JitConfig::Policy); null when the
-  /// policy is off. Own mutex; consulted from the promotion gate
-  /// (compileRequest) and the variant manager alike.
+  /// policy is off. Own mutex; every compile records its verdict here and
+  /// the variant manager reads it to prune tuning axes.
   std::unique_ptr<CompilationPolicy> PolicyState;
 
   /// Live capture session (JitConfig::Capture); null when capture is off.

@@ -90,7 +90,6 @@ ReplayResult proteus::replayArtifact(const capture::CaptureArtifact &A,
   JC.EnableLaunchBounds = A.EnableLaunchBounds;
   JC.Async = JitConfig::AsyncMode::Sync;
   JC.Capture = false;
-  JC.UseMemoryCache = true;
   JC.UsePersistentCache = !Opts.CacheDir.empty();
   if (!Opts.CacheDir.empty())
     JC.CacheDir = Opts.CacheDir;

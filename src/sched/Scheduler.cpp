@@ -14,27 +14,12 @@ using namespace proteus;
 using namespace proteus::sched;
 
 const char *proteus::sched::schedModeName(SchedMode M) {
-  switch (M) {
-  case SchedMode::Off:
-    return "off";
-  case SchedMode::Static:
-    return "static";
-  case SchedMode::Perf:
-    return "perf";
-  case SchedMode::Load:
-    return "load";
-  }
-  return "off";
+  return env::spellings(env::Knob::Sched)[static_cast<size_t>(M)].c_str();
 }
 
 SchedConfig SchedConfig::fromEnvironment(std::vector<std::string> *Warnings) {
   SchedConfig C;
-  parseChoice("PROTEUS_SCHED",
-              {{"off", SchedMode::Off},
-               {"static", SchedMode::Static},
-               {"perf", SchedMode::Perf},
-               {"load", SchedMode::Load}},
-              C.Mode, Warnings);
+  env::read(env::Knob::Sched, C.Mode, Warnings);
   return C;
 }
 

@@ -67,12 +67,11 @@ const char *schedModeName(SchedMode M);
 struct SchedConfig {
   SchedMode Mode = SchedMode::Off;
 
-  /// Reads PROTEUS_SCHED. Invalid values keep the default and emit a
-  /// warning (into \p Warnings when given, else stderr) with a counted
-  /// "config.errors" — the same warn-don't-coerce policy as
-  /// JitConfig::fromEnvironment.
+  /// Reads PROTEUS_SCHED through the knob table (support/Env.h).
   static SchedConfig fromEnvironment(std::vector<std::string> *Warnings =
                                          nullptr);
+
+  bool operator==(const SchedConfig &) const = default;
 };
 
 /// A placement decision: the device to launch on and the stream within it

@@ -1,4 +1,4 @@
-//===- Env.cpp - PROTEUS_* environment-variable parsing --------------------===//
+//===- Env.cpp - PROTEUS_* environment-variable table ---------------------===//
 //
 // Part of the Proteus reproduction project.
 //
@@ -7,50 +7,135 @@
 #include "support/Env.h"
 
 #include "support/Metrics.h"
+#include "support/StringUtils.h"
 
+#include <algorithm>
+#include <cassert>
 #include <cstdio>
+#include <cstdlib>
 
 using namespace proteus;
+using namespace proteus::env;
 
-void proteus::emitConfigWarning(std::vector<std::string> *Warnings,
-                                std::string Msg) {
+namespace {
+
+/// What the warning says a valid value of \p K looks like.
+std::string expected(const KnobInfo &K) {
+  switch (K.Kind) {
+  case KnobKind::Integer:
+    return "an integer in [" + std::to_string(K.Lo) + ", " +
+           std::to_string(K.Hi) + "]";
+  case KnobKind::Bytes:
+    return "a byte count";
+  case KnobKind::Choice:
+    return std::string(K.Spellings);
+  case KnobKind::ArchList:
+    return "a comma-separated list of " + std::string(K.Spellings);
+  case KnobKind::Path:
+    return "a non-empty path";
+  }
+  return {};
+}
+
+/// Counts the rejected value of \p K in "config.errors" and reports it in
+/// the standard form, into \p Warnings or (when null) on stderr. Returns
+/// false, the reader's result.
+bool reject(const KnobInfo &K, std::string_view Value,
+            std::vector<std::string> *Warnings) {
+  std::string Msg = "ignoring invalid " + std::string(K.Name) + " value '" +
+                    std::string(Value) + "' (expected " + expected(K) + ")";
   metrics::processRegistry().counter("config.errors").add();
   if (Warnings)
     Warnings->push_back(std::move(Msg));
   else
     std::fprintf(stderr, "proteus: warning: %s\n", Msg.c_str());
+  return false;
 }
 
-void proteus::rejectConfigValue(std::vector<std::string> *Warnings,
-                                const char *Var, std::string_view Value,
-                                std::string_view Expected) {
-  emitConfigWarning(Warnings, "ignoring invalid " + std::string(Var) +
-                                  " value '" + std::string(Value) +
-                                  "' (expected " + std::string(Expected) +
-                                  ")");
-}
+} // namespace
 
-bool proteus::parseBounded(const char *Var, uint64_t Lo, uint64_t Hi,
-                           uint64_t &Out, std::vector<std::string> *Warnings,
-                           std::string_view Expected) {
-  const char *S = std::getenv(Var);
-  if (!S)
+bool env::parseDecimal(std::string_view S, uint64_t &Out) {
+  if (S.empty())
     return false;
-  // Checked accumulation: strtoull would wrap "-1" and saturate an
-  // over-long value instead of rejecting them.
   uint64_t N = 0;
-  bool Ok = *S != '\0';
-  for (const char *P = S; Ok && *P; ++P) {
-    unsigned Digit = static_cast<unsigned char>(*P) - '0';
-    Ok = Digit <= 9 && N <= (UINT64_MAX - Digit) / 10;
+  for (char C : S) {
+    unsigned Digit = static_cast<unsigned char>(C) - '0';
+    if (Digit > 9 || N > (UINT64_MAX - Digit) / 10)
+      return false;
     N = N * 10 + Digit;
   }
-  if (Ok && N >= Lo && N <= Hi) {
-    Out = N;
-    return true;
+  Out = N;
+  return true;
+}
+
+const std::vector<std::string> &env::spellings(Knob K) {
+  static const std::vector<std::vector<std::string>> Rows = [] {
+    std::vector<std::vector<std::string>> Out;
+    for (const KnobInfo &I : Knobs) {
+      Out.emplace_back();
+      if (!I.Spellings.empty())
+        for (std::string_view S : split(I.Spellings, '|'))
+          Out.back().emplace_back(S);
+    }
+    return Out;
+  }();
+  return Rows[static_cast<size_t>(K)];
+}
+
+int env::spellingIndex(Knob K, std::string_view S) {
+  const std::vector<std::string> &All = spellings(K);
+  auto It = std::find(All.begin(), All.end(), S);
+  return It == All.end() ? -1 : static_cast<int>(It - All.begin());
+}
+
+bool env::readNumber(Knob K, uint64_t &Out,
+                     std::vector<std::string> *Warnings) {
+  const KnobInfo &I = info(K);
+  assert(I.Kind != KnobKind::ArchList && I.Kind != KnobKind::Path);
+  const char *S = std::getenv(I.Name);
+  if (!S)
+    return false;
+  int Index = spellingIndex(K, S);
+  uint64_t V = static_cast<uint64_t>(Index);
+  bool Ok = I.Kind == KnobKind::Choice
+                ? Index >= 0
+                : parseDecimal(S, V) &&
+                      (I.Kind == KnobKind::Bytes || (V >= I.Lo && V <= I.Hi));
+  if (!Ok)
+    return reject(I, S, Warnings);
+  Out = V;
+  return true;
+}
+
+bool env::read(Knob K, std::vector<unsigned> &Out,
+               std::vector<std::string> *Warnings) {
+  const KnobInfo &I = info(K);
+  assert(I.Kind == KnobKind::ArchList);
+  const char *S = std::getenv(I.Name);
+  if (!S)
+    return false;
+  // split() keeps empty fields, so a leading, trailing or doubled comma
+  // (and the empty value) shows up as an empty segment and rejects the
+  // whole value, as does an unknown name.
+  std::vector<unsigned> Indices;
+  for (std::string_view Segment : split(S, ',')) {
+    int Index = spellingIndex(K, Segment);
+    if (Index < 0)
+      return reject(I, S, Warnings);
+    Indices.push_back(static_cast<unsigned>(Index));
   }
-  std::string Range = "an integer in [" + std::to_string(Lo) + ", " +
-                      std::to_string(Hi) + "]";
-  rejectConfigValue(Warnings, Var, S, Expected.empty() ? Range : Expected);
-  return false;
+  Out = std::move(Indices);
+  return true;
+}
+
+bool env::read(Knob K, std::string &Out, std::vector<std::string> *Warnings) {
+  const KnobInfo &I = info(K);
+  assert(I.Kind == KnobKind::Path);
+  const char *S = std::getenv(I.Name);
+  if (!S)
+    return false;
+  if (!*S)
+    return reject(I, S, Warnings);
+  Out = S;
+  return true;
 }

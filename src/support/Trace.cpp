@@ -136,12 +136,11 @@ void appendJsonString(std::string &Out, const char *Str) {
 /// anything references the trace probes.
 struct EnvActivation {
   EnvActivation() {
-    const char *Path = std::getenv("PROTEUS_TRACE");
-    if (!Path || !*Path)
+    std::string Path;
+    if (!env::read(env::Knob::Trace, Path, nullptr))
       return;
     size_t Capacity = trace::DefaultCapacity;
-    parseBounded("PROTEUS_TRACE_BUFFER", 1, trace::MaxCapacity, Capacity,
-                 nullptr);
+    env::read(env::Knob::TraceBuffer, Capacity, nullptr);
     trace::start(Path, Capacity);
   }
 } TheEnvActivation;

@@ -15,8 +15,8 @@
 /// Activation:
 ///   * `PROTEUS_TRACE=<file>` — trace the whole process; the export is
 ///     written to <file> at exit (and on trace::stop()). Optional
-///     `PROTEUS_TRACE_BUFFER=<events>` sizes the ring buffer (an integer in
-///     [1, MaxCapacity]; default DefaultCapacity).
+///     `PROTEUS_TRACE_BUFFER=<events>` sizes the ring buffer (default
+///     DefaultCapacity).
 ///   * programmatic: trace::start()/trace::stop() (used by tests).
 ///
 /// When no session is active every probe is a relaxed atomic load plus a
@@ -54,10 +54,6 @@ inline bool enabled() {
 
 /// Default ring-buffer capacity in events (~12 MB).
 constexpr size_t DefaultCapacity = size_t(1) << 18;
-
-/// Largest capacity PROTEUS_TRACE_BUFFER accepts (~768 MB); larger values,
-/// like non-numeric ones, keep DefaultCapacity and count a config error.
-constexpr size_t MaxCapacity = size_t(1) << 24;
 
 /// Starts a session: resets the ring buffer and enables collection.
 /// \p OutputPath may be empty (export only via exportJson()/writeJson()).

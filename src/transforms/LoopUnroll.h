@@ -32,6 +32,8 @@ struct UnrollOptions {
   /// Skip unrolling when (trip count x loop size) exceeds this many
   /// instructions.
   uint64_t MaxExpandedInstructions = 4096;
+
+  bool operator==(const UnrollOptions &) const = default;
 };
 
 class LoopUnrollPass : public FunctionPass {

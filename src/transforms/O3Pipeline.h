@@ -41,6 +41,8 @@ struct O3Options {
   bool EnableLICM = true;
   /// Verify IR after every pass (slow; enabled by tests).
   bool VerifyEach = false;
+
+  bool operator==(const O3Options &) const = default;
 };
 
 /// Returns a configured pass manager implementing the O3 pipeline.

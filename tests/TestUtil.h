@@ -24,7 +24,38 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <optional>
+#include <string>
+
 namespace proteus_test {
+
+/// Sets (or, for a null \p Value, unsets) an environment variable for the
+/// scope and restores the previous state, absence included, on destruction
+/// — also when an ASSERT returns early.
+class ScopedEnv {
+public:
+  ScopedEnv(std::string Name, const char *Value) : Name(std::move(Name)) {
+    if (const char *Old = std::getenv(this->Name.c_str()))
+      Saved = Old;
+    if (Value)
+      setenv(this->Name.c_str(), Value, 1);
+    else
+      unsetenv(this->Name.c_str());
+  }
+  ScopedEnv(const ScopedEnv &) = delete;
+  ScopedEnv &operator=(const ScopedEnv &) = delete;
+  ~ScopedEnv() {
+    if (Saved)
+      setenv(Name.c_str(), Saved->c_str(), 1);
+    else
+      unsetenv(Name.c_str());
+  }
+
+private:
+  std::string Name;
+  std::optional<std::string> Saved;
+};
 
 /// Builds: kernel @daxpy(%a: f64, %x: ptr, %y: ptr, %n: i32)
 /// y[i] = a * x[i] + y[i] for the global thread id i < n — the paper's

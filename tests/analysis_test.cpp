@@ -966,79 +966,13 @@ TEST(JitAnalyzeTest, ErrorModeAcceptsCleanKernel) {
 }
 
 // ---------------------------------------------------------------------------
-// Environment-variable plumbing.
+// Mode names.
 // ---------------------------------------------------------------------------
-
-TEST(JitConfigEnvTest, ParsesAnalyzeMode) {
-  setenv("PROTEUS_ANALYZE", "error", 1);
-  std::vector<std::string> W;
-  EXPECT_EQ(JitConfig::fromEnvironment(&W).Analyze,
-            JitConfig::AnalyzeMode::Error);
-  EXPECT_TRUE(W.empty());
-
-  setenv("PROTEUS_ANALYZE", "off", 1);
-  EXPECT_EQ(JitConfig::fromEnvironment(&W).Analyze,
-            JitConfig::AnalyzeMode::Off);
-
-  // Invalid values keep the default and warn instead of silently coercing.
-  setenv("PROTEUS_ANALYZE", "loud", 1);
-  W.clear();
-  EXPECT_EQ(JitConfig::fromEnvironment(&W).Analyze,
-            JitConfig::AnalyzeMode::Warn);
-  ASSERT_EQ(W.size(), 1u);
-  EXPECT_NE(W[0].find("PROTEUS_ANALYZE"), std::string::npos) << W[0];
-  unsetenv("PROTEUS_ANALYZE");
-}
-
-TEST(JitConfigEnvTest, ParsesVerifyEach) {
-  setenv("PROTEUS_VERIFY_EACH", "1", 1);
-  std::vector<std::string> W;
-  EXPECT_TRUE(JitConfig::fromEnvironment(&W).VerifyEachPass);
-  EXPECT_TRUE(W.empty());
-
-  setenv("PROTEUS_VERIFY_EACH", "0", 1);
-  EXPECT_FALSE(JitConfig::fromEnvironment(&W).VerifyEachPass);
-
-  setenv("PROTEUS_VERIFY_EACH", "yes", 1);
-  W.clear();
-  EXPECT_FALSE(JitConfig::fromEnvironment(&W).VerifyEachPass);
-  ASSERT_EQ(W.size(), 1u);
-  EXPECT_NE(W[0].find("PROTEUS_VERIFY_EACH"), std::string::npos) << W[0];
-  unsetenv("PROTEUS_VERIFY_EACH");
-}
 
 TEST(JitConfigEnvTest, ModeNamesRoundTrip) {
   EXPECT_STREQ(analyzeModeName(JitConfig::AnalyzeMode::Off), "off");
   EXPECT_STREQ(analyzeModeName(JitConfig::AnalyzeMode::Warn), "warn");
   EXPECT_STREQ(analyzeModeName(JitConfig::AnalyzeMode::Error), "error");
-}
-
-TEST(JitConfigEnvTest, ParsesPolicyAndWarnsWithoutCoercing) {
-  setenv("PROTEUS_POLICY", "on", 1);
-  std::vector<std::string> W;
-  EXPECT_TRUE(JitConfig::fromEnvironment(&W).Policy);
-  EXPECT_TRUE(W.empty());
-
-  setenv("PROTEUS_POLICY", "off", 1);
-  EXPECT_FALSE(JitConfig::fromEnvironment(&W).Policy);
-
-  // An invalid value keeps the default, warns, and counts a config error.
-  setenv("PROTEUS_POLICY", "auto", 1);
-  W.clear();
-  uint64_t ErrsBefore = 0;
-  for (const auto &[K, V] : metrics::processRegistry().counterValues())
-    if (K == "config.errors")
-      ErrsBefore = V;
-  EXPECT_FALSE(JitConfig::fromEnvironment(&W).Policy);
-  ASSERT_EQ(W.size(), 1u);
-  EXPECT_NE(W[0].find("PROTEUS_POLICY"), std::string::npos) << W[0];
-  EXPECT_NE(W[0].find("off|on"), std::string::npos) << W[0];
-  uint64_t ErrsAfter = 0;
-  for (const auto &[K, V] : metrics::processRegistry().counterValues())
-    if (K == "config.errors")
-      ErrsAfter = V;
-  EXPECT_EQ(ErrsAfter, ErrsBefore + 1);
-  unsetenv("PROTEUS_POLICY");
 }
 
 // ---------------------------------------------------------------------------

@@ -25,13 +25,6 @@ using namespace proteus_test;
 
 namespace {
 
-uint64_t processCounter(const std::string &Name) {
-  for (const auto &[K, V] : metrics::processRegistry().counterValues())
-    if (K == Name)
-      return V;
-  return 0;
-}
-
 struct Harness {
   Context Ctx;
   Module M{Ctx, "tune"};
@@ -144,60 +137,6 @@ TEST(AutoTunerTest, InstallRejectsNegativeDeviceIndexOtherThanAll) {
                                     nullptr, -1, false, &Err),
             GpuError::Success)
       << Err;
-}
-
-// ---- Configuration validation ----------------------------------------------
-
-TEST(AutoTunerTest, CachePolicyEnvAcceptsDocumentedSpellings) {
-  struct Case {
-    const char *Value;
-    EvictionPolicy Expected;
-  } Cases[] = {{"lru", EvictionPolicy::LRU},
-               {"lfu", EvictionPolicy::LFU},
-               {"runtime", EvictionPolicy::LFU}};
-  for (const Case &C : Cases) {
-    setenv("PROTEUS_CACHE_POLICY", C.Value, 1);
-    std::vector<std::string> Warnings;
-    CacheLimits L = CacheLimits::fromEnvironment(&Warnings);
-    EXPECT_EQ(L.Policy, C.Expected) << C.Value;
-    EXPECT_TRUE(Warnings.empty())
-        << "documented spelling '" << C.Value << "' warned: " << Warnings[0];
-  }
-  unsetenv("PROTEUS_CACHE_POLICY");
-}
-
-TEST(AutoTunerTest, CachePolicyEnvWarnsInsteadOfCoercing) {
-  // "mru" is not a policy; the old parser silently coerced anything that
-  // was not exactly "lfu" — including the README-documented "runtime" — to
-  // LRU. Now: keep the default, warn, count a config error.
-  setenv("PROTEUS_CACHE_POLICY", "mru", 1);
-  const uint64_t ErrsBefore = processCounter("config.errors");
-  std::vector<std::string> Warnings;
-  CacheLimits L = CacheLimits::fromEnvironment(&Warnings);
-  EXPECT_EQ(L.Policy, EvictionPolicy::LRU) << "default kept, not coerced";
-  ASSERT_EQ(Warnings.size(), 1u);
-  EXPECT_NE(Warnings[0].find("PROTEUS_CACHE_POLICY"), std::string::npos);
-  EXPECT_NE(Warnings[0].find("lru|lfu|runtime"), std::string::npos)
-      << Warnings[0];
-  EXPECT_EQ(processCounter("config.errors"), ErrsBefore + 1);
-  unsetenv("PROTEUS_CACHE_POLICY");
-}
-
-TEST(AutoTunerTest, TuneEnvKnobs) {
-  setenv("PROTEUS_TUNE_BUDGET", "3", 1);
-  std::vector<std::string> Warnings;
-  JitConfig C = JitConfig::fromEnvironment(&Warnings);
-  EXPECT_EQ(C.TuneBudget, 3u);
-  EXPECT_TRUE(Warnings.empty());
-
-  setenv("PROTEUS_TUNE_BUDGET", "0", 1);
-  Warnings.clear();
-  C = JitConfig::fromEnvironment(&Warnings);
-  EXPECT_EQ(C.TuneBudget, 8u) << "out-of-range value keeps the default";
-  ASSERT_EQ(Warnings.size(), 1u);
-  EXPECT_NE(Warnings[0].find("PROTEUS_TUNE_BUDGET"), std::string::npos)
-      << Warnings[0];
-  unsetenv("PROTEUS_TUNE_BUDGET");
 }
 
 // ---- Variant manager --------------------------------------------------------

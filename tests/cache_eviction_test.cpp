@@ -5,19 +5,16 @@
 //===----------------------------------------------------------------------===//
 //
 // The paper's section 3.4 roadmap features: in-memory and persistent size
-// limits with LRU eviction, the runtime-informed (LFU) policy, and the
-// environment-variable configuration surface.
+// limits with LRU eviction and the runtime-informed (LFU) policy.
 //
 //===----------------------------------------------------------------------===//
 
 #include "fleet/LocalBackend.h"
 #include "jit/CodeCache.h"
-#include "jit/JitRuntime.h"
 #include "support/FileSystem.h"
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <thread>
 
 #include <sys/wait.h>
@@ -64,7 +61,7 @@ TEST(CacheEvictionTest, MemoryLruEvictsOldestFirst) {
 TEST(CacheEvictionTest, LfuPrefersRarelyExecutedSpecializations) {
   CacheLimits L;
   L.MaxMemoryBytes = 3 * 1024;
-  L.Policy = EvictionPolicy::LFU;
+  L.Policy = fleet::EvictPolicy::LFU;
   CodeCache C(true, false, "", L);
   C.insert(10, blob(1024, 1)); // hot
   C.insert(20, blob(1024, 2)); // cold
@@ -123,7 +120,7 @@ TEST(CacheEvictionTest, PromotionPreservesHitCountForLfu) {
   TempDir Tmp;
   CacheLimits L;
   L.MaxMemoryBytes = 2 * 1024;
-  L.Policy = EvictionPolicy::LFU;
+  L.Policy = fleet::EvictPolicy::LFU;
   CodeCache C(true, true, Tmp.Path, L);
 
   C.insert(1, blob(1024, 1));
@@ -159,7 +156,7 @@ TEST(CacheEvictionTest, WriteBackPersistsExecutionCountsAcrossRestart) {
   TempDir Tmp;
   CacheLimits L;
   L.MaxMemoryBytes = 2 * 1024;
-  L.Policy = EvictionPolicy::LFU;
+  L.Policy = fleet::EvictPolicy::LFU;
   {
     CodeCache C(true, true, Tmp.Path, L);
     C.insert(1, blob(1024, 1));
@@ -201,7 +198,7 @@ TEST(CacheEvictionTest, ConcurrentMixedOperationsAreSafe) {
   TempDir Tmp;
   CacheLimits L;
   L.MaxMemoryBytes = 8 * 1024;
-  L.Policy = EvictionPolicy::LFU;
+  L.Policy = fleet::EvictPolicy::LFU;
   CodeCache C(true, true, Tmp.Path, L);
   constexpr unsigned Threads = 8, Iters = 200;
   std::vector<std::thread> Ts;
@@ -237,11 +234,11 @@ TEST(CacheEvictionTest, ConcurrentMixedOperationsAreSafe) {
 TEST(CacheEvictionTest, TuningDecisionsCountTowardTheByteBudget) {
   // Regression for the unbounded-growth bug: cache-tune-<hex> files used to
   // bypass the persistent size accounting entirely, so a "size-limited"
-  // cache grew without bound once the autotuner was on. Under BudgetBytes
-  // they are budgeted and evictable like code entries.
+  // cache grew without bound once the autotuner was on. Under the persistent
+  // limit they are budgeted and evictable like code entries.
   TempDir Tmp;
   CacheLimits L;
-  L.BudgetBytes = 2048;
+  L.MaxPersistentBytes = 2048;
   CodeCache C(false, true, Tmp.Path, L);
   TuningDecision D;
   D.BlockX = 128;
@@ -251,7 +248,7 @@ TEST(CacheEvictionTest, TuningDecisionsCountTowardTheByteBudget) {
     if (Key % 10 == 0)
       std::this_thread::sleep_for(std::chrono::milliseconds(12));
   }
-  EXPECT_LE(C.persistentBytes(), L.BudgetBytes)
+  EXPECT_LE(C.persistentBytes(), L.MaxPersistentBytes)
       << "tune files must not grow the cache past its budget";
   EXPECT_GT(C.stats().PersistentEvictions, 0u);
   // Recent decisions survive; evicted ones are simply re-tuned (a miss).
@@ -261,14 +258,14 @@ TEST(CacheEvictionTest, TuningDecisionsCountTowardTheByteBudget) {
 TEST(CacheEvictionTest, BudgetCoversCodeAndTuneTogether) {
   TempDir Tmp;
   CacheLimits L;
-  L.BudgetBytes = 8 * 1024;
+  L.MaxPersistentBytes = 8 * 1024;
   CodeCache C(false, true, Tmp.Path, L);
   TuningDecision D;
   for (uint64_t K = 1; K <= 8; ++K) {
     C.insert(K, blob(1536, static_cast<uint8_t>(K)));
     C.storeTuningDecision(K, D);
   }
-  EXPECT_LE(C.persistentBytes(), L.BudgetBytes);
+  EXPECT_LE(C.persistentBytes(), L.MaxPersistentBytes);
   EXPECT_GT(C.stats().PersistentEvictions, 0u);
 }
 
@@ -289,7 +286,7 @@ TEST(CacheEvictionTest, MultiProcessContentionUnderTightBudgetStaysSafe) {
     ASSERT_GE(Pid, 0);
     if (Pid == 0) {
       CacheLimits L;
-      L.BudgetBytes = Budget;
+      L.MaxPersistentBytes = Budget;
       L.Shards = 2;
       CodeCache C(false, true, Tmp.Path, L);
       unsigned Bad = 0;
@@ -318,53 +315,13 @@ TEST(CacheEvictionTest, MultiProcessContentionUnderTightBudgetStaysSafe) {
   // left behind; the directory must settle at or below the budget.
   {
     CacheLimits L;
-    L.BudgetBytes = Budget;
+    L.MaxPersistentBytes = Budget;
     L.Shards = 2;
     CodeCache C(false, true, Tmp.Path, L);
     C.insert(999, blob(EntryBytes, 9));
     EXPECT_LE(C.persistentBytes(), Budget);
     EXPECT_EQ(C.stats().CorruptPersistentEntries, 0u);
   }
-}
-
-TEST(CacheEvictionTest, EnvironmentConfiguration) {
-  setenv("PROTEUS_CACHE_MEM_LIMIT", "12345", 1);
-  setenv("PROTEUS_CACHE_DISK_LIMIT", "67890", 1);
-  setenv("PROTEUS_CACHE_POLICY", "lfu", 1);
-  setenv("PROTEUS_NO_RCF", "1", 1);
-  setenv("PROTEUS_CACHE_DIR", "/tmp/proteus-env-cache", 1);
-  setenv("PROTEUS_ASYNC", "fallback", 1);
-  setenv("PROTEUS_ASYNC_WORKERS", "6", 1);
-  JitConfig C = JitConfig::fromEnvironment();
-  EXPECT_EQ(C.Limits.MaxMemoryBytes, 12345u);
-  EXPECT_EQ(C.Limits.MaxPersistentBytes, 67890u);
-  EXPECT_EQ(C.Limits.Policy, EvictionPolicy::LFU);
-  EXPECT_FALSE(C.EnableRCF);
-  EXPECT_TRUE(C.EnableLaunchBounds);
-  EXPECT_EQ(C.CacheDir, "/tmp/proteus-env-cache");
-  EXPECT_EQ(C.Async, JitConfig::AsyncMode::Fallback);
-  EXPECT_EQ(C.AsyncWorkers, 6u);
-  // The removed "block" mode is rejected like any other unknown value.
-  setenv("PROTEUS_ASYNC", "block", 1);
-  const uint64_t ErrorsBefore =
-      metrics::processRegistry().counter("config.errors").value();
-  std::vector<std::string> Warnings;
-  EXPECT_EQ(JitConfig::fromEnvironment(&Warnings).Async,
-            JitConfig::AsyncMode::Sync);
-  ASSERT_EQ(Warnings.size(), 1u);
-  EXPECT_NE(Warnings[0].find("PROTEUS_ASYNC value 'block'"), std::string::npos)
-      << Warnings[0];
-  EXPECT_EQ(metrics::processRegistry().counter("config.errors").value(),
-            ErrorsBefore + 1);
-  setenv("PROTEUS_ASYNC", "sync", 1);
-  EXPECT_EQ(JitConfig::fromEnvironment().Async, JitConfig::AsyncMode::Sync);
-  unsetenv("PROTEUS_CACHE_MEM_LIMIT");
-  unsetenv("PROTEUS_CACHE_DISK_LIMIT");
-  unsetenv("PROTEUS_CACHE_POLICY");
-  unsetenv("PROTEUS_NO_RCF");
-  unsetenv("PROTEUS_CACHE_DIR");
-  unsetenv("PROTEUS_ASYNC");
-  unsetenv("PROTEUS_ASYNC_WORKERS");
 }
 
 } // namespace

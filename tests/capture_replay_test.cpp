@@ -16,9 +16,7 @@
 //    architectures) is byte-identical with a matching specialization hash.
 //    PROTEUS_FUZZ_ITERS widens the sweep beyond the quick-mode default;
 //  * replay honors a persistent cache (warm replays compile nothing) and
-//    stays byte-identical under tier and analyze pipeline overrides;
-//  * the capture environment knobs follow the warn-don't-coerce contract:
-//    invalid values fall back to defaults and are counted as config errors.
+//    stays byte-identical under tier and analyze pipeline overrides.
 //
 //===----------------------------------------------------------------------===//
 
@@ -353,65 +351,6 @@ TEST(ReplayTest, RejectsUnrunnableArtifacts) {
   EXPECT_FALSE(R.Ok);
   EXPECT_NE(R.Error.find("mismatched pre/post"), std::string::npos)
       << R.Error;
-}
-
-// ---------------------------------------------------------------------------
-// Environment validation: warn, don't coerce.
-// ---------------------------------------------------------------------------
-
-TEST(CaptureEnvTest, ParsesValidSettings) {
-  setenv("PROTEUS_CAPTURE", "on", 1);
-  setenv("PROTEUS_CAPTURE_DIR", "/tmp/proteus-env-captures", 1);
-  setenv("PROTEUS_CAPTURE_RING", "128", 1);
-  setenv("PROTEUS_CAPTURE_DEDUP", "off", 1);
-  JitConfig C = JitConfig::fromEnvironment();
-  EXPECT_TRUE(C.Capture);
-  EXPECT_EQ(C.CaptureDir, "/tmp/proteus-env-captures");
-  EXPECT_EQ(C.CaptureRing, 128u);
-  EXPECT_FALSE(C.CaptureDedup);
-
-  setenv("PROTEUS_CAPTURE", "off", 1);
-  setenv("PROTEUS_CAPTURE_DEDUP", "on", 1);
-  C = JitConfig::fromEnvironment();
-  EXPECT_FALSE(C.Capture);
-  EXPECT_TRUE(C.CaptureDedup);
-
-  unsetenv("PROTEUS_CAPTURE");
-  unsetenv("PROTEUS_CAPTURE_DIR");
-  unsetenv("PROTEUS_CAPTURE_RING");
-  unsetenv("PROTEUS_CAPTURE_DEDUP");
-}
-
-TEST(CaptureEnvTest, InvalidValuesWarnAndKeepDefaults) {
-  metrics::Counter &Errors =
-      metrics::processRegistry().counter("config.errors");
-
-  uint64_t Before = Errors.value();
-  setenv("PROTEUS_CAPTURE", "banana", 1);
-  setenv("PROTEUS_CAPTURE_RING", "0", 1);
-  JitConfig C = JitConfig::fromEnvironment();
-  EXPECT_FALSE(C.Capture) << "invalid PROTEUS_CAPTURE must keep the default";
-  EXPECT_EQ(C.CaptureRing, 64u)
-      << "out-of-range PROTEUS_CAPTURE_RING must keep the default";
-  EXPECT_GE(Errors.value(), Before + 2)
-      << "each rejected setting counts as a config error";
-
-  setenv("PROTEUS_CAPTURE_RING", "notanumber", 1);
-  EXPECT_EQ(JitConfig::fromEnvironment().CaptureRing, 64u);
-  setenv("PROTEUS_CAPTURE_RING", "70000", 1); // above the sanity ceiling
-  EXPECT_EQ(JitConfig::fromEnvironment().CaptureRing, 64u);
-
-  setenv("PROTEUS_CAPTURE_DIR", "", 1);
-  EXPECT_EQ(JitConfig::fromEnvironment().CaptureDir, "proteus-captures");
-
-  setenv("PROTEUS_CAPTURE_DEDUP", "sometimes", 1);
-  EXPECT_TRUE(JitConfig::fromEnvironment().CaptureDedup)
-      << "invalid PROTEUS_CAPTURE_DEDUP must keep the default";
-
-  unsetenv("PROTEUS_CAPTURE");
-  unsetenv("PROTEUS_CAPTURE_DIR");
-  unsetenv("PROTEUS_CAPTURE_RING");
-  unsetenv("PROTEUS_CAPTURE_DEDUP");
 }
 
 } // namespace

@@ -574,35 +574,6 @@ TEST(FleetCodeCacheTest, ClaimsAreNoOpsWithoutAPersistentLevel) {
   C.endCompile(1); // must not crash
 }
 
-TEST(FleetConfigTest, EnvironmentControlsRemoteModeWarnDontCoerce) {
-  setenv("PROTEUS_CACHE_REMOTE", "on", 1);
-  setenv("PROTEUS_CACHE_SOCKET", "/run/proteus/cached.sock", 1);
-  setenv("PROTEUS_CACHE_SHARDS", "16", 1);
-  setenv("PROTEUS_CACHE_BUDGET", "1048576", 1);
-  JitConfig C = JitConfig::fromEnvironment();
-  EXPECT_TRUE(C.CacheRemote);
-  EXPECT_EQ(C.CacheSocket, "/run/proteus/cached.sock");
-  EXPECT_EQ(C.Limits.Shards, 16u);
-  EXPECT_EQ(C.Limits.BudgetBytes, 1048576u);
-
-  // Invalid values keep the defaults and are reported, never coerced.
-  setenv("PROTEUS_CACHE_REMOTE", "maybe", 1);
-  setenv("PROTEUS_CACHE_SHARDS", "4096", 1);
-  setenv("PROTEUS_CACHE_BUDGET", "lots", 1);
-  std::vector<std::string> Warnings;
-  CacheLimits L = CacheLimits::fromEnvironment(&Warnings);
-  EXPECT_EQ(L.Shards, 1u);
-  EXPECT_EQ(L.BudgetBytes, 0u);
-  EXPECT_GE(Warnings.size(), 2u);
-  JitConfig C2 = JitConfig::fromEnvironment();
-  EXPECT_FALSE(C2.CacheRemote) << "unknown mode must fall back to off";
-
-  unsetenv("PROTEUS_CACHE_REMOTE");
-  unsetenv("PROTEUS_CACHE_SOCKET");
-  unsetenv("PROTEUS_CACHE_SHARDS");
-  unsetenv("PROTEUS_CACHE_BUDGET");
-}
-
 TEST(FleetJitTest, EndToEndJitThroughTheSharedService) {
   ServerFixture F;
   ASSERT_TRUE(F.Server);

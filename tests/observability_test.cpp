@@ -5,9 +5,7 @@
 //===----------------------------------------------------------------------===//
 //
 // Regression tests for the observability layer at the JIT-runtime level:
-// strict PROTEUS_ASYNC / PROTEUS_ASYNC_WORKERS parsing (invalid values are
-// warned about, not silently coerced), stage timings that survive compile
-// error paths, out-of-range jit-annotation indices surfacing as launch
+// stage timings that survive compile error paths, out-of-range jit-annotation indices surfacing as launch
 // errors, and per-pass O3 attribution in JitRuntimeStats.
 //
 //===----------------------------------------------------------------------===//
@@ -29,85 +27,6 @@ using namespace proteus::gpu;
 using namespace proteus_test;
 
 namespace {
-
-// --- Environment parsing -----------------------------------------------------
-
-/// Sets an environment variable for the current scope and restores the
-/// previous value (or unsets) on destruction.
-struct ScopedEnv {
-  std::string Name;
-  std::string Saved;
-  bool HadValue;
-  ScopedEnv(const std::string &Name, const std::string &Value) : Name(Name) {
-    const char *Old = std::getenv(Name.c_str());
-    HadValue = Old != nullptr;
-    if (HadValue)
-      Saved = Old;
-    setenv(Name.c_str(), Value.c_str(), 1);
-  }
-  ~ScopedEnv() {
-    if (HadValue)
-      setenv(Name.c_str(), Saved.c_str(), 1);
-    else
-      unsetenv(Name.c_str());
-  }
-};
-
-TEST(JitConfigEnvTest, ValidValuesParseWithoutWarnings) {
-  ScopedEnv A("PROTEUS_ASYNC", "fallback");
-  ScopedEnv W("PROTEUS_ASYNC_WORKERS", "8");
-  std::vector<std::string> Warnings;
-  JitConfig C = JitConfig::fromEnvironment(&Warnings);
-  EXPECT_TRUE(Warnings.empty()) << Warnings.front();
-  EXPECT_EQ(C.Async, JitConfig::AsyncMode::Fallback);
-  EXPECT_EQ(C.AsyncWorkers, 8u);
-}
-
-TEST(JitConfigEnvTest, RemovedBlockModeWarnsCountsAndKeepsDefault) {
-  ScopedEnv A("PROTEUS_ASYNC", "block");
-  const uint64_t ErrorsBefore =
-      metrics::processRegistry().counter("config.errors").value();
-  std::vector<std::string> Warnings;
-  JitConfig C = JitConfig::fromEnvironment(&Warnings);
-  ASSERT_EQ(Warnings.size(), 1u);
-  EXPECT_EQ(Warnings[0], "ignoring invalid PROTEUS_ASYNC value 'block' "
-                         "(expected sync|fallback)");
-  EXPECT_EQ(C.Async, JitConfig::AsyncMode::Sync) << "default preserved";
-  EXPECT_EQ(metrics::processRegistry().counter("config.errors").value(),
-            ErrorsBefore + 1);
-}
-
-TEST(JitConfigEnvTest, ExplicitSyncIsAccepted) {
-  ScopedEnv A("PROTEUS_ASYNC", "sync");
-  std::vector<std::string> Warnings;
-  JitConfig C = JitConfig::fromEnvironment(&Warnings);
-  EXPECT_TRUE(Warnings.empty());
-  EXPECT_EQ(C.Async, JitConfig::AsyncMode::Sync);
-}
-
-TEST(JitConfigEnvTest, InvalidAsyncModeWarnsAndKeepsDefault) {
-  // "blocking" used to silently select Sync — the opposite of what the
-  // user asked for. It must now be rejected with a diagnostic.
-  ScopedEnv A("PROTEUS_ASYNC", "blocking");
-  std::vector<std::string> Warnings;
-  JitConfig C = JitConfig::fromEnvironment(&Warnings);
-  ASSERT_EQ(Warnings.size(), 1u);
-  EXPECT_NE(Warnings[0].find("PROTEUS_ASYNC"), std::string::npos);
-  EXPECT_NE(Warnings[0].find("blocking"), std::string::npos);
-  EXPECT_EQ(C.Async, JitConfig::AsyncMode::Sync) << "default preserved";
-}
-
-TEST(JitConfigEnvTest, InvalidWorkerCountsWarnAndKeepDefault) {
-  for (const char *Bad : {"0", "abc", "12abc", "-3", ""}) {
-    SCOPED_TRACE(std::string("PROTEUS_ASYNC_WORKERS=") + Bad);
-    ScopedEnv W("PROTEUS_ASYNC_WORKERS", Bad);
-    std::vector<std::string> Warnings;
-    JitConfig C = JitConfig::fromEnvironment(&Warnings);
-    ASSERT_EQ(Warnings.size(), 1u);
-    EXPECT_NE(Warnings[0].find("PROTEUS_ASYNC_WORKERS"), std::string::npos);
-    EXPECT_EQ(C.AsyncWorkers, 4u) << "default preserved";
-  }
-}
 
 // --- Direct-runtime harness --------------------------------------------------
 

@@ -6,8 +6,8 @@
 //
 // Semantics battery for the concurrent execution engine: per-stream FIFO
 // timelines, cross-stream independence (overlap), event happens-before
-// edges, elapsed-time monotonicity, free diagnostics, DeviceManager env
-// configuration, per-stream trace lanes, and the multi-device JIT: one
+// edges, elapsed-time monotonicity, free diagnostics, DeviceManager pool
+// construction, per-stream trace lanes, and the multi-device JIT: one
 // compile per (specialization, arch) loaded onto every device that
 // launches it, with 1-device vs N-device runs byte-identical.
 //
@@ -32,7 +32,6 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <cstdlib>
 #include <fstream>
 #include <thread>
 
@@ -48,27 +47,6 @@ struct TempDir {
   TempDir() : Path(fs::makeTempDirectory("proteus-stream")) {}
   ~TempDir() { fs::removeAllFiles(Path); }
   std::string file(const std::string &Name) const { return Path + "/" + Name; }
-};
-
-/// Sets an environment variable for the scope, restoring the previous
-/// state (including absence) on destruction.
-struct ScopedEnv {
-  std::string Name;
-  std::string Old;
-  bool Had;
-  ScopedEnv(const char *N, const char *V) : Name(N) {
-    const char *P = getenv(N);
-    Had = P != nullptr;
-    if (P)
-      Old = P;
-    setenv(N, V, 1);
-  }
-  ~ScopedEnv() {
-    if (Had)
-      setenv(Name.c_str(), Old.c_str(), 1);
-    else
-      unsetenv(Name.c_str());
-  }
 };
 
 constexpr unsigned NumKernels = 3;
@@ -431,19 +409,13 @@ TEST(StreamTest, BadFreesAreCountedNotIgnored) {
             Double0 + 1);
 }
 
-// -- DeviceManager environment configuration --------------------------------
+// -- DeviceManager pool construction ----------------------------------------
 
-TEST(StreamTest, DeviceManagerConfigFromEnvironment) {
-  ScopedEnv E1("PROTEUS_NUM_DEVICES", "3");
-  ScopedEnv E2("PROTEUS_DEFAULT_STREAMS", "2");
-  ScopedEnv E3("PROTEUS_DEVICE_ARCHS", "amdgcn-sim,nvptx-sim");
-
-  std::vector<std::string> Warnings;
-  DeviceManager::Config C = DeviceManager::configFromEnvironment(&Warnings);
-  EXPECT_TRUE(Warnings.empty());
-  EXPECT_EQ(C.NumDevices, 3u);
-  EXPECT_EQ(C.StreamsPerDevice, 2u);
-  ASSERT_EQ(C.Archs.size(), 2u);
+TEST(StreamTest, DeviceManagerCyclesArchsAndPreCreatesStreams) {
+  DeviceManager::Config C;
+  C.NumDevices = 3;
+  C.StreamsPerDevice = 2;
+  C.Archs = {GpuArch::AmdGcnSim, GpuArch::NvPtxSim};
 
   DeviceManager Mgr(C);
   ASSERT_EQ(Mgr.numDevices(), 3u);
@@ -457,20 +429,6 @@ TEST(StreamTest, DeviceManagerConfigFromEnvironment) {
   }
   EXPECT_DOUBLE_EQ(Mgr.totalSimulatedSeconds(), 0.0);
   EXPECT_DOUBLE_EQ(Mgr.makespanSeconds(), 0.0);
-}
-
-TEST(StreamTest, DeviceManagerInvalidEnvWarnsAndKeepsDefaults) {
-  ScopedEnv E1("PROTEUS_NUM_DEVICES", "0");
-  ScopedEnv E2("PROTEUS_DEFAULT_STREAMS", "999");
-  ScopedEnv E3("PROTEUS_DEVICE_ARCHS", "bogus-arch");
-
-  std::vector<std::string> Warnings;
-  DeviceManager::Config C = DeviceManager::configFromEnvironment(&Warnings);
-  // One warning per bad variable, never a silent substitution.
-  EXPECT_EQ(Warnings.size(), 3u);
-  EXPECT_EQ(C.NumDevices, 1u);
-  EXPECT_EQ(C.StreamsPerDevice, 1u);
-  EXPECT_TRUE(C.Archs.empty());
 }
 
 // -- Per-stream trace lanes --------------------------------------------------

@@ -809,25 +809,9 @@ TEST(TieredJitTest, ModuleIndexPrunesUnreachableFunctions) {
   EXPECT_EQ(Jit.stats().PrunedFunctions, 3u);
 }
 
-TEST(TieredJitTest, TierEnvVarParsesAndRejectsGarbage) {
+TEST(TieredJitTest, TierModeNamesRoundTrip) {
   EXPECT_STREQ(tierModeName(true), "on");
   EXPECT_STREQ(tierModeName(false), "off");
-
-  setenv("PROTEUS_TIER", "on", 1);
-  std::vector<std::string> Warnings;
-  EXPECT_TRUE(JitConfig::fromEnvironment(&Warnings).Tier);
-  EXPECT_TRUE(Warnings.empty());
-
-  setenv("PROTEUS_TIER", "off", 1);
-  EXPECT_FALSE(JitConfig::fromEnvironment(&Warnings).Tier);
-  EXPECT_TRUE(Warnings.empty());
-
-  setenv("PROTEUS_TIER", "banana", 1);
-  JitConfig C = JitConfig::fromEnvironment(&Warnings);
-  EXPECT_FALSE(C.Tier) << "invalid value must keep the default";
-  ASSERT_EQ(Warnings.size(), 1u);
-  EXPECT_NE(Warnings[0].find("PROTEUS_TIER"), std::string::npos);
-  unsetenv("PROTEUS_TIER");
 }
 
 TEST(CompileServiceTest, ServableFollowsOneRule) {

@@ -18,11 +18,11 @@
 //===----------------------------------------------------------------------===//
 
 #include "fleet/CacheServer.h"
+#include "support/Env.h"
 
 #include <atomic>
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <thread>
@@ -35,18 +35,12 @@ std::atomic<bool> StopRequested{false};
 
 void onSignal(int) { StopRequested.store(true); }
 
-bool parseU64(const std::string &S, uint64_t &Out) {
-  if (S.empty() || S.find_first_not_of("0123456789") != std::string::npos)
-    return false;
-  Out = std::strtoull(S.c_str(), nullptr, 10);
-  return true;
-}
-
 int usage(const char *Argv0) {
+  std::string_view Policies = env::info(env::Knob::CachePolicy).Spellings;
   std::fprintf(stderr,
                "usage: %s --socket=PATH --dir=PATH [--shards=N] "
-               "[--budget=BYTES] [--workers=N] [--policy=lru|lfu]\n",
-               Argv0);
+               "[--budget=BYTES] [--workers=N] [--policy=%.*s]\n",
+               Argv0, static_cast<int>(Policies.size()), Policies.data());
   return 2;
 }
 
@@ -66,25 +60,24 @@ int main(int Argc, char **Argv) {
     } else if (const char *S = valueOf("--dir=")) {
       Options.Dir = S;
     } else if (const char *S = valueOf("--shards=")) {
-      if (!parseU64(S, V) || V < 1 || V > 64)
+      const env::KnobInfo &Shards = env::info(env::Knob::CacheShards);
+      if (!env::parseDecimal(S, V) || V < Shards.Lo || V > Shards.Hi)
         return usage(Argv[0]);
       Options.Shards = static_cast<uint32_t>(V);
     } else if (const char *S = valueOf("--budget=")) {
-      if (!parseU64(S, V))
+      if (!env::parseDecimal(S, V))
         return usage(Argv[0]);
       Options.BudgetBytes = V;
     } else if (const char *S = valueOf("--workers=")) {
-      if (!parseU64(S, V) || V < 1 || V > 256)
+      if (!env::parseDecimal(S, V) || V < 1 || V > 256)
         return usage(Argv[0]);
       Options.Workers = static_cast<unsigned>(V);
     } else if (const char *S = valueOf("--policy=")) {
-      std::string P = S;
-      if (P == "lru")
-        Options.Policy = fleet::EvictPolicy::LRU;
-      else if (P == "lfu")
-        Options.Policy = fleet::EvictPolicy::LFU;
-      else
+      // Same spellings, in enum order, as PROTEUS_CACHE_POLICY.
+      int Index = env::spellingIndex(env::Knob::CachePolicy, S);
+      if (Index < 0)
         return usage(Argv[0]);
+      Options.Policy = static_cast<fleet::EvictPolicy>(Index);
     } else {
       return usage(Argv[0]);
     }
