@@ -22,6 +22,7 @@
 #define PROTEUS_GPU_DEVICEMANAGER_H
 
 #include "gpu/Device.h"
+#include "support/Env.h"
 
 #include <memory>
 #include <string>
@@ -34,9 +35,10 @@ namespace gpu {
 class DeviceManager {
 public:
   struct Config {
-    unsigned NumDevices = 1;
+    unsigned NumDevices = env::defaultOf<unsigned>(env::Knob::NumDevices);
     /// Streams pre-created per device, including the default stream.
-    unsigned StreamsPerDevice = 1;
+    unsigned StreamsPerDevice =
+        env::defaultOf<unsigned>(env::Knob::DefaultStreams);
     /// Architectures cycled across devices (device i gets
     /// Archs[i % Archs.size()]); empty means all amdgcn-sim.
     std::vector<GpuArch> Archs;

@@ -37,6 +37,7 @@
 
 #include "codegen/Target.h"
 #include "fleet/LocalBackend.h"
+#include "support/Env.h"
 #include "transforms/SpecializeArgs.h"
 
 #include <cstdint>
@@ -102,16 +103,17 @@ struct CodeCacheStats {
 
 /// Size limits; 0 means unlimited (the paper's default behaviour).
 struct CacheLimits {
-  uint64_t MaxMemoryBytes = 0;
+  uint64_t MaxMemoryBytes = env::defaultOf(env::Knob::CacheMemLimit);
   /// Persistent-level byte budget, covering code objects and tuning
   /// decisions alike.
-  uint64_t MaxPersistentBytes = 0;
+  uint64_t MaxPersistentBytes = env::defaultOf(env::Knob::CacheDiskLimit);
   /// Eviction order under either limit (paper section 3.4; LFU is the
   /// runtime-informed policy).
-  fleet::EvictPolicy Policy = fleet::EvictPolicy::LRU;
+  fleet::EvictPolicy Policy =
+      env::defaultOf<fleet::EvictPolicy>(env::Knob::CachePolicy);
   /// Shard directories for the persistent level (consistent-hash sharded;
   /// 1 keeps the historical flat layout).
-  uint32_t Shards = 1;
+  uint32_t Shards = env::defaultOf<uint32_t>(env::Knob::CacheShards);
 
   bool operator==(const CacheLimits &) const = default;
 };

@@ -144,6 +144,7 @@ struct proteus::JitKernel {
 JitConfig JitConfig::fromEnvironment(std::vector<std::string> *Warnings) {
   using env::Knob;
   JitConfig C;
+  env::rejectRetired(Warnings);
   if (bool Off; env::read(Knob::NoRcf, Off, Warnings))
     C.EnableRCF = !Off;
   if (bool Off; env::read(Knob::NoLaunchBounds, Off, Warnings))

@@ -74,6 +74,7 @@
 #include "jit/CodeCache.h"
 #include "jit/CompilationPolicy.h"
 #include "jit/CompileService.h"
+#include "support/Env.h"
 #include "support/Metrics.h"
 #include "transforms/O3Pipeline.h"
 
@@ -102,18 +103,18 @@ struct JitConfig {
               ///< specialized binary once its background promotion finishes
   };
 
-  bool EnableRCF = true;          // PROTEUS_NO_RCF
-  bool EnableLaunchBounds = true; // PROTEUS_NO_LAUNCH_BOUNDS
+  bool EnableRCF = !env::defaultOf(env::Knob::NoRcf);
+  bool EnableLaunchBounds = !env::defaultOf(env::Knob::NoLaunchBounds);
   bool UseMemoryCache = true;
   bool UsePersistentCache = true;
-  std::string CacheDir = "proteus-jit-cache"; // PROTEUS_CACHE_DIR
+  std::string CacheDir{env::info(env::Knob::CacheDir).Default};
   /// Size limits + eviction policy (paper section 3.4); defaults unlimited.
   CacheLimits Limits;
   /// Fleet mode (PROTEUS_CACHE_REMOTE): when on, the persistent
   /// level speaks to the node's shared cache service (tools/proteus-cached)
   /// over a unix socket, with batched lookups, fleet-wide compile dedup and
   /// a local-directory fallback when the daemon is unreachable.
-  bool CacheRemote = false;
+  bool CacheRemote = env::defaultOf<bool>(env::Knob::CacheRemote);
   /// Daemon socket path (PROTEUS_CACHE_SOCKET); empty derives
   /// "<CacheDir>/proteus-cached.sock".
   std::string CacheSocket;
@@ -121,16 +122,16 @@ struct JitConfig {
   /// for untrusted persistent caches / debugging; off by default).
   bool VerifyIR = false;
   /// Asynchronous compilation pipeline (PROTEUS_ASYNC).
-  AsyncMode Async = AsyncMode::Sync;
+  AsyncMode Async = env::defaultOf<AsyncMode>(env::Knob::Async);
   /// Worker threads for background promotions (PROTEUS_ASYNC_WORKERS).
-  unsigned AsyncWorkers = 4;
+  unsigned AsyncWorkers = env::defaultOf<unsigned>(env::Knob::AsyncWorkers);
   O3Options O3;
 
   /// Tiered compilation (PROTEUS_TIER). When on, a cold launch wants
   /// a fast Tier-0 compile (O3Preset::Fast + fast register allocation),
   /// and the full pipeline runs as a background promotion that hot-swaps
   /// the loaded kernel and promotes the cache entry in place.
-  bool Tier = false;
+  bool Tier = env::defaultOf<bool>(env::Knob::Tier);
 
   /// What to do with kernel-sanitizer findings (divergent barriers,
   /// shared-scratch races/OOB/uninitialized reads — see
@@ -141,12 +142,12 @@ struct JitConfig {
     Warn,  ///< report findings to stderr, launch anyway (default)
     Error, ///< fail the launch with the findings as the error message
   };
-  AnalyzeMode Analyze = AnalyzeMode::Warn;
+  AnalyzeMode Analyze = env::defaultOf<AnalyzeMode>(env::Knob::Analyze);
 
   /// Run verifyFunction after every O3 pass and attribute any breakage to
   /// the offending pass by name; a failure fails the compile instead of
   /// emitting a miscompiled kernel (PROTEUS_VERIFY_EACH).
-  bool VerifyEachPass = false;
+  bool VerifyEachPass = env::defaultOf<bool>(env::Knob::VerifyEach);
 
   /// Launch capture (PROTEUS_CAPTURE): record specialized launches
   /// into self-contained replayable artifacts (pruned bitcode, arg values,
@@ -154,24 +155,24 @@ struct JitConfig {
   /// ring that sheds load instead of ever blocking the launch path.
   /// Launches of a generic cover (the unspecialized AOT binary) are not
   /// captured. See src/capture and tools/proteus-replay.
-  bool Capture = false;
+  bool Capture = env::defaultOf<bool>(env::Knob::Capture);
   /// Directory receiving .pcap artifacts (PROTEUS_CAPTURE_DIR).
-  std::string CaptureDir = "proteus-captures";
+  std::string CaptureDir{env::info(env::Knob::CaptureDir).Default};
   /// Capture-ring capacity: captures that may be queued or in flight before
   /// new ones are shed (PROTEUS_CAPTURE_RING).
-  unsigned CaptureRing = 64;
+  unsigned CaptureRing = env::defaultOf<unsigned>(env::Knob::CaptureRing);
   /// Capture each distinct launch shape (specialization hash + geometry +
   /// argument bits) only once per runtime; repeats are counted as
   /// capture.dedup and skip all snapshot work, so a steady-state launch
   /// loop pays nothing after its first iteration. False
   /// (PROTEUS_CAPTURE_DEDUP) records every launch — the stress mode the
   /// pressure tests use to exercise ring shedding.
-  bool CaptureDedup = true;
+  bool CaptureDedup = env::defaultOf<bool>(env::Knob::CaptureDedup);
 
   /// Upper bound on variants the variant manager (jit/AutoTuner.h) races
   /// per specialization (PROTEUS_TUNE_BUDGET). The recorded
   /// configuration always races, so the budget caps the extra trials.
-  unsigned TuneBudget = 8;
+  unsigned TuneBudget = env::defaultOf<unsigned>(env::Knob::TuneBudget);
 
   /// Bottleneck-aware compilation policy (PROTEUS_POLICY). When on,
   /// every compiled kernel is classified on the static roofline
@@ -180,7 +181,7 @@ struct JitConfig {
   /// tuning decisions, and the variant manager prunes tuning axes the class
   /// says cannot pay off (policy.pruned_trials). Off by default: the tuner
   /// races every axis.
-  bool Policy = false;
+  bool Policy = env::defaultOf<bool>(env::Knob::Policy);
 
   /// Applies the variables above on top of the defaults. An invalid value
   /// keeps the default, is reported into \p Warnings (or on stderr when

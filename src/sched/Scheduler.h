@@ -44,6 +44,7 @@
 #include "analysis/CriticalPath.h"
 #include "analysis/Roofline.h"
 #include "jit/JitRuntime.h"
+#include "support/Env.h"
 #include "support/Metrics.h"
 
 #include <map>
@@ -65,7 +66,7 @@ enum class SchedMode {
 const char *schedModeName(SchedMode M);
 
 struct SchedConfig {
-  SchedMode Mode = SchedMode::Off;
+  SchedMode Mode = env::defaultOf<SchedMode>(env::Knob::Sched);
 
   /// Reads PROTEUS_SCHED through the knob table (support/Env.h).
   static SchedConfig fromEnvironment(std::vector<std::string> *Warnings =

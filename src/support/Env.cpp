@@ -9,10 +9,10 @@
 #include "support/Metrics.h"
 #include "support/StringUtils.h"
 
-#include <algorithm>
 #include <cassert>
 #include <cstdio>
 #include <cstdlib>
+#include <utility>
 
 using namespace proteus;
 using namespace proteus::env;
@@ -37,13 +37,13 @@ std::string expected(const KnobInfo &K) {
   return {};
 }
 
-/// Counts the rejected value of \p K in "config.errors" and reports it in
-/// the standard form, into \p Warnings or (when null) on stderr. Returns
-/// false, the reader's result.
-bool reject(const KnobInfo &K, std::string_view Value,
-            std::vector<std::string> *Warnings) {
-  std::string Msg = "ignoring invalid " + std::string(K.Name) + " value '" +
-                    std::string(Value) + "' (expected " + expected(K) + ")";
+/// Counts the rejected \p Value of \p Name in "config.errors" and reports
+/// it in the standard form, into \p Warnings or (when null) on stderr.
+/// Returns false, the reader's result.
+bool reject(std::string_view Name, std::string_view Value,
+            const std::string &Expected, std::vector<std::string> *Warnings) {
+  std::string Msg = "ignoring invalid " + std::string(Name) + " value '" +
+                    std::string(Value) + "' (expected " + Expected + ")";
   metrics::processRegistry().counter("config.errors").add();
   if (Warnings)
     Warnings->push_back(std::move(Msg));
@@ -53,20 +53,6 @@ bool reject(const KnobInfo &K, std::string_view Value,
 }
 
 } // namespace
-
-bool env::parseDecimal(std::string_view S, uint64_t &Out) {
-  if (S.empty())
-    return false;
-  uint64_t N = 0;
-  for (char C : S) {
-    unsigned Digit = static_cast<unsigned char>(C) - '0';
-    if (Digit > 9 || N > (UINT64_MAX - Digit) / 10)
-      return false;
-    N = N * 10 + Digit;
-  }
-  Out = N;
-  return true;
-}
 
 const std::vector<std::string> &env::spellings(Knob K) {
   static const std::vector<std::vector<std::string>> Rows = [] {
@@ -82,12 +68,6 @@ const std::vector<std::string> &env::spellings(Knob K) {
   return Rows[static_cast<size_t>(K)];
 }
 
-int env::spellingIndex(Knob K, std::string_view S) {
-  const std::vector<std::string> &All = spellings(K);
-  auto It = std::find(All.begin(), All.end(), S);
-  return It == All.end() ? -1 : static_cast<int>(It - All.begin());
-}
-
 bool env::readNumber(Knob K, uint64_t &Out,
                      std::vector<std::string> *Warnings) {
   const KnobInfo &I = info(K);
@@ -95,15 +75,8 @@ bool env::readNumber(Knob K, uint64_t &Out,
   const char *S = std::getenv(I.Name);
   if (!S)
     return false;
-  int Index = spellingIndex(K, S);
-  uint64_t V = static_cast<uint64_t>(Index);
-  bool Ok = I.Kind == KnobKind::Choice
-                ? Index >= 0
-                : parseDecimal(S, V) &&
-                      (I.Kind == KnobKind::Bytes || (V >= I.Lo && V <= I.Hi));
-  if (!Ok)
-    return reject(I, S, Warnings);
-  Out = V;
+  if (!parseNumber(K, S, Out))
+    return reject(I.Name, S, expected(I), Warnings);
   return true;
 }
 
@@ -121,7 +94,7 @@ bool env::read(Knob K, std::vector<unsigned> &Out,
   for (std::string_view Segment : split(S, ',')) {
     int Index = spellingIndex(K, Segment);
     if (Index < 0)
-      return reject(I, S, Warnings);
+      return reject(I.Name, S, expected(I), Warnings);
     Indices.push_back(static_cast<unsigned>(Index));
   }
   Out = std::move(Indices);
@@ -135,7 +108,16 @@ bool env::read(Knob K, std::string &Out, std::vector<std::string> *Warnings) {
   if (!S)
     return false;
   if (!*S)
-    return reject(I, S, Warnings);
+    return reject(I.Name, S, expected(I), Warnings);
   Out = S;
   return true;
+}
+
+void env::rejectRetired(std::vector<std::string> *Warnings) {
+  for (auto [Name, Instead] :
+       {std::pair{"PROTEUS_CACHE_BUDGET", ", set PROTEUS_CACHE_DISK_LIMIT"},
+        std::pair{"PROTEUS_TUNE", ""}})
+    if (const char *S = std::getenv(Name))
+      reject(Name, S, std::string("unset; the variable is retired") + Instead,
+             Warnings);
 }

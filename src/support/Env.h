@@ -24,6 +24,7 @@
 #define PROTEUS_SUPPORT_ENV_H
 
 #include <cstddef>
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <string_view>
@@ -105,14 +106,64 @@ constexpr const KnobInfo &info(Knob K) {
 /// Checked unsigned decimal: digits only (no sign, space or prefix) whose
 /// value fits in 64 bits. strtoull would wrap "-1" and saturate an
 /// over-long value instead of rejecting them.
-bool parseDecimal(std::string_view S, uint64_t &Out);
+constexpr bool parseDecimal(std::string_view S, uint64_t &Out) {
+  if (S.empty())
+    return false;
+  uint64_t N = 0;
+  for (char C : S) {
+    unsigned Digit = static_cast<unsigned char>(C) - '0';
+    if (Digit > 9 || N > (UINT64_MAX - Digit) / 10)
+      return false;
+    N = N * 10 + Digit;
+  }
+  Out = N;
+  return true;
+}
+
+/// Index of \p S among the spellings of \p K, or -1.
+constexpr int spellingIndex(Knob K, std::string_view S) {
+  std::string_view Rest = info(K).Spellings;
+  for (int Index = 0; !Rest.empty(); ++Index) {
+    size_t Bar = std::min(Rest.find('|'), Rest.size());
+    if (Rest.substr(0, Bar) == S)
+      return Index;
+    Rest.remove_prefix(std::min(Bar + 1, Rest.size()));
+  }
+  return -1;
+}
+
+/// Parses \p S as a value of Integer, Bytes or Choice knob \p K (a Choice
+/// yields its spelling's index). \p Out is left alone on failure.
+constexpr bool parseNumber(Knob K, std::string_view S, uint64_t &Out) {
+  const KnobInfo &I = info(K);
+  int Index = spellingIndex(K, S);
+  uint64_t V = static_cast<uint64_t>(Index);
+  if (I.Kind == KnobKind::Choice ? Index < 0
+                                 : !parseDecimal(S, V) ||
+                                       (I.Kind == KnobKind::Integer &&
+                                        (V < I.Lo || V > I.Hi)))
+    return false;
+  Out = V;
+  return true;
+}
+
+/// The default of Integer, Bytes or Choice knob \p K as a read stores it,
+/// for the configuration structs' member initializers: each default is
+/// written only in the table, and one its row rejects fails to compile.
+template <typename T = uint64_t> consteval T defaultOf(Knob K) {
+  uint64_t V = 0;
+  if (!parseNumber(K, info(K).Default, V))
+    throw "the row's default is not a valid value of the row";
+  return static_cast<T>(V);
+}
+
+/// Rejects a set retired variable (PROTEUS_CACHE_BUDGET, PROTEUS_TUNE) like
+/// an invalid value; JitConfig::fromEnvironment calls this.
+void rejectRetired(std::vector<std::string> *Warnings);
 
 /// The spellings of \p K in enum order (empty for other kinds); the mode
 /// names (asyncModeName, schedModeName, ...) come from here.
 const std::vector<std::string> &spellings(Knob K);
-
-/// Index of \p S among the spellings of \p K, or -1.
-int spellingIndex(Knob K, std::string_view S);
 
 /// Reads Integer, Bytes or Choice knob \p K into \p Out (a Choice yields its
 /// spelling's index). Returns whether \p Out was set.

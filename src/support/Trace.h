@@ -33,6 +33,8 @@
 #ifndef PROTEUS_SUPPORT_TRACE_H
 #define PROTEUS_SUPPORT_TRACE_H
 
+#include "support/Env.h"
+
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
@@ -53,7 +55,8 @@ inline bool enabled() {
 }
 
 /// Default ring-buffer capacity in events (~12 MB).
-constexpr size_t DefaultCapacity = size_t(1) << 18;
+constexpr size_t DefaultCapacity =
+    env::defaultOf<size_t>(env::Knob::TraceBuffer);
 
 /// Starts a session: resets the ring buffer and enables collection.
 /// \p OutputPath may be empty (export only via exportJson()/writeJson()).

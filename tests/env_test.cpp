@@ -6,11 +6,14 @@
 //
 // One table-driven test over every row of PROTEUS_ENV_KNOBS (support/Env.h):
 // an unset variable keeps the default silently, each valid spelling or
-// bound is taken silently, one invalid value gives one standard warning and
-// one counted config error and keeps the default, and the default spelling
-// reproduces a default-constructed configuration. EnvReadmeTest (the
-// env_readme_check ctest) requires README's environment table to list
-// exactly the table's variables with the table's values.
+// bound reaches the row's own config field silently and leaves every other
+// field at its default, each invalid value (for a range, both neighbours)
+// gives one standard warning and one counted config error and keeps the
+// default, and the default spelling reproduces a default-constructed
+// configuration. A retired spelling or a set retired variable is rejected
+// the same way. EnvReadmeTest (the env_readme_check ctest) requires
+// README's environment table to list exactly the table's variables with
+// the table's values.
 //
 //===----------------------------------------------------------------------===//
 
@@ -23,7 +26,6 @@
 #include "support/FileSystem.h"
 #include "support/Metrics.h"
 #include "support/StringUtils.h"
-#include "support/Trace.h"
 
 #include <deque>
 #include <map>
@@ -53,14 +55,87 @@ uint64_t configErrors() {
   return metrics::processRegistry().counter("config.errors").value();
 }
 
-/// Unsets every knob for the scope.
+/// Variables that no longer exist; setting one is rejected.
+const char *const RetiredVariables[] = {"PROTEUS_CACHE_BUDGET",
+                                        "PROTEUS_TUNE"};
+
+/// Unsets every knob, and every retired variable, for the scope.
 struct CleanEnv {
   std::deque<ScopedEnv> Vars;
   CleanEnv() {
     for (const KnobInfo &K : Knobs)
       Vars.emplace_back(K.Name, nullptr);
+    for (const char *Name : RetiredVariables)
+      Vars.emplace_back(Name, nullptr);
   }
 };
+
+template <typename T> std::string number(T V) {
+  return std::to_string(static_cast<uint64_t>(V));
+}
+
+std::string indices(const std::vector<GpuArch> &Archs) {
+  std::string Out;
+  for (GpuArch A : Archs)
+    Out += (Out.empty() ? "" : ",") + number(A);
+  return Out;
+}
+
+/// The configuration field a row feeds: Render shows it as readBack shows
+/// the value read, Reset puts the default back.
+struct Field {
+  Knob K;
+  std::string (*Render)(const Configs &);
+  void (*Reset)(Configs &);
+};
+
+#define PROTEUS_FIELD(Id, Member, Rendered)                                    \
+  Field {                                                                      \
+    Knob::Id, [](const Configs &C) { return std::string(Rendered); },         \
+        [](Configs &C) { C.Member = Configs().Member; }                        \
+  }
+const Field Fields[] = {
+    PROTEUS_FIELD(NoRcf, Jit.EnableRCF, C.Jit.EnableRCF ? "0" : "1"),
+    PROTEUS_FIELD(NoLaunchBounds, Jit.EnableLaunchBounds,
+                  C.Jit.EnableLaunchBounds ? "0" : "1"),
+    PROTEUS_FIELD(Async, Jit.Async, number(C.Jit.Async)),
+    PROTEUS_FIELD(AsyncWorkers, Jit.AsyncWorkers, number(C.Jit.AsyncWorkers)),
+    PROTEUS_FIELD(Tier, Jit.Tier, number(C.Jit.Tier)),
+    PROTEUS_FIELD(CacheDir, Jit.CacheDir, C.Jit.CacheDir),
+    PROTEUS_FIELD(CacheMemLimit, Jit.Limits.MaxMemoryBytes,
+                  number(C.Jit.Limits.MaxMemoryBytes)),
+    PROTEUS_FIELD(CacheDiskLimit, Jit.Limits.MaxPersistentBytes,
+                  number(C.Jit.Limits.MaxPersistentBytes)),
+    PROTEUS_FIELD(CachePolicy, Jit.Limits.Policy, number(C.Jit.Limits.Policy)),
+    PROTEUS_FIELD(CacheRemote, Jit.CacheRemote, number(C.Jit.CacheRemote)),
+    PROTEUS_FIELD(CacheSocket, Jit.CacheSocket, C.Jit.CacheSocket),
+    PROTEUS_FIELD(CacheShards, Jit.Limits.Shards, number(C.Jit.Limits.Shards)),
+    PROTEUS_FIELD(Analyze, Jit.Analyze, number(C.Jit.Analyze)),
+    PROTEUS_FIELD(VerifyEach, Jit.VerifyEachPass, number(C.Jit.VerifyEachPass)),
+    PROTEUS_FIELD(NumDevices, Devices.NumDevices, number(C.Devices.NumDevices)),
+    PROTEUS_FIELD(DefaultStreams, Devices.StreamsPerDevice,
+                  number(C.Devices.StreamsPerDevice)),
+    PROTEUS_FIELD(DeviceArchs, Devices.Archs, indices(C.Devices.Archs)),
+    PROTEUS_FIELD(Sched, Sched.Mode, number(C.Sched.Mode)),
+    PROTEUS_FIELD(Capture, Jit.Capture, number(C.Jit.Capture)),
+    PROTEUS_FIELD(CaptureDir, Jit.CaptureDir, C.Jit.CaptureDir),
+    PROTEUS_FIELD(CaptureRing, Jit.CaptureRing, number(C.Jit.CaptureRing)),
+    PROTEUS_FIELD(CaptureDedup, Jit.CaptureDedup, number(C.Jit.CaptureDedup)),
+    PROTEUS_FIELD(TuneBudget, Jit.TuneBudget, number(C.Jit.TuneBudget)),
+    PROTEUS_FIELD(Policy, Jit.Policy, number(C.Jit.Policy)),
+};
+#undef PROTEUS_FIELD
+
+/// The trace rows are read once, when the process loads, not by a config
+/// struct; only env::read observes them here.
+bool readAtLoad(Knob K) { return K == Knob::Trace || K == Knob::TraceBuffer; }
+
+const Field *fieldOf(Knob K) {
+  for (const Field &F : Fields)
+    if (F.K == K)
+      return &F;
+  return nullptr;
+}
 
 /// Valid values of \p K, each with the outcome env::read must report: the
 /// number (Integer, Bytes), spelling index (Choice) or joined spelling
@@ -101,21 +176,25 @@ std::vector<std::pair<std::string, std::string>> validValues(Knob Id) {
   return Out;
 }
 
-std::string invalidValue(Knob Id) {
+/// Values of \p K that must be rejected: for Integer rows both neighbours
+/// of the range.
+std::vector<std::string> invalidValues(Knob Id) {
   const KnobInfo &K = info(Id);
   switch (K.Kind) {
   case KnobKind::Integer:
-    return std::to_string(K.Hi + 1);
+    if (K.Lo > 0)
+      return {std::to_string(K.Lo - 1), std::to_string(K.Hi + 1)};
+    return {std::to_string(K.Hi + 1)};
   case KnobKind::Bytes:
-    return "-1";
+    return {"-1"};
   case KnobKind::Choice:
-    return "bogus";
+    return {"bogus"};
   case KnobKind::ArchList:
-    return spellings(Id)[0] + ",";
+    return {spellings(Id)[0] + ","};
   case KnobKind::Path:
-    return "";
+    return {""};
   }
-  return "";
+  return {};
 }
 
 /// env::read of \p K rendered as in validValues, or "unset" when it
@@ -140,10 +219,6 @@ std::string readBack(Knob K, std::vector<std::string> *Warnings) {
   }
 }
 
-/// The trace rows are read once, when the process loads, not by a config
-/// struct; only env::read observes them here.
-bool readAtLoad(Knob K) { return K == Knob::Trace || K == Knob::TraceBuffer; }
-
 TEST(EnvKnobTest, EveryRowFollowsTheContract) {
   CleanEnv Clean;
   std::vector<std::string> Warnings;
@@ -154,6 +229,8 @@ TEST(EnvKnobTest, EveryRowFollowsTheContract) {
     const Knob K = static_cast<Knob>(Row);
     const KnobInfo &I = Knobs[Row];
     SCOPED_TRACE(I.Name);
+    const Field *F = fieldOf(K);
+    ASSERT_EQ(F == nullptr, readAtLoad(K)) << "a config row needs a Field";
     const uint64_t Errors = configErrors();
     EXPECT_EQ(readBack(K, &Warnings), "unset");
 
@@ -161,35 +238,39 @@ TEST(EnvKnobTest, EveryRowFollowsTheContract) {
       SCOPED_TRACE("value '" + Value + "'");
       ScopedEnv Set(I.Name, Value.c_str());
       EXPECT_EQ(readBack(K, &Warnings), Expected);
-      if (readAtLoad(K))
+      if (!F)
         continue;
+      Configs Got = readConfigs(&Warnings);
       const bool IsDefault = Value == I.Default;
-      EXPECT_EQ(readConfigs(&Warnings) == Configs{}, IsDefault)
+      EXPECT_EQ(Got == Configs{}, IsDefault)
           << (IsDefault ? "the default spelling must reproduce the defaults"
                         : "a valid value must reach its config field");
+      EXPECT_EQ(F->Render(Got), Expected) << "the row's own field";
+      F->Reset(Got);
+      EXPECT_EQ(Got, Configs{}) << "every other field keeps its default";
     }
     EXPECT_TRUE(Warnings.empty()) << Warnings.front();
     EXPECT_EQ(configErrors(), Errors) << "valid values count no error";
 
-    const std::string Bad = invalidValue(K);
-    ScopedEnv Set(I.Name, Bad.c_str());
-    std::vector<std::string> Rejected;
-    if (readAtLoad(K))
-      EXPECT_EQ(readBack(K, &Rejected), "unset");
-    else
-      EXPECT_EQ(readConfigs(&Rejected), Configs{}) << "default kept";
-    ASSERT_EQ(Rejected.size(), 1u);
-    EXPECT_TRUE(startsWith(Rejected[0], "ignoring invalid " +
-                                            std::string(I.Name) + " value '" +
-                                            Bad + "' (expected "))
-        << Rejected[0];
-    EXPECT_EQ(Rejected[0].back(), ')');
-    EXPECT_EQ(configErrors(), Errors + 1);
+    uint64_t Rejections = 0;
+    for (const std::string &Bad : invalidValues(K)) {
+      SCOPED_TRACE("value '" + Bad + "'");
+      ScopedEnv Set(I.Name, Bad.c_str());
+      std::vector<std::string> Rejected;
+      if (F)
+        EXPECT_EQ(readConfigs(&Rejected), Configs{}) << "default kept";
+      else
+        EXPECT_EQ(readBack(K, &Rejected), "unset");
+      ASSERT_EQ(Rejected.size(), 1u);
+      EXPECT_TRUE(startsWith(Rejected[0], "ignoring invalid " +
+                                              std::string(I.Name) +
+                                              " value '" + Bad +
+                                              "' (expected "))
+          << Rejected[0];
+      EXPECT_EQ(Rejected[0].back(), ')');
+      EXPECT_EQ(configErrors(), Errors + ++Rejections);
+    }
   }
-
-  uint64_t Capacity = 0;
-  ASSERT_TRUE(parseDecimal(info(Knob::TraceBuffer).Default, Capacity));
-  EXPECT_EQ(Capacity, trace::DefaultCapacity);
 }
 
 TEST(EnvKnobTest, SpellingIndexIsTheEnumValue) {
@@ -216,12 +297,21 @@ TEST(EnvKnobTest, SpellingIndexIsTheEnumValue) {
 
 TEST(EnvKnobTest, RetiredSpellingsAreRejected) {
   CleanEnv Clean;
-  for (auto [Var, Value] : {std::pair{"PROTEUS_ASYNC", "block"},
-                            std::pair{"PROTEUS_CACHE_POLICY", "runtime"}}) {
+  std::vector<std::pair<const char *, const char *>> Retired = {
+      {"PROTEUS_ASYNC", "block"}, {"PROTEUS_CACHE_POLICY", "runtime"}};
+  for (const char *Name : RetiredVariables)
+    Retired.emplace_back(Name, "1");
+  for (auto [Var, Value] : Retired) {
     ScopedEnv Set(Var, Value);
+    const uint64_t Errors = configErrors();
     std::vector<std::string> Warnings;
     EXPECT_EQ(readConfigs(&Warnings), Configs{}) << Var;
-    EXPECT_EQ(Warnings.size(), 1u) << Var;
+    ASSERT_EQ(Warnings.size(), 1u) << Var;
+    EXPECT_TRUE(startsWith(Warnings[0], "ignoring invalid " +
+                                            std::string(Var) + " value '" +
+                                            Value + "' (expected "))
+        << Warnings[0];
+    EXPECT_EQ(configErrors(), Errors + 1) << Var;
   }
 }
 
