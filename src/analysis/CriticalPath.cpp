@@ -24,21 +24,6 @@ std::vector<std::string> CriticalPathReport::criticalNames() const {
   return Names;
 }
 
-double CriticalPathReport::criticalityOf(const std::string &Name) const {
-  for (const NameCriticality &N : ByName)
-    if (N.Name == Name)
-      return N.CriticalityFraction;
-  return -1.0;
-}
-
-std::vector<std::string> CriticalPathReport::slackNames() const {
-  std::vector<std::string> Names;
-  for (const NameCriticality &N : ByName)
-    if (N.CriticalNs == 0)
-      Names.push_back(N.Name);
-  return Names;
-}
-
 CriticalPathReport analysis::analyzeTimeline(std::vector<TimelineSpan> Spans) {
   CriticalPathReport R;
   if (Spans.empty())

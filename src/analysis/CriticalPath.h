@@ -18,9 +18,8 @@
 ///    (the host-side synchronization the trace cannot record directly).
 ///
 /// A forward/backward longest-path pass yields the critical-path length,
-/// per-span slack, and a per-kernel-name criticality fraction. The
-/// heterogeneous scheduler (sched/Scheduler.h) biases placement by it, and
-/// `pir-roofline --trace` reports it.
+/// per-span slack, and a per-kernel-name criticality fraction, which
+/// `pir-roofline --trace` reports.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -73,17 +72,6 @@ struct CriticalPathReport {
   /// Names with at least one zero-slack span — the kernels that gate
   /// end-to-end time.
   std::vector<std::string> criticalNames() const;
-
-  /// Criticality fraction of \p Name, or -1 when the report carries no
-  /// spans of that name. The slack export the heterogeneous scheduler
-  /// consumes: 0 means every span of the kernel had slack (placing it on
-  /// an idle-but-slower device cannot lengthen the run), positive means it
-  /// gates end-to-end time, unknown (-1) is treated as critical.
-  double criticalityOf(const std::string &Name) const;
-
-  /// Names whose every span had slack — the off-critical-path kernels the
-  /// scheduler may bias toward idle or slower devices.
-  std::vector<std::string> slackNames() const;
 };
 
 /// Runs the critical-path pass over \p Spans. Order of the input does not

@@ -246,10 +246,9 @@ public:
   /// raw bits name device memory worth snapshotting.
   bool findAllocation(DevicePtr P, DevicePtr *Base, uint64_t *Size) const;
 
-  /// Every live allocation as (base, size), sorted by base address — the
-  /// deterministic enumeration the migration engine walks when it copies a
-  /// device's reachable state to another device. Caller must hold whatever
-  /// lock serializes operations against this device.
+  /// Every live allocation as (base, size), sorted by base address (the
+  /// benchmark harness reads a device's high-water mark from it). Caller
+  /// must hold whatever lock serializes operations against this device.
   std::vector<std::pair<DevicePtr, uint64_t>> liveAllocations() const {
     std::vector<std::pair<DevicePtr, uint64_t>> Out(Allocations.begin(),
                                                     Allocations.end());
@@ -278,16 +277,6 @@ public:
   /// already claimed). Overwrites any previous binding.
   void defineSymbol(const std::string &Symbol, DevicePtr Address) {
     Symbols[Symbol] = Address;
-  }
-
-  /// Every symbol binding as (name, address), sorted by name — migration
-  /// re-binds these on the target device so symbolic-linkage relocations
-  /// resolve to the migrated copies of the globals.
-  std::vector<std::pair<std::string, DevicePtr>> symbolBindings() const {
-    std::vector<std::pair<std::string, DevicePtr>> Out(Symbols.begin(),
-                                                       Symbols.end());
-    std::sort(Out.begin(), Out.end());
-    return Out;
   }
 
   // -- Modules / kernels -----------------------------------------------------

@@ -239,7 +239,7 @@ GpuError proteus::gpu::gpuEventElapsedTime(double *Ms, const Event &Start,
   // Stamps from different devices subtract cleanly — every timeline shares
   // one global simulated-time coordinate — but real runtimes reject such
   // pairs, so count a diagnostic to make accidental cross-device timing
-  // queries observable (migration code does this deliberately).
+  // queries observable.
   if (Start.DeviceOrdinal >= 0 && End.DeviceOrdinal >= 0 &&
       Start.DeviceOrdinal != End.DeviceOrdinal)
     metrics::processRegistry().counter("gpu.event_cross_device").add();

@@ -1036,18 +1036,22 @@ void JitRuntime::storeTuningDecision(uint64_t Key, const TuningDecision &D) {
   Cache.storeTuningDecision(Key, D);
 }
 
-GpuError JitRuntime::installOnTargets(const std::string &Symbol, Dim3 Block,
+GpuError JitRuntime::installFinalTier(const std::string &Symbol, Dim3 Block,
                                       const std::vector<KernelArg> &Args,
                                       const O3Options *O3Override,
                                       int DeviceIndex, bool ReuseCached,
-                                      unsigned *CompiledArches,
-                                      unsigned *ReusedArches, bool *AnyLoaded,
                                       std::string *Error) {
+  auto Fail = [&](GpuError E) {
+    Stat.TunerErrors->add();
+    return E;
+  };
+  if (DeviceIndex != -1 && !validDevice(DeviceIndex, Error))
+    return Fail(GpuError::InvalidValue);
   KernelHandle Kernel = kernelHandle(Symbol);
   if (!Kernel) {
     if (Error)
       *Error = "kernel @" + Symbol + " is not registered for JIT";
-    return GpuError::NotFound;
+    return Fail(GpuError::NotFound);
   }
   JitKernel &K = *Kernel.Kernel;
 
@@ -1058,6 +1062,7 @@ GpuError JitRuntime::installOnTargets(const std::string &Symbol, Dim3 Block,
   // specialization — the Tier-1 hot-swap semantic, so a Tier-0 binary a
   // racing launch installed can never outlive this install.
   std::map<GpuArch, std::pair<uint64_t, std::vector<uint8_t>>> PerArch;
+  bool AnyLoaded = false;
   for (unsigned T = 0; T != Devices.size(); ++T) {
     if (DeviceIndex != -1 && T != static_cast<unsigned>(DeviceIndex))
       continue;
@@ -1067,17 +1072,14 @@ GpuError JitRuntime::installOnTargets(const std::string &Symbol, Dim3 Block,
     if (AIt == PerArch.end()) {
       KeyBuffer Words(K.width());
       if (!keyWords(K, Block, Args, Arch, Words.data(), Error))
-        return GpuError::InvalidValue;
+        return Fail(GpuError::InvalidValue);
       const uint64_t Hash = specHash(K, Words.data());
       // Only a final-tier entry from the current pipeline qualifies: the
       // warm path must not pin a Tier-0 baseline or a stale artifact — in
-      // particular, a retarget racing an in-flight Tier-1 promotion
+      // particular, an install racing an in-flight Tier-1 promotion
       // recompiles rather than loading the Tier-0 placeholder.
       std::optional<CachedCode> CC;
-      if (ReuseCached && (CC = Service.servable(Hash, CodeTier::Final))) {
-        if (ReusedArches)
-          ++*ReusedArches;
-      } else {
+      if (!ReuseCached || !(CC = Service.servable(Hash, CodeTier::Final))) {
         // A tuner install (O3Override) skips the fleet claim: it needs the
         // object built with the winner's knobs, not whatever someone else
         // published.
@@ -1090,11 +1092,9 @@ GpuError JitRuntime::installOnTargets(const std::string &Symbol, Dim3 Block,
         if (O.Err != GpuError::Success) {
           if (Error)
             *Error = O.Message;
-          return O.Err;
+          return Fail(O.Err);
         }
         CC = CachedCode{std::move(O.Object)};
-        if (CompiledArches)
-          ++*CompiledArches;
       }
       AIt = PerArch.emplace(Arch, std::make_pair(Hash, std::move(CC->Object)))
                 .first;
@@ -1102,29 +1102,8 @@ GpuError JitRuntime::installOnTargets(const std::string &Symbol, Dim3 Block,
     std::lock_guard<std::mutex> Lock(DS.Lock);
     if (!loadSpecialized(DS, AIt->second.first, AIt->second.second,
                          Rung::Final, Symbol, Error))
-      return GpuError::LaunchFailure;
-    if (AnyLoaded)
-      *AnyLoaded = true;
-  }
-  return GpuError::Success;
-}
-
-GpuError JitRuntime::installFinalTier(const std::string &Symbol, Dim3 Block,
-                                      const std::vector<KernelArg> &Args,
-                                      const O3Options *O3Override,
-                                      int DeviceIndex, bool ReuseCached,
-                                      std::string *Error) {
-  if (DeviceIndex != -1 && !validDevice(DeviceIndex, Error)) {
-    Stat.TunerErrors->add();
-    return GpuError::InvalidValue;
-  }
-  bool AnyLoaded = false;
-  GpuError E = installOnTargets(Symbol, Block, Args, O3Override, DeviceIndex,
-                                ReuseCached, nullptr, nullptr, &AnyLoaded,
-                                Error);
-  if (E != GpuError::Success) {
-    Stat.TunerErrors->add();
-    return E;
+      return Fail(GpuError::LaunchFailure);
+    AnyLoaded = true;
   }
   if (AnyLoaded && O3Override) {
     // One promotion per tuning decision, however many devices (and arches)
@@ -1132,27 +1111,6 @@ GpuError JitRuntime::installFinalTier(const std::string &Symbol, Dim3 Block,
     Stat.TunerPromotions->add();
     trace::instant("jit.tuner_promotion");
   }
-  return GpuError::Success;
-}
-
-GpuError JitRuntime::retargetKernel(const std::string &Symbol, Dim3 Block,
-                                    const std::vector<KernelArg> &Args,
-                                    unsigned DeviceIndex, bool *ReusedCache,
-                                    std::string *Error) {
-  if (!validDevice(DeviceIndex, Error))
-    return GpuError::InvalidValue;
-  unsigned Compiled = 0, Reused = 0;
-  GpuError E = installOnTargets(Symbol, Block, Args, /*O3Override=*/nullptr,
-                                static_cast<int>(DeviceIndex),
-                                /*ReuseCached=*/true, &Compiled,
-                                &Reused, /*AnyLoaded=*/nullptr, Error);
-  if (E != GpuError::Success)
-    return E;
-  Stat.RetargetCompiles->add(Compiled);
-  Stat.RetargetCacheReuse->add(Reused);
-  if (ReusedCache)
-    *ReusedCache = Reused > 0;
-  trace::instant("sched.retarget");
   return GpuError::Success;
 }
 

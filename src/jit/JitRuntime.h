@@ -242,14 +242,9 @@ const char *tierModeName(bool TierEnabled);
 /// classifications by the variant manager); PolicyPrunedTrials counts
 /// tuning variants the classification pruned before racing.
 ///
-/// Retarget counters (the cross-arch migration path, src/sched):
-/// RetargetCompiles counts retargetKernel calls that had to run the
-/// backend for the target arch; RetargetCacheReuse counts retargets served
-/// entirely from a warm final-tier cache entry (local or fleet) — together
-/// they prove migration recompiles at most once per arch. BitcodeParses
-/// counts KernelModuleIndex builds — the front-end parse — so a retarget
-/// that reuses the parse-once index keeps this at one per kernel (the
-/// zero-re-parse property the migration differential test asserts).
+/// BitcodeParses counts KernelModuleIndex builds — the front-end parse — so
+/// a kernel compiled for several arches keeps it at one (the parse-once
+/// property the mixed-arch placement storm asserts).
 #define PROTEUS_JIT_COUNTERS(X)                                                \
   X(Launches, "jit.launches")                                                  \
   X(StreamLaunches, "jit.stream_launches")                                     \
@@ -275,8 +270,6 @@ const char *tierModeName(bool TierEnabled);
   X(TunerErrors, "jit.tuner_errors")                                           \
   X(PolicyClassified, "policy.classified")                                     \
   X(PolicyPrunedTrials, "policy.pruned_trials")                                \
-  X(RetargetCompiles, "sched.retarget_compiles")                               \
-  X(RetargetCacheReuse, "sched.retarget_reuse")                                \
   X(BitcodeParses, "jit.bitcode_parses")
 
 /// Timers: BitcodeFetchSeconds includes the simulated device readback
@@ -481,30 +474,14 @@ public:
                                  bool ReuseCached = false,
                                  std::string *Error = nullptr);
 
-  /// Retargets the specialization that (\p Symbol, \p Block, \p Args)
-  /// resolve to onto device \p DeviceIndex — the cross-arch migration
-  /// primitive (src/sched). The final-tier object for the target device's
-  /// arch is served from a warm cache entry when one exists (local or
-  /// fleet; RetargetCacheReuse) and otherwise recompiled from the cached
-  /// parse-once module index (RetargetCompiles) — never by re-parsing
-  /// bitcode the runtime has already parsed. The loaded kernel replaces any
-  /// previous mapping for the hash on the target device, so subsequent
-  /// launchKernelOn(DeviceIndex, ...) calls of this shape run it with zero
-  /// compiles. \p ReusedCache (optional) reports whether the object came
-  /// from the cache.
-  gpu::GpuError retargetKernel(const std::string &Symbol, gpu::Dim3 Block,
-                               const std::vector<gpu::KernelArg> &Args,
-                               unsigned DeviceIndex,
-                               bool *ReusedCache = nullptr,
-                               std::string *Error = nullptr);
-
   /// Runs \p Fn on device \p DeviceIndex with that device's runtime lock
-  /// held — the primitive external engines (the migration protocol in
-  /// src/sched) use to operate on a device's memory, streams and events
-  /// without racing concurrent launches, which the runtime serializes under
-  /// the same lock. \p Fn must not call back into this runtime (the lock is
-  /// not recursive) and must not touch any other device (the lock order
-  /// forbids holding two device locks at once).
+  /// held, so host code can touch a device's memory, clocks and streams
+  /// without racing launches and background promotions, which the runtime
+  /// serializes under the same lock (hecbench's sampled-simulation
+  /// extrapolation and the tests' device readbacks use it). \p Fn must not
+  /// call back into this runtime (the lock is not recursive) and must not
+  /// touch any other device (the lock order forbids holding two device
+  /// locks at once).
   void withDeviceLocked(unsigned DeviceIndex,
                         const std::function<void(gpu::Device &)> &Fn);
 
@@ -698,20 +675,6 @@ private:
   const Mapping *loadSpecialized(DeviceState &DS, uint64_t Hash,
                                  const std::vector<uint8_t> &Object,
                                  Rung Level, const std::string &Symbol,
-                                 std::string *Error);
-  /// Shared body of installFinalTier and retargetKernel: resolves the
-  /// specialization for (\p Symbol, \p Block, \p Args), obtains one
-  /// final-tier object per distinct GpuArch among the target devices
-  /// (device \p DeviceIndex, or every device for -1), serving a valid
-  /// cached entry when \p ReuseCached and compiling otherwise, and loads it
-  /// onto every target device, hot-swapping any previous mapping.
-  /// \p CompiledArches / \p ReusedArches report how many arches were
-  /// compiled vs served warm; callers do their own error accounting.
-  gpu::GpuError installOnTargets(const std::string &Symbol, gpu::Dim3 Block,
-                                 const std::vector<gpu::KernelArg> &Args,
-                                 const O3Options *O3Override, int DeviceIndex,
-                                 bool ReuseCached, unsigned *CompiledArches,
-                                 unsigned *ReusedArches, bool *AnyLoaded,
                                  std::string *Error);
 
   gpu::Device &Dev;

@@ -25,7 +25,6 @@ SchedConfig SchedConfig::fromEnvironment(std::vector<std::string> *Warnings) {
 
 Scheduler::Scheduler(JitRuntime &Jit, SchedConfig Config)
     : Jit(Jit), Config(Config) {
-  SlackPlacements = &Reg.counter("sched.placements.slack");
   for (unsigned D = 0; D != Jit.numDevices(); ++D)
     PlacementCounters.push_back(
         &Reg.counter("sched.placements.dev" + std::to_string(D)));
@@ -36,13 +35,6 @@ void Scheduler::noteKernelProfile(
     const std::string &Symbol, const pir::analysis::KernelStaticProfile &P) {
   std::lock_guard<std::mutex> Lock(Mutex);
   Profiles[Symbol] = P;
-}
-
-void Scheduler::setCriticalPathReport(const analysis::CriticalPathReport &R) {
-  std::lock_guard<std::mutex> Lock(Mutex);
-  Criticality.clear();
-  for (const analysis::NameCriticality &N : R.ByName)
-    Criticality[N.Name] = N.CriticalityFraction;
 }
 
 namespace {
@@ -102,14 +94,9 @@ Placement Scheduler::place(const std::string &Symbol, gpu::Dim3 Grid,
   if (Config.Mode == SchedMode::Static) {
     Chosen = static_cast<unsigned>(NextDevice++ % N);
   } else {
-    // Slack bias: a kernel every span of which had slack cannot lengthen
-    // the run, so ready time alone decides and the model is ignored — the
-    // idle (possibly slower) device absorbs it.
-    auto CIt = Criticality.find(Symbol);
-    const bool SlackOnly = CIt != Criticality.end() && CIt->second == 0.0;
     pir::analysis::KernelStaticProfile P;
     bool HaveProfile = false;
-    if (Config.Mode == SchedMode::Perf && !SlackOnly) {
+    if (Config.Mode == SchedMode::Perf) {
       auto PIt = Profiles.find(Symbol);
       if (PIt != Profiles.end()) {
         P = PIt->second;
@@ -127,8 +114,6 @@ Placement Scheduler::place(const std::string &Symbol, gpu::Dim3 Grid,
         Chosen = D;
       }
     }
-    if (SlackOnly)
-      SlackPlacements->add();
   }
 
   gpu::Device &Dev = Jit.device(Chosen);

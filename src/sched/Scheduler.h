@@ -5,9 +5,9 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The placement half of the heterogeneous scheduling subsystem: decides,
-/// per launch, which device of a mixed-arch pool should run a kernel. Sits
-/// in front of JitRuntime::launchKernelOn — callers route launches through
+/// The heterogeneous placement scheduler: decides, per launch, which device
+/// of a mixed-arch pool should run a kernel. Sits in front of
+/// JitRuntime::launchKernelOn — callers route launches through
 /// Scheduler::launch (or place + launchKernelOn) instead of naming a device
 /// themselves. Four modes (PROTEUS_SCHED, warn-don't-coerce):
 ///
@@ -23,25 +23,17 @@
 ///              (analysis/Roofline.h), so a kernel lands where it will
 ///              *finish* first, not merely start first.
 ///
-/// Critical-path slack (analysis/CriticalPath.h) biases placement: when an
-/// installed timeline report says a kernel is entirely off the critical
-/// path (criticalityOf == 0), perf and load modes place it by ready time
-/// alone — an idle-but-slower device absorbs slack work without lengthening
-/// the run (counted as sched.placements.slack).
-///
 /// Thread safety: place()/launch() may be called concurrently. Device load
 /// gauges are relaxed atomics published by the streams; the scheduler's own
-/// mutable state (round-robin cursors, profiles, the criticality map) is
-/// guarded by one internal mutex. The scheduler never touches a device —
-/// it only picks one; the launch itself goes through the JIT runtime's
-/// per-device locking.
+/// mutable state (round-robin cursors, profiles) is guarded by one internal
+/// mutex. The scheduler never touches a device — it only picks one; the
+/// launch itself goes through the JIT runtime's per-device locking.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef PROTEUS_SCHED_SCHEDULER_H
 #define PROTEUS_SCHED_SCHEDULER_H
 
-#include "analysis/CriticalPath.h"
 #include "analysis/Roofline.h"
 #include "jit/JitRuntime.h"
 #include "support/Env.h"
@@ -86,8 +78,7 @@ struct Placement {
 /// Decides placements over the devices attached to one JitRuntime.
 ///
 /// Owns a metrics::Registry with the placement accounting:
-///   sched.placements.dev<N> — launches placed on device N;
-///   sched.placements.slack — placements biased by critical-path slack.
+///   sched.placements.dev<N> — launches placed on device N.
 class Scheduler {
 public:
   Scheduler(JitRuntime &Jit, SchedConfig Config);
@@ -100,11 +91,6 @@ public:
   /// for that kernel.
   void noteKernelProfile(const std::string &Symbol,
                          const pir::analysis::KernelStaticProfile &P);
-
-  /// Installs a timeline criticality report (analysis::analyzeTimeline over
-  /// a previous run's trace); kernels it marks slack-only are placed by
-  /// ready time alone. Replaces any previous report.
-  void setCriticalPathReport(const analysis::CriticalPathReport &R);
 
   /// Picks the device + stream for one launch of \p Symbol. Deterministic
   /// given the same gauge readings (ties break toward the lower device
@@ -136,12 +122,9 @@ private:
   const SchedConfig Config;
   metrics::Registry Reg;
   std::vector<metrics::Counter *> PlacementCounters; // one per device
-  metrics::Counter *SlackPlacements = nullptr;
 
   mutable std::mutex Mutex; // guards everything below
   std::map<std::string, pir::analysis::KernelStaticProfile> Profiles;
-  /// Kernel name -> criticality fraction from the installed report.
-  std::map<std::string, double> Criticality;
   uint64_t NextDevice = 0;              // static-mode cursor
   std::vector<uint64_t> NextStream;     // per-device stream cursor
 };

@@ -17,11 +17,11 @@
 #define PROTEUS_TESTS_MUTATION_H
 
 #include "RandomKernel.h"
+#include "TestUtil.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstdlib>
 #include <fstream>
 #include <string>
 #include <vector>
@@ -148,16 +148,6 @@ inline void mutateBytes(std::vector<uint8_t> &Bytes, unsigned Kind, Rng &R) {
     Bytes.resize(Pos);
     break;
   }
-}
-
-/// Iterations of a mutation sweep pinned by \p GoldenCount golden lines:
-/// at least the golden lines, more when PROTEUS_FUZZ_ITERS asks.
-inline unsigned fuzzIterations(unsigned GoldenCount) {
-  unsigned Iters = GoldenCount;
-  if (const char *E = std::getenv("PROTEUS_FUZZ_ITERS"))
-    Iters = std::max(Iters,
-                     static_cast<unsigned>(std::strtoul(E, nullptr, 10)));
-  return Iters;
 }
 
 /// One decoder verdict: the golden line, and whether the mutant decoded.

@@ -21,9 +21,13 @@
 #include "ir/Module.h"
 #include "ir/OpSemantics.h"
 #include "ir/Verifier.h"
+#include "support/Env.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <cstdio>
 #include <cstdlib>
 #include <optional>
 #include <string>
@@ -56,6 +60,26 @@ private:
   std::string Name;
   std::optional<std::string> Saved;
 };
+
+/// Iterations of a randomized sweep whose built-in size is \p Floor: the
+/// larger of \p Floor and PROTEUS_FUZZ_ITERS, which only ever widens a
+/// sweep. A value that is not a decimal count in [1, 2^32-1] aborts the
+/// binary naming the variable and the value, so `10k` or `abc` cannot
+/// silently run a smaller sweep than asked for.
+inline unsigned fuzzIterations(unsigned Floor) {
+  const char *E = std::getenv("PROTEUS_FUZZ_ITERS");
+  if (!E)
+    return Floor;
+  uint64_t V = 0;
+  if (!proteus::env::parseDecimal(E, V) || V == 0 || V > UINT32_MAX) {
+    std::fprintf(stderr,
+                 "PROTEUS_FUZZ_ITERS='%s' is not an iteration count in "
+                 "[1, 4294967295]\n",
+                 E);
+    std::abort();
+  }
+  return std::max(Floor, static_cast<unsigned>(V));
+}
 
 /// Builds: kernel @daxpy(%a: f64, %x: ptr, %y: ptr, %n: i32)
 /// y[i] = a * x[i] + y[i] for the global thread id i < n — the paper's

@@ -225,6 +225,32 @@ TEST(BitcodeTest, MutantVerdictsMatchGolden) {
                                   GoldenBitcodeMutants, bitcodeMutantVerdict);
 }
 
+// PROTEUS_FUZZ_ITERS only widens a sweep, and a value that is not a count
+// fails the binary instead of silently shrinking or skipping the sweep.
+TEST(FuzzItersDeathTest, MalformedValueFailsTheBinary) {
+  for (const char *Bad : {"10k", "abc", "0", "4294967296", "-5", ""}) {
+    ScopedEnv E("PROTEUS_FUZZ_ITERS", Bad);
+    EXPECT_DEATH(fuzzIterations(GoldenBitcodeMutants),
+                 std::string("PROTEUS_FUZZ_ITERS='") + Bad + "'")
+        << Bad;
+  }
+}
+
+TEST(FuzzItersTest, ValueOnlyWidensTheSweep) {
+  {
+    ScopedEnv E("PROTEUS_FUZZ_ITERS", nullptr);
+    EXPECT_EQ(fuzzIterations(GoldenBitcodeMutants), GoldenBitcodeMutants);
+  }
+  {
+    ScopedEnv E("PROTEUS_FUZZ_ITERS", "10");
+    EXPECT_EQ(fuzzIterations(GoldenBitcodeMutants), GoldenBitcodeMutants);
+  }
+  {
+    ScopedEnv E("PROTEUS_FUZZ_ITERS", "4294967295");
+    EXPECT_EQ(fuzzIterations(GoldenBitcodeMutants), 4294967295u);
+  }
+}
+
 TEST(BitcodeTest, SizeIsCompact) {
   Context Ctx;
   Module M(Ctx, "m");

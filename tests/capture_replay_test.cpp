@@ -21,6 +21,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "RandomKernel.h"
+#include "TestUtil.h"
 
 #include "capture/Artifact.h"
 #include "capture/Capture.h"
@@ -34,7 +35,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <optional>
 #include <string>
 #include <vector>
@@ -47,16 +47,6 @@ using namespace proteus_test;
 namespace {
 
 constexpr uint32_t N = 32; // elements / threads per random kernel
-
-/// Quick mode runs the fixed 64-seed corpus; PROTEUS_FUZZ_ITERS widens it.
-unsigned fuzzIterations() {
-  if (const char *E = std::getenv("PROTEUS_FUZZ_ITERS")) {
-    unsigned V = static_cast<unsigned>(std::strtoul(E, nullptr, 10));
-    if (V > 0)
-      return V;
-  }
-  return 64;
-}
 
 uint64_t counterValue(const metrics::Registry &R, const std::string &Name) {
   for (const auto &[K, V] : R.counterValues())
@@ -267,7 +257,8 @@ TEST(CaptureTest, RecordsOneSelfContainedArtifactPerLaunch) {
 // ---------------------------------------------------------------------------
 
 TEST(CaptureReplayPropertyTest, RandomKernelsReplayByteIdentical) {
-  unsigned Iters = fuzzIterations();
+  // The fixed 64-seed corpus; PROTEUS_FUZZ_ITERS widens it.
+  unsigned Iters = fuzzIterations(64);
   for (unsigned I = 0; I != Iters; ++I) {
     uint64_t Seed = 1000 + I;
     GpuArch Arch = (I % 2) ? GpuArch::NvPtxSim : GpuArch::AmdGcnSim;

@@ -1,32 +1,27 @@
-//===- sched_test.cpp - heterogeneous scheduler + migration battery -------===//
+//===- sched_test.cpp - heterogeneous placement scheduler battery --------===//
 //
 // Part of the Proteus reproduction project.
 //
 //===----------------------------------------------------------------------===//
 //
-// The scheduling subsystem (src/sched), end to end:
+// The placement scheduler (src/sched) and the mixed-arch pool under it:
 //
 //  * the strict PROTEUS_DEVICE_ARCHS grammar rejects malformed lists with
 //    one counted config error;
 //  * cross-device event elapsed-time queries return a well-defined delta
 //    (one global simulated-time coordinate) and count a diagnostic;
-//  * cross-arch migration at a stream boundary is byte-identical to the
-//    no-migration run, reuses the parse-once bitcode index (zero re-parse),
-//    and its accounting (sched.migrations / bytes / regions / retarget
-//    outcome) is exact — including the edge cases: migration racing a
-//    Tier-1 promotion, a kernel holding device globals, a round trip that
-//    must hit the warm per-arch cache, and a late-attached target whose
-//    linkage-mode flip forces a clean recompile;
+//  * a device attached after the first launch flips the pool into
+//    symbolic-globals linkage, so the single-device object is not served
+//    to it and its launches recompile cleanly; in a pool, one object per
+//    arch resolves device globals against each device's own binding;
 //  * the placement scheduler: off pins device 0 byte-identically, static
-//    round-robins, load routes around busy devices, perf ranks by the
-//    roofline prediction, and critical-path slack biases placement to
-//    ready time alone;
-//  * replay arch-override (the retarget-exercising replay mode) and
-//    --publish-style cache warming replay byte-identical and leave a fresh
-//    runtime with zero cold compiles.
+//    round-robins, load routes around busy devices, and perf ranks by the
+//    roofline prediction;
+//  * replay arch-override and --publish-style cache warming replay
+//    byte-identical and leave a fresh runtime with zero cold compiles.
 //
-// The migration-storm test is TSan-ready (tools/ci_tsan.sh re-runs this
-// file with PROTEUS_NUM_DEVICES=4 and mixed PROTEUS_DEVICE_ARCHS): worker
+// The placement storm is TSan-ready (tools/ci_tsan.sh re-runs this file
+// with PROTEUS_NUM_DEVICES=4 and mixed PROTEUS_DEVICE_ARCHS): worker
 // threads only record results; all gtest assertions happen on the main
 // thread after join.
 //
@@ -34,7 +29,6 @@
 
 #include "TestUtil.h"
 
-#include "analysis/CriticalPath.h"
 #include "analysis/Roofline.h"
 #include "capture/Artifact.h"
 #include "codegen/Target.h"
@@ -44,7 +38,6 @@
 #include "jit/AotCompiler.h"
 #include "jit/Program.h"
 #include "jit/Replay.h"
-#include "sched/Migrator.h"
 #include "sched/Scheduler.h"
 #include "support/FileSystem.h"
 #include "support/Metrics.h"
@@ -52,7 +45,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <cstdlib>
+#include <cstring>
 #include <optional>
 #include <string>
 #include <thread>
@@ -80,9 +73,9 @@ uint64_t processCounter(const std::string &Name) {
 }
 
 /// A mixed-arch device pool sharing one JitRuntime, set up for daxpy.
-/// Buffers are allocated on every device *before* the program image loads,
-/// so x/y live at identical addresses across the whole pool — migrated
-/// regions land on identically-shaped claims instead of colliding.
+/// Every device gets its own x/y with the same contents, so a launch computes
+/// the same bytes wherever the scheduler places it (args(D) names device D's
+/// buffers, the shape Scheduler::launch's ArgsFor expects).
 struct DaxpyPool {
   Context Ctx;
   Module M{Ctx, "sched_app"};
@@ -154,7 +147,7 @@ DeviceManager::Config poolConfig(std::vector<GpuArch> Archs) {
 }
 
 /// Reference bytes: \p Launches daxpy launches on a single amdgcn-sim
-/// device, no scheduler, no migration.
+/// device, no scheduler.
 std::vector<uint8_t> baselineBytes(unsigned Launches, double A = 2.0) {
   DaxpyPool P(poolConfig({GpuArch::AmdGcnSim}));
   for (unsigned I = 0; I != Launches; ++I) {
@@ -240,207 +233,11 @@ TEST(CrossDeviceEventTest, ElapsedAcrossDevicesIsDefinedAndCounted) {
 }
 
 // ---------------------------------------------------------------------------
-// Cross-arch migration.
+// Global linkage in a pool.
 // ---------------------------------------------------------------------------
 
-TEST(MigrationTest, CrossArchMigrationIsByteIdenticalAndZeroReparse) {
-  const std::vector<uint8_t> Expected = baselineBytes(4);
-
-  DaxpyPool P(poolConfig({GpuArch::AmdGcnSim, GpuArch::NvPtxSim}));
-  std::string Err;
-  ASSERT_EQ(P.launch(0, 2.0, nullptr, &Err), GpuError::Success) << Err;
-  ASSERT_EQ(P.launch(0, 2.0, nullptr, &Err), GpuError::Success) << Err;
-
-  const uint64_t SrcSymbols = P.Mgr.device(0).symbolBindings().size();
-
-  metrics::Registry SReg;
-  Migrator Mig(*P.Jit, SReg);
-  MigrationResult R = Mig.migrate(0, 1, "daxpy", Dim3{32, 1, 1},
-                                  P.args(0, 2.0));
-  ASSERT_TRUE(R.Ok) << R.Error;
-  EXPECT_GT(R.DrainTimeSec, 0.0) << "drain must cover the copy-out";
-  EXPECT_EQ(R.RegionsCopied, 2u);
-  EXPECT_EQ(R.BytesCopied, 2u * N * 8);
-  EXPECT_EQ(R.SymbolsRebound, SrcSymbols);
-  EXPECT_FALSE(R.RetargetReusedCache) << "nv object cannot be warm yet";
-
-  // Resume the timeline tail on the target: byte-identical to never having
-  // migrated (the simulator is functional, so arch must not matter).
-  ASSERT_EQ(P.launch(1, 2.0, nullptr, &Err), GpuError::Success) << Err;
-  ASSERT_EQ(P.launch(1, 2.0, nullptr, &Err), GpuError::Success) << Err;
-  P.Jit->drain();
-  EXPECT_EQ(P.readY(1), Expected);
-
-  // Exact accounting. The retarget compiled the nv object from the cached
-  // parse-once index: one backend run, zero cache reuse, and — the key
-  // property — exactly one front-end bitcode parse for the whole life of
-  // the kernel, launches and migration included.
-  JitRuntimeStats St = P.Jit->stats();
-  EXPECT_EQ(St.RetargetCompiles, 1u);
-  EXPECT_EQ(St.RetargetCacheReuse, 0u);
-  EXPECT_EQ(St.BitcodeParses, 1u) << "retarget must not re-parse bitcode";
-  EXPECT_EQ(counterValue(SReg, "sched.migrations"), 1u);
-  EXPECT_EQ(counterValue(SReg, "sched.migration_bytes"), 2u * N * 8);
-  EXPECT_EQ(counterValue(SReg, "sched.migration_regions"), 2u);
-  EXPECT_EQ(counterValue(SReg, "sched.migration_symbols"), SrcSymbols);
-  EXPECT_EQ(counterValue(SReg, "sched.migration_retarget_compiled"), 1u);
-  EXPECT_EQ(counterValue(SReg, "sched.migration_retarget_reused"), 0u);
-}
-
-TEST(MigrationTest, RoundTripReusesWarmPerArchCache) {
-  const std::vector<uint8_t> Expected = baselineBytes(4);
-
-  DaxpyPool P(poolConfig({GpuArch::AmdGcnSim, GpuArch::NvPtxSim}));
-  std::string Err;
-  ASSERT_EQ(P.launch(0, 2.0, nullptr, &Err), GpuError::Success) << Err;
-  ASSERT_EQ(P.launch(0, 2.0, nullptr, &Err), GpuError::Success) << Err;
-
-  metrics::Registry SReg;
-  Migrator Mig(*P.Jit, SReg);
-  MigrationResult To = Mig.migrate(0, 1, "daxpy", Dim3{32, 1, 1},
-                                   P.args(0, 2.0));
-  ASSERT_TRUE(To.Ok) << To.Error;
-  ASSERT_EQ(P.launch(1, 2.0, nullptr, &Err), GpuError::Success) << Err;
-
-  // Back to the amd device: its final-tier object is warm in the shared
-  // cache, so the return migration must not compile anything.
-  MigrationResult Back = Mig.migrate(1, 0, "daxpy", Dim3{32, 1, 1},
-                                     P.args(1, 2.0));
-  ASSERT_TRUE(Back.Ok) << Back.Error;
-  EXPECT_TRUE(Back.RetargetReusedCache);
-  ASSERT_EQ(P.launch(0, 2.0, nullptr, &Err), GpuError::Success) << Err;
-  P.Jit->drain();
-  EXPECT_EQ(P.readY(0), Expected);
-
-  JitRuntimeStats St = P.Jit->stats();
-  EXPECT_EQ(St.RetargetCompiles, 1u) << "only the nv leg compiles";
-  EXPECT_EQ(St.RetargetCacheReuse, 1u);
-  EXPECT_EQ(St.BitcodeParses, 1u);
-  EXPECT_EQ(counterValue(SReg, "sched.migrations"), 2u);
-  EXPECT_EQ(counterValue(SReg, "sched.migration_retarget_reused"), 1u);
-  EXPECT_EQ(counterValue(SReg, "sched.migration_retarget_compiled"), 1u);
-}
-
-TEST(MigrationTest, MigrationDuringTierPromotionNeverLoadsTier0) {
+TEST(LateAttachTest, LateAttachedDeviceForcesLinkageModeRecompile) {
   const std::vector<uint8_t> Expected = baselineBytes(2);
-
-  JitConfig JC;
-  JC.Tier = true; // Tier-0 serves the launch; Tier-1 promotes in background
-  DaxpyPool P(poolConfig({GpuArch::AmdGcnSim, GpuArch::NvPtxSim}), JC);
-  std::string Err;
-  ASSERT_EQ(P.launch(0, 2.0, nullptr, &Err), GpuError::Success) << Err;
-
-  // Migrate immediately — the Tier-1 promotion may still be in flight. The
-  // retarget's reuse check rejects Tier-0 placeholders, so whatever the
-  // race outcome, the target device gets a final-tier object.
-  metrics::Registry SReg;
-  Migrator Mig(*P.Jit, SReg);
-  MigrationResult R = Mig.migrate(0, 1, "daxpy", Dim3{32, 1, 1},
-                                  P.args(0, 2.0));
-  ASSERT_TRUE(R.Ok) << R.Error;
-
-  ASSERT_EQ(P.launch(1, 2.0, nullptr, &Err), GpuError::Success) << Err;
-  P.Jit->drain();
-  EXPECT_EQ(P.readY(1), Expected);
-  EXPECT_GE(P.Jit->stats().Tier0Compiles, 1u);
-  EXPECT_EQ(counterValue(SReg, "sched.migrations"), 1u);
-}
-
-TEST(MigrationTest, DeviceGlobalsMigrateAndRelinkSymbolically) {
-  // A kernel reading a device global: y[i] = weights[i & 7] * x[i].
-  Context Ctx;
-  Module M(Ctx, "gmig_app");
-  IRBuilder B(Ctx);
-  Type *F64 = Ctx.getF64Ty();
-  M.createGlobal("weights", F64, 8);
-  Function *K = M.createFunction(
-      "gscale", Ctx.getVoidTy(),
-      {Ctx.getPtrTy(), Ctx.getPtrTy(), Ctx.getI32Ty()}, {"x", "y", "n"},
-      FunctionKind::Kernel);
-  K->setJitAnnotation(JitAnnotation{{3}});
-  BasicBlock *Entry = K->createBlock("entry", Ctx.getVoidTy());
-  BasicBlock *Then = K->createBlock("then", Ctx.getVoidTy());
-  BasicBlock *Exit = K->createBlock("exit", Ctx.getVoidTy());
-  B.setInsertPoint(Entry);
-  Value *Gtid = B.createGlobalThreadIdX();
-  B.createCondBr(B.createICmp(ICmpPred::SLT, Gtid, K->getArg(2)), Then, Exit);
-  B.setInsertPoint(Then);
-  Value *Idx = B.createAnd(Gtid, B.getInt32(7), "widx");
-  Value *W =
-      B.createLoad(F64, B.createGep(F64, M.getGlobal("weights"), Idx), "w");
-  Value *Xv =
-      B.createLoad(F64, B.createGep(F64, K->getArg(0), Gtid), "xv");
-  B.createStore(B.createFMul(W, Xv), B.createGep(F64, K->getArg(1), Gtid));
-  B.createBr(Exit);
-  B.setInsertPoint(Exit);
-  B.createRet();
-  expectValid(M);
-
-  AotOptions AO;
-  AO.Arch = GpuArch::AmdGcnSim;
-  AO.EnableProteusExtensions = true;
-  CompiledProgram Prog = aotCompile(M, AO);
-
-  DeviceManager Mgr(poolConfig({GpuArch::AmdGcnSim, GpuArch::NvPtxSim}));
-  JitConfig JC;
-  JC.UsePersistentCache = false;
-  JitRuntime Jit(Mgr.device(0), Prog.ModuleId, JC);
-  Jit.attachDevice(Mgr.device(1));
-
-  // Buffers first on both devices (identical addresses), program image —
-  // and with it the weights global — only on the source device.
-  std::vector<double> HX(N);
-  for (uint32_t I = 0; I != N; ++I)
-    HX[I] = 0.25 * I - 3.0;
-  DevicePtr X[2] = {0, 0}, Y[2] = {0, 0};
-  for (unsigned D = 0; D != 2; ++D) {
-    ASSERT_EQ(gpuMalloc(Mgr.device(D), &X[D], N * 8), GpuError::Success);
-    ASSERT_EQ(gpuMalloc(Mgr.device(D), &Y[D], N * 8), GpuError::Success);
-    gpuMemcpyHtoD(Mgr.device(D), X[D], HX.data(), N * 8);
-  }
-  ASSERT_EQ(X[0], X[1]);
-  ASSERT_EQ(Y[0], Y[1]);
-  LoadedProgram LP(Mgr.device(0), Prog, &Jit);
-  ASSERT_TRUE(LP.ok()) << LP.error();
-
-  DevicePtr WeightsAddr = 0;
-  for (const auto &[Sym, Addr] : Mgr.device(0).symbolBindings())
-    if (Sym == "weights")
-      WeightsAddr = Addr;
-  ASSERT_NE(WeightsAddr, 0u) << "program load must bind the global";
-  std::vector<double> HW(8);
-  for (uint32_t I = 0; I != 8; ++I)
-    HW[I] = 1.5 + 0.5 * I;
-  gpuMemcpyHtoD(Mgr.device(0), WeightsAddr, HW.data(), 8 * 8);
-
-  std::vector<KernelArg> Args = {{X[0]}, {Y[0]}, {N}};
-  std::string Err;
-  ASSERT_EQ(Jit.launchKernelOn(0, "gscale", Dim3{2, 1, 1}, Dim3{32, 1, 1},
-                               Args, nullptr, &Err),
-            GpuError::Success)
-      << Err;
-
-  metrics::Registry SReg;
-  Migrator Mig(Jit, SReg);
-  MigrationResult R = Mig.migrate(0, 1, "gscale", Dim3{32, 1, 1}, Args);
-  ASSERT_TRUE(R.Ok) << R.Error;
-  EXPECT_GE(R.SymbolsRebound, 1u) << "weights must be re-bound on the target";
-
-  // The target launch reads the *migrated* weights through the symbolic
-  // relocation resolved at load time on the target device.
-  ASSERT_EQ(Jit.launchKernelOn(1, "gscale", Dim3{2, 1, 1}, Dim3{32, 1, 1},
-                               Args, nullptr, &Err),
-            GpuError::Success)
-      << Err;
-  Jit.drain();
-  std::vector<double> Got(N);
-  gpuMemcpyDtoH(Mgr.device(1), Got.data(), Y[0], N * 8);
-  for (uint32_t I = 0; I != N; ++I)
-    EXPECT_EQ(Got[I], HW[I & 7] * HX[I]) << "element " << I;
-}
-
-TEST(MigrationTest, LateAttachedTargetForcesLinkageModeRecompile) {
-  const std::vector<uint8_t> Expected = baselineBytes(4);
 
   // Single-device start: objects bake resolved global addresses into the
   // IR (symbolicGlobals off) and carry that linkage-mode fingerprint.
@@ -474,60 +271,125 @@ TEST(MigrationTest, LateAttachedTargetForcesLinkageModeRecompile) {
 
   std::vector<KernelArg> Args = {{sem::boxF64(2.0)}, {X}, {Y}, {N}};
   std::string Err;
-  ASSERT_EQ(Jit.launchKernel("daxpy", Dim3{2, 1, 1}, Dim3{32, 1, 1}, Args,
-                             &Err),
-            GpuError::Success)
-      << Err;
-  ASSERT_EQ(Jit.launchKernel("daxpy", Dim3{2, 1, 1}, Dim3{32, 1, 1}, Args,
-                             &Err),
-            GpuError::Success)
-      << Err;
+  for (unsigned I = 0; I != 2; ++I)
+    ASSERT_EQ(Jit.launchKernel("daxpy", Dim3{2, 1, 1}, Dim3{32, 1, 1}, Args,
+                               &Err),
+              GpuError::Success)
+        << Err;
   EXPECT_EQ(Jit.stats().Compilations, 1u);
 
   // Attaching the second device flips the pool into symbolic-globals mode:
   // the cached single-device object's fingerprint no longer matches, so
-  // the migration's reuse check must reject it and recompile cleanly —
-  // even though arch and specialization hash are identical.
+  // the late device's first launch must recompile rather than be served
+  // the stale object — even though arch and specialization hash match.
   ASSERT_EQ(Jit.attachDevice(Late), 1u);
-  metrics::Registry SReg;
-  Migrator Mig(Jit, SReg);
-  MigrationResult R = Mig.migrate(0, 1, "daxpy", Dim3{32, 1, 1}, Args);
-  ASSERT_TRUE(R.Ok) << R.Error;
-  EXPECT_FALSE(R.RetargetReusedCache)
-      << "stale linkage-mode object must not be served";
-  EXPECT_EQ(Jit.stats().RetargetCompiles, 1u);
-  EXPECT_EQ(Jit.stats().RetargetCacheReuse, 0u);
-
-  ASSERT_EQ(Jit.launchKernelOn(1, "daxpy", Dim3{2, 1, 1}, Dim3{32, 1, 1},
-                               Args, nullptr, &Err),
-            GpuError::Success)
-      << Err;
-  ASSERT_EQ(Jit.launchKernelOn(1, "daxpy", Dim3{2, 1, 1}, Dim3{32, 1, 1},
-                               Args, nullptr, &Err),
-            GpuError::Success)
-      << Err;
+  ASSERT_TRUE(Late.claimRange(X, N * 8));
+  ASSERT_TRUE(Late.claimRange(Y, N * 8));
+  gpuMemcpyHtoD(Late, X, HX.data(), N * 8);
+  gpuMemcpyHtoD(Late, Y, HY.data(), N * 8);
+  for (unsigned I = 0; I != 2; ++I)
+    ASSERT_EQ(Jit.launchKernelOn(1, "daxpy", Dim3{2, 1, 1}, Dim3{32, 1, 1},
+                                 Args, nullptr, &Err),
+              GpuError::Success)
+        << Err;
   Jit.drain();
+  EXPECT_EQ(Jit.stats().Compilations, 2u)
+      << "stale linkage-mode object must not be served";
   std::vector<uint8_t> Got(N * 8);
   gpuMemcpyDtoH(Late, Got.data(), Y, N * 8);
   EXPECT_EQ(Got, Expected);
 }
 
-TEST(MigrationTest, RejectsInvalidEndpoints) {
-  DaxpyPool P(poolConfig({GpuArch::AmdGcnSim, GpuArch::NvPtxSim}));
-  metrics::Registry SReg;
-  Migrator Mig(*P.Jit, SReg);
+TEST(PoolGlobalsTest, SymbolicGlobalsResolveAgainstEachDevicesBinding) {
+  // A kernel reading a device global: y[i] = weights[i & 7] * x[i].
+  Context Ctx;
+  Module M(Ctx, "pool_globals_app");
+  IRBuilder B(Ctx);
+  Type *F64 = Ctx.getF64Ty();
+  M.createGlobal("weights", F64, 8);
+  Function *K = M.createFunction(
+      "gscale", Ctx.getVoidTy(),
+      {Ctx.getPtrTy(), Ctx.getPtrTy(), Ctx.getI32Ty()}, {"x", "y", "n"},
+      FunctionKind::Kernel);
+  K->setJitAnnotation(JitAnnotation{{3}});
+  BasicBlock *Entry = K->createBlock("entry", Ctx.getVoidTy());
+  BasicBlock *Then = K->createBlock("then", Ctx.getVoidTy());
+  BasicBlock *Exit = K->createBlock("exit", Ctx.getVoidTy());
+  B.setInsertPoint(Entry);
+  Value *Gtid = B.createGlobalThreadIdX();
+  B.createCondBr(B.createICmp(ICmpPred::SLT, Gtid, K->getArg(2)), Then, Exit);
+  B.setInsertPoint(Then);
+  Value *Idx = B.createAnd(Gtid, B.getInt32(7), "widx");
+  Value *W =
+      B.createLoad(F64, B.createGep(F64, M.getGlobal("weights"), Idx), "w");
+  Value *Xv =
+      B.createLoad(F64, B.createGep(F64, K->getArg(0), Gtid), "xv");
+  B.createStore(B.createFMul(W, Xv), B.createGep(F64, K->getArg(1), Gtid));
+  B.createBr(Exit);
+  B.setInsertPoint(Exit);
+  B.createRet();
+  expectValid(M);
 
-  MigrationResult Same = Mig.migrate(0, 0, "daxpy", Dim3{32, 1, 1},
-                                     P.args(0, 2.0));
-  EXPECT_FALSE(Same.Ok);
-  EXPECT_NE(Same.Error.find("same device"), std::string::npos) << Same.Error;
+  AotOptions AO;
+  AO.Arch = GpuArch::AmdGcnSim;
+  AO.EnableProteusExtensions = true;
+  CompiledProgram Prog = aotCompile(M, AO);
 
-  MigrationResult Range = Mig.migrate(0, 7, "daxpy", Dim3{32, 1, 1},
-                                      P.args(0, 2.0));
-  EXPECT_FALSE(Range.Ok);
-  EXPECT_NE(Range.Error.find("out of range"), std::string::npos)
-      << Range.Error;
-  EXPECT_EQ(counterValue(SReg, "sched.migrations"), 0u);
+  // Two devices of one arch share one compiled object; in a pool the
+  // object links globals symbolically, so each device's load resolves
+  // `weights` against that device's own binding.
+  DeviceManager Mgr(poolConfig({GpuArch::AmdGcnSim, GpuArch::AmdGcnSim}));
+  JitConfig JC;
+  JC.UsePersistentCache = false;
+  JitRuntime Jit(Mgr.device(0), Prog.ModuleId, JC);
+  Jit.attachDevice(Mgr.device(1));
+
+  std::vector<double> HX(N);
+  for (uint32_t I = 0; I != N; ++I)
+    HX[I] = 0.25 * I - 3.0;
+  DevicePtr X[2] = {0, 0}, Y[2] = {0, 0};
+  for (unsigned D = 0; D != 2; ++D) {
+    ASSERT_EQ(gpuMalloc(Mgr.device(D), &X[D], N * 8), GpuError::Success);
+    ASSERT_EQ(gpuMalloc(Mgr.device(D), &Y[D], N * 8), GpuError::Success);
+    gpuMemcpyHtoD(Mgr.device(D), X[D], HX.data(), N * 8);
+  }
+  LoadedProgram LP(Mgr.device(0), Prog, &Jit);
+  ASSERT_TRUE(LP.ok()) << LP.error();
+
+  // Device 0's weights come from the program load; device 1 binds its own
+  // copy, with other values, at another address.
+  std::vector<double> HW[2];
+  for (unsigned D = 0; D != 2; ++D)
+    for (uint32_t I = 0; I != 8; ++I)
+      HW[D].push_back(1.5 + 0.5 * I + 10.0 * D);
+  const DevicePtr W0 = Mgr.device(0).getSymbolAddress("weights");
+  ASSERT_NE(W0, 0u) << "program load must bind the global";
+  gpuMemcpyHtoD(Mgr.device(0), W0, HW[0].data(), 8 * 8);
+  DevicePtr Pad = 0;
+  ASSERT_EQ(gpuMalloc(Mgr.device(1), &Pad, 256), GpuError::Success);
+  std::vector<uint8_t> W1Bytes(8 * 8);
+  std::memcpy(W1Bytes.data(), HW[1].data(), W1Bytes.size());
+  const DevicePtr W1 =
+      Mgr.device(1).registerGlobal("weights", W1Bytes.size(), W1Bytes);
+  ASSERT_NE(W1, 0u);
+  ASSERT_NE(W1, W0) << "the bindings must differ to tell them apart";
+
+  for (unsigned D = 0; D != 2; ++D) {
+    std::string Err;
+    ASSERT_EQ(Jit.launchKernelOn(D, "gscale", Dim3{2, 1, 1}, Dim3{32, 1, 1},
+                                 {{X[D]}, {Y[D]}, {N}}, nullptr, &Err),
+              GpuError::Success)
+        << "device " << D << ": " << Err;
+  }
+  Jit.drain();
+  EXPECT_EQ(Jit.stats().Compilations, 1u) << "one object serves the arch";
+  for (unsigned D = 0; D != 2; ++D) {
+    std::vector<double> Got(N);
+    gpuMemcpyDtoH(Mgr.device(D), Got.data(), Y[D], N * 8);
+    for (uint32_t I = 0; I != N; ++I)
+      ASSERT_EQ(Got[I], HW[D][I & 7] * HX[I])
+          << "device " << D << " element " << I;
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -631,32 +493,6 @@ TEST(SchedulerTest, PerfModeRanksByRooflinePrediction) {
   P.Mgr.device(Fastest).defaultStream().enqueue(1.0, "background");
   Pl = Sched.place("daxpy", Dim3{2, 1, 1}, Dim3{32, 1, 1});
   EXPECT_EQ(Pl.DeviceIndex, 1u - Fastest);
-}
-
-TEST(SchedulerTest, SlackKernelsPlaceByReadyTimeAlone) {
-  DaxpyPool P(poolConfig({GpuArch::AmdGcnSim, GpuArch::NvPtxSim}));
-  SchedConfig SC;
-  SC.Mode = SchedMode::Perf;
-  Scheduler Sched(*P.Jit, SC);
-  Sched.noteKernelProfile("daxpy", pir::analysis::computeStaticProfile(*P.F));
-
-  // An installed timeline report marking daxpy pure slack: placement
-  // ignores the model, takes the idle device, and counts the bias.
-  proteus::analysis::CriticalPathReport Rep;
-  Rep.ByName.push_back(proteus::analysis::NameCriticality{"daxpy", 1000, 0, 0.0});
-  Sched.setCriticalPathReport(Rep);
-
-  P.Mgr.device(0).defaultStream().enqueue(0.5, "background");
-  Placement Pl = Sched.place("daxpy", Dim3{2, 1, 1}, Dim3{32, 1, 1});
-  EXPECT_EQ(Pl.DeviceIndex, 1u);
-  EXPECT_EQ(counterValue(Sched.registry(), "sched.placements.slack"), 1u);
-
-  // A critical kernel gets the full perf scoring, not the slack bias.
-  Rep.ByName[0].CriticalNs = 1000;
-  Rep.ByName[0].CriticalityFraction = 1.0;
-  Sched.setCriticalPathReport(Rep);
-  Sched.place("daxpy", Dim3{2, 1, 1}, Dim3{32, 1, 1});
-  EXPECT_EQ(counterValue(Sched.registry(), "sched.placements.slack"), 1u);
 }
 
 // ---------------------------------------------------------------------------
@@ -781,10 +617,10 @@ TEST(ReplayRetargetTest, PublishWarmsEveryArchForAFreshRuntime) {
 }
 
 // ---------------------------------------------------------------------------
-// Migration storm (the TSan lane).
+// Placement storm (the TSan lane).
 // ---------------------------------------------------------------------------
 
-TEST(MigrationStormTest, ConcurrentLaunchesAndMigrationsAreRaceFree) {
+TEST(PlacementStormTest, ConcurrentPlacedLaunchesAreRaceFree) {
   DeviceManager::Config C = DeviceManager::configFromEnvironment();
   C.MemoryBytesPerDevice = 1ull << 22;
   if (C.NumDevices < 2) {
@@ -801,14 +637,10 @@ TEST(MigrationStormTest, ConcurrentLaunchesAndMigrationsAreRaceFree) {
   SchedConfig SC;
   SC.Mode = SchedMode::Load;
   Scheduler Sched(*P.Jit, SC);
-  metrics::Registry MReg;
-  Migrator Mig(*P.Jit, MReg);
 
-  constexpr unsigned Launchers = 2;
+  constexpr unsigned Launchers = 3;
   constexpr unsigned LaunchesPerThread = 24;
-  constexpr unsigned Migrations = 6;
   std::vector<std::string> LaunchErrors(Launchers);
-  std::vector<std::string> MigrateErrors;
   std::atomic<uint64_t> Launched{0};
 
   std::vector<std::thread> Threads;
@@ -826,15 +658,6 @@ TEST(MigrationStormTest, ConcurrentLaunchesAndMigrationsAreRaceFree) {
         Launched.fetch_add(1, std::memory_order_relaxed);
       }
     });
-  Threads.emplace_back([&] {
-    for (unsigned I = 0; I != Migrations; ++I) {
-      unsigned Src = I % 2, Dst = (I + 1) % 2;
-      MigrationResult R = Mig.migrate(Src, Dst, "daxpy", Dim3{32, 1, 1},
-                                      P.args(Src, 2.0));
-      if (!R.Ok)
-        MigrateErrors.push_back(R.Error);
-    }
-  });
   for (std::thread &T : Threads)
     T.join();
   P.Jit->drain();
@@ -842,11 +665,16 @@ TEST(MigrationStormTest, ConcurrentLaunchesAndMigrationsAreRaceFree) {
   for (unsigned T = 0; T != Launchers; ++T)
     EXPECT_TRUE(LaunchErrors[T].empty()) << "launcher " << T << ": "
                                          << LaunchErrors[T];
-  for (const std::string &E : MigrateErrors)
-    ADD_FAILURE() << "migration failed: " << E;
   EXPECT_EQ(Launched.load(), uint64_t(Launchers) * LaunchesPerThread);
-  EXPECT_EQ(counterValue(MReg, "sched.migrations"), Migrations);
-  // Retargets never re-parse: one front-end parse however the storm raced.
+  // Each placed launch raises its device's load gauge, so load placement
+  // reaches the whole pool (and with it every arch in the pool).
+  for (unsigned D = 0; D != P.Mgr.numDevices(); ++D)
+    EXPECT_GT(counterValue(Sched.registry(),
+                           "sched.placements.dev" + std::to_string(D)),
+              0u)
+        << "device " << D;
+  // Every arch in the pool compiles from the parse-once module index: one
+  // front-end parse however the storm raced.
   EXPECT_EQ(P.Jit->stats().BitcodeParses, 1u);
 }
 

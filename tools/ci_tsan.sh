@@ -152,11 +152,11 @@ if ! PROTEUS_NUM_DEVICES=4 PROTEUS_TIER=on PROTEUS_ASYNC=fallback \
   STATUS=1
 fi
 
-# Migration storm over a bigger heterogeneous pool: launcher threads spray
-# scheduler-placed launches across 4 mixed-arch devices while a migrator
-# thread bounces the kernel (and its reachable state) between arches under
-# tiering — the withDeviceLocked protocol, the retarget hot-swap, and the
-# lock-free load gauges all race here.
+# Placement storm over a bigger heterogeneous pool: launcher threads spray
+# load-placed launches across 4 mixed-arch devices under tiering and
+# generic covers — the lock-free load gauges, the scheduler's cursors, the
+# per-arch compiles from one parse-once index, and the promotion hot-swap
+# on every device all race here.
 echo "== TSan: sched_test (PROTEUS_NUM_DEVICES=4, PROTEUS_DEVICE_ARCHS=amdgcn-sim,nvptx-sim, PROTEUS_TIER=on, PROTEUS_ASYNC=fallback) =="
 if ! PROTEUS_NUM_DEVICES=4 PROTEUS_DEVICE_ARCHS=amdgcn-sim,nvptx-sim \
      PROTEUS_TIER=on PROTEUS_ASYNC=fallback \

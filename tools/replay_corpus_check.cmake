@@ -149,10 +149,10 @@ foreach(Artifact IN LISTS Artifacts)
   message(STATUS "${Base}: roofline class pinned (${RooflineActual})")
 
   # 4. Cross-arch retarget replay: the artifact's bitcode recompiled through
-  # each simulated backend must still reproduce the captured bytes — the
-  # migration subsystem's correctness contract, checked per arch (one of
-  # the two is the recorded arch, so this also covers the plain replay with
-  # an explicit override).
+  # each simulated backend must still reproduce the captured bytes, so the
+  # per-arch compile is checked on both arches (one of the two is the
+  # recorded arch, so this also covers the plain replay with an explicit
+  # override).
   foreach(Arch amdgcn-sim nvptx-sim)
     execute_process(
       COMMAND "${REPLAY}" "--device-arch=${Arch}" "${Artifact}"
