@@ -58,8 +58,8 @@ ReplayResult proteus::replayArtifact(const capture::CaptureArtifact &A,
   // Rebuild the captured device: same memory size, every captured
   // allocation claimed at its original address with its pre-launch image
   // restored, every global pinned to its original symbol binding. The arch
-  // is the recorded one unless overridden — the retarget-exercising mode,
-  // where the recorded bitcode recompiles through the other backend and
+  // is the recorded one unless overridden — the per-arch recompile mode,
+  // where the recorded bitcode compiles through the other backend and
   // must still reproduce the captured bytes.
   const GpuArch Arch = Opts.ArchOverride.value_or(A.Arch);
   Device Dev(getTarget(Arch), A.DeviceMemoryBytes);

@@ -59,13 +59,13 @@ struct ReplayOptions {
   gpu::Dim3 Grid{1, 1, 1};
   gpu::Dim3 Block{1, 1, 1};
   /// Device-architecture override: when set, the replay device is built
-  /// with this arch instead of the recorded one, exercising the retarget
-  /// path — the artifact's bitcode recompiles through the target arch's
+  /// with this arch instead of the recorded one, exercising the per-arch
+  /// recompile — the artifact's bitcode compiles through the target arch's
   /// backend. Like a geometry override, the replayed specialization hash
   /// then keys the overridden arch, so HashMatch is only meaningful when
   /// the override equals the recorded arch. The differential output check
-  /// still applies in full: the simulator is functional, so a retargeted
-  /// kernel must reproduce the captured bytes exactly.
+  /// still applies in full: the simulator is functional, so a kernel
+  /// recompiled for the other arch must reproduce the captured bytes exactly.
   std::optional<GpuArch> ArchOverride;
 };
 

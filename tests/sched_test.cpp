@@ -114,8 +114,6 @@ struct DaxpyPool {
       gpuMemcpyHtoD(Dev, Y[D], HY.data(), N * 8);
     }
 
-    // Program load last: on nvptx-sim devices it allocates bitcode blobs,
-    // which must not shift the buffer addresses above.
     LP = std::make_unique<LoadedProgram>(Mgr.device(0), Prog, Jit.get());
     EXPECT_TRUE(LP->ok()) << LP->error();
   }
@@ -335,20 +333,23 @@ TEST(PoolGlobalsTest, SymbolicGlobalsResolveAgainstEachDevicesBinding) {
   AO.EnableProteusExtensions = true;
   CompiledProgram Prog = aotCompile(M, AO);
 
-  // Two devices of one arch share one compiled object; in a pool the
-  // object links globals symbolically, so each device's load resolves
-  // `weights` against that device's own binding.
-  DeviceManager Mgr(poolConfig({GpuArch::AmdGcnSim, GpuArch::AmdGcnSim}));
+  // Two amd devices share one compiled object and the nv device gets its
+  // own; in a pool every object links globals symbolically, so each
+  // device's load resolves `weights` against that device's own binding.
+  DeviceManager Mgr(poolConfig(
+      {GpuArch::AmdGcnSim, GpuArch::AmdGcnSim, GpuArch::NvPtxSim}));
+  constexpr unsigned NumDevices = 3;
   JitConfig JC;
   JC.UsePersistentCache = false;
   JitRuntime Jit(Mgr.device(0), Prog.ModuleId, JC);
-  Jit.attachDevice(Mgr.device(1));
+  for (unsigned D = 1; D != NumDevices; ++D)
+    Jit.attachDevice(Mgr.device(D));
 
   std::vector<double> HX(N);
   for (uint32_t I = 0; I != N; ++I)
     HX[I] = 0.25 * I - 3.0;
-  DevicePtr X[2] = {0, 0}, Y[2] = {0, 0};
-  for (unsigned D = 0; D != 2; ++D) {
+  DevicePtr X[NumDevices] = {}, Y[NumDevices] = {};
+  for (unsigned D = 0; D != NumDevices; ++D) {
     ASSERT_EQ(gpuMalloc(Mgr.device(D), &X[D], N * 8), GpuError::Success);
     ASSERT_EQ(gpuMalloc(Mgr.device(D), &Y[D], N * 8), GpuError::Success);
     gpuMemcpyHtoD(Mgr.device(D), X[D], HX.data(), N * 8);
@@ -356,25 +357,28 @@ TEST(PoolGlobalsTest, SymbolicGlobalsResolveAgainstEachDevicesBinding) {
   LoadedProgram LP(Mgr.device(0), Prog, &Jit);
   ASSERT_TRUE(LP.ok()) << LP.error();
 
-  // Device 0's weights come from the program load; device 1 binds its own
-  // copy, with other values, at another address.
-  std::vector<double> HW[2];
-  for (unsigned D = 0; D != 2; ++D)
+  // Device 0's weights come from the program load; every other device binds
+  // its own copy, with other values, after a pad so the addresses differ.
+  std::vector<double> HW[NumDevices];
+  for (unsigned D = 0; D != NumDevices; ++D)
     for (uint32_t I = 0; I != 8; ++I)
       HW[D].push_back(1.5 + 0.5 * I + 10.0 * D);
-  const DevicePtr W0 = Mgr.device(0).getSymbolAddress("weights");
-  ASSERT_NE(W0, 0u) << "program load must bind the global";
-  gpuMemcpyHtoD(Mgr.device(0), W0, HW[0].data(), 8 * 8);
-  DevicePtr Pad = 0;
-  ASSERT_EQ(gpuMalloc(Mgr.device(1), &Pad, 256), GpuError::Success);
-  std::vector<uint8_t> W1Bytes(8 * 8);
-  std::memcpy(W1Bytes.data(), HW[1].data(), W1Bytes.size());
-  const DevicePtr W1 =
-      Mgr.device(1).registerGlobal("weights", W1Bytes.size(), W1Bytes);
-  ASSERT_NE(W1, 0u);
-  ASSERT_NE(W1, W0) << "the bindings must differ to tell them apart";
+  DevicePtr WAddr[NumDevices] = {};
+  WAddr[0] = Mgr.device(0).getSymbolAddress("weights");
+  ASSERT_NE(WAddr[0], 0u) << "program load must bind the global";
+  gpuMemcpyHtoD(Mgr.device(0), WAddr[0], HW[0].data(), 8 * 8);
+  for (unsigned D = 1; D != NumDevices; ++D) {
+    DevicePtr Pad = 0;
+    ASSERT_EQ(gpuMalloc(Mgr.device(D), &Pad, 256 * D), GpuError::Success);
+    std::vector<uint8_t> Bytes(8 * 8);
+    std::memcpy(Bytes.data(), HW[D].data(), Bytes.size());
+    WAddr[D] = Mgr.device(D).registerGlobal("weights", Bytes.size(), Bytes);
+    ASSERT_NE(WAddr[D], 0u);
+    for (unsigned E = 0; E != D; ++E)
+      ASSERT_NE(WAddr[D], WAddr[E]) << "the bindings must differ to tell them apart";
+  }
 
-  for (unsigned D = 0; D != 2; ++D) {
+  for (unsigned D = 0; D != NumDevices; ++D) {
     std::string Err;
     ASSERT_EQ(Jit.launchKernelOn(D, "gscale", Dim3{2, 1, 1}, Dim3{32, 1, 1},
                                  {{X[D]}, {Y[D]}, {N}}, nullptr, &Err),
@@ -382,13 +386,14 @@ TEST(PoolGlobalsTest, SymbolicGlobalsResolveAgainstEachDevicesBinding) {
         << "device " << D << ": " << Err;
   }
   Jit.drain();
-  EXPECT_EQ(Jit.stats().Compilations, 1u) << "one object serves the arch";
-  for (unsigned D = 0; D != 2; ++D) {
+  EXPECT_EQ(Jit.stats().Compilations, 2u) << "one object per arch";
+  for (unsigned D = 0; D != NumDevices; ++D) {
     std::vector<double> Got(N);
     gpuMemcpyDtoH(Mgr.device(D), Got.data(), Y[D], N * 8);
     for (uint32_t I = 0; I != N; ++I)
       ASSERT_EQ(Got[I], HW[D][I & 7] * HX[I])
-          << "device " << D << " element " << I;
+          << "device " << D << " (" << gpuArchName(Mgr.device(D).target().Arch)
+          << ") element " << I;
   }
 }
 

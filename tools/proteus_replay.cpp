@@ -22,8 +22,8 @@
 //                PROTEUS_CACHE_* remote/fleet settings) so a fresh fleet
 //                starts warm — prints a PUBLISHED line per artifact
 //   --device-arch=ARCH  replay on ARCH (amdgcn-sim|nvptx-sim) instead of
-//                the recorded architecture, exercising the cross-arch
-//                retarget path; the differential output check still applies
+//                the recorded architecture, exercising the per-arch
+//                recompile; the differential output check still applies
 //                in full, but the specialization hash keys the overridden
 //                arch, so hash equality is only enforced when ARCH matches
 //                the recording

@@ -148,7 +148,7 @@ foreach(Artifact IN LISTS Artifacts)
   endif()
   message(STATUS "${Base}: roofline class pinned (${RooflineActual})")
 
-  # 4. Cross-arch retarget replay: the artifact's bitcode recompiled through
+  # 4. Per-arch recompile replay: the artifact's bitcode recompiled through
   # each simulated backend must still reproduce the captured bytes, so the
   # per-arch compile is checked on both arches (one of the two is the
   # recorded arch, so this also covers the plain replay with an explicit
