@@ -32,23 +32,12 @@
 #include "ir/Function.h"
 
 #include <functional>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 namespace pir {
 namespace dataflow {
 
-/// Iterated dominance frontier of \p Seeds — the classic phi-placement /
-/// control-reconvergence set: every block where paths that bypass a seed
-/// and paths through a seed first rejoin. Used by UniformityAnalysis to
-/// find the blocks whose phis become control-dependent on a divergent
-/// branch. Only reachable blocks are returned.
-std::vector<BasicBlock *>
-iteratedDominanceFrontier(const DominatorTree &DT,
-                          const std::vector<BasicBlock *> &Seeds);
-
-/// Forward dataflow solver with facts keyed by Value*.
+/// Forward dataflow solver with a fact per instruction, indexed by its id.
 ///
 /// FactT is a lattice element; derived analyses implement:
 ///   * bottom()       — the least element (initial fact of instructions)
@@ -66,12 +55,7 @@ public:
   /// Current fact for \p V: the solved fact for instructions, the boundary
   /// fact for everything else.
   FactT getFact(const Value *V) const {
-    auto It = Facts.find(V);
-    if (It != Facts.end())
-      return It->second;
-    if (V->isInstruction())
-      return bottom();
-    return initialFact(*V);
+    return V->isInstruction() ? Facts.lookup(V) : initialFact(*V);
   }
 
 protected:
@@ -89,12 +73,15 @@ protected:
 
   /// Runs the worklist to a fixpoint over the reachable blocks of \p F.
   void solve(Function &F) {
+    Facts = ValueIdMap<FactT>(F, bottom());
     std::vector<BasicBlock *> RPO = reversePostOrder(F);
     std::vector<BasicBlock *> Worklist(RPO.rbegin(), RPO.rend());
-    std::unordered_set<BasicBlock *> InList(Worklist.begin(), Worklist.end());
-    std::unordered_set<BasicBlock *> Reachable(RPO.begin(), RPO.end());
+    ValueIdSet Reachable(F);
+    for (BasicBlock *BB : RPO)
+      Reachable.insert(BB);
+    ValueIdSet InList = Reachable;
     auto Enqueue = [&](BasicBlock *BB) {
-      if (Reachable.count(BB) && InList.insert(BB).second)
+      if (Reachable.contains(BB) && InList.insert(BB))
         Worklist.push_back(BB);
     };
     while (!Worklist.empty()) {
@@ -118,7 +105,8 @@ protected:
     }
   }
 
-  std::unordered_map<const Value *, FactT> Facts;
+  /// Instructions not yet reached read as bottom().
+  ValueIdMap<FactT> Facts;
 };
 
 } // namespace dataflow

@@ -10,6 +10,7 @@
 #include "ir/BasicBlock.h"
 #include "ir/Module.h"
 
+#include <optional>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -124,7 +125,6 @@ bool bufferEscapes(AllocaInst *A) {
 
 /// One resolved access to a non-escaping alloca buffer.
 struct BufferAccess {
-  Instruction *I = nullptr;
   AllocaInst *Buffer = nullptr;
   bool IsPlainStore = false;
   bool IsAtomic = false;
@@ -137,7 +137,7 @@ struct BufferAccess {
 class SharedMemLint {
 public:
   SharedMemLint(Function &F, const UniformityAnalysis &UA, AnalysisReport &R)
-      : F(F), UA(UA), R(R) {}
+      : F(F), UA(UA), R(R), Accesses(F), Escaped(F) {}
 
   void run() {
     collectAccesses();
@@ -178,14 +178,13 @@ private:
         A.Buffer = resolveBuffer(Ptr, A.ByteOffset, A.AllConstIndices);
         if (!A.Buffer)
           continue;
-        auto EscIt = Escaped.find(A.Buffer);
-        if (EscIt == Escaped.end())
-          EscIt = Escaped.emplace(A.Buffer, bufferEscapes(A.Buffer)).first;
-        if (EscIt->second)
+        std::optional<bool> &Escapes = Escaped[A.Buffer];
+        if (!Escapes)
+          Escapes = bufferEscapes(A.Buffer);
+        if (*Escapes)
           continue;
-        A.I = &I;
         A.PtrFact = UA.uniformity(Ptr);
-        Accesses.emplace(&I, A);
+        Accesses[&I] = A;
       }
     }
   }
@@ -193,10 +192,9 @@ private:
   void checkOutOfBounds() {
     for (BasicBlock &BB : F) {
       for (Instruction &I : BB) {
-        auto It = Accesses.find(&I);
-        if (It == Accesses.end() || !It->second.AllConstIndices)
+        const BufferAccess &A = Accesses[&I];
+        if (!A.Buffer || !A.AllConstIndices)
           continue;
-        const BufferAccess &A = It->second;
         int64_t End = A.ByteOffset +
                       static_cast<int64_t>(A.AccessTy->sizeInBytes());
         int64_t Size =
@@ -229,10 +227,9 @@ private:
           State.clear(); // the barrier orders every prior access
           continue;
         }
-        auto It = Accesses.find(&I);
-        if (It == Accesses.end() || It->second.IsAtomic)
+        const BufferAccess &A = Accesses[&I];
+        if (!A.Buffer || A.IsAtomic)
           continue;
-        const BufferAccess &A = It->second;
         IntervalState &S = State[A.Buffer];
         bool IsDivStore =
             A.IsPlainStore && A.PtrFact == Uniformity::Divergent;
@@ -261,14 +258,11 @@ private:
   /// miss path-sensitive bugs).
   void checkUninitializedLoads() {
     std::vector<BasicBlock *> RPO = reversePostOrder(F);
-    std::unordered_map<BasicBlock *, std::unordered_set<AllocaInst *>> Out;
+    ValueIdMap<std::unordered_set<AllocaInst *>> Out(F);
     auto InSet = [&](BasicBlock *BB) {
       std::unordered_set<AllocaInst *> In;
-      for (BasicBlock *P : BB->predecessors()) {
-        auto It = Out.find(P);
-        if (It != Out.end())
-          In.insert(It->second.begin(), It->second.end());
-      }
+      for (BasicBlock *P : BB->predecessors())
+        In.insert(Out[P].begin(), Out[P].end());
       return In;
     };
     bool Changed = true;
@@ -277,10 +271,9 @@ private:
       for (BasicBlock *BB : RPO) {
         std::unordered_set<AllocaInst *> Cur = InSet(BB);
         for (Instruction &I : *BB) {
-          auto It = Accesses.find(&I);
-          if (It != Accesses.end() &&
-              (It->second.IsPlainStore || It->second.IsAtomic))
-            Cur.insert(It->second.Buffer);
+          const BufferAccess &A = Accesses[&I];
+          if (A.IsPlainStore || A.IsAtomic)
+            Cur.insert(A.Buffer);
         }
         if (Cur != Out[BB]) {
           Out[BB] = std::move(Cur);
@@ -291,10 +284,9 @@ private:
     for (BasicBlock *BB : RPO) {
       std::unordered_set<AllocaInst *> Stored = InSet(BB);
       for (Instruction &I : *BB) {
-        auto It = Accesses.find(&I);
-        if (It == Accesses.end())
+        const BufferAccess &A = Accesses[&I];
+        if (!A.Buffer)
           continue;
-        const BufferAccess &A = It->second;
         if (A.IsPlainStore || A.IsAtomic) {
           Stored.insert(A.Buffer);
           continue;
@@ -311,8 +303,8 @@ private:
   Function &F;
   const UniformityAnalysis &UA;
   AnalysisReport &R;
-  std::unordered_map<Instruction *, BufferAccess> Accesses;
-  std::unordered_map<AllocaInst *, bool> Escaped;
+  ValueIdMap<BufferAccess> Accesses; // Buffer is null for other insts
+  ValueIdMap<std::optional<bool>> Escaped;
 };
 
 void checkBarrierDivergence(Function &F, const UniformityAnalysis &UA,

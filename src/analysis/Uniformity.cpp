@@ -26,7 +26,10 @@ const char *uniformityName(Uniformity U) {
   return "?";
 }
 
-UniformityAnalysis::UniformityAnalysis(Function &F) : DT(F) { solve(F); }
+UniformityAnalysis::UniformityAnalysis(Function &F)
+    : DT(F), DivergentBranchSet(F), DivergentJoins(F), RegionBranch(F) {
+  solve(F);
+}
 
 Uniformity UniformityAnalysis::initialFact(const Value &V) const {
   // Constants, kernel arguments, globals, functions and block labels are
@@ -195,7 +198,7 @@ Uniformity UniformityAnalysis::transfer(const Instruction &I) {
     // A phi at the reconvergence point of a divergent branch selects its
     // incoming value by thread identity even when every incoming value is
     // uniform.
-    if (DivergentJoins.count(I.getParent()))
+    if (DivergentJoins.contains(I.getParent()))
       U = join(U, Uniformity::Divergent);
     return U;
   }
@@ -218,24 +221,26 @@ UniformityAnalysis::markDivergentRegion(BranchInst *Br) {
   std::vector<BasicBlock *> Seeds;
   for (size_t S = 0; S < Br->getNumSuccessors(); ++S)
     Seeds.push_back(Br->getSuccessor(S));
-  std::vector<BasicBlock *> Joins =
-      dataflow::iteratedDominanceFrontier(DT, Seeds);
-  std::unordered_set<BasicBlock *> JoinSet(Joins.begin(), Joins.end());
+  std::vector<BasicBlock *> Joins = DT.iteratedFrontier(Seeds);
 
   // Blocks reachable from the divergent successors without crossing a
-  // reconvergence join execute under thread-dependent control.
+  // reconvergence join execute under thread-dependent control; a join is
+  // never entered, so it starts out visited.
+  Function &F = *Br->getFunction();
+  ValueIdSet Visited(F);
+  for (BasicBlock *J : Joins)
+    Visited.insert(J);
   std::vector<BasicBlock *> Stack;
-  std::unordered_set<BasicBlock *> Visited;
   for (BasicBlock *S : Seeds)
-    if (!JoinSet.count(S) && Visited.insert(S).second)
+    if (Visited.insert(S))
       Stack.push_back(S);
   while (!Stack.empty()) {
     BasicBlock *BB = Stack.back();
     Stack.pop_back();
-    DivergentRegion.insert(BB);
-    RegionBranch.emplace(BB, Br);
+    if (!RegionBranch[BB])
+      RegionBranch[BB] = Br;
     for (BasicBlock *Succ : BB->successors())
-      if (!JoinSet.count(Succ) && Visited.insert(Succ).second)
+      if (Visited.insert(Succ))
         Stack.push_back(Succ);
   }
   return Joins;
@@ -248,7 +253,7 @@ void UniformityAnalysis::blockProcessed(
     return;
   if (getFact(Br->getCondition()) <= Uniformity::Uniform)
     return;
-  if (!DivergentBranchSet.insert(Br).second)
+  if (!DivergentBranchSet.insert(Br))
     return; // region already marked
   DivergentBranches.push_back(Br);
   for (BasicBlock *Join : markDivergentRegion(Br)) {

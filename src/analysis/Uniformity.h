@@ -22,6 +22,8 @@
 
 #include "analysis/Dataflow.h"
 
+#include <unordered_map>
+
 namespace pir {
 namespace analysis {
 
@@ -70,24 +72,21 @@ public:
   /// phis merge values from divergently-executed paths). Barriers *at* a
   /// join are safe — all threads reconverge there.
   bool isDivergentJoin(BasicBlock *BB) const {
-    return DivergentJoins.count(BB) != 0;
+    return DivergentJoins.contains(BB);
   }
 
   /// True if \p BB executes under thread-dependent control flow: it lies
   /// between a divergent branch and its reconvergence joins, so not all
   /// threads of the block are guaranteed to reach it together.
   bool isInDivergentRegion(BasicBlock *BB) const {
-    return DivergentRegion.count(BB) != 0;
+    return controllingBranch(BB) != nullptr;
   }
 
   /// The divergent branch that placed \p BB in a divergent region (the
   /// first recorded one, for diagnostics), or null.
   BranchInst *controllingBranch(BasicBlock *BB) const {
-    auto It = RegionBranch.find(BB);
-    return It == RegionBranch.end() ? nullptr : It->second;
+    return RegionBranch.lookup(BB);
   }
-
-  const DominatorTree &getDomTree() const { return DT; }
 
 protected:
   Uniformity bottom() const override { return Uniformity::Unknown; }
@@ -112,10 +111,9 @@ private:
 
   DominatorTree DT;
   std::vector<BranchInst *> DivergentBranches;
-  std::unordered_set<const BranchInst *> DivergentBranchSet;
-  std::unordered_set<BasicBlock *> DivergentJoins;
-  std::unordered_set<BasicBlock *> DivergentRegion;
-  std::unordered_map<BasicBlock *, BranchInst *> RegionBranch;
+  ValueIdSet DivergentBranchSet;
+  ValueIdSet DivergentJoins;
+  ValueIdMap<BranchInst *> RegionBranch; // null outside divergent regions
   std::unordered_map<const Function *, bool> CalleeCache;
 };
 

@@ -24,6 +24,7 @@
 #include "ir/Context.h"
 #include "ir/Module.h"
 #include "support/BinaryStream.h"
+#include "support/Error.h"
 
 #include <algorithm>
 #include <unordered_map>
@@ -136,33 +137,30 @@ private:
       W.writeU32(FunctionIds.at(F));
       return;
     }
-    if (auto *BB = dyn_cast<BasicBlock>(V)) {
-      W.writeU8(TagBlock);
-      W.writeU32(BlockIds.at(BB));
-      return;
-    }
-    W.writeU8(TagSlot);
-    W.writeU32(SlotIds.at(V));
+    W.writeU8(isa<BasicBlock>(V) ? TagBlock : TagSlot);
+    uint32_t Index = LocalIndex.lookup(V);
+    if (Index == NoIndex)
+      reportFatalError("bitcode writer: operand outside the function");
+    W.writeU32(Index);
   }
 
   void writeFunctionBody(Function &F) {
-    SlotIds.clear();
-    BlockIds.clear();
     if (F.isDeclaration()) {
       W.writeU32(0);
       return;
     }
+    LocalIndex = ValueIdMap<uint32_t>(F, NoIndex);
     uint32_t Slot = 0;
     for (const auto &A : F.args())
-      SlotIds[A.get()] = Slot++;
+      LocalIndex[A.get()] = Slot++;
     uint32_t BIdx = 0;
     std::vector<BasicBlock *> Blocks;
     for (BasicBlock &BB : F) {
-      BlockIds[&BB] = BIdx++;
+      LocalIndex[&BB] = BIdx++;
       Blocks.push_back(&BB);
       for (Instruction &I : BB)
         if (!I.getType()->isVoid())
-          SlotIds[&I] = Slot++;
+          LocalIndex[&I] = Slot++;
     }
     W.writeU32(static_cast<uint32_t>(Blocks.size()));
     for (BasicBlock *BB : Blocks)
@@ -235,8 +233,10 @@ private:
   ByteWriter W;
   std::unordered_map<const GlobalVariable *, uint32_t> GlobalIds;
   std::unordered_map<const Function *, uint32_t> FunctionIds;
-  std::unordered_map<const Value *, uint32_t> SlotIds;
-  std::unordered_map<const BasicBlock *, uint32_t> BlockIds;
+  /// Per function: the block index of each block and the SSA slot of each
+  /// argument and non-void instruction.
+  static constexpr uint32_t NoIndex = ~0u;
+  ValueIdMap<uint32_t> LocalIndex;
 };
 
 //===----------------------------------------------------------------------===//
@@ -378,7 +378,7 @@ private:
         return Slots[Slot];
       if (FixupSink && PlaceholderTy) {
         FixupSink->push_back(Fixup{ForInst, OperandIndex, Slot});
-        return placeholder(PlaceholderTy);
+        return Ctx.getZeroValue(PlaceholderTy);
       }
       err("operand slot out of range");
       return nullptr;
@@ -434,14 +434,6 @@ private:
   }
 
   Value *readOperand() { return readOperand(nullptr, nullptr, 0, nullptr); }
-
-  Value *placeholder(Type *Ty) {
-    if (Ty->isInteger())
-      return Ctx.getConstantInt(Ty, 0);
-    if (Ty->isFloatingPoint())
-      return Ctx.getConstantFP(Ty, 0.0);
-    return Ctx.getNullPtr();
-  }
 
   bool readFunctionBody(Function *F) {
     uint32_t NumBlocks = R.readU32();

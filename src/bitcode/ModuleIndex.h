@@ -20,18 +20,13 @@
 #ifndef PROTEUS_BITCODE_MODULEINDEX_H
 #define PROTEUS_BITCODE_MODULEINDEX_H
 
+#include "ir/Cloning.h"
+
 #include <cstdint>
 #include <memory>
 #include <string>
 #include <unordered_map>
 #include <vector>
-
-namespace pir {
-class Context;
-class Function;
-class GlobalVariable;
-class Module;
-} // namespace pir
 
 namespace proteus {
 
@@ -56,19 +51,11 @@ public:
                                            const std::string &KernelSymbol,
                                            uint64_t *PrunedFunctions) const;
 
-  /// Total functions in the prototype module.
-  size_t functionCount() const { return TotalFunctions; }
-
   /// The parsed prototype module, exposed for whole-module validation
   /// (JitConfig::VerifyIR runs the verifier over everything the bitcode
   /// contained, including functions a pruned materialization would drop).
   /// Callers must treat it as read-only.
   pir::Module &prototype() const { return *Proto; }
-
-  /// True if \p KernelSymbol names an indexed kernel.
-  bool hasKernel(const std::string &KernelSymbol) const {
-    return Closures.count(KernelSymbol) != 0;
-  }
 
   /// Names of the device globals in \p KernelSymbol's closure, in the same
   /// deterministic source order materialize() clones them. Empty when the
@@ -81,22 +68,14 @@ public:
 private:
   KernelModuleIndex();
 
-  /// Per-kernel reachable set, precomputed at create() time so materialize()
-  /// does no graph walking (and no mutation) on the hot path.
-  struct Closure {
-    /// Post-order: callees before callers, so bodies clone into resolved
-    /// declarations.
-    std::vector<pir::Function *> Functions;
-    std::vector<pir::GlobalVariable *> Globals;
-  };
-
   /// Private context keeps the prototype's types/constants isolated from
   /// every per-compile context (the Context constant maps are not
   /// thread-safe, so the prototype context must never be written through).
   std::unique_ptr<pir::Context> ProtoCtx;
   std::unique_ptr<pir::Module> Proto;
-  std::unordered_map<std::string, Closure> Closures;
-  size_t TotalFunctions = 0;
+  /// Per-kernel reachable set, precomputed at create() time so materialize()
+  /// does no graph walking (and no mutation) on the hot path.
+  std::unordered_map<std::string, pir::KernelClosure> Closures;
 };
 
 } // namespace proteus

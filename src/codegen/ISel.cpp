@@ -20,7 +20,8 @@ namespace {
 
 class Selector {
 public:
-  explicit Selector(Function &F) : F(F) {}
+  explicit Selector(Function &F)
+      : F(F), BlockIndex(F), VRegs(F, NoReg), PhiTmps(F, NoReg) {}
 
   MachineFunction run() {
     MF.Name = F.getName();
@@ -52,10 +53,8 @@ public:
     // which halves the cross-back-edge register pressure of wide
     // accumulator bands.
     for (BasicBlock &BB : F)
-      for (PhiInst *Phi : BB.phis()) {
-        PhiRegs[Phi] = newReg();
-        VRegs[Phi] = PhiRegs[Phi];
-      }
+      for (PhiInst *Phi : BB.phis())
+        VRegs[Phi] = newReg();
     for (BasicBlock &BB : F)
       for (PhiInst *Phi : BB.phis()) {
         bool Hazard = false;
@@ -84,10 +83,6 @@ public:
 private:
   Reg newReg() { return NextReg++; }
 
-  MachineBlock &mblock(BasicBlock *BB) {
-    return MF.Blocks[BlockIndex.at(BB)];
-  }
-
   void emit(MachineBlock &MB, MachineInstr MI) {
     MB.Instrs.push_back(MI);
   }
@@ -95,21 +90,21 @@ private:
   /// Returns the register holding \p V inside \p MB, materializing
   /// constants/globals on demand (cached per block).
   Reg regFor(MachineBlock &MB, Value *V) {
-    auto It = VRegs.find(V);
-    if (It != VRegs.end())
-      return It->second;
+    if (V->getValueId() != Value::NoValueId) {
+      // An argument or instruction. One defined in a block laid out later
+      // (the inliner appends callee blocks, and the Tier-0 preset has no
+      // SimplifyCFG to reorder them) has no register yet: its def dominates
+      // this use, so reserve its register now and let lowerInstruction
+      // write it.
+      Reg &R = VRegs[V];
+      if (R == NoReg)
+        R = newReg();
+      return R;
+    }
 
-    auto CKey = std::make_pair(&MB, V);
-    auto CIt = BlockConstRegs.find(CKey);
+    auto CIt = BlockConstRegs.find(V);
     if (CIt != BlockConstRegs.end())
       return CIt->second;
-
-    // An instruction defined in a block laid out later (the inliner appends
-    // callee blocks, and the Tier-0 preset has no SimplifyCFG to reorder
-    // them): its def dominates this use, so reserve its register now and
-    // let lowerInstruction write it.
-    if (isa<Instruction>(V))
-      return VRegs[V] = newReg();
 
     MachineInstr MI;
     MI.Op = MOp::MovImm;
@@ -130,33 +125,33 @@ private:
       // Address resolved at device-image load time.
       MI.Imm = 0;
       MI.TypeTag = Type::Kind::Ptr;
-      MF.Relocs.push_back(Relocation{
-          BlockIndex.at(CurBB), static_cast<uint32_t>(MB.Instrs.size()),
-          G->getName()});
+      MF.Relocs.push_back(Relocation{BlockIndex[CurBB],
+                                     static_cast<uint32_t>(MB.Instrs.size()),
+                                     G->getName()});
     } else {
       reportFatalError("isel: unsupported operand kind");
     }
     emit(MB, MI);
-    BlockConstRegs[CKey] = MI.Dst;
+    BlockConstRegs[V] = MI.Dst;
     return MI.Dst;
   }
 
   void lowerBlock(BasicBlock &BB) {
     CurBB = &BB;
-    MachineBlock &MB = mblock(&BB);
+    BlockConstRegs.clear();
+    MachineBlock &MB = MF.Blocks[BlockIndex[&BB]];
 
     // Phi heads: PhiReg <- PhiTmp for staged phis only.
     for (PhiInst *Phi : BB.phis()) {
       if (&BB == &F.getEntryBlock())
         reportFatalError("isel: phi in entry block");
-      auto TmpIt = PhiTmps.find(Phi);
-      if (TmpIt == PhiTmps.end())
+      if (PhiTmps[Phi] == NoReg)
         continue;
       MachineInstr MI;
       MI.Op = MOp::MovRR;
       MI.TypeTag = Phi->getType()->getKind();
-      MI.Dst = PhiRegs.at(Phi);
-      MI.Src1 = TmpIt->second;
+      MI.Dst = VRegs[Phi];
+      MI.Src1 = PhiTmps[Phi];
       emit(MB, MI);
     }
 
@@ -182,8 +177,7 @@ private:
     for (BasicBlock *Succ : BB.successors()) {
       // Stage 1: hazardous phis write their temps (reads happen first).
       for (PhiInst *Phi : Succ->phis()) {
-        auto TmpIt = PhiTmps.find(Phi);
-        if (TmpIt == PhiTmps.end())
+        if (PhiTmps[Phi] == NoReg)
           continue;
         Value *In = Phi->getIncomingValueForBlock(&BB);
         if (!In)
@@ -191,13 +185,13 @@ private:
         MachineInstr MI;
         MI.Op = MOp::MovRR;
         MI.TypeTag = Phi->getType()->getKind();
-        MI.Dst = TmpIt->second;
+        MI.Dst = PhiTmps[Phi];
         MI.Src1 = regFor(MB, In);
         emit(MB, MI);
       }
       // Stage 2: direct phis write their result registers.
       for (PhiInst *Phi : Succ->phis()) {
-        if (PhiTmps.count(Phi))
+        if (PhiTmps[Phi] != NoReg)
           continue;
         Value *In = Phi->getIncomingValueForBlock(&BB);
         if (!In)
@@ -205,7 +199,7 @@ private:
         MachineInstr MI;
         MI.Op = MOp::MovRR;
         MI.TypeTag = Phi->getType()->getKind();
-        MI.Dst = PhiRegs.at(Phi);
+        MI.Dst = VRegs[Phi];
         MI.Src1 = regFor(MB, In);
         emit(MB, MI);
       }
@@ -217,7 +211,7 @@ private:
     switch (I.getKind()) {
     case ValueKind::Br: {
       MI.Op = MOp::Br;
-      MI.Imm = BlockIndex.at(cast<BranchInst>(I).getSuccessor(0));
+      MI.Imm = BlockIndex[cast<BranchInst>(I).getSuccessor(0)];
       emit(MB, MI);
       return;
     }
@@ -225,8 +219,8 @@ private:
       auto &Br = cast<BranchInst>(I);
       MI.Op = MOp::CondBr;
       MI.Src1 = regFor(MB, Br.getCondition());
-      MI.Imm = BlockIndex.at(Br.getSuccessor(0));
-      MI.Imm2 = static_cast<int32_t>(BlockIndex.at(Br.getSuccessor(1)));
+      MI.Imm = BlockIndex[Br.getSuccessor(0)];
+      MI.Imm2 = static_cast<int32_t>(BlockIndex[Br.getSuccessor(1)]);
       emit(MB, MI);
       return;
     }
@@ -372,9 +366,10 @@ private:
     }
     }
     if (!I.getType()->isVoid()) {
-      auto It = VRegs.find(&I); // reserved by a forward use
-      MI.Dst = It != VRegs.end() ? It->second : newReg();
-      VRegs[&I] = MI.Dst;
+      Reg &R = VRegs[&I]; // may be reserved by a forward use
+      if (R == NoReg)
+        R = newReg();
+      MI.Dst = R;
     }
     emit(MB, MI);
   }
@@ -383,19 +378,11 @@ private:
   MachineFunction MF;
   BasicBlock *CurBB = nullptr;
   Reg NextReg = 0;
-  std::unordered_map<BasicBlock *, uint32_t> BlockIndex;
-  std::unordered_map<Value *, Reg> VRegs;
-  std::unordered_map<PhiInst *, Reg> PhiRegs;
-  std::unordered_map<PhiInst *, Reg> PhiTmps;
-
-  struct PairHash {
-    size_t operator()(const std::pair<MachineBlock *, Value *> &P) const {
-      return std::hash<void *>()(P.first) * 31 ^
-             std::hash<void *>()(P.second);
-    }
-  };
-  std::unordered_map<std::pair<MachineBlock *, Value *>, Reg, PairHash>
-      BlockConstRegs;
+  ValueIdMap<uint32_t> BlockIndex; // layout position
+  ValueIdMap<Reg> VRegs;           // arguments and instructions
+  ValueIdMap<Reg> PhiTmps;         // staging register of hazardous phis
+  /// Constants and globals materialized in the block being lowered.
+  std::unordered_map<Value *, Reg> BlockConstRegs;
 };
 
 } // namespace

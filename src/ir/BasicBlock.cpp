@@ -22,6 +22,7 @@ Instruction *BasicBlock::append(std::unique_ptr<Instruction> I) {
   assert(I && "appending null instruction");
   assert(!I->Parent && "instruction already linked");
   I->Parent = this;
+  Parent->numberValue(*I);
   Insts.pushBack(I.get());
   return I.release();
 }
@@ -31,6 +32,7 @@ Instruction *BasicBlock::insertBefore(Instruction *Pos,
   assert(Pos->Parent == this && "position not in this block");
   assert(I && !I->Parent && "instruction already linked");
   I->Parent = this;
+  Parent->numberValue(*I);
   Insts.insertBefore(Pos, I.get());
   return I.release();
 }

@@ -11,6 +11,9 @@
 #include "ir/Module.h"
 #include "support/Error.h"
 
+#include <functional>
+#include <unordered_set>
+
 using namespace pir;
 using namespace proteus;
 
@@ -51,22 +54,6 @@ Value *mapOperand(Value *Op, ValueMap &VM, Context &Ctx) {
   // inlining).
   Value *Mapped = VM.lookup(Op);
   return Mapped ? Mapped : Op;
-}
-
-/// A typed throw-away incoming value for phi forward references. Using a
-/// destination-context constant (instead of the original value) keeps the
-/// source IR's use lists untouched, so a shared read-only prototype module
-/// can be cloned from concurrently. The second phi-patch pass replaces it.
-Value *phiPlaceholder(Type *Ty, Context &Ctx) {
-  switch (Ty->getKind()) {
-  case Type::Kind::F32:
-  case Type::Kind::F64:
-    return Ctx.getConstantFP(Ty, 0.0);
-  case Type::Kind::Ptr:
-    return Ctx.getNullPtr();
-  default:
-    return Ctx.getConstantInt(Ty, 0);
-  }
 }
 
 } // namespace
@@ -138,7 +125,7 @@ std::unique_ptr<Instruction> pir::cloneInstruction(Instruction &I,
       Value *InV = isa<Constant>(OrigV) ? mapOperand(OrigV, VM, Ctx)
                                         : VM.lookup(OrigV);
       if (!InV)
-        InV = phiPlaceholder(Ty, Ctx);
+        InV = Ctx.getZeroValue(Ty);
       auto *InB = cast<BasicBlock>(mapOperand(P.getIncomingBlock(K), VM, Ctx));
       Clone->addIncoming(InV, InB);
     }
@@ -182,13 +169,6 @@ void pir::remapPhiIncoming(PhiInst &Clone, PhiInst &Orig, ValueMap &VM,
     Clone.setIncomingValue(K, mapOperand(Orig.getIncomingValue(K), VM, Ctx));
 }
 
-size_t pir::countClonedValues(Function &F) {
-  size_t N = F.getNumArgs() + F.size();
-  for (BasicBlock &BB : F)
-    N += BB.size();
-  return N;
-}
-
 namespace {
 
 /// Clones \p Src's body into the empty \p Dst: one block per source block,
@@ -217,30 +197,39 @@ void cloneBody(Function &Src, Function &Dst, ValueMap &VM, Context &Ctx) {
     remapPhiIncoming(*P.Clone, *P.Orig, VM, Ctx);
 }
 
-} // namespace
-
-Function *pir::cloneFunctionInto(Module &DestModule, Function &Src,
-                                 const std::string &NewName) {
-  Context &Ctx = DestModule.getContext();
+/// Creates in \p Dest a declaration \p Name with \p Src's signature and
+/// attributes.
+Function *cloneDeclaration(Module &Dest, Function &Src,
+                           const std::string &Name) {
+  Context &Ctx = Dest.getContext();
   std::vector<Type *> ParamTypes;
   std::vector<std::string> ParamNames;
   for (const auto &A : Src.args()) {
     ParamTypes.push_back(mapType(A->getType(), Ctx));
     ParamNames.push_back(A->getName());
   }
-  Function *Dst = DestModule.createFunction(
-      NewName, mapType(Src.getReturnType(), Ctx), ParamTypes, ParamNames,
-      Src.getFunctionKind());
+  Function *Dst =
+      Dest.createFunction(Name, mapType(Src.getReturnType(), Ctx), ParamTypes,
+                          ParamNames, Src.getFunctionKind());
   Dst->setAlwaysInline(Src.isAlwaysInline());
   if (Src.getLaunchBounds())
     Dst->setLaunchBounds(*Src.getLaunchBounds());
   if (Src.getJitAnnotation())
     Dst->setJitAnnotation(*Src.getJitAnnotation());
+  return Dst;
+}
+
+} // namespace
+
+Function *pir::cloneFunctionInto(Module &DestModule, Function &Src,
+                                 const std::string &NewName) {
+  Context &Ctx = DestModule.getContext();
+  Function *Dst = cloneDeclaration(DestModule, Src, NewName);
   if (Src.isDeclaration())
     return Dst;
 
   Module &SrcModule = *Src.getParent();
-  ValueMap VM(countClonedValues(Src) + SrcModule.globals().size() +
+  ValueMap VM(Src.valueIdBound() + SrcModule.globals().size() +
               SrcModule.functions().size());
   for (size_t I = 0; I != Src.getNumArgs(); ++I)
     VM.insert(Src.getArg(I), Dst->getArg(I));
@@ -257,6 +246,41 @@ Function *pir::cloneFunctionInto(Module &DestModule, Function &Src,
   return Dst;
 }
 
+KernelClosure pir::computeKernelClosure(Function &Kernel) {
+  KernelClosure C;
+  std::unordered_set<Function *> Visited;
+  std::unordered_set<GlobalVariable *> Referenced;
+  std::function<void(Function *)> Visit = [&](Function *F) {
+    if (!Visited.insert(F).second)
+      return;
+    for (BasicBlock &BB : *F)
+      for (Instruction &I : BB)
+        for (Value *Op : I.operands()) {
+          if (auto *Callee = dyn_cast<Function>(Op))
+            Visit(Callee);
+          else if (auto *G = dyn_cast<GlobalVariable>(Op))
+            Referenced.insert(G);
+        }
+    C.Functions.push_back(F);
+  };
+  Visit(&Kernel);
+  for (const auto &G : Kernel.getParent()->globals())
+    if (Referenced.count(G.get()))
+      C.Globals.push_back(G.get());
+  return C;
+}
+
+std::unique_ptr<Module> pir::cloneClosure(const KernelClosure &C, Context &Ctx,
+                                          const std::string &Name) {
+  auto Out = std::make_unique<Module>(Ctx, Name);
+  for (GlobalVariable *G : C.Globals)
+    Out->createGlobal(G->getName(), mapType(G->getElemType(), Ctx),
+                      G->getNumElements(), G->getInit());
+  for (Function *F : C.Functions)
+    cloneFunctionInto(*Out, *F, F->getName());
+  return Out;
+}
+
 std::unique_ptr<Module> pir::cloneModule(Module &Src, Context &Ctx,
                                          const std::string &NewName) {
   auto Dst = std::make_unique<Module>(Ctx, NewName);
@@ -264,29 +288,14 @@ std::unique_ptr<Module> pir::cloneModule(Module &Src, Context &Ctx,
     Dst->createGlobal(G->getName(), mapType(G->getElemType(), Ctx),
                       G->getNumElements(), G->getInit());
   // Declarations first so cross-calls resolve regardless of order.
-  for (const auto &F : Src.functions()) {
-    std::vector<Type *> ParamTypes;
-    std::vector<std::string> ParamNames;
-    for (const auto &A : F->args()) {
-      ParamTypes.push_back(mapType(A->getType(), Ctx));
-      ParamNames.push_back(A->getName());
-    }
-    Function *DF = Dst->createFunction(F->getName(),
-                                       mapType(F->getReturnType(), Ctx),
-                                       ParamTypes, ParamNames,
-                                       F->getFunctionKind());
-    DF->setAlwaysInline(F->isAlwaysInline());
-    if (F->getLaunchBounds())
-      DF->setLaunchBounds(*F->getLaunchBounds());
-    if (F->getJitAnnotation())
-      DF->setJitAnnotation(*F->getJitAnnotation());
-  }
+  for (const auto &F : Src.functions())
+    cloneDeclaration(*Dst, *F, F->getName());
   for (const auto &F : Src.functions()) {
     if (F->isDeclaration())
       continue;
     Function *DF = Dst->getFunction(F->getName());
     // Clone the body into the existing declaration.
-    ValueMap VM(countClonedValues(*F) + Src.globals().size() +
+    ValueMap VM(F->valueIdBound() + Src.globals().size() +
                 Src.functions().size());
     for (size_t I = 0; I != F->getNumArgs(); ++I)
       VM.insert(F->getArg(I), DF->getArg(I));

@@ -27,6 +27,7 @@ namespace pir {
 class BasicBlock;
 class Context;
 class Function;
+class GlobalVariable;
 class Module;
 class Value;
 
@@ -107,10 +108,6 @@ private:
   unsigned Shift = 64;
 };
 
-/// The number of values cloning \p F's body creates: its arguments,
-/// blocks and instructions (the size hint for a ValueMap).
-size_t countClonedValues(Function &F);
-
 /// Clones a single instruction. Operands are remapped through \p VM;
 /// constants map to themselves in a same-context clone (constants are
 /// uniqued per context) and are otherwise translated into \p Ctx and
@@ -138,6 +135,22 @@ void remapPhiIncoming(PhiInst &Clone, PhiInst &Orig, ValueMap &VM,
 /// caller); they are remapped by name.
 Function *cloneFunctionInto(Module &DestModule, Function &Src,
                             const std::string &NewName);
+
+/// What a kernel's module needs: the functions its calls reach, in
+/// post-order (callees before callers, so bodies clone into resolved
+/// declarations), and the globals they reference, in source order.
+struct KernelClosure {
+  std::vector<Function *> Functions;
+  std::vector<GlobalVariable *> Globals;
+};
+
+/// The closure of \p Kernel within its module.
+KernelClosure computeKernelClosure(Function &Kernel);
+
+/// Clones the globals and functions of \p C into a new module \p Name in
+/// \p Ctx, which may be a different context than the source's.
+std::unique_ptr<Module> cloneClosure(const KernelClosure &C, Context &Ctx,
+                                     const std::string &Name);
 
 /// Deep-clones an entire module (globals first, then functions, remapping
 /// cross-references). \p Ctx may be a different context than the source's:

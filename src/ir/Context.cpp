@@ -66,6 +66,14 @@ ConstantFP *Context::getConstantFP(Type *Ty, double Value) {
   return Raw;
 }
 
+Constant *Context::getZeroValue(Type *Ty) {
+  if (Ty->isInteger())
+    return getConstantInt(Ty, 0);
+  if (Ty->isFloatingPoint())
+    return getConstantFP(Ty, 0.0);
+  return getNullPtr();
+}
+
 ConstantPtr *Context::getConstantPtr(uint64_t Address) {
   auto It = PtrConstants.find(Address);
   if (It != PtrConstants.end())

@@ -71,6 +71,11 @@ public:
 
   ConstantPtr *getNullPtr() { return getConstantPtr(0); }
 
+  /// The zero of \p Ty (an integer, floating-point or pointer type): the
+  /// value of an uninitialized promoted variable and the placeholder for a
+  /// forward reference that is patched later.
+  Constant *getZeroValue(Type *Ty);
+
 private:
   Type VoidTy{Type::Kind::Void};
   Type I1Ty{Type::Kind::I1};

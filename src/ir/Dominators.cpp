@@ -15,25 +15,22 @@ using namespace pir;
 
 std::vector<BasicBlock *> pir::reversePostOrder(Function &F) {
   std::vector<BasicBlock *> PostOrder;
-  std::unordered_map<BasicBlock *, unsigned> State; // 0 new, 1 open, 2 done
-  std::vector<std::pair<BasicBlock *, size_t>> Stack;
   if (F.isDeclaration())
     return PostOrder;
+  ValueIdSet Seen(F);
+  std::vector<std::pair<BasicBlock *, size_t>> Stack;
   BasicBlock *Entry = &F.getEntryBlock();
   Stack.push_back({Entry, 0});
-  State[Entry] = 1;
+  Seen.insert(Entry);
   while (!Stack.empty()) {
     auto &[BB, NextSucc] = Stack.back();
     std::vector<BasicBlock *> Succs = BB->successors();
     if (NextSucc < Succs.size()) {
       BasicBlock *S = Succs[NextSucc++];
-      if (State[S] == 0) {
-        State[S] = 1;
+      if (Seen.insert(S))
         Stack.push_back({S, 0});
-      }
       continue;
     }
-    State[BB] = 2;
     PostOrder.push_back(BB);
     Stack.pop_back();
   }
@@ -41,10 +38,11 @@ std::vector<BasicBlock *> pir::reversePostOrder(Function &F) {
   return PostOrder;
 }
 
-DominatorTree::DominatorTree(Function &F) : F(F) {
+DominatorTree::DominatorTree(Function &F) {
   RPO = reversePostOrder(F);
-  for (unsigned I = 0; I != RPO.size(); ++I)
-    Index[RPO[I]] = I;
+  Index.assign(F.valueIdBound(), Unreachable);
+  for (uint32_t I = 0; I != RPO.size(); ++I)
+    Index[RPO[I]->getValueId()] = I;
   IDom.assign(RPO.size(), -1);
   if (RPO.empty())
     return;
@@ -66,10 +64,10 @@ DominatorTree::DominatorTree(Function &F) : F(F) {
     for (unsigned I = 1; I < RPO.size(); ++I) {
       int NewIDom = -1;
       for (BasicBlock *P : RPO[I]->predecessors()) {
-        auto It = Index.find(P);
-        if (It == Index.end())
-          continue; // unreachable predecessor
-        int PI = static_cast<int>(It->second);
+        uint32_t Pos = rpoIndex(P);
+        if (Pos == Unreachable)
+          continue;
+        int PI = static_cast<int>(Pos);
         if (IDom[PI] < 0 && PI != 0)
           continue; // not yet processed
         NewIDom = NewIDom < 0 ? PI : intersect(PI, NewIDom);
@@ -81,28 +79,33 @@ DominatorTree::DominatorTree(Function &F) : F(F) {
     }
   }
 
+  Children.resize(RPO.size());
   for (unsigned I = 1; I < RPO.size(); ++I)
     if (IDom[I] >= 0)
-      Children[RPO[IDom[I]]].push_back(RPO[I]);
+      Children[IDom[I]].push_back(RPO[I]);
 
   computeFrontiers();
 }
 
+uint32_t DominatorTree::rpoIndex(const BasicBlock *BB) const {
+  uint32_t Id = BB->getValueId();
+  return Id < Index.size() ? Index[Id] : Unreachable;
+}
+
 BasicBlock *DominatorTree::getIDom(BasicBlock *BB) const {
-  auto It = Index.find(BB);
-  if (It == Index.end() || It->second == 0)
+  uint32_t Pos = rpoIndex(BB);
+  if (Pos == Unreachable || Pos == 0)
     return nullptr;
-  int D = IDom[It->second];
+  int D = IDom[Pos];
   return D < 0 ? nullptr : RPO[D];
 }
 
 bool DominatorTree::dominates(BasicBlock *A, BasicBlock *B) const {
-  auto AIt = Index.find(A);
-  auto BIt = Index.find(B);
-  if (AIt == Index.end() || BIt == Index.end())
+  uint32_t AI = rpoIndex(A);
+  uint32_t BI = rpoIndex(B);
+  if (AI == Unreachable || BI == Unreachable)
     return false;
-  unsigned AI = AIt->second;
-  int Cur = static_cast<int>(BIt->second);
+  int Cur = static_cast<int>(BI);
   for (;;) {
     if (static_cast<unsigned>(Cur) == AI)
       return true;
@@ -132,21 +135,46 @@ bool DominatorTree::dominates(const Instruction *Def,
 
 const std::vector<BasicBlock *> &
 DominatorTree::getChildren(BasicBlock *BB) const {
-  auto It = Children.find(BB);
-  return It == Children.end() ? Empty : It->second;
+  uint32_t Pos = rpoIndex(BB);
+  return Pos == Unreachable ? Empty : Children[Pos];
 }
 
 const std::vector<BasicBlock *> &
 DominatorTree::getFrontier(BasicBlock *BB) const {
-  auto It = Frontier.find(BB);
-  return It == Frontier.end() ? Empty : It->second;
+  uint32_t Pos = rpoIndex(BB);
+  return Pos == Unreachable ? Empty : Frontier[Pos];
+}
+
+std::vector<BasicBlock *>
+DominatorTree::iteratedFrontier(const std::vector<BasicBlock *> &Seeds) const {
+  std::vector<BasicBlock *> Result, Worklist;
+  if (Seeds.empty())
+    return Result;
+  ValueIdSet InResult(*Seeds.front()->getParent());
+  ValueIdSet Visited = InResult;
+  for (BasicBlock *BB : Seeds)
+    if (isReachable(BB) && Visited.insert(BB))
+      Worklist.push_back(BB);
+  while (!Worklist.empty()) {
+    BasicBlock *BB = Worklist.back();
+    Worklist.pop_back();
+    for (BasicBlock *Front : getFrontier(BB)) {
+      if (InResult.insert(Front))
+        Result.push_back(Front);
+      // The frontier block itself seeds the next round.
+      if (Visited.insert(Front))
+        Worklist.push_back(Front);
+    }
+  }
+  return Result;
 }
 
 void DominatorTree::computeFrontiers() {
+  Frontier.resize(RPO.size());
   for (BasicBlock *BB : RPO) {
     std::vector<BasicBlock *> Preds;
     for (BasicBlock *P : BB->predecessors())
-      if (Index.count(P))
+      if (isReachable(P))
         Preds.push_back(P);
     if (Preds.size() < 2)
       continue;
@@ -154,7 +182,7 @@ void DominatorTree::computeFrontiers() {
     for (BasicBlock *P : Preds) {
       BasicBlock *Runner = P;
       while (Runner && Runner != IDomBB) {
-        auto &DF = Frontier[Runner];
+        auto &DF = Frontier[rpoIndex(Runner)];
         if (std::find(DF.begin(), DF.end(), BB) == DF.end())
           DF.push_back(BB);
         Runner = getIDom(Runner);

@@ -14,7 +14,7 @@
 #ifndef PROTEUS_IR_DOMINATORS_H
 #define PROTEUS_IR_DOMINATORS_H
 
-#include <unordered_map>
+#include <cstdint>
 #include <vector>
 
 namespace pir {
@@ -38,7 +38,9 @@ public:
   BasicBlock *getIDom(BasicBlock *BB) const;
 
   /// True if \p BB is reachable from the entry.
-  bool isReachable(BasicBlock *BB) const { return Index.count(BB) != 0; }
+  bool isReachable(BasicBlock *BB) const {
+    return rpoIndex(BB) != Unreachable;
+  }
 
   /// True if \p A dominates \p B (reflexive).
   bool dominates(BasicBlock *A, BasicBlock *B) const;
@@ -55,18 +57,30 @@ public:
   /// Dominance frontier of \p BB.
   const std::vector<BasicBlock *> &getFrontier(BasicBlock *BB) const;
 
+  /// Iterated dominance frontier of \p Seeds, in discovery order: every
+  /// block where paths through a seed and paths around it first meet. It
+  /// places mem2reg's phis and gives UniformityAnalysis the joins of a
+  /// divergent branch. Only reachable blocks are returned.
+  std::vector<BasicBlock *>
+  iteratedFrontier(const std::vector<BasicBlock *> &Seeds) const;
+
   /// Reverse post order used to build the tree (reachable blocks only).
   const std::vector<BasicBlock *> &getRPO() const { return RPO; }
 
 private:
+  static constexpr uint32_t Unreachable = ~0u;
+
+  /// Position of \p BB in RPO; Unreachable for unreachable blocks and for
+  /// blocks created after the tree.
+  uint32_t rpoIndex(const BasicBlock *BB) const;
+
   void computeFrontiers();
 
-  Function &F;
   std::vector<BasicBlock *> RPO;
-  std::unordered_map<BasicBlock *, unsigned> Index; // position in RPO
-  std::vector<int> IDom;                            // by RPO index, -1 = none
-  std::unordered_map<BasicBlock *, std::vector<BasicBlock *>> Children;
-  std::unordered_map<BasicBlock *, std::vector<BasicBlock *>> Frontier;
+  std::vector<uint32_t> Index; // RPO position by block id
+  std::vector<int> IDom;       // by RPO index, -1 = none
+  std::vector<std::vector<BasicBlock *>> Children; // by RPO index
+  std::vector<std::vector<BasicBlock *>> Frontier; // by RPO index
   std::vector<BasicBlock *> Empty;
 };
 

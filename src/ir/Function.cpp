@@ -24,6 +24,7 @@ Function::Function(Type *PtrTy, std::string Name, Type *RetTy,
     Args.push_back(std::make_unique<Argument>(ParamTypes[I],
                                               std::move(ArgName), this,
                                               static_cast<unsigned>(I)));
+    numberValue(*Args.back());
   }
 }
 
@@ -39,6 +40,7 @@ Function::~Function() {
 BasicBlock *Function::createBlock(std::string Name, Type *VoidTy) {
   auto *BB = new BasicBlock(VoidTy, std::move(Name));
   BB->Parent = this;
+  numberValue(*BB);
   Blocks.pushBack(BB);
   return BB;
 }

@@ -129,12 +129,26 @@ public:
   /// that mutate the block list while iterating).
   std::vector<BasicBlock *> blockList();
 
+  /// One past the largest id (Value::getValueId) handed to this function's
+  /// arguments, blocks and instructions: the size of a side table indexed
+  /// by id. Arguments are numbered first, then blocks and instructions as
+  /// they join the function, so a function built in order is numbered
+  /// densely; erasing a value leaves the bound alone.
+  uint32_t valueIdBound() const { return NextValueId; }
+
   static bool classof(const Value *V) {
     return V->getKind() == ValueKind::Function;
   }
 
 private:
   friend class Module;
+  friend class BasicBlock; // numbers instructions as they are linked
+
+  /// Gives \p V the next id unless it already has one.
+  void numberValue(Value &V) {
+    if (V.ValueId == Value::NoValueId)
+      V.ValueId = NextValueId++;
+  }
 
   Module *Parent = nullptr;
   Type *RetTy;
@@ -144,6 +158,58 @@ private:
   std::optional<JitAnnotation> Annotation;
   std::vector<std::unique_ptr<Argument>> Args;
   IList<BasicBlock> Blocks;
+  uint32_t NextValueId = 0;
+};
+
+/// A side table from one function's arguments, blocks and instructions to
+/// T, indexed by Value::getValueId() and sized from valueIdBound() when
+/// built. Indexing a value numbered after that is out of range (and aborts
+/// under _GLIBCXX_ASSERTIONS); lookup() reads such a value as the initial
+/// entry instead.
+template <typename T> class ValueIdMap {
+public:
+  ValueIdMap() = default;
+  explicit ValueIdMap(const Function &F, T Init = T())
+      : Slots(F.valueIdBound(), Init), Init(Init) {}
+
+  T &operator[](const Value *V) { return Slots[V->getValueId()]; }
+
+  T lookup(const Value *V) const {
+    uint32_t Id = V->getValueId();
+    return Id < Slots.size() ? Slots[Id] : Init;
+  }
+
+private:
+  std::vector<T> Slots;
+  T Init{};
+};
+
+/// A set of one function's arguments, blocks and instructions: a bitmap
+/// over their ids, with the same sizing rule as ValueIdMap. A value
+/// numbered after the set was built is never a member.
+class ValueIdSet {
+public:
+  ValueIdSet() = default;
+  explicit ValueIdSet(const Function &F) : Bits(F.valueIdBound()) {}
+
+  bool contains(const Value *V) const {
+    uint32_t Id = V->getValueId();
+    return Id < Bits.size() && Bits[Id];
+  }
+
+  /// Adds \p V; false if it was already a member.
+  bool insert(const Value *V) {
+    auto Bit = Bits[V->getValueId()];
+    if (Bit)
+      return false;
+    Bit = true;
+    return true;
+  }
+
+  void erase(const Value *V) { Bits[V->getValueId()] = false; }
+
+private:
+  std::vector<bool> Bits;
 };
 
 } // namespace pir

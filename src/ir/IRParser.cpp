@@ -433,7 +433,7 @@ private:
       if (AllowForward) {
         Fixups.push_back(
             PhiFixup{AllowForward, AllowForward->getNumOperands(), Name});
-        return placeholderFor(ForwardTy);
+        return Ctx.getZeroValue(ForwardTy);
       }
       error("unknown value %" + Name);
       return nullptr;
@@ -472,14 +472,6 @@ private:
       return Ctx.getConstantInt(
           Ty, static_cast<uint64_t>(std::strtoll(N->c_str(), nullptr, 0)));
     return Ctx.getConstantFP(Ty, std::strtod(N->c_str(), nullptr));
-  }
-
-  Value *placeholderFor(Type *Ty) {
-    if (Ty->isInteger())
-      return Ctx.getConstantInt(Ty, 0);
-    if (Ty->isFloatingPoint())
-      return Ctx.getConstantFP(Ty, 0.0);
-    return Ctx.getNullPtr();
   }
 
   bool defineValue(const std::string &Name, Value *V) {

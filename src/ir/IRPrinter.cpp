@@ -12,7 +12,6 @@
 
 #include <sstream>
 #include <unordered_set>
-#include <unordered_map>
 
 using namespace pir;
 using namespace proteus;
@@ -23,7 +22,7 @@ namespace {
 /// one function and prints the body.
 class FunctionPrinter {
 public:
-  explicit FunctionPrinter(Function &F) : F(F) { assignNames(); }
+  explicit FunctionPrinter(Function &F) : F(F), Names(F) { assignNames(); }
 
   void print(std::ostringstream &OS) {
     printHeader(OS);
@@ -33,7 +32,7 @@ public:
     }
     OS << " {\n";
     for (BasicBlock &BB : F) {
-      OS << BlockNames.at(&BB) << ":\n";
+      OS << Names[&BB] << ":\n";
       for (Instruction &I : BB) {
         OS << "  ";
         printInstruction(OS, I);
@@ -62,12 +61,12 @@ private:
       }
     };
     for (const auto &A : F.args())
-      ValueNames[A.get()] = "%" + uniquify(A->getName(), UsedValues, "arg");
+      Names[A.get()] = "%" + uniquify(A->getName(), UsedValues, "arg");
     for (BasicBlock &BB : F) {
-      BlockNames[&BB] = uniquify(BB.getName(), UsedBlocks, "bb");
+      Names[&BB] = uniquify(BB.getName(), UsedBlocks, "bb");
       for (Instruction &I : BB) {
         if (!I.getType()->isVoid())
-          ValueNames[&I] = "%" + uniquify(I.getName(), UsedValues, "v");
+          Names[&I] = "%" + uniquify(I.getName(), UsedValues, "v");
       }
     }
   }
@@ -89,7 +88,7 @@ private:
       if (I)
         OS << ", ";
       Argument *A = F.getArg(I);
-      OS << ValueNames.at(A) << ": " << A->getType()->getName();
+      OS << Names[A] << ": " << A->getType()->getName();
     }
     OS << ")";
     if (!F.getReturnType()->isVoid())
@@ -126,17 +125,19 @@ private:
       return "@" + G->getName();
     if (auto *Fn = dyn_cast<Function>(V))
       return "@" + Fn->getName();
-    if (auto *BB = dyn_cast<BasicBlock>(V))
-      return "%" + BlockNames.at(BB);
-    auto It = ValueNames.find(V);
-    if (It == ValueNames.end())
+    auto *A = dyn_cast<Argument>(V);
+    auto *BB = dyn_cast<BasicBlock>(V);
+    Function *Owner = A    ? A->getParent()
+                      : BB ? BB->getParent()
+                           : cast<Instruction>(V)->getFunction();
+    if (Owner != &F || Names[V].empty())
       reportFatalError("printer: reference to value outside function");
-    return It->second;
+    return BB ? "%" + Names[V] : Names[V];
   }
 
   void printInstruction(std::ostringstream &OS, Instruction &I) {
     if (!I.getType()->isVoid())
-      OS << ValueNames.at(&I) << " = ";
+      OS << Names[&I] << " = ";
     switch (I.getKind()) {
     case ValueKind::ICmp: {
       auto &C = cast<ICmpInst>(I);
@@ -251,8 +252,8 @@ private:
   }
 
   Function &F;
-  std::unordered_map<const Value *, std::string> ValueNames;
-  std::unordered_map<const BasicBlock *, std::string> BlockNames;
+  /// The printed name of every argument, block and non-void instruction.
+  ValueIdMap<std::string> Names;
 };
 
 void printGlobal(std::ostringstream &OS, const GlobalVariable &G) {

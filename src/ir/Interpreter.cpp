@@ -10,8 +10,6 @@
 #include "ir/OpSemantics.h"
 #include "support/StringUtils.h"
 
-#include <unordered_map>
-
 using namespace pir;
 using namespace proteus;
 
@@ -74,13 +72,14 @@ struct ExecState {
 /// Interprets one function activation. Recursion handles device calls.
 class FrameInterp {
 public:
-  FrameInterp(Function &F, ExecState &S) : F(F), S(S) {}
+  FrameInterp(Function &F, ExecState &S)
+      : F(F), S(S), Values(F), Defined(F) {}
 
   bool run(const std::vector<uint64_t> &ArgBits,
            std::optional<uint64_t> &RetBits) {
     assert(ArgBits.size() == F.getNumArgs() && "argument count mismatch");
     for (size_t I = 0; I != ArgBits.size(); ++I)
-      Values[F.getArg(I)] = ArgBits[I];
+      set(F.getArg(I), ArgBits[I]);
     if (F.isDeclaration())
       return S.fail("cannot interpret a declaration");
 
@@ -108,21 +107,20 @@ private:
       return CP->getAddress();
     if (auto *G = dyn_cast<GlobalVariable>(V)) {
       // Direct references to globals only occur pre-linking; modules run by
-      // the interpreter are expected to have globals placed at fixed
-      // addresses recorded in the value map by the test harness, or not to
-      // use them. Report a deterministic failure otherwise.
-      auto It = Values.find(G);
-      if (It != Values.end())
-        return It->second;
+      // the interpreter must not use them. Report a deterministic failure.
       S.fail("unlinked global @" + G->getName() + " dereferenced");
       return 0;
     }
-    auto It = Values.find(V);
-    if (It == Values.end()) {
+    if (!Defined.contains(V)) {
       S.fail("use of undefined value in interpreter");
       return 0;
     }
-    return It->second;
+    return Values[V];
+  }
+
+  void set(Value *V, uint64_t Bits) {
+    Values[V] = Bits;
+    Defined.insert(V);
   }
 
   bool executeBlock(BasicBlock *BB, BasicBlock *Prev, BasicBlock *&Next,
@@ -141,7 +139,7 @@ private:
         return false;
     }
     for (auto &[Phi, Bits] : PhiUpdates)
-      Values[Phi] = Bits;
+      set(Phi, Bits);
 
     for (Instruction &I : *BB) {
       if (isa<PhiInst>(&I))
@@ -161,38 +159,33 @@ private:
     switch (I.getKind()) {
     case ValueKind::ICmp: {
       auto &C = cast<ICmpInst>(I);
-      Values[&I] = sem::evalICmp(C.getPredicate(), C.getLHS()->getType(),
-                                 get(C.getLHS()), get(C.getRHS()))
-                       ? 1
-                       : 0;
+      set(&I, sem::evalICmp(C.getPredicate(), C.getLHS()->getType(),
+                            get(C.getLHS()), get(C.getRHS()))
+                  ? 1
+                  : 0);
       break;
     }
     case ValueKind::FCmp: {
       auto &C = cast<FCmpInst>(I);
-      Values[&I] = sem::evalFCmp(C.getPredicate(), C.getLHS()->getType(),
-                                 get(C.getLHS()), get(C.getRHS()))
-                       ? 1
-                       : 0;
+      set(&I, sem::evalFCmp(C.getPredicate(), C.getLHS()->getType(),
+                            get(C.getLHS()), get(C.getRHS()))
+                  ? 1
+                  : 0);
       break;
     }
     case ValueKind::Select: {
       auto &Sel = cast<SelectInst>(I);
-      Values[&I] = get(Sel.getCondition()) & 1 ? get(Sel.getTrueValue())
-                                               : get(Sel.getFalseValue());
+      set(&I, get(Sel.getCondition()) & 1 ? get(Sel.getTrueValue())
+                                          : get(Sel.getFalseValue()));
       break;
     }
     case ValueKind::Alloca: {
       auto &A = cast<AllocaInst>(I);
-      // Re-executing an alloca (in a loop) returns the same slot.
-      auto It = AllocaSlots.find(&A);
-      if (It != AllocaSlots.end()) {
-        Values[&I] = It->second;
+      // Re-executing an alloca (in a loop) keeps its slot.
+      if (Defined.contains(&A))
         break;
-      }
-      uint64_t Addr = IRInterpreter::ScratchBase + S.Scratch.size();
+      set(&I, IRInterpreter::ScratchBase + S.Scratch.size());
       S.Scratch.resize(S.Scratch.size() + A.allocationSizeBytes(), 0);
-      AllocaSlots[&A] = Addr;
-      Values[&I] = Addr;
       break;
     }
     case ValueKind::Load: {
@@ -200,7 +193,7 @@ private:
       uint64_t Bits = 0;
       if (!S.load(get(L.getPointer()), L.getType(), Bits))
         return false;
-      Values[&I] = Bits;
+      set(&I, Bits);
       break;
     }
     case ValueKind::Store: {
@@ -215,7 +208,7 @@ private:
       uint64_t Base = get(P.getBase());
       int64_t Idx = sem::signExtend(P.getIndex()->getType(),
                                     get(P.getIndex()));
-      Values[&I] = Base + static_cast<uint64_t>(Idx * P.getElemSize());
+      set(&I, Base + static_cast<uint64_t>(Idx * P.getElemSize()));
       break;
     }
     case ValueKind::AtomicAdd: {
@@ -232,20 +225,20 @@ private:
                                            get(A.getValue()));
       if (!S.store(Addr, Ty, Sum))
         return false;
-      Values[&I] = Old;
+      set(&I, Old);
       break;
     }
     case ValueKind::ThreadIdx:
-      Values[&I] = S.Geometry.ThreadIdx[cast<GpuIndexInst>(I).getDim()];
+      set(&I, S.Geometry.ThreadIdx[cast<GpuIndexInst>(I).getDim()]);
       break;
     case ValueKind::BlockIdx:
-      Values[&I] = S.Geometry.BlockIdx[cast<GpuIndexInst>(I).getDim()];
+      set(&I, S.Geometry.BlockIdx[cast<GpuIndexInst>(I).getDim()]);
       break;
     case ValueKind::BlockDim:
-      Values[&I] = S.Geometry.BlockDim[cast<GpuIndexInst>(I).getDim()];
+      set(&I, S.Geometry.BlockDim[cast<GpuIndexInst>(I).getDim()]);
       break;
     case ValueKind::GridDim:
-      Values[&I] = S.Geometry.GridDim[cast<GpuIndexInst>(I).getDim()];
+      set(&I, S.Geometry.GridDim[cast<GpuIndexInst>(I).getDim()]);
       break;
     case ValueKind::Barrier:
       // Single-thread reference execution: a barrier is a no-op.
@@ -264,7 +257,7 @@ private:
       if (!I.getType()->isVoid()) {
         if (!SubRet)
           return S.fail("callee returned no value");
-        Values[&I] = *SubRet;
+        set(&I, *SubRet);
       }
       break;
     }
@@ -286,19 +279,18 @@ private:
     }
     default: {
       if (auto *B = dyn_cast<BinaryInst>(&I)) {
-        Values[&I] = sem::evalBinary(I.getKind(), B->getLHS()->getType(),
-                                     get(B->getLHS()), get(B->getRHS()));
+        set(&I, sem::evalBinary(I.getKind(), B->getLHS()->getType(),
+                                get(B->getLHS()), get(B->getRHS())));
         break;
       }
       if (auto *U = dyn_cast<UnaryInst>(&I)) {
-        Values[&I] = sem::evalUnary(I.getKind(),
-                                    U->getOperandValue()->getType(),
-                                    get(U->getOperandValue()));
+        set(&I, sem::evalUnary(I.getKind(), U->getOperandValue()->getType(),
+                               get(U->getOperandValue())));
         break;
       }
       if (auto *C = dyn_cast<CastInst>(&I)) {
-        Values[&I] = sem::evalCast(I.getKind(), C->getSource()->getType(),
-                                   I.getType(), get(C->getSource()));
+        set(&I, sem::evalCast(I.getKind(), C->getSource()->getType(),
+                              I.getType(), get(C->getSource())));
         break;
       }
       return S.fail("interpreter: unhandled instruction");
@@ -309,8 +301,8 @@ private:
 
   Function &F;
   ExecState &S;
-  std::unordered_map<Value *, uint64_t> Values;
-  std::unordered_map<AllocaInst *, uint64_t> AllocaSlots;
+  ValueIdMap<uint64_t> Values;
+  ValueIdSet Defined;
   bool RetDone = false;
 };
 

@@ -167,6 +167,14 @@ public:
     return TheKind > ValueKind::InstBegin && TheKind < ValueKind::InstEnd;
   }
 
+  /// Dense index of an argument, block or instruction within its function,
+  /// below Function::valueIdBound(); side tables index by it instead of
+  /// hashing the pointer. NoValueId for every other value and for an
+  /// instruction not yet linked into a block. Moving an instruction within
+  /// its function keeps the id; ids are never reused.
+  uint32_t getValueId() const { return ValueId; }
+  static constexpr uint32_t NoValueId = ~0u;
+
 protected:
   Value(ValueKind K, Type *T) : TheKind(K), Ty(T) {
     assert(T && "value requires a type");
@@ -174,6 +182,7 @@ protected:
 
 private:
   friend class User;
+  friend class Function; // assigns ValueId
 
   /// Registers a new use edge; returns its slot in the use list.
   uint32_t addUse(User *U, uint32_t OperandIndex);
@@ -182,10 +191,15 @@ private:
   void removeUse(uint32_t Slot);
 
   ValueKind TheKind;
+  uint32_t ValueId = NoValueId; // in the padding after TheKind
   Type *Ty;
   std::string Name;
   std::vector<Use> UseList;
 };
+
+static_assert(sizeof(Value) == 3 * sizeof(void *) + sizeof(std::string) +
+                                   sizeof(std::vector<Use>),
+              "the value id must live in the padding after the kind");
 
 /// A Value that references other Values through operands. Up to
 /// InlineOperands operands (every opcode but phi and call) live inside the

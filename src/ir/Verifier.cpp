@@ -11,7 +11,6 @@
 #include "support/StringUtils.h"
 
 #include <algorithm>
-#include <unordered_set>
 
 using namespace pir;
 using namespace proteus;
@@ -34,8 +33,14 @@ public:
   void run() {
     if (F.isDeclaration())
       return;
+    // Judged on this function's errors alone: R may already hold another
+    // function's.
+    const size_t Before = R.Errors.size();
+    checkNumbering();
+    if (R.Errors.size() != Before)
+      return; // the checks below index side tables by id
     checkBlocks();
-    if (!R.ok())
+    if (R.Errors.size() != Before)
       return; // structural problems make dominance checks meaningless
     DominatorTree DT(F);
     checkSSA(DT);
@@ -44,6 +49,28 @@ public:
 private:
   void err(const std::string &Msg) {
     R.Errors.push_back("function @" + F.getName() + ": " + Msg);
+  }
+
+  /// Every argument, block and instruction has its own id below the
+  /// function's bound: the side tables of the passes index by it.
+  void checkNumbering() {
+    std::vector<bool> Taken(F.valueIdBound());
+    auto check = [&](const Value &V) {
+      uint32_t Id = V.getValueId();
+      if (Id < Taken.size() && !Taken[Id])
+        Taken[Id] = true;
+      else
+        err(formatString("%s '%s' has id %u, shared or not below the bound %u",
+                         valueKindName(V.getKind()), V.getName().c_str(), Id,
+                         F.valueIdBound()));
+    };
+    for (const auto &A : F.args())
+      check(*A);
+    for (BasicBlock &BB : F) {
+      check(BB);
+      for (Instruction &I : BB)
+        check(I);
+    }
   }
 
   void checkBlocks() {
@@ -102,13 +129,13 @@ private:
         err("phi incoming count does not match predecessor count");
         return;
       }
-      std::unordered_set<BasicBlock *> Seen;
+      ValueIdSet Seen(F);
       for (size_t K = 0; K != Phi.getNumIncoming(); ++K) {
         BasicBlock *In = Phi.getIncomingBlock(K);
-        if (!Seen.insert(In).second)
-          err("phi lists a predecessor twice");
         if (std::find(Preds.begin(), Preds.end(), In) == Preds.end())
           err("phi incoming block is not a predecessor");
+        else if (!Seen.insert(In))
+          err("phi lists a predecessor twice");
         if (Phi.getIncomingValue(K)->getType() != Phi.getType())
           err("phi incoming value type mismatch");
       }

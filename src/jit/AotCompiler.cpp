@@ -15,9 +15,6 @@
 #include "support/Hashing.h"
 #include "support/Timer.h"
 
-#include <functional>
-#include <unordered_set>
-
 using namespace proteus;
 using namespace pir;
 
@@ -38,38 +35,8 @@ std::unique_ptr<Module>
 proteus::extractKernelModule(Module &Source, const std::string &KernelName) {
   Function *Kernel = Source.getFunction(KernelName);
   assert(Kernel && Kernel->isKernel() && "extracting unknown kernel");
-
-  // Transitive closure of callees and referenced globals, collected in
-  // post-order so that callees are cloned before their callers (device code
-  // is non-recursive; the inliner enforces that later anyway).
-  std::unordered_set<GlobalVariable *> NeededGlobals;
-  std::unordered_set<Function *> Visited;
-  std::vector<Function *> PostOrder;
-  std::function<void(Function *)> Visit = [&](Function *F) {
-    if (!Visited.insert(F).second)
-      return;
-    for (BasicBlock &BB : *F)
-      for (Instruction &I : BB)
-        for (Value *Op : I.operands()) {
-          if (auto *Callee = dyn_cast<Function>(Op))
-            Visit(Callee);
-          else if (auto *G = dyn_cast<GlobalVariable>(Op))
-            NeededGlobals.insert(G);
-        }
-    PostOrder.push_back(F);
-  };
-  Visit(Kernel);
-
-  auto Out = std::make_unique<Module>(Source.getContext(),
-                                      Source.getName() + "." + KernelName);
-  // Globals first (deterministic: source order).
-  for (const auto &G : Source.globals())
-    if (NeededGlobals.count(G.get()))
-      Out->createGlobal(G->getName(), G->getElemType(), G->getNumElements(),
-                        G->getInit());
-  for (Function *F : PostOrder)
-    cloneFunctionInto(*Out, *F, F->getName());
-  return Out;
+  return cloneClosure(computeKernelClosure(*Kernel), Source.getContext(),
+                      Source.getName() + "." + KernelName);
 }
 
 CompiledProgram proteus::aotCompile(Module &Source,

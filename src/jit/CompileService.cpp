@@ -42,9 +42,10 @@ CompileService::CompileService(CodeCache &Cache, bool Promotions,
     Pool = std::make_unique<ThreadPool>(Workers ? Workers : 1u);
 }
 
-bool CompileService::accepts(const CachedCode &CC, CodeTier Wanted) const {
+bool CompileService::accepts(const CachedCode &CC, CodeTier Wanted,
+                             bool SymbolicGlobals) const {
   if (CC.PipelineFingerprint !=
-      jitPipelineFingerprint(CC.Tier, SymbolicGlobals.load())) {
+      jitPipelineFingerprint(CC.Tier, SymbolicGlobals)) {
     // Produced by a different pipeline composition or linkage mode: the
     // requester recompiles, and the publish replaces the entry in place.
     trace::instant("jit.stale_pipeline_entry");
@@ -55,9 +56,10 @@ bool CompileService::accepts(const CachedCode &CC, CodeTier Wanted) const {
 }
 
 std::optional<CachedCode> CompileService::servable(uint64_t Hash,
-                                                   CodeTier Wanted) {
+                                                   CodeTier Wanted,
+                                                   bool SymbolicGlobals) {
   std::optional<CachedCode> CC = Cache.lookupEntry(Hash);
-  if (CC && !accepts(*CC, Wanted))
+  if (CC && !accepts(*CC, Wanted, SymbolicGlobals))
     CC.reset();
   return CC;
 }
@@ -92,7 +94,7 @@ CompileService::obtain(const CompileRequest &Req, CodeTier Wanted,
     {
       trace::Span Sp("jit.cache_lookup", "jit");
       metrics::ScopedTimer T(*Stat.CacheLookupSeconds);
-      CC = servable(Req.Hash, Wanted);
+      CC = servable(Req.Hash, Wanted, Req.SymbolicGlobals);
     }
     if (CC) {
       // A served Tier-0 baseline (typically persisted by a run that exited
@@ -145,7 +147,8 @@ void CompileService::start(const CompileRequest &Req, CodeTier Tier,
   if (!Body)
     return finish(Req.Hash, Tier, *P, std::move(Failed));
   auto Job = [this, Req, Tier, P, Promotion, Body = std::move(Body)] {
-    CompileOutcome O = compile(Req.Hash, Tier, Body, /*Claim=*/true);
+    CompileOutcome O =
+        compile(Req.Hash, Tier, Body, /*Claim=*/true, Req.SymbolicGlobals);
     const bool Ok = O.Err == GpuError::Success;
     const bool Baseline = Ok && O.Tier == CodeTier::Tier0;
     // A failed promotion keeps the cover: correct, just not final.
@@ -181,7 +184,8 @@ void CompileService::finish(uint64_t Hash, CodeTier Tier,
 }
 
 CompileOutcome CompileService::compile(uint64_t Hash, CodeTier Tier,
-                                       const CompileBody &Body, bool Claim) {
+                                       const CompileBody &Body, bool Claim,
+                                       bool SymbolicGlobals) {
   // Fleet-wide compile dedup: claim the specialization across every process
   // sharing the cache (lock file locally, Acquire RPC against the shared
   // cache service). Exactly one claimant compiles; the rest wait for its
@@ -213,7 +217,7 @@ CompileOutcome CompileService::compile(uint64_t Hash, CodeTier Tier,
     // An unusable entry (stale pipeline, insufficient tier) is compiled
     // over locally — by a waiter unclaimed, which the atomic publish
     // tolerates.
-    if (Published && accepts(*Published, Tier)) {
+    if (Published && accepts(*Published, Tier, SymbolicGlobals)) {
       Stat.FleetServedCompiles->add();
       trace::instant("jit.fleet_served", "jit");
       return {GpuError::Success, {}, std::move(Published->Object),
@@ -227,7 +231,7 @@ CompileOutcome CompileService::compile(uint64_t Hash, CodeTier Tier,
   // artifact, nor a baked-address object served in symbolic-globals mode.
   if (O.Err == GpuError::Success)
     Cache.insert(Hash, O.Object, Tier,
-                 jitPipelineFingerprint(Tier, SymbolicGlobals.load()));
+                 jitPipelineFingerprint(Tier, SymbolicGlobals));
   return O;
 }
 

@@ -31,7 +31,6 @@
 #include "jit/CodeCache.h"
 #include "support/ThreadPool.h"
 
-#include <atomic>
 #include <functional>
 #include <future>
 #include <map>
@@ -46,7 +45,9 @@ namespace proteus {
 /// a miss (stale pipeline) instead of being served. \p SymbolicGlobals
 /// distinguishes multi-device objects (global references left as load-time
 /// relocations) from single-device objects (addresses baked into the IR):
-/// an object of one linkage mode must never be served in the other.
+/// an object of one linkage mode must never be served in the other. It is
+/// set only for a kernel whose call closure references a device global;
+/// any other kernel compiles to the same object in either mode.
 uint64_t jitPipelineFingerprint(CodeTier Tier, bool SymbolicGlobals = false);
 
 /// Result of one specialization compile, delivered to every waiter.
@@ -65,6 +66,8 @@ using CompileBody = std::function<CompileOutcome()>;
 /// One specialization a launch wants, and how to compile it.
 struct CompileRequest {
   uint64_t Hash = 0;
+  /// The linkage bit of the request's fingerprints (jitPipelineFingerprint).
+  bool SymbolicGlobals = false;
   /// Binds the compile at a tier. Runs on the thread that claims the
   /// compile: the launching thread, or the thread that finished a Tier-0
   /// compile and schedules its Final promotion. Returns null to fail the
@@ -90,14 +93,12 @@ public:
   CompileService(const CompileService &) = delete;
   CompileService &operator=(const CompileService &) = delete;
 
-  /// Selects the linkage mode whose fingerprints servable() accepts and
-  /// compiles publish (true once more than one device is attached).
-  void setSymbolicGlobals(bool On) { SymbolicGlobals.store(On); }
-
   /// The cached entry for \p Hash if it may serve a request for \p Wanted:
-  /// it came from the current pipeline for its own tier and linkage mode,
-  /// and it is not a Tier-0 entry asked to serve a Final request.
-  std::optional<CachedCode> servable(uint64_t Hash, CodeTier Wanted);
+  /// it came from the current pipeline for its own tier and the linkage bit
+  /// \p SymbolicGlobals, and it is not a Tier-0 entry asked to serve a
+  /// Final request.
+  std::optional<CachedCode> servable(uint64_t Hash, CodeTier Wanted,
+                                     bool SymbolicGlobals);
 
   /// The launch path's entry point: the outcome of \p Req at \p Wanted.
   /// Serves a servable cache entry; else, when the caller can \p Cover the
@@ -110,11 +111,12 @@ public:
   /// Waits for \p F, accounting a blocking wait as launch-visible time.
   const CompileOutcome &wait(const std::shared_future<CompileOutcome> &F);
 
-  /// Runs \p Body on the calling thread and publishes its object at \p Tier.
-  /// With \p Claim, first claims \p Hash fleet-wide: a usable object another
-  /// process published meanwhile is served instead of compiling.
+  /// Runs \p Body on the calling thread and publishes its object at \p Tier
+  /// with the linkage bit \p SymbolicGlobals. With \p Claim, first claims
+  /// \p Hash fleet-wide: a usable object another process published
+  /// meanwhile is served instead of compiling.
   CompileOutcome compile(uint64_t Hash, CodeTier Tier, const CompileBody &Body,
-                         bool Claim);
+                         bool Claim, bool SymbolicGlobals);
 
   /// Waits until every queued promotion, and each one it schedules, has
   /// finished.
@@ -123,7 +125,8 @@ public:
 private:
   using Promise = std::shared_ptr<std::promise<CompileOutcome>>;
 
-  bool accepts(const CachedCode &CC, CodeTier Wanted) const;
+  bool accepts(const CachedCode &CC, CodeTier Wanted,
+               bool SymbolicGlobals) const;
   /// Adds (\p Hash, \p Tier) to the table; null if already there. Mutex held.
   Promise claimLocked(uint64_t Hash, CodeTier Tier);
   /// Claims and queues the Final promotion of \p Req unless one is in
@@ -140,7 +143,6 @@ private:
 
   CodeCache &Cache;
   const JitStatHandles &Stat;
-  std::atomic<bool> SymbolicGlobals{false};
 
   std::mutex Mutex; // guards InFlight
   std::map<std::pair<uint64_t, CodeTier>,

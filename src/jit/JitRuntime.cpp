@@ -236,7 +236,6 @@ unsigned JitRuntime::attachDevice(Device &D) {
   Devices.emplace_back(new DeviceState);
   Devices.back()->Dev = &D;
   Devices.back()->Index = static_cast<unsigned>(Devices.size() - 1);
-  Service.setSymbolicGlobals(symbolicGlobals());
   return Devices.back()->Index;
 }
 
@@ -477,6 +476,24 @@ JitRuntime::getOrBuildIndex(const std::string &Symbol,
   return Index;
 }
 
+std::shared_ptr<const KernelModuleIndex>
+JitRuntime::indexFor(const JitKernelInfo &Info) {
+  if (std::shared_ptr<const KernelModuleIndex> Index =
+          getOrBuildIndex(Info.Symbol, {}, nullptr))
+    return Index;
+  std::vector<uint8_t> Bitcode;
+  if (fetchBitcode(Info, Bitcode, nullptr) != GpuError::Success)
+    return nullptr;
+  return getOrBuildIndex(Info.Symbol, Bitcode, nullptr);
+}
+
+bool JitRuntime::linksSymbolically(const JitKernelInfo &Info) {
+  if (!symbolicGlobals())
+    return false;
+  std::shared_ptr<const KernelModuleIndex> Index = indexFor(Info);
+  return !Index || !Index->closureGlobalNames(Info.Symbol).empty();
+}
+
 CompileOutcome JitRuntime::compileSpecialization(
     const std::string &Symbol, std::vector<uint8_t> Bitcode,
     const SpecializationKey &Key, CodeTier Tier, const O3Options *O3Override) {
@@ -711,6 +728,7 @@ CompileRequest JitRuntime::compileRequest(const JitKernelInfo &Info,
                                           uint64_t Hash) {
   CompileRequest R;
   R.Hash = Hash;
+  R.SymbolicGlobals = linksSymbolically(Info);
   R.Bind = [this, &Info, Key](CodeTier Tier, CompileOutcome &Failed) {
     return bindCompile(Info, Key, Tier, nullptr, Failed);
   };
@@ -879,15 +897,17 @@ GpuError JitRuntime::launchLoaded(
   A.EnableLaunchBounds = Config.EnableLaunchBounds;
   A.TierMode = Config.Tier;
   A.SpecializationHash = Hash;
-  A.PipelineFingerprint =
-      jitPipelineFingerprint(CodeTier::Final, symbolicGlobals());
+  const std::vector<std::string> ClosureGlobals =
+      CaptureIndex->closureGlobalNames(Info.Symbol);
+  A.PipelineFingerprint = jitPipelineFingerprint(
+      CodeTier::Final, symbolicGlobals() && !ClosureGlobals.empty());
   A.DeviceMemoryBytes = DS.Dev->memory().size();
   // Snapshot candidates: every argument's raw bits (non-pointer values that
   // fall outside any allocation are skipped by snapshotRegions; a scalar
   // that happens to alias an allocation is over-captured, which is safe)
   // plus the device addresses of the kernel closure's globals.
   std::vector<uint64_t> Candidates = A.ArgBits;
-  for (const std::string &G : CaptureIndex->closureGlobalNames(Info.Symbol)) {
+  for (const std::string &G : ClosureGlobals) {
     DevicePtr Addr = DS.Dev->getSymbolAddress(G);
     if (Addr) {
       A.Globals.push_back({G, Addr});
@@ -971,14 +991,8 @@ GpuError JitRuntime::launchKernelOn(unsigned DeviceIndex, KernelHandle Kernel,
   // the index is a map lookup; failure just means this launch goes
   // uncaptured.
   std::shared_ptr<const KernelModuleIndex> CaptureIndex;
-  if (CaptureSess) {
-    CaptureIndex = getOrBuildIndex(Info.Symbol, {}, nullptr);
-    if (!CaptureIndex) {
-      std::vector<uint8_t> Bitcode;
-      if (fetchBitcode(Info, Bitcode, nullptr) == GpuError::Success)
-        CaptureIndex = getOrBuildIndex(Info.Symbol, Bitcode, nullptr);
-    }
-  }
+  if (CaptureSess)
+    CaptureIndex = indexFor(Info);
 
   // --- Already mapped on this device (a cover included)? -------------------
   // A mapping below Final first adopts a finished promotion.
@@ -1054,6 +1068,7 @@ GpuError JitRuntime::installFinalTier(const std::string &Symbol, Dim3 Block,
     return Fail(GpuError::NotFound);
   }
   JitKernel &K = *Kernel.Kernel;
+  const bool Symbolic = linksSymbolically(K.Info);
 
   // One compile (or cache fetch) per distinct architecture in the target
   // set; like the launch path, the same object then serves every device of
@@ -1079,7 +1094,8 @@ GpuError JitRuntime::installFinalTier(const std::string &Symbol, Dim3 Block,
       // particular, an install racing an in-flight Tier-1 promotion
       // recompiles rather than loading the Tier-0 placeholder.
       std::optional<CachedCode> CC;
-      if (!ReuseCached || !(CC = Service.servable(Hash, CodeTier::Final))) {
+      if (!ReuseCached ||
+          !(CC = Service.servable(Hash, CodeTier::Final, Symbolic))) {
         // A tuner install (O3Override) skips the fleet claim: it needs the
         // object built with the winner's knobs, not whatever someone else
         // published.
@@ -1088,7 +1104,7 @@ GpuError JitRuntime::installFinalTier(const std::string &Symbol, Dim3 Block,
                 bindCompile(K.Info, specializationKey(K, Words.data()),
                             CodeTier::Final, O3Override, O))
           O = Service.compile(Hash, CodeTier::Final, Body,
-                              /*Claim=*/!O3Override);
+                              /*Claim=*/!O3Override, Symbolic);
         if (O.Err != GpuError::Success) {
           if (Error)
             *Error = O.Message;

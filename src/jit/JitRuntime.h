@@ -635,6 +635,16 @@ private:
   std::shared_ptr<const KernelModuleIndex>
   getOrBuildIndex(const std::string &Symbol,
                   const std::vector<uint8_t> &Bitcode, std::string *Error);
+  /// The kernel's module index, fetching and parsing its bitcode when none
+  /// is built yet; null when that fails. The NVIDIA readback takes a device
+  /// lock, so call it with none held.
+  std::shared_ptr<const KernelModuleIndex> indexFor(const JitKernelInfo &Info);
+  /// The linkage bit of \p Info's fingerprints: the pool links device
+  /// globals symbolically and the kernel's call closure references one.
+  /// Any other kernel compiles to the same object in either linkage mode,
+  /// so a device attached late is served the object already cached. True
+  /// when the index cannot be built. Locking as indexFor.
+  bool linksSymbolically(const JitKernelInfo &Info);
   /// Maps \p Hash on \p DS (DS.Lock held) at rung \p Level — \p Object,
   /// or the generic binary for Rung::Generic — and launches it. A rung a
   /// promotion has finished, or a mapping already in place, is used

@@ -8,8 +8,6 @@
 
 #include "ir/Function.h"
 
-#include <unordered_set>
-
 using namespace proteus;
 using namespace pir;
 
@@ -30,9 +28,9 @@ bool DCEPass::run(Function &F) {
   // The membership set guarantees each instruction is enqueued (and thus
   // erased) at most once, so the worklist never holds a dangling pointer.
   std::vector<Instruction *> Worklist;
-  std::unordered_set<Instruction *> InList;
+  ValueIdSet InList(F);
   auto enqueue = [&](Instruction *I) {
-    if (InList.insert(I).second)
+    if (InList.insert(I))
       Worklist.push_back(I);
   };
   for (BasicBlock &BB : F)

@@ -51,7 +51,7 @@ bool inlineCall(CallInst *Call) {
   }
 
   // Map callee arguments to call operands; clone callee blocks.
-  ValueMap VM(countClonedValues(*Callee));
+  ValueMap VM(Callee->valueIdBound());
   for (size_t I = 0; I != Callee->getNumArgs(); ++I)
     VM.insert(Callee->getArg(I), Call->getArg(I));
   std::vector<BasicBlock *> CalleeBlocks;

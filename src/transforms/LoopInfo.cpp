@@ -11,7 +11,6 @@
 
 #include <algorithm>
 #include <functional>
-#include <unordered_map>
 
 using namespace proteus;
 using namespace pir;
@@ -75,42 +74,33 @@ BasicBlock *Loop::getDedicatedExit() const {
   return Exit;
 }
 
-std::vector<std::pair<BasicBlock *, BasicBlock *>> Loop::exitEdges() const {
-  std::vector<std::pair<BasicBlock *, BasicBlock *>> Out;
-  for (BasicBlock *BB : Blocks)
-    for (BasicBlock *S : BB->successors())
-      if (!contains(S))
-        Out.push_back({BB, S});
-  return Out;
-}
-
-LoopInfo::LoopInfo(Function &, const DominatorTree &DT) {
-  // Find back edges T -> H where H dominates T; group by header.
-  std::unordered_map<BasicBlock *, std::vector<BasicBlock *>> BackEdges;
-  for (BasicBlock *BB : DT.getRPO())
-    for (BasicBlock *S : BB->successors())
-      if (DT.isReachable(S) && DT.dominates(S, BB))
-        BackEdges[S].push_back(BB);
-
-  // Build each loop's block set by walking predecessors from the latches
-  // until the header.
+LoopInfo::LoopInfo(Function &F, const DominatorTree &DT) : InnermostMap(F) {
+  // A header H has a back edge from each latch T that H dominates. Build
+  // each loop's block set by walking predecessors from the latches until
+  // the header.
   for (BasicBlock *BB : DT.getRPO()) {
-    auto It = BackEdges.find(BB);
-    if (It == BackEdges.end())
+    std::vector<BasicBlock *> Work;
+    for (BasicBlock *P : BB->predecessors())
+      if (DT.isReachable(P) && DT.dominates(BB, P))
+        Work.push_back(P);
+    if (Work.empty())
       continue;
     auto L = std::make_unique<Loop>();
     L->Header = BB;
-    L->Blocks.insert(BB);
-    std::vector<BasicBlock *> Work(It->second.begin(), It->second.end());
+    L->Members = ValueIdSet(F);
+    L->Members.insert(BB);
     while (!Work.empty()) {
       BasicBlock *Cur = Work.back();
       Work.pop_back();
-      if (!L->Blocks.insert(Cur).second)
+      if (!L->Members.insert(Cur))
         continue;
       for (BasicBlock *P : Cur->predecessors())
-        if (DT.isReachable(P) && Cur != BB)
+        if (DT.isReachable(P))
           Work.push_back(P);
     }
+    for (BasicBlock &B : F)
+      if (L->contains(&B))
+        L->Blocks.push_back(&B);
     AllLoops.push_back(std::move(L));
   }
 
@@ -139,11 +129,6 @@ LoopInfo::LoopInfo(Function &, const DominatorTree &DT) {
     }
 }
 
-Loop *LoopInfo::getLoopFor(BasicBlock *BB) const {
-  auto It = InnermostMap.find(BB);
-  return It == InnermostMap.end() ? nullptr : It->second;
-}
-
 std::vector<Loop *> LoopInfo::loopsInnermostFirst() const {
   std::vector<Loop *> Out;
   for (const auto &L : AllLoops)
@@ -166,10 +151,15 @@ std::optional<TripCount> proteus::computeConstantTripCount(Loop &L,
 
   // Collect the header phis whose evolution we can simulate: preheader
   // incoming must be a constant.
-  std::vector<PhiInst *> Phis = L.Header->phis();
-  std::unordered_map<Value *, uint64_t> Env;
-  std::vector<std::pair<PhiInst *, Value *>> Evolving;
-  for (PhiInst *Phi : Phis) {
+  // Each evolving phi with its latch incoming and its current value; a
+  // loop has few header phis, so lookups scan the list.
+  struct EvolvingPhi {
+    PhiInst *Phi;
+    Value *Next;
+    uint64_t Cur;
+  };
+  std::vector<EvolvingPhi> Evolving;
+  for (PhiInst *Phi : L.Header->phis()) {
     Value *Init = Phi->getIncomingValueForBlock(Preheader);
     Value *Next = Phi->getIncomingValueForBlock(Latch);
     if (!Init || !Next)
@@ -178,8 +168,7 @@ std::optional<TripCount> proteus::computeConstantTripCount(Loop &L,
     if (!C)
       continue; // non-evolving phi (e.g. FP accumulator); fine unless the
                 // condition depends on it.
-    Env[Phi] = C->getZExtValue();
-    Evolving.push_back({Phi, Next});
+    Evolving.push_back({Phi, Next, C->getZExtValue()});
   }
 
   // Evaluates \p V given the current environment; pure integer chains only.
@@ -188,9 +177,9 @@ std::optional<TripCount> proteus::computeConstantTripCount(Loop &L,
       [&](Value *V, unsigned Depth) -> std::optional<uint64_t> {
     if (auto *C = dyn_cast<ConstantInt>(V))
       return C->getZExtValue();
-    auto It = Env.find(V);
-    if (It != Env.end())
-      return It->second;
+    for (const EvolvingPhi &E : Evolving)
+      if (E.Phi == V)
+        return E.Cur;
     if (Depth > 16)
       return std::nullopt;
     auto *I = dyn_cast<Instruction>(V);
@@ -244,15 +233,15 @@ std::optional<TripCount> proteus::computeConstantTripCount(Loop &L,
     if (TakesExit)
       return TripCount{Iter};
     // Step all evolving phis in parallel.
-    std::vector<std::pair<PhiInst *, uint64_t>> NextVals;
-    for (auto &[Phi, Next] : Evolving) {
-      auto NV = Eval(Next, 0);
+    std::vector<uint64_t> NextVals;
+    for (const EvolvingPhi &E : Evolving) {
+      auto NV = Eval(E.Next, 0);
       if (!NV)
         return std::nullopt;
-      NextVals.push_back({Phi, *NV});
+      NextVals.push_back(*NV);
     }
-    for (auto &[Phi, V] : NextVals)
-      Env[Phi] = V;
+    for (size_t K = 0; K != Evolving.size(); ++K)
+      Evolving[K].Cur = NextVals[K];
   }
   return std::nullopt; // exceeds MaxTrip
 }

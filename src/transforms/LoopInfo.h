@@ -17,10 +17,10 @@
 #define PROTEUS_TRANSFORMS_LOOPINFO_H
 
 #include "ir/Dominators.h"
+#include "ir/Function.h"
 
 #include <memory>
 #include <optional>
-#include <unordered_set>
 #include <vector>
 
 namespace proteus {
@@ -29,11 +29,13 @@ namespace proteus {
 /// forest.
 struct Loop {
   pir::BasicBlock *Header = nullptr;
-  std::unordered_set<pir::BasicBlock *> Blocks;
+  std::vector<pir::BasicBlock *> Blocks; // layout order
+  pir::ValueIdSet Members;               // the same blocks, by id
   std::vector<Loop *> SubLoops;
   Loop *Parent = nullptr;
 
-  bool contains(pir::BasicBlock *BB) const { return Blocks.count(BB) != 0; }
+  /// False for blocks created after the loop was found.
+  bool contains(pir::BasicBlock *BB) const { return Members.contains(BB); }
 
   /// Depth in the loop forest (outermost = 1).
   unsigned depth() const {
@@ -55,10 +57,6 @@ struct Loop {
   /// terminator is a conditional branch with exactly one exiting side, and
   /// that exit block has the header as its only predecessor; null otherwise.
   pir::BasicBlock *getDedicatedExit() const;
-
-  /// All edges leaving the loop (from, to) — used by LICM safety checks.
-  std::vector<std::pair<pir::BasicBlock *, pir::BasicBlock *>>
-  exitEdges() const;
 };
 
 /// The loop forest of one function.
@@ -69,14 +67,16 @@ public:
   const std::vector<std::unique_ptr<Loop>> &loops() const { return AllLoops; }
 
   /// Innermost loop containing \p BB, or null.
-  Loop *getLoopFor(pir::BasicBlock *BB) const;
+  Loop *getLoopFor(pir::BasicBlock *BB) const {
+    return InnermostMap.lookup(BB);
+  }
 
   /// All loops, innermost first (safe order for unrolling/LICM).
   std::vector<Loop *> loopsInnermostFirst() const;
 
 private:
   std::vector<std::unique_ptr<Loop>> AllLoops;
-  std::unordered_map<pir::BasicBlock *, Loop *> InnermostMap;
+  pir::ValueIdMap<Loop *> InnermostMap;
 };
 
 /// Computed constant trip count of a canonical loop (see

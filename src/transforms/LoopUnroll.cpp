@@ -21,8 +21,6 @@
 #include "ir/Module.h"
 #include "transforms/LoopInfo.h"
 
-#include <unordered_set>
-
 using namespace proteus;
 using namespace pir;
 
@@ -32,12 +30,12 @@ struct UnrollPlan {
   // Copied out of the (function-local) LoopInfo so the plan stays valid
   // after the analysis is destroyed.
   BasicBlock *Header;
-  std::unordered_set<BasicBlock *> Blocks;
+  ValueIdSet Members;
   BasicBlock *Preheader;
   BasicBlock *Latch;
   BasicBlock *Exit;
   uint64_t TripCount;
-  std::vector<BasicBlock *> LoopBlocks; // deterministic order, header first
+  std::vector<BasicBlock *> LoopBlocks; // layout order, header first
   // The function has no other loop, so none is left once this one is
   // unrolled (unrolling removes its back edge and adds none).
   bool OnlyLoop;
@@ -93,16 +91,15 @@ std::optional<UnrollPlan> planOne(Function &F, const UnrollOptions &Opts) {
       continue;
     UnrollPlan Plan;
     Plan.Header = L->Header;
-    Plan.Blocks = L->Blocks;
+    Plan.Members = L->Members;
     Plan.Preheader = Preheader;
     Plan.Latch = Latch;
     Plan.Exit = Exit;
     Plan.TripCount = TC->Count;
     Plan.OnlyLoop = LI.loops().size() == 1;
     Plan.LoopBlocks.push_back(L->Header);
-    // Deterministic layout order: function order.
-    for (BasicBlock *BB : F.blockList())
-      if (L->contains(BB) && BB != L->Header)
+    for (BasicBlock *BB : L->Blocks)
+      if (BB != L->Header)
         Plan.LoopBlocks.push_back(BB);
     return Plan;
   }
@@ -112,7 +109,7 @@ std::optional<UnrollPlan> planOne(Function &F, const UnrollOptions &Opts) {
 void unroll(Function &F, const UnrollPlan &Plan) {
   Context &Ctx = F.getParent()->getContext();
   BasicBlock *Header = Plan.Header;
-  auto InLoop = [&Plan](BasicBlock *BB) { return Plan.Blocks.count(BB) != 0; };
+  auto InLoop = [&Plan](BasicBlock *BB) { return Plan.Members.contains(BB); };
   std::vector<PhiInst *> HeaderPhis = Header->phis();
   auto *HeaderBr = cast<BranchInst>(Header->getTerminator());
   // The header's unique in-loop successor (the header itself for
@@ -209,8 +206,8 @@ void unroll(Function &F, const UnrollPlan &Plan) {
   // flows to the exit block.
   retarget(PrevTail, PrevTailTarget, Plan.Exit);
 
-  // Rewrite uses of header-defined values outside the loop with their final
-  // mapping.
+  // Rewrite uses of header phis outside the loop with their final mapping
+  // (planOne() rejects loops whose other values are used outside).
   std::vector<std::pair<User *, uint32_t>> ExternalUses;
   for (size_t K = 0; K != HeaderPhis.size(); ++K) {
     ExternalUses.clear();
@@ -222,14 +219,6 @@ void unroll(Function &F, const UnrollPlan &Plan) {
     for (auto &[UserV, Idx] : ExternalUses)
       UserV->setOperand(Idx, PhiIn[K]);
   }
-  // Non-phi header instructions used outside the loop: their final iteration
-  // clone is the value observed at the exit only if the loop ran; with a
-  // dedicated exit reached from the last header evaluation, the value seen
-  // is the iteration-N header clone — but we deleted that evaluation. The
-  // planner therefore rejected such loops unless the value is a phi.
-  // (Header non-phi values used externally would require re-evaluating the
-  // header once more; planOne() only permits external uses of header
-  // *instructions* when BB == Header... tighten here.)
 
   // The original loop blocks are now unreachable: remove them.
   for (BasicBlock *BB : Plan.LoopBlocks)

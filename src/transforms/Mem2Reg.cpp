@@ -11,9 +11,6 @@
 #include "ir/Function.h"
 #include "ir/Module.h"
 
-#include <unordered_map>
-#include <unordered_set>
-
 using namespace proteus;
 using namespace pir;
 
@@ -48,46 +45,35 @@ bool isPromotable(AllocaInst &A) {
 
 class Promoter {
 public:
-  Promoter(Function &F, DominatorTree &DT) : F(F), DT(DT) {}
+  Promoter(Function &F, DominatorTree &DT)
+      : F(F), DT(DT), PhiAt(F), OutValue(F) {}
 
   bool promote(AllocaInst &A) {
     Type *Ty = A.getAllocatedType();
     Context &Ctx = F.getParent()->getContext();
 
-    // Blocks containing stores define the value.
-    std::unordered_set<BasicBlock *> DefBlocks;
+    // Blocks containing stores define the value; the iterated dominance
+    // frontier of those gets a phi.
+    std::vector<BasicBlock *> DefBlocks;
     for (const Use &U : A.uses())
       if (auto *S = dyn_cast<StoreInst>(static_cast<Value *>(U.TheUser)))
-        DefBlocks.insert(S->getParent());
-
-    // Iterated dominance frontier -> phi placement.
-    std::unordered_set<BasicBlock *> PhiBlocks;
-    std::vector<BasicBlock *> Work(DefBlocks.begin(), DefBlocks.end());
-    while (!Work.empty()) {
-      BasicBlock *BB = Work.back();
-      Work.pop_back();
-      for (BasicBlock *DF : DT.getFrontier(BB)) {
-        if (!PhiBlocks.insert(DF).second)
-          continue;
-        Work.push_back(DF);
-      }
-    }
-
-    std::unordered_map<BasicBlock *, PhiInst *> Phis;
+        DefBlocks.push_back(S->getParent());
+    std::vector<BasicBlock *> PhiBlocks = DT.iteratedFrontier(DefBlocks);
     for (BasicBlock *BB : PhiBlocks) {
       auto Phi = std::make_unique<PhiInst>(Ty);
       Phi->setName(A.getName() + ".phi");
-      PhiInst *Raw = Phi.get();
+      PhiAt[BB] = Phi.get();
       if (BB->empty())
         BB->append(std::move(Phi));
       else
         BB->insertBefore(&BB->front(), std::move(Phi));
-      Phis[BB] = Raw;
     }
 
     // Rename along the dominator tree.
-    Value *Undef = defaultValue(Ctx, Ty);
-    rename(&F.getEntryBlock(), Undef, A, Phis);
+    Value *Undef = Ctx.getZeroValue(Ty);
+    rename(&F.getEntryBlock(), Undef, A, PhiBlocks);
+    for (BasicBlock *BB : PhiBlocks)
+      PhiAt[BB] = nullptr;
 
     // All loads/stores rewritten; drop the alloca.
     std::vector<Instruction *> Dead;
@@ -102,23 +88,15 @@ public:
   }
 
 private:
-  static Value *defaultValue(Context &Ctx, Type *Ty) {
-    if (Ty->isInteger())
-      return Ctx.getConstantInt(Ty, 0);
-    if (Ty->isFloatingPoint())
-      return Ctx.getConstantFP(Ty, 0.0);
-    return Ctx.getNullPtr();
-  }
-
   void rename(BasicBlock *BB, Value *Incoming, AllocaInst &A,
-              std::unordered_map<BasicBlock *, PhiInst *> &Phis) {
+              const std::vector<BasicBlock *> &PhiBlocks) {
     // Iterative DFS over the dominator tree carrying the reaching value.
     struct Frame {
       BasicBlock *BB;
       Value *In;
     };
     std::vector<Frame> Stack{{BB, Incoming}};
-    std::unordered_map<BasicBlock *, Value *> OutValue;
+    std::vector<BasicBlock *> Visited;
 
     // First pass: compute the value leaving each block and rewrite
     // loads/stores, walking the dominator tree (so the incoming value of a
@@ -127,8 +105,8 @@ private:
       auto [Cur, In] = Stack.back();
       Stack.pop_back();
       Value *V = In;
-      if (auto It = Phis.find(Cur); It != Phis.end())
-        V = It->second;
+      if (PhiInst *Phi = PhiAt[Cur])
+        V = Phi;
       for (auto I = Cur->begin(); I != Cur->end();) {
         Instruction &Inst = *I;
         ++I;
@@ -146,22 +124,30 @@ private:
         }
       }
       OutValue[Cur] = V;
+      Visited.push_back(Cur);
       for (BasicBlock *Child : DT.getChildren(Cur))
         Stack.push_back({Child, V});
     }
 
-    // Second pass: fill phi incomings from each predecessor's out-value.
-    for (auto &[PhiBB, Phi] : Phis) {
+    // Second pass: fill phi incomings from each predecessor's out-value
+    // (unreachable predecessors get the incoming default).
+    for (BasicBlock *PhiBB : PhiBlocks) {
+      PhiInst *Phi = PhiAt[PhiBB];
       for (BasicBlock *Pred : PhiBB->predecessors()) {
-        auto It = OutValue.find(Pred);
-        Value *V = It != OutValue.end() ? It->second : Incoming;
-        Phi->addIncoming(V, Pred);
+        Value *V = OutValue[Pred];
+        Phi->addIncoming(V ? V : Incoming, Pred);
       }
     }
+    for (BasicBlock *Cur : Visited)
+      OutValue[Cur] = nullptr;
   }
 
   Function &F;
   DominatorTree &DT;
+  /// Per block, the phi of the alloca being promoted and the value leaving
+  /// the block; both are reset after each alloca.
+  ValueIdMap<PhiInst *> PhiAt;
+  ValueIdMap<Value *> OutValue;
 };
 
 } // namespace
@@ -177,9 +163,8 @@ bool Mem2RegPass::run(Function &F) {
       if (auto *A = dyn_cast<AllocaInst>(&I))
         if (isPromotable(*A))
           Candidates.push_back(A);
-  for (AllocaInst *A : Candidates) {
-    Promoter P(F, DT);
+  Promoter P(F, DT);
+  for (AllocaInst *A : Candidates)
     Changed |= P.promote(*A);
-  }
   return Changed;
 }

@@ -12,7 +12,6 @@
 #include "ir/Module.h"
 
 #include <algorithm>
-#include <unordered_set>
 
 using namespace proteus;
 using namespace pir;
@@ -61,18 +60,19 @@ bool foldConstantBranches(Function &F) {
 
 /// Deletes blocks not reachable from the entry.
 bool removeUnreachableBlocks(Function &F) {
-  std::vector<BasicBlock *> RPO = reversePostOrder(F);
-  std::unordered_set<BasicBlock *> Reachable(RPO.begin(), RPO.end());
+  ValueIdSet Reachable(F);
+  for (BasicBlock *BB : reversePostOrder(F))
+    Reachable.insert(BB);
   std::vector<BasicBlock *> Doomed;
-  for (BasicBlock *BB : F.blockList())
-    if (!Reachable.count(BB))
-      Doomed.push_back(BB);
+  for (BasicBlock &BB : F)
+    if (!Reachable.contains(&BB))
+      Doomed.push_back(&BB);
   if (Doomed.empty())
     return false;
   // Phis in reachable blocks may list doomed predecessors.
   for (BasicBlock *BB : Doomed)
     for (BasicBlock *S : BB->successors())
-      if (Reachable.count(S))
+      if (Reachable.contains(S))
         removePredecessorFromPhis(S, BB);
   // Sever all edges inside the doomed region before deleting anything.
   for (BasicBlock *BB : Doomed)

@@ -6,7 +6,10 @@
 
 #include "TestUtil.h"
 
+#include "bitcode/Bitcode.h"
+#include "ir/Cloning.h"
 #include "ir/Context.h"
+#include "ir/IRParser.h"
 #include "ir/IRPrinter.h"
 
 #include <gtest/gtest.h>
@@ -460,6 +463,149 @@ TEST(UseListTest, UseAndPredecessorOrderAfterEdits) {
   EXPECT_EQ(predOrder(*Join), "l entry");
   EXPECT_EQ(instNames(*L), "y z br.l");
   EXPECT_EQ(instNames(*Join), "p w q ret");
+
+  // The edits left the numbering sparse and out of layout order (x's id is
+  // gone, w's is the newest, z now sits before the older br.l). Printer and
+  // writer output depend on the layout only: a clone, numbered densely
+  // afresh, prints and writes the same bytes.
+  EXPECT_EQ(F->valueIdBound(), 17u);
+  EXPECT_GT(Z->getValueId(), L->getTerminator()->getValueId());
+  std::unique_ptr<Module> Clone = cloneModule(M, Ctx, "m");
+  EXPECT_EQ(Clone->getFunction("k")->valueIdBound(), 16u);
+  EXPECT_EQ(printModule(M), printModule(*Clone));
+  EXPECT_EQ(proteus::writeBitcode(M), proteus::writeBitcode(*Clone));
+}
+
+// ---------------------------------------------------------------------------
+// Dense value numbering.
+// ---------------------------------------------------------------------------
+
+/// Expects \p F numbered densely in layout order: its ids are exactly
+/// 0..valueIdBound()-1, the arguments hold the first ones, and blocks and
+/// instructions each take increasing ids in layout order.
+void expectDenseLayoutIds(Function &F) {
+  SCOPED_TRACE("@" + F.getName());
+  std::vector<bool> Taken(F.valueIdBound());
+  auto take = [&](const Value &V) {
+    uint32_t Id = V.getValueId();
+    ASSERT_LT(Id, Taken.size()) << V.getName();
+    EXPECT_FALSE(Taken[Id]) << V.getName();
+    Taken[Id] = true;
+  };
+  for (size_t I = 0; I != F.getNumArgs(); ++I) {
+    EXPECT_EQ(F.getArg(I)->getValueId(), I);
+    take(*F.getArg(I));
+  }
+  uint32_t LastBlock = 0, LastInst = 0;
+  for (BasicBlock &BB : F) {
+    EXPECT_GE(BB.getValueId(), LastBlock) << BB.getName();
+    LastBlock = BB.getValueId();
+    take(BB);
+    for (Instruction &I : BB) {
+      EXPECT_GE(I.getValueId(), LastInst) << I.getName();
+      LastInst = I.getValueId();
+      take(I);
+    }
+  }
+  EXPECT_EQ(std::count(Taken.begin(), Taken.end(), true),
+            static_cast<long>(Taken.size()))
+      << "ids are not dense";
+}
+
+void buildNumberingKernels(Module &M) {
+  buildDaxpyKernel(M);
+  buildLoopSumKernel(M);
+}
+
+TEST(ValueIdTest, IRBuilderNumbersDenselyInLayoutOrder) {
+  Context Ctx;
+  Module M(Ctx, "m");
+  buildNumberingKernels(M);
+  for (const auto &F : M.functions())
+    expectDenseLayoutIds(*F);
+}
+
+TEST(ValueIdTest, ParserNumbersDenselyInLayoutOrder) {
+  Context Ctx;
+  Module M(Ctx, "m");
+  buildNumberingKernels(M);
+  Context Ctx2;
+  ParseResult R = parseModule(Ctx2, printModule(M));
+  ASSERT_TRUE(R.M) << R.Error;
+  for (const auto &F : R.M->functions())
+    expectDenseLayoutIds(*F);
+}
+
+TEST(ValueIdTest, ReaderNumbersDenselyInLayoutOrder) {
+  Context Ctx;
+  Module M(Ctx, "m");
+  buildNumberingKernels(M);
+  Context Ctx2;
+  proteus::BitcodeReadResult R =
+      proteus::readBitcode(Ctx2, proteus::writeBitcode(M));
+  ASSERT_TRUE(R.M) << R.Error;
+  for (const auto &F : R.M->functions())
+    expectDenseLayoutIds(*F);
+}
+
+TEST(ValueIdTest, ClonerNumbersDenselyInLayoutOrder) {
+  Context Ctx;
+  Module M(Ctx, "m");
+  buildNumberingKernels(M);
+  // Sparse the source first: the clone is numbered afresh.
+  Function *Daxpy = M.getFunction("daxpy");
+  BasicBlock &Entry = Daxpy->getEntryBlock();
+  IRBuilder B(Ctx);
+  B.setInsertPoint(&Entry.front());
+  cast<Instruction>(B.createAdd(Daxpy->getArg(3), B.getInt32(2), "dead"))
+      ->eraseFromParent();
+  Context Ctx2;
+  std::unique_ptr<Module> Clone = cloneModule(M, Ctx2, "m.clone");
+  for (const auto &F : Clone->functions())
+    expectDenseLayoutIds(*F);
+  Module Dest(Ctx, "dest");
+  expectDenseLayoutIds(*cloneFunctionInto(Dest, *Daxpy, "daxpy.copy"));
+}
+
+TEST(ValueIdTest, LaterValuesTakeIdsPastTheBoundAndErasingKeepsIt) {
+  Context Ctx;
+  Module M(Ctx, "m");
+  Function *F = buildDaxpyKernel(M);
+  const uint32_t Bound = F->valueIdBound();
+  BasicBlock &Entry = F->getEntryBlock();
+  Instruction *First = &Entry.front();
+
+  // An instruction inserted mid-block takes the next id, not a layout slot.
+  IRBuilder B(Ctx);
+  B.setInsertPoint(First);
+  auto *Late =
+      cast<Instruction>(B.createAdd(F->getArg(3), B.getInt32(1), "late"));
+  EXPECT_EQ(Late->getValueId(), Bound);
+  BasicBlock *NewBB = F->createBlock("new", Ctx.getVoidTy());
+  EXPECT_EQ(NewBB->getValueId(), Bound + 1);
+  EXPECT_EQ(F->valueIdBound(), Bound + 2);
+
+  // Moving keeps the id; erasing leaves the bound alone.
+  const uint32_t FirstId = First->getValueId();
+  First->moveBefore(Late);
+  EXPECT_EQ(First->getValueId(), FirstId);
+  Late->eraseFromParent();
+  F->eraseBlock(NewBB);
+  EXPECT_EQ(F->valueIdBound(), Bound + 2);
+  expectValid(*F);
+
+  // A later value indexes past a table sized before it existed.
+  ValueIdSet Before(*F);
+  ValueIdMap<int> Table(*F, -1);
+  B.setInsertPoint(First);
+  Value *After = B.createAdd(F->getArg(3), B.getInt32(2), "after");
+  EXPECT_EQ(After->getValueId(), Bound + 2);
+  EXPECT_FALSE(Before.contains(After));
+  EXPECT_EQ(Table.lookup(After), -1);
+#ifdef _GLIBCXX_ASSERTIONS
+  // Indexing, unlike lookup(), trusts the id: a stale one aborts.
+  EXPECT_DEATH((void)Table[After], "");
+#endif
 }
 
 TEST(VerifierTest, AcceptsWellFormedKernels) {
@@ -486,6 +632,10 @@ TEST(VerifierTest, RejectsMissingTerminator) {
 TEST(VerifierTest, RejectsDominanceViolation) {
   Context Ctx;
   Module M(Ctx, "m");
+  // A structurally broken function verified first must not hide k's
+  // dominance error from verifyModule.
+  M.createFunction("broken", Ctx.getVoidTy(), {}, {}, FunctionKind::Device)
+      ->createBlock("empty", Ctx.getVoidTy());
   Function *F = M.createFunction("k", Ctx.getVoidTy(), {Ctx.getI1Ty()},
                                  {"c"}, FunctionKind::Kernel);
   BasicBlock *Entry = F->createBlock("entry", Ctx.getVoidTy());
@@ -504,6 +654,11 @@ TEST(VerifierTest, RejectsDominanceViolation) {
   VerifyResult R = verifyFunction(*F);
   EXPECT_FALSE(R.ok());
   EXPECT_NE(R.message().find("dominate"), std::string::npos);
+  std::string ModuleErrors = verifyModule(M).message();
+  EXPECT_NE(ModuleErrors.find("@broken: block has no instructions"),
+            std::string::npos);
+  EXPECT_NE(ModuleErrors.find("@k: definition"), std::string::npos)
+      << ModuleErrors;
 }
 
 TEST(VerifierTest, RejectsBadAnnotationIndex) {

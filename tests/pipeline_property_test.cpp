@@ -163,6 +163,6 @@ TEST_P(RandomKernelTest, SpecializationPreservesSemantics) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RandomKernelTest,
-                         ::testing::Range<uint64_t>(1, 33));
+                         ::testing::Range<uint64_t>(1, 97));
 
 } // namespace

@@ -234,11 +234,46 @@ TEST(CrossDeviceEventTest, ElapsedAcrossDevicesIsDefinedAndCounted) {
 // Global linkage in a pool.
 // ---------------------------------------------------------------------------
 
-TEST(LateAttachTest, LateAttachedDeviceForcesLinkageModeRecompile) {
+/// A kernel reading a device global: y[i] = weights[i & 7] * x[i].
+CompiledProgram buildGscaleProgram(Context &Ctx) {
+  Module M(Ctx, "pool_globals_app");
+  IRBuilder B(Ctx);
+  Type *F64 = Ctx.getF64Ty();
+  M.createGlobal("weights", F64, 8);
+  Function *K = M.createFunction(
+      "gscale", Ctx.getVoidTy(),
+      {Ctx.getPtrTy(), Ctx.getPtrTy(), Ctx.getI32Ty()}, {"x", "y", "n"},
+      FunctionKind::Kernel);
+  K->setJitAnnotation(JitAnnotation{{3}});
+  BasicBlock *Entry = K->createBlock("entry", Ctx.getVoidTy());
+  BasicBlock *Then = K->createBlock("then", Ctx.getVoidTy());
+  BasicBlock *Exit = K->createBlock("exit", Ctx.getVoidTy());
+  B.setInsertPoint(Entry);
+  Value *Gtid = B.createGlobalThreadIdX();
+  B.createCondBr(B.createICmp(ICmpPred::SLT, Gtid, K->getArg(2)), Then, Exit);
+  B.setInsertPoint(Then);
+  Value *Idx = B.createAnd(Gtid, B.getInt32(7), "widx");
+  Value *W =
+      B.createLoad(F64, B.createGep(F64, M.getGlobal("weights"), Idx), "w");
+  Value *Xv =
+      B.createLoad(F64, B.createGep(F64, K->getArg(0), Gtid), "xv");
+  B.createStore(B.createFMul(W, Xv), B.createGep(F64, K->getArg(1), Gtid));
+  B.createBr(Exit);
+  B.setInsertPoint(Exit);
+  B.createRet();
+  expectValid(M);
+  AotOptions AO;
+  AO.Arch = GpuArch::AmdGcnSim;
+  AO.EnableProteusExtensions = true;
+  return aotCompile(M, AO);
+}
+
+TEST(LateAttachTest, LateAttachedDeviceReusesGlobalFreeObject) {
   const std::vector<uint8_t> Expected = baselineBytes(2);
 
   // Single-device start: objects bake resolved global addresses into the
-  // IR (symbolicGlobals off) and carry that linkage-mode fingerprint.
+  // IR (symbolicGlobals off). daxpy references no device global, so its
+  // object is the same in either linkage mode.
   Context Ctx;
   Module M(Ctx, "late_app");
   buildDaxpyKernel(M);
@@ -276,10 +311,9 @@ TEST(LateAttachTest, LateAttachedDeviceForcesLinkageModeRecompile) {
         << Err;
   EXPECT_EQ(Jit.stats().Compilations, 1u);
 
-  // Attaching the second device flips the pool into symbolic-globals mode:
-  // the cached single-device object's fingerprint no longer matches, so
-  // the late device's first launch must recompile rather than be served
-  // the stale object — even though arch and specialization hash match.
+  // Attaching the second device flips the pool into symbolic-globals mode,
+  // which leaves a global-free kernel's fingerprint alone: the late
+  // device's first launch is served the cached object.
   ASSERT_EQ(Jit.attachDevice(Late), 1u);
   ASSERT_TRUE(Late.claimRange(X, N * 8));
   ASSERT_TRUE(Late.claimRange(Y, N * 8));
@@ -291,47 +325,82 @@ TEST(LateAttachTest, LateAttachedDeviceForcesLinkageModeRecompile) {
               GpuError::Success)
         << Err;
   Jit.drain();
-  EXPECT_EQ(Jit.stats().Compilations, 2u)
-      << "stale linkage-mode object must not be served";
+  EXPECT_EQ(Jit.stats().Compilations, 1u)
+      << "a global-free object is the same in both linkage modes";
   std::vector<uint8_t> Got(N * 8);
   gpuMemcpyDtoH(Late, Got.data(), Y, N * 8);
   EXPECT_EQ(Got, Expected);
 }
 
-TEST(PoolGlobalsTest, SymbolicGlobalsResolveAgainstEachDevicesBinding) {
-  // A kernel reading a device global: y[i] = weights[i & 7] * x[i].
+TEST(LateAttachTest, LateAttachedDeviceForcesLinkageModeRecompile) {
+  // gscale reads the device global `weights`: the single-device object
+  // bakes device A's address into the IR, so the late device must get a
+  // symbolic object that its load resolves against its own binding.
   Context Ctx;
-  Module M(Ctx, "pool_globals_app");
-  IRBuilder B(Ctx);
-  Type *F64 = Ctx.getF64Ty();
-  M.createGlobal("weights", F64, 8);
-  Function *K = M.createFunction(
-      "gscale", Ctx.getVoidTy(),
-      {Ctx.getPtrTy(), Ctx.getPtrTy(), Ctx.getI32Ty()}, {"x", "y", "n"},
-      FunctionKind::Kernel);
-  K->setJitAnnotation(JitAnnotation{{3}});
-  BasicBlock *Entry = K->createBlock("entry", Ctx.getVoidTy());
-  BasicBlock *Then = K->createBlock("then", Ctx.getVoidTy());
-  BasicBlock *Exit = K->createBlock("exit", Ctx.getVoidTy());
-  B.setInsertPoint(Entry);
-  Value *Gtid = B.createGlobalThreadIdX();
-  B.createCondBr(B.createICmp(ICmpPred::SLT, Gtid, K->getArg(2)), Then, Exit);
-  B.setInsertPoint(Then);
-  Value *Idx = B.createAnd(Gtid, B.getInt32(7), "widx");
-  Value *W =
-      B.createLoad(F64, B.createGep(F64, M.getGlobal("weights"), Idx), "w");
-  Value *Xv =
-      B.createLoad(F64, B.createGep(F64, K->getArg(0), Gtid), "xv");
-  B.createStore(B.createFMul(W, Xv), B.createGep(F64, K->getArg(1), Gtid));
-  B.createBr(Exit);
-  B.setInsertPoint(Exit);
-  B.createRet();
-  expectValid(M);
+  CompiledProgram Prog = buildGscaleProgram(Ctx);
+  Device A(getTarget(GpuArch::AmdGcnSim), 1ull << 22);
+  Device Late(getTarget(GpuArch::AmdGcnSim), 1ull << 22);
+  Late.setOrdinal(1);
+  JitConfig JC;
+  JC.UsePersistentCache = false;
+  JitRuntime Jit(A, Prog.ModuleId, JC);
+  LoadedProgram LP(A, Prog, &Jit);
+  ASSERT_TRUE(LP.ok()) << LP.error();
 
-  AotOptions AO;
-  AO.Arch = GpuArch::AmdGcnSim;
-  AO.EnableProteusExtensions = true;
-  CompiledProgram Prog = aotCompile(M, AO);
+  std::vector<double> HX(N), HWA, HWLate;
+  for (uint32_t I = 0; I != N; ++I)
+    HX[I] = 0.25 * I - 3.0;
+  for (uint32_t I = 0; I != 8; ++I) {
+    HWA.push_back(1.5 + 0.5 * I);
+    HWLate.push_back(11.5 + 0.5 * I);
+  }
+  DevicePtr X = 0, Y = 0;
+  ASSERT_EQ(gpuMalloc(A, &X, N * 8), GpuError::Success);
+  ASSERT_EQ(gpuMalloc(A, &Y, N * 8), GpuError::Success);
+  gpuMemcpyHtoD(A, X, HX.data(), N * 8);
+  DevicePtr WA = A.getSymbolAddress("weights");
+  ASSERT_NE(WA, 0u) << "program load must bind the global";
+  gpuMemcpyHtoD(A, WA, HWA.data(), 8 * 8);
+
+  std::vector<KernelArg> Args = {{X}, {Y}, {N}};
+  std::string Err;
+  for (unsigned I = 0; I != 2; ++I)
+    ASSERT_EQ(Jit.launchKernel("gscale", Dim3{2, 1, 1}, Dim3{32, 1, 1}, Args,
+                               &Err),
+              GpuError::Success)
+        << Err;
+  EXPECT_EQ(Jit.stats().Compilations, 1u);
+
+  ASSERT_EQ(Jit.attachDevice(Late), 1u);
+  ASSERT_TRUE(Late.claimRange(X, N * 8));
+  ASSERT_TRUE(Late.claimRange(Y, N * 8));
+  gpuMemcpyHtoD(Late, X, HX.data(), N * 8);
+  // The late device binds its own weights, after a pad so the address
+  // differs from device A's.
+  DevicePtr Pad = 0;
+  ASSERT_EQ(gpuMalloc(Late, &Pad, 256), GpuError::Success);
+  std::vector<uint8_t> Bytes(8 * 8);
+  std::memcpy(Bytes.data(), HWLate.data(), Bytes.size());
+  DevicePtr WLate = Late.registerGlobal("weights", Bytes.size(), Bytes);
+  ASSERT_NE(WLate, 0u);
+  ASSERT_NE(WLate, WA) << "the bindings must differ to tell them apart";
+  for (unsigned I = 0; I != 2; ++I)
+    ASSERT_EQ(Jit.launchKernelOn(1, "gscale", Dim3{2, 1, 1}, Dim3{32, 1, 1},
+                                 Args, nullptr, &Err),
+              GpuError::Success)
+        << Err;
+  Jit.drain();
+  EXPECT_EQ(Jit.stats().Compilations, 2u)
+      << "stale linkage-mode object must not be served";
+  std::vector<double> Got(N);
+  gpuMemcpyDtoH(Late, Got.data(), Y, N * 8);
+  for (uint32_t I = 0; I != N; ++I)
+    ASSERT_EQ(Got[I], HWLate[I & 7] * HX[I]) << "element " << I;
+}
+
+TEST(PoolGlobalsTest, SymbolicGlobalsResolveAgainstEachDevicesBinding) {
+  Context Ctx;
+  CompiledProgram Prog = buildGscaleProgram(Ctx);
 
   // Two amd devices share one compiled object and the nv device gets its
   // own; in a pool every object links globals symbolically, so each

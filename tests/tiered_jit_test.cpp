@@ -834,7 +834,6 @@ TEST(CompileServiceTest, ServableFollowsOneRule) {
                        " entry=" + std::to_string(int(Entry)) +
                        " fingerprint=" + std::to_string(int(Fp)) +
                        " wanted=" + std::to_string(int(Wanted)));
-          Service.setSymbolicGlobals(Symbolic);
           const CodeTier FpTier =
               Fp == OtherTier ? (Entry == CodeTier::Final ? CodeTier::Tier0
                                                           : CodeTier::Final)
@@ -845,7 +844,8 @@ TEST(CompileServiceTest, ServableFollowsOneRule) {
                        jitPipelineFingerprint(FpTier, FpSymbolic));
           const bool Expect = Fp == Current && (Wanted == CodeTier::Tier0 ||
                                                 Entry == CodeTier::Final);
-          std::optional<CachedCode> CC = Service.servable(Hash, Wanted);
+          std::optional<CachedCode> CC =
+              Service.servable(Hash, Wanted, Symbolic);
           ASSERT_EQ(CC.has_value(), Expect);
           if (CC) {
             EXPECT_EQ(CC->Tier, Entry);
@@ -854,7 +854,8 @@ TEST(CompileServiceTest, ServableFollowsOneRule) {
           }
         }
   EXPECT_EQ(Served, 6u) << "2 linkages x (Tier-0 for Tier-0, Final for both)";
-  EXPECT_FALSE(Service.servable(9999, CodeTier::Tier0)) << "absent entry";
+  EXPECT_FALSE(Service.servable(9999, CodeTier::Tier0, false))
+      << "absent entry";
 }
 
 } // namespace
