@@ -6,9 +6,11 @@
 //
 // google-benchmark micro-benchmarks of the individual stages a Proteus
 // cache miss pays — bitcode parse, global linking + specialization, the O3
-// pipeline, backend code generation (with and without the PTX detour) —
-// alongside the stages Jitify pays instead (full source parse including its
-// header library). These are the mechanism behind Figures 4-6.
+// pipeline, backend code generation (with and without the PTX detour) and
+// the backend's own stages on SW4CK kernel4 (PTX emit, PTX assemble,
+// register allocation full and Fast, object write) — alongside the stages
+// Jitify pays instead (full source parse including its header library).
+// These are the mechanism behind Figures 4-6.
 //
 // The binary also measures the tiered-JIT cold start (PROTEUS_TIER): the
 // launch-visible compile cost of a cold run with tiering off (full pipeline
@@ -23,6 +25,8 @@
 
 #include "bitcode/Bitcode.h"
 #include "codegen/Compiler.h"
+#include "codegen/ISel.h"
+#include "codegen/Ptx.h"
 #include "hecbench/Benchmark.h"
 #include "ir/Context.h"
 #include "ir/IRParser.h"
@@ -134,6 +138,77 @@ void BM_BackendNvidiaWithPtxStep(benchmark::State &State) {
   }
 }
 BENCHMARK(BM_BackendNvidiaWithPtxStep);
+
+/// SW4CK kernel4 after O3 and ISel (virtual registers): the largest
+/// HeCBench-sim kernel, and the input of the per-stage backend benchmarks
+/// below.
+const mcode::MachineFunction &sw4ckKernel4() {
+  static const mcode::MachineFunction &MF = *[] {
+    pir::Context Ctx;
+    auto M = hecbench::makeSw4ckBenchmark()->buildModule(Ctx);
+    runO3(*M);
+    return new mcode::MachineFunction(
+        selectInstructions(*M->getFunction("kernel4")));
+  }();
+  return MF;
+}
+
+void BM_PtxEmit(benchmark::State &State) {
+  const mcode::MachineFunction &MF = sw4ckKernel4();
+  std::string Text;
+  for (auto _ : State) {
+    printPtx(MF, Text);
+    benchmark::DoNotOptimize(Text.data());
+    benchmark::ClobberMemory();
+  }
+  State.SetBytesProcessed(static_cast<int64_t>(State.iterations()) *
+                          static_cast<int64_t>(Text.size()));
+}
+BENCHMARK(BM_PtxEmit);
+
+void BM_PtxAssemble(benchmark::State &State) {
+  const std::string Text = printPtx(sw4ckKernel4());
+  for (auto _ : State) {
+    PtxAssembleResult R = assemblePtx(Text);
+    benchmark::DoNotOptimize(R.MF.Blocks.data());
+  }
+  State.SetBytesProcessed(static_cast<int64_t>(State.iterations()) *
+                          static_cast<int64_t>(Text.size()));
+}
+BENCHMARK(BM_PtxAssemble);
+
+/// Allocates a fresh copy of kernel4 per iteration (the copy is untimed)
+/// under nvptx-sim's default budget; Arg 1 is the Tier-0 Fast scan.
+void BM_RegAlloc(benchmark::State &State) {
+  const mcode::MachineFunction &Src = sw4ckKernel4();
+  RegAllocOptions Opts;
+  Opts.Fast = State.range(0) != 0;
+  unsigned Budget = getNvPtxSimTarget().registerBudget(std::nullopt);
+  for (auto _ : State) {
+    State.PauseTiming();
+    mcode::MachineFunction MF = Src;
+    State.ResumeTiming();
+    RegAllocResult R = allocateRegisters(MF, Budget, Opts);
+    benchmark::DoNotOptimize(R);
+  }
+}
+BENCHMARK(BM_RegAlloc)->ArgName("fast")->Arg(0)->Arg(1);
+
+void BM_WriteObject(benchmark::State &State) {
+  mcode::MachineFunction MF = sw4ckKernel4();
+  const TargetInfo &Target = getNvPtxSimTarget();
+  allocateRegisters(MF, Target.registerBudget(std::nullopt));
+  size_t Bytes = 0;
+  for (auto _ : State) {
+    std::vector<uint8_t> Obj = writeObject(MF, Target.Arch);
+    Bytes = Obj.size();
+    benchmark::DoNotOptimize(Obj.data());
+    benchmark::ClobberMemory();
+  }
+  State.SetBytesProcessed(static_cast<int64_t>(State.iterations()) *
+                          static_cast<int64_t>(Bytes));
+}
+BENCHMARK(BM_WriteObject);
 
 void BM_CacheHashAndMemoryLookup(benchmark::State &State) {
   CodeCache Cache(true, false, "");

@@ -33,11 +33,13 @@ MachineFunction proteus::compileKernel(pir::Function &F,
   if (Target.EmitsPtx) {
     // NVIDIA path: print PTX-like text and re-assemble it — the extra step
     // the real toolchain performs in ptxas / nvPTXCompilerCompile.
+    // The text buffer is per thread and reused across compiles.
+    thread_local std::string Ptx;
     T.reset();
-    std::string Ptx = [&] {
+    {
       trace::Span Sp("backend.ptx_emit", "backend");
-      return printPtx(MF);
-    }();
+      printPtx(MF, Ptx);
+    }
     S.PtxEmitSeconds = T.seconds();
     T.reset();
     PtxAssembleResult Asm = [&] {

@@ -18,7 +18,18 @@ constexpr uint32_t ObjVersion = 1;
 
 std::vector<uint8_t> proteus::writeObject(const MachineFunction &MF,
                                           GpuArch Arch) {
+  // The exact object size, field by field as written below: the header
+  // (magic, version, arch, name, five u32 fields, allocated flag), then
+  // the counted parameters (9 bytes each), relocations and blocks (34
+  // bytes per instruction). The writer fills one buffer of that size.
+  size_t Size = 4 + 4 + 1 + 4 + MF.Name.size() + 5 * 4 + 1 + 4 +
+                9 * MF.Params.size() + 4 + 4;
+  for (const Relocation &R : MF.Relocs)
+    Size += 4 + 4 + 4 + R.Symbol.size();
+  for (const MachineBlock &MB : MF.Blocks)
+    Size += 4 + MB.Name.size() + 4 + 34 * MB.Instrs.size();
   ByteWriter W;
+  W.reserve(Size);
   W.writeU32(ObjMagic);
   W.writeU32(ObjVersion);
   W.writeU8(static_cast<uint8_t>(Arch));

@@ -24,6 +24,11 @@
 
 namespace proteus {
 
+/// Renders pre-allocation machine IR as PTX-like text into \p Out,
+/// replacing its contents; a caller that keeps \p Out across calls reuses
+/// its storage.
+void printPtx(const mcode::MachineFunction &MF, std::string &Out);
+
 /// Renders pre-allocation machine IR as PTX-like text.
 std::string printPtx(const mcode::MachineFunction &MF);
 
@@ -34,8 +39,14 @@ struct PtxAssembleResult {
   std::string Error;
 };
 
-/// Parses PTX-like text back into machine IR. Tolerates only text produced
-/// by printPtx; malformed input yields an error result.
+/// Parses PTX-like text back into machine IR. Accepts the line forms
+/// printPtx produces; any other line is malformed and yields an error
+/// result. Number tokens follow the base-10 rules of strtoul (registers,
+/// Aux, directives, labels), strtoll (Imm) and strtol (Imm2), read in
+/// place: leading whitespace is skipped, one '+' or '-' is accepted (an
+/// unsigned field negates modulo 2^64), reading stops at the first
+/// non-digit, a token without digits reads as 0, and overflow saturates.
+/// Each field then narrows the value to its own width.
 PtxAssembleResult assemblePtx(const std::string &Text);
 
 } // namespace proteus

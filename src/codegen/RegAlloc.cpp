@@ -16,7 +16,7 @@
 #include "support/Error.h"
 
 #include <algorithm>
-#include <functional>
+#include <utility>
 #include <vector>
 
 using namespace proteus;
@@ -24,42 +24,33 @@ using namespace proteus::mcode;
 
 namespace {
 
-/// Dense bitset over virtual registers.
-class RegSet {
+/// Rows of dense bitsets over virtual registers, one row per block, in
+/// one allocation.
+class BlockRegSets {
 public:
-  explicit RegSet(size_t N) : Words((N + 63) / 64, 0) {}
+  BlockRegSets(size_t NumBlocks, size_t NumRegs)
+      : Stride((NumRegs + 63) / 64), Words(NumBlocks * Stride, 0) {}
 
-  bool test(Reg R) const { return Words[R >> 6] >> (R & 63) & 1; }
-  void set(Reg R) { Words[R >> 6] |= 1ULL << (R & 63); }
-  void reset(Reg R) { Words[R >> 6] &= ~(1ULL << (R & 63)); }
+  size_t stride() const { return Stride; }
+  uint64_t *row(size_t B) { return Words.data() + B * Stride; }
+  const uint64_t *row(size_t B) const { return Words.data() + B * Stride; }
 
-  /// this |= O; returns true if anything changed.
-  bool unionWith(const RegSet &O) {
-    bool Changed = false;
-    for (size_t I = 0; I != Words.size(); ++I) {
-      uint64_t New = Words[I] | O.Words[I];
-      Changed |= New != Words[I];
-      Words[I] = New;
-    }
-    return Changed;
-  }
-
-  template <typename Fn> void forEach(Fn F) const {
-    for (size_t I = 0; I != Words.size(); ++I) {
-      uint64_t W = Words[I];
-      while (W) {
-        unsigned B = static_cast<unsigned>(__builtin_ctzll(W));
-        F(static_cast<Reg>(I * 64 + B));
-        W &= W - 1;
-      }
-    }
+  template <typename Fn> void forEach(size_t B, Fn F) const {
+    const uint64_t *Row = row(B);
+    for (size_t I = 0; I != Stride; ++I)
+      for (uint64_t W = Row[I]; W; W &= W - 1)
+        F(static_cast<Reg>(I * 64 + static_cast<unsigned>(__builtin_ctzll(W))));
   }
 
 private:
+  size_t Stride;
   std::vector<uint64_t> Words;
 };
 
-void forEachUse(const MachineInstr &MI, const std::function<void(Reg)> &F) {
+void setBit(uint64_t *Row, Reg R) { Row[R >> 6] |= 1ULL << (R & 63); }
+void resetBit(uint64_t *Row, Reg R) { Row[R >> 6] &= ~(1ULL << (R & 63)); }
+
+template <typename Fn> void forEachUse(const MachineInstr &MI, Fn &&F) {
   if (MI.Src1 != NoReg)
     F(MI.Src1);
   if (MI.Src2 != NoReg)
@@ -90,13 +81,13 @@ RegAllocResult proteus::allocateRegisters(MachineFunction &MF,
   const size_t NumBlocks = MF.Blocks.size();
 
   // --- Global instruction numbering --------------------------------------
-  std::vector<uint32_t> BlockStart(NumBlocks), BlockEnd(NumBlocks);
+  std::vector<uint32_t> BlockStart(NumBlocks + 1);
   uint32_t Pos = 0;
   for (size_t B = 0; B != NumBlocks; ++B) {
     BlockStart[B] = Pos;
     Pos += static_cast<uint32_t>(MF.Blocks[B].Instrs.size());
-    BlockEnd[B] = Pos;
   }
+  BlockStart[NumBlocks] = Pos;
 
   // --- Live intervals ------------------------------------------------------
   constexpr uint32_t NoPos = ~0u;
@@ -117,22 +108,19 @@ RegAllocResult proteus::allocateRegisters(MachineFunction &MF,
     // registers than the full liveness fixpoint.
     const uint32_t LastPos = Pos == 0 ? 0 : Pos - 1;
     std::vector<uint32_t> FirstBlock(NumVRegs, NoPos);
-    std::vector<bool> CrossBlock(NumVRegs, false);
-    std::vector<bool> FirstIsDef(NumVRegs, false);
+    std::vector<uint8_t> CrossBlock(NumVRegs, 0), FirstIsDef(NumVRegs, 0);
     auto reference = [&](Reg R, uint32_t B, uint32_t P, bool IsDef) {
       if (FirstBlock[R] == NoPos) {
         FirstBlock[R] = B;
         FirstIsDef[R] = IsDef;
       } else if (FirstBlock[R] != B) {
-        CrossBlock[R] = true;
+        CrossBlock[R] = 1;
       }
       extend(R, P);
     };
     for (size_t B = 0; B != NumBlocks; ++B) {
-      const auto &Instrs = MF.Blocks[B].Instrs;
-      for (size_t I = 0; I != Instrs.size(); ++I) {
-        uint32_t P = BlockStart[B] + static_cast<uint32_t>(I);
-        const MachineInstr &MI = Instrs[I];
+      uint32_t P = BlockStart[B];
+      for (const MachineInstr &MI : MF.Blocks[B].Instrs) {
         // Uses before the def: a reg both read and written by one
         // instruction is first referenced as a use.
         forEachUse(MI, [&](Reg R) {
@@ -140,6 +128,7 @@ RegAllocResult proteus::allocateRegisters(MachineFunction &MF,
         });
         if (MI.Dst != NoReg)
           reference(MI.Dst, static_cast<uint32_t>(B), P, true);
+        ++P;
       }
     }
     for (Reg R = 0; R != NumVRegs; ++R)
@@ -148,57 +137,67 @@ RegAllocResult proteus::allocateRegisters(MachineFunction &MF,
         IvEnd[R] = LastPos;
       }
   } else {
-    // --- Successor map ----------------------------------------------------
-    std::vector<std::vector<uint32_t>> Succs(NumBlocks);
+    // --- Liveness ----------------------------------------------------------
+    // One walk per block computes its upward-exposed uses (Gen) and its
+    // defs (Kill), and records each reference's position; the fixpoint
+    // then iterates In = Gen | (Out & ~Kill) over bitsets alone.
+    BlockRegSets Gen(NumBlocks, NumVRegs), Kill(NumBlocks, NumVRegs);
+    std::vector<uint32_t> Succs(2 * NumBlocks);
+    std::vector<uint8_t> NumSuccs(NumBlocks, 0);
     for (size_t B = 0; B != NumBlocks; ++B) {
-      if (MF.Blocks[B].Instrs.empty())
+      const auto &Instrs = MF.Blocks[B].Instrs;
+      uint64_t *G = Gen.row(B), *K = Kill.row(B);
+      for (size_t I = Instrs.size(); I-- > 0;) {
+        const MachineInstr &MI = Instrs[I];
+        uint32_t P = BlockStart[B] + static_cast<uint32_t>(I);
+        if (MI.Dst != NoReg) {
+          setBit(K, MI.Dst);
+          resetBit(G, MI.Dst);
+          extend(MI.Dst, P);
+        }
+        forEachUse(MI, [&](Reg R) {
+          setBit(G, R);
+          extend(R, P);
+        });
+      }
+      if (Instrs.empty())
         continue;
-      const MachineInstr &Term = MF.Blocks[B].Instrs.back();
-      if (Term.Op == MOp::Br)
-        Succs[B].push_back(static_cast<uint32_t>(Term.Imm));
-      else if (Term.Op == MOp::CondBr) {
-        Succs[B].push_back(static_cast<uint32_t>(Term.Imm));
-        Succs[B].push_back(static_cast<uint32_t>(Term.Imm2));
+      const MachineInstr &Term = Instrs.back();
+      if (Term.Op == MOp::Br) {
+        Succs[2 * B] = static_cast<uint32_t>(Term.Imm);
+        NumSuccs[B] = 1;
+      } else if (Term.Op == MOp::CondBr) {
+        Succs[2 * B] = static_cast<uint32_t>(Term.Imm);
+        Succs[2 * B + 1] = static_cast<uint32_t>(Term.Imm2);
+        NumSuccs[B] = 2;
       }
     }
 
-    // --- Liveness ----------------------------------------------------------
-    std::vector<RegSet> LiveIn(NumBlocks, RegSet(NumVRegs));
-    std::vector<RegSet> LiveOut(NumBlocks, RegSet(NumVRegs));
+    BlockRegSets LiveIn(NumBlocks, NumVRegs), LiveOut(NumBlocks, NumVRegs);
+    const size_t W = LiveIn.stride();
     bool Changed = true;
     while (Changed) {
       Changed = false;
       for (size_t B = NumBlocks; B-- > 0;) {
-        RegSet Out(NumVRegs);
-        for (uint32_t S : Succs[B])
-          Out.unionWith(LiveIn[S]);
-        Changed |= LiveOut[B].unionWith(Out);
-        // In = (Out - defs) + uses, computed backward through the block.
-        RegSet In = LiveOut[B];
-        const auto &Instrs = MF.Blocks[B].Instrs;
-        for (size_t I = Instrs.size(); I-- > 0;) {
-          const MachineInstr &MI = Instrs[I];
-          if (MI.Dst != NoReg)
-            In.reset(MI.Dst);
-          forEachUse(MI, [&](Reg R) { In.set(R); });
+        uint64_t *Out = LiveOut.row(B), *In = LiveIn.row(B);
+        const uint64_t *G = Gen.row(B), *K = Kill.row(B);
+        for (size_t S = 0; S != NumSuccs[B]; ++S) {
+          const uint64_t *SuccIn = LiveIn.row(Succs[2 * B + S]);
+          for (size_t I = 0; I != W; ++I)
+            Out[I] |= SuccIn[I];
         }
-        Changed |= LiveIn[B].unionWith(In);
+        for (size_t I = 0; I != W; ++I) {
+          uint64_t New = In[I] | G[I] | (Out[I] & ~K[I]);
+          Changed |= New != In[I];
+          In[I] = New;
+        }
       }
     }
 
     for (size_t B = 0; B != NumBlocks; ++B) {
-      const auto &Instrs = MF.Blocks[B].Instrs;
-      LiveIn[B].forEach([&](Reg R) { extend(R, BlockStart[B]); });
-      LiveOut[B].forEach([&](Reg R) {
-        extend(R, BlockEnd[B] == 0 ? 0 : BlockEnd[B] - 1);
-      });
-      for (size_t I = 0; I != Instrs.size(); ++I) {
-        uint32_t P = BlockStart[B] + static_cast<uint32_t>(I);
-        const MachineInstr &MI = Instrs[I];
-        if (MI.Dst != NoReg)
-          extend(MI.Dst, P);
-        forEachUse(MI, [&](Reg R) { extend(R, P); });
-      }
+      LiveIn.forEach(B, [&](Reg R) { extend(R, BlockStart[B]); });
+      uint32_t Last = BlockStart[B + 1] == 0 ? 0 : BlockStart[B + 1] - 1;
+      LiveOut.forEach(B, [&](Reg R) { extend(R, Last); });
     }
   }
 
@@ -208,15 +207,21 @@ RegAllocResult proteus::allocateRegisters(MachineFunction &MF,
     if (IvStart[P.ArgReg] != NoPos)
       IvStart[P.ArgReg] = 0;
 
-  std::vector<Interval> Intervals;
+  // Intervals in (Start, VReg) order: a counting sort on Start, filled in
+  // increasing VReg order.
+  std::vector<uint32_t> StartCount(Pos + 1, 0);
+  size_t NumIntervals = 0;
+  for (Reg R = 0; R != NumVRegs; ++R)
+    if (IvStart[R] != NoPos) {
+      ++StartCount[IvStart[R]];
+      ++NumIntervals;
+    }
+  for (uint32_t P = 0, Sum = 0; P != Pos + 1; ++P)
+    Sum += std::exchange(StartCount[P], Sum);
+  std::vector<Interval> Intervals(NumIntervals);
   for (Reg R = 0; R != NumVRegs; ++R)
     if (IvStart[R] != NoPos)
-      Intervals.push_back(Interval{R, IvStart[R], IvEnd[R]});
-  std::sort(Intervals.begin(), Intervals.end(),
-            [](const Interval &A, const Interval &B) {
-              return A.Start < B.Start ||
-                     (A.Start == B.Start && A.VReg < B.VReg);
-            });
+      Intervals[StartCount[IvStart[R]]++] = Interval{R, IvStart[R], IvEnd[R]};
 
   // --- Rematerialization table -------------------------------------------
   // Values defined exactly once by an immediate move are never reloaded
@@ -224,7 +229,7 @@ RegAllocResult proteus::allocateRegisters(MachineFunction &MF,
   // and their defs need no spill store — like LLVM's remat of constants.
   std::vector<int8_t> DefCount(NumVRegs, 0);
   std::vector<int64_t> RematImm(NumVRegs, 0);
-  std::vector<bool> Remat(NumVRegs, false);
+  std::vector<uint8_t> Remat(NumVRegs, 0);
   // Fast (Tier-0) mode skips rematerialization entirely: every spill gets a
   // scratch slot and a plain reload, saving the def-count and relocation
   // scans on the launch-visible path.
@@ -235,14 +240,14 @@ RegAllocResult proteus::allocateRegisters(MachineFunction &MF,
           ++DefCount[MI.Dst];
           if (MI.Op == MOp::MovImm) {
             RematImm[MI.Dst] = MI.Imm;
-            Remat[MI.Dst] = true;
+            Remat[MI.Dst] = 1;
           } else {
-            Remat[MI.Dst] = false;
+            Remat[MI.Dst] = 0;
           }
         }
     for (Reg R = 0; R != NumVRegs; ++R)
       if (DefCount[R] > 1)
-        Remat[R] = false;
+        Remat[R] = 0;
 
     // A MovImm whose payload is patched by a relocation (device global
     // address) must stay in place: its uses cannot re-emit the immediate.
@@ -252,7 +257,7 @@ RegAllocResult proteus::allocateRegisters(MachineFunction &MF,
         continue;
       const MachineInstr &MI = MF.Blocks[Rel.Block].Instrs[Rel.InstrIndex];
       if (MI.Dst != NoReg)
-        Remat[MI.Dst] = false;
+        Remat[MI.Dst] = 0;
     }
   }
 
@@ -260,41 +265,45 @@ RegAllocResult proteus::allocateRegisters(MachineFunction &MF,
   RegAllocResult Result;
   std::vector<Reg> Assignment(NumVRegs, NoReg); // physical reg or NoReg
   std::vector<int32_t> SpillSlot(NumVRegs, -1);
-  std::vector<bool> FreePhys(NumAllocatable, true);
-  // Active intervals sorted by increasing end.
+  // Free physical registers, one bit each; the lowest set bit is the
+  // register the scan takes.
+  std::vector<uint64_t> FreePhys((NumAllocatable + 63) / 64, ~0ULL);
+  if (NumAllocatable % 64)
+    FreePhys.back() = (1ULL << (NumAllocatable % 64)) - 1;
+  auto takeLowestFree = [&]() -> Reg {
+    for (size_t I = 0; I != FreePhys.size(); ++I)
+      if (uint64_t W = FreePhys[I]) {
+        FreePhys[I] = W & (W - 1);
+        return static_cast<Reg>(I * 64 +
+                                static_cast<unsigned>(__builtin_ctzll(W)));
+      }
+    return NoReg;
+  };
+  // Active intervals sorted by increasing end; a new interval goes after
+  // those with an equal end.
   std::vector<Interval> Active;
+  auto activate = [&](const Interval &Iv) {
+    auto It = std::upper_bound(
+        Active.begin(), Active.end(), Iv,
+        [](const Interval &A, const Interval &B) { return A.End < B.End; });
+    Active.insert(It, Iv);
+  };
   uint32_t MaxPhysUsed = 0;
   uint32_t NextSlot = 0;
 
-  auto expireBefore = [&](uint32_t Start) {
-    size_t Keep = 0;
-    for (size_t I = 0; I != Active.size(); ++I) {
-      if (Active[I].End >= Start) {
-        Active[Keep++] = Active[I];
-      } else {
-        FreePhys[Assignment[Active[I].VReg]] = true;
-      }
-    }
-    Active.resize(Keep);
-  };
-
   for (const Interval &Iv : Intervals) {
-    expireBefore(Iv.Start);
-    // Find a free physical register.
-    Reg Phys = NoReg;
-    for (unsigned P = 0; P != NumAllocatable; ++P)
-      if (FreePhys[P]) {
-        Phys = P;
-        break;
-      }
+    // The intervals that ended before this one starts are a prefix.
+    auto Live = Active.begin();
+    for (; Live != Active.end() && Live->End < Iv.Start; ++Live) {
+      Reg Phys = Assignment[Live->VReg];
+      FreePhys[Phys >> 6] |= 1ULL << (Phys & 63);
+    }
+    Active.erase(Active.begin(), Live);
+    Reg Phys = takeLowestFree();
     if (Phys != NoReg) {
-      FreePhys[Phys] = false;
       Assignment[Iv.VReg] = Phys;
       MaxPhysUsed = std::max(MaxPhysUsed, Phys + 1);
-      auto It = std::upper_bound(
-          Active.begin(), Active.end(), Iv,
-          [](const Interval &A, const Interval &B) { return A.End < B.End; });
-      Active.insert(It, Iv);
+      activate(Iv);
       continue;
     }
     // Spill: the active interval with the furthest end, or this one.
@@ -308,10 +317,7 @@ RegAllocResult proteus::allocateRegisters(MachineFunction &MF,
       Assignment[Victim.VReg] = NoReg;
       if (!Remat[Victim.VReg])
         SpillSlot[Victim.VReg] = static_cast<int32_t>(NextSlot++);
-      auto It = std::upper_bound(
-          Active.begin(), Active.end(), Iv,
-          [](const Interval &A, const Interval &B) { return A.End < B.End; });
-      Active.insert(It, Iv);
+      activate(Iv);
     } else if (!Remat[Iv.VReg]) {
       SpillSlot[Iv.VReg] = static_cast<int32_t>(NextSlot++);
     }
@@ -321,18 +327,20 @@ RegAllocResult proteus::allocateRegisters(MachineFunction &MF,
   // --- Rewrite ---------------------------------------------------------------
   const Reg Temp0 = NumAllocatable;
   // Spill code shifts instruction positions; relocations index into blocks,
-  // so track the old->new index mapping per block.
-  std::vector<std::vector<uint32_t>> IndexMaps(NumBlocks);
+  // so a function with relocations records each instruction's new index.
+  const bool TrackIndices = !MF.Relocs.empty();
+  std::vector<uint32_t> NewIndex(TrackIndices ? Pos : 0);
+  // Each block is rewritten into this buffer and swapped in; the block's
+  // old storage becomes the buffer for the next one.
+  std::vector<MachineInstr> NewInstrs;
   for (size_t B = 0; B != NumBlocks; ++B) {
-    std::vector<MachineInstr> NewInstrs;
-    NewInstrs.reserve(MF.Blocks[B].Instrs.size());
-    IndexMaps[B].reserve(MF.Blocks[B].Instrs.size());
-    for (MachineInstr MI : MF.Blocks[B].Instrs) {
-      IndexMaps[B].push_back(~0u); // patched below once MI is placed
-      Reg Temps[3];
+    std::vector<MachineInstr> &Instrs = MF.Blocks[B].Instrs;
+    NewInstrs.clear();
+    NewInstrs.reserve(Instrs.size());
+    for (size_t I = 0; I != Instrs.size(); ++I) {
+      MachineInstr MI = Instrs[I];
       unsigned TempCount = 0;
       Reg SpilledSrc[3] = {NoReg, NoReg, NoReg};
-      Reg SrcTemp[3] = {NoReg, NoReg, NoReg};
       auto mapSrc = [&](Reg &Src, bool SrcUniform) {
         if (Src == NoReg)
           return;
@@ -344,7 +352,7 @@ RegAllocResult proteus::allocateRegisters(MachineFunction &MF,
         // if the same vreg is already loaded for this instruction.
         for (unsigned K = 0; K != TempCount; ++K)
           if (SpilledSrc[K] == Src) {
-            Src = SrcTemp[K];
+            Src = Temp0 + K;
             return;
           }
         Reg T = Temp0 + TempCount;
@@ -362,11 +370,7 @@ RegAllocResult proteus::allocateRegisters(MachineFunction &MF,
           ++Result.SpillLoads;
         }
         NewInstrs.push_back(Ld);
-        SpilledSrc[TempCount] = Src;
-        SrcTemp[TempCount] = T;
-        Temps[TempCount] = T;
-        (void)Temps;
-        ++TempCount;
+        SpilledSrc[TempCount++] = Src;
         Src = T;
       };
       mapSrc(MI.Src1, MI.Uniform);
@@ -380,7 +384,9 @@ RegAllocResult proteus::allocateRegisters(MachineFunction &MF,
         } else if (Remat[MI.Dst]) {
           // Rematerializable definition: uses re-emit the immediate, so the
           // defining move can vanish entirely.
-          IndexMaps[B].back() = static_cast<uint32_t>(NewInstrs.size());
+          if (TrackIndices)
+            NewIndex[BlockStart[B] + I] =
+                static_cast<uint32_t>(NewInstrs.size());
           MachineInstr Dead;
           Dead.Op = MOp::Nop;
           NewInstrs.push_back(Dead);
@@ -392,7 +398,8 @@ RegAllocResult proteus::allocateRegisters(MachineFunction &MF,
         }
       }
       bool WasUniform = MI.Uniform;
-      IndexMaps[B].back() = static_cast<uint32_t>(NewInstrs.size());
+      if (TrackIndices)
+        NewIndex[BlockStart[B] + I] = static_cast<uint32_t>(NewInstrs.size());
       NewInstrs.push_back(MI);
       if (DstSpilled) {
         MachineInstr St;
@@ -404,14 +411,14 @@ RegAllocResult proteus::allocateRegisters(MachineFunction &MF,
         ++Result.SpillStores;
       }
     }
-    MF.Blocks[B].Instrs = std::move(NewInstrs);
+    Instrs.swap(NewInstrs);
   }
 
   // Remap relocation instruction indices to post-spill positions.
   for (Relocation &Rel : MF.Relocs)
-    if (Rel.Block < IndexMaps.size() &&
-        Rel.InstrIndex < IndexMaps[Rel.Block].size())
-      Rel.InstrIndex = IndexMaps[Rel.Block][Rel.InstrIndex];
+    if (Rel.Block < NumBlocks &&
+        Rel.InstrIndex < BlockStart[Rel.Block + 1] - BlockStart[Rel.Block])
+      Rel.InstrIndex = NewIndex[BlockStart[Rel.Block] + Rel.InstrIndex];
 
   // Rewrite parameter locations to their post-allocation homes.
   for (MachineParam &P : MF.Params) {

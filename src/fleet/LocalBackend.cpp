@@ -9,6 +9,7 @@
 #include "support/FileSystem.h"
 #include "support/Hashing.h"
 #include "support/StringUtils.h"
+#include "support/Trace.h"
 
 #include <algorithm>
 
@@ -158,6 +159,7 @@ BackendStats LocalDirBackend::stats() const {
 void LocalDirBackend::enforceBudget() {
   if (!Options.BudgetBytes)
     return;
+  trace::Span Sp("fleet.enforce_budget", "fleet");
   std::lock_guard<std::mutex> Lock(EvictMutex);
 
   struct Victim {

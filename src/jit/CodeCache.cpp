@@ -85,6 +85,7 @@ uint64_t getU64(const std::vector<uint8_t> &Buf, size_t Offset) {
 
 uint64_t integrityHash(const std::vector<uint8_t> &Payload, CodeTier Tier,
                        uint64_t Fingerprint) {
+  trace::Span Sp("cache.integrity_hash", "cache");
   FNV1aHash H;
   H.updateBytes(Payload.data(), Payload.size());
   H.update(static_cast<uint8_t>(Tier));
@@ -95,6 +96,7 @@ uint64_t integrityHash(const std::vector<uint8_t> &Payload, CodeTier Tier,
 std::vector<uint8_t> encodeEntry(const std::vector<uint8_t> &Payload,
                                  uint64_t HitCount, CodeTier Tier,
                                  uint64_t Fingerprint) {
+  trace::Span Sp("cache.encode", "cache");
   std::vector<uint8_t> Buf(EntryHeaderBytes + Payload.size());
   std::memcpy(Buf.data(), EntryMagic, sizeof(EntryMagic));
   putU64(Buf, 8, Payload.size());

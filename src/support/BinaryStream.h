@@ -15,6 +15,8 @@
 #ifndef PROTEUS_SUPPORT_BINARYSTREAM_H
 #define PROTEUS_SUPPORT_BINARYSTREAM_H
 
+#include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <cstring>
 #include <string>
@@ -22,20 +24,21 @@
 
 namespace proteus {
 
-/// Appends fixed-width little-endian values to a byte buffer.
+/// Appends fixed-width little-endian values to a byte buffer. Each write
+/// stores through a cursor into storage sized ahead; the storage grows
+/// (doubling) only when a write does not fit.
 class ByteWriter {
 public:
-  void writeU8(uint8_t V) { Buf.push_back(V); }
-
-  void writeU32(uint32_t V) {
-    for (int I = 0; I < 4; ++I)
-      Buf.push_back(static_cast<uint8_t>(V >> (8 * I)));
+  /// Sizes the storage for \p N more bytes, so a writer told its exact
+  /// output size fills one buffer and never grows it.
+  void reserve(size_t N) {
+    if (Buf.size() - Len < N)
+      Buf.resize(Len + N);
   }
 
-  void writeU64(uint64_t V) {
-    for (int I = 0; I < 8; ++I)
-      Buf.push_back(static_cast<uint8_t>(V >> (8 * I)));
-  }
+  void writeU8(uint8_t V) { *grow(1) = V; }
+  void writeU32(uint32_t V) { writeLE(V); }
+  void writeU64(uint64_t V) { writeLE(V); }
 
   void writeF64(double V) {
     uint64_t Bits;
@@ -45,19 +48,46 @@ public:
 
   void writeString(const std::string &S) {
     writeU32(static_cast<uint32_t>(S.size()));
-    Buf.insert(Buf.end(), S.begin(), S.end());
+    if (!S.empty())
+      std::memcpy(grow(S.size()), S.data(), S.size());
   }
 
   void writeBytes(const std::vector<uint8_t> &B) {
     writeU32(static_cast<uint32_t>(B.size()));
-    Buf.insert(Buf.end(), B.begin(), B.end());
+    if (!B.empty())
+      std::memcpy(grow(B.size()), B.data(), B.size());
   }
 
-  const std::vector<uint8_t> &data() const { return Buf; }
-  std::vector<uint8_t> take() { return std::move(Buf); }
+  /// The bytes written so far.
+  const std::vector<uint8_t> &data() {
+    Buf.resize(Len);
+    return Buf;
+  }
+
+  std::vector<uint8_t> take() {
+    Buf.resize(Len);
+    Len = 0;
+    return std::move(Buf);
+  }
 
 private:
-  std::vector<uint8_t> Buf;
+  /// Advances the cursor by \p N bytes and returns where they go.
+  uint8_t *grow(size_t N) {
+    if (Buf.size() - Len < N)
+      Buf.resize(std::max(2 * Buf.size(), Len + N));
+    uint8_t *P = Buf.data() + Len;
+    Len += N;
+    return P;
+  }
+
+  template <typename T> void writeLE(T V) {
+    static_assert(std::endian::native == std::endian::little,
+                  "stores host bytes as little-endian");
+    std::memcpy(grow(sizeof(T)), &V, sizeof(T));
+  }
+
+  std::vector<uint8_t> Buf; // bytes [0, Len) are written
+  size_t Len = 0;
 };
 
 /// Bounds-checked reader over a byte buffer. After any failed read, ok()

@@ -6,6 +6,8 @@
 
 #include "support/FileSystem.h"
 
+#include "support/Trace.h"
+
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -67,12 +69,21 @@ bool fs::createFileExclusive(const std::string &Path,
 bool fs::writeFileAtomic(const std::string &Path,
                          const std::vector<uint8_t> &Data) {
   std::string Tmp = Path + ".tmp-" + uniqueNameToken();
-  if (!writeFile(Tmp, Data)) {
+  bool Written = [&] {
+    trace::Span Sp("fs.write_temp", "fs");
+    return writeFile(Tmp, Data);
+  }();
+  if (!Written) {
     removeFile(Tmp);
     return false;
   }
   std::error_code EC;
-  stdfs::rename(Tmp, Path, EC);
+  {
+    // Over an existing file the rename also pays the filesystem's flush
+    // of the replaced file (EXPERIMENTS "Cache write").
+    trace::Span Sp("fs.rename", "fs");
+    stdfs::rename(Tmp, Path, EC);
+  }
   if (EC) {
     removeFile(Tmp);
     return false;

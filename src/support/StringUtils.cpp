@@ -30,10 +30,10 @@ std::string proteus::formatString(const char *Fmt, ...) {
 
 std::string_view proteus::trim(std::string_view S) {
   size_t Begin = 0;
-  while (Begin < S.size() && std::isspace(static_cast<unsigned char>(S[Begin])))
+  while (Begin < S.size() && isSpace(S[Begin]))
     ++Begin;
   size_t End = S.size();
-  while (End > Begin && std::isspace(static_cast<unsigned char>(S[End - 1])))
+  while (End > Begin && isSpace(S[End - 1]))
     --End;
   return S.substr(Begin, End - Begin);
 }

@@ -24,7 +24,12 @@ namespace proteus {
 std::string formatString(const char *Fmt, ...)
     __attribute__((format(printf, 1, 2)));
 
-/// Strips ASCII whitespace from both ends.
+/// isspace in the C locale: space, \t, \n, \v, \f and \r.
+constexpr bool isSpace(char C) {
+  return C == ' ' || (C >= '\t' && C <= '\r');
+}
+
+/// Strips ASCII whitespace (isSpace) from both ends.
 std::string_view trim(std::string_view S);
 
 /// Splits \p S on \p Sep, keeping empty fields.

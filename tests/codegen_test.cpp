@@ -19,6 +19,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 
 using namespace pir;
 using namespace proteus;
@@ -200,6 +201,100 @@ MutantVerdict ptxMutantVerdict(unsigned I) {
 TEST(PtxTest, MutantVerdictsMatchGolden) {
   expectMutantVerdictsMatchGolden(PROTEUS_PTX_MUTANTS, GoldenMutants,
                                   ptxMutantVerdict);
+}
+
+/// A one-instruction PTX module around the given `.reg` operand, label
+/// number and instruction line.
+std::string onePtxInstr(std::string_view RegCount, std::string_view Label,
+                        std::string_view Instr) {
+  std::string S = ".visible .entry k\n.reg ";
+  S.append(RegCount).append("\n.localbytes 0\n.params\n{\n$L");
+  S.append(Label).append(": // b\n  ").append(Instr).append(";\n}\n");
+  return S;
+}
+
+/// Number tokens follow the base-10 rules of strtoul (unsigned fields:
+/// registers, Aux, .reg, labels), strtoll (Imm) and strtol (Imm2), then
+/// the field's own narrowing. Each case is checked against libc itself and
+/// a few against literal values.
+TEST(PtxTest, NumberTokensKeepLibcSemantics) {
+  const std::string Long70 = std::string(68, '0') + "42";
+  const std::string Tokens[] = {
+      "+7", "-5", "12abc", "\t9", Long70, "18446744073709551616",
+      "-9223372036854775809", "-9223372036854775808", "9223372036854775808",
+      "-18446744073709551615", "99999999999999999999999", "abc", "-", "+",
+      "+-3", "\v\f\r8"};
+  auto UL = [](const std::string &T) {
+    return std::strtoul(T.c_str(), nullptr, 10);
+  };
+  for (const std::string &T : Tokens) {
+    SCOPED_TRACE("token '" + T + "'");
+    std::string Line = "movi.s64." + T + ".u %r" + T + " %r" + T + " _ _ " +
+                       T + " " + T;
+    PtxAssembleResult R = assemblePtx(onePtxInstr(T, "0", Line));
+    ASSERT_TRUE(R.Ok) << R.Error;
+    EXPECT_EQ(R.MF.NumRegs, static_cast<uint32_t>(UL(T)));
+    ASSERT_EQ(R.MF.Blocks.size(), 1u);
+    ASSERT_EQ(R.MF.Blocks[0].Instrs.size(), 1u);
+    const MachineInstr &MI = R.MF.Blocks[0].Instrs[0];
+    EXPECT_EQ(MI.Aux, static_cast<uint16_t>(UL(T)));
+    EXPECT_EQ(MI.Dst, static_cast<Reg>(UL(T)));
+    EXPECT_EQ(MI.Src1, static_cast<Reg>(UL(T)));
+    EXPECT_EQ(MI.Src2, NoReg);
+    EXPECT_EQ(MI.Imm, std::strtoll(T.c_str(), nullptr, 10));
+    EXPECT_EQ(MI.Imm2,
+              static_cast<int32_t>(std::strtol(T.c_str(), nullptr, 10)));
+  }
+
+  // The same rules as literal values.
+  auto one = [](std::string_view Tok) {
+    std::string Line = "bin.s32." + std::string(Tok) + ".d %r" +
+                       std::string(Tok) + " _ _ _ " + std::string(Tok) + " " +
+                       std::string(Tok);
+    PtxAssembleResult R = assemblePtx(onePtxInstr("1", "0", Line));
+    EXPECT_TRUE(R.Ok) << R.Error;
+    return R.Ok ? R.MF.Blocks[0].Instrs[0] : MachineInstr{};
+  };
+  MachineInstr MI = one("+7");
+  EXPECT_EQ(MI.Aux, 7u);
+  EXPECT_EQ(MI.Dst, 7u);
+  EXPECT_EQ(MI.Imm, 7);
+  MI = one("-5"); // strtoul negates in unsigned arithmetic
+  EXPECT_EQ(MI.Aux, 65531u);
+  EXPECT_EQ(MI.Dst, 0xFFFFFFFBu);
+  EXPECT_EQ(MI.Imm, -5);
+  EXPECT_EQ(MI.Imm2, -5);
+  MI = one("12abc");
+  EXPECT_EQ(MI.Aux, 12u);
+  EXPECT_EQ(MI.Imm, 12);
+  MI = one(Long70);
+  EXPECT_EQ(MI.Dst, 42u);
+  EXPECT_EQ(MI.Imm, 42);
+  MI = one("18446744073709551616"); // 2^64 saturates
+  EXPECT_EQ(MI.Aux, 0xFFFFu);
+  EXPECT_EQ(MI.Dst, NoReg);
+  EXPECT_EQ(MI.Imm, INT64_MAX);
+  EXPECT_EQ(MI.Imm2, -1); // LONG_MAX narrowed
+  MI = one("-9223372036854775809"); // -2^63-1 saturates
+  EXPECT_EQ(MI.Imm, INT64_MIN);
+  EXPECT_EQ(MI.Imm2, 0); // LONG_MIN narrowed
+  MI = one("x"); // no digits
+  EXPECT_EQ(MI.Aux, 0u);
+  EXPECT_EQ(MI.Dst, 0u);
+  EXPECT_EQ(MI.Imm, 0);
+
+  // A label is accepted when its number, narrowed to int, is the index of
+  // the block it opens.
+  for (std::string_view L : {"+0", "\t0", "-0", "x", "4294967296"})
+    EXPECT_TRUE(assemblePtx(onePtxInstr("1", L, "ret.void.0.u _ _ _ _ 0 0")).Ok)
+        << "label '" << L << "'";
+  for (std::string_view L : {"1", "-1", "18446744073709551616"})
+    EXPECT_FALSE(
+        assemblePtx(onePtxInstr("1", L, "ret.void.0.u _ _ _ _ 0 0")).Ok)
+        << "label '" << L << "'";
+  EXPECT_TRUE(assemblePtx(onePtxInstr("1", std::string(70, '0'),
+                                      "ret.void.0.u _ _ _ _ 0 0"))
+                  .Ok);
 }
 
 TEST(PtxTest, AssemblerRejectsGarbage) {

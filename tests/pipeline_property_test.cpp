@@ -21,10 +21,12 @@
 #include "bitcode/Bitcode.h"
 #include "codegen/Compiler.h"
 #include "codegen/ISel.h"
+#include "codegen/Ptx.h"
 #include "gpu/Runtime.h"
 #include "ir/Context.h"
 #include "ir/IRParser.h"
 #include "ir/IRPrinter.h"
+#include "support/StringUtils.h"
 #include "transforms/O3Pipeline.h"
 #include "transforms/SpecializeArgs.h"
 
@@ -109,31 +111,45 @@ TEST_P(RandomKernelTest, CodegenMatchesInterpreterBothTargets) {
   interpretLaunch(*F, Args, Ref, 1, N);
   runO3(*M);
 
+  // nvptx-sim takes the real path: PTX print and re-assembly before
+  // allocation. Every budget runs under the full and the Tier-0 (Fast)
+  // allocator.
   for (GpuArch Arch : {GpuArch::AmdGcnSim, GpuArch::NvPtxSim}) {
     for (unsigned Budget : {9u, 16u, 64u}) {
-      mcode::MachineFunction MF = selectInstructions(*F);
-      allocateRegisters(MF, Budget);
-      std::vector<uint8_t> Obj = writeObject(MF, Arch);
+      for (bool Fast : {false, true}) {
+        SCOPED_TRACE(formatString("seed %llu arch %s budget %u fast %d",
+                                  static_cast<unsigned long long>(Seed),
+                                  gpuArchName(Arch), Budget, Fast));
+        mcode::MachineFunction MF = selectInstructions(*F);
+        if (getTarget(Arch).EmitsPtx) {
+          PtxAssembleResult Asm = assemblePtx(printPtx(MF));
+          ASSERT_TRUE(Asm.Ok) << Asm.Error;
+          MF = std::move(Asm.MF);
+        }
+        RegAllocOptions Opts;
+        Opts.Fast = Fast;
+        allocateRegisters(MF, Budget, Opts);
+        std::vector<uint8_t> Obj = writeObject(MF, Arch);
 
-      Device Dev(getTarget(Arch), 1 << 20);
-      std::vector<uint8_t> Init = freshMemory(Seed);
-      std::copy(Init.begin(), Init.end(), Dev.memory().begin());
-      LoadedKernel *K = nullptr;
-      std::string Err;
-      ASSERT_EQ(gpuModuleLoad(Dev, &K, Obj, &Err), GpuError::Success)
-          << Err;
-      std::vector<KernelArg> KArgs;
-      for (uint64_t A : Args)
-        KArgs.push_back(KernelArg{A});
-      ASSERT_EQ(gpuLaunchKernel(Dev, *K, Dim3{1, 1, 1}, Dim3{N, 1, 1},
-                                KArgs, &Err),
-                GpuError::Success)
-          << Err << " (seed " << Seed << " budget " << Budget << ")";
-      std::vector<uint8_t> Got(Dev.memory().begin(),
-                               Dev.memory().begin() +
-                                   static_cast<long>(Ref.size()));
-      EXPECT_EQ(Ref, Got) << "seed " << Seed << " arch "
-                          << gpuArchName(Arch) << " budget " << Budget;
+        Device Dev(getTarget(Arch), 1 << 20);
+        std::vector<uint8_t> Init = freshMemory(Seed);
+        std::copy(Init.begin(), Init.end(), Dev.memory().begin());
+        LoadedKernel *K = nullptr;
+        std::string Err;
+        ASSERT_EQ(gpuModuleLoad(Dev, &K, Obj, &Err), GpuError::Success)
+            << Err;
+        std::vector<KernelArg> KArgs;
+        for (uint64_t A : Args)
+          KArgs.push_back(KernelArg{A});
+        ASSERT_EQ(gpuLaunchKernel(Dev, *K, Dim3{1, 1, 1}, Dim3{N, 1, 1},
+                                  KArgs, &Err),
+                  GpuError::Success)
+            << Err;
+        std::vector<uint8_t> Got(Dev.memory().begin(),
+                                 Dev.memory().begin() +
+                                     static_cast<long>(Ref.size()));
+        EXPECT_EQ(Ref, Got);
+      }
     }
   }
 }
