@@ -32,6 +32,7 @@
 #include "ir/IRParser.h"
 #include "ir/IRPrinter.h"
 #include "ir/Module.h"
+#include "ir/OpSemantics.h"
 #include "jit/CodeCache.h"
 #include "jitify/Jitify.h"
 #include "support/FileSystem.h"
@@ -101,19 +102,34 @@ void BM_JitifyHeaderParse(benchmark::State &State) {
 }
 BENCHMARK(BM_JitifyHeaderParse);
 
+/// Parse, specialize and O3 of one kernel as the JIT compiles it: arg 0 is
+/// WSM5 (unrolling turns ~100 instructions into ~2,600), arg 1 SW4CK
+/// kernel4 (nz and coeff folded, the z-loop unrolls).
 void BM_SpecializeAndO3(benchmark::State &State) {
-  std::vector<uint8_t> BC = wsm5Bitcode();
+  static const std::vector<uint8_t> &Sw4ckBC = *[] {
+    pir::Context Ctx;
+    return new std::vector<uint8_t>(
+        writeBitcode(*hecbench::makeSw4ckBenchmark()->buildModule(Ctx)));
+  }();
+  const bool Sw4ck = State.range(0) == 1;
+  State.SetLabel(Sw4ck ? "SW4CK kernel4" : "WSM5");
+  const std::vector<uint8_t> &BC = Sw4ck ? Sw4ckBC : wsm5Bitcode();
   for (auto _ : State) {
     pir::Context Ctx;
     auto R = readBitcode(Ctx, BC);
-    pir::Function *F = R.M->getFunction("wsm5");
-    specializeArguments(*F, {{6, 16}, {11, 0}});
-    specializeLaunchBounds(*F, 128);
-    runO3(*R.M);
+    pir::Function *F = R.M->getFunction(Sw4ck ? "kernel4" : "wsm5");
+    if (Sw4ck) {
+      specializeArguments(*F, {{3, 4}, {5, pir::sem::boxF64(0.25)}});
+      specializeLaunchBounds(*F, 256);
+    } else {
+      specializeArguments(*F, {{6, 16}, {11, 0}});
+      specializeLaunchBounds(*F, 128);
+    }
+    runO3(*F);
     benchmark::DoNotOptimize(F);
   }
 }
-BENCHMARK(BM_SpecializeAndO3);
+BENCHMARK(BM_SpecializeAndO3)->Arg(0)->Arg(1);
 
 void BM_BackendAmd(benchmark::State &State) {
   pir::Context Ctx;

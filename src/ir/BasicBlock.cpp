@@ -12,12 +12,6 @@
 
 using namespace pir;
 
-BasicBlock::~BasicBlock() {
-  // Break operand cycles (e.g. self loops) before destruction.
-  for (Instruction &I : *this)
-    I.dropAllReferences();
-}
-
 Instruction *BasicBlock::append(std::unique_ptr<Instruction> I) {
   assert(I && "appending null instruction");
   assert(!I->Parent && "instruction already linked");

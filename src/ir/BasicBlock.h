@@ -33,8 +33,6 @@ public:
     setName(std::move(Name));
   }
 
-  ~BasicBlock() override;
-
   Function *getParent() const { return Parent; }
 
   bool empty() const { return Insts.empty(); }

@@ -28,7 +28,9 @@ Function::Function(Type *PtrTy, std::string Name, Type *RetTy,
   }
 }
 
-Function::~Function() {
+Function::~Function() { dropBody(); }
+
+void Function::dropBody() {
   // Instructions may reference values across blocks (and blocks reference
   // each other); sever all edges before any block is destroyed.
   for (BasicBlock &BB : *this)

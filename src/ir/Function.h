@@ -144,6 +144,11 @@ private:
   friend class Module;
   friend class BasicBlock; // numbers instructions as they are linked
 
+  /// Severs every operand edge of the body, then destroys its blocks. The
+  /// one place a body's edges are dropped on teardown: blocks are only
+  /// ever destroyed here or by eraseBlock, which drops them first too.
+  void dropBody();
+
   /// Gives \p V the next id unless it already has one.
   void numberValue(Value &V) {
     if (V.ValueId == Value::NoValueId)

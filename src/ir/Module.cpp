@@ -13,12 +13,10 @@
 using namespace pir;
 
 Module::~Module() {
-  // Instructions may reference values across functions (callees) and
-  // globals; sever every edge before destroying any container.
+  // Calls reference their callees: empty every body before any function
+  // is destroyed.
   for (auto &F : Functions)
-    for (BasicBlock &BB : *F)
-      for (Instruction &I : BB)
-        I.dropAllReferences();
+    F->dropBody();
   Functions.clear();
   Globals.clear();
 }

@@ -157,6 +157,17 @@ Value::~Value() {
          "value deleted while still in use; erase users first");
 }
 
+void UseVector::grow() {
+  // One heap array of twice the capacity; Use is trivially copyable.
+  auto *NewData =
+      static_cast<Use *>(::operator new(2 * size_t(Capacity) * sizeof(Use)));
+  std::copy_n(Data, Size, NewData);
+  if (Data != Inline)
+    ::operator delete(Data);
+  Data = NewData;
+  Capacity *= 2;
+}
+
 uint32_t Value::addUse(User *U, uint32_t OperandIndex) {
   UseList.push_back(Use{U, OperandIndex});
   return static_cast<uint32_t>(UseList.size() - 1);

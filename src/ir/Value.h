@@ -22,7 +22,6 @@
 #include <cstdint>
 #include <span>
 #include <string>
-#include <vector>
 
 namespace pir {
 
@@ -139,6 +138,54 @@ struct Use {
   uint32_t OperandIndex = 0;
 };
 
+/// A value's use list. The first InlineUses edges live inside the value;
+/// a longer list moves to one heap array that doubles as it grows and never
+/// shrinks. Only push_back and pop_back change the length, so the order is
+/// exactly the one Value::addUse and Value::removeUse (swap-with-last) make.
+class UseVector {
+public:
+  static constexpr uint32_t InlineUses = 2;
+
+  UseVector() = default;
+  UseVector(const UseVector &) = delete;
+  UseVector &operator=(const UseVector &) = delete;
+  ~UseVector() {
+    if (Data != Inline)
+      ::operator delete(Data);
+  }
+
+  uint32_t size() const { return Size; }
+  bool empty() const { return Size == 0; }
+  std::span<const Use> span() const { return {Data, Size}; }
+
+  Use &operator[](uint32_t I) {
+    assert(I < Size && "use index out of range");
+    return Data[I];
+  }
+  const Use &back() const {
+    assert(Size && "empty use list");
+    return Data[Size - 1];
+  }
+
+  void push_back(Use U) {
+    if (Size == Capacity)
+      grow();
+    Data[Size++] = U;
+  }
+  void pop_back() {
+    assert(Size && "empty use list");
+    --Size;
+  }
+
+private:
+  void grow();
+
+  Use *Data = Inline;
+  uint32_t Size = 0;
+  uint32_t Capacity = InlineUses;
+  Use Inline[InlineUses];
+};
+
 /// Base of the SSA value hierarchy.
 class Value {
 public:
@@ -154,7 +201,7 @@ public:
   bool hasName() const { return !Name.empty(); }
 
   /// All operand edges that reference this value.
-  const std::vector<Use> &uses() const { return UseList; }
+  std::span<const Use> uses() const { return UseList.span(); }
   bool hasUses() const { return !UseList.empty(); }
   size_t getNumUses() const { return UseList.size(); }
 
@@ -194,11 +241,11 @@ private:
   uint32_t ValueId = NoValueId; // in the padding after TheKind
   Type *Ty;
   std::string Name;
-  std::vector<Use> UseList;
+  UseVector UseList;
 };
 
 static_assert(sizeof(Value) == 3 * sizeof(void *) + sizeof(std::string) +
-                                   sizeof(std::vector<Use>),
+                                   sizeof(UseVector),
               "the value id must live in the padding after the kind");
 
 /// A Value that references other Values through operands. Up to

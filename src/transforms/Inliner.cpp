@@ -11,6 +11,8 @@
 #include "ir/Module.h"
 #include "support/Error.h"
 
+#include <algorithm>
+
 using namespace proteus;
 using namespace pir;
 
@@ -129,6 +131,11 @@ bool inlineCall(CallInst *Call) {
 } // namespace
 
 bool InlinerPass::run(Function &F) {
+  // A call uses its callee: when no function has a use there is no call.
+  if (const Module *M = F.getParent())
+    if (std::none_of(M->functions().begin(), M->functions().end(),
+                     [](const auto &G) { return G->hasUses(); }))
+      return false;
   bool Changed = false;
   // Budget guards against (unsupported) recursion blowing up the function.
   unsigned Budget = 10000;

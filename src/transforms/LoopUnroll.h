@@ -42,6 +42,10 @@ public:
       : Opts(Opts) {}
 
   std::string name() const override { return "loop-unroll"; }
+  std::string options() const override {
+    return "max-trip=" + std::to_string(Opts.MaxTripCount) +
+           ",max-expanded=" + std::to_string(Opts.MaxExpandedInstructions);
+  }
   bool run(pir::Function &F) override;
 
 private:

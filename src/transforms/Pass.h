@@ -34,6 +34,11 @@ public:
   /// Stable pass name for pipeline descriptions and statistics.
   virtual std::string name() const = 0;
 
+  /// The settings that change what run() does, spelled as a string. Two
+  /// pipeline positions are the same pass when their name() and options()
+  /// are both equal.
+  virtual std::string options() const { return {}; }
+
   /// Runs on \p F; returns whether anything changed.
   virtual bool run(pir::Function &F) = 0;
 };
@@ -50,9 +55,10 @@ struct PassStatistics {
 
 /// Runs a sequence of function passes over every function with a body,
 /// optionally iterating the sequence to a fixpoint, and optionally
-/// verifying the IR after each pass (used in tests). Iteration stops as soon
-/// as every pass has run once more after the last change without changing
-/// anything; this is exact as long as passes are deterministic and report
+/// verifying the IR after each pass (used in tests). A position is skipped
+/// when the same pass (equal name and options) has already run on the
+/// current IR without changing it, and iteration stops once every distinct
+/// pass has. This is exact as long as passes are deterministic and report
 /// their changes truthfully, which VerifyEach checks.
 class PassManager {
 public:
@@ -94,6 +100,17 @@ public:
 
   const std::vector<PassStatistics> &statistics() const { return Stats; }
 
+  unsigned maxIterations() const { return MaxIterations; }
+
+  /// Removes the passes, in pipeline order, so a caller can rebuild the
+  /// pipeline from them (tests re-wrap each position).
+  std::vector<std::unique_ptr<FunctionPass>> takePasses() {
+    Stats.clear();
+    SpanNames.clear();
+    SamePassAs.clear();
+    return std::move(Passes);
+  }
+
 private:
   /// Runs pass \p I once on \p F with its bookkeeping; returns whether
   /// the pass changed the IR.
@@ -103,6 +120,9 @@ private:
   std::vector<PassStatistics> Stats;
   /// Interned "o3.<pass>" span names, built lazily alongside Stats.
   std::vector<const char *> SpanNames;
+  /// Per position, the first position holding the same pass; built
+  /// alongside Stats.
+  std::vector<size_t> SamePassAs;
   TimingHook TimingHookFn;
   PostPassHook PostPassHookFn;
   unsigned MaxIterations;

@@ -4,6 +4,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "RandomKernel.h"
 #include "TestUtil.h"
 
 #include "bitcode/Bitcode.h"
@@ -474,6 +475,121 @@ TEST(UseListTest, UseAndPredecessorOrderAfterEdits) {
   EXPECT_EQ(Clone->getFunction("k")->valueIdBound(), 16u);
   EXPECT_EQ(printModule(M), printModule(*Clone));
   EXPECT_EQ(proteus::writeBitcode(M), proteus::writeBitcode(*Clone));
+}
+
+/// A seeded edit script over a pool of arguments and one block, applied to
+/// the IR and to a reference std::vector<Use> per value (append on a new
+/// edge, swap-with-last on a severed one). Use counts cross the inline
+/// capacity of the use list both ways, and after every step each use list
+/// must equal its model entry for entry. PROTEUS_FUZZ_ITERS lengthens the
+/// script.
+TEST(UseListTest, RandomEditScriptMatchesAVectorModel) {
+  Context Ctx;
+  Module M(Ctx, "m");
+  constexpr unsigned NumArgs = 4;
+  Function *F =
+      M.createFunction("k", Ctx.getVoidTy(),
+                       std::vector<Type *>(NumArgs, Ctx.getI32Ty()), {},
+                       FunctionKind::Kernel);
+  BasicBlock *BB = F->createBlock("entry", Ctx.getVoidTy());
+  IRBuilder Bld(Ctx);
+  Bld.setInsertPoint(BB);
+
+  // Model slot K < NumArgs is argument K; slot NumArgs is the block, which
+  // every phi incoming uses.
+  std::vector<Value *> Pool;
+  for (unsigned K = 0; K != NumArgs; ++K)
+    Pool.push_back(F->getArg(K));
+  Pool.push_back(BB);
+  std::vector<std::vector<Use>> Model(Pool.size());
+  auto slotOf = [&](const Value *V) {
+    return static_cast<size_t>(std::find(Pool.begin(), Pool.end(), V) -
+                               Pool.begin());
+  };
+  auto modelAdd = [&](const Value *V, User *U, uint32_t Index) {
+    Model[slotOf(V)].push_back(Use{U, Index});
+  };
+  auto modelRemove = [&](const Value *V, const User *U, uint32_t Index) {
+    std::vector<Use> &L = Model[slotOf(V)];
+    auto It = std::find_if(L.begin(), L.end(), [&](const Use &E) {
+      return E.TheUser == U && E.OperandIndex == Index;
+    });
+    ASSERT_NE(It, L.end());
+    *It = L.back();
+    L.pop_back();
+  };
+  auto modelSet = [&](User *U, uint32_t Index, Value *New) {
+    Value *Old = U->getOperand(Index);
+    if (Old == New)
+      return;
+    modelRemove(Old, U, Index);
+    modelAdd(New, U, Index);
+  };
+
+  std::vector<PhiInst *> Phis;
+  Rng R(0x05e11575);
+  const unsigned Cap = UseVector::InlineUses;
+  unsigned Grew = 0, Shrank = 0;
+  std::vector<size_t> Counts(Pool.size(), 0);
+  const unsigned Steps = fuzzIterations(2000);
+  for (unsigned Step = 0; Step != Steps; ++Step) {
+    SCOPED_TRACE("step " + std::to_string(Step));
+    Argument *A = F->getArg(R.below(NumArgs));
+    uint32_t Op = R.below(100);
+    if (Phis.empty() || Op < 10) {
+      // A new user with no operands yet.
+      Phis.push_back(Bld.createPhi(Ctx.getI32Ty()));
+    } else if (Op < 50) {
+      // addOperand, twice: the incoming value, then the block.
+      PhiInst *P = Phis[R.below(static_cast<uint32_t>(Phis.size()))];
+      uint32_t Index = static_cast<uint32_t>(P->getNumOperands());
+      P->addIncoming(A, BB);
+      modelAdd(A, P, Index);
+      modelAdd(BB, P, Index + 1);
+    } else if (Op < 75) {
+      // setOperand on an incoming value (the same value is a no-op).
+      PhiInst *P = Phis[R.below(static_cast<uint32_t>(Phis.size()))];
+      if (P->getNumIncoming() == 0)
+        continue;
+      uint32_t Index = 2 * R.below(P->getNumIncoming());
+      modelSet(P, Index, A);
+      P->setOperand(Index, A);
+    } else if (Op < 88) {
+      // RAUW: the last use moves first, as Value::replaceAllUsesWith does.
+      Argument *To = F->getArg(R.below(NumArgs));
+      if (To == A)
+        continue;
+      std::vector<Use> &From = Model[slotOf(A)];
+      while (!From.empty()) {
+        Use U = From.back();
+        modelSet(U.TheUser, U.OperandIndex, To);
+      }
+      A->replaceAllUsesWith(To);
+    } else {
+      // Erase a user: its edges are severed in operand order.
+      size_t Pick = R.below(static_cast<uint32_t>(Phis.size()));
+      PhiInst *P = Phis[Pick];
+      for (uint32_t I = 0; I != P->getNumOperands(); ++I)
+        modelRemove(P->getOperand(I), P, I);
+      Phis.erase(Phis.begin() + static_cast<long>(Pick));
+      P->eraseFromParent();
+    }
+    for (size_t S = 0; S != Pool.size(); ++S) {
+      std::span<const Use> Got = Pool[S]->uses();
+      ASSERT_EQ(Got.size(), Model[S].size()) << "value " << S;
+      for (size_t K = 0; K != Got.size(); ++K) {
+        ASSERT_EQ(Got[K].TheUser, Model[S][K].TheUser) << S << "/" << K;
+        ASSERT_EQ(Got[K].OperandIndex, Model[S][K].OperandIndex)
+            << S << "/" << K;
+      }
+      Grew += Counts[S] <= Cap && Got.size() > Cap;
+      Shrank += Counts[S] > Cap && Got.size() <= Cap;
+      Counts[S] = Got.size();
+    }
+  }
+  // The script did cross the inline capacity, both ways.
+  EXPECT_GT(Grew, 10u);
+  EXPECT_GT(Shrank, 10u);
 }
 
 // ---------------------------------------------------------------------------

@@ -23,10 +23,15 @@
 
 #include "RandomKernel.h"
 
+#include "bitcode/Bitcode.h"
+#include "bitcode/ModuleIndex.h"
 #include "ir/Context.h"
+#include "ir/IRPrinter.h"
 #include "ir/OpSemantics.h"
 #include "jit/Program.h"
 #include "support/FileSystem.h"
+#include "transforms/O3Pipeline.h"
+#include "transforms/SpecializeArgs.h"
 
 #include <gtest/gtest.h>
 
@@ -237,6 +242,47 @@ TEST(JitConcurrencyTest, AllModesMatchSyncBaseline) {
   for (JitConfig::AsyncMode Mode :
        {JitConfig::AsyncMode::Sync, JitConfig::AsyncMode::Fallback})
     runConcurrent(Prog, GpuArch::AmdGcnSim, Mode, Expected);
+}
+
+/// Compile workers materialize from one shared, read-only prototype. Four
+/// threads each materialize, specialize (bound included, so loops unroll)
+/// and optimize every work item, building and tearing down use lists that
+/// outgrow their inline storage, and must print what a serial run prints.
+/// Under TSan this is the race check for the prototype and the IR storage.
+TEST(JitConcurrencyTest, ConcurrentMaterializeFromASharedPrototype) {
+  Context Ctx;
+  std::string Error;
+  std::shared_ptr<const KernelModuleIndex> Index =
+      KernelModuleIndex::create(writeBitcode(*buildProgram(Ctx)), Error);
+  ASSERT_TRUE(Index) << Error;
+  const std::vector<WorkItem> Items = makeWorkItems();
+  auto compile = [&Index](const WorkItem &W) {
+    Context C;
+    std::unique_ptr<Module> M = Index->materialize(C, W.Symbol, nullptr);
+    specializeArguments(*M->getFunction(W.Symbol),
+                        {{2, N},
+                         {3, sem::boxF64(W.Sf)},
+                         {4, static_cast<uint32_t>(W.Si)}});
+    runO3(*M);
+    return printModule(*M);
+  };
+  std::vector<std::string> Expected;
+  for (const WorkItem &W : Items)
+    Expected.push_back(compile(W));
+  std::atomic<unsigned> Mismatches{0};
+  std::vector<std::thread> Threads;
+  for (unsigned T = 0; T != 4; ++T)
+    Threads.emplace_back([&, T] {
+      for (unsigned R = 0; R != Repeats; ++R)
+        for (size_t I = 0; I != Items.size(); ++I) {
+          size_t K = (I + T) % Items.size(); // staggered starts
+          if (compile(Items[K]) != Expected[K])
+            ++Mismatches;
+        }
+    });
+  for (std::thread &T : Threads)
+    T.join();
+  EXPECT_EQ(Mismatches.load(), 0u);
 }
 
 TEST(JitConcurrencyTest, FallbackModeOnNvPtxSim) {

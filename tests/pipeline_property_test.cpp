@@ -11,7 +11,10 @@
 //  * the full codegen + simulator pipeline matches the interpreter on both
 //    targets and under several register budgets;
 //  * JIT specialization (folding the annotated scalars to the values
-//    actually passed) never changes results.
+//    actually passed) never changes results;
+//  * the PassManager's stop rule (skip a pass already clean on the current
+//    IR, stop once every distinct pass is) yields the same IR as rerunning
+//    every position after the last change.
 //
 //===----------------------------------------------------------------------===//
 
@@ -176,6 +179,61 @@ TEST_P(RandomKernelTest, SpecializationPreservesSemantics) {
   std::vector<uint8_t> Got = freshMemory(Seed);
   interpretLaunch(*F, Args, Got, 1, N);
   EXPECT_EQ(Ref, Got) << "specialization changed semantics, seed " << Seed;
+}
+
+/// Forwards to a pass under an identity no other position shares, so the
+/// PassManager can never skip it as "the same pass, already clean": its
+/// stop rule then reruns every position after the last change.
+class UniquePosition : public FunctionPass {
+public:
+  UniquePosition(std::unique_ptr<FunctionPass> Inner, unsigned Position)
+      : Inner(std::move(Inner)), Position(Position) {}
+  std::string name() const override { return Inner->name(); }
+  std::string options() const override {
+    return Inner->options() + "#" + std::to_string(Position);
+  }
+  bool run(Function &F) override { return Inner->run(F); }
+
+private:
+  std::unique_ptr<FunctionPass> Inner;
+  unsigned Position;
+};
+
+TEST_P(RandomKernelTest, DistinctPassStopRuleMatchesPerPositionRule) {
+  uint64_t Seed = GetParam();
+  std::vector<uint64_t> Args = argsFor(Seed);
+  // Unspecialized, then with the bound and the scalars folded so that
+  // loops unroll and the second cleanup half has work.
+  for (bool Specialize : {false, true}) {
+    SCOPED_TRACE(Specialize ? "specialized" : "generic");
+    O3Options Opts;
+    Opts.VerifyEach = true;
+    auto optimized = [&](bool UniquePositions, unsigned &Invocations) {
+      Context Ctx;
+      auto M = buildRandomKernel(Ctx, Seed);
+      if (Specialize)
+        specializeArguments(*M->getFunction("rk"),
+                            {{2, Args[2]}, {3, Args[3]}, {4, Args[4]}});
+      std::unique_ptr<PassManager> PM = buildO3Pipeline(Opts);
+      if (UniquePositions) {
+        auto Wrapped = std::make_unique<PassManager>(PM->maxIterations());
+        Wrapped->setVerifyEach(true);
+        unsigned Position = 0;
+        for (auto &P : PM->takePasses())
+          Wrapped->addPass(
+              std::make_unique<UniquePosition>(std::move(P), Position++));
+        PM = std::move(Wrapped);
+      }
+      PM->run(*M);
+      Invocations = 0;
+      for (const PassStatistics &S : PM->statistics())
+        Invocations += S.Invocations;
+      return printModule(*M);
+    };
+    unsigned Built = 0, PerPosition = 0;
+    EXPECT_EQ(optimized(false, Built), optimized(true, PerPosition));
+    EXPECT_LE(Built, PerPosition);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RandomKernelTest,

@@ -361,15 +361,18 @@ TEST(PassManagerTest, CollectsStatisticsAndReachesFixpoint) {
 }
 
 /// A pass that changes nothing and reports a change on the scripted
-/// invocations of its own (0-based), logging every invocation.
+/// invocations of its own (0-based), logging every invocation as its name,
+/// followed by its options if it has any.
 class ScriptedPass : public FunctionPass {
 public:
   ScriptedPass(std::string Name, std::vector<unsigned> ChangesOn,
-               std::vector<std::string> &Log)
-      : Name(std::move(Name)), ChangesOn(std::move(ChangesOn)), Log(Log) {}
+               std::vector<std::string> &Log, std::string Options = "")
+      : Name(std::move(Name)), Options(std::move(Options)),
+        ChangesOn(std::move(ChangesOn)), Log(Log) {}
   std::string name() const override { return Name; }
+  std::string options() const override { return Options; }
   bool run(Function &) override {
-    Log.push_back(Name);
+    Log.push_back(Name + Options);
     unsigned Call = Calls++;
     return std::find(ChangesOn.begin(), ChangesOn.end(), Call) !=
            ChangesOn.end();
@@ -377,23 +380,30 @@ public:
 
 private:
   std::string Name;
+  std::string Options;
   std::vector<unsigned> ChangesOn;
   std::vector<std::string> &Log;
   unsigned Calls = 0;
 };
 
-/// Runs passes a, b, c, d, where the pass at each index reports a change
+/// Runs one scripted pass per entry of \p Positions (its name, then any
+/// options after a ':'), where the pass at each position reports a change
 /// on the listed invocations of its own, and returns the invocation order.
 std::vector<std::string>
 scriptedSchedule(unsigned MaxIterations,
                  std::vector<std::vector<unsigned>> ChangesOn,
-                 bool *Changed = nullptr) {
+                 bool *Changed = nullptr,
+                 const std::vector<std::string> &Positions = {"a", "b", "c",
+                                                              "d"}) {
   std::vector<std::string> Log;
   PassManager PM(MaxIterations);
-  ChangesOn.resize(4);
-  for (unsigned I = 0; I != 4; ++I)
-    PM.addPass(std::make_unique<ScriptedPass>(std::string(1, char('a' + I)),
-                                              ChangesOn[I], Log));
+  ChangesOn.resize(Positions.size());
+  for (size_t I = 0; I != Positions.size(); ++I) {
+    size_t Colon = std::min(Positions[I].find(':'), Positions[I].size());
+    PM.addPass(std::make_unique<ScriptedPass>(
+        Positions[I].substr(0, Colon), ChangesOn[I], Log,
+        Positions[I].substr(Colon)));
+  }
   Context Ctx;
   Module M(Ctx, "m");
   bool C = PM.run(*buildLoopSumKernel(M));
@@ -432,6 +442,45 @@ TEST(PassManagerTest, MaxIterationsCapsTheSchedule) {
             (Schedule{"a", "b", "c", "d"}));
 }
 
+TEST(PassManagerTest, SkipsAPassAlreadyCleanOnTheCurrentIR) {
+  // Positions a b a c: the second a follows a clean first a with no change
+  // in between, so it is skipped, and the run stops once a, b and c are
+  // all clean.
+  const std::vector<std::string> ABAC = {"a", "b", "a", "c"};
+  bool Changed = true;
+  EXPECT_EQ(scriptedSchedule(3, {}, &Changed, ABAC),
+            (Schedule{"a", "b", "c"}));
+  EXPECT_FALSE(Changed);
+  // b changes in sweep 1: the second a reruns, then only b is left to
+  // confirm (the per-position rule would also rerun the first a).
+  EXPECT_EQ(scriptedSchedule(3, {{}, {0}}, &Changed, ABAC),
+            (Schedule{"a", "b", "a", "c", "b"}));
+  EXPECT_TRUE(Changed);
+  // b, then the second a change in sweep 1: in sweep 2 the first a
+  // confirms a, so the second a is skipped.
+  EXPECT_EQ(scriptedSchedule(3, {{}, {0}, {0}}, nullptr, ABAC),
+            (Schedule{"a", "b", "a", "c", "a", "b"}));
+  // A change resets every pass: c changes in sweeps 1 and 2, and each
+  // time a, b and c must all run again.
+  EXPECT_EQ(scriptedSchedule(3, {{}, {}, {}, {0, 1}}, nullptr, ABAC),
+            (Schedule{"a", "b", "c", "a", "b", "c", "a", "b", "c"}));
+}
+
+TEST(PassManagerTest, OptionsArePartOfAPassIdentity) {
+  // Same name, different options: two passes, both run.
+  EXPECT_EQ(scriptedSchedule(3, {}, nullptr, {"u:1", "u:2"}),
+            (Schedule{"u:1", "u:2"}));
+  // Same name and options: one pass, the second position is skipped.
+  EXPECT_EQ(scriptedSchedule(3, {}, nullptr, {"u:1", "u:1"}),
+            (Schedule{"u:1"}));
+  // The unroller's options are its limits.
+  UnrollOptions Small;
+  Small.MaxTripCount = 8;
+  EXPECT_EQ(LoopUnrollPass().options(),
+            LoopUnrollPass(UnrollOptions()).options());
+  EXPECT_NE(LoopUnrollPass().options(), LoopUnrollPass(Small).options());
+}
+
 /// Deletes a dead instruction but reports no change.
 class UntruthfulPass : public FunctionPass {
 public:
@@ -458,6 +507,41 @@ TEST(PassManagerDeathTest, VerifyEachCatchesAnUnreportedChange) {
     PM.run(*F);
   };
   EXPECT_DEATH(RunLiar(), "pass 'untruthful' changed function @k but "
+                          "reported no change");
+}
+
+/// Moves the first use of the first argument to the back of its use list
+/// (the printed function is unchanged) but reports no change.
+class UseReorderingPass : public FunctionPass {
+public:
+  std::string name() const override { return "reorder"; }
+  bool run(Function &F) override {
+    Use First = F.getArg(0)->uses()[0];
+    First.TheUser->setOperand(First.OperandIndex, F.getArg(1));
+    First.TheUser->setOperand(First.OperandIndex, F.getArg(0));
+    return false;
+  }
+};
+
+TEST(PassManagerDeathTest, VerifyEachCatchesAnUnreportedUseReordering) {
+  auto RunLiar = [] {
+    Context Ctx;
+    Module M(Ctx, "m");
+    IRBuilder B(Ctx);
+    Function *F = M.createFunction("k", Ctx.getVoidTy(),
+                                   {Ctx.getI32Ty(), Ctx.getI32Ty(),
+                                    Ctx.getPtrTy()},
+                                   {"a", "b", "p"}, FunctionKind::Kernel);
+    B.setInsertPoint(F->createBlock("entry", Ctx.getVoidTy()));
+    B.createStore(B.createAdd(F->getArg(0), F->getArg(1)), F->getArg(2));
+    B.createStore(F->getArg(0), F->getArg(2));
+    B.createRet();
+    PassManager PM;
+    PM.setVerifyEach(true);
+    PM.addPass(std::make_unique<UseReorderingPass>());
+    PM.run(*F);
+  };
+  EXPECT_DEATH(RunLiar(), "pass 'reorder' changed function @k but "
                           "reported no change");
 }
 

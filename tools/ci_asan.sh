@@ -10,8 +10,8 @@
 # ctest suite under both sanitizers. Any -Wall -Wextra warning, heap/stack/
 # global overflow, use-after-free, leak, container-bounds or
 # undefined-behaviour report fails the script. The PTX assembler's and the
-# bitcode reader's mutation tests then run again with
-# PROTEUS_FUZZ_ITERS=10000.
+# bitcode reader's mutation tests, and the use-list edit script, then run
+# again with PROTEUS_FUZZ_ITERS=10000.
 #
 # Usage: tools/ci_asan.sh [build-dir] [extra ctest args...]
 #        (default build dir: build-asan)
@@ -51,6 +51,11 @@ PROTEUS_FUZZ_ITERS=10000 "${BUILD_DIR}/tests/codegen_test" \
 echo "== Bitcode reader mutation sweep (PROTEUS_FUZZ_ITERS=10000) =="
 PROTEUS_FUZZ_ITERS=10000 "${BUILD_DIR}/tests/bitcode_test" \
   --gtest_filter=BitcodeTest.MutantVerdictsMatchGolden || STATUS=1
+# The use list's inline storage spills to and returns from the heap as
+# use counts cross its capacity; a long edit script walks those edges.
+echo "== Use-list edit script (PROTEUS_FUZZ_ITERS=10000) =="
+PROTEUS_FUZZ_ITERS=10000 "${BUILD_DIR}/tests/ir_core_test" \
+  --gtest_filter=UseListTest.RandomEditScriptMatchesAVectorModel || STATUS=1
 
 if [ "${STATUS}" -eq 0 ]; then
   echo "== ASan+UBSan battery passed =="
