@@ -54,7 +54,6 @@ struct Config {
   unsigned Clients = 6;
   unsigned Keys = 32;
   size_t PayloadBytes = 256 * 1024;
-  unsigned Shards = 4;
   unsigned LatencyIters = 400;
   unsigned LatencyThreads = 4;
 };
@@ -68,7 +67,7 @@ struct ClientReport {
 };
 
 uint64_t keyFor(unsigned I) {
-  // Spread keys across the shard ring like real specialization hashes do.
+  // Spread keys across the 64-bit space like real specialization hashes do.
   uint64_t X = (I + 1) * 0x9e3779b97f4a7c15ULL;
   X ^= X >> 29;
   return X;
@@ -87,10 +86,8 @@ std::vector<uint8_t> payloadFor(uint64_t Key, size_t Bytes) {
 }
 
 std::unique_ptr<CodeCache> makeRemoteCache(const std::string &Socket,
-                                           const std::string &Dir,
-                                           const Config &C) {
+                                           const std::string &Dir) {
   CacheLimits Limits;
-  Limits.Shards = C.Shards;
   fleet::RemoteBackendOptions RO;
   RO.SocketPath = Socket;
   RO.FallbackDir = Dir;
@@ -104,17 +101,15 @@ std::unique_ptr<CodeCache> makeRemoteCache(const std::string &Socket,
 
 /// Forks and execs the proteus-cached daemon, then waits until it answers a
 /// Ping. Returns the daemon pid, or -1.
-pid_t spawnDaemon(const std::string &Socket, const std::string &Dir,
-                  const Config &C) {
+pid_t spawnDaemon(const std::string &Socket, const std::string &Dir) {
   std::string SockArg = "--socket=" + Socket;
   std::string DirArg = "--dir=" + Dir;
-  std::string ShardArg = "--shards=" + std::to_string(C.Shards);
   pid_t Pid = fork();
   if (Pid < 0)
     return -1;
   if (Pid == 0) {
     execl(PROTEUS_CACHED_BIN, PROTEUS_CACHED_BIN, SockArg.c_str(),
-          DirArg.c_str(), ShardArg.c_str(), "--workers=4",
+          DirArg.c_str(), "--workers=4",
           static_cast<char *>(nullptr));
     _exit(127);
   }
@@ -192,7 +187,7 @@ std::vector<ClientReport> runFleet(unsigned K, Fn Body) {
 /// simulating the compiler with the deterministic payload generator.
 ClientReport stormClient(unsigned Idx, const std::string &Socket,
                          const std::string &Dir, const Config &C) {
-  auto Cache = makeRemoteCache(Socket, Dir, C);
+  auto Cache = makeRemoteCache(Socket, Dir);
   ClientReport R;
   for (unsigned J = 0; J != C.Keys; ++J) {
     // Rotate the visit order per client so every key sees real contention.
@@ -242,7 +237,7 @@ ClientReport stormClient(unsigned Idx, const std::string &Socket,
 /// One warm client: every key must already be served by the fleet.
 ClientReport warmClient(const std::string &Socket, const std::string &Dir,
                         const Config &C) {
-  auto Cache = makeRemoteCache(Socket, Dir, C);
+  auto Cache = makeRemoteCache(Socket, Dir);
   ClientReport R;
   for (unsigned I = 0; I != C.Keys; ++I) {
     auto E = Cache->lookupEntry(keyFor(I));
@@ -371,7 +366,7 @@ int main(int Argc, char **Argv) {
   fs::createDirectories(FleetDir);
   fs::createDirectories(LocalDir);
 
-  pid_t Daemon = spawnDaemon(Socket, FleetDir, C);
+  pid_t Daemon = spawnDaemon(Socket, FleetDir);
   if (Daemon < 0) {
     std::fprintf(stderr, "FATAL: proteus-cached did not come up on %s\n",
                  Socket.c_str());
@@ -402,20 +397,17 @@ int main(int Argc, char **Argv) {
   // --- Gate 3: remote-hit vs local disk-hit latency ----------------------
   // Local baseline: the same framed entries served by a process-local
   // directory backend (the pre-fleet fast path).
-  CacheLimits LocalLimits;
   fleet::LocalDirBackend Local(LocalDir,
-                               CodeCache::backendOptions(LocalLimits));
+                               CodeCache::backendOptions(CacheLimits()));
   for (unsigned I = 0; I != C.Keys; ++I)
     Local.publish(fleet::BlobKind::Code, keyFor(I),
                   payloadFor(keyFor(I), C.PayloadBytes));
   measureLookups(Local, C, 1); // warm the page cache
 
-  CacheLimits RemoteLimits;
-  RemoteLimits.Shards = C.Shards;
   fleet::RemoteBackendOptions RO;
   RO.SocketPath = Socket;
   RO.FallbackDir = FleetDir;
-  RO.Fallback = CodeCache::backendOptions(RemoteLimits);
+  RO.Fallback = CodeCache::backendOptions(CacheLimits());
   fleet::RemoteCacheBackend Remote(std::move(RO));
   measureLookups(Remote, C, 1); // warm-up (and connection establishment)
   auto [LocalSeq, RemoteSeq] = interleavedLookups(Local, Remote, C);

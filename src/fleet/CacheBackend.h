@@ -10,11 +10,10 @@
 /// in-memory first level; everything persistent goes through a CacheBackend,
 /// which stores opaque framed blobs keyed by (kind, 64-bit key):
 ///
-///   * LocalDirBackend — the single-node fast path: a directory tree,
-///     consistent-hash sharded across K shard subdirectories, with LFU /
-///     size-budget eviction that covers cache-jit-*.o objects and
-///     cache-tune-* decision files alike, and lock-file based cross-process
-///     compile claims.
+///   * LocalDirBackend — the single-node fast path: one flat directory,
+///     with LFU / size-budget eviction that covers cache-jit-*.o objects
+///     and cache-tune-* decision files alike, and lock-file based
+///     cross-process compile claims.
 ///   * RemoteCacheBackend — a client of the shared cache service
 ///     (tools/proteus-cached or an in-process fleet::CacheServer) speaking
 ///     the compact length-prefixed protocol of fleet/Protocol.h, with
@@ -40,7 +39,6 @@
 #include <cstdint>
 #include <functional>
 #include <optional>
-#include <string>
 #include <vector>
 
 namespace proteus {
@@ -48,13 +46,11 @@ namespace fleet {
 
 /// What a blob stores. Kinds live in disjoint key spaces and map to the
 /// historical on-disk names (cache-jit-<hex>.o / cache-tune-<hex>), so a
-/// pre-fleet cache directory is readable as a 1-shard local backend.
+/// pre-fleet cache directory is readable as a local backend.
 enum class BlobKind : uint8_t {
   Code = 0, ///< framed compiled-object entry (cache-jit-<hex>.o)
   Tune = 1, ///< framed tuning-decision record (cache-tune-<hex>)
 };
-
-const char *blobKindName(BlobKind K);
 
 /// A lookup result: the framed bytes plus the tier that served them, so
 /// CodeCache can count a daemon-served hit (RemoteHits) apart from a local
@@ -92,7 +88,7 @@ struct BackendStats {
 /// Abstract persistent blob store. All methods are thread-safe.
 class CacheBackend {
 public:
-  virtual ~CacheBackend();
+  virtual ~CacheBackend() = default;
 
   /// Returns the framed bytes for (\p Kind, \p Key), or nullopt on a miss.
   /// A hit refreshes the entry's recency (LRU touch).
@@ -111,8 +107,8 @@ public:
   /// Removes every cache entry (code, tune, stale temp/lock leftovers).
   virtual void clear() = 0;
 
-  /// Total bytes currently held by cache entries (code + tune, across all
-  /// shards) — the number the size budget constrains.
+  /// Total bytes currently held by cache entries (code + tune) — the number
+  /// the size budget constrains.
   virtual uint64_t totalBytes() = 0;
 
   /// Claims the fleet-wide right to compile \p Key. Owner means this caller
@@ -123,10 +119,6 @@ public:
   /// Releases a claim obtained from beginCompile (idempotent; called on
   /// every compile exit path, success or failure).
   virtual void endCompile(uint64_t Key) = 0;
-
-  /// Human-readable description for logs ("dir:<path> shards=K" or
-  /// "socket:<path>").
-  virtual std::string describe() const = 0;
 
   /// Snapshot of the backend counters.
   virtual BackendStats stats() const = 0;

@@ -20,7 +20,6 @@ using namespace proteus::fleet;
 CacheServer::CacheServer(CacheServerOptions OptionsIn)
     : Options(std::move(OptionsIn)) {
   LocalBackendOptions BO;
-  BO.Shards = Options.Shards;
   BO.BudgetBytes = Options.BudgetBytes;
   BO.Policy = Options.Policy;
   BO.FreqOf = Options.FreqOf;

@@ -8,7 +8,7 @@
 /// The node-level shared cache service behind tools/proteus-cached (and
 /// runnable in-process by tests). One daemon serves every JIT process on a
 /// node: a unix-domain socket accepting the fleet/Protocol.h framing, backed
-/// by a LocalDirBackend (sharded storage + budget eviction), with a
+/// by a LocalDirBackend (flat storage + budget eviction), with a
 /// fleet-wide in-flight compile table.
 ///
 /// Threading: one accept loop, one reader thread per connection, and Batch
@@ -45,7 +45,6 @@ namespace fleet {
 struct CacheServerOptions {
   std::string SocketPath;
   std::string Dir;
-  uint32_t Shards = 4;
   uint64_t BudgetBytes = 0;
   EvictPolicy Policy = EvictPolicy::LRU;
   FrequencyExtractor FreqOf;

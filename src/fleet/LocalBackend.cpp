@@ -1,4 +1,4 @@
-//===- LocalBackend.cpp - sharded on-disk cache backend -------------------===//
+//===- LocalBackend.cpp - on-disk cache backend ---------------------------===//
 //
 // Part of the Proteus reproduction project.
 //
@@ -39,33 +39,16 @@ bool isEntryName(const std::string &Name) {
 
 LocalDirBackend::LocalDirBackend(std::string RootDir,
                                  LocalBackendOptions OptionsIn)
-    : Root(std::move(RootDir)), Options(OptionsIn), Index(OptionsIn.Shards) {
+    : Root(std::move(RootDir)), Options(OptionsIn) {
   fs::createDirectories(Root);
-  if (Index.shardCount() > 1)
-    for (uint32_t S = 0; S != Index.shardCount(); ++S)
-      fs::createDirectories(Root + "/" + ShardIndex::shardDirName(S));
-}
-
-std::string LocalDirBackend::shardDir(uint64_t Key) const {
-  if (Index.shardCount() == 1)
-    return Root;
-  return Root + "/" + ShardIndex::shardDirName(Index.shardFor(Key));
 }
 
 std::string LocalDirBackend::pathFor(BlobKind Kind, uint64_t Key) const {
-  return shardDir(Key) + "/" + entryName(Kind, Key);
+  return Root + "/" + entryName(Kind, Key);
 }
 
 std::string LocalDirBackend::lockPathFor(uint64_t Key) const {
-  return shardDir(Key) + "/" + LockPrefix + hashToHex(Key);
-}
-
-std::vector<std::string> LocalDirBackend::allDirs() const {
-  std::vector<std::string> Dirs{Root};
-  if (Index.shardCount() > 1)
-    for (uint32_t S = 0; S != Index.shardCount(); ++S)
-      Dirs.push_back(Root + "/" + ShardIndex::shardDirName(S));
-  return Dirs;
+  return Root + "/" + LockPrefix + hashToHex(Key);
 }
 
 std::optional<Blob> LocalDirBackend::lookup(BlobKind Kind, uint64_t Key) {
@@ -99,19 +82,17 @@ bool LocalDirBackend::remove(BlobKind Kind, uint64_t Key) {
 }
 
 void LocalDirBackend::clear() {
-  for (const std::string &Dir : allDirs())
-    for (const std::string &Name : fs::listFiles(Dir))
-      if (isEntryName(Name) || startsWith(Name, LockPrefix) ||
-          Name.find(".tmp-") != std::string::npos)
-        fs::removeFile(Dir + "/" + Name);
+  for (const std::string &Name : fs::listFiles(Root))
+    if (isEntryName(Name) || startsWith(Name, LockPrefix) ||
+        Name.find(".tmp-") != std::string::npos)
+      fs::removeFile(Root + "/" + Name);
 }
 
 uint64_t LocalDirBackend::totalBytes() {
   uint64_t Total = 0;
-  for (const std::string &Dir : allDirs())
-    for (const fs::FileInfo &F : fs::listFilesWithInfo(Dir))
-      if (isEntryName(F.Name))
-        Total += F.Bytes;
+  for (const fs::FileInfo &F : fs::listFilesWithInfo(Root))
+    if (isEntryName(F.Name))
+      Total += F.Bytes;
   return Total;
 }
 
@@ -138,10 +119,6 @@ CompileClaim LocalDirBackend::beginCompile(uint64_t Key) {
 
 void LocalDirBackend::endCompile(uint64_t Key) {
   fs::removeFile(lockPathFor(Key));
-}
-
-std::string LocalDirBackend::describe() const {
-  return "dir:" + Root + " shards=" + std::to_string(Index.shardCount());
 }
 
 BackendStats LocalDirBackend::stats() const {
@@ -171,16 +148,14 @@ void LocalDirBackend::enforceBudget() {
   };
   std::vector<Victim> Entries;
   uint64_t Total = 0;
-  for (const std::string &Dir : allDirs())
-    for (const fs::FileInfo &F : fs::listFilesWithInfo(Dir)) {
-      if (!isEntryName(F.Name))
-        continue; // locks and .tmp- siblings are not budgeted entries
-      Total += F.Bytes;
-      Entries.push_back(Victim{Dir + "/" + F.Name, F.Bytes, F.WriteTimeNs, 0,
-                               startsWith(F.Name, CodePrefix)
-                                   ? BlobKind::Code
-                                   : BlobKind::Tune});
-    }
+  for (const fs::FileInfo &F : fs::listFilesWithInfo(Root)) {
+    if (!isEntryName(F.Name))
+      continue; // locks and .tmp- siblings are not budgeted entries
+    Total += F.Bytes;
+    Entries.push_back(Victim{Root + "/" + F.Name, F.Bytes, F.WriteTimeNs, 0,
+                             startsWith(F.Name, CodePrefix) ? BlobKind::Code
+                                                            : BlobKind::Tune});
+  }
   if (Total <= Options.BudgetBytes)
     return;
 

@@ -1,16 +1,18 @@
-//===- LocalBackend.h - sharded on-disk cache backend -----------*- C++ -*-===//
+//===- LocalBackend.h - on-disk cache backend -------------------*- C++ -*-===//
 //
 // Part of the Proteus reproduction project.
 //
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The single-node storage backend: framed blobs as files in a directory
-/// tree, consistent-hash sharded across K shard subdirectories (K = 1 keeps
-/// every file at the top level, byte-compatible with the pre-fleet cache).
-/// A size budget triggers LRU/LFU eviction that accounts code objects
-/// (cache-jit-<hex>.o) and tuning decisions (cache-tune-<hex>) alike — the
-/// fix for decision files growing a "size-limited" cache without bound.
+/// The single-node storage backend: framed blobs as files in one flat
+/// directory, the paper's cache layout. The daemon, daemon-less processes
+/// and a daemon client's outage fallback all open the same directory this
+/// way, so they find each other's entries and claims with no setting to
+/// agree on. A size budget triggers LRU/LFU eviction that accounts code
+/// objects (cache-jit-<hex>.o) and tuning decisions (cache-tune-<hex>)
+/// alike — the fix for decision files growing a "size-limited" cache
+/// without bound.
 ///
 /// Cross-process compile claims are O_CREAT|O_EXCL lock files
 /// (cache-lock-<hex>, holding the owner pid): the winner compiles, everyone
@@ -29,18 +31,16 @@
 #define PROTEUS_FLEET_LOCALBACKEND_H
 
 #include "fleet/CacheBackend.h"
-#include "fleet/ShardIndex.h"
 
 #include <atomic>
 #include <mutex>
+#include <string>
 
 namespace proteus {
 namespace fleet {
 
 struct LocalBackendOptions {
-  /// Shard directories under the root (PROTEUS_CACHE_SHARDS). 1 = flat.
-  uint32_t Shards = 1;
-  /// Total on-disk byte budget across shards, code + tune files
+  /// Total on-disk byte budget, code + tune files
   /// (PROTEUS_CACHE_DISK_LIMIT); 0 = unlimited.
   uint64_t BudgetBytes = 0;
   EvictPolicy Policy = EvictPolicy::LRU;
@@ -63,26 +63,15 @@ public:
   uint64_t totalBytes() override;
   CompileClaim beginCompile(uint64_t Key) override;
   void endCompile(uint64_t Key) override;
-  std::string describe() const override;
   BackendStats stats() const override;
 
-  const std::string &rootDir() const { return Root; }
-
-  /// Path of the entry file for (\p Kind, \p Key) — exposed for tests and
-  /// the crash-injection battery; production callers go through the
-  /// CacheBackend interface only.
-  std::string pathFor(BlobKind Kind, uint64_t Key) const;
-
 private:
-  std::string shardDir(uint64_t Key) const;
+  std::string pathFor(BlobKind Kind, uint64_t Key) const;
   std::string lockPathFor(uint64_t Key) const;
-  /// Every directory that may hold entries (root + shard subdirectories).
-  std::vector<std::string> allDirs() const;
   void enforceBudget();
 
   const std::string Root;
   const LocalBackendOptions Options;
-  const ShardIndex Index;
 
   /// Serializes eviction scans (lookup/publish themselves are lock-free
   /// with respect to each other — the filesystem provides atomicity).

@@ -91,8 +91,10 @@ wire::decodeRequest(const std::vector<uint8_t> &Payload) {
     R.Key = Rd.readU64();
     break;
   case Op::Batch: {
+    // Each entry takes 9 bytes, so a count the payload cannot hold is
+    // rejected before it sizes anything.
     uint32_t N = Rd.readU32();
-    if (!Rd.ok() || N > MaxFrameBytes / 9)
+    if (!Rd.ok() || N > Rd.remaining() / 9)
       return std::nullopt;
     R.BatchKeys.reserve(N);
     for (uint32_t I = 0; I != N; ++I) {
@@ -163,8 +165,8 @@ wire::decodeResponse(const std::vector<uint8_t> &Payload) {
   case Status::Ok: {
     uint8_t Body = Rd.readU8();
     if (Body == 1) {
-      uint32_t N = Rd.readU32();
-      if (!Rd.ok() || N > MaxFrameBytes / 12)
+      uint32_t N = Rd.readU32(); // entries of at least 12 bytes
+      if (!Rd.ok() || N > Rd.remaining() / 12)
         return std::nullopt;
       for (uint32_t I = 0; I != N; ++I) {
         std::string Name = Rd.readString();
@@ -172,8 +174,8 @@ wire::decodeResponse(const std::vector<uint8_t> &Payload) {
         R.Stats.emplace_back(std::move(Name), Value);
       }
     } else if (Body == 2) {
-      uint32_t N = Rd.readU32();
-      if (!Rd.ok() || N > MaxFrameBytes)
+      uint32_t N = Rd.readU32(); // entries of at least 1 byte
+      if (!Rd.ok() || N > Rd.remaining())
         return std::nullopt;
       for (uint32_t I = 0; I != N; ++I) {
         uint8_t S = Rd.readU8();

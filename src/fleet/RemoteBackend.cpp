@@ -288,13 +288,6 @@ void RemoteCacheBackend::endCompile(uint64_t Key) {
   fallback().endCompile(Key);
 }
 
-std::string RemoteCacheBackend::describe() const {
-  std::string D = "socket:" + Options.SocketPath;
-  if (DaemonDown.load(std::memory_order_relaxed))
-    D += " (fallback:" + Options.FallbackDir + ")";
-  return D;
-}
-
 BackendStats RemoteCacheBackend::stats() const {
   BackendStats S;
   S.Lookups = NLookups.load(std::memory_order_relaxed);

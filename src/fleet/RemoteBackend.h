@@ -66,7 +66,6 @@ public:
   uint64_t totalBytes() override;
   CompileClaim beginCompile(uint64_t Key) override;
   void endCompile(uint64_t Key) override;
-  std::string describe() const override;
   BackendStats stats() const override;
 
   /// True while the daemon answered the most recent RPC (false once the

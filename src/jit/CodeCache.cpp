@@ -225,7 +225,6 @@ std::optional<DecodedEntry> decodeEntry(const std::vector<uint8_t> &Bytes) {
 
 fleet::LocalBackendOptions CodeCache::backendOptions(const CacheLimits &Limits) {
   fleet::LocalBackendOptions BO;
-  BO.Shards = Limits.Shards;
   BO.BudgetBytes = Limits.MaxPersistentBytes;
   BO.Policy = Limits.Policy;
   // LFU victim selection needs each entry's execution count; only CodeCache
@@ -247,11 +246,12 @@ CodeCache::CodeCache(bool UseMemory, bool UsePersistent,
                      std::unique_ptr<fleet::CacheBackend> Backend)
     : UseMemory(UseMemory),
       UsePersistent(UsePersistent && !PersistentDir.empty()),
-      Dir(std::move(PersistentDir)), Limits(Limits),
+      Limits(Limits),
       Backend(!this->UsePersistent ? nullptr
               : Backend            ? std::move(Backend)
                                    : std::make_unique<fleet::LocalDirBackend>(
-                                         Dir, backendOptions(Limits))) {}
+                                         std::move(PersistentDir),
+                                         backendOptions(Limits))) {}
 
 CodeCache::~CodeCache() = default;
 

@@ -111,9 +111,6 @@ struct CacheLimits {
   /// runtime-informed policy).
   fleet::EvictPolicy Policy =
       env::defaultOf<fleet::EvictPolicy>(env::Knob::CachePolicy);
-  /// Shard directories for the persistent level (consistent-hash sharded;
-  /// 1 keeps the historical flat layout).
-  uint32_t Shards = env::defaultOf<uint32_t>(env::Knob::CacheShards);
 
   bool operator==(const CacheLimits &) const = default;
 };
@@ -151,7 +148,7 @@ uint64_t computeTuningKeyHash(uint64_t ModuleId,
                               const std::vector<uint64_t> &ArgBits);
 
 /// Two-level object cache. The in-memory first level lives here; the
-/// persistent level is delegated to a fleet::CacheBackend (a sharded local
+/// persistent level is delegated to a fleet::CacheBackend (a flat local
 /// directory by default, the shared cache service when PROTEUS_CACHE_REMOTE
 /// is on) — CodeCache owns the entry framing, the backend owns transport
 /// and storage. All persistent access goes through the backend; nothing
@@ -160,16 +157,15 @@ class CodeCache {
 public:
   /// \p PersistentDir empty disables the persistent level entirely. The
   /// persistent level goes through \p Backend (the remote fleet client, or
-  /// a test double); a null \p Backend builds the default sharded
-  /// local-directory backend from \p Limits. \p PersistentDir is recorded
-  /// as persistentDir() either way.
+  /// a test double); a null \p Backend builds the default local-directory
+  /// backend over \p PersistentDir from \p Limits.
   CodeCache(bool UseMemory, bool UsePersistent, std::string PersistentDir,
             CacheLimits Limits = CacheLimits(),
             std::unique_ptr<fleet::CacheBackend> Backend = nullptr);
 
   ~CodeCache();
 
-  /// LocalBackendOptions derived from \p Limits: shards, the byte budget
+  /// LocalBackendOptions derived from \p Limits: the byte budget
   /// (MaxPersistentBytes), the eviction policy, and a frequency extractor
   /// that decodes the execution count from framed code entries (for LFU
   /// victim selection).
@@ -226,8 +222,6 @@ public:
   /// atomic-rename on disk, like code entries).
   void storeTuningDecision(uint64_t Key, const TuningDecision &D);
 
-  const std::string &persistentDir() const { return Dir; }
-
   /// The persistent backend (null when the persistent level is disabled).
   fleet::CacheBackend *backend() { return Backend.get(); }
 
@@ -273,7 +267,6 @@ private:
 
   const bool UseMemory;
   const bool UsePersistent;
-  const std::string Dir;
   const CacheLimits Limits;
   /// Persistent storage; null iff UsePersistent is false.
   const std::unique_ptr<fleet::CacheBackend> Backend;

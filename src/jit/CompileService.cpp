@@ -77,7 +77,6 @@ std::shared_future<CompileOutcome>
 CompileService::obtain(const CompileRequest &Req, CodeTier Wanted,
                        bool Cover) {
   Promise Owned, Promotion;
-  CodeTier PromotionTier = CodeTier::Final;
   std::shared_future<CompileOutcome> F;
   {
     std::lock_guard<std::mutex> Lock(Mutex);
@@ -106,15 +105,14 @@ CompileService::obtain(const CompileRequest &Req, CodeTier Wanted,
       Hit.set_value({GpuError::Success, {}, std::move(CC->Object), CC->Tier});
       F = Hit.get_future().share();
     } else if (Cover) {
-      Promotion = claimLocked(Req.Hash, Wanted);
-      PromotionTier = Wanted;
+      Promotion = claimLocked(Req.Hash, CodeTier::Final);
     } else {
       Owned = claimLocked(Req.Hash, Wanted);
       F = InFlight.at({Req.Hash, Wanted});
     }
   }
   if (Promotion)
-    start(Req, PromotionTier, std::move(Promotion), /*Promotion=*/true);
+    start(Req, CodeTier::Final, std::move(Promotion), /*Promotion=*/true);
   if (Owned)
     start(Req, Wanted, std::move(Owned), /*Promotion=*/false);
   return F;

@@ -102,9 +102,10 @@ public:
 
   /// The launch path's entry point: the outcome of \p Req at \p Wanted.
   /// Serves a servable cache entry; else, when the caller can \p Cover the
-  /// launch, promotes to \p Wanted unless that is in flight and returns an
-  /// invalid future; else joins a compile of \p Wanted in flight or runs
-  /// one inline. Serving or compiling Tier-0 schedules its promotion.
+  /// launch (and then wants Final), promotes to Final unless that is in
+  /// flight and returns an invalid future; else joins a compile of
+  /// \p Wanted in flight or runs one inline. Serving or compiling Tier-0
+  /// schedules its promotion.
   std::shared_future<CompileOutcome> obtain(const CompileRequest &Req,
                                             CodeTier Wanted, bool Cover);
 

@@ -21,6 +21,7 @@
 #include "support/Trace.h"
 #include "transforms/SpecializeArgs.h"
 
+#include <cassert>
 #include <cstdio>
 
 using namespace proteus;
@@ -158,7 +159,6 @@ JitConfig JitConfig::fromEnvironment(std::vector<std::string> *Warnings) {
   env::read(Knob::CachePolicy, C.Limits.Policy, Warnings);
   env::read(Knob::CacheRemote, C.CacheRemote, Warnings);
   env::read(Knob::CacheSocket, C.CacheSocket, Warnings);
-  env::read(Knob::CacheShards, C.Limits.Shards, Warnings);
   env::read(Knob::Analyze, C.Analyze, Warnings);
   env::read(Knob::VerifyEach, C.VerifyEachPass, Warnings);
   env::read(Knob::Capture, C.Capture, Warnings);
@@ -186,7 +186,7 @@ const char *proteus::tierModeName(bool TierEnabled) {
 /// client when PROTEUS_CACHE_REMOTE=on (socket from PROTEUS_CACHE_SOCKET,
 /// defaulting to <CacheDir>/proteus-cached.sock, with the local directory
 /// as its outage fallback), or null to let CodeCache build the default
-/// sharded local backend.
+/// local backend.
 static std::unique_ptr<fleet::CacheBackend>
 makeCacheBackend(const JitConfig &Config) {
   if (!Config.CacheRemote || !Config.UsePersistentCache ||
@@ -732,26 +732,22 @@ CompileRequest JitRuntime::compileRequest(const JitKernelInfo &Info,
   R.Bind = [this, &Info, Key](CodeTier Tier, CompileOutcome &Failed) {
     return bindCompile(Info, Key, Tier, nullptr, Failed);
   };
-  // The one hot-swap: records the promoted rung, which every device
-  // mapping a lower one adopts under its own lock at its next launch of
-  // this shape (mapAndLaunch). The worker never waits for a device lock
-  // that a launch storm holds, and a rung is never lowered.
+  // The one hot-swap: records the promoted Final object, which every
+  // device mapping a lower rung adopts under its own lock at its next
+  // launch of this shape (mapAndLaunch). The worker never waits for a
+  // device lock that a launch storm holds. Every promotion is to Final.
   R.Promoted = [this, Hash](const CompileOutcome &O) {
-    const Rung Level = rungOf(O.Tier);
+    assert(O.Tier == CodeTier::Final);
     {
       std::lock_guard<std::mutex> Lock(SpecMutex);
-      SpecRecord &Spec = Specs[Hash];
-      if (Spec.Promoted >= Level)
+      auto &Promoted = Specs[Hash].Promoted;
+      if (Promoted)
         return;
-      Spec.Promoted = Level;
-      Spec.PromotedObject =
-          std::make_shared<const std::vector<uint8_t>>(O.Object);
+      Promoted = std::make_shared<const std::vector<uint8_t>>(O.Object);
     }
-    if (Level == Rung::Final) {
-      // One promotion per specialization, however many devices adopt it.
-      Stat.Tier1Promotions->add();
-      trace::instant("jit.tier1_promotion");
-    }
+    // One promotion per specialization, however many devices adopt it.
+    Stat.Tier1Promotions->add();
+    trace::instant("jit.tier1_promotion");
   };
   return R;
 }
@@ -821,12 +817,12 @@ GpuError JitRuntime::mapAndLaunch(
     std::string *Error) {
   // A finished promotion outranks the rung this launch obtained or found.
   std::shared_ptr<const std::vector<uint8_t>> Promoted;
-  {
+  if (Level != Rung::Final) {
     std::lock_guard<std::mutex> SpecLock(SpecMutex);
     auto It = Specs.find(Hash);
-    if (It != Specs.end() && It->second.Promoted > Level) {
-      Level = It->second.Promoted;
-      Promoted = It->second.PromotedObject;
+    if (It != Specs.end() && It->second.Promoted) {
+      Level = Rung::Final;
+      Promoted = It->second.Promoted;
       Object = Promoted.get();
     }
   }
@@ -1007,9 +1003,12 @@ GpuError JitRuntime::launchKernelOn(unsigned DeviceIndex, KernelHandle Kernel,
   }
 
   // --- Cold: the cheapest rung ready now (see the file comment) ------------
-  const CodeTier Wanted = Config.Tier ? CodeTier::Tier0 : CodeTier::Final;
+  // A covered launch promotes straight to Final: a Tier-0 rung would cost
+  // one more compile and run no sooner than the cover it replaces.
   const bool Cover = Config.Async == JitConfig::AsyncMode::Fallback &&
                      Info.hasGenericFor(DS.Dev->target().Arch);
+  const CodeTier Wanted =
+      Config.Tier && !Cover ? CodeTier::Tier0 : CodeTier::Final;
   std::shared_future<CompileOutcome> F = Service.obtain(
       compileRequest(Info, specializationKey(K, Words.data()), Hash), Wanted,
       Cover);

@@ -127,10 +127,11 @@ struct JitConfig {
   unsigned AsyncWorkers = env::defaultOf<unsigned>(env::Knob::AsyncWorkers);
   O3Options O3;
 
-  /// Tiered compilation (PROTEUS_TIER). When on, a cold launch wants
-  /// a fast Tier-0 compile (O3Preset::Fast + fast register allocation),
-  /// and the full pipeline runs as a background promotion that hot-swaps
-  /// the loaded kernel and promotes the cache entry in place.
+  /// Tiered compilation (PROTEUS_TIER). When on, a cold launch with no
+  /// generic cover wants a fast Tier-0 compile (O3Preset::Fast + fast
+  /// register allocation), and the full pipeline runs as a background
+  /// promotion that hot-swaps the loaded kernel and promotes the cache
+  /// entry in place. A covered launch promotes straight to Final.
   bool Tier = env::defaultOf<bool>(env::Knob::Tier);
 
   /// What to do with kernel-sanitizer findings (divergent barriers,
@@ -213,10 +214,12 @@ const char *tierModeName(bool TierEnabled);
 /// Tiering counters: Compilations counts full-pipeline (final-tier)
 /// compiles only; Tier0Compiles counts fast baseline compiles, and
 /// Tier1Promotions counts background promotions that installed a Final
-/// binary over a cover (generic or Tier-0) — so with PROTEUS_TIER=on a cold
-/// specialization eventually contributes one Tier0Compiles, one
-/// Compilations and one Tier1Promotions. PrunedFunctions counts
-/// module-index functions skipped by closure-pruned materialization;
+/// binary over a cover (generic or Tier-0) — so with PROTEUS_TIER=on an
+/// uncovered cold specialization eventually contributes one Tier0Compiles,
+/// one Compilations and one Tier1Promotions, and a covered one (its
+/// generic binary promotes straight to Final) no Tier0Compiles.
+/// PrunedFunctions counts module-index functions skipped by closure-pruned
+/// materialization;
 /// HashMemoHits counts launches whose specialization hash was served by
 /// the per-kernel memo and HashMemoMisses those that computed it, so the
 /// two sum to the launches that got as far as the hash.
@@ -559,13 +562,12 @@ private:
   };
 
   /// Per specialization: the device that first loaded a JIT object for it
-  /// (CrossDeviceLoads / PerArchCompileReuse), and the highest rung a
-  /// promotion has finished, with its object, which every device adopts
-  /// at its next launch of the specialization (mapAndLaunch).
+  /// (CrossDeviceLoads / PerArchCompileReuse), and the object of its
+  /// finished Final promotion (null until one finished), which every
+  /// device adopts at its next launch of the specialization (mapAndLaunch).
   struct SpecRecord {
     std::optional<unsigned> Origin;
-    Rung Promoted = Rung::Generic; ///< Generic: none finished yet
-    std::shared_ptr<const std::vector<uint8_t>> PromotedObject;
+    std::shared_ptr<const std::vector<uint8_t>> Promoted;
   };
 
   /// True once more than one device is attached: compiled objects keep

@@ -114,10 +114,10 @@ bool env::read(Knob K, std::string &Out, std::vector<std::string> *Warnings) {
 }
 
 void env::rejectRetired(std::vector<std::string> *Warnings) {
-  for (auto [Name, Instead] :
-       {std::pair{"PROTEUS_CACHE_BUDGET", ", set PROTEUS_CACHE_DISK_LIMIT"},
-        std::pair{"PROTEUS_TUNE", ""}})
-    if (const char *S = std::getenv(Name))
-      reject(Name, S, std::string("unset; the variable is retired") + Instead,
+  for (const RetiredKnob &R : RetiredKnobs)
+    if (const char *S = std::getenv(R.Name))
+      reject(R.Name, S,
+             "unset; the variable is retired" +
+                 (R.Instead.empty() ? "" : ", set " + std::string(R.Instead)),
              Warnings);
 }

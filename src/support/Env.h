@@ -60,7 +60,6 @@ enum class KnobKind : uint8_t {
   X(CachePolicy, "PROTEUS_CACHE_POLICY", Choice, 0, 0, "lru|lfu", "lru")       \
   X(CacheRemote, "PROTEUS_CACHE_REMOTE", Choice, 0, 0, "off|on", "off")        \
   X(CacheSocket, "PROTEUS_CACHE_SOCKET", Path, 0, 0, "", "")                   \
-  X(CacheShards, "PROTEUS_CACHE_SHARDS", Integer, 1, 64, "", "1")              \
   X(Analyze, "PROTEUS_ANALYZE", Choice, 0, 0, "off|warn|error", "warn")        \
   X(VerifyEach, "PROTEUS_VERIFY_EACH", Choice, 0, 0, "0|1", "0")               \
   X(NumDevices, "PROTEUS_NUM_DEVICES", Integer, 1, 64, "", "1")                \
@@ -157,8 +156,24 @@ template <typename T = uint64_t> consteval T defaultOf(Knob K) {
   return static_cast<T>(V);
 }
 
-/// Rejects a set retired variable (PROTEUS_CACHE_BUDGET, PROTEUS_TUNE) like
-/// an invalid value; JitConfig::fromEnvironment calls this.
+/// A PROTEUS_* variable that no longer exists, and the knob to set
+/// instead (empty when nothing replaces it).
+struct RetiredKnob {
+  const char *Name;
+  std::string_view Instead;
+};
+
+/// Every retired variable. A retired name stays here for good: a row costs
+/// one line, and silently ignoring a set variable would hide a dead
+/// setting.
+inline constexpr RetiredKnob RetiredKnobs[] = {
+    {"PROTEUS_CACHE_BUDGET", "PROTEUS_CACHE_DISK_LIMIT"},
+    {"PROTEUS_TUNE", ""},
+    {"PROTEUS_CACHE_SHARDS", ""},
+};
+
+/// Rejects each set RetiredKnobs variable like an invalid value;
+/// JitConfig::fromEnvironment calls this.
 void rejectRetired(std::vector<std::string> *Warnings);
 
 /// The spellings of \p K in enum order (empty for other kinds); the mode

@@ -86,8 +86,8 @@ uint64_t directorySize(const std::string &Dir);
 /// Creates a fresh unique temporary directory and returns its path.
 std::string makeTempDirectory(const std::string &Prefix);
 
-/// Removes \p Path recursively (files and subdirectories — e.g. a sharded
-/// fleet-cache tree). A missing path counts as success.
+/// Removes \p Path recursively (files and subdirectories). A missing path
+/// counts as success.
 bool removeTree(const std::string &Path);
 
 /// Nanoseconds elapsed since \p Path was last written, or std::nullopt if

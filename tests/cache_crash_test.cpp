@@ -288,7 +288,6 @@ TEST(CacheCrashTest, DaemonCrashMidRunFallsBackToLocalPublishes) {
   fleet::CacheServerOptions SO;
   SO.SocketPath = Tmp.Path + "/cached.sock";
   SO.Dir = Store;
-  SO.Shards = 1; // fallback must agree on the layout
   auto Server = fleet::CacheServer::start(SO);
   ASSERT_TRUE(Server);
 

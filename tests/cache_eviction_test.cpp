@@ -270,7 +270,7 @@ TEST(CacheEvictionTest, BudgetCoversCodeAndTuneTogether) {
 }
 
 TEST(CacheEvictionTest, MultiProcessContentionUnderTightBudgetStaysSafe) {
-  // K real processes hammer one sharded cache directory under a budget far
+  // K real processes hammer one cache directory under a budget far
   // too small to hold every entry, so evictions race lookups and publishes
   // constantly. Invariants: no process ever reads a torn/corrupt entry
   // (unlink/rename semantics — an eviction yields a miss, never garbage),
@@ -287,7 +287,6 @@ TEST(CacheEvictionTest, MultiProcessContentionUnderTightBudgetStaysSafe) {
     if (Pid == 0) {
       CacheLimits L;
       L.MaxPersistentBytes = Budget;
-      L.Shards = 2;
       CodeCache C(false, true, Tmp.Path, L);
       unsigned Bad = 0;
       for (unsigned I = 0; I != Iters; ++I) {
@@ -316,7 +315,6 @@ TEST(CacheEvictionTest, MultiProcessContentionUnderTightBudgetStaysSafe) {
   {
     CacheLimits L;
     L.MaxPersistentBytes = Budget;
-    L.Shards = 2;
     CodeCache C(false, true, Tmp.Path, L);
     C.insert(999, blob(EntryBytes, 9));
     EXPECT_LE(C.persistentBytes(), Budget);

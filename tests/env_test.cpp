@@ -55,18 +55,14 @@ uint64_t configErrors() {
   return metrics::processRegistry().counter("config.errors").value();
 }
 
-/// Variables that no longer exist; setting one is rejected.
-const char *const RetiredVariables[] = {"PROTEUS_CACHE_BUDGET",
-                                        "PROTEUS_TUNE"};
-
 /// Unsets every knob, and every retired variable, for the scope.
 struct CleanEnv {
   std::deque<ScopedEnv> Vars;
   CleanEnv() {
     for (const KnobInfo &K : Knobs)
       Vars.emplace_back(K.Name, nullptr);
-    for (const char *Name : RetiredVariables)
-      Vars.emplace_back(Name, nullptr);
+    for (const RetiredKnob &R : RetiredKnobs)
+      Vars.emplace_back(R.Name, nullptr);
   }
 };
 
@@ -109,7 +105,6 @@ const Field Fields[] = {
     PROTEUS_FIELD(CachePolicy, Jit.Limits.Policy, number(C.Jit.Limits.Policy)),
     PROTEUS_FIELD(CacheRemote, Jit.CacheRemote, number(C.Jit.CacheRemote)),
     PROTEUS_FIELD(CacheSocket, Jit.CacheSocket, C.Jit.CacheSocket),
-    PROTEUS_FIELD(CacheShards, Jit.Limits.Shards, number(C.Jit.Limits.Shards)),
     PROTEUS_FIELD(Analyze, Jit.Analyze, number(C.Jit.Analyze)),
     PROTEUS_FIELD(VerifyEach, Jit.VerifyEachPass, number(C.Jit.VerifyEachPass)),
     PROTEUS_FIELD(NumDevices, Devices.NumDevices, number(C.Devices.NumDevices)),
@@ -299,8 +294,8 @@ TEST(EnvKnobTest, RetiredSpellingsAreRejected) {
   CleanEnv Clean;
   std::vector<std::pair<const char *, const char *>> Retired = {
       {"PROTEUS_ASYNC", "block"}, {"PROTEUS_CACHE_POLICY", "runtime"}};
-  for (const char *Name : RetiredVariables)
-    Retired.emplace_back(Name, "1");
+  for (const RetiredKnob &R : RetiredKnobs)
+    Retired.emplace_back(R.Name, "4");
   for (auto [Var, Value] : Retired) {
     ScopedEnv Set(Var, Value);
     const uint64_t Errors = configErrors();
@@ -313,6 +308,14 @@ TEST(EnvKnobTest, RetiredSpellingsAreRejected) {
         << Warnings[0];
     EXPECT_EQ(configErrors(), Errors + 1) << Var;
   }
+  // The store is one flat directory now; a shard count still set in a
+  // deployment's environment is reported, not silently dropped.
+  ScopedEnv Shards("PROTEUS_CACHE_SHARDS", "4");
+  std::vector<std::string> Warnings;
+  JitConfig::fromEnvironment(&Warnings);
+  EXPECT_EQ(Warnings, std::vector<std::string>{
+                          "ignoring invalid PROTEUS_CACHE_SHARDS value '4' "
+                          "(expected unset; the variable is retired)"});
 }
 
 TEST(EnvKnobTest, ZeroKeepsRcfAndLaunchBoundsOn) {

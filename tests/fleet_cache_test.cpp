@@ -4,8 +4,8 @@
 //
 //===----------------------------------------------------------------------===//
 //
-// The fleet cache stack, bottom to top: consistent-hash shard index,
-// wire-protocol codec (including malformed frames), the sharded local
+// The fleet cache stack, bottom to top: wire-protocol codec (including
+// malformed frames and a seeded mutant sweep), the flat local
 // directory backend (budget eviction covering code AND tune files,
 // lock-file compile claims with stale-steal), the in-process cache service
 // plus its RemoteCacheBackend client (dedup across connections, claim
@@ -15,16 +15,18 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "Mutation.h"
 #include "TestUtil.h"
 
 #include "fleet/CacheServer.h"
 #include "fleet/Protocol.h"
 #include "fleet/RemoteBackend.h"
-#include "fleet/ShardIndex.h"
 #include "jit/CodeCache.h"
 #include "jit/JitRuntime.h"
 #include "jit/Program.h"
 #include "support/FileSystem.h"
+#include "support/Hashing.h"
+#include "support/StringUtils.h"
 #include "support/Trace.h"
 
 #include <gtest/gtest.h>
@@ -50,56 +52,6 @@ struct TempDir {
 
 std::vector<uint8_t> blob(size_t N, uint8_t Fill) {
   return std::vector<uint8_t>(N, Fill);
-}
-
-//===----------------------------------------------------------------------===//
-// ShardIndex
-//===----------------------------------------------------------------------===//
-
-TEST(ShardIndexTest, ClampsShardCountToValidRange) {
-  EXPECT_EQ(ShardIndex(0).shardCount(), 1u);
-  EXPECT_EQ(ShardIndex(1).shardCount(), 1u);
-  EXPECT_EQ(ShardIndex(8).shardCount(), 8u);
-  EXPECT_EQ(ShardIndex(10000).shardCount(), 256u);
-}
-
-TEST(ShardIndexTest, DeterministicAcrossInstancesAndInRange) {
-  ShardIndex A(6), B(6);
-  for (uint64_t K = 0; K != 4096; ++K) {
-    uint32_t S = A.shardFor(K * 0x9e3779b97f4a7c15ULL);
-    EXPECT_LT(S, 6u);
-    EXPECT_EQ(S, B.shardFor(K * 0x9e3779b97f4a7c15ULL))
-        << "mapping must be stable across processes";
-  }
-}
-
-TEST(ShardIndexTest, EveryShardOwnsPartOfTheKeySpace) {
-  ShardIndex Idx(8);
-  std::vector<unsigned> Count(8, 0);
-  for (uint64_t K = 0; K != 20000; ++K)
-    ++Count[Idx.shardFor(K * 0x2545f4914f6cdd1dULL + 1)];
-  for (unsigned S = 0; S != 8; ++S)
-    EXPECT_GT(Count[S], 0u) << "shard " << S << " owns no keys";
-}
-
-TEST(ShardIndexTest, GrowingTheRingRemapsOnlyAMinorityOfKeys) {
-  // The consistent-hash property PROTEUS_CACHE_SHARDS relies on: adding a
-  // shard must not reshuffle the whole key space.
-  ShardIndex Before(8), After(9);
-  unsigned Moved = 0;
-  constexpr unsigned N = 20000;
-  for (uint64_t K = 0; K != N; ++K) {
-    uint64_t Key = K * 0x9e3779b97f4a7c15ULL + 7;
-    if (Before.shardFor(Key) != After.shardFor(Key))
-      ++Moved;
-  }
-  EXPECT_LT(Moved, N / 2) << "adding one shard remapped most keys";
-}
-
-TEST(ShardIndexTest, ShardDirNamesAreZeroPadded) {
-  EXPECT_EQ(ShardIndex::shardDirName(0), "shard-00");
-  EXPECT_EQ(ShardIndex::shardDirName(7), "shard-07");
-  EXPECT_EQ(ShardIndex::shardDirName(42), "shard-42");
 }
 
 //===----------------------------------------------------------------------===//
@@ -193,6 +145,107 @@ TEST(FleetProtocolTest, MalformedAndTruncatedPayloadsAreRejected) {
   EXPECT_FALSE(wire::decodeRequest(Full).has_value());
 }
 
+/// One valid frame of every request op and response shape.
+struct ProtocolFrame {
+  const char *Name;
+  bool IsRequest;
+  std::vector<uint8_t> Bytes;
+};
+
+const std::vector<ProtocolFrame> &protocolFrames() {
+  static const std::vector<ProtocolFrame> Frames = [] {
+    std::vector<uint8_t> Payload(24);
+    for (size_t I = 0; I != Payload.size(); ++I)
+      Payload[I] = static_cast<uint8_t>(I * 37);
+    std::vector<ProtocolFrame> Out;
+    auto Req = [&](const char *Name, wire::Op Op,
+                   BlobKind Kind = BlobKind::Code,
+                   std::vector<uint8_t> Bytes = {}) {
+      wire::Request R;
+      R.Kind = Op;
+      R.Blob = Kind;
+      R.Key = 0x0123456789abcdefULL;
+      R.Bytes = std::move(Bytes);
+      if (Op == wire::Op::Batch)
+        R.BatchKeys = {{0, 1}, {1, 0xfedcba9876543210ULL}, {0, 7}};
+      Out.push_back({Name, true, wire::encodeRequest(R)});
+    };
+    Req("ping", wire::Op::Ping);
+    Req("lookup", wire::Op::Lookup, BlobKind::Tune);
+    Req("publish", wire::Op::Publish, BlobKind::Code, Payload);
+    Req("acquire", wire::Op::Acquire);
+    Req("release", wire::Op::Release);
+    Req("remove", wire::Op::Remove);
+    Req("clear", wire::Op::Clear);
+    Req("stats", wire::Op::Stats);
+    Req("batch", wire::Op::Batch);
+    auto Resp = [&](const char *Name, wire::Response R) {
+      Out.push_back({Name, false, wire::encodeResponse(R)});
+    };
+    for (auto [Name, Code] : {std::pair{"ok", wire::Status::Ok},
+                              std::pair{"miss", wire::Status::Miss},
+                              std::pair{"owner", wire::Status::Owner},
+                              std::pair{"inflight", wire::Status::InFlight}}) {
+      wire::Response R;
+      R.Code = Code;
+      Resp(Name, R);
+    }
+    wire::Response Hit;
+    Hit.Code = wire::Status::Hit;
+    Hit.Bytes = Payload;
+    Resp("hit", Hit);
+    wire::Response Err;
+    Err.Code = wire::Status::Error;
+    Err.Message = "no space left";
+    Resp("error", Err);
+    wire::Response Stats;
+    Stats.Stats = {{"hits", 7}, {"misses", 3}};
+    Resp("stats-reply", Stats);
+    wire::Response Batch;
+    Batch.BatchResults = {{wire::Status::Hit, {1, 2, 3, 4}},
+                          {wire::Status::Miss, {}}};
+    Resp("batch-reply", Batch);
+    return Out;
+  }();
+  return Frames;
+}
+
+/// The decoder's verdict on mutant \p I: "rejected", or the digest of the
+/// accepted message encoded again. That encoding must decode too.
+MutantVerdict protocolMutantVerdict(unsigned I) {
+  const ProtocolFrame &F = protocolFrames()[I % protocolFrames().size()];
+  Rng R(0x7f4a7c15ull * (I + 1));
+  unsigned Kind = R.below(std::size(ByteMutationKinds));
+  std::vector<uint8_t> Bytes = F.Bytes;
+  mutateBytes(Bytes, Kind, R);
+  std::optional<std::vector<uint8_t>> Again;
+  if (F.IsRequest) {
+    if (auto D = wire::decodeRequest(Bytes)) {
+      Again = wire::encodeRequest(*D);
+      EXPECT_TRUE(wire::decodeRequest(*Again)) << "mutant " << I;
+    }
+  } else if (auto D = wire::decodeResponse(Bytes)) {
+    Again = wire::encodeResponse(*D);
+    EXPECT_TRUE(wire::decodeResponse(*Again)) << "mutant " << I;
+  }
+  std::string Verdict = "rejected";
+  if (Again) {
+    FNV1aHash H;
+    H.update(*Again);
+    Verdict = "ok " + hashToHex(H.digest());
+  }
+  return {formatString("%u %s %s %s", I, F.Name, ByteMutationKinds[Kind],
+                       Verdict.c_str()),
+          Again.has_value()};
+}
+
+constexpr unsigned GoldenProtocolMutants = 1200;
+
+TEST(FleetProtocolTest, MutantVerdictsMatchGolden) {
+  expectMutantVerdictsMatchGolden(PROTEUS_PROTOCOL_MUTANTS,
+                                  GoldenProtocolMutants, protocolMutantVerdict);
+}
+
 //===----------------------------------------------------------------------===//
 // LocalDirBackend
 //===----------------------------------------------------------------------===//
@@ -222,35 +275,14 @@ TEST(LocalBackendTest, PublishLookupRemoveClearRoundTrip) {
   EXPECT_EQ(S.Publishes, 2u);
 }
 
-TEST(LocalBackendTest, ShardedLayoutSpreadsEntriesAcrossShardDirs) {
-  TempDir Tmp;
-  LocalBackendOptions O;
-  O.Shards = 4;
-  LocalDirBackend B(Tmp.Path, O);
-  for (uint64_t K = 0; K != 64; ++K)
-    ASSERT_TRUE(B.publish(BlobKind::Code, K * 0x9e3779b97f4a7c15ULL + 3,
-                          blob(32, static_cast<uint8_t>(K))));
-  // Entries land inside shard subdirectories, none at the top level.
-  EXPECT_TRUE(fs::listFiles(Tmp.Path).empty());
-  unsigned Populated = 0;
-  for (unsigned S = 0; S != 4; ++S)
-    if (!fs::listFiles(Tmp.Path + "/" + ShardIndex::shardDirName(S)).empty())
-      ++Populated;
-  EXPECT_GT(Populated, 1u) << "64 keys all hashed into one shard";
-  // And every entry is found again through the same index.
-  for (uint64_t K = 0; K != 64; ++K)
-    EXPECT_TRUE(
-        B.lookup(BlobKind::Code, K * 0x9e3779b97f4a7c15ULL + 3).has_value());
-}
-
-TEST(LocalBackendTest, SingleShardKeepsHistoricalFlatLayout) {
+TEST(LocalBackendTest, EntriesLiveFlatInTheRootDirectory) {
   TempDir Tmp;
   LocalDirBackend B(Tmp.Path, {});
   ASSERT_TRUE(B.publish(BlobKind::Code, 0x77, blob(16, 1)));
   auto Names = fs::listFiles(Tmp.Path);
   ASSERT_EQ(Names.size(), 1u);
   EXPECT_EQ(Names[0].find("cache-jit-"), 0u)
-      << "1-shard layout must stay byte-compatible with the pre-fleet cache";
+      << "the layout must stay byte-compatible with the pre-fleet cache";
 }
 
 TEST(LocalBackendTest, BudgetEvictionCoversCodeAndTuneFiles) {
@@ -310,13 +342,11 @@ struct ServerFixture {
   std::string Socket;
   std::unique_ptr<CacheServer> Server;
 
-  explicit ServerFixture(uint32_t Shards = 2, uint64_t Budget = 0) {
+  ServerFixture() {
     Socket = Tmp.Path + "/cached.sock";
     CacheServerOptions O;
     O.SocketPath = Socket;
     O.Dir = Tmp.Path + "/store";
-    O.Shards = Shards;
-    O.BudgetBytes = Budget;
     O.Workers = 2;
     Server = CacheServer::start(O);
   }
@@ -366,14 +396,57 @@ TEST(CacheServerTest, DaemonClaimsAlsoBlockDaemonlessProcesses) {
   ServerFixture F;
   ASSERT_TRUE(F.Server);
   auto A = F.client();
-  LocalBackendOptions O;
-  O.Shards = 2; // must match the server's sharding to find the locks
-  LocalDirBackend Local(F.Tmp.Path + "/store", O);
+  LocalDirBackend Local(F.Tmp.Path + "/store", {});
   EXPECT_EQ(A->beginCompile(21), CompileClaim::Owner);
   EXPECT_EQ(Local.beginCompile(21), CompileClaim::InFlightElsewhere);
   A->endCompile(21);
   EXPECT_EQ(Local.beginCompile(21), CompileClaim::Owner);
   Local.endCompile(21);
+}
+
+TEST(CacheServerTest, DefaultDaemonAndDefaultRuntimeShareOneStore) {
+  // A daemon, a daemon-less process and a daemon client's outage fallback,
+  // each on its default options over one directory, see one store.
+  TempDir Tmp;
+  const std::string Store = Tmp.Path + "/store";
+  CacheServerOptions SO;
+  SO.SocketPath = Tmp.Path + "/cached.sock";
+  SO.Dir = Store;
+  auto Server = CacheServer::start(SO);
+  ASSERT_TRUE(Server);
+  auto clientOf = [&] {
+    RemoteBackendOptions RO;
+    RO.SocketPath = SO.SocketPath;
+    RO.FallbackDir = Store;
+    RO.Fallback = CodeCache::backendOptions(CacheLimits());
+    RO.TimeoutMs = 200;
+    return std::make_unique<RemoteCacheBackend>(std::move(RO));
+  };
+  auto Client = clientOf();
+  LocalDirBackend Local(Store, CodeCache::backendOptions(CacheLimits()));
+
+  ASSERT_TRUE(Client->publish(BlobKind::Code, 0x51, blob(96, 0x51)));
+  auto Hit = Local.lookup(BlobKind::Code, 0x51);
+  EXPECT_TRUE(Hit && Hit->Bytes == blob(96, 0x51))
+      << "an entry published through the daemon must be found locally";
+
+  ASSERT_EQ(Client->beginCompile(0x52), CompileClaim::Owner);
+  EXPECT_EQ(Local.beginCompile(0x52), CompileClaim::InFlightElsewhere)
+      << "a claim held through the daemon must block a local claimant";
+  Client->endCompile(0x52);
+  EXPECT_EQ(Local.totalBytes(), Client->totalBytes());
+  EXPECT_EQ(Local.totalBytes(), 96u);
+  EXPECT_TRUE(Client->connected()) << "every operation above used the daemon";
+
+  Server->stop();
+  auto Down = clientOf();
+  auto Fell = Down->lookup(BlobKind::Code, 0x51);
+  EXPECT_TRUE(Fell && Fell->Bytes == blob(96, 0x51))
+      << "the fallback must serve the daemon's entry";
+  EXPECT_FALSE(Down->connected());
+  Local.clear();
+  EXPECT_FALSE(Down->lookup(BlobKind::Code, 0x51).has_value())
+      << "a local clear() must remove the daemon's entry";
 }
 
 TEST(CacheServerTest, OwnerDisconnectReleasesItsClaims) {

@@ -390,7 +390,6 @@ TEST(JitConcurrencyTest, PersistentCacheWritesAreConcurrencySafe) {
   Warm.CacheDir = Tmp.Path;
   Warm.CacheRemote = Env.CacheRemote;
   Warm.CacheSocket = Env.CacheSocket;
-  Warm.Limits.Shards = Env.Limits.Shards;
   Harness H2(Prog, GpuArch::AmdGcnSim, Warm);
   for (const WorkItem &W : makeWorkItems()) {
     std::string Err;

@@ -9,9 +9,9 @@
 # standard containers), builds everything with -Werror, and runs the full
 # ctest suite under both sanitizers. Any -Wall -Wextra warning, heap/stack/
 # global overflow, use-after-free, leak, container-bounds or
-# undefined-behaviour report fails the script. The PTX assembler's and the
-# bitcode reader's mutation tests, and the use-list edit script, then run
-# again with PROTEUS_FUZZ_ITERS=10000.
+# undefined-behaviour report fails the script. The PTX assembler's, the
+# bitcode reader's and the fleet wire protocol's mutation tests, and the
+# use-list edit script, then run again with PROTEUS_FUZZ_ITERS=10000.
 #
 # Usage: tools/ci_asan.sh [build-dir] [extra ctest args...]
 #        (default build dir: build-asan)
@@ -42,15 +42,18 @@ STATUS=0
 (cd "${BUILD_DIR}" && ctest --output-on-failure -j "$(nproc)" "$@") ||
   STATUS=1
 
-# The PTX assembler and the bitcode reader decode bytes that could come from
-# anywhere: sweep each a second time with 10k seeded mutants (the
-# per-decoder fuzzing floor).
+# The PTX assembler, the bitcode reader and the fleet wire protocol decode
+# bytes that could come from anywhere: sweep each a second time with 10k
+# seeded mutants (the per-decoder fuzzing floor).
 echo "== PTX assembler mutation sweep (PROTEUS_FUZZ_ITERS=10000) =="
 PROTEUS_FUZZ_ITERS=10000 "${BUILD_DIR}/tests/codegen_test" \
   --gtest_filter=PtxTest.MutantVerdictsMatchGolden || STATUS=1
 echo "== Bitcode reader mutation sweep (PROTEUS_FUZZ_ITERS=10000) =="
 PROTEUS_FUZZ_ITERS=10000 "${BUILD_DIR}/tests/bitcode_test" \
   --gtest_filter=BitcodeTest.MutantVerdictsMatchGolden || STATUS=1
+echo "== Fleet protocol mutation sweep (PROTEUS_FUZZ_ITERS=10000) =="
+PROTEUS_FUZZ_ITERS=10000 "${BUILD_DIR}/tests/fleet_cache_test" \
+  --gtest_filter=FleetProtocolTest.MutantVerdictsMatchGolden || STATUS=1
 # The use list's inline storage spills to and returns from the heap as
 # use counts cross its capacity; a long edit script walks those edges.
 echo "== Use-list edit script (PROTEUS_FUZZ_ITERS=10000) =="

@@ -175,7 +175,7 @@ cmake --build "${BUILD_DIR}" -j "$(nproc)" --target proteus-cached
 FLEET_SOCK="${TRACE_TMP}/cached.sock"
 FLEET_DIR="${TRACE_TMP}/fleet-cache"
 "${BUILD_DIR}/tools/proteus-cached" \
-  "--socket=${FLEET_SOCK}" "--dir=${FLEET_DIR}" --shards=4 --workers=4 &
+  "--socket=${FLEET_SOCK}" "--dir=${FLEET_DIR}" --workers=4 &
 FLEET_PID=$!
 trap 'kill "${FLEET_PID}" 2>/dev/null || true; rm -rf "${TRACE_TMP}"' EXIT
 for _ in $(seq 1 100); do
@@ -183,7 +183,6 @@ for _ in $(seq 1 100); do
   sleep 0.05
 done
 if ! PROTEUS_CACHE_REMOTE=on PROTEUS_CACHE_SOCKET="${FLEET_SOCK}" \
-     PROTEUS_CACHE_SHARDS=4 \
      "${BUILD_DIR}/tests/jit_concurrency_test"; then
   echo "!! jit_concurrency_test FAILED under ThreadSanitizer against the cache daemon"
   STATUS=1

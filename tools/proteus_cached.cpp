@@ -6,11 +6,11 @@
 //
 // The node-level shared cache service: every JIT process on a node points
 // PROTEUS_CACHE_REMOTE=on / PROTEUS_CACHE_SOCKET at one of these and gets a
-// shared, sharded, budget-evicted code cache with fleet-wide compile dedup
+// shared, budget-evicted code cache with fleet-wide compile dedup
 // and batched lookups.
 //
 //   proteus-cached --socket=/run/proteus/cached.sock --dir=/var/cache/proteus
-//                  [--shards=4] [--budget=BYTES] [--workers=4]
+//                  [--budget=BYTES] [--workers=4]
 //                  [--policy=lru|lfu]
 //
 // Runs until SIGINT/SIGTERM, then prints a stats summary and exits 0.
@@ -38,8 +38,8 @@ void onSignal(int) { StopRequested.store(true); }
 int usage(const char *Argv0) {
   std::string_view Policies = env::info(env::Knob::CachePolicy).Spellings;
   std::fprintf(stderr,
-               "usage: %s --socket=PATH --dir=PATH [--shards=N] "
-               "[--budget=BYTES] [--workers=N] [--policy=%.*s]\n",
+               "usage: %s --socket=PATH --dir=PATH [--budget=BYTES] "
+               "[--workers=N] [--policy=%.*s]\n",
                Argv0, static_cast<int>(Policies.size()), Policies.data());
   return 2;
 }
@@ -59,11 +59,6 @@ int main(int Argc, char **Argv) {
       Options.SocketPath = S;
     } else if (const char *S = valueOf("--dir=")) {
       Options.Dir = S;
-    } else if (const char *S = valueOf("--shards=")) {
-      const env::KnobInfo &Shards = env::info(env::Knob::CacheShards);
-      if (!env::parseDecimal(S, V) || V < Shards.Lo || V > Shards.Hi)
-        return usage(Argv[0]);
-      Options.Shards = static_cast<uint32_t>(V);
     } else if (const char *S = valueOf("--budget=")) {
       if (!env::parseDecimal(S, V))
         return usage(Argv[0]);
@@ -95,11 +90,11 @@ int main(int Argc, char **Argv) {
                  Options.SocketPath.c_str());
     return 1;
   }
-  std::fprintf(stderr, "proteus-cached: serving %s on %s (shards=%u%s)\n",
+  std::fprintf(stderr, "proteus-cached: serving %s on %s%s\n",
                Options.Dir.c_str(), Options.SocketPath.c_str(),
-               Options.Shards,
                Options.BudgetBytes
-                   ? (", budget=" + std::to_string(Options.BudgetBytes)).c_str()
+                   ? (" (budget=" + std::to_string(Options.BudgetBytes) + ")")
+                         .c_str()
                    : "");
 
   while (!StopRequested.load())
