@@ -12,20 +12,6 @@
 namespace pir {
 namespace analysis {
 
-const char *uniformityName(Uniformity U) {
-  switch (U) {
-  case Uniformity::Unknown:
-    return "unknown";
-  case Uniformity::Uniform:
-    return "uniform";
-  case Uniformity::Injective:
-    return "injective";
-  case Uniformity::Divergent:
-    return "divergent";
-  }
-  return "?";
-}
-
 UniformityAnalysis::UniformityAnalysis(Function &F)
     : DT(F), DivergentBranchSet(F), DivergentJoins(F), RegionBranch(F) {
   solve(F);

@@ -38,8 +38,6 @@ enum class Uniformity : uint8_t {
   Divergent,   ///< thread-dependent, no injectivity guarantee
 };
 
-const char *uniformityName(Uniformity U);
-
 /// Forward dataflow instance computing per-value Uniformity plus the sync
 /// dependence induced by divergent branches.
 class UniformityAnalysis final

@@ -63,7 +63,6 @@ public:
   /// Stops accepting, closes every connection, joins all threads. Idempotent.
   void stop();
 
-  const std::string &socketPath() const { return Options.SocketPath; }
   LocalDirBackend &backend() { return *Backend; }
 
   /// Connections accepted over the server's lifetime.

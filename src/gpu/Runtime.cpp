@@ -16,22 +16,6 @@
 using namespace proteus;
 using namespace proteus::gpu;
 
-const char *proteus::gpu::gpuErrorName(GpuError E) {
-  switch (E) {
-  case GpuError::Success:
-    return "success";
-  case GpuError::OutOfMemory:
-    return "out of memory";
-  case GpuError::InvalidValue:
-    return "invalid value";
-  case GpuError::LaunchFailure:
-    return "launch failure";
-  case GpuError::NotFound:
-    return "not found";
-  }
-  proteus_unreachable("unknown gpu error");
-}
-
 GpuError proteus::gpu::gpuMalloc(Device &Dev, DevicePtr *Out,
                                  uint64_t Bytes) {
   if (!Out)

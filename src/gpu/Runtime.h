@@ -37,8 +37,6 @@ enum class GpuError {
   NotFound,
 };
 
-const char *gpuErrorName(GpuError E);
-
 /// Allocates device memory (adds no simulated time, as in real runtimes the
 /// cost is host-side).
 GpuError gpuMalloc(Device &Dev, DevicePtr *Out, uint64_t Bytes);

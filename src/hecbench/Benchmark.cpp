@@ -6,47 +6,28 @@
 
 #include "hecbench/Benchmark.h"
 
-#include "ir/Cloning.h"
-#include "ir/Module.h"
 #include "ir/Context.h"
 #include "ir/IRPrinter.h"
 #include "ir/Interpreter.h"
+#include "ir/Module.h"
 #include "ir/OpSemantics.h"
-#include "support/Error.h"
-#include "support/Timer.h"
+#include "support/StringUtils.h"
 
+#include <algorithm>
 #include <cstring>
+
+#include <sys/mman.h>
+#include <unistd.h>
 
 using namespace proteus;
 using namespace proteus::hecbench;
 using namespace proteus::gpu;
-
-const char *proteus::hecbench::execModeName(ExecMode M) {
-  switch (M) {
-  case ExecMode::AOT:
-    return "AOT";
-  case ExecMode::Proteus:
-    return "Proteus";
-  case ExecMode::Jitify:
-    return "Jitify";
-  }
-  proteus_unreachable("unknown exec mode");
-}
 
 BufferSpec BufferSpec::fromDoubles(std::string Name,
                                    const std::vector<double> &V) {
   BufferSpec B;
   B.Name = std::move(Name);
   B.Init.resize(V.size() * sizeof(double));
-  std::memcpy(B.Init.data(), V.data(), B.Init.size());
-  return B;
-}
-
-BufferSpec BufferSpec::fromFloats(std::string Name,
-                                  const std::vector<float> &V) {
-  BufferSpec B;
-  B.Name = std::move(Name);
-  B.Init.resize(V.size() * sizeof(float));
   std::memcpy(B.Init.data(), V.data(), B.Init.size());
   return B;
 }
@@ -94,66 +75,114 @@ std::vector<float> BufferReader::floats(const std::string &Name) const {
 
 namespace {
 
-/// Replays the launch sequence on the reference IR interpreter over a copy
-/// of device memory; returns false (with message) on divergence.
-bool interpretAndCompare(const Benchmark &B, pir::Module &SourceModule,
-                         Device &Dev, std::vector<uint8_t> InitialMemory,
-                         const std::map<std::string, DevicePtr> &BufferPtrs,
-                         std::string &Error) {
-  pir::Context &Ctx = SourceModule.getContext();
-  // Link globals at their device addresses in a module clone.
-  auto Linked = cloneModule(SourceModule, Ctx, SourceModule.getName() + ".iv");
-  for (const auto &G : Linked->globals()) {
-    DevicePtr Addr = Dev.getSymbolAddress(G->getName());
-    if (!Addr) {
-      Error = "interpreter verify: unresolved global @" + G->getName();
-      return false;
+/// The lowest address outside every buffer whose byte the launches changed.
+/// Below the pre-launch high-water mark the image is compared with
+/// \p Before; above it the image was all zeros, and only the pages the
+/// launches committed (mincore lists them) can hold a non-zero byte, so the
+/// rest of the mapping is never read.
+std::optional<DevicePtr>
+firstStrayStore(const Device &Dev, const std::vector<uint8_t> &Before,
+                const std::map<std::string, DevicePtr> &Ptrs,
+                const std::map<std::string, uint64_t> &Sizes) {
+  const uint8_t *Mem = Dev.memory().data();
+  std::vector<std::pair<DevicePtr, DevicePtr>> Buffers;
+  for (const auto &[Name, P] : Ptrs)
+    Buffers.push_back({P, P + Sizes.at(Name)});
+  std::sort(Buffers.begin(), Buffers.end());
+  Buffers.push_back({Before.size(), Before.size()});
+  uint64_t From = 0;
+  for (const auto &[Lo, Hi] : Buffers) {
+    if (Lo > From) {
+      const uint8_t *Diff =
+          std::mismatch(Mem + From, Mem + Lo, Before.data() + From).first;
+      if (Diff != Mem + Lo)
+        return Diff - Mem;
     }
-    G->replaceAllUsesWith(Ctx.getConstantPtr(Addr));
+    From = std::max(From, Hi);
   }
-
-  pir::IRInterpreter Interp(InitialMemory);
-  for (const LaunchSpec &L : B.launches()) {
-    pir::Function *F = Linked->getFunction(L.Symbol);
-    if (!F) {
-      Error = "interpreter verify: unknown kernel @" + L.Symbol;
-      return false;
-    }
-    std::vector<uint64_t> Args;
-    for (const ArgSpec &A : L.Args) {
-      if (A.K == ArgSpec::Kind::Scalar)
-        Args.push_back(A.Bits);
-      else
-        Args.push_back(BufferPtrs.at(A.BufferName) + A.ByteOffset);
-    }
-    for (uint32_t Blk = 0; Blk != L.Grid.X; ++Blk) {
-      for (uint32_t Ty = 0; Ty != L.Block.Y; ++Ty) {
-        for (uint32_t Tx = 0; Tx != L.Block.X; ++Tx) {
-          pir::ThreadGeometry G;
-          G.ThreadIdx[0] = Tx;
-          G.ThreadIdx[1] = Ty;
-          G.BlockIdx[0] = Blk;
-          G.BlockDim[0] = L.Block.X;
-          G.BlockDim[1] = L.Block.Y;
-          G.GridDim[0] = L.Grid.X;
-          pir::InterpResult R = Interp.run(*F, Args, G);
-          if (!R.Ok) {
-            Error = "interpreter verify failed in @" + L.Symbol + ": " +
-                    R.Error;
-            return false;
-          }
-        }
-      }
-    }
+  const uint64_t Page = static_cast<uint64_t>(sysconf(_SC_PAGESIZE));
+  const uint64_t First = Before.size() / Page * Page;
+  const uint64_t Size = Dev.memory().size();
+  // Every page counts as committed if mincore fails.
+  std::vector<unsigned char> Committed((Size - First + Page - 1) / Page, 1);
+  mincore(const_cast<uint8_t *>(Mem) + First, Size - First, Committed.data());
+  for (size_t I = 0; I != Committed.size(); ++I) {
+    if (!(Committed[I] & 1))
+      continue;
+    const uint8_t *Lo = Mem + std::max<uint64_t>(First + I * Page, From);
+    const uint8_t *Hi = Mem + std::min(First + (I + 1) * Page, Size);
+    const uint8_t *NonZero = std::find_if(Lo, Hi, [](uint8_t V) { return V; });
+    if (NonZero != Hi)
+      return NonZero - Mem;
   }
-  if (InitialMemory != Dev.memory()) {
-    Error = "device execution diverged from the reference interpreter";
-    return false;
-  }
-  return true;
+  return std::nullopt;
 }
 
 } // namespace
+
+std::map<std::string, std::vector<uint8_t>>
+proteus::hecbench::referenceOutputs(const Benchmark &B, std::string &Error) {
+  pir::Context Ctx;
+  std::unique_ptr<pir::Module> M = B.buildModule(Ctx);
+  // Globals, then buffers, at 64-byte-aligned offsets above a non-zero
+  // base, as Device::allocate places them (address 0 is the null pointer).
+  std::vector<uint8_t> Image;
+  auto Place = [&Image](const std::vector<uint8_t> &Init, uint64_t Bytes) {
+    uint64_t At = std::max<uint64_t>(64, (Image.size() + 63) & ~63ull);
+    Image.resize(At + Bytes);
+    std::copy(Init.begin(), Init.end(), Image.begin() + At);
+    return At;
+  };
+  for (const auto &G : M->globals())
+    G->replaceAllUsesWith(
+        Ctx.getConstantPtr(Place(G->getInit(), G->sizeInBytes())));
+  std::map<std::string, std::pair<uint64_t, uint64_t>> Buffers;
+  for (const BufferSpec &BS : B.buffers())
+    Buffers[BS.Name] = {Place(BS.Init, BS.Init.size()), BS.Init.size()};
+
+  pir::IRInterpreter Interp(Image);
+  for (const LaunchSpec &L : B.launches()) {
+    pir::Function *F = M->getFunction(L.Symbol);
+    if (!F) {
+      Error = B.name() + ": unknown kernel @" + L.Symbol;
+      return {};
+    }
+    std::vector<uint64_t> Args;
+    for (const ArgSpec &A : L.Args)
+      Args.push_back(A.K == ArgSpec::Kind::Scalar
+                         ? A.Bits
+                         : Buffers.at(A.BufferName).first + A.ByteOffset);
+    // Threads run one after another, x fastest, block by block.
+    auto Split = [](uint64_t I, const Dim3 &D, uint32_t Out[3]) {
+      Out[0] = static_cast<uint32_t>(I % D.X);
+      Out[1] = static_cast<uint32_t>(I / D.X % D.Y);
+      Out[2] = static_cast<uint32_t>(I / D.X / D.Y);
+    };
+    pir::ThreadGeometry G;
+    G.GridDim[0] = L.Grid.X;
+    G.GridDim[1] = L.Grid.Y;
+    G.GridDim[2] = L.Grid.Z;
+    G.BlockDim[0] = L.Block.X;
+    G.BlockDim[1] = L.Block.Y;
+    G.BlockDim[2] = L.Block.Z;
+    for (uint64_t Blk = 0; Blk != L.Grid.count(); ++Blk)
+      for (uint64_t T = 0; T != L.Block.count(); ++T) {
+        Split(Blk, L.Grid, G.BlockIdx);
+        Split(T, L.Block, G.ThreadIdx);
+        pir::InterpResult R = Interp.run(*F, Args, G);
+        if (!R.Ok) {
+          Error = B.name() + ": interpreter failed in @" + L.Symbol + ": " +
+                  R.Error;
+          return {};
+        }
+      }
+  }
+  std::map<std::string, std::vector<uint8_t>> Out;
+  for (const auto &[Name, Range] : Buffers)
+    Out[Name].assign(Image.begin() + Range.first,
+                     Image.begin() + Range.first + Range.second);
+  return Out;
+}
 
 RunResult proteus::hecbench::runBenchmark(const Benchmark &B,
                                           const RunConfig &Config) {
@@ -214,10 +243,13 @@ RunResult proteus::hecbench::runBenchmark(const Benchmark &B,
     BufferSizes[BS.Name] = BS.Init.size();
   }
 
-  // Snapshot for interpreter verification before any kernel runs.
-  std::vector<uint8_t> Snapshot;
-  if (Config.VerifyAgainstInterpreter)
-    Snapshot = Dev.memory();
+  // Device memory below the high-water mark before any kernel runs, for the
+  // stray-store guard after the launches.
+  uint64_t HighWater = 0;
+  for (const auto &[Base, Size] : Dev.liveAllocations())
+    HighWater = std::max(HighWater, Base + Size);
+  const std::vector<uint8_t> Before(Dev.memory().data(),
+                                    Dev.memory().data() + HighWater);
 
   // --- Execute the launch sequence -----------------------------------------------
   Dev.resetSimulatedTime();
@@ -279,6 +311,13 @@ RunResult proteus::hecbench::runBenchmark(const Benchmark &B,
   Out.Profile = Dev.Profile;
 
   // --- Verify --------------------------------------------------------------------------
+  if (std::optional<DevicePtr> At =
+          firstStrayStore(Dev, Before, BufferPtrs, BufferSizes)) {
+    Out.Error = formatString(
+        "launches changed device memory outside every buffer at 0x%llx",
+        static_cast<unsigned long long>(*At));
+    return Out;
+  }
   BufferReader Reader(Dev, BufferPtrs, BufferSizes);
   for (const auto &[Name, Ptr] : BufferPtrs)
     Out.Outputs[Name] = Reader.bytes(Name);
@@ -286,15 +325,6 @@ RunResult proteus::hecbench::runBenchmark(const Benchmark &B,
   if (!Out.Verified) {
     Out.Error = "output verification failed";
     return Out;
-  }
-  if (Config.VerifyAgainstInterpreter) {
-    std::string VerifyError;
-    if (!interpretAndCompare(B, *M, Dev, std::move(Snapshot), BufferPtrs,
-                             VerifyError)) {
-      Out.Error = VerifyError;
-      Out.Verified = false;
-      return Out;
-    }
   }
   Out.Ok = true;
   return Out;

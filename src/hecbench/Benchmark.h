@@ -12,8 +12,9 @@
 /// AOT, Proteus with a cold or warm persistent cache, Jitify — and under
 /// the section 4.5 specialization modes (None/LB/RCF/LB+RCF), measuring
 /// end-to-end time as real host-side JIT work plus simulated device time.
-/// The same declarative launch sequence can be replayed on the reference IR
-/// interpreter, giving bit-exact verification of every mode.
+/// referenceOutputs() replays the same declarative launch sequence on the
+/// reference IR interpreter once, and every mode's outputs must match it
+/// bit for bit.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -37,8 +38,6 @@ enum class ExecMode {
   Jitify,  // source-string baseline (nvptx-sim only)
 };
 
-const char *execModeName(ExecMode M);
-
 /// A named device buffer with host-side initial contents.
 struct BufferSpec {
   std::string Name;
@@ -47,7 +46,6 @@ struct BufferSpec {
   /// Convenience: construct from a vector of doubles.
   static BufferSpec fromDoubles(std::string Name,
                                 const std::vector<double> &V);
-  static BufferSpec fromFloats(std::string Name, const std::vector<float> &V);
   static BufferSpec fromInts(std::string Name, const std::vector<int32_t> &V);
 };
 
@@ -60,9 +58,6 @@ struct ArgSpec {
 
   static ArgSpec scalarI32(int32_t V) {
     return ArgSpec{Kind::Scalar, static_cast<uint32_t>(V), "", 0};
-  }
-  static ArgSpec scalarI64(int64_t V) {
-    return ArgSpec{Kind::Scalar, static_cast<uint64_t>(V), "", 0};
   }
   static ArgSpec scalarF32(float V);
   static ArgSpec scalarF64(double V);
@@ -118,8 +113,8 @@ public:
   virtual std::vector<LaunchSpec> launches() const = 0;
 
   /// Program-specific sanity check on final buffers (finiteness, plausible
-  /// ranges). Bit-exactness vs the reference interpreter is checked
-  /// separately by the harness when requested.
+  /// ranges). Bit-exactness is checked separately, against
+  /// referenceOutputs().
   virtual bool verifyOutput(const BufferReader &Out) const = 0;
 
   /// How many identical application iterations each entry of launches()
@@ -136,7 +131,6 @@ struct RunConfig {
   ExecMode Mode = ExecMode::AOT;
   JitConfig Jit;              // specialization toggles + cache config
   bool ColdCache = true;      // clear the persistent cache before running
-  bool VerifyAgainstInterpreter = false; // bit-exact check (slow)
 };
 
 /// Measurements of one program execution.
@@ -166,8 +160,16 @@ struct RunResult {
   std::map<std::string, std::vector<uint8_t>> Outputs;
 };
 
-/// Executes \p B once under \p Config.
+/// Executes \p B once under \p Config. A run whose launches change any
+/// device byte outside the program's buffers fails, naming the address.
 RunResult runBenchmark(const Benchmark &B, const RunConfig &Config);
+
+/// The final contents of \p B's buffers by name, as RunResult::Outputs
+/// holds them, from one pass of its launch sequence on the reference IR
+/// interpreter over a compact image of its own (no device). Empty, with
+/// \p Error set, when the interpreter fails.
+std::map<std::string, std::vector<uint8_t>>
+referenceOutputs(const Benchmark &B, std::string &Error);
 
 /// All six programs of Table 1, in paper order.
 std::vector<std::unique_ptr<Benchmark>> allBenchmarks();

@@ -46,7 +46,6 @@ public:
 
   ConstantInt *getInt32(uint32_t V) { return Ctx.getInt32(V); }
   ConstantInt *getInt64(uint64_t V) { return Ctx.getInt64(V); }
-  ConstantInt *getBool(bool V) { return V ? Ctx.getTrue() : Ctx.getFalse(); }
   ConstantFP *getFloat(float V) { return Ctx.getFloat(V); }
   ConstantFP *getDouble(double V) { return Ctx.getDouble(V); }
 

@@ -33,7 +33,6 @@ public:
 
   bool isVoid() const { return TheKind == Kind::Void; }
   bool isI1() const { return TheKind == Kind::I1; }
-  bool isI32() const { return TheKind == Kind::I32; }
   bool isI64() const { return TheKind == Kind::I64; }
   bool isF32() const { return TheKind == Kind::F32; }
   bool isF64() const { return TheKind == Kind::F64; }

@@ -9,20 +9,6 @@
 using namespace proteus;
 using pir::analysis::BottleneckClass;
 
-const char *proteus::variantAxisName(VariantAxis A) {
-  switch (A) {
-  case VariantAxis::BlockSize:
-    return "block-size";
-  case VariantAxis::PipelinePreset:
-    return "pipeline-preset";
-  case VariantAxis::Licm:
-    return "licm";
-  case VariantAxis::Unroll:
-    return "unroll";
-  }
-  return "unknown";
-}
-
 void CompilationPolicy::recordVerdict(const std::string &Symbol, GpuArch Arch,
                                       const PolicyVerdict &V) {
   std::lock_guard<std::mutex> Lock(Mutex);

@@ -48,8 +48,6 @@ enum class VariantAxis {
   Unroll,         ///< unroll aggressiveness
 };
 
-const char *variantAxisName(VariantAxis A);
-
 /// One kernel's classification on one architecture.
 struct PolicyVerdict {
   pir::analysis::BottleneckClass Class =

@@ -25,11 +25,17 @@ std::optional<std::vector<uint8_t>> fs::readFile(const std::string &Path) {
   std::ifstream In(Path, std::ios::binary);
   if (!In)
     return std::nullopt;
-  std::vector<uint8_t> Data((std::istreambuf_iterator<char>(In)),
-                            std::istreambuf_iterator<char>());
-  if (In.bad())
+  // libstdc++'s stream buffer throws on a failed read (EISDIR for a
+  // directory, EIO), whatever the stream's exception mask.
+  try {
+    std::vector<uint8_t> Data((std::istreambuf_iterator<char>(In)),
+                              std::istreambuf_iterator<char>());
+    if (In.bad())
+      return std::nullopt;
+    return Data;
+  } catch (const std::ios_base::failure &) {
     return std::nullopt;
-  return Data;
+  }
 }
 
 bool fs::writeFile(const std::string &Path, const std::vector<uint8_t> &Data) {

@@ -23,8 +23,8 @@
 namespace proteus {
 namespace fs {
 
-/// Reads the entire file at \p Path; returns std::nullopt if it cannot be
-/// opened or read.
+/// Reads the entire file at \p Path; returns std::nullopt when it is missing,
+/// is a directory or cannot be read.
 std::optional<std::vector<uint8_t>> readFile(const std::string &Path);
 
 /// Writes \p Data to \p Path, replacing any existing file. Returns false on

@@ -75,14 +75,6 @@ inline uint64_t hashString(std::string_view S) {
   return hashBytes(S.data(), S.size());
 }
 
-/// Mixes \p V into \p Seed (Boost-style combiner over FNV output).
-inline uint64_t hashCombine(uint64_t Seed, uint64_t V) {
-  FNV1aHash H;
-  H.update(Seed);
-  H.update(V);
-  return H.digest();
-}
-
 /// Renders a hash as a fixed-width lowercase hex string, suitable for use in
 /// persistent cache file names.
 std::string hashToHex(uint64_t Hash);

@@ -106,6 +106,18 @@ TEST(CacheCrashTest, BitFlippedPayloadIsRejectedByHash) {
   EXPECT_FALSE(fs::exists(Path));
 }
 
+TEST(CacheCrashTest, DirectoryAtAnEntryPathIsAMiss) {
+  TempDir Tmp;
+  const std::vector<uint8_t> Obj = objBlob();
+  CodeCache C(false, true, Tmp.Path);
+  C.insert(11, Obj);
+  std::string Path = onlyCacheFile(Tmp.Path);
+  ASSERT_TRUE(fs::removeFile(Path));
+  ASSERT_TRUE(fs::createDirectories(Path));
+  EXPECT_FALSE(C.lookup(11).has_value());
+  EXPECT_EQ(C.stats().PersistentHits, 0u);
+}
+
 TEST(CacheCrashTest, GarbageAndWrongMagicFilesAreRejected) {
   TempDir Tmp;
   CodeCache C(false, true, Tmp.Path);

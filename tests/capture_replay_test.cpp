@@ -20,6 +20,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "Mutation.h"
 #include "RandomKernel.h"
 #include "TestUtil.h"
 
@@ -31,7 +32,9 @@
 #include "jit/Program.h"
 #include "jit/Replay.h"
 #include "support/FileSystem.h"
+#include "support/Hashing.h"
 #include "support/Metrics.h"
+#include "support/StringUtils.h"
 
 #include <gtest/gtest.h>
 
@@ -224,6 +227,65 @@ TEST(ArtifactFormatTest, RejectsCorruptionWithPreciseErrors) {
   std::vector<uint8_t> Padded = Bytes;
   Padded.push_back(0);
   EXPECT_FALSE(capture::deserializeArtifact(Padded, Out, &Error));
+}
+
+/// \p Payload framed as serializeArtifact frames it: magic, version,
+/// payload size and the payload's integrity hash.
+std::vector<uint8_t> frameArtifactPayload(const std::vector<uint8_t> &Payload) {
+  std::vector<uint8_t> Bytes = {'P', 'C', 'A', 'P'};
+  auto Append = [&Bytes](uint64_t V, unsigned Width) {
+    for (unsigned I = 0; I != Width; ++I)
+      Bytes.push_back(static_cast<uint8_t>(V >> (8 * I)));
+  };
+  Append(capture::ArtifactVersion, 4);
+  Append(Payload.size(), 8);
+  Append(hashBytes(Payload.data(), Payload.size()), 8);
+  Bytes.insert(Bytes.end(), Payload.begin(), Payload.end());
+  return Bytes;
+}
+
+/// The decoder's verdict on mutant \p I. Even mutants mutate the framed
+/// .pcap bytes, which the integrity hash almost always rejects; odd ones
+/// mutate the payload and frame it again with a correct size and hash, so
+/// they reach the payload decoder. The verdict is the error, or the digest
+/// of the accepted artifact serialized again, which must decode too.
+MutantVerdict artifactMutantVerdict(unsigned I) {
+  static const std::vector<uint8_t> Framed =
+      capture::serializeArtifact(sampleArtifact());
+  constexpr size_t HeaderBytes = 24;
+  Rng R(0x9e3779b9ull * (I + 1));
+  unsigned Kind = R.below(std::size(ByteMutationKinds));
+  const bool Payload = I % 2;
+  std::vector<uint8_t> Bytes;
+  if (Payload) {
+    Bytes.assign(Framed.begin() + HeaderBytes, Framed.end());
+    mutateBytes(Bytes, Kind, R);
+    Bytes = frameArtifactPayload(Bytes);
+  } else {
+    Bytes = Framed;
+    mutateBytes(Bytes, Kind, R);
+  }
+  capture::CaptureArtifact A;
+  std::string Error;
+  const bool Accepted = capture::deserializeArtifact(Bytes, A, &Error);
+  std::string Verdict = "rejected: " + Error;
+  if (Accepted) {
+    std::vector<uint8_t> Again = capture::serializeArtifact(A);
+    capture::CaptureArtifact B;
+    EXPECT_TRUE(capture::deserializeArtifact(Again, B, &Error))
+        << "mutant " << I << ": " << Error;
+    Verdict = "ok " + hashToHex(hashBytes(Again.data(), Again.size()));
+  }
+  return {formatString("%u %s %s %s", I, Payload ? "payload" : "framed",
+                       ByteMutationKinds[Kind], Verdict.c_str()),
+          Accepted};
+}
+
+constexpr unsigned GoldenArtifactMutants = 1200;
+
+TEST(ArtifactFormatTest, MutantVerdictsMatchGolden) {
+  expectMutantVerdictsMatchGolden(PROTEUS_ARTIFACT_MUTANTS,
+                                  GoldenArtifactMutants, artifactMutantVerdict);
 }
 
 // ---------------------------------------------------------------------------

@@ -145,6 +145,34 @@ TEST(FileSystemTest, ReadWriteListRemove) {
   fs::removeAllFiles(Dir);
 }
 
+TEST(FileSystemTest, ReadFileReturnsEmptyLargeAndMissingFiles) {
+  std::string Dir = fs::makeTempDirectory("proteus-fs-read");
+  std::string Empty = Dir + "/empty.bin";
+  ASSERT_TRUE(fs::writeFile(Empty, {}));
+  auto E = fs::readFile(Empty);
+  ASSERT_TRUE(E.has_value());
+  EXPECT_TRUE(E->empty());
+  // 256 KiB: larger than any single stdio buffer.
+  std::vector<uint8_t> Big(256 * 1024);
+  for (size_t I = 0; I != Big.size(); ++I)
+    Big[I] = static_cast<uint8_t>(I * 131 + (I >> 11));
+  std::string BigPath = Dir + "/big.bin";
+  ASSERT_TRUE(fs::writeFile(BigPath, Big));
+  auto B = fs::readFile(BigPath);
+  ASSERT_TRUE(B.has_value());
+  EXPECT_EQ(*B, Big);
+  EXPECT_FALSE(fs::readFile(Dir + "/missing.bin").has_value());
+  fs::removeTree(Dir);
+}
+
+TEST(FileSystemTest, ReadFileOfADirectoryIsNullopt) {
+  std::string Dir = fs::makeTempDirectory("proteus-fs-dir");
+  ASSERT_TRUE(fs::createDirectories(Dir + "/sub"));
+  EXPECT_FALSE(fs::readFile(Dir + "/sub").has_value());
+  EXPECT_FALSE(fs::readFile(Dir).has_value());
+  fs::removeTree(Dir);
+}
+
 TEST(FileSystemTest, TempDirectoriesAreUnique) {
   std::string A = fs::makeTempDirectory("proteus-uniq");
   std::string B = fs::makeTempDirectory("proteus-uniq");

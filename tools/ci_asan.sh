@@ -10,8 +10,9 @@
 # ctest suite under both sanitizers. Any -Wall -Wextra warning, heap/stack/
 # global overflow, use-after-free, leak, container-bounds or
 # undefined-behaviour report fails the script. The PTX assembler's, the
-# bitcode reader's and the fleet wire protocol's mutation tests, and the
-# use-list edit script, then run again with PROTEUS_FUZZ_ITERS=10000.
+# bitcode reader's, the fleet wire protocol's and the capture artifact
+# decoder's mutation tests, and the use-list edit script, then run again
+# with PROTEUS_FUZZ_ITERS=10000.
 #
 # Usage: tools/ci_asan.sh [build-dir] [extra ctest args...]
 #        (default build dir: build-asan)
@@ -42,9 +43,10 @@ STATUS=0
 (cd "${BUILD_DIR}" && ctest --output-on-failure -j "$(nproc)" "$@") ||
   STATUS=1
 
-# The PTX assembler, the bitcode reader and the fleet wire protocol decode
-# bytes that could come from anywhere: sweep each a second time with 10k
-# seeded mutants (the per-decoder fuzzing floor).
+# The PTX assembler, the bitcode reader, the fleet wire protocol and the
+# capture artifact decoder read bytes that could come from anywhere: sweep
+# each a second time with 10k seeded mutants (the per-decoder fuzzing
+# floor).
 echo "== PTX assembler mutation sweep (PROTEUS_FUZZ_ITERS=10000) =="
 PROTEUS_FUZZ_ITERS=10000 "${BUILD_DIR}/tests/codegen_test" \
   --gtest_filter=PtxTest.MutantVerdictsMatchGolden || STATUS=1
@@ -54,6 +56,9 @@ PROTEUS_FUZZ_ITERS=10000 "${BUILD_DIR}/tests/bitcode_test" \
 echo "== Fleet protocol mutation sweep (PROTEUS_FUZZ_ITERS=10000) =="
 PROTEUS_FUZZ_ITERS=10000 "${BUILD_DIR}/tests/fleet_cache_test" \
   --gtest_filter=FleetProtocolTest.MutantVerdictsMatchGolden || STATUS=1
+echo "== Capture artifact mutation sweep (PROTEUS_FUZZ_ITERS=10000) =="
+PROTEUS_FUZZ_ITERS=10000 "${BUILD_DIR}/tests/capture_replay_test" \
+  --gtest_filter=ArtifactFormatTest.MutantVerdictsMatchGolden || STATUS=1
 # The use list's inline storage spills to and returns from the heap as
 # use counts cross its capacity; a long edit script walks those edges.
 echo "== Use-list edit script (PROTEUS_FUZZ_ITERS=10000) =="
