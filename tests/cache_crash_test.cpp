@@ -14,6 +14,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "Mutation.h"
 #include "TestUtil.h"
 
 #include "fleet/CacheServer.h"
@@ -23,10 +24,12 @@
 #include "jit/Program.h"
 #include "support/FileSystem.h"
 #include "support/Hashing.h"
+#include "support/StringUtils.h"
 
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <cstring>
 #include <thread>
 
 #include <sys/wait.h>
@@ -380,6 +383,140 @@ TEST(CacheCrashTest, CrashBetweenTier0PersistAndPromotionRecovers) {
   ASSERT_TRUE(Entry.has_value());
   EXPECT_EQ(Entry->Tier, CodeTier::Final);
   EXPECT_EQ(Entry->Object, Promoted);
+}
+
+//===----------------------------------------------------------------------===//
+// Frame mutants: the verdict of the public lookup path on seeded mutants of
+// one framed code entry, pinned by tests/golden/cache_frame_mutants.txt.
+//===----------------------------------------------------------------------===//
+
+constexpr uint64_t FrameKey = 0x4d;
+constexpr uint64_t FrameFingerprint = 0x0123456789abcdefULL;
+constexpr unsigned GoldenFrameMutants = 1200;
+
+uint64_t loadU64(const std::vector<uint8_t> &B, size_t Off) {
+  uint64_t V;
+  std::memcpy(&V, B.data() + Off, sizeof(V));
+  return V;
+}
+
+void storeU64(std::vector<uint8_t> &B, size_t Off, uint64_t V) {
+  std::memcpy(B.data() + Off, &V, sizeof(V));
+}
+
+const char *const HeaderMutationKinds[] = {
+    "magic", "size", "hits", "fingerprint", "tier", "resize", "payload"};
+
+/// Mutates one header field of \p Frame (48-byte header: magic, size,
+/// integrity hash, hits, fingerprint, tier word), or the payload with its
+/// size field kept consistent, then recomputes the integrity hash over the
+/// payload, the tier byte and the fingerprint, so the mutant gets past the
+/// hash to the size and tier checks or is accepted outright.
+void mutateHeader(std::vector<uint8_t> &Frame, unsigned Kind, Rng &R) {
+  const size_t Header = 48;
+  auto lyingWord = [&](uint64_t V) -> uint64_t {
+    switch (R.below(5)) {
+    case 0:
+      return V + 1;
+    case 1:
+      return V - 1;
+    case 2:
+      return 0;
+    case 3:
+      return ~uint64_t(0);
+    default:
+      return R.next();
+    }
+  };
+  switch (Kind) {
+  case 0: // magic
+    Frame[R.below(8)] ^= static_cast<uint8_t>(1u << R.below(8));
+    break;
+  case 1: // size
+    storeU64(Frame, 8, lyingWord(loadU64(Frame, 8)));
+    break;
+  case 2: // hit count
+    storeU64(Frame, 24, R.next());
+    break;
+  case 3: // fingerprint
+    storeU64(Frame, 32, lyingWord(loadU64(Frame, 32)));
+    break;
+  case 4: { // tier word
+    const uint64_t Tiers[] = {0, 1, 2, 0x100, ~uint64_t(0)};
+    storeU64(Frame, 40, Tiers[R.below(5)]);
+    break;
+  }
+  case 5: { // payload length, size field kept consistent
+    size_t Payload = Frame.size() - Header;
+    Frame.resize(Header + (R.below(2) ? R.below(static_cast<uint32_t>(Payload))
+                                      : Payload + 1 + R.below(64)),
+                 0x5c);
+    storeU64(Frame, 8, Frame.size() - Header);
+    break;
+  }
+  default: // payload byte
+    Frame[Header + R.below(static_cast<uint32_t>(Frame.size() - Header))] ^=
+        static_cast<uint8_t>(1u << R.below(8));
+    break;
+  }
+  FNV1aHash H;
+  H.updateBytes(Frame.data() + Header, Frame.size() - Header);
+  H.update(Frame[40]);
+  H.update(loadU64(Frame, 32));
+  storeU64(Frame, 16, H.digest());
+}
+
+TEST(CacheFrameTest, MutantVerdictsMatchGolden) {
+  TempDir Tmp;
+  // Memory level off: every lookup reads the mutant back from disk.
+  CodeCache C(false, true, Tmp.Path);
+  C.insert(FrameKey, objBlob(), CodeTier::Tier0, FrameFingerprint);
+  const std::string Path = onlyCacheFile(Tmp.Path);
+  const std::optional<std::vector<uint8_t>> Base = fs::readFile(Path);
+  ASSERT_TRUE(Base.has_value());
+  ASSERT_GE(Base->size(), 48u);
+
+  // Even mutants are raw byte mutants of the whole frame; odd ones edit a
+  // header field and re-hash. Each verdict is what lookupEntry returns for
+  // the mutant: a miss with the corrupt entries it counted (and whether the
+  // file is gone), or a hit with tier, fingerprint and payload digest.
+  expectMutantVerdictsMatchGolden(
+      PROTEUS_FRAME_MUTANTS, GoldenFrameMutants, [&](unsigned I) {
+        Rng R(0x9e3779b9ull * (I + 1));
+        std::vector<uint8_t> Bytes = *Base;
+        const char *Kind;
+        if (I % 2 == 0) {
+          unsigned K = R.below(std::size(ByteMutationKinds));
+          mutateBytes(Bytes, K, R);
+          Kind = ByteMutationKinds[K];
+        } else {
+          unsigned K = R.below(std::size(HeaderMutationKinds));
+          mutateHeader(Bytes, K, R);
+          Kind = HeaderMutationKinds[K];
+        }
+        EXPECT_TRUE(fs::writeFile(Path, Bytes)) << "mutant " << I;
+        uint64_t CorruptBefore = C.stats().CorruptPersistentEntries;
+        std::optional<CachedCode> Hit = C.lookupEntry(FrameKey);
+        uint64_t Corrupt = C.stats().CorruptPersistentEntries - CorruptBefore;
+        std::string Verdict;
+        if (Hit) {
+          FNV1aHash H;
+          H.update(Hit->Object);
+          Verdict = formatString(
+              "hit tier=%u fp=%s payload=%s",
+              static_cast<unsigned>(Hit->Tier),
+              hashToHex(Hit->PipelineFingerprint).c_str(),
+              hashToHex(H.digest()).c_str());
+        } else {
+          Verdict = formatString("miss corrupt=%llu %s",
+                                 static_cast<unsigned long long>(Corrupt),
+                                 fs::exists(Path) ? "kept" : "deleted");
+        }
+        return MutantVerdict{formatString("%u %s %s %s", I,
+                                          I % 2 ? "header" : "raw", Kind,
+                                          Verdict.c_str()),
+                             Hit.has_value()};
+      });
 }
 
 } // namespace
