@@ -259,8 +259,8 @@ int main(int Argc, char **Argv) {
     WarmStats = Jit.stats();
   }
 
-  fs::removeAllFiles(CaptureDir);
-  fs::removeAllFiles(CacheDir);
+  fs::removeTree(CaptureDir);
+  fs::removeTree(CacheDir);
 
   const double RaceSpeedup =
       Cold.WinnerSeconds > 0 ? Cold.BaselineSeconds / Cold.WinnerSeconds : 0;

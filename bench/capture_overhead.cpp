@@ -222,7 +222,7 @@ int main(int Argc, char **Argv) {
       AllRig.timeRep(Launches);
     All = result(AllRig);
   }
-  fs::removeAllFiles(CaptureDir);
+  fs::removeTree(CaptureDir);
 
   double PerLaunchOffUs = Off.BestSeconds / Launches * 1e6;
   double PerLaunchOnUs = On.BestSeconds / Launches * 1e6;

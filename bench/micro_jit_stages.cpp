@@ -251,7 +251,7 @@ void BM_PersistentCacheLookup(benchmark::State &State) {
     auto Hit = Cold.lookup(0x1234);
     benchmark::DoNotOptimize(Hit);
   }
-  fs::removeAllFiles(Dir);
+  fs::removeTree(Dir);
 }
 BENCHMARK(BM_PersistentCacheLookup);
 

@@ -249,9 +249,9 @@ int main(int Argc, char **Argv) {
     Verdict = Jit.policy()->verdictFor(A.KernelSymbol, A.Arch);
   }
 
-  fs::removeAllFiles(CaptureDir);
-  fs::removeAllFiles(CacheOff);
-  fs::removeAllFiles(CacheOn);
+  fs::removeTree(CaptureDir);
+  fs::removeTree(CacheOff);
+  fs::removeTree(CacheOn);
 
   // Corpus accuracy: classify every checked-in artifact on both targets
   // and compare against the classes pinned in the .expect files.

@@ -82,6 +82,11 @@ int main() {
   Device Dev(getAmdGcnSimTarget());
   JitConfig JC;
   JC.CacheDir = fs::makeTempDirectory("proteus-quickstart-cache");
+  // Declared before the runtime, so the directory goes after the runtime.
+  struct RemoveOnExit {
+    std::string Dir;
+    ~RemoveOnExit() { fs::removeTree(Dir); }
+  } CacheCleanup{JC.CacheDir};
   JitRuntime Jit(Dev, Program.ModuleId, JC);
   LoadedProgram LP(Dev, Program, &Jit);
   if (!LP.ok()) {

@@ -6,14 +6,15 @@
 ///
 /// \file
 /// The storage interface behind the fleet-scale code cache. CodeCache keeps
-/// the entry framing (integrity header, tier tag, fingerprint) and the
-/// in-memory first level; everything persistent goes through a CacheBackend,
-/// which stores opaque framed blobs keyed by (kind, 64-bit key):
+/// the in-memory first level; everything persistent goes through a
+/// CacheBackend, which stores framed blobs (fleet/Entry.h, one frame for
+/// code objects and tuning decisions) keyed by (kind, 64-bit key):
 ///
 ///   * LocalDirBackend — the single-node fast path: one flat directory,
 ///     with LFU / size-budget eviction that covers cache-jit-*.o objects
-///     and cache-tune-* decision files alike, and lock-file based
-///     cross-process compile claims.
+///     and cache-tune-* decision files alike (LFU reads each entry's hit
+///     count from its frame), and lock-file based cross-process compile
+///     claims.
 ///   * RemoteCacheBackend — a client of the shared cache service
 ///     (tools/proteus-cached or an in-process fleet::CacheServer) speaking
 ///     the compact length-prefixed protocol of fleet/Protocol.h, with
@@ -37,7 +38,6 @@
 #define PROTEUS_FLEET_CACHEBACKEND_H
 
 #include <cstdint>
-#include <functional>
 #include <optional>
 #include <vector>
 
@@ -128,16 +128,10 @@ public:
 /// level policy (CacheLimits::Policy, PROTEUS_CACHE_POLICY).
 enum class EvictPolicy : uint8_t {
   LRU, ///< oldest write/touch time first
-  LFU, ///< least-frequently-executed first (frequency via FreqOf), ties by
-       ///< recency; entries without a frequency (tune records) order by
-       ///< recency among themselves
+  LFU, ///< least-frequently-executed first (the frame's hit count, read
+       ///< through fleet/Entry.h), ties by recency; tune records count 0
+       ///< hits and so order by recency among themselves
 };
-
-/// Extracts an execution-frequency word from a framed blob for LFU
-/// eviction, or 0 when the frame carries none. CodeCache supplies a
-/// decoder for its entry header; backends never parse frames themselves.
-using FrequencyExtractor =
-    std::function<uint64_t(BlobKind, const std::vector<uint8_t> &)>;
 
 } // namespace fleet
 } // namespace proteus

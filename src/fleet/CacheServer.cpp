@@ -22,7 +22,6 @@ CacheServer::CacheServer(CacheServerOptions OptionsIn)
   LocalBackendOptions BO;
   BO.BudgetBytes = Options.BudgetBytes;
   BO.Policy = Options.Policy;
-  BO.FreqOf = Options.FreqOf;
   Backend = std::make_unique<LocalDirBackend>(Options.Dir, BO);
   Pool = std::make_unique<ThreadPool>(Options.Workers);
 }

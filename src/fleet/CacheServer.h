@@ -47,7 +47,6 @@ struct CacheServerOptions {
   std::string Dir;
   uint64_t BudgetBytes = 0;
   EvictPolicy Policy = EvictPolicy::LRU;
-  FrequencyExtractor FreqOf;
   unsigned Workers = 4;
 };
 

@@ -6,12 +6,14 @@
 
 #include "fleet/LocalBackend.h"
 
+#include "fleet/Entry.h"
 #include "support/FileSystem.h"
 #include "support/Hashing.h"
 #include "support/StringUtils.h"
 #include "support/Trace.h"
 
 #include <algorithm>
+#include <tuple>
 
 #include <unistd.h>
 
@@ -144,7 +146,6 @@ void LocalDirBackend::enforceBudget() {
     uint64_t Bytes;
     int64_t WriteTimeNs;
     uint64_t Freq;
-    BlobKind Kind;
   };
   std::vector<Victim> Entries;
   uint64_t Total = 0;
@@ -152,29 +153,21 @@ void LocalDirBackend::enforceBudget() {
     if (!isEntryName(F.Name))
       continue; // locks and .tmp- siblings are not budgeted entries
     Total += F.Bytes;
-    Entries.push_back(Victim{Root + "/" + F.Name, F.Bytes, F.WriteTimeNs, 0,
-                             startsWith(F.Name, CodePrefix) ? BlobKind::Code
-                                                            : BlobKind::Tune});
+    Entries.push_back(Victim{Root + "/" + F.Name, F.Bytes, F.WriteTimeNs, 0});
   }
   if (Total <= Options.BudgetBytes)
     return;
 
-  if (Options.Policy == EvictPolicy::LFU && Options.FreqOf) {
+  if (Options.Policy == EvictPolicy::LFU)
     for (Victim &V : Entries)
       if (auto Bytes = fs::readFile(V.Path))
-        V.Freq = Options.FreqOf(V.Kind, *Bytes);
-    std::sort(Entries.begin(), Entries.end(),
-              [](const Victim &A, const Victim &B) {
-                if (A.Freq != B.Freq)
-                  return A.Freq < B.Freq;
-                return A.WriteTimeNs < B.WriteTimeNs;
-              });
-  } else {
-    std::sort(Entries.begin(), Entries.end(),
-              [](const Victim &A, const Victim &B) {
-                return A.WriteTimeNs < B.WriteTimeNs;
-              });
-  }
+        V.Freq = entryHitCount(*Bytes);
+  // Least executed first (under LRU every count stays 0), then oldest.
+  std::sort(Entries.begin(), Entries.end(),
+            [](const Victim &A, const Victim &B) {
+              return std::tie(A.Freq, A.WriteTimeNs) <
+                     std::tie(B.Freq, B.WriteTimeNs);
+            });
 
   size_t Remaining = Entries.size();
   for (const Victim &V : Entries) {

@@ -12,7 +12,9 @@
 /// agree on. A size budget triggers LRU/LFU eviction that accounts code
 /// objects (cache-jit-<hex>.o) and tuning decisions (cache-tune-<hex>)
 /// alike — the fix for decision files growing a "size-limited" cache
-/// without bound.
+/// without bound. LFU reads each entry's hit count through fleet/Entry.h,
+/// so every holder of the directory (daemon included) orders victims the
+/// same way.
 ///
 /// Cross-process compile claims are O_CREAT|O_EXCL lock files
 /// (cache-lock-<hex>, holding the owner pid): the winner compiles, everyone
@@ -44,8 +46,6 @@ struct LocalBackendOptions {
   /// (PROTEUS_CACHE_DISK_LIMIT); 0 = unlimited.
   uint64_t BudgetBytes = 0;
   EvictPolicy Policy = EvictPolicy::LRU;
-  /// Frame-frequency decoder for LFU victim selection (null → LRU order).
-  FrequencyExtractor FreqOf;
   /// Age after which an unreleased compile claim is considered abandoned
   /// (owner crashed) and may be stolen.
   unsigned StaleLockMs = 2000;

@@ -6,15 +6,13 @@
 
 #include "jit/CodeCache.h"
 
-#include "support/FileSystem.h"
+#include "fleet/Entry.h"
+#include "support/BinaryStream.h"
 #include "support/Hashing.h"
-#include "support/Metrics.h"
-#include "support/StringUtils.h"
 #include "support/Trace.h"
 
 #include <algorithm>
 #include <chrono>
-#include <cstring>
 #include <thread>
 
 using namespace proteus;
@@ -48,176 +46,53 @@ uint64_t proteus::computeTuningKeyHash(uint64_t ModuleId,
   return H.digest();
 }
 
-// --- Persistent entry framing ------------------------------------------------
+// --- Tuning-decision payload -------------------------------------------------
 //
-// cache-jit-<hash>.o files carry a fixed 48-byte header ahead of the object
-// payload so that lookup() can reject truncated or corrupted files (a crash
-// mid-write, bit rot, manual tampering) instead of loading garbage:
-//
-//   [0..8)   magic "PJITCC2\0"
-//   [8..16)  payload size (LE u64)
-//   [16..24) integrity FNV-1a hash (LE u64) over payload bytes, then the
-//            tier tag, then the pipeline fingerprint — so a flipped tier
-//            byte is as detectable as a flipped payload byte
-//   [24..32) execution (hit) count — outside the integrity hash so the LFU
-//            policy's counts can be written back without re-hashing
-//   [32..40) pipeline fingerprint (LE u64)
-//   [40..48) tier tag (LE u64; 0 = Tier-0 baseline, 1 = final)
-//   [48..)   object payload
-//
-// "PJITCC1\0" files from older builds fail the magic check and are deleted
-// like any other corrupt entry — a clean forced recompile on upgrade.
+// cache-tune-<hex> files hold one TuningDecision as a 64-byte payload in the
+// entry frame (fleet/Entry.h), tier Final, fingerprint 0, hit count 0. A
+// corrupt file is deleted and treated as "never tuned": a clean re-race.
+
+static_assert(static_cast<uint8_t>(CodeTier::Final) == fleet::EntryTierFinal,
+              "the frame's tier word is a CodeTier");
 
 namespace {
 
-constexpr char EntryMagic[8] = {'P', 'J', 'I', 'T', 'C', 'C', '2', '\0'};
-constexpr size_t EntryHeaderBytes = 48;
-
-void putU64(std::vector<uint8_t> &Buf, size_t Offset, uint64_t V) {
-  std::memcpy(Buf.data() + Offset, &V, sizeof(V));
-}
-
-uint64_t getU64(const std::vector<uint8_t> &Buf, size_t Offset) {
-  uint64_t V;
-  std::memcpy(&V, Buf.data() + Offset, sizeof(V));
-  return V;
-}
-
-uint64_t integrityHash(const std::vector<uint8_t> &Payload, CodeTier Tier,
-                       uint64_t Fingerprint) {
-  trace::Span Sp("cache.integrity_hash", "cache");
-  FNV1aHash H;
-  H.updateBytes(Payload.data(), Payload.size());
-  H.update(static_cast<uint8_t>(Tier));
-  H.update(Fingerprint);
-  return H.digest();
-}
-
-std::vector<uint8_t> encodeEntry(const std::vector<uint8_t> &Payload,
-                                 uint64_t HitCount, CodeTier Tier,
-                                 uint64_t Fingerprint) {
-  trace::Span Sp("cache.encode", "cache");
-  std::vector<uint8_t> Buf(EntryHeaderBytes + Payload.size());
-  std::memcpy(Buf.data(), EntryMagic, sizeof(EntryMagic));
-  putU64(Buf, 8, Payload.size());
-  putU64(Buf, 16, integrityHash(Payload, Tier, Fingerprint));
-  putU64(Buf, 24, HitCount);
-  putU64(Buf, 32, Fingerprint);
-  putU64(Buf, 40, static_cast<uint64_t>(Tier));
-  std::memcpy(Buf.data() + EntryHeaderBytes, Payload.data(), Payload.size());
-  return Buf;
-}
-
-struct DecodedEntry {
-  std::vector<uint8_t> Payload;
-  uint64_t HitCount = 0;
-  CodeTier Tier = CodeTier::Final;
-  uint64_t Fingerprint = 0;
-};
-
-// --- Tuning-decision framing -------------------------------------------------
-//
-// cache-tune-<hex> files persist one TuningDecision in a fixed 80-byte
-// frame: magic "PJITTD1\0", an FNV-1a integrity hash over the 64-byte
-// payload, then the payload itself. Corrupt or truncated files are deleted
-// and treated as "never tuned", forcing a clean re-race.
-
-constexpr char TuneMagic[8] = {'P', 'J', 'I', 'T', 'T', 'D', '1', '\0'};
 constexpr size_t TunePayloadBytes = 64;
-constexpr size_t TuneFileBytes = 16 + TunePayloadBytes;
-
-void putU32(std::vector<uint8_t> &Buf, size_t Offset, uint32_t V) {
-  std::memcpy(Buf.data() + Offset, &V, sizeof(V));
-}
-
-uint32_t getU32(const std::vector<uint8_t> &Buf, size_t Offset) {
-  uint32_t V;
-  std::memcpy(&V, Buf.data() + Offset, sizeof(V));
-  return V;
-}
 
 std::vector<uint8_t> encodeTuningPayload(const TuningDecision &D) {
-  std::vector<uint8_t> P(TunePayloadBytes, 0);
-  putU32(P, 0, D.GridX);
-  putU32(P, 4, D.GridY);
-  putU32(P, 8, D.GridZ);
-  putU32(P, 12, D.BlockX);
-  putU32(P, 16, D.BlockY);
-  putU32(P, 20, D.BlockZ);
-  P[24] = D.Preset;
-  P[25] = D.EnableLICM;
-  P[26] = D.Bottleneck;
-  putU64(P, 32, D.UnrollMaxTripCount);
-  putU64(P, 40, D.UnrollMaxExpandedInstructions);
-  uint64_t SecondsBits;
-  std::memcpy(&SecondsBits, &D.ExpectedSeconds, sizeof(SecondsBits));
-  putU64(P, 48, SecondsBits);
-  putU32(P, 56, D.TrialsRun);
-  return P;
+  ByteWriter W;
+  W.reserve(TunePayloadBytes);
+  for (uint32_t V : {D.GridX, D.GridY, D.GridZ, D.BlockX, D.BlockY, D.BlockZ})
+    W.writeU32(V);
+  W.writeU8(D.Preset);
+  W.writeU8(D.EnableLICM);
+  W.writeU8(D.Bottleneck);
+  W.writeU8(0); // padding to offset 32
+  W.writeU32(0);
+  W.writeU64(D.UnrollMaxTripCount);
+  W.writeU64(D.UnrollMaxExpandedInstructions);
+  W.writeF64(D.ExpectedSeconds);
+  W.writeU32(D.TrialsRun);
+  W.writeU32(0); // padding to 64 bytes
+  return W.take();
 }
 
+/// Decodes a payload decodeOrDelete found TunePayloadBytes long.
 TuningDecision decodeTuningPayload(const std::vector<uint8_t> &P) {
+  ByteReader R(P);
   TuningDecision D;
-  D.GridX = getU32(P, 0);
-  D.GridY = getU32(P, 4);
-  D.GridZ = getU32(P, 8);
-  D.BlockX = getU32(P, 12);
-  D.BlockY = getU32(P, 16);
-  D.BlockZ = getU32(P, 20);
-  D.Preset = P[24];
-  D.EnableLICM = P[25];
-  D.Bottleneck = P[26];
-  D.UnrollMaxTripCount = getU64(P, 32);
-  D.UnrollMaxExpandedInstructions = getU64(P, 40);
-  uint64_t SecondsBits = getU64(P, 48);
-  std::memcpy(&D.ExpectedSeconds, &SecondsBits, sizeof(D.ExpectedSeconds));
-  D.TrialsRun = getU32(P, 56);
-  return D;
-}
-
-std::vector<uint8_t> encodeTuningFile(const TuningDecision &D) {
-  std::vector<uint8_t> Payload = encodeTuningPayload(D);
-  std::vector<uint8_t> Buf(TuneFileBytes);
-  std::memcpy(Buf.data(), TuneMagic, sizeof(TuneMagic));
-  FNV1aHash H;
-  H.updateBytes(Payload.data(), Payload.size());
-  putU64(Buf, 8, H.digest());
-  std::memcpy(Buf.data() + 16, Payload.data(), Payload.size());
-  return Buf;
-}
-
-std::optional<TuningDecision>
-decodeTuningFile(const std::vector<uint8_t> &Bytes) {
-  if (Bytes.size() != TuneFileBytes)
-    return std::nullopt;
-  if (std::memcmp(Bytes.data(), TuneMagic, sizeof(TuneMagic)) != 0)
-    return std::nullopt;
-  std::vector<uint8_t> Payload(Bytes.begin() + 16, Bytes.end());
-  FNV1aHash H;
-  H.updateBytes(Payload.data(), Payload.size());
-  if (getU64(Bytes, 8) != H.digest())
-    return std::nullopt;
-  return decodeTuningPayload(Payload);
-}
-
-std::optional<DecodedEntry> decodeEntry(const std::vector<uint8_t> &Bytes) {
-  if (Bytes.size() < EntryHeaderBytes)
-    return std::nullopt;
-  if (std::memcmp(Bytes.data(), EntryMagic, sizeof(EntryMagic)) != 0)
-    return std::nullopt;
-  uint64_t Size = getU64(Bytes, 8);
-  if (Size != Bytes.size() - EntryHeaderBytes)
-    return std::nullopt;
-  uint64_t TierWord = getU64(Bytes, 40);
-  if (TierWord > static_cast<uint64_t>(CodeTier::Final))
-    return std::nullopt;
-  DecodedEntry D;
-  D.Payload.assign(Bytes.begin() + EntryHeaderBytes, Bytes.end());
-  D.Tier = static_cast<CodeTier>(TierWord);
-  D.Fingerprint = getU64(Bytes, 32);
-  if (getU64(Bytes, 16) != integrityHash(D.Payload, D.Tier, D.Fingerprint))
-    return std::nullopt;
-  D.HitCount = getU64(Bytes, 24);
+  for (uint32_t *V : {&D.GridX, &D.GridY, &D.GridZ, &D.BlockX, &D.BlockY,
+                      &D.BlockZ})
+    *V = R.readU32();
+  D.Preset = R.readU8();
+  D.EnableLICM = R.readU8();
+  D.Bottleneck = R.readU8();
+  R.readU8(); // padding
+  R.readU32();
+  D.UnrollMaxTripCount = R.readU64();
+  D.UnrollMaxExpandedInstructions = R.readU64();
+  D.ExpectedSeconds = R.readF64();
+  D.TrialsRun = R.readU32();
   return D;
 }
 
@@ -227,17 +102,6 @@ fleet::LocalBackendOptions CodeCache::backendOptions(const CacheLimits &Limits) 
   fleet::LocalBackendOptions BO;
   BO.BudgetBytes = Limits.MaxPersistentBytes;
   BO.Policy = Limits.Policy;
-  // LFU victim selection needs each entry's execution count; only CodeCache
-  // knows the frame layout, so it hands the backend a decoder instead of
-  // the backend parsing frames itself.
-  BO.FreqOf = [](fleet::BlobKind Kind,
-                 const std::vector<uint8_t> &Bytes) -> uint64_t {
-    if (Kind != fleet::BlobKind::Code || Bytes.size() < EntryHeaderBytes)
-      return 0;
-    if (std::memcmp(Bytes.data(), EntryMagic, sizeof(EntryMagic)) != 0)
-      return 0;
-    return getU64(Bytes, 24);
-  };
   return BO;
 }
 
@@ -255,6 +119,22 @@ CodeCache::CodeCache(bool UseMemory, bool UsePersistent,
 
 CodeCache::~CodeCache() = default;
 
+std::optional<fleet::EntryInfo>
+CodeCache::decodeOrDelete(fleet::BlobKind Kind, uint64_t Key,
+                          std::vector<uint8_t> &Bytes) {
+  std::optional<fleet::EntryInfo> Info = fleet::decodeEntry(Bytes);
+  if (Info &&
+      (Kind == fleet::BlobKind::Code || Bytes.size() == TunePayloadBytes))
+    return Info;
+  // Truncated/corrupted entry (e.g. a crash mid-write, or a file from an
+  // older frame): delete it and report a miss, so the JIT recompiles (or
+  // re-tunes) instead of loading garbage.
+  ++Stats.CorruptPersistentEntries;
+  trace::instant("cache.corrupt", "cache");
+  Backend->remove(Kind, Key);
+  return std::nullopt;
+}
+
 std::optional<TuningDecision> CodeCache::lookupTuningDecision(uint64_t Key) {
   std::lock_guard<std::mutex> Lock(Mutex);
   if (UseMemory) {
@@ -262,21 +142,15 @@ std::optional<TuningDecision> CodeCache::lookupTuningDecision(uint64_t Key) {
     if (It != Tuning.end())
       return It->second;
   }
-  if (UsePersistent) {
-    if (auto B = Backend->lookup(fleet::BlobKind::Tune, Key)) {
-      if (auto D = decodeTuningFile(B->Bytes)) {
-        if (UseMemory)
-          Tuning.emplace(Key, *D);
-        return D;
-      }
-      // Corrupt decision: delete and re-tune, mirroring corrupt code
-      // entries.
-      ++Stats.CorruptPersistentEntries;
-      trace::instant("cache.corrupt", "cache");
-      Backend->remove(fleet::BlobKind::Tune, Key);
-    }
-  }
-  return std::nullopt;
+  if (!UsePersistent)
+    return std::nullopt;
+  auto B = Backend->lookup(fleet::BlobKind::Tune, Key);
+  if (!B || !decodeOrDelete(fleet::BlobKind::Tune, Key, B->Bytes))
+    return std::nullopt;
+  TuningDecision D = decodeTuningPayload(B->Bytes);
+  if (UseMemory)
+    Tuning.emplace(Key, D);
+  return D;
 }
 
 void CodeCache::storeTuningDecision(uint64_t Key, const TuningDecision &D) {
@@ -284,7 +158,8 @@ void CodeCache::storeTuningDecision(uint64_t Key, const TuningDecision &D) {
   if (UseMemory)
     Tuning[Key] = D;
   if (UsePersistent)
-    Backend->publish(fleet::BlobKind::Tune, Key, encodeTuningFile(D));
+    Backend->publish(fleet::BlobKind::Tune, Key,
+                     fleet::encodeEntry(encodeTuningPayload(D), {}));
 }
 
 void CodeCache::touchEntry(uint64_t Hash, Entry &E) {
@@ -317,16 +192,11 @@ std::optional<std::vector<uint8_t>> CodeCache::lookup(uint64_t Hash) {
 }
 
 std::optional<CachedCode> CodeCache::adoptPersistent(uint64_t Hash,
-                                                     const fleet::Blob &B) {
-  std::optional<DecodedEntry> Decoded = decodeEntry(B.Bytes);
-  if (!Decoded) {
-    // Truncated/corrupted entry (e.g. a crash mid-write): delete it and
-    // report a miss so the JIT recompiles instead of loading garbage.
-    ++Stats.CorruptPersistentEntries;
-    trace::instant("cache.corrupt", "cache");
-    Backend->remove(fleet::BlobKind::Code, Hash);
+                                                     fleet::Blob &B) {
+  std::optional<fleet::EntryInfo> Info =
+      decodeOrDelete(fleet::BlobKind::Code, Hash, B.Bytes);
+  if (!Info)
     return std::nullopt;
-  }
   // Tier attribution: a daemon round-trip costs very differently from a
   // local disk read, so the fleet service's hits get their own counter.
   if (B.Remote) {
@@ -336,16 +206,16 @@ std::optional<CachedCode> CodeCache::adoptPersistent(uint64_t Hash,
     ++Stats.PersistentHits;
     trace::instant("cache.hit.persistent", "cache");
   }
+  const CodeTier Tier = static_cast<CodeTier>(Info->Tier);
   if (UseMemory && !Memory.count(Hash)) {
     // Preserve the execution count across the promotion so the LFU policy
     // is not biased against entries that round-tripped through the
     // persistent level; this access counts too.
     trace::instant("cache.promote", "cache");
-    insertMemoryEntry(Hash, Decoded->Payload, Decoded->HitCount + 1,
-                      Decoded->Tier, Decoded->Fingerprint);
+    insertMemoryEntry(Hash, B.Bytes, Info->HitCount + 1, Tier,
+                      Info->Fingerprint);
   }
-  return CachedCode{std::move(Decoded->Payload), Decoded->Tier,
-                    Decoded->Fingerprint};
+  return CachedCode{std::move(B.Bytes), Tier, Info->Fingerprint};
 }
 
 std::optional<CachedCode> CodeCache::lookupEntry(uint64_t Hash) {
@@ -400,27 +270,25 @@ void CodeCache::insert(uint64_t Hash, const std::vector<uint8_t> &Object,
       // Same downgrade guard for the on-disk level (the memory level may be
       // disabled, so check the published entry's own tier tag).
       if (auto B = Backend->lookup(fleet::BlobKind::Code, Hash))
-        if (auto Decoded = decodeEntry(B->Bytes))
-          if (Decoded->Tier == CodeTier::Final)
+        if (auto Info = fleet::decodeEntry(B->Bytes))
+          if (Info->Tier == fleet::EntryTierFinal)
             return;
     }
     Backend->publish(fleet::BlobKind::Code, Hash,
-                     encodeEntry(Object, HitCount, Tier, PipelineFingerprint));
+                     fleet::encodeEntry(Object, {HitCount,
+                                                 static_cast<uint8_t>(Tier),
+                                                 PipelineFingerprint}));
   }
 }
 
 void CodeCache::writeBackHitCount(uint64_t Hash, uint64_t Count) {
   if (!UsePersistent || Count == 0)
     return;
+  // The count sits outside the integrity hash: patch the verified frame in
+  // place and republish it, payload untouched.
   auto B = Backend->lookup(fleet::BlobKind::Code, Hash);
-  if (!B)
-    return;
-  auto Decoded = decodeEntry(B->Bytes);
-  if (!Decoded || Decoded->HitCount == Count)
-    return;
-  Backend->publish(fleet::BlobKind::Code, Hash,
-                   encodeEntry(Decoded->Payload, Count, Decoded->Tier,
-                               Decoded->Fingerprint));
+  if (B && fleet::setEntryHitCount(B->Bytes, Count))
+    Backend->publish(fleet::BlobKind::Code, Hash, B->Bytes);
 }
 
 void CodeCache::enforceMemoryLimit() {

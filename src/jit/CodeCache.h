@@ -22,10 +22,10 @@
 /// The cache is thread-safe: every public operation is serialized by an
 /// internal mutex, so concurrent launch threads and asynchronous compile
 /// workers (JitConfig::AsyncMode) can share one instance. Persistent
-/// entries are framed with a small integrity header (magic, payload size,
-/// integrity hash, execution count, pipeline fingerprint, tier tag —
-/// the tiered JIT stores Tier-0 baselines and their promoted Tier-1
-/// replacements in the same slot) and written via write-to-temp +
+/// entries are framed by fleet/Entry.h (magic, payload size, integrity
+/// hash, execution count, pipeline fingerprint, tier tag — the tiered JIT
+/// stores Tier-0 baselines and their promoted Tier-1 replacements in the
+/// same slot) and written via write-to-temp +
 /// atomic-rename, so a crash mid-write can never produce a loadable
 /// truncated object: lookup() validates the frame and treats corrupt files
 /// as misses (deleting them), forcing a clean recompilation.
@@ -36,6 +36,7 @@
 #define PROTEUS_JIT_CODECACHE_H
 
 #include "codegen/Target.h"
+#include "fleet/Entry.h"
 #include "fleet/LocalBackend.h"
 #include "support/Env.h"
 #include "transforms/SpecializeArgs.h"
@@ -134,8 +135,7 @@ struct TuningDecision {
   uint32_t TrialsRun = 0;
   /// Roofline verdict active when the decision was made, persisted as
   /// BottleneckClass + 1; 0 means no classification was recorded (policy
-  /// off, or a decision written before the classifier existed — the old
-  /// frame kept this byte zeroed, so both directions decode cleanly).
+  /// off).
   uint8_t Bottleneck = 0;
 };
 
@@ -150,9 +150,9 @@ uint64_t computeTuningKeyHash(uint64_t ModuleId,
 /// Two-level object cache. The in-memory first level lives here; the
 /// persistent level is delegated to a fleet::CacheBackend (a flat local
 /// directory by default, the shared cache service when PROTEUS_CACHE_REMOTE
-/// is on) — CodeCache owns the entry framing, the backend owns transport
-/// and storage. All persistent access goes through the backend; nothing
-/// outside the backend implementations touches the cache directory.
+/// is on), which owns transport, storage and the entry frame. All
+/// persistent access goes through the backend; nothing outside the backend
+/// implementations touches the cache directory.
 class CodeCache {
 public:
   /// \p PersistentDir empty disables the persistent level entirely. The
@@ -166,9 +166,7 @@ public:
   ~CodeCache();
 
   /// LocalBackendOptions derived from \p Limits: the byte budget
-  /// (MaxPersistentBytes), the eviction policy, and a frequency extractor
-  /// that decodes the execution count from framed code entries (for LFU
-  /// victim selection).
+  /// (MaxPersistentBytes) and the eviction policy.
   static fleet::LocalBackendOptions backendOptions(const CacheLimits &Limits);
 
   /// Looks up \p Hash: memory first, then persistent storage (promoting the
@@ -254,11 +252,15 @@ private:
   };
 
   void touchEntry(uint64_t Hash, Entry &E);
+  /// Decodes (\p Kind, \p Key)'s \p Bytes in place (Mutex held); a corrupt
+  /// entry is counted, deleted and reported as std::nullopt.
+  std::optional<fleet::EntryInfo>
+  decodeOrDelete(fleet::BlobKind Kind, uint64_t Key,
+                 std::vector<uint8_t> &Bytes);
   /// Serves \p B, what the persistent level holds for \p Hash (Mutex
   /// held): counts a remote or persistent hit and promotes the entry into
   /// memory, or deletes a corrupt entry and returns std::nullopt.
-  std::optional<CachedCode> adoptPersistent(uint64_t Hash,
-                                            const fleet::Blob &B);
+  std::optional<CachedCode> adoptPersistent(uint64_t Hash, fleet::Blob &B);
   void insertMemoryEntry(uint64_t Hash, std::vector<uint8_t> Object,
                          uint64_t HitCount, CodeTier Tier,
                          uint64_t Fingerprint);

@@ -124,14 +124,6 @@ std::vector<std::string> fs::listFiles(const std::string &Dir) {
   return Names;
 }
 
-void fs::removeAllFiles(const std::string &Dir) {
-  std::error_code EC;
-  for (const auto &Entry : stdfs::directory_iterator(Dir, EC)) {
-    if (Entry.is_regular_file(EC))
-      stdfs::remove(Entry.path(), EC);
-  }
-}
-
 std::vector<fs::FileInfo> fs::listFilesWithInfo(const std::string &Dir) {
   std::vector<FileInfo> Out;
   std::error_code EC;
@@ -154,16 +146,6 @@ std::vector<fs::FileInfo> fs::listFilesWithInfo(const std::string &Dir) {
 void fs::touchFile(const std::string &Path) {
   std::error_code EC;
   stdfs::last_write_time(Path, stdfs::file_time_type::clock::now(), EC);
-}
-
-uint64_t fs::directorySize(const std::string &Dir) {
-  uint64_t Total = 0;
-  std::error_code EC;
-  for (const auto &Entry : stdfs::directory_iterator(Dir, EC)) {
-    if (Entry.is_regular_file(EC))
-      Total += Entry.file_size(EC);
-  }
-  return Total;
 }
 
 std::optional<int64_t> fs::fileAgeNs(const std::string &Path) {

@@ -76,13 +76,6 @@ std::vector<FileInfo> listFilesWithInfo(const std::string &Dir);
 /// Updates the write time of \p Path to "now" (LRU touch on cache hits).
 void touchFile(const std::string &Path);
 
-/// Removes every regular file inside \p Dir. Used by tests and by the
-/// "clear the persistent cache on rebuild" workflow the paper describes.
-void removeAllFiles(const std::string &Dir);
-
-/// Total size in bytes of all regular files inside \p Dir.
-uint64_t directorySize(const std::string &Dir);
-
 /// Creates a fresh unique temporary directory and returns its path.
 std::string makeTempDirectory(const std::string &Prefix);
 

@@ -22,6 +22,7 @@
 #include "ir/OpSemantics.h"
 #include "ir/Verifier.h"
 #include "support/Env.h"
+#include "support/FileSystem.h"
 
 #include <gtest/gtest.h>
 
@@ -59,6 +60,17 @@ public:
 private:
   std::string Name;
   std::optional<std::string> Saved;
+};
+
+/// A fresh directory under the system temporary directory, removed with
+/// everything in it (subdirectories included) on scope exit.
+struct TempDir {
+  std::string Path;
+  TempDir() : Path(proteus::fs::makeTempDirectory("proteus-test")) {}
+  TempDir(const TempDir &) = delete;
+  TempDir &operator=(const TempDir &) = delete;
+  ~TempDir() { proteus::fs::removeTree(Path); }
+  std::string file(const std::string &Name) const { return Path + "/" + Name; }
 };
 
 /// Iterations of a randomized sweep whose built-in size is \p Floor: the

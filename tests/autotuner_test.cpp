@@ -84,9 +84,9 @@ struct Harness {
   ~Harness() {
     Jit.reset(); // drain workers before tearing down directories
     if (OwnsCacheDir)
-      fs::removeAllFiles(CacheDir);
+      fs::removeTree(CacheDir);
     if (!CaptureDir.empty())
-      fs::removeAllFiles(CaptureDir);
+      fs::removeTree(CaptureDir);
   }
 
   std::vector<KernelArg> args() const { return argsFor(0); }
@@ -269,7 +269,7 @@ TEST(AutoTunerTest, PersistedDecisionWarmPathCompilesNothing) {
     EXPECT_EQ(HB.Jit->stats().Compilations, 0u);
     EXPECT_EQ(HB.Jit->stats().Tier0Compiles, 0u);
   }
-  fs::removeAllFiles(SharedCache);
+  fs::removeTree(SharedCache);
 }
 
 // ---- Bottleneck-aware policy ------------------------------------------------

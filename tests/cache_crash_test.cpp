@@ -42,12 +42,6 @@ using namespace proteus_test;
 
 namespace {
 
-struct TempDir {
-  std::string Path;
-  TempDir() : Path(fs::makeTempDirectory("proteus-crash")) {}
-  ~TempDir() { fs::removeTree(Path); }
-};
-
 /// The single cache file in \p Dir (asserts there is exactly one).
 std::string onlyCacheFile(const std::string &Dir) {
   auto Names = fs::listFiles(Dir);
@@ -383,6 +377,61 @@ TEST(CacheCrashTest, CrashBetweenTier0PersistAndPromotionRecovers) {
   ASSERT_TRUE(Entry.has_value());
   EXPECT_EQ(Entry->Tier, CodeTier::Final);
   EXPECT_EQ(Entry->Object, Promoted);
+}
+
+TEST(CacheCrashTest, TuningDecisionsShareTheEntryFrame) {
+  TempDir Tmp;
+  TuningDecision D;
+  D.GridX = 3, D.GridY = 5, D.GridZ = 7;
+  D.BlockX = 128, D.BlockY = 2, D.BlockZ = 1;
+  D.Preset = 1;
+  D.EnableLICM = 0;
+  D.UnrollMaxTripCount = 17;
+  D.UnrollMaxExpandedInstructions = 999;
+  D.ExpectedSeconds = 1.25e-5;
+  D.TrialsRun = 6;
+  D.Bottleneck = 2;
+  CodeCache(false, true, Tmp.Path).storeTuningDecision(0x7e, D);
+  const std::string Path = onlyCacheFile(Tmp.Path);
+  auto Bytes = fs::readFile(Path);
+  ASSERT_TRUE(Bytes.has_value());
+  ASSERT_GE(Bytes->size(), 8u);
+  EXPECT_EQ(std::string(reinterpret_cast<const char *>(Bytes->data()), 7),
+            "PJITCC2")
+      << "a tuning decision must ride in the code entry frame";
+
+  CodeCache Fresh(false, true, Tmp.Path);
+  std::optional<TuningDecision> Back = Fresh.lookupTuningDecision(0x7e);
+  ASSERT_TRUE(Back.has_value());
+  EXPECT_EQ(Back->GridX, 3u);
+  EXPECT_EQ(Back->GridY, 5u);
+  EXPECT_EQ(Back->GridZ, 7u);
+  EXPECT_EQ(Back->BlockX, 128u);
+  EXPECT_EQ(Back->BlockY, 2u);
+  EXPECT_EQ(Back->BlockZ, 1u);
+  EXPECT_EQ(Back->Preset, 1);
+  EXPECT_EQ(Back->EnableLICM, 0);
+  EXPECT_EQ(Back->UnrollMaxTripCount, 17u);
+  EXPECT_EQ(Back->UnrollMaxExpandedInstructions, 999u);
+  EXPECT_EQ(Back->ExpectedSeconds, 1.25e-5);
+  EXPECT_EQ(Back->TrialsRun, 6u);
+  EXPECT_EQ(Back->Bottleneck, 2);
+  EXPECT_EQ(Fresh.stats().CorruptPersistentEntries, 0u);
+
+  // A decision file in the older separate frame ("PJITTD1", an 8-byte hash,
+  // the 64-byte payload), and a well-framed payload of the wrong size, are
+  // corrupt: each is counted, deleted and looked up as never tuned.
+  std::vector<uint8_t> Old(80, 0);
+  std::memcpy(Old.data(), "PJITTD1", 8);
+  const std::vector<uint8_t> Frames[] = {
+      Old, fleet::encodeEntry(std::vector<uint8_t>(63, 1), {})};
+  uint64_t Corrupt = 0;
+  for (const std::vector<uint8_t> &F : Frames) {
+    ASSERT_TRUE(fs::writeFile(Path, F));
+    EXPECT_FALSE(Fresh.lookupTuningDecision(0x7e).has_value());
+    EXPECT_EQ(Fresh.stats().CorruptPersistentEntries, ++Corrupt);
+    EXPECT_FALSE(fs::exists(Path));
+  }
 }
 
 //===----------------------------------------------------------------------===//

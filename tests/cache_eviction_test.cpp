@@ -9,6 +9,8 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "TestUtil.h"
+
 #include "fleet/LocalBackend.h"
 #include "jit/CodeCache.h"
 #include "support/FileSystem.h"
@@ -22,13 +24,9 @@
 
 using namespace proteus;
 
-namespace {
+using proteus_test::TempDir;
 
-struct TempDir {
-  std::string Path;
-  TempDir() : Path(fs::makeTempDirectory("proteus-evict")) {}
-  ~TempDir() { fs::removeTree(Path); }
-};
+namespace {
 
 std::vector<uint8_t> blob(size_t N, uint8_t Fill) {
   return std::vector<uint8_t>(N, Fill);

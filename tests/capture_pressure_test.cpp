@@ -86,7 +86,7 @@ struct CaptureRig {
   ~CaptureRig() {
     LP.reset();
     Jit.reset(); // persists any queued captures
-    fs::removeAllFiles(Dir);
+    fs::removeTree(Dir);
   }
 
   GpuError launch(std::string *Error = nullptr, uint64_t Si = 6) {
@@ -267,7 +267,7 @@ TEST(CapturePressureTest, UnwritableDirectoryShedsEverything) {
   Jit.drain();
   EXPECT_EQ(counterValue(Jit.metricsRegistry(), "capture.records"), 0u);
   EXPECT_GE(counterValue(Jit.metricsRegistry(), "capture.drops"), 1u);
-  fs::removeAllFiles(Tmp);
+  fs::removeTree(Tmp);
 }
 
 } // namespace

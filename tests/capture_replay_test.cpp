@@ -84,7 +84,7 @@ captureRandomKernel(uint64_t Seed, GpuArch Arch, std::string *FailReason) {
     LoadedProgram LP(Dev, Prog, &Jit);
     if (!LP.ok()) {
       *FailReason = "load: " + LP.error();
-      fs::removeAllFiles(Dir);
+      fs::removeTree(Dir);
       return std::nullopt;
     }
     DevicePtr In = 0, Out = 0;
@@ -105,7 +105,7 @@ captureRandomKernel(uint64_t Seed, GpuArch Arch, std::string *FailReason) {
     if (LP.launch("rk", Dim3{1, 1, 1}, Dim3{N, 1, 1}, Args, &Err) !=
         GpuError::Success) {
       *FailReason = "launch: " + Err;
-      fs::removeAllFiles(Dir);
+      fs::removeTree(Dir);
       return std::nullopt;
     }
     Jit.drain();
@@ -119,12 +119,12 @@ captureRandomKernel(uint64_t Seed, GpuArch Arch, std::string *FailReason) {
   if (Files.size() != 1) {
     *FailReason =
         "expected one artifact, found " + std::to_string(Files.size());
-    fs::removeAllFiles(Dir);
+    fs::removeTree(Dir);
     return std::nullopt;
   }
   std::string Error;
   Artifact = capture::readArtifactFile(Dir + "/" + Files[0], &Error);
-  fs::removeAllFiles(Dir);
+  fs::removeTree(Dir);
   if (!Artifact)
     *FailReason = "read: " + Error;
   return Artifact;
@@ -383,7 +383,7 @@ TEST(ReplayTest, WarmReplayServesFromPersistentCache) {
   EXPECT_TRUE(Warm.passed()) << Warm.Error << Warm.FirstMismatch;
   EXPECT_EQ(Warm.CompilationsUsed, 0u)
       << "warm replay must load the specialized binary from the cache";
-  fs::removeAllFiles(CacheDir);
+  fs::removeTree(CacheDir);
 }
 
 TEST(ReplayTest, RejectsUnrunnableArtifacts) {

@@ -44,12 +44,6 @@ using namespace proteus_test;
 
 namespace {
 
-struct TempDir {
-  std::string Path;
-  TempDir() : Path(fs::makeTempDirectory("proteus-fleet")) {}
-  ~TempDir() { fs::removeTree(Path); }
-};
-
 std::vector<uint8_t> blob(size_t N, uint8_t Fill) {
   return std::vector<uint8_t>(N, Fill);
 }
@@ -447,6 +441,47 @@ TEST(CacheServerTest, DefaultDaemonAndDefaultRuntimeShareOneStore) {
   Local.clear();
   EXPECT_FALSE(Down->lookup(BlobKind::Code, 0x51).has_value())
       << "a local clear() must remove the daemon's entry";
+}
+
+TEST(CacheServerTest, LfuDaemonKeepsTheMostExecutedEntry) {
+  // The daemon as `proteus-cached --policy=lfu --budget=N` runs it, with a
+  // budget of two 1,000-byte objects in their 48-byte frames, behind a
+  // CodeCache on the daemon client. The entry executed five times must
+  // outlive the never-executed one, as it does without the daemon.
+  TempDir Tmp;
+  CacheServerOptions SO;
+  SO.SocketPath = Tmp.Path + "/cached.sock";
+  SO.Dir = Tmp.Path + "/store";
+  SO.Policy = fleet::EvictPolicy::LFU;
+  SO.BudgetBytes = 2 * (1000 + 48);
+  auto Server = CacheServer::start(SO);
+  ASSERT_TRUE(Server);
+  RemoteBackendOptions RO;
+  RO.SocketPath = SO.SocketPath;
+  RO.FallbackDir = Tmp.Path + "/fallback";
+  CodeCache C(true, true, RO.FallbackDir, CacheLimits(),
+              std::make_unique<RemoteCacheBackend>(RO));
+
+  const uint64_t A = 0xA, B = 0xB, Cc = 0xC;
+  C.insert(A, blob(1000, 0xA1));
+  for (int I = 0; I != 5; ++I)
+    ASSERT_TRUE(C.lookup(A).has_value());
+  C.clearMemory(); // writes A's count of 5 back through the daemon
+  // Distinct write times, so ties between the cold entries break by age.
+  std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  C.insert(B, blob(1000, 0xB1));
+  std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  C.insert(Cc, blob(1000, 0xC1));
+
+  LocalDirBackend &Store = Server->backend();
+  EXPECT_EQ(Store.stats().Evictions, 1u);
+  EXPECT_TRUE(Store.lookup(BlobKind::Code, A).has_value())
+      << "the most executed entry must survive the daemon's LFU eviction";
+  EXPECT_FALSE(Store.lookup(BlobKind::Code, B).has_value())
+      << "the oldest never-executed entry is the LFU victim";
+  EXPECT_TRUE(Store.lookup(BlobKind::Code, Cc).has_value());
+  EXPECT_EQ(C.backend()->stats().FallbackOps, 0u)
+      << "every operation above must have gone through the daemon";
 }
 
 TEST(CacheServerTest, OwnerDisconnectReleasesItsClaims) {

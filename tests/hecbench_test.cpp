@@ -13,6 +13,8 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "TestUtil.h"
+
 #include "hecbench/Benchmark.h"
 #include "hecbench/KernelUtil.h"
 #include "ir/Context.h"
@@ -28,15 +30,11 @@
 using namespace proteus;
 using namespace proteus::hecbench;
 
+using proteus_test::TempDir;
+
 namespace {
 
 using Outputs = std::map<std::string, std::vector<uint8_t>>;
-
-struct TempDir {
-  std::string Path;
-  TempDir() : Path(proteus::fs::makeTempDirectory("proteus-hecb")) {}
-  ~TempDir() { proteus::fs::removeTree(Path); }
-};
 
 /// Empty when \p Got equals \p Ref; otherwise names the first buffer that
 /// differs and its first differing byte offset.

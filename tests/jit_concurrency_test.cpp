@@ -22,6 +22,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "RandomKernel.h"
+#include "TestUtil.h"
 
 #include "bitcode/Bitcode.h"
 #include "bitcode/ModuleIndex.h"
@@ -45,12 +46,6 @@ using namespace proteus::gpu;
 using namespace proteus_test;
 
 namespace {
-
-struct TempDir {
-  std::string Path;
-  TempDir() : Path(fs::makeTempDirectory("proteus-conc")) {}
-  ~TempDir() { fs::removeAllFiles(Path); }
-};
 
 constexpr unsigned NumKernels = 5;
 constexpr unsigned NumSpecs = 3;

@@ -597,7 +597,7 @@ std::optional<capture::CaptureArtifact> captureDaxpy(GpuArch Arch,
     LoadedProgram LP(Dev, Prog, &Jit);
     if (!LP.ok()) {
       *Fail = "load: " + LP.error();
-      fs::removeAllFiles(Dir);
+      fs::removeTree(Dir);
       return std::nullopt;
     }
     DevicePtr X = 0, Y = 0;
@@ -615,7 +615,7 @@ std::optional<capture::CaptureArtifact> captureDaxpy(GpuArch Arch,
     if (LP.launch("daxpy", Dim3{2, 1, 1}, Dim3{32, 1, 1}, Args, &Err) !=
         GpuError::Success) {
       *Fail = "launch: " + Err;
-      fs::removeAllFiles(Dir);
+      fs::removeTree(Dir);
       return std::nullopt;
     }
     Jit.drain();
@@ -623,12 +623,12 @@ std::optional<capture::CaptureArtifact> captureDaxpy(GpuArch Arch,
   std::vector<std::string> Files = fs::listFiles(Dir);
   if (Files.size() != 1) {
     *Fail = "expected one artifact, found " + std::to_string(Files.size());
-    fs::removeAllFiles(Dir);
+    fs::removeTree(Dir);
     return std::nullopt;
   }
   std::string Error;
   Artifact = capture::readArtifactFile(Dir + "/" + Files[0], &Error);
-  fs::removeAllFiles(Dir);
+  fs::removeTree(Dir);
   if (!Artifact)
     *Fail = "read: " + Error;
   return Artifact;
@@ -687,7 +687,7 @@ TEST(ReplayRetargetTest, PublishWarmsEveryArchForAFreshRuntime) {
     EXPECT_EQ(Warm.CompilationsUsed, 0u)
         << gpuArchName(Arch) << " must be served from the published cache";
   }
-  fs::removeAllFiles(CacheDir);
+  fs::removeTree(CacheDir);
 }
 
 // ---------------------------------------------------------------------------

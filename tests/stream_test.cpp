@@ -19,6 +19,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "RandomKernel.h"
+#include "TestUtil.h"
 
 #include "ir/Context.h"
 #include "ir/OpSemantics.h"
@@ -41,13 +42,6 @@ using namespace proteus::gpu;
 using namespace proteus_test;
 
 namespace {
-
-struct TempDir {
-  std::string Path;
-  TempDir() : Path(fs::makeTempDirectory("proteus-stream")) {}
-  ~TempDir() { fs::removeAllFiles(Path); }
-  std::string file(const std::string &Name) const { return Path + "/" + Name; }
-};
 
 constexpr unsigned NumKernels = 3;
 constexpr unsigned NumSpecs = 2;

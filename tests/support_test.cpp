@@ -135,14 +135,13 @@ TEST(FileSystemTest, ReadWriteListRemove) {
   auto Back = fs::readFile(Path);
   ASSERT_TRUE(Back.has_value());
   EXPECT_EQ(*Back, Data);
-  EXPECT_EQ(fs::directorySize(Dir), Data.size());
   auto Names = fs::listFiles(Dir);
   ASSERT_EQ(Names.size(), 1u);
   EXPECT_EQ(Names[0], "blob.bin");
   EXPECT_TRUE(fs::removeFile(Path));
   EXPECT_FALSE(fs::exists(Path));
   EXPECT_FALSE(fs::readFile(Path).has_value());
-  fs::removeAllFiles(Dir);
+  fs::removeTree(Dir);
 }
 
 TEST(FileSystemTest, ReadFileReturnsEmptyLargeAndMissingFiles) {
@@ -177,8 +176,8 @@ TEST(FileSystemTest, TempDirectoriesAreUnique) {
   std::string A = fs::makeTempDirectory("proteus-uniq");
   std::string B = fs::makeTempDirectory("proteus-uniq");
   EXPECT_NE(A, B);
-  fs::removeAllFiles(A);
-  fs::removeAllFiles(B);
+  fs::removeTree(A);
+  fs::removeTree(B);
 }
 
 TEST(FileSystemTest, UniqueNameTokensNeverRepeat) {
@@ -203,7 +202,7 @@ TEST(FileSystemTest, AtomicWriteRoundTripsAndLeavesNoTempFiles) {
   auto Names = fs::listFiles(Dir);
   ASSERT_EQ(Names.size(), 1u);
   EXPECT_EQ(Names[0], "obj.bin");
-  fs::removeAllFiles(Dir);
+  fs::removeTree(Dir);
 }
 
 // --- Specialization-hash determinism ----------------------------------------

@@ -57,12 +57,6 @@ using namespace proteus_test;
 
 namespace {
 
-struct TempDir {
-  std::string Path;
-  TempDir() : Path(fs::makeTempDirectory("proteus-tier")) {}
-  ~TempDir() { fs::removeAllFiles(Path); }
-};
-
 constexpr uint32_t N = 32; // elements / threads per kernel
 
 std::vector<uint8_t> freshMemory(uint64_t Seed) {

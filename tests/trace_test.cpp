@@ -10,6 +10,8 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "TestUtil.h"
+
 #include "support/FileSystem.h"
 #include "support/JsonLite.h"
 #include "support/Metrics.h"
@@ -26,14 +28,9 @@
 
 using namespace proteus;
 
-namespace {
+using proteus_test::TempDir;
 
-struct TempDir {
-  std::string Path;
-  TempDir() : Path(fs::makeTempDirectory("proteus-trace-test")) {}
-  ~TempDir() { fs::removeAllFiles(Path); }
-  std::string file(const std::string &Name) const { return Path + "/" + Name; }
-};
+namespace {
 
 void writeText(const std::string &Path, const std::string &Text) {
   ASSERT_TRUE(fs::writeFileAtomic(

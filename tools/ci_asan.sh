@@ -10,9 +10,9 @@
 # ctest suite under both sanitizers. Any -Wall -Wextra warning, heap/stack/
 # global overflow, use-after-free, leak, container-bounds or
 # undefined-behaviour report fails the script. The PTX assembler's, the
-# bitcode reader's, the fleet wire protocol's and the capture artifact
-# decoder's mutation tests, and the use-list edit script, then run again
-# with PROTEUS_FUZZ_ITERS=10000.
+# bitcode reader's, the fleet wire protocol's, the capture artifact
+# decoder's and the persistent cache entry frame's mutation tests, and the
+# use-list edit script, then run again with PROTEUS_FUZZ_ITERS=10000.
 #
 # Usage: tools/ci_asan.sh [build-dir] [extra ctest args...]
 #        (default build dir: build-asan)
@@ -43,10 +43,10 @@ STATUS=0
 (cd "${BUILD_DIR}" && ctest --output-on-failure -j "$(nproc)" "$@") ||
   STATUS=1
 
-# The PTX assembler, the bitcode reader, the fleet wire protocol and the
-# capture artifact decoder read bytes that could come from anywhere: sweep
-# each a second time with 10k seeded mutants (the per-decoder fuzzing
-# floor).
+# The PTX assembler, the bitcode reader, the fleet wire protocol, the
+# capture artifact decoder and the cache entry frame read bytes that could
+# come from anywhere: sweep each a second time with 10k seeded mutants (the
+# per-decoder fuzzing floor).
 echo "== PTX assembler mutation sweep (PROTEUS_FUZZ_ITERS=10000) =="
 PROTEUS_FUZZ_ITERS=10000 "${BUILD_DIR}/tests/codegen_test" \
   --gtest_filter=PtxTest.MutantVerdictsMatchGolden || STATUS=1
@@ -59,6 +59,9 @@ PROTEUS_FUZZ_ITERS=10000 "${BUILD_DIR}/tests/fleet_cache_test" \
 echo "== Capture artifact mutation sweep (PROTEUS_FUZZ_ITERS=10000) =="
 PROTEUS_FUZZ_ITERS=10000 "${BUILD_DIR}/tests/capture_replay_test" \
   --gtest_filter=ArtifactFormatTest.MutantVerdictsMatchGolden || STATUS=1
+echo "== Cache entry frame mutation sweep (PROTEUS_FUZZ_ITERS=10000) =="
+PROTEUS_FUZZ_ITERS=10000 "${BUILD_DIR}/tests/cache_crash_test" \
+  --gtest_filter=CacheFrameTest.MutantVerdictsMatchGolden || STATUS=1
 # The use list's inline storage spills to and returns from the heap as
 # use counts cross its capacity; a long edit script walks those edges.
 echo "== Use-list edit script (PROTEUS_FUZZ_ITERS=10000) =="

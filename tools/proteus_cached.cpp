@@ -13,6 +13,10 @@
 //                  [--budget=BYTES] [--workers=4]
 //                  [--policy=lru|lfu]
 //
+// --policy=lfu evicts the entries with the lowest hit count, read from each
+// entry's frame (fleet/Entry.h), exactly as a daemon-less process over the
+// same directory does; ties and --policy=lru go oldest-first.
+//
 // Runs until SIGINT/SIGTERM, then prints a stats summary and exits 0.
 //
 //===----------------------------------------------------------------------===//

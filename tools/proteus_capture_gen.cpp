@@ -140,7 +140,7 @@ void buildScratchRace(pir::Module &M) {
 // -- Capture harness ---------------------------------------------------------
 
 /// Picks the first-launch artifact (sequence 0) out of \p TmpDir, copies it
-/// to \p OutPath, and clears the temporary directory. Returns an error
+/// to \p OutPath, and removes the temporary directory. Returns an error
 /// string, empty on success.
 std::string takeFirstArtifact(const std::string &TmpDir,
                               const std::string &OutPath) {
@@ -152,11 +152,11 @@ std::string takeFirstArtifact(const std::string &TmpDir,
     break;
   }
   if (First.empty()) {
-    fs::removeAllFiles(TmpDir);
+    fs::removeTree(TmpDir);
     return "capture produced no sequence-0 artifact";
   }
   auto Bytes = fs::readFile(TmpDir + "/" + First);
-  fs::removeAllFiles(TmpDir);
+  fs::removeTree(TmpDir);
   if (!Bytes)
     return "cannot read back captured artifact " + First;
   if (!fs::writeFileAtomic(OutPath, *Bytes))
@@ -213,7 +213,7 @@ std::string captureBenchmark(const hecbench::Benchmark &B, GpuArch Arch,
   Config.Jit.CaptureRing = 4096;
   hecbench::RunResult R = hecbench::runBenchmark(B, Config);
   if (!R.Ok) {
-    fs::removeAllFiles(TmpDir);
+    fs::removeTree(TmpDir);
     return "benchmark run failed: " + R.Error;
   }
   return takeFirstArtifact(TmpDir, OutPath);
