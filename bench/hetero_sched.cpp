@@ -161,8 +161,9 @@ struct HeteroPool {
   void warmUp() {
     for (unsigned D = 0; D != Mgr.numDevices(); ++D) {
       std::string Err;
-      if (Jit->launchKernelOn(D, "scale", Dim3{Shape.Blocks, 1, 1}, Dim3{64, 1, 1},
-                              args(D), nullptr, &Err) != GpuError::Success) {
+      if (Jit->launchKernelOn(D, "scale", Dim3{Shape.Blocks, 1, 1},
+                              Dim3{64, 1, 1}, args(D), nullptr,
+                              &Err) != GpuError::Success) {
         std::fprintf(stderr, "FATAL: warm-up launch on device %u: %s\n", D,
                      Err.c_str());
         std::exit(1);
