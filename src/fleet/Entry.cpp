@@ -22,6 +22,7 @@
 
 #include "fleet/Entry.h"
 
+#include "support/FileSystem.h"
 #include "support/Hashing.h"
 #include "support/Trace.h"
 
@@ -99,8 +100,10 @@ std::optional<EntryInfo> fleet::decodeEntry(std::vector<uint8_t> &Bytes) {
   return Info;
 }
 
-uint64_t fleet::entryHitCount(const std::vector<uint8_t> &Bytes) {
-  return hasMagic(Bytes) ? getU64(Bytes.data(), HitsAt) : 0;
+uint64_t fleet::entryHitCount(const std::string &Path) {
+  // Eviction scans every entry: read the header, never the payload.
+  auto Head = fs::readFileHead(Path, HeaderBytes);
+  return Head && hasMagic(*Head) ? getU64(Head->data(), HitsAt) : 0;
 }
 
 bool fleet::setEntryHitCount(std::vector<uint8_t> &Bytes, uint64_t Count) {

@@ -18,6 +18,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <string>
 #include <vector>
 
 namespace proteus {
@@ -41,9 +42,10 @@ std::vector<uint8_t> encodeEntry(const std::vector<uint8_t> &Payload,
 /// payload. A corrupt frame returns std::nullopt and leaves \p Bytes as is.
 std::optional<EntryInfo> decodeEntry(std::vector<uint8_t> &Bytes);
 
-/// The hit count of \p Bytes for eviction order, unverified; 0 when it has
-/// no frame magic.
-uint64_t entryHitCount(const std::vector<uint8_t> &Bytes);
+/// The hit count of the entry file at \p Path for eviction order, read from
+/// its header alone and unverified; 0 when unreadable or without the frame
+/// magic.
+uint64_t entryHitCount(const std::string &Path);
 
 /// Sets the hit count of the verified frame \p Bytes in place. Returns
 /// whether \p Bytes changed (false when corrupt or already \p Count).

@@ -160,8 +160,7 @@ void LocalDirBackend::enforceBudget() {
 
   if (Options.Policy == EvictPolicy::LFU)
     for (Victim &V : Entries)
-      if (auto Bytes = fs::readFile(V.Path))
-        V.Freq = entryHitCount(*Bytes);
+      V.Freq = entryHitCount(V.Path);
   // Least executed first (under LRU every count stays 0), then oldest.
   std::sort(Entries.begin(), Entries.end(),
             [](const Victim &A, const Victim &B) {

@@ -38,6 +38,20 @@ std::optional<std::vector<uint8_t>> fs::readFile(const std::string &Path) {
   }
 }
 
+std::optional<std::vector<uint8_t>> fs::readFileHead(const std::string &Path,
+                                                     size_t MaxBytes) {
+  int Fd = ::open(Path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (Fd < 0)
+    return std::nullopt;
+  std::vector<uint8_t> Head(MaxBytes);
+  ssize_t N = ::pread(Fd, Head.data(), MaxBytes, 0);
+  ::close(Fd);
+  if (N < 0)
+    return std::nullopt; // EISDIR for a directory, EIO
+  Head.resize(static_cast<size_t>(N));
+  return Head;
+}
+
 bool fs::writeFile(const std::string &Path, const std::vector<uint8_t> &Data) {
   std::ofstream Out(Path, std::ios::binary | std::ios::trunc);
   if (!Out)

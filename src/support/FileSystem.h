@@ -27,6 +27,11 @@ namespace fs {
 /// is a directory or cannot be read.
 std::optional<std::vector<uint8_t>> readFile(const std::string &Path);
 
+/// Reads at most the first \p MaxBytes bytes of the file at \p Path (fewer
+/// when it is shorter); std::nullopt when it is missing or unreadable.
+std::optional<std::vector<uint8_t>> readFileHead(const std::string &Path,
+                                                 size_t MaxBytes);
+
 /// Writes \p Data to \p Path, replacing any existing file. Returns false on
 /// IO failure.
 bool writeFile(const std::string &Path, const std::vector<uint8_t> &Data);

@@ -28,7 +28,6 @@ using namespace proteus_test;
 
 namespace {
 
-/// RAII temporary cache directory.
 TEST(SpecializationHashTest, EveryFieldMatters) {
   SpecializationKey Base;
   Base.ModuleId = 0x1234;
@@ -357,7 +356,9 @@ TEST(JitRuntimeTest, PersistentCacheSurvivesProcessRestart) {
   };
   RunOnce(1); // cold: compiles and persists
   RunOnce(0); // warm: loaded from cache-jit-<hash>.o
-  EXPECT_FALSE(proteus::fs::listFiles(Tmp.Path).empty());
+  auto Files = proteus::fs::listFilesWithInfo(Tmp.Path);
+  ASSERT_FALSE(Files.empty());
+  EXPECT_GT(Files[0].Bytes, 0u);
 }
 
 TEST(JitRuntimeTest, SourceChangeInvalidatesStaleCacheEntries) {

@@ -138,6 +138,9 @@ TEST(FileSystemTest, ReadWriteListRemove) {
   auto Names = fs::listFiles(Dir);
   ASSERT_EQ(Names.size(), 1u);
   EXPECT_EQ(Names[0], "blob.bin");
+  auto Infos = fs::listFilesWithInfo(Dir);
+  ASSERT_EQ(Infos.size(), 1u);
+  EXPECT_EQ(Infos[0].Bytes, Data.size());
   EXPECT_TRUE(fs::removeFile(Path));
   EXPECT_FALSE(fs::exists(Path));
   EXPECT_FALSE(fs::readFile(Path).has_value());
@@ -161,6 +164,24 @@ TEST(FileSystemTest, ReadFileReturnsEmptyLargeAndMissingFiles) {
   ASSERT_TRUE(B.has_value());
   EXPECT_EQ(*B, Big);
   EXPECT_FALSE(fs::readFile(Dir + "/missing.bin").has_value());
+  fs::removeTree(Dir);
+}
+
+TEST(FileSystemTest, ReadFileHeadStopsAtTheBoundOrTheEnd) {
+  std::string Dir = fs::makeTempDirectory("proteus-fs-head");
+  std::vector<uint8_t> Data(1000);
+  for (size_t I = 0; I != Data.size(); ++I)
+    Data[I] = static_cast<uint8_t>(I * 7);
+  std::string Path = Dir + "/blob.bin";
+  ASSERT_TRUE(fs::writeFile(Path, Data));
+  auto Head = fs::readFileHead(Path, 48);
+  ASSERT_TRUE(Head.has_value());
+  EXPECT_EQ(*Head, std::vector<uint8_t>(Data.begin(), Data.begin() + 48));
+  auto Whole = fs::readFileHead(Path, 4096); // shorter file: all of it
+  ASSERT_TRUE(Whole.has_value());
+  EXPECT_EQ(*Whole, Data);
+  EXPECT_FALSE(fs::readFileHead(Dir + "/missing.bin", 48).has_value());
+  EXPECT_FALSE(fs::readFileHead(Dir, 48).has_value());
   fs::removeTree(Dir);
 }
 
